@@ -44,11 +44,9 @@ from .kacrice import (
     QuadConfig,
     abc_closed,
     abc_direct,
-    abc_leading_order,
     abc_reduced,
     expected_zeros_exact_r0,
     expected_zeros_quadrature,
-    limit_integrand_fpm,
     limit_integrand_g,
 )
 from .constants import (
@@ -58,7 +56,6 @@ from .constants import (
     compute_K,
     monte_carlo_C,
     monte_carlo_K,
-    poisson_average,
     theoretical_mean,
 )
 from .harness import (

@@ -140,21 +140,10 @@ def _cmd_simulate(parser, args):
         "grid_per_degree": args.grid_per_degree,
         "workers": args.workers,
     }
-    # config file fills gaps; explicit CLI flags win
+    # config file fills gaps; explicit CLI flags win; ExperimentConfig
+    # defaults fill the rest
     for key, value in overrides.items():
         if merged.get(key) is None:
-            merged[key] = value
-    hard_defaults = {
-        "kind": "trig",
-        "sigma": 1.0,
-        "degrees": (100,),
-        "trials": 200,
-        "master_seed": 0,
-        "grid_per_degree": 32,
-        "workers": 1,
-    }
-    for key, value in hard_defaults.items():
-        if merged[key] is None:
             merged[key] = value
     if merged["dep"] is None:
         merged["dep"] = "periodic" if merged["ell"] is not None else "iid"
@@ -162,7 +151,9 @@ def _cmd_simulate(parser, args):
         merged["ell"] = None
 
     try:
-        config = ExperimentConfig(**merged)
+        config = ExperimentConfig(
+            **{key: value for key, value in merged.items() if value is not None}
+        )
         config.validate()
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
@@ -188,7 +179,6 @@ def _cmd_kacrice(parser, args):
     quad = QuadConfig(
         panels_per_degree=args.panels_per_degree,
         nodes_per_panel=args.nodes_per_panel,
-        exclusion_exponent=args.exclusion_exponent,
     )
     rows = []
     for n in degrees:
@@ -341,7 +331,6 @@ def build_parser() -> _Parser:
     _add_model_arguments(p_kr)
     p_kr.add_argument("--panels-per-degree", type=int, default=8)
     p_kr.add_argument("--nodes-per-panel", type=int, default=16)
-    p_kr.add_argument("--exclusion-exponent", type=float, default=None)
     p_kr.add_argument("--format", choices=("csv", "json"), default="csv")
     p_kr.add_argument("--out", default=None)
 

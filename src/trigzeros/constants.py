@@ -24,26 +24,25 @@ geometric convergence there.  ``compute_J`` and ``compute_I_alpha`` evaluate
 the companion identities (J = 1 and I_alpha = pi^2/(sin a cos a)) that pin
 down C's bounds and double as end-to-end checks of the quadrature machinery.
 
-Values are cached on disk (JSON, atomic replace) keyed by integrand and grid,
-since the graded grids are recomputed identically across runs.  Set
-TRIGZEROS_CACHE to relocate the cache directory.
+The quadrature is ``kacrice.composite_gauss_legendre`` on graded panel
+edges.  With use_cache (the default) C and K are memoized for the life of
+the process; nothing is written to disk.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
-import os
-import tempfile
 
 import numpy as np
 
 from .models import CoefficientModel, decompose_degree
-from .kacrice import limit_integrand_g
+from .kacrice import composite_gauss_legendre, limit_integrand_g
 from .trigpoly import u_ell
 
 _GRADE_LEVELS = 40
 _NODES = 8
+_FINE_NODES = 2 * _NODES
 
 
 # ---------------------------------------------------------------------------
@@ -60,31 +59,13 @@ def _graded_edges(lo: float, hi: float, levels: int) -> np.ndarray:
     return np.array(edges)
 
 
-def _graded_axis(lo: float, hi: float, levels: int, nodes: int):
-    """Nodes/weights of composite GL on a dyadically graded partition."""
-    z, w = np.polynomial.legendre.leggauss(nodes)
-    edges = _graded_edges(lo, hi, levels)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mid[:, None] + halfw[:, None] * z[None, :]).ravel()
-    ws = (halfw[:, None] * w[None, :]).ravel()
-    return xs, ws
-
-
 def _tensor_integral(func, s_range, t_range, levels: int, nodes: int) -> float:
     """integral of func(s, t) over s_range x t_range on the graded grid."""
-    sx, sw = _graded_axis(*s_range, levels, nodes)
-    tx, tw = _graded_axis(*t_range, levels, nodes)
+    sx, sw = composite_gauss_legendre(_graded_edges(*s_range, levels), nodes)
+    tx, tw = composite_gauss_legendre(_graded_edges(*t_range, levels), nodes)
     ss, tt = np.meshgrid(sx, tx, indexing="ij")
     vals = func(ss, tt)
     return float(sw @ vals @ tw)
-
-
-def _tensor_with_error(func, s_range, t_range, levels: int, nodes: int):
-    """Integral plus an error estimate from doubling the nodes per panel."""
-    coarse = _tensor_integral(func, s_range, t_range, levels, nodes)
-    fine = _tensor_integral(func, s_range, t_range, levels, 2 * nodes)
-    return fine, abs(fine - coarse)
 
 
 def _ridge_split_integral(func, levels: int, nodes: int) -> float:
@@ -99,60 +80,12 @@ def _ridge_split_integral(func, levels: int, nodes: int) -> float:
         lower triangle:  t = (pi - s) w,        Jacobian pi - s
         upper triangle:  t = (pi - s) + s w,    Jacobian s
     """
-    sx, sw = _graded_axis(0.0, math.pi, levels, nodes)
-    wx, ww = _graded_axis(0.0, 1.0, levels, nodes)
+    sx, sw = composite_gauss_legendre(_graded_edges(0.0, math.pi, levels), nodes)
+    wx, ww = composite_gauss_legendre(_graded_edges(0.0, 1.0, levels), nodes)
     ss, wgrid = np.meshgrid(sx, wx, indexing="ij")
     lower = func(ss, (math.pi - ss) * wgrid) * (math.pi - ss)
     upper = func(ss, (math.pi - ss) + ss * wgrid) * ss
     return float(sw @ (lower + upper) @ ww)
-
-
-def _ridge_split_with_error(func, levels: int, nodes: int):
-    coarse = _ridge_split_integral(func, levels, nodes)
-    fine = _ridge_split_integral(func, levels, 2 * nodes)
-    return fine, abs(fine - coarse)
-
-
-# ---------------------------------------------------------------------------
-# Disk cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_path() -> str:
-    base = os.environ.get(
-        "TRIGZEROS_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "trigzeros")
-    )
-    return os.path.join(base, "constants.json")
-
-
-def _cache_load() -> dict:
-    try:
-        with open(_cache_path(), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return data if isinstance(data, dict) else {}
-    except (OSError, ValueError):
-        return {}
-
-
-def _cache_store(key: str, value: float, error: float) -> None:
-    path = _cache_path()
-    data = _cache_load()
-    data[key] = {"value": value, "error": error}
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best-effort; recomputation is always available
-
-
-def _cached(key: str):
-    entry = _cache_load().get(key)
-    if isinstance(entry, dict) and "value" in entry:
-        return float(entry["value"])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +99,15 @@ def compute_C(ell: int, r: int, use_cache: bool = True) -> float:
         raise ValueError(f"need 0 <= r < ell, got ell={ell}, r={r}")
     if r == 0:
         return 1.0  # integrand is identically 1
-    key = f"C:{ell}:{r}:{_GRADE_LEVELS}:{_NODES}"
-    if use_cache and (hit := _cached(key)) is not None:
-        return hit
-    value, err = _ridge_split_with_error(
-        lambda s, t: limit_integrand_g(ell, r, s, t), _GRADE_LEVELS, _NODES
+    return _c_value(ell, r) if use_cache else _c_value.__wrapped__(ell, r)
+
+
+@functools.cache
+def _c_value(ell: int, r: int) -> float:
+    value = _ridge_split_integral(
+        lambda s, t: limit_integrand_g(ell, r, s, t), _GRADE_LEVELS, _FINE_NODES
     )
-    value /= math.pi**2
-    if use_cache:
-        _cache_store(key, value, err / math.pi**2)
-    return value
+    return value / math.pi**2
 
 
 def compute_J(ell: int, r: int) -> float:
@@ -215,35 +147,23 @@ def compute_K(ell: int, use_cache: bool = True) -> float:
         raise ValueError(f"ell must be positive, got {ell}")
     if ell == 1:
         return 0.5  # u_1 == 1 makes the integrand identically 1
-    key = f"K:{ell}:{_GRADE_LEVELS}:{_NODES}"
-    if use_cache and (hit := _cached(key)) is not None:
-        return hit
+    return _k_value(ell) if use_cache else _k_value.__wrapped__(ell)
 
-    def integrand(s, t):
-        u = u_ell(ell, s)
-        den = (1.0 + u * np.cos(t)) ** 2
-        return np.sqrt(1.0 + 3.0 * (1.0 - u * u) / np.maximum(den, 1e-300))
 
-    value, err = _tensor_with_error(
-        integrand, (0.0, math.pi / 2), (0.0, math.pi), _GRADE_LEVELS, _NODES
+@functools.cache
+def _k_value(ell: int) -> float:
+    value = _tensor_integral(
+        lambda s, t: _limit_integrand_k(ell, s, t),
+        (0.0, math.pi / 2), (0.0, math.pi), _GRADE_LEVELS, _FINE_NODES,
     )
-    value /= math.pi**2
-    if use_cache:
-        _cache_store(key, value, err / math.pi**2)
-    return value
+    return value / math.pi**2
 
 
-def poisson_average(u: float) -> float:
-    """(1/pi) int_0^pi dt / (1 - u cos t), which equals 1/sqrt(1 - u^2).
-
-    Machinery check: the graded axis must resolve the near-pole at t = 0 as
-    |u| -> 1, the same boundary behavior the constants' integrands have.
-    """
-    if not -1.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (-1, 1)")
-    tx, tw = _graded_axis(0.0, math.pi, _GRADE_LEVELS, _NODES)
-    vals = 1.0 / (1.0 - u * np.cos(tx))
-    return float(np.dot(vals, tw)) / math.pi
+def _limit_integrand_k(ell: int, s, t):
+    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2), u = u_ell(s)."""
+    u = u_ell(ell, s)
+    den = (1.0 + u * np.cos(t)) ** 2
+    return np.sqrt(1.0 + 3.0 * (1.0 - u * u) / np.maximum(den, 1e-300))
 
 
 def monte_carlo_C(
@@ -286,14 +206,13 @@ def monte_carlo_K(
     """Monte Carlo estimate of compute_K, same variance taming as above."""
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-
-    def integrand(s, t):
-        u = u_ell(ell, s)
-        den = (1.0 + u * np.cos(t)) ** 2
-        return np.sqrt(1.0 + 3.0 * (1.0 - u * u) / np.maximum(den, 1e-300))
-
     return _mc_smoothstep_square(
-        integrand, math.pi / 2, math.pi, n_points, seed, chunk
+        lambda s, t: _limit_integrand_k(ell, s, t),
+        math.pi / 2,
+        math.pi,
+        n_points,
+        seed,
+        chunk,
     )
 
 

@@ -22,10 +22,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
-from .models import CoefficientModel, mix64, sample_coefficients, validate_model
+from .models import (
+    CoefficientModel,
+    decompose_degree,
+    mix64,
+    sample_coefficients,
+    validate_model,
+)
 from .zeros import count_zeros
 
 CSV_COLUMNS = (
@@ -116,8 +122,6 @@ def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
     unstable = sum(1 for _, stable in outcomes if not stable)
 
     if model.dep == "periodic":
-        from .models import decompose_degree
-
         dec = decompose_degree(n, model.ell)
         m_val, r_val = dec.m, dec.r
     else:
@@ -219,56 +223,15 @@ def report_to_csv(report: ExperimentReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in report.rows:
-        writer.writerow(
-            [
-                _cell(row.n),
-                _cell(row.m),
-                _cell(row.r),
-                _cell(row.trials),
-                _cell(row.unstable),
-                _cell(row.empirical_mean),
-                _cell(row.stddev),
-                _cell(row.stderr),
-                _cell(row.theory),
-                _cell(row.order),
-                _cell(row.z),
-            ]
-        )
+        writer.writerow([_cell(getattr(row, c)) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    cfg = report.config
-    payload = {
-        "config": {
-            "kind": cfg.kind,
-            "dep": cfg.dep,
-            "ell": cfg.ell,
-            "sigma": cfg.sigma,
-            "degrees": list(cfg.degrees),
-            "trials": cfg.trials,
-            "master_seed": cfg.master_seed,
-            "grid_per_degree": cfg.grid_per_degree,
-            "max_doublings": cfg.max_doublings,
-        },
-        "rows": [
-            {
-                "n": row.n,
-                "m": row.m,
-                "r": row.r,
-                "trials": row.trials,
-                "unstable": row.unstable,
-                "empirical_mean": row.empirical_mean,
-                "stddev": row.stddev,
-                "stderr": row.stderr,
-                "theory": row.theory,
-                "order": row.order,
-                "z": row.z,
-                "failed": row.failed,
-            }
-            for row in report.rows
-        ],
-    }
+    """The config (minus workers, which cannot change a count) and every row."""
+    config = asdict(report.config)
+    del config["workers"]
+    payload = {"config": config, "rows": [asdict(row) for row in report.rows]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -30,10 +30,15 @@ elementary.
 Near the degree-grid lattice points x = 2*pi*k/ell the closed forms for r != 0
 involve cancellations between O(n^2) terms, and A itself dips toward its
 positive floor; quadrature there is dominated by narrow spikes of the
-integrand.  The spike mass is O(width * n), so the engine excises shrinking
-windows around the lattice (width prescribed by ``exclusion_exponent``) and
-folds an estimate of the excised mass (average-density scale n/pi per unit
-length) into the error estimate instead of chasing the spikes with panels.
+integrand.  The spike mass is O(width * n), so the engine excises windows
+around the lattice that shrink like m^(-1/5) (n^(-1/3) for the reduced
+cosine route) and folds an estimate of the excised mass (average-density
+scale n/pi per unit length) into the error estimate instead of chasing the
+spikes with panels.
+
+``composite_gauss_legendre`` is the one quadrature rule of the package: the
+Kac-Rice integrals use it on uniform panels, the limit constants of the
+``constants`` module on dyadically graded ones.
 """
 
 from __future__ import annotations
@@ -107,7 +112,6 @@ def _basis_functions(sample: PolySample, x: np.ndarray):
             np.vstack([rows_cos_d, rows_sin_d]),
         )
 
-    dec = decompose_degree(n, model.ell)
     j = np.arange(n + 1)
     rows = []
     rows_d = []
@@ -122,7 +126,6 @@ def _basis_functions(sample: PolySample, x: np.ndarray):
             fx = np.multiply.outer(freqs, x)
             rows.append(np.sin(fx).sum(axis=0))
             rows_d.append((freqs[:, None] * np.cos(fx)).sum(axis=0))
-    del dec
     return np.vstack(rows), np.vstack(rows_d)
 
 
@@ -136,11 +139,10 @@ def abc_direct(sample: PolySample, x) -> AbcTriple:
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
-def _iid_constants(kind: str, n: int):
+def _iid_constants(n: int):
     """A, C for the i.i.d. trig model (both constant in x)."""
     A = float(n + 1)
     C = n * (n + 1) * (2 * n + 1) / 6.0
-    del kind
     return A, C
 
 
@@ -183,7 +185,7 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
     if model.dep == "iid":
         if model.kind != "trig":
             raise ValueError("closed forms cover i.i.d. trig only")
-        A0, C0 = _iid_constants("trig", n)
+        A0, C0 = _iid_constants(n)
         full = np.full_like(x, A0)
         return AbcTriple(A=full, B=np.zeros_like(x), C=np.full_like(x, C0), x=x)
 
@@ -241,44 +243,6 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
-def abc_leading_order(sample: PolySample, x) -> AbcTriple:
-    """Truncated large-n forms for the periodic trig model with r != 0.
-
-    Valid away from the lattice x = 2 pi k / ell; the dropped remainders are
-    O(n^{1+4a}) in B^2 and O(n^{1+2a}) in C when the lattice is excluded at
-    distance ~ (2/ell) m^{-a}.  Exposed so tests can measure those remainder
-    orders against the exact forms.  B is returned with the sign of the exact
-    B; only B^2 is asymptotically meaningful here.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    model = sample.model
-    if model.dep != "periodic" or model.kind != "trig":
-        raise ValueError("leading-order forms cover periodic trig only")
-    dec = decompose_degree(sample.n, model.ell)
-    ell, m, r = dec.ell, dec.m, dec.r
-    if r == 0:
-        raise ValueError("leading-order forms require r != 0")
-    phi = dirichlet_ratio(m, ell, x)
-    phid = dirichlet_ratio_deriv(m, ell, x)
-    D = 0.5 * (m + 1) * ell * x
-    half = np.sin(0.5 * ell * x)
-    cos2m1 = np.cos(0.5 * (2 * m + 1) * ell * x)
-    A = ell * phi * phi + r + 2.0 * r * phi * np.cos(D)
-    B2 = (
-        (ell * phi * phid) ** 2
-        + (r * m * ell * cos2m1) ** 2 / (4.0 * half * half)
-        + r * m * ell * ell * phi * phid * cos2m1 / half
-    )
-    C = (
-        0.25 * (m * ell) ** 2 * A
-        + 0.25 * r * (m * ell) ** 2
-        - r * m * ell * phid * np.sin(D)
-        + ell * phid * phid
-    )
-    B = np.sign(ell * phi * phid) * np.sqrt(np.maximum(B2, 0.0))
-    return AbcTriple(A=A, B=B, C=C, x=x)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature engine
 # ---------------------------------------------------------------------------
@@ -289,14 +253,12 @@ class QuadConfig:
     """Composite Gauss-Legendre settings.
 
     panels_per_degree scales panel count with n (the integrand oscillates at
-    wavelength ~ 2 pi / n); exclusion_exponent overrides the default window
-    shrink rate around integrable-spike points when set.
+    wavelength ~ 2 pi / n).
     """
 
     panels_per_degree: int = 8
     nodes_per_panel: int = 16
     min_panels: int = 64
-    exclusion_exponent: float | None = None
 
 
 @dataclass(frozen=True)
@@ -314,10 +276,12 @@ class KacRiceResult:
         return self.deterministic_zeros + self.value
 
 
-def _gl_nodes(lo: float, hi: float, n_panels: int, nodes: int):
-    """Composite Gauss-Legendre nodes/weights on (lo, hi)."""
+def composite_gauss_legendre(edges: np.ndarray, nodes: int):
+    """Nodes/weights of Gauss-Legendre with `nodes` points on each panel.
+
+    The panels are the intervals between consecutive entries of edges.
+    """
     z, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + halfw[:, None] * z[None, :]).ravel()
@@ -332,19 +296,19 @@ def _integrate_panels(func, intervals, n_panels_total: int, nodes: int):
     panels_used = 0
     for lo, hi in intervals:
         share = max(1, int(round(n_panels_total * (hi - lo) / total_len)))
-        xs, ws = _gl_nodes(lo, hi, share, nodes)
+        xs, ws = composite_gauss_legendre(np.linspace(lo, hi, share + 1), nodes)
         value += float(np.dot(func(xs), ws))
         panels_used += share
     return value, panels_used
 
 
-def _exclusion_windows(sample: PolySample, config: QuadConfig):
+def _exclusion_windows(sample: PolySample):
     """Centers and half-widths of integrable-spike windows to excise.
 
     Periodic trig r != 0: lattice points 2 pi k / ell, half-width
-    (2/ell) m^{-a} with a = 1/5 by default (the remainder-balancing choice).
-    Periodic cosine r = 0 (reduced route): {0, pi, 2 pi}, half-width n^{-a},
-    a = 1/3 by default.  Everything else: none.
+    (2/ell) m^{-1/5} (the remainder-balancing choice).
+    Periodic cosine r = 0 (reduced route): {0, pi, 2 pi}, half-width n^{-1/3}.
+    Everything else: none.
     """
     model = sample.model
     if model.dep != "periodic":
@@ -353,14 +317,12 @@ def _exclusion_windows(sample: PolySample, config: QuadConfig):
     if dec.m == 1:
         return [], 0.0  # no repetition occurs; A stays bounded below
     if dec.r != 0:
-        a = config.exclusion_exponent if config.exclusion_exponent else 0.2
-        half = (2.0 / dec.ell) * dec.m ** (-a)
+        half = (2.0 / dec.ell) * dec.m ** (-0.2)
         half = min(half, math.pi / (4.0 * dec.ell))  # never swallow a cell
         centers = [TWO_PI * k / dec.ell for k in range(dec.ell + 1)]
         return [(c, half) for c in centers], half
     if model.kind == "cosine" and dec.r == 0:
-        a = config.exclusion_exponent if config.exclusion_exponent else 1.0 / 3.0
-        half = min(float(sample.n) ** (-a), 0.5)
+        half = min(float(sample.n) ** (-1.0 / 3.0), 0.5)
         return [(c, half) for c in (0.0, math.pi, TWO_PI)], half
     return [], 0.0
 
@@ -406,7 +368,7 @@ def expected_zeros_quadrature(
     n = sample.n
 
     if model.dep == "iid" and model.kind == "trig":
-        A0, C0 = _iid_constants("trig", n)
+        A0, C0 = _iid_constants(n)
         value = 2.0 * math.sqrt(C0 / A0)
         return KacRiceResult(
             value=value,
@@ -416,7 +378,7 @@ def expected_zeros_quadrature(
         )
 
     det_zeros = 0
-    windows, _ = _exclusion_windows(sample, config)
+    windows, _ = _exclusion_windows(sample)
 
     if model.dep == "periodic":
         dec = decompose_degree(n, model.ell)
@@ -484,7 +446,7 @@ def expected_zeros_exact_r0(n: int, ell: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Limit integrands (asymptotic shapes used by the constants module and tests)
+# Limit integrand (asymptotic shape of the constants module's C)
 # ---------------------------------------------------------------------------
 
 
@@ -499,16 +461,3 @@ def limit_integrand_g(ell: int, r: int, s, t) -> np.ndarray:
     den = (ell - r) * np.sin(t) ** 2 + r * np.sin(s + t) ** 2
     den = np.maximum(den * den, 1e-300)
     return np.sqrt(1.0 + r * (ell - r) * np.sin(s) ** 2 / den)
-
-
-def limit_integrand_fpm(ell: int, n: int, x, sign: int) -> np.ndarray:
-    """f_n^{+/-}(x) = sqrt(1 - u_ell^2) / (1 +/- u_ell cos(n x)).
-
-    The large-n Kac-Rice density of the reduced periodic cosine model, up to
-    the factor n/2; its circle averages tend to 1/2.
-    """
-    x = np.asarray(x, dtype=float)
-    u = u_ell(ell, x)
-    den = 1.0 + sign * u * np.cos(n * x)
-    den = np.maximum(den, 1e-300)
-    return np.sqrt(np.maximum(1.0 - u * u, 0.0)) / den

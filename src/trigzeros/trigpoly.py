@@ -31,6 +31,12 @@ at ell(m-1) points per full period - the deterministic zeros - and
 extends to +-m across the removable singularities at the lattice
 x = 2 k pi / ell.
 
+Every removable singularity of the package goes through one kernel, the
+lattice reduction shared by dirichlet_ratio and dirichlet_ratio_deriv:
+u_ell(x) = phi_ell(x)/ell at ell := 2, and the grouped sums
+trig_sum_cos/trig_sum_sin are phi_r at ell := 2p times one cosine or
+sine.  Its Taylor window |sin(ell t/2)| < SINGULARITY_EPS is a constant.
+
 The same grouping applied to the algebraic polynomial P(z) = sum a_j z^j
 with an ell-periodic coefficient vector of length ell*m yields
 
@@ -121,31 +127,27 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5) ->
     return N * np.fft.ifft(folded).real
 
 
-def dirichlet_ratio(m: int, ell: int, x, eps: float = SINGULARITY_EPS):
-    """phi_m(x) = sin(m ell x/2)/sin(ell x/2) with singularities removed.
+def _removable(m: int, ell: int, x, far, near):
+    """The removable-singularity kernel behind dirichlet_ratio, its
+    derivative and u_ell.
 
-    Writing x = 2 k pi/ell + t reduces the quotient exactly to
-    (-1)^(k(m-1)) sin(m ell t/2)/sin(ell t/2), which is numerically
-    stable because the small argument is evaluated directly.  Within
-    |sin(ell t/2)| < eps the quadratic Taylor form m(1 - (m^2-1)s^2/6),
-    s = ell t/2, replaces the quotient; at the lattice itself this is
-    the continuous extension +-m.
+    Writes x = 2 k pi/ell + t, evaluates far(s, sin s) or, within
+    |sin s| < SINGULARITY_EPS, near(s) at s = ell t/2, and applies the
+    sign (-1)^(k(m-1)) that the reduction pulls out of the quotient.
     """
     if m < 1 or ell < 1:
         raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     period = 2.0 * np.pi / ell
     k = np.rint(x_arr / period).astype(np.int64)
-    t = x_arr - k * period
-    s = 0.5 * ell * t
+    s = 0.5 * ell * (x_arr - k * period)
     sin_s = np.sin(s)
     out = np.empty(x_arr.shape, dtype=float)
-    near = np.abs(sin_s) < eps
-    far = ~near
-    out[far] = np.sin(m * s[far]) / sin_s[far]
-    if near.any():
-        ss = s[near]
-        out[near] = m * (1.0 - (m * m - 1.0) * ss * ss / 6.0)
+    near_mask = np.abs(sin_s) < SINGULARITY_EPS
+    far_mask = ~near_mask
+    out[far_mask] = far(s[far_mask], sin_s[far_mask])
+    if near_mask.any():
+        out[near_mask] = near(s[near_mask])
     if (m - 1) % 2 == 1:
         out[(k % 2) == 1] *= -1.0
     if np.ndim(x) == 0:
@@ -153,106 +155,77 @@ def dirichlet_ratio(m: int, ell: int, x, eps: float = SINGULARITY_EPS):
     return out
 
 
-def dirichlet_ratio_deriv(m: int, ell: int, x, eps: float = SINGULARITY_EPS):
+def dirichlet_ratio(m: int, ell: int, x):
+    """phi_m(x) = sin(m ell x/2)/sin(ell x/2) with singularities removed.
+
+    Writing x = 2 k pi/ell + t reduces the quotient exactly to
+    (-1)^(k(m-1)) sin(m ell t/2)/sin(ell t/2), which is numerically
+    stable because the small argument is evaluated directly.  Within
+    |sin(ell t/2)| < SINGULARITY_EPS the quadratic Taylor form
+    m(1 - (m^2-1)s^2/6), s = ell t/2, replaces the quotient; at the
+    lattice itself this is the continuous extension +-m.
+    """
+    return _removable(
+        m, ell, x,
+        lambda s, sin_s: np.sin(m * s) / sin_s,
+        lambda s: m * (1.0 - (m * m - 1.0) * s * s / 6.0),
+    )
+
+
+def dirichlet_ratio_deriv(m: int, ell: int, x):
     """d/dx of dirichlet_ratio(m, ell, .), stable across the lattice.
 
     Away from the lattice, with s = ell t/2 as in dirichlet_ratio,
 
         phi_m'(x) = sign * (ell/2) [m cos(ms) sin(s) - sin(ms) cos(s)] / sin(s)^2;
 
-    inside the window the odd Taylor term -sign * m(m^2-1) ell^2 t / 12
+    inside the window the odd Taylor term -sign * m(m^2-1) ell s / 6
     is used (phi_m' vanishes at the lattice points themselves).
     """
-    if m < 1 or ell < 1:
-        raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    period = 2.0 * np.pi / ell
-    k = np.rint(x_arr / period).astype(np.int64)
-    t = x_arr - k * period
-    s = 0.5 * ell * t
-    sin_s = np.sin(s)
-    out = np.empty(x_arr.shape, dtype=float)
-    near = np.abs(sin_s) < eps
-    far = ~near
-    sf = s[far]
-    out[far] = 0.5 * ell * (m * np.cos(m * sf) * sin_s[far] - np.sin(m * sf) * np.cos(sf)) / (sin_s[far] ** 2)
-    if near.any():
-        out[near] = -m * (m * m - 1.0) * ell * ell * t[near] / 12.0
-    if (m - 1) % 2 == 1:
-        out[(k % 2) == 1] *= -1.0
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _removable(
+        m, ell, x,
+        lambda s, sin_s: 0.5 * ell * (m * np.cos(m * s) * sin_s - np.sin(m * s) * np.cos(s))
+        / (sin_s**2),
+        lambda s: -m * (m * m - 1.0) * ell * s / 6.0,
+    )
 
 
-def trig_sum_cos(r: int, p: int, q: float, x, eps: float = SINGULARITY_EPS):
-    """sum_{j=0}^{r-1} cos((2 p j + q) x) in closed form.
+def trig_sum_cos(r: int, p: int, q: float, x):
+    """sum_{j=0}^{r-1} cos((2 p j + q) x) = phi_r(x) cos(((r-1) p + q) x).
 
-    Equals sin(r p x) cos(((r-1) p + q) x)/sin(p x) away from the zeros
-    of sin(p x); within |sin(p x)| < eps the literal r-term sum is used,
-    which IS the continuous value.
+    phi_r is dirichlet_ratio(r, 2p, .) = sin(r p x)/sin(p x), so the
+    zeros of sin(p x) are handled by its lattice reduction.
     """
     if r < 1 or p < 1:
         raise ValueError(f"need r >= 1 and p >= 1, got r={r}, p={p}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    sin_p = np.sin(p * x_arr)
-    out = np.empty(x_arr.shape, dtype=float)
-    near = np.abs(sin_p) < eps
-    far = ~near
-    xf = x_arr[far]
-    out[far] = np.sin(r * p * xf) * np.cos(((r - 1) * p + q) * xf) / sin_p[far]
-    if near.any():
-        freqs = 2.0 * p * np.arange(r) + q
-        out[near] = np.cos(x_arr[near, None] * freqs[None, :]).sum(axis=1)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return dirichlet_ratio(r, 2 * p, x) * np.cos(((r - 1) * p + q) * np.asarray(x, dtype=float))
 
 
-def trig_sum_sin(r: int, p: int, q: float, x, eps: float = SINGULARITY_EPS):
+def trig_sum_sin(r: int, p: int, q: float, x):
     """sum_{j=0}^{r-1} sin((2 p j + q) x); closed form as trig_sum_cos."""
     if r < 1 or p < 1:
         raise ValueError(f"need r >= 1 and p >= 1, got r={r}, p={p}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    sin_p = np.sin(p * x_arr)
-    out = np.empty(x_arr.shape, dtype=float)
-    near = np.abs(sin_p) < eps
-    far = ~near
-    xf = x_arr[far]
-    out[far] = np.sin(r * p * xf) * np.sin(((r - 1) * p + q) * xf) / sin_p[far]
-    if near.any():
-        freqs = 2.0 * p * np.arange(r) + q
-        out[near] = np.sin(x_arr[near, None] * freqs[None, :]).sum(axis=1)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return dirichlet_ratio(r, 2 * p, x) * np.sin(((r - 1) * p + q) * np.asarray(x, dtype=float))
 
 
-def u_ell(ell: int, x, eps: float = SINGULARITY_EPS):
+def u_ell(ell: int, x):
     """Normalized kernel u_ell(x) = sin(ell x)/(ell sin x).
 
-    Removable singularities at multiples of pi: u_ell -> 1 at even ones
-    (x -> 0) and (-1)^(ell+1) at odd ones (x -> pi).  |u_ell| <= 1
-    everywhere, with equality only at those points.
+    This is dirichlet_ratio(ell, 2, x)/ell, with removable singularities
+    at multiples of pi: u_ell -> 1 at even ones (x -> 0) and (-1)^(ell+1)
+    at odd ones (x -> pi).  |u_ell| <= 1 everywhere, with equality only
+    at those points.  The normalization is folded into the quotient
+    rather than applied afterwards: near x = 0, 1 - u_ell sits at the
+    rounding level, and the K integrand of the constants module amplifies
+    a one-ulp change there into ~1e-11 of K.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell={ell}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    k = np.rint(x_arr / np.pi).astype(np.int64)
-    t = x_arr - k * np.pi
-    sin_t = np.sin(t)
-    out = np.empty(x_arr.shape, dtype=float)
-    near = np.abs(sin_t) < eps
-    far = ~near
-    out[far] = np.sin(ell * t[far]) / (ell * sin_t[far])
-    if near.any():
-        tt = t[near]
-        out[near] = 1.0 - (ell * ell - 1.0) * tt * tt / 6.0
-    if (ell - 1) % 2 == 1:
-        out[(k % 2) == 1] *= -1.0
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _removable(
+        ell, 2, x,
+        lambda s, sin_s: np.sin(ell * s) / (ell * sin_s),
+        lambda s: 1.0 - (ell * ell - 1.0) * s * s / 6.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -328,12 +301,12 @@ class AlgebraicFactorization:
     def base_poly(self, z):
         return np.polyval(self.base[::-1], z)
 
-    def quotient(self, z, eps: float = SINGULARITY_EPS):
+    def quotient(self, z):
         """(z^(ell m) - 1)/(z^ell - 1), geometric-sum fallback near z^ell = 1."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         w = z_arr ** self.ell
         out = np.empty(z_arr.shape, dtype=complex)
-        near = np.abs(w - 1.0) < eps
+        near = np.abs(w - 1.0) < SINGULARITY_EPS
         far = ~near
         out[far] = (w[far] ** self.m - 1.0) / (w[far] - 1.0)
         if near.any():

@@ -1,23 +1,39 @@
-"""Limit-constant tests: identities, bounds, oracles, cache, theory table."""
+"""Limit-constant tests: identities, bounds, oracles, memo, theory table."""
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
 
+from trigzeros import constants
 from trigzeros.models import CoefficientModel
 from trigzeros.constants import (
+    _GRADE_LEVELS,
+    _NODES,
+    _graded_edges,
     compute_C,
     compute_I_alpha,
     compute_J,
     compute_K,
     monte_carlo_C,
     monte_carlo_K,
-    poisson_average,
     theoretical_mean,
 )
+from trigzeros.kacrice import composite_gauss_legendre
+
+
+def poisson_average(u: float) -> float:
+    """(1/pi) int_0^pi dt / (1 - u cos t), which equals 1/sqrt(1 - u^2).
+
+    Machinery check: the graded axis must resolve the near-pole at t = 0 as
+    |u| -> 1, the same boundary behavior the constants' integrands have.
+    """
+    if not -1.0 < u < 1.0:
+        raise ValueError("u must lie strictly inside (-1, 1)")
+    edges = _graded_edges(0.0, math.pi, _GRADE_LEVELS)
+    tx, tw = composite_gauss_legendre(edges, _NODES)
+    vals = 1.0 / (1.0 - u * np.cos(tx))
+    return float(np.dot(vals, tw)) / math.pi
 
 
 class TestJIdentity:
@@ -128,28 +144,28 @@ class TestQuadratureMachinery:
 
 
 class TestCache:
-    def test_round_trip_and_corruption_recovery(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRIGZEROS_CACHE", str(tmp_path))
-        first = compute_C(3, 1, use_cache=True)
-        cache_file = tmp_path / "constants.json"
-        assert cache_file.exists()
-        stored = json.loads(cache_file.read_text())
-        key = next(k for k in stored if k.startswith("C:3:1:"))
-        assert stored[key]["value"] == first
-        # poison the stored value: a cache hit must return the poisoned
-        # number, proving reads actually come from disk
-        stored[key]["value"] = 123.456
-        cache_file.write_text(json.dumps(stored))
-        assert compute_C(3, 1, use_cache=True) == 123.456
-        assert compute_C(3, 1, use_cache=False) == pytest.approx(first, abs=1e-12)
-        # corrupted JSON falls back to recomputation
-        cache_file.write_text("{not json")
-        assert compute_C(3, 1, use_cache=True) == pytest.approx(first, abs=1e-12)
-
-    def test_cache_dir_override_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRIGZEROS_CACHE", str(tmp_path / "sub"))
-        compute_K(2, use_cache=True)
-        assert (tmp_path / "sub" / "constants.json").exists()
+    @pytest.mark.parametrize(
+        "compute, integral",
+        [
+            (lambda cache: compute_C(3, 1, use_cache=cache), "_ridge_split_integral"),
+            (lambda cache: compute_K(2, use_cache=cache), "_tensor_integral"),
+        ],
+        ids=["C", "K"],
+    )
+    def test_memo_is_exact_and_integrates_once(self, compute, integral, monkeypatch):
+        """A cached value equals the uncached one bit for bit, and a
+        repeated cached call takes it from the memo without integrating."""
+        first = compute(True)
+        assert first == compute(False)
+        calls = []
+        original = getattr(constants, integral)
+        monkeypatch.setattr(
+            constants, integral, lambda *a: calls.append(a) or original(*a)
+        )
+        assert compute(True) == first
+        assert calls == []
+        assert compute(False) == first
+        assert len(calls) == 1
 
 
 class TestTheoryTable:

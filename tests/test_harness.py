@@ -99,6 +99,11 @@ class TestSerialization:
     def test_json_nulls_and_echo(self):
         config = _config(dep="periodic", ell=1, degrees=(20,), trials=5)
         payload = json.loads(report_to_json(run_experiment(config)))
+        assert set(payload["config"]) == {
+            "kind", "dep", "ell", "sigma", "degrees", "trials", "master_seed",
+            "grid_per_degree", "max_doublings",
+        }
+        assert set(payload["rows"][0]) == set(CSV_COLUMNS) | {"failed"}
         assert payload["config"]["ell"] == 1
         assert payload["config"]["master_seed"] == 5
         (row,) = payload["rows"]

@@ -11,18 +11,22 @@ from trigzeros.models import (
     sample_coefficients,
 )
 from trigzeros.kacrice import (
+    AbcTriple,
     QuadConfig,
     abc_closed,
     abc_direct,
-    abc_leading_order,
     abc_reduced,
+    composite_gauss_legendre,
     expected_zeros_exact_r0,
     expected_zeros_quadrature,
-    limit_integrand_fpm,
     limit_integrand_g,
-    _gl_nodes,
 )
-from trigzeros.trigpoly import reduce_periodic, u_ell
+from trigzeros.trigpoly import (
+    dirichlet_ratio,
+    dirichlet_ratio_deriv,
+    reduce_periodic,
+    u_ell,
+)
 
 
 def _sample(kind, dep, n, ell=None, seed=0, sigma=1.0):
@@ -32,6 +36,56 @@ def _sample(kind, dep, n, ell=None, seed=0, sigma=1.0):
 
 def _interior_grid(points=257):
     return np.linspace(0.05, 2 * np.pi - 0.05, points)
+
+
+def abc_leading_order(sample, x) -> AbcTriple:
+    """Truncated large-n forms for the periodic trig model with r != 0.
+
+    Valid away from the lattice x = 2 pi k / ell; the dropped remainders are
+    O(n^{1+4a}) in B^2 and O(n^{1+2a}) in C when the lattice is excluded at
+    distance ~ (2/ell) m^{-a}.  B is returned with the sign of the exact B;
+    only B^2 is asymptotically meaningful here.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    model = sample.model
+    if model.dep != "periodic" or model.kind != "trig":
+        raise ValueError("leading-order forms cover periodic trig only")
+    dec = decompose_degree(sample.n, model.ell)
+    ell, m, r = dec.ell, dec.m, dec.r
+    if r == 0:
+        raise ValueError("leading-order forms require r != 0")
+    phi = dirichlet_ratio(m, ell, x)
+    phid = dirichlet_ratio_deriv(m, ell, x)
+    D = 0.5 * (m + 1) * ell * x
+    half = np.sin(0.5 * ell * x)
+    cos2m1 = np.cos(0.5 * (2 * m + 1) * ell * x)
+    A = ell * phi * phi + r + 2.0 * r * phi * np.cos(D)
+    B2 = (
+        (ell * phi * phid) ** 2
+        + (r * m * ell * cos2m1) ** 2 / (4.0 * half * half)
+        + r * m * ell * ell * phi * phid * cos2m1 / half
+    )
+    C = (
+        0.25 * (m * ell) ** 2 * A
+        + 0.25 * r * (m * ell) ** 2
+        - r * m * ell * phid * np.sin(D)
+        + ell * phid * phid
+    )
+    B = np.sign(ell * phi * phid) * np.sqrt(np.maximum(B2, 0.0))
+    return AbcTriple(A=A, B=B, C=C, x=x)
+
+
+def limit_integrand_fpm(ell, n, x, sign):
+    """f_n^{+/-}(x) = sqrt(1 - u_ell^2) / (1 +/- u_ell cos(n x)).
+
+    The large-n Kac-Rice density of the reduced periodic cosine model, up to
+    the factor n/2; its circle averages tend to 1/2.
+    """
+    x = np.asarray(x, dtype=float)
+    u = u_ell(ell, x)
+    den = 1.0 + sign * u * np.cos(n * x)
+    den = np.maximum(den, 1e-300)
+    return np.sqrt(np.maximum(1.0 - u * u, 0.0)) / den
 
 
 class TestClosedVersusDirect:
@@ -286,7 +340,8 @@ class TestLimitIntegrands:
     @staticmethod
     def _i_pm(ell, n, sign, panels_per_degree=60):
         lo = math.pi / (2 * n) if sign < 0 else 0.0
-        xs, ws = _gl_nodes(lo, math.pi / 2, panels_per_degree * n, 8)
+        edges = np.linspace(lo, math.pi / 2, panels_per_degree * n + 1)
+        xs, ws = composite_gauss_legendre(edges, 8)
         return float(np.dot(limit_integrand_fpm(ell, n, xs, sign), ws)) / math.pi
 
     def test_circle_averages_tend_to_half(self):

@@ -200,11 +200,18 @@ class TestTrigSums:
             assert abs(trig_sum_sin(r, p, q, x) - lit) <= 1e-11 * r
 
     def test_near_lattice_falls_back_to_literal(self):
-        # x where sin(px) ~ 0: closed form would blow up, fallback must not
-        r, p, q = 7, 5, 1.25
-        for x in (0.0, np.pi / 5, 2 * np.pi / 5 + 1e-13):
-            lit = math.fsum(math.cos((2 * p * j + q) * x) for j in range(r))
-            assert trig_sum_cos(r, p, q, x) == pytest.approx(lit, abs=1e-9)
+        # x on or just beside a zero of sin(px), where the quotient form
+        # sin(rpx)/sin(px) cancels catastrophically
+        cases = [
+            (trig_sum_cos, math.cos, 7, 5, 1.25, 0.0),
+            (trig_sum_cos, math.cos, 7, 5, 1.25, np.pi / 5),
+            (trig_sum_cos, math.cos, 7, 5, 1.25, 2 * np.pi / 5 + 1e-13),
+            (trig_sum_cos, math.cos, 20, 20, 0.0, math.pi * 39 / 20 + 1e-7),
+            (trig_sum_sin, math.sin, 7, 5, 1.25, 2 * math.pi / 5 + 1e-7),
+        ]
+        for closed, term, r, p, q, x in cases:
+            lit = math.fsum(term((2 * p * j + q) * x) for j in range(r))
+            assert abs(closed(r, p, q, x) - lit) <= 1e-11 * r, (r, p, q, x)
 
     def test_grouped_residue_class_identity(self):
         """sum_t cos((k + ell t)x) = phi_m(x) cos((k + (m-1) ell/2) x)."""
