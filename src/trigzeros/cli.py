@@ -267,6 +267,8 @@ def _cmd_count(parser, args):
     model = _resolve_model_args(parser, args)
     n = args.n[-1] if args.n else 100
     _check_remainder(parser, model, (n,), args.r)
+    if args.grid_per_degree < 1:
+        parser.error("--grid-per-degree must be >= 1")
     try:
         sample = sample_coefficients(model, n, seed=args.seed)
         report = count_zeros(
@@ -320,7 +322,9 @@ def build_parser() -> _Parser:
     _add_model_arguments(p_sim, none_defaults=True)
     p_sim.add_argument("--trials", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--grid-per-degree", type=int, default=None)
+    p_sim.add_argument("--grid-per-degree", type=int, default=None,
+                       help="minimum nodes per degree, rounded up to a "
+                            "5-smooth size")
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", default=None, help="write report to a file")
@@ -345,7 +349,9 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count", help="count zeros of one sample")
     _add_model_arguments(p_count)
     p_count.add_argument("--seed", type=int, default=0)
-    p_count.add_argument("--grid-per-degree", type=int, default=32)
+    p_count.add_argument("--grid-per-degree", type=int, default=32,
+                         help="minimum nodes per degree, rounded up to a "
+                              "5-smooth size")
     p_count.add_argument("--dump-roots", default=None, metavar="PATH",
                          help="write refined roots as CSV (index,x,residual)")
 

@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.grid_per_degree < 1:
+            raise ValueError("grid_per_degree must be >= 1")
+        if self.max_doublings < 0:
+            raise ValueError("max_doublings must be >= 0")
 
 
 @dataclass(frozen=True)

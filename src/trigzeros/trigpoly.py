@@ -6,8 +6,10 @@ evaluate / evaluate_derivative   chunked dense summation at arbitrary
                                  abscissae, O(n) per point.
 evaluate_on_grid                 all values on a uniform offset grid
                                  x_i = 2 pi (i + offset)/N through one
-                                 inverse FFT, O(N log N) total; exact
-                                 coefficient folding covers N <= n.
+                                 real inverse FFT of the Hermitian half
+                                 spectrum (N//2 + 1 bins), O(N log N)
+                                 total; exact coefficient folding covers
+                                 N <= n.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -105,12 +107,18 @@ def grid_nodes(num_nodes: int, offset: float = 0.5) -> np.ndarray:
 
 
 def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5) -> np.ndarray:
-    """T_n at every node of grid_nodes(num_nodes, offset) via one IFFT.
+    """T_n at every node of grid_nodes(num_nodes, offset) via one real IFFT.
 
     T(x_i) = Re sum_j c_j e^{i j x_i} with c_j = a_j - i b_j.  The
-    offset enters as a per-coefficient phase twist; frequencies at or
-    above the grid size fold onto j mod N exactly (e^{2 pi i j i/N}
-    depends on j only through j mod N once the twist is applied).
+    offset enters as a per-coefficient phase twist d_j; frequencies at
+    or above the grid size fold onto j mod N exactly (e^{2 pi i j i/N}
+    depends on j only through j mod N once the twist is applied), giving
+    a length-N spectrum F.  Taking the real part is the same as
+    transforming the Hermitian spectrum (F_k + conj F_{N-k})/2, so the
+    values are N * irfft(H, N) with H its half k = 0..N//2 (H_0 = Re F_0,
+    and H_{N/2} = Re F_{N/2} for even N).  When 2n+1 <= N no F_{N-k}
+    overlaps the half, so H is d/2 with Re d_0 at index 0 and no
+    length-N complex array is built.
     """
     N = int(num_nodes)
     if N < 1:
@@ -118,13 +126,17 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5) ->
     c = sample.a - 1j * sample.b
     j = np.arange(c.size)
     d = c * np.exp((2j * np.pi * offset / N) * j)
-    if c.size <= N:
-        folded = np.zeros(N, dtype=complex)
-        folded[: c.size] = d
+    half = N // 2 + 1
+    if 2 * c.size <= N + 1:
+        H = np.zeros(half, dtype=complex)
+        H[: c.size] = 0.5 * d
+        H[0] = d[0].real
     else:
         pad = (-c.size) % N
-        folded = np.concatenate([d, np.zeros(pad, dtype=complex)]).reshape(-1, N).sum(axis=0)
-    return N * np.fft.ifft(folded).real
+        F = np.concatenate([d, np.zeros(pad, dtype=complex)]).reshape(-1, N).sum(axis=0)
+        k = np.arange(half)
+        H = 0.5 * (F[k] + np.conj(F[-k % N]))
+    return N * np.fft.irfft(H, N)
 
 
 def _removable(m: int, ell: int, x, far, near):

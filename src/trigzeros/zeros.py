@@ -7,9 +7,12 @@ changes; each change brackets one root.  The scan is circular: the wrap
 cell (x_{N-1}, x_0 + 2 pi) is included so zeros beside the endpoints are
 not lost (reduced factors with half-integer frequencies are 2 pi
 ANTI-periodic, which the wrap comparison accounts for by sign).  The
-grid starts at N = max(256, grid_per_degree * n) and doubles until the
-count is unchanged across two consecutive doublings (stable=True) or a
-doubling cap is hit (stable=False).  A node where the function is
+grid starts at N = smooth_size(max(256, grid_per_degree * n)), the
+smallest 5-smooth size (no prime factor above 5) with at least
+grid_per_degree nodes per degree, so the real FFT never meets an
+awkward length; it doubles (staying 5-smooth) until the count is
+unchanged across two consecutive doublings (stable=True) or a doubling
+cap is hit (stable=False).  A node where the function is
 exactly 0.0 counts once by itself and joins no bracket (tie-break:
 attributed to the cell on its left).
 
@@ -69,6 +72,21 @@ def deterministic_zero_set(m: int, ell: int) -> np.ndarray:
     j = np.arange(1, m * ell)
     j = j[(j % m) != 0]
     return TWO_PI * j / (m * ell)
+
+
+def smooth_size(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) that is >= n."""
+    n = max(int(n), 1)
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _scan_values(vals: np.ndarray, wrap_sign: float):
@@ -171,8 +189,10 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     """
     if grid_per_degree < 1:
         raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     n = sample.n
-    base_nodes = max(256, grid_per_degree * n)
+    base_nodes = smooth_size(max(256, grid_per_degree * n))
     model = sample.model
 
     det = np.empty(0)

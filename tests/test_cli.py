@@ -67,6 +67,24 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+def test_bad_grid_options_are_usage_errors(tmp_path, capsys):
+    """Grid options are rejected before any counting starts (exit 1, not 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "10", "--trials", "2", "--grid-per-degree", "0"])
+    assert exc.value.code == 1
+    assert "grid_per_degree must be >= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--grid-per-degree", "0"])
+    assert exc.value.code == 1
+    assert "--grid-per-degree must be >= 1" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("degrees = 10\ntrials = 2\nmax_doublings = -3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "max_doublings must be >= 0" in capsys.readouterr().err
+
+
 def test_kacrice_matches_exact_value(capsys):
     rc = main(["kacrice", "--ell", "2", "--n", "199"])
     assert rc == 0

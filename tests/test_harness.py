@@ -188,6 +188,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             _config(workers=0).validate()
 
+    def test_rejects_grid_below_one_node_per_degree(self):
+        with pytest.raises(ValueError, match="grid_per_degree"):
+            _config(grid_per_degree=0).validate()
+
+    def test_rejects_negative_doubling_cap(self):
+        with pytest.raises(ValueError, match="max_doublings"):
+            _config(max_doublings=-3).validate()
+        _config(max_doublings=0).validate()  # zero is a valid (always unstable) cap
+
     def test_rejects_periodic_without_ell(self):
         with pytest.raises(ValueError):
             _config(dep="periodic").validate()

@@ -119,6 +119,24 @@ class TestEvaluateOnGrid:
         d = evaluate(s, grid_nodes(32))
         assert np.abs(g - d).max() <= 1e-11 * (np.abs(s.a).sum() + np.abs(s.b).sum())
 
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_real_transform_on_every_grid_shape(self, kind, offset):
+        """The Hermitian half spectrum reproduces direct summation on odd N,
+        N = n+1 (no folding from here up) and 2n+1 (the plain half spectrum
+        from here up), N <= n with folded frequencies above N/2, and the
+        degenerate N = 1, 2."""
+        model = CoefficientModel(kind=kind, dep="iid")
+        n = 60
+        s = sample_coefficients(model, n, seed=24)
+        scale = np.abs(s.a).sum() + np.abs(s.b).sum()
+        for num in (1, 2, 3, 7, 24, 25, 45, n, n + 1, n + 2, 2 * n, 2 * n + 1,
+                    2 * n + 2, 255, 256, 6400):
+            g = evaluate_on_grid(s, num, offset=offset)
+            d = evaluate(s, grid_nodes(num, offset=offset))
+            assert g.shape == (num,)
+            assert np.abs(g - d).max() <= 1e-11 * scale, num
+
     def test_offset_zero_hits_lattice(self):
         model = CoefficientModel(kind="cosine", dep="iid")
         s = sample_coefficients(model, 50, seed=23)

@@ -10,6 +10,7 @@ from trigzeros.zeros import (
     count_zeros,
     deterministic_zero_set,
     refine_root,
+    smooth_size,
 )
 
 
@@ -95,7 +96,7 @@ class TestStabilityProtocol:
         s = sample_coefficients(model, 25, seed=2)
         rep = count_zeros(s, grid_per_degree=32)
         assert isinstance(rep, ZeroCountReport)
-        base = max(256, 32 * 25)
+        base = smooth_size(max(256, 32 * 25))
         assert rep.grid_size == base * 2 ** rep.doublings_used
         assert rep.doublings_used >= 2  # two equal doublings are required
 
@@ -104,6 +105,8 @@ class TestStabilityProtocol:
         s = sample_coefficients(model, 25, seed=2)
         assert not count_zeros(s, max_doublings=0).stable
         assert not count_zeros(s, max_doublings=1).stable
+        with pytest.raises(ValueError, match="max_doublings"):
+            count_zeros(s, max_doublings=-3)
 
     def test_deterministic_reports(self):
         model = CoefficientModel(kind="cosine", dep="iid")
@@ -142,6 +145,37 @@ class TestStabilityProtocol:
             c128 = count_zeros(s, grid_per_degree=128).count
             agree += int(c32 == c64 == c128)
         assert agree >= 0.99 * total
+
+
+class TestGridRule:
+    def test_smooth_size_is_smallest_five_smooth_upper_bound(self):
+        def is_smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for num in range(1, 5001):
+            size = smooth_size(num)
+            assert size >= num and is_smooth(size), num
+            assert not any(is_smooth(k) for k in range(num, size)), num
+
+    def test_known_sizes(self):
+        assert smooth_size(6368) == 6400  # 32 * 199
+        assert smooth_size(63968) == 64000  # 32 * 1999
+        assert smooth_size(256) == 256
+
+    def test_prime_degree_gets_smooth_grid(self):
+        model = CoefficientModel(kind="trig", dep="iid")
+        s = sample_coefficients(model, 199, seed=5)
+        rep = count_zeros(s)
+        assert rep.grid_size == 6400 * 2 ** rep.doublings_used
+
+    def test_reduced_route_uses_the_same_rule(self):
+        model = CoefficientModel(kind="cosine", dep="periodic", ell=3)
+        s = sample_coefficients(model, 1199, seed=6)  # r = 0
+        rep = count_zeros(s)
+        assert rep.grid_size == smooth_size(32 * 1199) * 2 ** rep.doublings_used
 
 
 class TestRootRefinement:
