@@ -10,16 +10,18 @@ cancels in the ratio, so everything here is sigma-free.
 
 Three evaluation routes for (A, B, C):
 
-* ``abc_direct``   -- literal sums over the independent Gaussian directions,
-  O(basis size) per point.  Slow but assumption-free; the oracle the closed
-  forms are tested against.
-* ``abc_closed``   -- O(1)-per-point closed forms.  For periodic coefficient
-  blocks the grouped basis collapses through the Dirichlet kernel
-  phi_m(x) = sin(m*ell*x/2)/sin(ell*x/2), leaving a handful of phi_m / phi_m'
-  terms plus integer frequency sums that are precomputed exactly.
+* ``abc_closed``   -- closed forms for every raw (unfactored) model, O(1) to
+  O(ell) work per point.  Trig and periodic cosine collapse the grouped
+  basis through the Dirichlet kernel phi_m(x) = sin(m*ell*x/2)/sin(ell*x/2);
+  i.i.d. cosine goes through K(t) = sum_{j<=n} cos jt at t = 2x.  The
+  cosine forms sum the few nodes within 1/n of the kernel lattice literally.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0.  For the trig
   model the reduced process is stationary: A = ell, B = 0, C = const.
+* ``abc_direct``   -- literal sums over the independent Gaussian directions,
+  O(basis size) per point and chunked over x, so memory stays O(chunk * n).
+  Slow but assumption-free; the test oracle the closed forms are checked
+  against, with no production caller.
 
 ``expected_zeros_quadrature`` integrates the appropriate route with composite
 Gauss-Legendre panels sized to the oscillation scale (panel width ~ 1/n), and
@@ -57,6 +59,8 @@ from .trigpoly import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+_DIRECT_CHUNK_BUDGET = 500_000  # max elements per (points x frequencies) block
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +133,29 @@ def _basis_functions(sample: PolySample, x: np.ndarray):
     return np.vstack(rows), np.vstack(rows_d)
 
 
+def _literal_sums(sample: PolySample, x: np.ndarray):
+    """A, B, C as literal sums over the directions, chunked over x.
+
+    A chunk of _DIRECT_CHUNK_BUDGET // (n+1) points keeps every basis
+    array O(chunk * n), whatever len(x).  The sums run over directions at
+    each point, so chunking leaves every value unchanged.
+    """
+    A = np.empty_like(x)
+    B = np.empty_like(x)
+    C = np.empty_like(x)
+    chunk = max(1, _DIRECT_CHUNK_BUDGET // (sample.n + 1))
+    for lo in range(0, x.size, chunk):
+        f, fd = _basis_functions(sample, x[lo:lo + chunk])
+        A[lo:lo + chunk] = (f * f).sum(axis=0)
+        B[lo:lo + chunk] = (f * fd).sum(axis=0)
+        C[lo:lo + chunk] = (fd * fd).sum(axis=0)
+    return A, B, C
+
+
 def abc_direct(sample: PolySample, x) -> AbcTriple:
     """Literal O(n)-per-point sums.  Oracle route; no closed-form shortcuts."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    f, fd = _basis_functions(sample, x)
-    A = (f * f).sum(axis=0)
-    B = (f * fd).sum(axis=0)
-    C = (fd * fd).sum(axis=0)
+    A, B, C = _literal_sums(sample, x)
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
@@ -165,32 +185,113 @@ def _grouped_frequency_sums(ell: int, m: int, r: int):
     return S2 / 4.0, float(Sb), float(Sb2), Sab / 2.0
 
 
+def _iid_cosine_abc(n: int, x: np.ndarray):
+    """The i.i.d. cosine forms of abc_closed, with phi = dirichlet_ratio(n+1, 1, .).
+
+    phi'' comes from the equation phi_ss = (1 - m^2) phi - 2 cot(s) phi_s
+    of sin(m s)/sin(s), s = t/2 = x, so sin x must stay away from 0.
+    """
+    A0, S2 = _iid_constants(n)
+    t = 2.0 * x
+    phi = dirichlet_ratio(n + 1, 1, t)
+    phid = dirichlet_ratio_deriv(n + 1, 1, t)
+    phidd = 0.25 * (1.0 - (n + 1.0) ** 2) * phi - (np.cos(x) / np.sin(x)) * phid
+    cos_n = np.cos(n * x)
+    sin_n = np.sin(n * x)
+    K = phi * cos_n
+    Kd = phid * cos_n - 0.5 * n * phi * sin_n
+    Kdd = phidd * cos_n - n * phid * sin_n - 0.25 * n * n * K
+    return 0.5 * (A0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
+
+
+def _periodic_cosine_abc(n: int, ell: int, x: np.ndarray):
+    """The periodic cosine sums of abc_closed over the ell grouped directions."""
+    dec = decompose_degree(n, ell)
+    A = np.zeros_like(x)
+    B = np.zeros_like(x)
+    C = np.zeros_like(x)
+    kernels = {}
+    for k in range(ell):
+        M = dec.m + 1 if k < dec.r else dec.m
+        if M not in kernels:
+            kernels[M] = (dirichlet_ratio(M, ell, x), dirichlet_ratio_deriv(M, ell, x))
+        phi, phid = kernels[M]
+        nu = k + 0.5 * (M - 1) * ell
+        cos_nu = np.cos(nu * x)
+        sin_nu = np.sin(nu * x)
+        g = phi * cos_nu
+        gd = phid * cos_nu - nu * phi * sin_nu
+        A += g * g
+        B += g * gd
+        C += gd * gd
+    return A, B, C
+
+
+def _cosine_closed(sample: PolySample, x: np.ndarray) -> AbcTriple:
+    """Cosine closed forms, with literal sums within 1/n of the lattice.
+
+    The kernels are singular where sin(L x/2) = 0 (L = 2 for the i.i.d.
+    K(2x), L = ell for the periodic phi_M); for |sin(L x/2)| < 1/n the
+    derivatives cancel to roundoff, and the few nodes there are summed
+    literally instead.
+    """
+    n = sample.n
+    model = sample.model
+    L = 2 if model.dep == "iid" else model.ell
+    near = np.abs(np.sin(0.5 * L * x)) < 1.0 / n
+    far = ~near
+    A = np.empty_like(x)
+    B = np.empty_like(x)
+    C = np.empty_like(x)
+    if model.dep == "iid":
+        A[far], B[far], C[far] = _iid_cosine_abc(n, x[far])
+    else:
+        A[far], B[far], C[far] = _periodic_cosine_abc(n, model.ell, x[far])
+    if near.any():
+        A[near], B[near], C[near] = _literal_sums(sample, x[near])
+    return AbcTriple(A=A, B=B, C=C, x=x)
+
+
 def abc_closed(sample: PolySample, x) -> AbcTriple:
-    """O(1)-per-point closed forms for the raw (unfactored) polynomial.
+    """O(1)-to-O(ell)-per-point closed forms for the raw (unfactored) polynomial.
 
     i.i.d. trig: A = n+1, B = 0, C = n(n+1)(2n+1)/6.
+
+    i.i.d. cosine: the covariance is (K(x-y) + K(x+y))/2 with
+    K(t) = sum_{j<=n} cos jt = phi_{n+1}(t; 1) cos(n t/2), so
+
+        A = (n + 1 + K(2x))/2,  B = K'(2x)/2,  C = (S2 + K''(2x))/2,
+
+    S2 = n(n+1)(2n+1)/6.
+
+    Periodic cosine: A = sum g_k^2, B = sum g_k g_k', C = sum g_k'^2 over
+    the ell grouped directions
+
+        g_k = sum_t cos((k + ell t) x) = phi_M(x) cos(nu_k x),
+
+    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2.
+
+    Both cosine forms lose their derivatives to cancellation next to the
+    kernel lattice; the nodes with |sin s| < 1/n there are summed
+    literally (see _cosine_closed).
+
     Periodic trig, with phi = phi_m, D = (m+1) ell x / 2, and the exact
     integer sums of ``_grouped_frequency_sums``:
 
         A = ell phi^2 + r + 2 r phi cos D
         B = ell phi phi' + r [phi' cos D - ((m+1) ell / 2) phi sin D]
         C = ell phi'^2 + phi^2 S2 + Sb2 - 2 phi' sin D Sb + 2 phi cos D Sab
-
-    The cosine models have no closed form here (their A depends on x through
-    slowly converging sums); use abc_direct or, for r = 0, abc_reduced.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     model = sample.model
     n = sample.n
+    if model.kind == "cosine":
+        return _cosine_closed(sample, x)
     if model.dep == "iid":
-        if model.kind != "trig":
-            raise ValueError("closed forms cover i.i.d. trig only")
         A0, C0 = _iid_constants(n)
         full = np.full_like(x, A0)
         return AbcTriple(A=full, B=np.zeros_like(x), C=np.full_like(x, C0), x=x)
 
-    if model.kind != "trig":
-        raise ValueError("closed forms cover periodic trig only")
     dec = decompose_degree(n, model.ell)
     ell, m, r = dec.ell, dec.m, dec.r
     S2, Sb, Sb2, Sab = _grouped_frequency_sums(ell, m, r)
@@ -353,12 +454,13 @@ def expected_zeros_quadrature(
 
     Dispatch:
       * i.i.d. trig      -- stationary, integrand constant: no quadrature.
-      * i.i.d. cosine    -- abc_direct over the full circle.
-      * periodic r = 0   -- deterministic lattice zeros counted exactly, plus
-        quadrature of the reduced factor (abc_reduced); cosine additionally
-        excises n^{-1/3} windows where the reduced A touches zero.
-      * periodic trig r != 0  -- abc_closed with lattice windows excised.
-      * periodic cosine r != 0 -- abc_direct with the same windows.
+      * i.i.d. cosine    -- abc_closed over the full circle.
+      * periodic r = 0, m > 1 -- deterministic lattice zeros counted exactly,
+        plus quadrature of the reduced factor (abc_reduced); cosine
+        additionally excises n^{-1/3} windows where the reduced A touches zero.
+      * periodic r = 0, m = 1 -- the coefficients never repeat: abc_closed
+        over the full circle.
+      * periodic r != 0  -- abc_closed with lattice windows excised.
 
     The error estimate is |I(2P) - I(P)| from panel doubling plus the excised
     mass estimate (n/pi per unit length, the circle-average density scale).
@@ -380,23 +482,14 @@ def expected_zeros_quadrature(
     det_zeros = 0
     windows, _ = _exclusion_windows(sample)
 
+    route = abc_closed
     if model.dep == "periodic":
         dec = decompose_degree(n, model.ell)
-        if dec.r == 0:
-            if dec.m == 1:
-                # periodicity is vacuous: fall through to the direct route
-                abc = lambda xs: abc_direct(sample, xs)  # noqa: E731
-            else:
-                det_zeros = dec.ell * (dec.m - 1)
-                abc = lambda xs: abc_reduced(sample, xs)  # noqa: E731
-        elif model.kind == "trig":
-            abc = lambda xs: abc_closed(sample, xs)  # noqa: E731
-        else:
-            abc = lambda xs: abc_direct(sample, xs)  # noqa: E731
-    else:
-        abc = lambda xs: abc_direct(sample, xs)  # noqa: E731
+        if dec.r == 0 and dec.m > 1:
+            det_zeros = dec.ell * (dec.m - 1)
+            route = abc_reduced
 
-    func = lambda xs: abc(xs).integrand()  # noqa: E731
+    func = lambda xs: route(sample, xs).integrand()  # noqa: E731
 
     intervals, cuts = _excise(0.0, TWO_PI, windows)
     excluded_len = sum(b - a for a, b in cuts)

@@ -108,6 +108,14 @@ def test_kacrice_json(capsys):
     )
 
 
+def test_kacrice_iid_cosine_large_degree(capsys):
+    # the literal basis sums needed ~8 GB here; the closed forms need O(n)
+    rc = main(["kacrice", "--kind", "cosine", "--n", "1000"])
+    assert rc == 0
+    cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert float(cells[3]) == pytest.approx(2 * math.sqrt(1000 * 2001 / 6), rel=5e-3)
+
+
 def test_constants_shortcuts(capsys):
     assert main(["constants", "--what", "K", "--ell", "1"]) == 0
     assert "0.5" in capsys.readouterr().out

@@ -1,16 +1,19 @@
 """Kac-Rice engine tests: closed forms vs literal sums, quadrature, limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from trigzeros import kacrice
 from trigzeros.models import (
     CoefficientModel,
     decompose_degree,
     sample_coefficients,
 )
 from trigzeros.kacrice import (
+    TWO_PI,
     AbcTriple,
     QuadConfig,
     abc_closed,
@@ -88,6 +91,26 @@ def limit_integrand_fpm(ell, n, x, sign):
     return np.sqrt(np.maximum(1.0 - u * u, 0.0)) / den
 
 
+def _beside(centers):
+    """The interior grid plus points 1e-12 ... 1e-2 either side of centers."""
+    offsets = 10.0 ** np.arange(-12, -1)
+    x = np.concatenate(
+        [_interior_grid(257)] + [c + sign * offsets for c in centers for sign in (-1, 1)]
+    )
+    return x[(x > 0) & (x < TWO_PI)]
+
+
+def _assert_closed_matches_direct(sample, x):
+    d = abc_direct(sample, x)
+    c = abc_closed(sample, x)
+    scale_a = np.maximum(np.abs(d.A), 1.0)
+    scale_b = np.maximum(np.abs(d.B), float(sample.n))
+    scale_c = np.maximum(np.abs(d.C), 1.0)
+    assert (np.abs(d.A - c.A) / scale_a).max() < 1e-10
+    assert (np.abs(d.B - c.B) / scale_b).max() < 1e-9
+    assert (np.abs(d.C - c.C) / scale_c).max() < 1e-10
+
+
 class TestClosedVersusDirect:
     """abc_closed must reproduce the literal basis sums to roundoff."""
 
@@ -107,20 +130,21 @@ class TestClosedVersusDirect:
     )
     def test_periodic_trig_all_remainders(self, ell, n):
         s = _sample("trig", "periodic", n, ell=ell)
-        x = _interior_grid(257)
-        d = abc_direct(s, x)
-        c = abc_closed(s, x)
-        scale_a = np.maximum(np.abs(d.A), 1.0)
-        scale_b = np.maximum(np.abs(d.B), float(n))
-        scale_c = np.maximum(np.abs(d.C), 1.0)
-        assert (np.abs(d.A - c.A) / scale_a).max() < 1e-10
-        assert (np.abs(d.B - c.B) / scale_b).max() < 1e-9
-        assert (np.abs(d.C - c.C) / scale_c).max() < 1e-10
+        _assert_closed_matches_direct(s, _interior_grid(257))
 
-    def test_closed_rejects_cosine(self):
-        s = _sample("cosine", "periodic", 29, ell=3)
-        with pytest.raises(ValueError):
-            abc_closed(s, 1.0)
+    @pytest.mark.parametrize("n", [1, 2, 37, 400])
+    def test_iid_cosine_including_the_lattice(self, n):
+        s = _sample("cosine", "iid", n)
+        x = _beside(np.pi * np.arange(3))
+        _assert_closed_matches_direct(s, x)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 7])
+    def test_periodic_cosine_all_remainders(self, ell):
+        x = _beside(TWO_PI * np.arange(ell + 1) / ell)
+        for r in range(ell):
+            n = 12 * ell + r - 1
+            assert decompose_degree(n, ell).r == r
+            _assert_closed_matches_direct(_sample("cosine", "periodic", n, ell=ell), x)
 
 
 class TestReducedForms:
@@ -277,6 +301,86 @@ class TestQuadrature:
             _sample("trig", "periodic", 100, ell=3, sigma=7.0)
         )
         assert a.value == b.value
+
+
+class TestClosedRoutes:
+    """Every raw model integrates abc_closed; abc_direct is only an oracle."""
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n,route",
+        [
+            ("cosine", "iid", None, 60, "abc_closed"),
+            ("cosine", "periodic", 3, 61, "abc_closed"),  # r = 2
+            ("trig", "periodic", 3, 61, "abc_closed"),  # r = 2
+            ("cosine", "periodic", 4, 3, "abc_closed"),  # r = 0, m = 1
+            ("trig", "periodic", 4, 3, "abc_closed"),  # r = 0, m = 1
+            ("cosine", "periodic", 3, 59, "abc_reduced"),  # r = 0, m = 20
+        ],
+    )
+    def test_dispatch(self, monkeypatch, kind, dep, ell, n, route):
+        def refuse(sample, x):
+            raise AssertionError("wrong (A, B, C) route")
+
+        for name in ("abc_closed", "abc_reduced", "abc_direct"):
+            if name != route:
+                monkeypatch.setattr(kacrice, name, refuse)
+        assert expected_zeros_quadrature(_sample(kind, dep, n, ell=ell)).total() > 0
+
+    @pytest.mark.parametrize("ell", [2, 5, 12])
+    def test_vacuous_period_trig_equals_iid_closed_form(self, ell):
+        n = ell - 1  # r = 0, m = 1: the coefficients never repeat
+        res = expected_zeros_quadrature(_sample("trig", "periodic", n, ell=ell))
+        assert res.deterministic_zeros == 0
+        assert res.total() == pytest.approx(
+            2.0 * math.sqrt(n * (2 * n + 1) / 6.0), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("ell", [2, 5, 12])
+    def test_vacuous_period_cosine_equals_iid_cosine(self, ell):
+        n = ell - 1
+        periodic = expected_zeros_quadrature(_sample("cosine", "periodic", n, ell=ell))
+        iid = expected_zeros_quadrature(_sample("cosine", "iid", n))
+        assert periodic.deterministic_zeros == 0
+        assert periodic.total() == pytest.approx(iid.total(), rel=1e-12)
+
+
+def _peak_mb(func):
+    tracemalloc.start()
+    try:
+        out = func()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryLinearInDegree:
+    """The (points x n) basis matrices of the literal sums never materialise.
+
+    Unchunked, each call below needs gigabytes: abc_direct at n = 2000 over
+    2e4 points holds ~2 GB of basis arrays, and the literal i.i.d. cosine
+    quadrature at n = 2000 would hold ~8 GB.
+    """
+
+    def test_abc_direct_is_chunked(self):
+        s = _sample("cosine", "iid", 2000)
+        x = np.linspace(0.0, TWO_PI, 20_000)
+        t, peak = _peak_mb(lambda: abc_direct(s, x))
+        assert t.A.shape == x.shape
+        assert peak < 64.0
+
+    def test_iid_cosine_quadrature(self):
+        n = 2000
+        res, peak = _peak_mb(lambda: expected_zeros_quadrature(_sample("cosine", "iid", n)))
+        assert peak < 160.0
+        iid_trig = 2.0 * math.sqrt(n * (2 * n + 1) / 6.0)
+        assert res.total() == pytest.approx(iid_trig, rel=5e-3)
+
+    def test_periodic_cosine_quadrature(self):
+        s = _sample("cosine", "periodic", 2001, ell=3)
+        assert decompose_degree(2001, 3).r == 1
+        res, peak = _peak_mb(lambda: expected_zeros_quadrature(s))
+        assert peak < 160.0
+        assert 0.0 < res.total() <= 2 * 2001 + 0.5
 
 
 class TestLeadingOrderRemainders:
