@@ -8,7 +8,8 @@ Subcommands:
   verify      run the full acceptance battery (--quick for a reduced run)
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (failed rows,
-unstable counts, or acceptance criteria not met).
+unstable counts, a counting error such as NaN on the grid or a count
+above the 2n ceiling, or acceptance criteria not met).
 """
 
 from __future__ import annotations
@@ -159,7 +160,11 @@ def _cmd_simulate(parser, args):
         parser.error(str(exc))
     _check_remainder(parser, config.model(), config.degrees, args.r)
 
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except (FloatingPointError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = (
         report_to_json(report) if args.format == "json" else report_to_csv(report)
     )
@@ -276,7 +281,7 @@ def _cmd_count(parser, args):
             grid_per_degree=args.grid_per_degree,
             want_roots=bool(args.dump_roots),
         )
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(

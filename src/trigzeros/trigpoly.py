@@ -3,13 +3,18 @@
 Evaluation routes
 -----------------
 evaluate / evaluate_derivative   chunked dense summation at arbitrary
-                                 abscissae, O(n) per point.
-evaluate_on_grid                 all values on a uniform offset grid
+ReducedSample.evaluate           abscissae, O(n) (O(ell) for T*) per
+                                 point; used for root refinement.
+evaluate_on_grid                 all values of T_n or of the reduced
+                                 factor T* on a uniform offset grid
                                  x_i = 2 pi (i + offset)/N through one
                                  real inverse FFT of the Hermitian half
-                                 spectrum (N//2 + 1 bins), O(N log N)
-                                 total; exact coefficient folding covers
-                                 N <= n.
+                                 spectrum, O(N log N) total; exact
+                                 coefficient folding covers N <= 2 x
+                                 max frequency, and T*'s half-integer
+                                 frequencies are integers on the 2N
+                                 grid.  Every counting route scans
+                                 these values.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -106,37 +111,70 @@ def grid_nodes(num_nodes: int, offset: float = 0.5) -> np.ndarray:
     return (2.0 * np.pi / num_nodes) * (np.arange(num_nodes) + offset)
 
 
-def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5) -> np.ndarray:
-    """T_n at every node of grid_nodes(num_nodes, offset) via one real IFFT.
+def _spectral_grid(a, b, freqs, num_nodes: int, offset: float) -> np.ndarray:
+    """sum_k a_k cos(f_k x_i) + b_k sin(f_k x_i) on grid_nodes(num_nodes, offset)
+    for distinct integer frequencies f_k >= 0, via one real inverse FFT.
 
-    T(x_i) = Re sum_j c_j e^{i j x_i} with c_j = a_j - i b_j.  The
-    offset enters as a per-coefficient phase twist d_j; frequencies at
-    or above the grid size fold onto j mod N exactly (e^{2 pi i j i/N}
-    depends on j only through j mod N once the twist is applied), giving
+    With c_k = a_k - i b_k the value is Re sum_k c_k e^{i f_k x_i}.  The
+    offset enters as a per-coefficient phase twist d_k; frequencies at
+    or above the grid size fold onto f_k mod N exactly (e^{2 pi i f i/N}
+    depends on f only through f mod N once the twist is applied), giving
     a length-N spectrum F.  Taking the real part is the same as
-    transforming the Hermitian spectrum (F_k + conj F_{N-k})/2, so the
-    values are N * irfft(H, N) with H its half k = 0..N//2 (H_0 = Re F_0,
-    and H_{N/2} = Re F_{N/2} for even N).  When 2n+1 <= N no F_{N-k}
-    overlaps the half, so H is d/2 with Re d_0 at index 0 and no
-    length-N complex array is built.
+    transforming the Hermitian spectrum (F_j + conj F_{N-j})/2, so the
+    values are N * irfft(H, N) with H its half j = 0..N//2 (H_0 = Re F_0,
+    and H_{N/2} = Re F_{N/2} for even N).  When every f_k < N/2 no
+    F_{N-j} overlaps the half, so H is d/2 placed at the f_k, with
+    Re d_0 at index 0, and no length-N complex array is built.
+
+    The coefficients are first scaled by 2^-e, e the binary exponent of
+    the largest |a_k|, |b_k|, and the values scaled back by 2^e.  Scaling
+    by a power of two is exact through the twist and the transform, so
+    this changes no value.  It keeps the transform away from overflow at
+    huge scales and from subnormal arithmetic at tiny ones; only a value
+    that itself exceeds the double range comes back as +-inf.
+    """
+    N = int(num_nodes)
+    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+    c = np.ldexp(a, -e) - 1j * np.ldexp(b, -e)
+    d = c * np.exp((2j * np.pi * offset / N) * freqs)
+    half = N // 2 + 1
+    if 2 * freqs.max() < N:
+        H = np.zeros(half, dtype=complex)
+        H[freqs] = 0.5 * d
+        H[0] = 2.0 * H[0].real
+    else:
+        folded = freqs % N
+        F = (np.bincount(folded, weights=d.real, minlength=N)
+             + 1j * np.bincount(folded, weights=d.imag, minlength=N))
+        j = np.arange(half)
+        H = 0.5 * (F[j] + np.conj(F[-j % N]))
+    vals = np.fft.irfft(H, N)
+    vals *= N
+    with np.errstate(over="ignore"):  # values beyond the double range are +-inf
+        return np.ldexp(vals, e, out=vals)
+
+
+def evaluate_on_grid(sample: PolySample | ReducedSample, num_nodes: int,
+                     offset: float = 0.5) -> np.ndarray:
+    """T_n, or the reduced factor T*, at every node of
+    grid_nodes(num_nodes, offset) via one real inverse FFT.
+
+    A PolySample has the integer frequencies 0..n.  A ReducedSample has
+    the frequencies g_k/2 with g_k = freq_twice, so T*(x) = U(x/2) for
+    U = sum a_k cos(g_k y) + b_k sin(g_k y); the nodes x_i/2 are the
+    first N nodes of U's 2N-node grid with the same offset.  When every
+    g_k is even (they share the parity of (m-1) ell) the halved
+    frequencies are integers and the N-node grid is used directly.
     """
     N = int(num_nodes)
     if N < 1:
         raise ValueError(f"need at least one node, got {num_nodes}")
-    c = sample.a - 1j * sample.b
-    j = np.arange(c.size)
-    d = c * np.exp((2j * np.pi * offset / N) * j)
-    half = N // 2 + 1
-    if 2 * c.size <= N + 1:
-        H = np.zeros(half, dtype=complex)
-        H[: c.size] = 0.5 * d
-        H[0] = d[0].real
-    else:
-        pad = (-c.size) % N
-        F = np.concatenate([d, np.zeros(pad, dtype=complex)]).reshape(-1, N).sum(axis=0)
-        k = np.arange(half)
-        H = 0.5 * (F[k] + np.conj(F[-k % N]))
-    return N * np.fft.irfft(H, N)
+    if isinstance(sample, ReducedSample):
+        g = sample.freq_twice
+        if g[0] % 2 == 0:
+            return _spectral_grid(sample.a, sample.b, g // 2, N, offset)
+        return _spectral_grid(sample.a, sample.b, g, 2 * N, offset)[:N]
+    return _spectral_grid(sample.a, sample.b, np.arange(sample.n + 1), N, offset)
 
 
 def _removable(m: int, ell: int, x, far, near):
@@ -263,10 +301,6 @@ class ReducedSample:
 
     def evaluate(self, x):
         return _eval_series_freq(self.a, self.b, self.frequencies(), x)
-
-    def evaluate_derivative(self, x):
-        f = self.frequencies()
-        return _eval_series_freq(f * self.b, -f * self.a, f, x)
 
 
 def reduce_periodic(sample: PolySample) -> ReducedSample:

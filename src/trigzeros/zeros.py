@@ -14,7 +14,9 @@ awkward length; it doubles (staying 5-smooth) until the count is
 unchanged across two consecutive doublings (stable=True) or a doubling
 cap is hit (stable=False).  A node where the function is
 exactly 0.0 counts once by itself and joins no bracket (tie-break:
-attributed to the cell on its left).
+attributed to the cell on its left).  Each grid is counted in one pass
+over the sign bits unless some node is exactly +-0.0; bracket indices
+are built only for the final grid, and only when roots are requested.
 
 Periodic r = 0 samples are not scanned raw.  They factor exactly as
 T_n = phi_m * T^* (trigpoly.reduce_periodic); the deterministic zeros of
@@ -27,11 +29,16 @@ algebraic identity that holds to the last ulp.  Zeros within a single
 family repel quadratically, which is what makes the scan itself stable.
 iid and r != 0 samples have no deterministic factor and are scanned
 directly (their zeros all repel).
+
+Every route - iid, r != 0 and the reduced factor of r = 0 - gets its
+grid values from the one spectral evaluator trigpoly.evaluate_on_grid.
+Dense summation at arbitrary points serves only root refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,22 +96,36 @@ def smooth_size(n: int) -> int:
     return best
 
 
-def _scan_values(vals: np.ndarray, wrap_sign: float):
-    """Count strict sign changes on the circular grid.
+def _sign_changes(vals: np.ndarray, wrap_sign: float) -> int:
+    """Count strict sign changes on the circular grid, plus exact zeros.
 
-    Returns (count, bracket_start_indices, exact_zero_indices).  The
-    wrap cell compares the last node against wrap_sign * first node;
-    wrap_sign is -1 for 2 pi anti-periodic functions.
+    The wrap cell compares the last node against wrap_sign * first node;
+    wrap_sign is -1 for 2 pi anti-periodic functions.  Without an
+    exact-zero node this is one pass over the sign bits; otherwise the
+    count is that of _brackets.
     """
     if np.isnan(vals).any():
         raise FloatingPointError("NaN encountered during grid evaluation")
+    if not vals.all():
+        brackets, zero_idx = _brackets(vals, wrap_sign)
+        return brackets.size + zero_idx.size
+    neg = np.signbit(vals)
+    wrap_change = neg[-1] != (neg[0] if wrap_sign > 0 else not neg[0])
+    return int(np.count_nonzero(neg[1:] != neg[:-1])) + int(wrap_change)
+
+
+def _brackets(vals: np.ndarray, wrap_sign: float):
+    """(bracket_start_indices, exact_zero_indices) of _sign_changes.
+
+    A node that is exactly +-0.0 counts once by itself and joins no
+    bracket.
+    """
     s = np.sign(vals)
     zero_idx = np.flatnonzero(s == 0.0)
     s_next = np.empty_like(s)
     s_next[:-1] = s[1:]
     s_next[-1] = wrap_sign * s[0]
-    change = s * s_next < 0
-    return int(np.count_nonzero(change)) + zero_idx.size, np.flatnonzero(change), zero_idx
+    return np.flatnonzero(s * s_next < 0), zero_idx
 
 
 def _bisect_brackets(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
@@ -146,28 +167,30 @@ def refine_root(sample: PolySample, lo: float, hi: float, tol: float = 1e-10) ->
 
 def _stabilized_scan(values_at: Callable, base_nodes: int, wrap_sign: float,
                      max_doublings: int):
-    """Run the doubling protocol; returns final-grid scan artifacts."""
+    """Run the doubling protocol; returns (count, N, doublings, stable,
+    final-grid values)."""
     N = int(base_nodes)
     vals = values_at(N)
-    count, brackets, zero_idx = _scan_values(vals, wrap_sign)
-    counts = [count]
+    counts = [_sign_changes(vals, wrap_sign)]
     doublings = 0
     stable = False
     while doublings < max_doublings:
         N *= 2
         vals = values_at(N)
-        count, brackets, zero_idx = _scan_values(vals, wrap_sign)
-        counts.append(count)
+        counts.append(_sign_changes(vals, wrap_sign))
         doublings += 1
         if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
             stable = True
             break
-    return counts[-1], N, doublings, stable, brackets, zero_idx
+    return counts[-1], N, doublings, stable, vals
 
 
-def _refine_on_grid(f: Callable, N: int, brackets: np.ndarray, zero_idx: np.ndarray,
+def _refine_on_grid(f: Callable, vals: np.ndarray, wrap_sign: float,
                     tol: float) -> np.ndarray:
-    """Bisect final-grid brackets; exact-zero nodes pass through as-is."""
+    """Bisect the brackets of the final grid values; exact-zero nodes pass
+    through as-is."""
+    N = vals.size
+    brackets, zero_idx = _brackets(vals, wrap_sign)
     nodes = grid_nodes(N)
     lo = nodes[brackets]
     hi = np.where(brackets + 1 < N, nodes[(brackets + 1) % N], nodes[0] + TWO_PI)
@@ -184,8 +207,9 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
 
     Dispatch: periodic samples with r = 0 are counted through the exact
     factorization (deterministic zero set plus a scan of the reduced
-    factor T^*); everything else is scanned directly via FFT grid
-    evaluation.  The returned count satisfies the hard ceiling 2n.
+    factor T^*); everything else is scanned directly.  Both scans take
+    their values from the FFT grid evaluator.  The returned count
+    satisfies the hard ceiling 2n.
     """
     if grid_per_degree < 1:
         raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")
@@ -195,35 +219,28 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     base_nodes = smooth_size(max(256, grid_per_degree * n))
     model = sample.model
 
-    det = np.empty(0)
+    # the polynomial scanned, its wrap sign, its evaluator at arbitrary
+    # points (for refinement) and the zeros it leaves out
+    target, wrap, det = sample, 1.0, np.empty(0)
+    pointwise = partial(evaluate, sample)
     if model.dep == "periodic":
         dec = decompose_degree(n, int(model.ell))
         if dec.r == 0:
-            red = reduce_periodic(sample)
+            target = reduce_periodic(sample)
             det = deterministic_zero_set(dec.m, dec.ell)
-            # freq_twice parity decides 2 pi periodicity of the factor
-            wrap = -1.0 if ((dec.m - 1) * dec.ell) % 2 == 1 else 1.0
-            f = red.evaluate
-            count, N, doublings, stable, brackets, zero_idx = _stabilized_scan(
-                lambda k: f(grid_nodes(k)), base_nodes, wrap, max_doublings
-            )
-            total = count + det.size
-            _enforce_ceiling(total, n, sample)
-            roots = None
-            if want_roots:
-                refined = _refine_on_grid(f, N, brackets, zero_idx, tol)
-                roots = np.sort(np.concatenate([refined, det]))
-            return ZeroCountReport(count=total, grid_size=N, doublings_used=doublings,
-                                   stable=stable, roots=roots)
+            # half-integer frequencies make T^* 2 pi anti-periodic
+            wrap = -1.0 if target.freq_twice[0] % 2 else 1.0
+            pointwise = target.evaluate
 
-    count, N, doublings, stable, brackets, zero_idx = _stabilized_scan(
-        lambda k: evaluate_on_grid(sample, k), base_nodes, 1.0, max_doublings
+    count, N, doublings, stable, vals = _stabilized_scan(
+        lambda k: evaluate_on_grid(target, k), base_nodes, wrap, max_doublings
     )
-    _enforce_ceiling(count, n, sample)
+    total = count + det.size
+    _enforce_ceiling(total, n, sample)
     roots = None
     if want_roots:
-        roots = _refine_on_grid(lambda x: evaluate(sample, x), N, brackets, zero_idx, tol)
-    return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings,
+        roots = np.sort(np.concatenate([_refine_on_grid(pointwise, vals, wrap, tol), det]))
+    return ZeroCountReport(count=total, grid_size=N, doublings_used=doublings,
                            stable=stable, roots=roots)
 
 

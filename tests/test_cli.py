@@ -153,3 +153,23 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,m,r,")
+
+
+@pytest.mark.parametrize("error", [
+    FloatingPointError("NaN encountered during grid evaluation"),
+    RuntimeError("counted 61 zeros for degree n=30 (ceiling 2n=60)"),
+])
+def test_counting_failures_exit_2_with_reason(monkeypatch, capsys, error):
+    """A numerical failure while counting is one line on stderr and exit 2,
+    never a traceback, from both count and simulate."""
+    def failing_count(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("trigzeros.cli.count_zeros", failing_count)
+    monkeypatch.setattr("trigzeros.harness.count_zeros", failing_count)
+    assert main(["count", "--n", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+    assert main(["simulate", "--n", "30", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""

@@ -7,6 +7,7 @@ Oracles used here, all computed inside the tests themselves:
   - numpy polyval at complex points (algebraic factorization residuals)
 """
 
+import dataclasses
 import json
 import math
 
@@ -37,6 +38,13 @@ def fsum_reference(a, b, x):
         if b[j] != 0.0:
             terms.append(b[j] * math.sin(j * x))
     return math.fsum(terms)
+
+
+def reduced_derivative(red, x):
+    """T*' at scalar x: termwise, cosine coefficients f_k b_k and sine
+    coefficients -f_k a_k at the reduced frequencies f_k."""
+    f = red.frequencies()
+    return float(np.sum(f * red.b * np.cos(f * x) - f * red.a * np.sin(f * x)))
 
 
 def fsum_reference_deriv(a, b, x):
@@ -142,6 +150,48 @@ class TestEvaluateOnGrid:
         s = sample_coefficients(model, 50, seed=23)
         g = evaluate_on_grid(s, 128, offset=0.0)
         assert g[0] == pytest.approx(float(np.sum(s.a)), rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    @pytest.mark.parametrize("kind, ell, n", [
+        ("trig", 3, 11),  # m = 4: half-integer frequencies 4.5, 5.5, 6.5
+        ("trig", 4, 59),  # m = 15: integer frequencies 28, 29, 30, 31
+        ("cosine", 3, 299),  # m = 100: half-integer, cosines only
+        ("trig", 1, 20),  # ell = 1, m = 21: the single frequency 10
+        ("trig", 1, 21),  # ell = 1, m = 22: the single frequency 10.5
+        ("trig", 5, 4),  # m = 1: integer frequencies 0..4
+    ])
+    def test_reduced_factor_on_every_grid_shape(self, kind, ell, n, offset):
+        """The spectral grid of T* reproduces its dense summation on N = 1, 2,
+        grids that fold (N <= 2 x max frequency) and grids that do not."""
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        red = reduce_periodic(sample_coefficients(model, n, seed=25))
+        scale = np.abs(red.a).sum() + np.abs(red.b).sum()
+        top = int(red.freq_twice.max())  # twice the largest frequency
+        for num in (1, 2, 3, 5, top // 2, top, top + 1, 2 * top, 2 * top + 1, 6400):
+            g = evaluate_on_grid(red, num, offset=offset)
+            d = red.evaluate(grid_nodes(num, offset=offset))
+            assert g.shape == (num,)
+            assert np.abs(g - d).max() <= 1e-11 * scale, num
+
+    @pytest.mark.parametrize("dep, ell, n, reduced", [
+        ("iid", None, 40, False),
+        ("periodic", 3, 40, False),  # r = 2
+        ("periodic", 3, 38, True),  # r = 0, integer frequencies
+        ("periodic", 3, 41, True),  # r = 0, half-integer frequencies
+    ])
+    def test_power_of_two_scaling_is_exact(self, dep, ell, n, reduced):
+        """Scaling the coefficients by 2^k scales every grid value by exactly
+        2^k, down to nearly subnormal and up to nearly overflowing values."""
+        model = CoefficientModel(kind="trig", dep=dep, ell=ell)
+        s = sample_coefficients(model, n, seed=26)
+        target = reduce_periodic(s) if reduced else s
+        for num in (7, 4 * n, 6400):
+            base = evaluate_on_grid(target, num)
+            for k in (-1000, -900, -3, 1, 500, 1000, 1015):
+                scaled = dataclasses.replace(
+                    target, a=np.ldexp(target.a, k), b=np.ldexp(target.b, k))
+                assert np.array_equal(evaluate_on_grid(scaled, num),
+                                      np.ldexp(base, k)), (num, k)
 
 
 class TestDirichletRatio:
@@ -293,7 +343,7 @@ class TestReducePeriodic:
         h = 1e-6
         for x in (0.9, 2.3, 4.1):
             fd = (red.evaluate(x + h) - red.evaluate(x - h)) / (2 * h)
-            assert red.evaluate_derivative(x) == pytest.approx(fd, abs=1e-3)
+            assert reduced_derivative(red, x) == pytest.approx(fd, abs=1e-3)
 
     def test_rejects_nonzero_remainder(self):
         model = CoefficientModel(kind="trig", dep="periodic", ell=3)

@@ -1,12 +1,17 @@
 """Zero-counting tests: known counts, stability protocol, refinement."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from trigzeros import zeros
 from trigzeros.models import CoefficientModel, mix64, sample_coefficients
-from trigzeros.trigpoly import evaluate, reduce_periodic
+from trigzeros.trigpoly import ReducedSample, evaluate, grid_nodes, reduce_periodic
 from trigzeros.zeros import (
     ZeroCountReport,
+    _brackets,
+    _sign_changes,
     count_zeros,
     deterministic_zero_set,
     refine_root,
@@ -66,6 +71,89 @@ class TestKnownCounts:
         for trial in range(20):
             s = sample_coefficients(model, 59, seed=mix64(4, 59, trial))
             assert count_zeros(s).count >= 59 + 1 - 3
+
+
+def brute_force_scan(vals, wrap_sign):
+    """Cell-by-cell reference: an exact zero node counts once and joins no
+    bracket; otherwise a cell counts when its ends have opposite signs."""
+    brackets, zero_idx = [], []
+    for i, v in enumerate(vals):
+        w = vals[i + 1] if i + 1 < len(vals) else wrap_sign * vals[0]
+        if v == 0.0:
+            zero_idx.append(i)
+        elif w != 0.0 and (v < 0.0) != (w < 0.0):
+            brackets.append(i)
+    return brackets, zero_idx
+
+
+class TestSignScan:
+    @pytest.mark.parametrize("wrap_sign", [1.0, -1.0])
+    def test_matches_brute_force(self, wrap_sign):
+        """Every array of length 1..3 over {-2, -0.0, +0.0, 1}, and random
+        longer ones with scattered signed zeros."""
+        arrays = [np.array(t) for num in (1, 2, 3)
+                  for t in itertools.product((-2.0, -0.0, 0.0, 1.0), repeat=num)]
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            v = rng.standard_normal(int(rng.integers(1, 40)))
+            v[rng.random(v.size) < 0.1] = 0.0
+            v[rng.random(v.size) < 0.1] = -0.0
+            arrays.append(v)
+        for v in arrays:
+            brackets, zero_idx = brute_force_scan(v, wrap_sign)
+            got_brackets, got_zero_idx = _brackets(v, wrap_sign)
+            assert _sign_changes(v, wrap_sign) == len(brackets) + len(zero_idx), v
+            assert list(got_brackets) == brackets and list(got_zero_idx) == zero_idx, v
+
+    def test_nan_raises(self):
+        for v in ([np.nan], [1.0, np.nan, -1.0], [0.0, np.nan], [np.nan, -0.0, 2.0]):
+            with pytest.raises(FloatingPointError, match="NaN"):
+                _sign_changes(np.array(v), 1.0)
+
+
+class TestReducedRouteIdentity:
+    def test_reports_equal_dense_reduced_evaluation(self, monkeypatch):
+        """r = 0 reports and roots per trial are those of a scan of the
+        densely summed reduced factor: integer and half-integer
+        frequencies, ell = 1."""
+        cases = [(CoefficientModel(kind="trig", dep="periodic", ell=ell), n)
+                 for ell, n in ((2, 199), (3, 299), (5, 499), (4, 59), (1, 20), (1, 51))]
+        cases.append((CoefficientModel(kind="cosine", dep="periodic", ell=3), 599))
+        samples = [sample_coefficients(model, n, seed=mix64(2026, n, t))
+                   for model, n in cases for t in range(8)]
+        spectral = [count_zeros(s, want_roots=True) for s in samples]
+        grid = zeros.evaluate_on_grid
+
+        def dense_reduced(target, num):
+            if isinstance(target, ReducedSample):
+                return target.evaluate(grid_nodes(num))
+            return grid(target, num)
+
+        monkeypatch.setattr(zeros, "evaluate_on_grid", dense_reduced)
+        for s, rep in zip(samples, spectral):
+            dense = count_zeros(s, want_roots=True)
+            assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
+                dense.count, dense.grid_size, dense.doublings_used, dense.stable)
+            # the same final-grid brackets bisect to the same roots
+            assert np.array_equal(rep.roots, dense.roots)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("dep, ell", [("iid", None), ("periodic", 3), ("periodic", 5)])
+    def test_extreme_sigma_counts_as_sigma_one(self, dep, ell):
+        """n = 1999: i.i.d., periodic r = 2 (ell = 3) and r = 0 (ell = 5)."""
+        n = 1999
+        s1 = sample_coefficients(CoefficientModel(kind="trig", dep=dep, ell=ell), n, seed=17)
+        expected = count_zeros(s1)
+        for k in (1020, -1000):
+            model = CoefficientModel(kind="trig", dep=dep, ell=ell, sigma=2.0**k)
+            s = sample_coefficients(model, n, seed=17)
+            # the draw is an exact rescaling of the sigma = 1 draw
+            assert np.array_equal(s.a, np.ldexp(s1.a, k))
+            assert np.array_equal(s.b, np.ldexp(s1.b, k))
+            rep = count_zeros(s)
+            assert (rep.count, rep.grid_size, rep.stable) == (
+                expected.count, expected.grid_size, expected.stable), k
 
 
 class TestDeterministicZeroSet:
