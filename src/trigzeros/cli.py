@@ -284,10 +284,9 @@ def _cmd_count(parser, args):
     except (ValueError, FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"n={n} seed={args.seed} count={report.count} "
-        f"grid={report.grid_size} stable={report.stable}"
-    )
+    route = (f"route=phase pieces={report.pieces}" if report.pieces
+             else f"grid={report.grid_size}")
+    print(f"n={n} seed={args.seed} count={report.count} {route} stable={report.stable}")
     if args.dump_roots:
         resid = np.abs(evaluate(sample, report.roots))
         lines = ["index,x,residual"]

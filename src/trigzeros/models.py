@@ -138,25 +138,37 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     Deterministic in (model, n, seed).  Draw order is fixed: the a
     vector (or its ell-long base) first, then b for the trig kind, so
     identical seeds reproduce identical samples regardless of caller.
+    Raises FloatingPointError when sigma times a standard normal draw
+    leaves the double range.
     """
     validate_model(model)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+
+    def draw(size):
+        with np.errstate(over="ignore"):
+            values = model.sigma * rng.standard_normal(size)
+        if not np.isfinite(values).all():
+            raise FloatingPointError(
+                f"coefficient draw overflows the double range at sigma={model.sigma}"
+            )
+        return values
+
     if model.dep == "periodic":
         dec = decompose_degree(n, int(model.ell))
-        base_a = model.sigma * rng.standard_normal(dec.ell)
+        base_a = draw(dec.ell)
         # tile copies bits exactly, so a[j] IS a[j % ell] to the last ulp
         a = np.tile(base_a, dec.m + 1)[: n + 1]
         if model.kind == "trig":
-            base_b = model.sigma * rng.standard_normal(dec.ell)
+            base_b = draw(dec.ell)
             b = np.tile(base_b, dec.m + 1)[: n + 1]
         else:
             b = np.zeros(n + 1)
     else:
-        a = model.sigma * rng.standard_normal(n + 1)
+        a = draw(n + 1)
         if model.kind == "trig":
-            b = model.sigma * rng.standard_normal(n + 1)
+            b = draw(n + 1)
         else:
             b = np.zeros(n + 1)
     a = np.ascontiguousarray(a)

@@ -5,16 +5,15 @@ Evaluation routes
 evaluate / evaluate_derivative   chunked dense summation at arbitrary
 ReducedSample.evaluate           abscissae, O(n) (O(ell) for T*) per
                                  point; used for root refinement.
-evaluate_on_grid                 all values of T_n or of the reduced
-                                 factor T* on a uniform offset grid
-                                 x_i = 2 pi (i + offset)/N through one
-                                 real inverse FFT of the Hermitian half
-                                 spectrum, O(N log N) total; exact
-                                 coefficient folding covers N <= 2 x
-                                 max frequency, and T*'s half-integer
-                                 frequencies are integers on the 2N
-                                 grid.  Every counting route scans
-                                 these values.
+evaluate_on_grid                 all values of T_n on a uniform offset
+                                 grid x_i = 2 pi (i + offset)/N through
+                                 one real inverse FFT of the Hermitian
+                                 half spectrum, O(N log N) total; exact
+                                 coefficient folding covers N <= 2n.
+                                 The i.i.d. and r != 0 counting routes
+                                 scan these values; the r = 0 route
+                                 counts T* from its carrier phase
+                                 (zeros.carrier_phase) without a grid.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -111,70 +110,61 @@ def grid_nodes(num_nodes: int, offset: float = 0.5) -> np.ndarray:
     return (2.0 * np.pi / num_nodes) * (np.arange(num_nodes) + offset)
 
 
-def _spectral_grid(a, b, freqs, num_nodes: int, offset: float) -> np.ndarray:
-    """sum_k a_k cos(f_k x_i) + b_k sin(f_k x_i) on grid_nodes(num_nodes, offset)
-    for distinct integer frequencies f_k >= 0, via one real inverse FFT.
+def normalized_coefficients(a, b):
+    """(c, e): c_k = (a_k - i b_k) 2^-e with e the binary exponent of the
+    largest |a_k|, |b_k|, so that max |c_k| lies in [1/2, sqrt 2).
 
-    With c_k = a_k - i b_k the value is Re sum_k c_k e^{i f_k x_i}.  The
-    offset enters as a per-coefficient phase twist d_k; frequencies at
-    or above the grid size fold onto f_k mod N exactly (e^{2 pi i f i/N}
-    depends on f only through f mod N once the twist is applied), giving
+    Scaling by a power of two is exact, so every quantity built from c
+    is the sigma = 1 quantity to the last bit, whatever the draw's scale.
+    """
+    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
+
+
+def evaluate_on_grid(sample: PolySample, num_nodes: int,
+                     offset: float = 0.5) -> np.ndarray:
+    """T_n at every node x_i of grid_nodes(num_nodes, offset), via one real
+    inverse FFT.
+
+    With c_j = a_j - i b_j the value is Re sum_j c_j e^{i j x_i}.  The
+    offset enters as a per-coefficient phase twist d_j; frequencies at
+    or above the grid size fold onto j mod N exactly (e^{2 pi i j i/N}
+    depends on j only through j mod N once the twist is applied), giving
     a length-N spectrum F.  Taking the real part is the same as
-    transforming the Hermitian spectrum (F_j + conj F_{N-j})/2, so the
-    values are N * irfft(H, N) with H its half j = 0..N//2 (H_0 = Re F_0,
-    and H_{N/2} = Re F_{N/2} for even N).  When every f_k < N/2 no
-    F_{N-j} overlaps the half, so H is d/2 placed at the f_k, with
-    Re d_0 at index 0, and no length-N complex array is built.
+    transforming the Hermitian spectrum (F_k + conj F_{N-k})/2, so the
+    values are N * irfft(H, N) with H its half k = 0..N//2 (H_0 = Re F_0,
+    and H_{N/2} = Re F_{N/2} for even N).  When 2n < N no F_{N-k}
+    overlaps the half, so H is d/2 placed at 0..n, with Re d_0 at index
+    0, and no length-N complex array is built.
 
-    The coefficients are first scaled by 2^-e, e the binary exponent of
-    the largest |a_k|, |b_k|, and the values scaled back by 2^e.  Scaling
-    by a power of two is exact through the twist and the transform, so
-    this changes no value.  It keeps the transform away from overflow at
-    huge scales and from subnormal arithmetic at tiny ones; only a value
-    that itself exceeds the double range comes back as +-inf.
+    The coefficients are normalized by 2^-e (normalized_coefficients)
+    and the values scaled back by 2^e.  Scaling by a power of two is
+    exact through the twist and the transform, so this changes no value.
+    It keeps the transform away from overflow at huge scales and from
+    subnormal arithmetic at tiny ones; only a value that itself exceeds
+    the double range comes back as +-inf.
     """
     N = int(num_nodes)
-    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
-    c = np.ldexp(a, -e) - 1j * np.ldexp(b, -e)
+    if N < 1:
+        raise ValueError(f"need at least one node, got {num_nodes}")
+    freqs = np.arange(sample.n + 1)
+    c, e = normalized_coefficients(sample.a, sample.b)
     d = c * np.exp((2j * np.pi * offset / N) * freqs)
     half = N // 2 + 1
-    if 2 * freqs.max() < N:
+    if 2 * sample.n < N:
         H = np.zeros(half, dtype=complex)
-        H[freqs] = 0.5 * d
+        H[: sample.n + 1] = 0.5 * d
         H[0] = 2.0 * H[0].real
     else:
         folded = freqs % N
         F = (np.bincount(folded, weights=d.real, minlength=N)
              + 1j * np.bincount(folded, weights=d.imag, minlength=N))
-        j = np.arange(half)
-        H = 0.5 * (F[j] + np.conj(F[-j % N]))
+        k = np.arange(half)
+        H = 0.5 * (F[k] + np.conj(F[-k % N]))
     vals = np.fft.irfft(H, N)
     vals *= N
     with np.errstate(over="ignore"):  # values beyond the double range are +-inf
         return np.ldexp(vals, e, out=vals)
-
-
-def evaluate_on_grid(sample: PolySample | ReducedSample, num_nodes: int,
-                     offset: float = 0.5) -> np.ndarray:
-    """T_n, or the reduced factor T*, at every node of
-    grid_nodes(num_nodes, offset) via one real inverse FFT.
-
-    A PolySample has the integer frequencies 0..n.  A ReducedSample has
-    the frequencies g_k/2 with g_k = freq_twice, so T*(x) = U(x/2) for
-    U = sum a_k cos(g_k y) + b_k sin(g_k y); the nodes x_i/2 are the
-    first N nodes of U's 2N-node grid with the same offset.  When every
-    g_k is even (they share the parity of (m-1) ell) the halved
-    frequencies are integers and the N-node grid is used directly.
-    """
-    N = int(num_nodes)
-    if N < 1:
-        raise ValueError(f"need at least one node, got {num_nodes}")
-    if isinstance(sample, ReducedSample):
-        g = sample.freq_twice
-        if g[0] % 2 == 0:
-            return _spectral_grid(sample.a, sample.b, g // 2, N, offset)
-        return _spectral_grid(sample.a, sample.b, g, 2 * N, offset)[:N]
-    return _spectral_grid(sample.a, sample.b, np.arange(sample.n + 1), N, offset)
 
 
 def _removable(m: int, ell: int, x, far, near):

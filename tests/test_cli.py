@@ -145,6 +145,27 @@ def test_count_with_root_dump(tmp_path, capsys):
     assert all(float(line.split(",")[2]) < 1e-6 for line in lines[1:])
 
 
+def test_count_reports_its_route(capsys):
+    """r = 0 samples name the phase route and its pieces; others their grid."""
+    assert main(["count", "--ell", "3", "--n", "299", "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert " route=phase pieces=" in out and "grid=" not in out
+    assert main(["count", "--ell", "3", "--n", "298", "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert " grid=" in out and "route=" not in out
+
+
+def test_overflowing_draw_exits_2_with_reason(capsys):
+    """sigma = 1e308 overflows the draw itself; count and simulate name it."""
+    reason = "error: coefficient draw overflows the double range at sigma=1e+308\n"
+    assert main(["count", "--sigma", "1e308", "--n", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == reason and captured.out == ""
+    assert main(["simulate", "--sigma", "1e308", "--n", "50", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == reason and captured.out == ""
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trigzeros.cli", "simulate", "--ell", "1",

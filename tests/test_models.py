@@ -1,5 +1,7 @@
 """Coefficient-model tests: degree decomposition, seeding, periodic copies."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,34 @@ class TestSampling:
         s1 = sample_coefficients(m1, 25, seed=77)
         s2 = sample_coefficients(m2, 25, seed=77)
         assert np.allclose(s2.a, 2.5 * s1.a, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("kind, dep, ell, sigma", [
+        ("trig", "iid", None, 1.0),
+        ("trig", "periodic", 3, 2.5),
+        ("cosine", "iid", None, 1e-300),
+        ("cosine", "periodic", 5, 1e300),
+    ])
+    def test_draws_are_the_documented_stream(self, kind, dep, ell, sigma):
+        """Bit for bit: sigma times the Philox normals keyed by the seed, a
+        (or its ell-long base) first, then b."""
+        n = 29
+        for seed in (0, 123, mix64(2026, n, 209)):
+            s = sample_coefficients(CoefficientModel(kind, dep, ell, sigma), n, seed)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            size = n + 1 if ell is None else ell
+            a = sigma * rng.standard_normal(size)
+            b = sigma * rng.standard_normal(size) if kind == "trig" else np.zeros(size)
+            reps = -(-(n + 1) // size)
+            assert np.array_equal(s.a, np.tile(a, reps)[: n + 1])
+            assert np.array_equal(s.b, np.tile(b, reps)[: n + 1])
+
+    def test_overflowing_draw_raises_without_warning(self):
+        model = CoefficientModel(kind="trig", dep="iid", sigma=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=r"overflows the double range at sigma=1e\+308"):
+                sample_coefficients(model, 50, seed=0)
 
     def test_arrays_are_read_only(self):
         model = CoefficientModel(kind="trig", dep="iid")

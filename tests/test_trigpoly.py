@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from trigzeros.models import CoefficientModel, sample_coefficients
+from trigzeros.zeros import carrier_phase
 from trigzeros.trigpoly import (
     dirichlet_ratio,
     dirichlet_ratio_deriv,
@@ -161,15 +162,19 @@ class TestEvaluateOnGrid:
         ("trig", 5, 4),  # m = 1: integer frequencies 0..4
     ])
     def test_reduced_factor_on_every_grid_shape(self, kind, ell, n, offset):
-        """The spectral grid of T* reproduces its dense summation on N = 1, 2,
-        grids that fold (N <= 2 x max frequency) and grids that do not."""
+        """T* has no spectral grid: the counter reads it through its carrier
+        phase, and 2^e |P(e^{ix})| cos theta(x) reproduces its dense
+        summation on the grids of every shape, x = 0 included."""
         model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
         red = reduce_periodic(sample_coefficients(model, n, seed=25))
+        phase = carrier_phase(red)
         scale = np.abs(red.a).sum() + np.abs(red.b).sum()
         top = int(red.freq_twice.max())  # twice the largest frequency
         for num in (1, 2, 3, 5, top // 2, top, top + 1, 2 * top, 2 * top + 1, 6400):
-            g = evaluate_on_grid(red, num, offset=offset)
-            d = red.evaluate(grid_nodes(num, offset=offset))
+            x = grid_nodes(num, offset=offset)
+            amp = np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
+            g = np.ldexp(amp * np.cos(phase(x)), phase.exponent)
+            d = red.evaluate(x)
             assert g.shape == (num,)
             assert np.abs(g - d).max() <= 1e-11 * scale, num
 
@@ -181,17 +186,30 @@ class TestEvaluateOnGrid:
     ])
     def test_power_of_two_scaling_is_exact(self, dep, ell, n, reduced):
         """Scaling the coefficients by 2^k scales every grid value by exactly
-        2^k, down to nearly subnormal and up to nearly overflowing values."""
+        2^k, down to nearly subnormal and up to nearly overflowing values; a
+        reduced factor keeps its normalized carrier coefficients, phase and
+        breakpoints to the last bit and moves only its exponent."""
         model = CoefficientModel(kind="trig", dep=dep, ell=ell)
         s = sample_coefficients(model, n, seed=26)
         target = reduce_periodic(s) if reduced else s
         for num in (7, 4 * n, 6400):
-            base = evaluate_on_grid(target, num)
+            x = grid_nodes(num)
+            if reduced:
+                base = carrier_phase(target)
+            else:
+                base = evaluate_on_grid(target, num)
             for k in (-1000, -900, -3, 1, 500, 1000, 1015):
                 scaled = dataclasses.replace(
                     target, a=np.ldexp(target.a, k), b=np.ldexp(target.b, k))
-                assert np.array_equal(evaluate_on_grid(scaled, num),
-                                      np.ldexp(base, k)), (num, k)
+                if not reduced:
+                    assert np.array_equal(evaluate_on_grid(scaled, num),
+                                          np.ldexp(base, k)), (num, k)
+                    continue
+                phase = carrier_phase(scaled)
+                assert phase.exponent == base.exponent + k
+                assert np.array_equal(phase.coeffs, base.coeffs)
+                assert np.array_equal(phase(x), base(x)), (num, k)
+                assert np.array_equal(phase.breakpoints(), base.breakpoints())
 
 
 class TestDirichletRatio:

@@ -1,17 +1,19 @@
 """Zero-counting tests: known counts, stability protocol, refinement."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from trigzeros import zeros
 from trigzeros.models import CoefficientModel, mix64, sample_coefficients
-from trigzeros.trigpoly import ReducedSample, evaluate, grid_nodes, reduce_periodic
+from trigzeros.trigpoly import evaluate, grid_nodes, reduce_periodic
 from trigzeros.zeros import (
     ZeroCountReport,
+    _bisect_brackets,
     _brackets,
     _sign_changes,
+    carrier_phase,
     count_zeros,
     deterministic_zero_set,
     refine_root,
@@ -59,7 +61,7 @@ class TestKnownCounts:
     def test_ell_one_periodic_counts_exactly_2n(self):
         """All coefficients repeat with period one: 2n zeros, every seed."""
         model = CoefficientModel(kind="trig", dep="periodic", ell=1)
-        for n in (20, 21, 50, 51):  # odd n exercises the anti-periodic wrap
+        for n in (20, 21, 50, 51):  # odd n: half-integer carrier frequency
             for trial in range(30):
                 s = sample_coefficients(model, n, seed=mix64(3, n, trial))
                 rep = count_zeros(s)
@@ -73,12 +75,12 @@ class TestKnownCounts:
             assert count_zeros(s).count >= 59 + 1 - 3
 
 
-def brute_force_scan(vals, wrap_sign):
+def brute_force_scan(vals):
     """Cell-by-cell reference: an exact zero node counts once and joins no
     bracket; otherwise a cell counts when its ends have opposite signs."""
     brackets, zero_idx = [], []
     for i, v in enumerate(vals):
-        w = vals[i + 1] if i + 1 < len(vals) else wrap_sign * vals[0]
+        w = vals[i + 1] if i + 1 < len(vals) else vals[0]
         if v == 0.0:
             zero_idx.append(i)
         elif w != 0.0 and (v < 0.0) != (w < 0.0):
@@ -87,8 +89,7 @@ def brute_force_scan(vals, wrap_sign):
 
 
 class TestSignScan:
-    @pytest.mark.parametrize("wrap_sign", [1.0, -1.0])
-    def test_matches_brute_force(self, wrap_sign):
+    def test_matches_brute_force(self):
         """Every array of length 1..3 over {-2, -0.0, +0.0, 1}, and random
         longer ones with scattered signed zeros."""
         arrays = [np.array(t) for num in (1, 2, 3)
@@ -100,42 +101,165 @@ class TestSignScan:
             v[rng.random(v.size) < 0.1] = -0.0
             arrays.append(v)
         for v in arrays:
-            brackets, zero_idx = brute_force_scan(v, wrap_sign)
-            got_brackets, got_zero_idx = _brackets(v, wrap_sign)
-            assert _sign_changes(v, wrap_sign) == len(brackets) + len(zero_idx), v
+            brackets, zero_idx = brute_force_scan(v)
+            got_brackets, got_zero_idx = _brackets(v)
+            assert _sign_changes(v) == len(brackets) + len(zero_idx), v
             assert list(got_brackets) == brackets and list(got_zero_idx) == zero_idx, v
 
     def test_nan_raises(self):
         for v in ([np.nan], [1.0, np.nan, -1.0], [0.0, np.nan], [np.nan, -0.0, 2.0]):
             with pytest.raises(FloatingPointError, match="NaN"):
-                _sign_changes(np.array(v), 1.0)
+                _sign_changes(np.array(v))
+
+
+# the r = 0 acceptance families: (kind, ell, n, master seed)
+ACCEPTANCE_R0 = (
+    [("trig", ell, n, 2026) for ell, n in ((2, 199), (3, 299), (5, 499))]
+    + [("cosine", 3, n, 2028) for n in (299, 599, 1199)]
+    + [("trig", 1, n, 2027) for n in (20, 50, 100)]
+)
+
+
+def _acceptance_sample(kind, ell, n, seed, trial):
+    model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+    return sample_coefficients(model, n, seed=mix64(seed, n, trial))
+
+
+def grid_oracle(sample, tol=None, max_doublings=7):
+    """(count, stable, roots) of an r = 0 sample from a sign scan of the
+    densely summed reduced factor under the doubling rule.
+
+    The wrap cell compares the last node with T* at x_0 + 2 pi itself, so
+    half-integer frequencies (T* anti-periodic) need no sign rule.
+    """
+    red = reduce_periodic(sample)
+    det = deterministic_zero_set(red.m, red.ell)
+    N = smooth_size(max(256, 32 * sample.n))
+    counts = []
+    for _ in range(max_doublings + 1):
+        x = np.append(grid_nodes(N), grid_nodes(N)[0] + 2 * np.pi)
+        vals = red.evaluate(x)
+        assert vals.all()
+        cells = np.flatnonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))
+        counts.append(cells.size)
+        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
+            break
+        N *= 2
+    stable = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
+    roots = None
+    if tol is not None:
+        found = _bisect_brackets(red.evaluate, x[cells], x[cells + 1], tol)
+        roots = np.sort(np.concatenate([np.mod(found, 2 * np.pi), det]))
+    return counts[-1] + det.size, stable, roots
+
+
+def circle_roots_oracle(sample):
+    """Real zeros of T_n as the unit-circle roots of the degree-2n
+    polynomial z^n T_n(z) (companion matrix; J. P. Boyd, J. Eng. Math. 56,
+    2006): z^n T_n = (1/2) sum_j c_j z^(n+j) + conj(c_j) z^(n-j)."""
+    n = sample.n
+    c = sample.a - 1j * sample.b
+    p = np.zeros(2 * n + 1, dtype=complex)
+    p[n:] += 0.5 * c
+    p[n::-1] += 0.5 * np.conj(c)
+    z = np.roots(p[::-1])
+    return int(np.count_nonzero(np.abs(np.abs(z) - 1.0) < 1e-6))
 
 
 class TestReducedRouteIdentity:
-    def test_reports_equal_dense_reduced_evaluation(self, monkeypatch):
-        """r = 0 reports and roots per trial are those of a scan of the
-        densely summed reduced factor: integer and half-integer
-        frequencies, ell = 1."""
-        cases = [(CoefficientModel(kind="trig", dep="periodic", ell=ell), n)
-                 for ell, n in ((2, 199), (3, 299), (5, 499), (4, 59), (1, 20), (1, 51))]
-        cases.append((CoefficientModel(kind="cosine", dep="periodic", ell=3), 599))
-        samples = [sample_coefficients(model, n, seed=mix64(2026, n, t))
-                   for model, n in cases for t in range(8)]
-        spectral = [count_zeros(s, want_roots=True) for s in samples]
-        grid = zeros.evaluate_on_grid
+    def test_reports_equal_dense_reduced_evaluation(self):
+        """The phase count equals the dense grid oracle on 40 trials of each
+        r = 0 acceptance family, and the report names the phase route."""
+        for kind, ell, n, seed in ACCEPTANCE_R0:
+            for t in range(40):
+                s = _acceptance_sample(kind, ell, n, seed, t)
+                rep = count_zeros(s)
+                count, stable, _ = grid_oracle(s)
+                assert stable and rep.stable, (kind, ell, n, t)
+                assert rep.count == count, (kind, ell, n, t)
+                assert (rep.grid_size, rep.doublings_used) == (0, 0)
+                assert rep.pieces >= 1
 
-        def dense_reduced(target, num):
-            if isinstance(target, ReducedSample):
-                return target.evaluate(grid_nodes(num))
-            return grid(target, num)
+    def test_backtracking_phase_hard_case(self):
+        """ell = 5, n = 499, master seed 2026, trial 209: P has a root just
+        outside the unit circle, the phase backtracks, and the count exceeds
+        the no-breakpoint value 2(f0 + w) + n+1-ell by two."""
+        s = _acceptance_sample("trig", 5, 499, 2026, 209)
+        rep = count_zeros(s)
+        assert (rep.count, rep.stable, rep.pieces) == (998, True, 3)
+        assert grid_oracle(s)[:2] == (998, True)
+        phase = carrier_phase(reduce_periodic(s))
+        gap = np.abs(np.abs(phase.roots) - 1.0)
+        assert gap.min() == pytest.approx(5.05e-4, rel=1e-2)
+        assert 2 * phase.slope + 495 == 996
 
-        monkeypatch.setattr(zeros, "evaluate_on_grid", dense_reduced)
-        for s, rep in zip(samples, spectral):
-            dense = count_zeros(s, want_roots=True)
-            assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
-                dense.count, dense.grid_size, dense.doublings_used, dense.stable)
-            # the same final-grid brackets bisect to the same roots
-            assert np.array_equal(rep.roots, dense.roots)
+    def test_companion_matrix_oracle(self):
+        """Small degrees: the count is the number of unit-circle roots of
+        z^n T_n(z), integer and half-integer carrier frequencies, trig and
+        cosine."""
+        cases = [("trig", 2, 19), ("trig", 3, 29), ("trig", 4, 59), ("trig", 5, 24),
+                 ("trig", 5, 4), ("cosine", 3, 29), ("cosine", 3, 59), ("trig", 1, 9)]
+        for kind, ell, n in cases:
+            model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+            for t in range(25):
+                s = sample_coefficients(model, n, seed=mix64(61, n, t))
+                rep = count_zeros(s)
+                assert rep.stable
+                assert rep.count == circle_roots_oracle(s), (kind, ell, n, t)
+
+    def test_every_sample_has_the_phase_floor(self):
+        """theta advances by 2 pi (f0 + w) >= pi (n+1-ell): every r = 0
+        sample has at least 2(n+1-ell) zeros."""
+        for kind, ell, n, seed in ACCEPTANCE_R0:
+            for t in range(100):
+                rep = count_zeros(_acceptance_sample(kind, ell, n, seed, t))
+                assert 2 * (n + 1 - ell) <= rep.count <= 2 * n, (kind, ell, n, t)
+
+    def test_roots_match_grid_refined_roots(self):
+        for kind, ell, n, seed in ACCEPTANCE_R0:
+            for t in (0, 1, 2):
+                s = _acceptance_sample(kind, ell, n, seed, t)
+                rep = count_zeros(s, want_roots=True, tol=1e-12)
+                _, _, expected = grid_oracle(s, tol=1e-12)
+                assert rep.roots.size == rep.count == expected.size
+                assert np.abs(rep.roots - expected).max() <= 1e-9, (kind, ell, n, t)
+        s = _acceptance_sample("trig", 5, 499, 2026, 209)
+        rep = count_zeros(s, want_roots=True, tol=1e-12)
+        assert np.abs(rep.roots - grid_oracle(s, tol=1e-12)[2]).max() <= 1e-9
+
+    def test_phase_matches_dense_reduced_factor(self):
+        """2^e |P(e^{ix})| cos theta(x) is T*(x), at x = 0, 2 pi and between."""
+        for kind, ell, n, seed in ACCEPTANCE_R0:
+            red = reduce_periodic(_acceptance_sample(kind, ell, n, seed, 3))
+            phase = carrier_phase(red)
+            x = np.linspace(0.0, 2 * np.pi, 4001)
+            amp = np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
+            got = np.ldexp(amp * np.cos(phase(x)), phase.exponent)
+            scale = np.abs(red.a).sum() + np.abs(red.b).sum()
+            assert np.abs(got - red.evaluate(x)).max() <= 1e-11 * scale * n
+            theta = phase(np.array([0.0, 2 * np.pi]))
+            assert theta[1] - theta[0] == pytest.approx(2 * np.pi * phase.slope, abs=1e-9)
+
+    def test_degenerate_reduced_factors(self):
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        s = sample_coefficients(model, 29, seed=4)
+        for a, err in ((np.tile([np.nan, 1.0, 0.0], 10), FloatingPointError),
+                       (np.tile([np.inf, 1.0, 0.0], 10), FloatingPointError),
+                       (np.zeros(30), RuntimeError)):
+            with pytest.raises(err):
+                count_zeros(_rigged_periodic(s, a, np.zeros(30)))
+        # a vanishing top coefficient lowers the degree of P
+        a = np.tile([1.0, 0.5, 0.0], 10)
+        rigged = _rigged_periodic(s, a, np.zeros(30))
+        assert count_zeros(rigged).count == circle_roots_oracle(rigged)
+
+
+def _rigged_periodic(sample, a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return dataclasses.replace(sample, a=a, b=b)
 
 
 class TestScaleInvariance:
@@ -260,10 +384,14 @@ class TestGridRule:
         assert rep.grid_size == 6400 * 2 ** rep.doublings_used
 
     def test_reduced_route_uses_the_same_rule(self):
+        """r = 0 samples take the phase route at every grid setting: no grid."""
         model = CoefficientModel(kind="cosine", dep="periodic", ell=3)
         s = sample_coefficients(model, 1199, seed=6)  # r = 0
-        rep = count_zeros(s)
-        assert rep.grid_size == smooth_size(32 * 1199) * 2 ** rep.doublings_used
+        expected = count_zeros(s)
+        assert (expected.grid_size, expected.doublings_used) == (0, 0)
+        for gpd, md in ((1, 0), (128, 7)):
+            rep = count_zeros(s, grid_per_degree=gpd, max_doublings=md)
+            assert rep == expected
 
 
 class TestRootRefinement:
