@@ -272,6 +272,15 @@ class CarrierPhase:
             theta += np.angle(1.0 - np.exp(1j * x) / self.outside[:, None]).sum(axis=0)
         return theta
 
+    def derivative(self, x) -> np.ndarray:
+        """theta'(x) = f0 + Re(z P'(z) / P(z)) at z = e^{ix}."""
+        z = np.exp(1j * np.asarray(x, dtype=float))
+        c = self.coeffs
+        p = np.polyval(c[::-1], z)
+        zdp = np.polyval((np.arange(c.size) * c)[::-1], z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.f0 + (zdp / p).real
+
     def breakpoints(self) -> np.ndarray:
         """Sorted abscissae in [0, 2 pi) where theta' may change sign.
 
@@ -315,7 +324,7 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
     The pieces of [0, 2 pi] end at the breakpoints; on each, theta is
     monotone and the zeros are the levels pi/2 + k pi it crosses:
     |floor(theta_end/pi - 1/2) - floor(theta_start/pi - 1/2)| of them.
-    Roots are bisected on theta minus their level inside their piece.
+    Roots come from _newton_in_pieces on theta minus their level.
     """
     phase = carrier_phase(red)
     starts = np.concatenate([[0.0], phase.breakpoints()])
@@ -336,10 +345,48 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
         # the i-th crossing of a piece is level floor(min) + 1 + i
         rank = np.arange(count) - np.repeat(np.cumsum(crossed) - crossed, crossed)
         target = np.pi * (np.minimum(k[:-1], k[1:])[piece] + 1.5 + rank)
-        roots = _bisect_brackets(lambda x: phase(x) - target,
-                                 ends[piece], ends[piece + 1], tol)
+        roots = _newton_in_pieces(phase, target, ends[piece], ends[piece + 1],
+                                  theta[piece], theta[piece + 1], tol)
         roots = np.mod(roots, TWO_PI)
     return count, starts.size, stable, roots
+
+
+def _newton_in_pieces(phase: CarrierPhase, target, lo, hi, theta_lo, theta_hi,
+                      tol: float, max_iter: int = 200) -> np.ndarray:
+    """Solve phase(x) = target inside each monotone piece (lo, hi).
+
+    Safeguarded Newton (rtsafe): the start is the linear interpolation of
+    the phase across the piece and every iterate shrinks the bracket; a
+    step that would leave the bracket, or that is not under half the
+    previous one, is replaced by bisection.  A root is final once its
+    step is within tol, and only unfinished roots are iterated further.
+    """
+    rising = theta_hi > theta_lo
+    x = lo + (target - theta_lo) / (theta_hi - theta_lo) * (hi - lo)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    last = hi - lo
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    for _ in range(max_iter):
+        g = phase(x) - target
+        past = (g > 0.0) == rising
+        hi = np.where(past | (g == 0.0), x, hi)
+        lo = np.where(past & (g != 0.0), lo, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - g / phase.derivative(x)
+        newton = (step >= lo) & (step <= hi) & (np.abs(step - x) <= 0.5 * last)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        last = np.abs(step - x)
+        x = step
+        done = last <= tol
+        out[idx[done]] = x[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        idx, x, lo, hi, last, target, rising = (
+            a[keep] for a in (idx, x, lo, hi, last, target, rising))
+    out[idx] = x
+    return out
 
 
 def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-10,

@@ -1,6 +1,7 @@
 """Limit-constant tests: identities, bounds, oracles, memo, theory table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from trigzeros.constants import (
     _GRADE_LEVELS,
     _NODES,
     _graded_edges,
+    _sine_ratio_integrand,
     compute_C,
     compute_I_alpha,
     compute_J,
@@ -19,7 +21,7 @@ from trigzeros.constants import (
     monte_carlo_K,
     theoretical_mean,
 )
-from trigzeros.kacrice import composite_gauss_legendre
+from trigzeros.kacrice import composite_gauss_legendre, limit_integrand_g
 
 
 def poisson_average(u: float) -> float:
@@ -166,6 +168,72 @@ class TestCache:
         assert calls == []
         assert compute(False) == first
         assert len(calls) == 1
+
+
+# Values of the full-square tensor quadrature that the row-blocked
+# half-square evaluation replaced; the two agree to rounding.
+PINNED_C = {
+    (2, 1): 1.5238429977259413, (3, 1): 1.533470221543412,
+    (3, 2): 1.5334702215434126, (4, 1): 1.5472710905452358,
+    (4, 2): 1.5238429977259413, (4, 3): 1.547271090545237,
+    (5, 1): 1.5600451309577146, (5, 2): 1.5271846000823472,
+    (5, 3): 1.5271846000823472, (5, 4): 1.5600451309577161,
+}
+PINNED_J = {
+    (2, 1): 0.9999999999502869, (3, 1): 0.99999999995158,
+    (3, 2): 0.999999999951581, (4, 1): 0.9999999999709785,
+    (4, 2): 0.9999999999502869, (4, 3): 0.99999999997098,
+    (5, 1): 0.9999999999734447, (5, 2): 0.999999999979397,
+    (5, 3): 0.9999999999793976, (5, 4): 0.9999999999734468,
+}
+PINNED_K = {2: 1.064237447196125, 3: 1.0408330356020878, 4: 1.0301606963560836}
+
+
+class TestQuadratureLayout:
+    """The row-blocked, half-square quadrature reproduces the full grid."""
+
+    def test_pinned_values(self):
+        for (ell, r), want in PINNED_C.items():
+            assert abs(compute_C(ell, r, use_cache=False) - want) < 1e-12, (ell, r)
+        for (ell, r), want in PINNED_J.items():
+            assert abs(compute_J(ell, r) - want) < 1e-12, (ell, r)
+        for ell, want in PINNED_K.items():
+            assert abs(compute_K(ell, use_cache=False) - want) < 1e-12, ell
+
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            lambda s, t: limit_integrand_g(5, 2, s, t),
+            lambda s, t: limit_integrand_g(3, 1, s, t),
+            lambda s, t: _sine_ratio_integrand(3.0, 2.0, s, t),
+            lambda s, t: _sine_ratio_integrand(math.sin(0.3) ** 2, math.cos(0.3) ** 2, s, t),
+        ],
+        ids=["C(5,2)", "C(3,1)", "J(5,2)", "I(0.3)"],
+    )
+    def test_integrands_have_central_symmetry(self, integrand):
+        """_ridge_split_integral doubles the lower triangle, which is right
+        only when func(s, t) == func(pi - s, pi - t)."""
+        rng = np.random.default_rng(12)
+        s, t = rng.uniform(0.0, math.pi, (2, 20_000))
+        here = integrand(s, t)
+        there = integrand(math.pi - s, math.pi - t)
+        np.testing.assert_allclose(there, here, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [lambda: compute_C(5, 2, use_cache=False), lambda: compute_K(4, use_cache=False)],
+        ids=["C(5,2)", "K(4)"],
+    )
+    def test_memory_is_bounded_by_the_row_block(self, compute):
+        """The full 1280 x 1280 node grid would hold ~90-120 MB of
+        temporaries; row blocks keep the peak at a few MB."""
+        tracemalloc.start()
+        try:
+            compute()
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 16.0
 
 
 class TestTheoryTable:

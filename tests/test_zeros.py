@@ -254,6 +254,26 @@ class TestReducedRouteIdentity:
         assert count_zeros(rigged).count == circle_roots_oracle(rigged)
 
 
+class TestExtraCrossings:
+    @pytest.mark.parametrize("ell, n", [(3, 5), (5, 9)])
+    def test_mean_extra_crossings(self, ell, n):
+        """Trig with r = 0: the phase alone forces n+1-ell deterministic
+        zeros plus 2 slope = 2(f0 + w) zeros of T*, with 2 f0 = n+1-ell and
+        E[w] = (ell-1)/2.  The non-monotone pieces add the rest, so with
+        E[count] = (n+1-ell) + sqrt(n^2 + (ell^2-1)/3) the extra crossings
+        average sqrt(n^2 + (ell^2-1)/3) - n."""
+        model = CoefficientModel(kind="trig", dep="periodic", ell=ell)
+        extra = np.empty(4000)
+        for t in range(extra.size):
+            s = sample_coefficients(model, n, seed=mix64(2029, n, t))
+            slope = carrier_phase(reduce_periodic(s)).slope
+            extra[t] = count_zeros(s).count - (n + 1 - ell) - 2 * slope
+        assert extra.min() >= 0
+        want = np.sqrt(n * n + (ell * ell - 1) / 3.0) - n
+        stderr = extra.std(ddof=1) / np.sqrt(extra.size)
+        assert abs(extra.mean() - want) < 3.0 * stderr
+
+
 def _rigged_periodic(sample, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
