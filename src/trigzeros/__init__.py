@@ -20,8 +20,8 @@ from .models import (
 from .trigpoly import (
     AlgebraicFactorization,
     ReducedSample,
+    dirichlet_pair,
     dirichlet_ratio,
-    dirichlet_ratio_deriv,
     evaluate,
     evaluate_derivative,
     evaluate_on_grid,

@@ -47,13 +47,12 @@ import math
 import numpy as np
 
 from .models import CoefficientModel, decompose_degree
-from .kacrice import composite_gauss_legendre, limit_integrand_g
+from .kacrice import _BLOCK_POINTS, composite_gauss_legendre, limit_integrand_g
 from .trigpoly import u_ell
 
 _GRADE_LEVELS = 40
 _NODES = 8
 _FINE_NODES = 2 * _NODES
-_BLOCK_POINTS = 1 << 15  # max integrand values per row block
 
 
 # ---------------------------------------------------------------------------

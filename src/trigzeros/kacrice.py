@@ -11,13 +11,16 @@ cancels in the ratio, so everything here is sigma-free.
 Three evaluation routes for (A, B, C):
 
 * ``abc_closed``   -- closed forms for every raw (unfactored) model, O(1) to
-  O(ell) work per point.  Trig and periodic cosine collapse the grouped
-  basis through the Dirichlet kernel phi_m(x) = sin(m*ell*x/2)/sin(ell*x/2);
-  i.i.d. cosine goes through K(t) = sum_{j<=n} cos jt at t = 2x.  The
-  cosine forms sum the few nodes within 1/n of the kernel lattice literally.
+  O(ell) work per point.  i.i.d. cosine goes through K(t) = sum_{j<=n} cos jt
+  at t = 2x.  The periodic models go through one core over the ell grouped
+  directions sum_t cos((k + ell t) x) = phi_M(x) cos(nu_k x) (and the sine
+  twins for trig), with phi_M and phi_M' from one lattice reduction
+  (trigpoly.dirichlet_pair) per distinct M.  The cosine forms sum the few
+  nodes within 1/n of the kernel lattice literally.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
-  factoring phi_m out of a block-periodic sample with r = 0.  For the trig
-  model the reduced process is stationary: A = ell, B = 0, C = const.
+  factoring phi_m out of a block-periodic sample with r = 0: the same core
+  with phi = 1 and phi' = 0.  For the trig model the reduced process is
+  stationary: A = ell, B = 0, C = const.
 * ``abc_direct``   -- literal sums over the independent Gaussian directions,
   O(basis size) per point and chunked over x, so memory stays O(chunk * n).
   Slow but assumption-free; the test oracle the closed forms are checked
@@ -40,27 +43,26 @@ spikes with panels.
 
 ``composite_gauss_legendre`` is the one quadrature rule of the package: the
 Kac-Rice integrals use it on uniform panels, the limit constants of the
-``constants`` module on dyadically graded ones.
+``constants`` module on dyadically graded ones.  Both evaluate their
+integrands in blocks of at most _BLOCK_POINTS nodes, so memory stays at a
+few MB whatever the degree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import PolySample, decompose_degree
-from .trigpoly import (
-    dirichlet_ratio,
-    dirichlet_ratio_deriv,
-    reduce_periodic,
-    u_ell,
-)
+from .trigpoly import dirichlet_pair, reduce_periodic
 
 TWO_PI = 2.0 * math.pi
 
 _DIRECT_CHUNK_BUDGET = 500_000  # max elements per (points x frequencies) block
+_BLOCK_POINTS = 1 << 15  # max integrand nodes per quadrature block
 
 
 # ---------------------------------------------------------------------------
@@ -166,35 +168,15 @@ def _iid_constants(n: int):
     return A, C
 
 
-def _grouped_frequency_sums(ell: int, m: int, r: int):
-    """Exact integer sums over the grouped/tail frequency sets.
-
-    Grouped frequencies: nu_k = k + (m-1) ell / 2 for k < ell (stored twice).
-    Tail frequencies:    beta_k = m ell + k        for k < r.
-    Returns (S2, Sb, Sb2, Sab) = (sum nu^2, sum beta, sum beta^2,
-    sum nu_k beta_k over k < r), all exact floats (integer/4 at worst).
-    """
-    ks = np.arange(ell, dtype=object)
-    nu2 = 2 * ks + (m - 1) * ell  # 2*nu_k, exact integers
-    S2 = int(sum(t * t for t in nu2))  # 4 * sum nu^2
-    kr = np.arange(r, dtype=object)
-    beta = m * ell + kr
-    Sb = int(sum(beta))
-    Sb2 = int(sum(t * t for t in beta))
-    Sab = int(sum((2 * k + (m - 1) * ell) * (m * ell + k) for k in range(r)))
-    return S2 / 4.0, float(Sb), float(Sb2), Sab / 2.0
-
-
 def _iid_cosine_abc(n: int, x: np.ndarray):
-    """The i.i.d. cosine forms of abc_closed, with phi = dirichlet_ratio(n+1, 1, .).
+    """The i.i.d. cosine forms of abc_closed, with phi = phi_{n+1}(.; 1).
 
     phi'' comes from the equation phi_ss = (1 - m^2) phi - 2 cot(s) phi_s
     of sin(m s)/sin(s), s = t/2 = x, so sin x must stay away from 0.
     """
     A0, S2 = _iid_constants(n)
     t = 2.0 * x
-    phi = dirichlet_ratio(n + 1, 1, t)
-    phid = dirichlet_ratio_deriv(n + 1, 1, t)
+    phi, phid = dirichlet_pair(n + 1, 1, t)
     phidd = 0.25 * (1.0 - (n + 1.0) ** 2) * phi - (np.cos(x) / np.sin(x)) * phid
     cos_n = np.cos(n * x)
     sin_n = np.sin(n * x)
@@ -204,26 +186,47 @@ def _iid_cosine_abc(n: int, x: np.ndarray):
     return 0.5 * (A0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
 
 
-def _periodic_cosine_abc(n: int, ell: int, x: np.ndarray):
-    """The periodic cosine sums of abc_closed over the ell grouped directions."""
-    dec = decompose_degree(n, ell)
+def _grouped_abc(sample: PolySample, x: np.ndarray, reduced: bool = False):
+    """A, B, C over the ell grouped directions of a periodic sample.
+
+    Direction k < ell sums the frequencies k + ell t, t < M_k, where
+    M_k = m+1 for k < r and m otherwise:
+
+        g_k = phi_{M_k}(x) cos(nu_k x),   nu_k = k + (M_k - 1) ell / 2,
+
+    and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M')
+    comes from one dirichlet_pair per distinct M, or is (1, 0) for the
+    reduced polynomial.  Cosine sums g_k^2, g_k g_k' and g_k'^2.  For
+    trig the cross terms of g_k and h_k cancel, leaving
+
+        A = sum phi^2,  B = sum phi phi',  C = sum (phi'^2 + nu^2 phi^2),
+
+    one term per distinct M and no cosine or sine at all.
+    """
+    dec = decompose_degree(sample.n, sample.model.ell)
+    groups = {}  # M -> nu_k of its directions, in the order of k
+    for k in range(dec.ell):
+        M = dec.m + 1 if k < dec.r else dec.m
+        groups.setdefault(M, []).append(k + 0.5 * (M - 1) * dec.ell)
     A = np.zeros_like(x)
     B = np.zeros_like(x)
     C = np.zeros_like(x)
-    kernels = {}
-    for k in range(ell):
-        M = dec.m + 1 if k < dec.r else dec.m
-        if M not in kernels:
-            kernels[M] = (dirichlet_ratio(M, ell, x), dirichlet_ratio_deriv(M, ell, x))
-        phi, phid = kernels[M]
-        nu = k + 0.5 * (M - 1) * ell
-        cos_nu = np.cos(nu * x)
-        sin_nu = np.sin(nu * x)
-        g = phi * cos_nu
-        gd = phid * cos_nu - nu * phi * sin_nu
-        A += g * g
-        B += g * gd
-        C += gd * gd
+    for M, nus in groups.items():
+        phi, phid = (1.0, 0.0) if reduced else dirichlet_pair(M, dec.ell, x)
+        if sample.model.kind == "trig":
+            nu = np.array(nus)
+            A += nu.size * phi * phi
+            B += nu.size * phi * phid
+            C += nu.size * phid * phid + float((nu * nu).sum()) * phi * phi
+            continue
+        for nu in nus:
+            cos_nu = np.cos(nu * x)
+            sin_nu = np.sin(nu * x)
+            g = phi * cos_nu
+            gd = phid * cos_nu - nu * phi * sin_nu
+            A += g * g
+            B += g * gd
+            C += gd * gd
     return A, B, C
 
 
@@ -246,7 +249,7 @@ def _cosine_closed(sample: PolySample, x: np.ndarray) -> AbcTriple:
     if model.dep == "iid":
         A[far], B[far], C[far] = _iid_cosine_abc(n, x[far])
     else:
-        A[far], B[far], C[far] = _periodic_cosine_abc(n, model.ell, x[far])
+        A[far], B[far], C[far] = _grouped_abc(sample, x[far])
     if near.any():
         A[near], B[near], C[near] = _literal_sums(sample, x[near])
     return AbcTriple(A=A, B=B, C=C, x=x)
@@ -264,83 +267,40 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
 
     S2 = n(n+1)(2n+1)/6.
 
-    Periodic cosine: A = sum g_k^2, B = sum g_k g_k', C = sum g_k'^2 over
-    the ell grouped directions
-
-        g_k = sum_t cos((k + ell t) x) = phi_M(x) cos(nu_k x),
-
-    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2.
+    Periodic: the sums over the ell grouped directions
+    g_k = phi_M(x) cos(nu_k x) (and h_k = phi_M(x) sin(nu_k x) for trig),
+    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2; see
+    _grouped_abc.  phi_M and phi_M' come from dirichlet_pair, one lattice
+    reduction per distinct M.
 
     Both cosine forms lose their derivatives to cancellation next to the
     kernel lattice; the nodes with |sin s| < 1/n there are summed
     literally (see _cosine_closed).
-
-    Periodic trig, with phi = phi_m, D = (m+1) ell x / 2, and the exact
-    integer sums of ``_grouped_frequency_sums``:
-
-        A = ell phi^2 + r + 2 r phi cos D
-        B = ell phi phi' + r [phi' cos D - ((m+1) ell / 2) phi sin D]
-        C = ell phi'^2 + phi^2 S2 + Sb2 - 2 phi' sin D Sb + 2 phi cos D Sab
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     model = sample.model
-    n = sample.n
     if model.kind == "cosine":
         return _cosine_closed(sample, x)
     if model.dep == "iid":
-        A0, C0 = _iid_constants(n)
+        A0, C0 = _iid_constants(sample.n)
         full = np.full_like(x, A0)
         return AbcTriple(A=full, B=np.zeros_like(x), C=np.full_like(x, C0), x=x)
-
-    dec = decompose_degree(n, model.ell)
-    ell, m, r = dec.ell, dec.m, dec.r
-    S2, Sb, Sb2, Sab = _grouped_frequency_sums(ell, m, r)
-    phi = dirichlet_ratio(m, ell, x)
-    phid = dirichlet_ratio_deriv(m, ell, x)
-    D = 0.5 * (m + 1) * ell * x
-    cosD = np.cos(D)
-    sinD = np.sin(D)
-    A = ell * phi * phi + r + 2.0 * r * phi * cosD
-    B = ell * phi * phid + r * (phid * cosD - 0.5 * (m + 1) * ell * phi * sinD)
-    C = (
-        ell * phid * phid
-        + phi * phi * S2
-        + Sb2
-        - 2.0 * phid * sinD * Sb
-        + 2.0 * phi * cosD * Sab
-    )
+    A, B, C = _grouped_abc(sample, x)
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
 def abc_reduced(sample: PolySample, x) -> AbcTriple:
     """(A, B, C) of the reduced polynomial after factoring out phi_m (r = 0).
 
-    Trig: the reduced process is stationary -- A = ell, B = 0,
-    C = sum nu_k^2 = ell (3 n^2 + ell^2 - 1) / 12, all constant.
-
-    Cosine: A collapses to (ell/2)(1 + u_ell(x) cos(n x)) exactly; B and C
-    stay literal O(ell) sums over the reduced frequencies.
+    The reduced polynomial keeps one direction per residue class at the
+    grouped frequencies nu_k, so these are the grouped sums of abc_closed
+    with phi = 1 and phi' = 0.  Trig: the reduced process is stationary,
+    A = ell, B = 0, C = sum nu_k^2 = ell (3 n^2 + ell^2 - 1) / 12.
+    Cosine: O(ell) sums of cos(nu_k x) and its derivative.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    red = reduce_periodic(sample)
-    nu = red.frequencies()
-    if sample.model.kind == "trig":
-        A0 = float(red.ell)
-        C0 = float((nu * nu).sum())
-        return AbcTriple(
-            A=np.full_like(x, A0),
-            B=np.zeros_like(x),
-            C=np.full_like(x, C0),
-            x=x,
-        )
-    # cosine: basis is cos(nu_k x), k < ell
-    n = sample.n
-    A = 0.5 * red.ell * (1.0 + u_ell(red.ell, x) * np.cos(n * x))
-    two_nu_x = np.multiply.outer(2.0 * nu, x)
-    B = -0.5 * (nu[:, None] * np.sin(two_nu_x)).sum(axis=0)
-    C = 0.5 * float((nu * nu).sum()) - 0.5 * (
-        (nu * nu)[:, None] * np.cos(two_nu_x)
-    ).sum(axis=0)
+    reduce_periodic(sample)  # raises unless periodic with r = 0
+    A, B, C = _grouped_abc(sample, x, reduced=True)
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
@@ -377,12 +337,22 @@ class KacRiceResult:
         return self.deterministic_zeros + self.value
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
+    and read-only, since every caller shares them."""
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
+
+
 def composite_gauss_legendre(edges: np.ndarray, nodes: int):
     """Nodes/weights of Gauss-Legendre with `nodes` points on each panel.
 
     The panels are the intervals between consecutive entries of edges.
     """
-    z, w = np.polynomial.legendre.leggauss(nodes)
+    z, w = _legendre_rule(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + halfw[:, None] * z[None, :]).ravel()
@@ -391,14 +361,20 @@ def composite_gauss_legendre(edges: np.ndarray, nodes: int):
 
 
 def _integrate_panels(func, intervals, n_panels_total: int, nodes: int):
-    """Integrate func over the union of intervals with ~n_panels_total panels."""
+    """Integrate func over the union of intervals with ~n_panels_total panels.
+
+    func sees at most _BLOCK_POINTS nodes per call.
+    """
     total_len = sum(hi - lo for lo, hi in intervals)
+    block = max(1, _BLOCK_POINTS // nodes)
     value = 0.0
     panels_used = 0
     for lo, hi in intervals:
         share = max(1, int(round(n_panels_total * (hi - lo) / total_len)))
-        xs, ws = composite_gauss_legendre(np.linspace(lo, hi, share + 1), nodes)
-        value += float(np.dot(func(xs), ws))
+        edges = np.linspace(lo, hi, share + 1)
+        for first in range(0, share, block):
+            xs, ws = composite_gauss_legendre(edges[first:first + block + 1], nodes)
+            value += float(np.dot(func(xs), ws))
         panels_used += share
     return value, panels_used
 

@@ -4,7 +4,9 @@ Evaluation routes
 -----------------
 evaluate / evaluate_derivative   chunked dense summation at arbitrary
 ReducedSample.evaluate           abscissae, O(n) (O(ell) for T*) per
-                                 point; used for root refinement.
+                                 point; evaluate refines the roots of
+                                 the grid route, and the other two
+                                 serve as oracles in the tests.
 evaluate_on_grid                 all values of T_n on a uniform offset
                                  grid x_i = 2 pi (i + offset)/N through
                                  one real inverse FFT of the Hermitian
@@ -38,10 +40,13 @@ extends to +-m across the removable singularities at the lattice
 x = 2 k pi / ell.
 
 Every removable singularity of the package goes through one kernel, the
-lattice reduction shared by dirichlet_ratio and dirichlet_ratio_deriv:
-u_ell(x) = phi_ell(x)/ell at ell := 2, and the grouped sums
-trig_sum_cos/trig_sum_sin are phi_r at ell := 2p times one cosine or
-sine.  Its Taylor window |sin(ell t/2)| < SINGULARITY_EPS is a constant.
+lattice reduction behind dirichlet_ratio and dirichlet_pair, which
+returns phi_M and phi_M' from the same reduction (the Kac-Rice
+covariances need both): u_ell(x) = phi_ell(x)/ell at ell := 2, and the
+grouped sums trig_sum_cos/trig_sum_sin are phi_r at ell := 2p times one
+cosine or sine.  The quotient is evaluated on every node and the
+Taylor form overwrites it inside the window |sin(ell t/2)| <
+SINGULARITY_EPS, a constant.
 
 The same grouping applied to the algebraic polynomial P(z) = sum a_j z^j
 with an ell-periodic coefficient vector of length ell*m yields
@@ -168,12 +173,15 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
 
 
 def _removable(m: int, ell: int, x, far, near):
-    """The removable-singularity kernel behind dirichlet_ratio, its
-    derivative and u_ell.
+    """The removable-singularity kernel behind dirichlet_ratio,
+    dirichlet_pair and u_ell.
 
-    Writes x = 2 k pi/ell + t, evaluates far(s, sin s) or, within
-    |sin s| < SINGULARITY_EPS, near(s) at s = ell t/2, and applies the
-    sign (-1)^(k(m-1)) that the reduction pulls out of the quotient.
+    Writes x = 2 k pi/ell + t and evaluates far(s, sin s) at s = ell t/2
+    on every node; within |sin s| < SINGULARITY_EPS, where the quotient
+    loses its digits or divides by zero, near(s) overwrites it.  Both
+    return a tuple of arrays (a value, or a value and its derivative),
+    and each gets the sign (-1)^(k(m-1)) that the reduction pulls out
+    of the quotient.
     """
     if m < 1 or ell < 1:
         raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")
@@ -182,17 +190,19 @@ def _removable(m: int, ell: int, x, far, near):
     k = np.rint(x_arr / period).astype(np.int64)
     s = 0.5 * ell * (x_arr - k * period)
     sin_s = np.sin(s)
-    out = np.empty(x_arr.shape, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outs = far(s, sin_s)
     near_mask = np.abs(sin_s) < SINGULARITY_EPS
-    far_mask = ~near_mask
-    out[far_mask] = far(s[far_mask], sin_s[far_mask])
     if near_mask.any():
-        out[near_mask] = near(s[near_mask])
+        for out, fix in zip(outs, near(s[near_mask])):
+            out[near_mask] = fix
     if (m - 1) % 2 == 1:
-        out[(k % 2) == 1] *= -1.0
+        odd = (k % 2) == 1
+        for out in outs:
+            out[odd] *= -1.0
     if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+        return tuple(float(out[0]) for out in outs)
+    return outs
 
 
 def dirichlet_ratio(m: int, ell: int, x):
@@ -207,27 +217,37 @@ def dirichlet_ratio(m: int, ell: int, x):
     """
     return _removable(
         m, ell, x,
-        lambda s, sin_s: np.sin(m * s) / sin_s,
-        lambda s: m * (1.0 - (m * m - 1.0) * s * s / 6.0),
-    )
+        lambda s, sin_s: (np.sin(m * s) / sin_s,),
+        lambda s: (m * (1.0 - (m * m - 1.0) * s * s / 6.0),),
+    )[0]
 
 
-def dirichlet_ratio_deriv(m: int, ell: int, x):
-    """d/dx of dirichlet_ratio(m, ell, .), stable across the lattice.
+def dirichlet_pair(m: int, ell: int, x):
+    """(phi_m, phi_m') at x from one lattice reduction.
 
-    Away from the lattice, with s = ell t/2 as in dirichlet_ratio,
+    phi_m is dirichlet_ratio(m, ell, x) to the bit.  Away from the
+    lattice, with s = ell t/2 and the sign as in dirichlet_ratio,
 
         phi_m'(x) = sign * (ell/2) [m cos(ms) sin(s) - sin(ms) cos(s)] / sin(s)^2;
 
     inside the window the odd Taylor term -sign * m(m^2-1) ell s / 6
-    is used (phi_m' vanishes at the lattice points themselves).
+    is used (phi_m' vanishes at the lattice points themselves).  m = 1
+    gives exactly (1, 0).
     """
-    return _removable(
-        m, ell, x,
-        lambda s, sin_s: 0.5 * ell * (m * np.cos(m * s) * sin_s - np.sin(m * s) * np.cos(s))
-        / (sin_s**2),
-        lambda s: -m * (m * m - 1.0) * ell * s / 6.0,
-    )
+    def far(s, sin_s):
+        sin_ms = np.sin(m * s)
+        return (
+            sin_ms / sin_s,
+            0.5 * ell * (m * np.cos(m * s) * sin_s - sin_ms * np.cos(s)) / (sin_s**2),
+        )
+
+    def near(s):
+        return (
+            m * (1.0 - (m * m - 1.0) * s * s / 6.0),
+            -m * (m * m - 1.0) * ell * s / 6.0,
+        )
+
+    return _removable(m, ell, x, far, near)
 
 
 def trig_sum_cos(r: int, p: int, q: float, x):
@@ -263,9 +283,9 @@ def u_ell(ell: int, x):
         raise ValueError(f"need ell >= 1, got ell={ell}")
     return _removable(
         ell, 2, x,
-        lambda s, sin_s: np.sin(ell * s) / (ell * sin_s),
-        lambda s: 1.0 - (ell * ell - 1.0) * s * s / 6.0,
-    )
+        lambda s, sin_s: (np.sin(ell * s) / (ell * sin_s),),
+        lambda s: (1.0 - (ell * ell - 1.0) * s * s / 6.0,),
+    )[0]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ from trigzeros.kacrice import (
     limit_integrand_g,
 )
 from trigzeros.trigpoly import (
-    dirichlet_ratio,
-    dirichlet_ratio_deriv,
+    dirichlet_pair,
     reduce_periodic,
     u_ell,
 )
@@ -57,8 +56,7 @@ def abc_leading_order(sample, x) -> AbcTriple:
     ell, m, r = dec.ell, dec.m, dec.r
     if r == 0:
         raise ValueError("leading-order forms require r != 0")
-    phi = dirichlet_ratio(m, ell, x)
-    phid = dirichlet_ratio_deriv(m, ell, x)
+    phi, phid = dirichlet_pair(m, ell, x)
     D = 0.5 * (m + 1) * ell * x
     half = np.sin(0.5 * ell * x)
     cos2m1 = np.cos(0.5 * (2 * m + 1) * ell * x)
@@ -131,6 +129,17 @@ class TestClosedVersusDirect:
     def test_periodic_trig_all_remainders(self, ell, n):
         s = _sample("trig", "periodic", n, ell=ell)
         _assert_closed_matches_direct(s, _interior_grid(257))
+
+    @pytest.mark.parametrize("ell,n", [(3, 400), (3, 1000), (5, 402)])
+    def test_periodic_trig_integrand_beside_the_lattice(self, ell, n):
+        """The Kac-Rice density of the grouped core, up to 1e-12 from the
+        lattice where A, B and C grow like n^2 to n^4 and cancel in AC - B^2."""
+        s = _sample("trig", "periodic", n, ell=ell)
+        assert decompose_degree(n, ell).r != 0
+        x = _beside(TWO_PI * np.arange(ell + 1) / ell)
+        want = abc_direct(s, x).integrand()
+        got = abc_closed(s, x).integrand()
+        assert (np.abs(got - want) / want).max() < 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 37, 400])
     def test_iid_cosine_including_the_lattice(self, n):
@@ -354,11 +363,13 @@ def _peak_mb(func):
 
 
 class TestMemoryLinearInDegree:
-    """The (points x n) basis matrices of the literal sums never materialise.
+    """The (points x n) basis matrices of the literal sums never materialise,
+    and the quadrature hands its integrand at most _BLOCK_POINTS nodes.
 
     Unchunked, each call below needs gigabytes: abc_direct at n = 2000 over
     2e4 points holds ~2 GB of basis arrays, and the literal i.i.d. cosine
-    quadrature at n = 2000 would hold ~8 GB.
+    quadrature at n = 2000 would hold ~8 GB.  With closed forms but one
+    block per pass, the two quadratures peak at about 71 and 33 MB.
     """
 
     def test_abc_direct_is_chunked(self):
@@ -371,7 +382,7 @@ class TestMemoryLinearInDegree:
     def test_iid_cosine_quadrature(self):
         n = 2000
         res, peak = _peak_mb(lambda: expected_zeros_quadrature(_sample("cosine", "iid", n)))
-        assert peak < 160.0
+        assert peak < 16.0
         iid_trig = 2.0 * math.sqrt(n * (2 * n + 1) / 6.0)
         assert res.total() == pytest.approx(iid_trig, rel=5e-3)
 
@@ -379,7 +390,7 @@ class TestMemoryLinearInDegree:
         s = _sample("cosine", "periodic", 2001, ell=3)
         assert decompose_degree(2001, 3).r == 1
         res, peak = _peak_mb(lambda: expected_zeros_quadrature(s))
-        assert peak < 160.0
+        assert peak < 16.0
         assert 0.0 < res.total() <= 2 * 2001 + 0.5
 
 

@@ -17,8 +17,8 @@ import pytest
 from trigzeros.models import CoefficientModel, sample_coefficients
 from trigzeros.zeros import carrier_phase
 from trigzeros.trigpoly import (
+    dirichlet_pair,
     dirichlet_ratio,
-    dirichlet_ratio_deriv,
     evaluate,
     evaluate_derivative,
     evaluate_on_grid,
@@ -258,10 +258,45 @@ class TestDirichletRatio:
             x = float(rng.uniform(0.1, 2 * np.pi - 0.1))
             fd = (dirichlet_ratio(m, ell, x + h) - dirichlet_ratio(m, ell, x - h)) / (2 * h)
             tol = 1e-4 * max(1.0, m * m * ell)
-            assert abs(dirichlet_ratio_deriv(m, ell, x) - fd) < tol
+            assert abs(dirichlet_pair(m, ell, x)[1] - fd) < tol
 
     def test_derivative_vanishes_at_lattice(self):
-        assert dirichlet_ratio_deriv(8, 3, 2 * np.pi / 3) == pytest.approx(0.0, abs=1e-9)
+        assert dirichlet_pair(8, 3, 2 * np.pi / 3)[1] == pytest.approx(0.0, abs=1e-9)
+
+    @staticmethod
+    def _lattice_and_window_points(ell, rng):
+        """Random points plus the lattice, the Taylor window and just beyond it."""
+        lattice = 2 * np.pi * np.arange(-1, ell + 2) / ell
+        offsets = np.concatenate([[0.0], 10.0 ** np.arange(-16.0, -1.0, 0.5)])
+        beside = (lattice[:, None] + np.concatenate([offsets, -offsets])).ravel()
+        return np.concatenate([rng.uniform(-1.0, 7.0, 2000), beside])
+
+    @pytest.mark.parametrize("m,ell", [(1, 3), (2, 1), (7, 3), (100, 3), (81, 5), (12, 7)])
+    def test_pair_value_is_dirichlet_ratio(self, m, ell):
+        x = self._lattice_and_window_points(ell, np.random.default_rng(m + ell))
+        phi, _ = dirichlet_pair(m, ell, x)
+        assert np.array_equal(phi, dirichlet_ratio(m, ell, x))
+
+    @pytest.mark.parametrize("m,ell", [(2, 1), (7, 3), (100, 3), (81, 5), (12, 7)])
+    def test_pair_derivative_across_the_lattice(self, m, ell):
+        """Central differences of phi_m on array points beside every lattice
+        point, at both parities of k, through and beyond the window."""
+        rng = np.random.default_rng(33)
+        h = 1e-6
+        lattice = 2 * np.pi * np.arange(-1, ell + 2) / ell
+        x = (lattice[:, None] + rng.uniform(-0.3, 0.3, (lattice.size, 40))
+             / (m * ell)).ravel()
+        x = np.concatenate([x, lattice + 1e-9, lattice - 3e-10])
+        fd = (dirichlet_ratio(m, ell, x + h) - dirichlet_ratio(m, ell, x - h)) / (2 * h)
+        _, phid = dirichlet_pair(m, ell, x)
+        assert np.abs(phid - fd).max() < 1e-9 * m**3 * ell
+
+    def test_pair_at_m_one_is_exactly_one_and_zero(self):
+        for ell in (1, 2, 5):
+            x = self._lattice_and_window_points(ell, np.random.default_rng(ell))
+            phi, phid = dirichlet_pair(1, ell, x)
+            assert np.array_equal(phi, np.ones_like(x))
+            assert np.array_equal(phid, np.zeros_like(x))
 
 
 class TestTrigSums:
