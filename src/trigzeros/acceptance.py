@@ -54,10 +54,8 @@ class CriterionResult:
     detail: str
 
 
-def _experiment(trials, max_doublings=4, **kwargs):
-    config = ExperimentConfig(trials=trials, max_doublings=max_doublings,
-                              **kwargs)
-    return run_experiment(config)
+def _experiment(trials, **kwargs):
+    return run_experiment(ExperimentConfig(trials=trials, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,8 @@ def linear_growth_constant(quick: bool = False) -> CriterionResult:
                 f"{c_mc:.6f} +- {c_se:.1e} disagree",
             )
 
-        # close zero pairs near the lattice need deep grid refinement
-        report = _experiment(trials, max_doublings=7, dep="periodic",
-                             ell=ell, degrees=(n,), master_seed=2026)
+        report = _experiment(trials, dep="periodic", ell=ell, degrees=(n,),
+                             master_seed=2026)
         (row,) = report.rows
         if row.failed:
             return CriterionResult(

@@ -8,8 +8,8 @@ Subcommands:
   verify      run the full acceptance battery (--quick for a reduced run)
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (failed rows,
-unstable counts, a counting error such as NaN on the grid or a count
-above the 2n ceiling, or acceptance criteria not met).
+uncertified counts, a counting error such as a non-finite coefficient or
+a count above the 2n ceiling, or acceptance criteria not met).
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ trial's seed is derived as mix64(master_seed, n, trial_index), so any row or
 single trial can be reproduced in isolation and adding degrees never shifts
 the seeds of existing ones.
 
-Trials whose zero count fails the grid-stability protocol are excluded from
-the aggregates and reported per row; a row with more than 1% unstable trials
-is marked failed (the count ceases to be trustworthy at that point, and more
-grid doublings -- not statistics -- are the fix).
+Trials whose zero count is not certified (zeros.count_zeros reports
+stable=False: some cell of the grid route, or the phase of an r = 0
+sample, could not be decided) are excluded from the aggregates and
+reported per row; a row with more than 1% uncertified trials is marked
+failed (the count ceases to be trustworthy at that point, and a finer grid
+or more local halvings -- not statistics -- are the fix).
 
 Reports carry no timestamps or hostnames: two runs with the same config are
 byte-identical, which makes regression diffs meaningful.

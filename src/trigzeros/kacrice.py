@@ -437,6 +437,8 @@ def expected_zeros_quadrature(
       * periodic r = 0, m = 1 -- the coefficients never repeat: abc_closed
         over the full circle.
       * periodic r != 0  -- abc_closed with lattice windows excised.
+      * periodic cosine, ell = 1 -- a rank-one process with no Kac-Rice
+        density: its 2n deterministic zeros, with zero error.
 
     The error estimate is |I(2P) - I(P)| from panel doubling plus the excised
     mass estimate (n/pi per unit length, the circle-average density scale).
@@ -453,6 +455,17 @@ def expected_zeros_quadrature(
             abs_error_estimate=0.0,
             panels_used=0,
             nodes_per_panel=0,
+        )
+
+    if model.dep == "periodic" and model.kind == "cosine" and model.ell == 1:
+        # rank one: every draw is a_0 sum_{j<=n} cos jx = a_0 phi_{n+1}(x)
+        # cos(nx/2), whose 2n zeros (with multiplicity) are deterministic
+        return KacRiceResult(
+            value=0.0,
+            abs_error_estimate=0.0,
+            panels_used=0,
+            nodes_per_panel=0,
+            deterministic_zeros=2 * n,
         )
 
     det_zeros = 0

@@ -7,14 +7,20 @@ ReducedSample.evaluate           abscissae, O(n) (O(ell) for T*) per
                                  point; evaluate refines the roots of
                                  the grid route, and the other two
                                  serve as oracles in the tests.
-evaluate_on_grid                 all values of T_n on a uniform offset
-                                 grid x_i = 2 pi (i + offset)/N through
-                                 one real inverse FFT of the Hermitian
-                                 half spectrum, O(N log N) total; exact
-                                 coefficient folding covers N <= 2n.
-                                 The i.i.d. and r != 0 counting routes
-                                 scan these values; the r = 0 route
-                                 counts T* from its carrier phase
+evaluate_jet                     T_n, T_n', ... at arbitrary points
+                                 from one shared cos/sin block; the
+                                 local bisection of the zero
+                                 certificate uses it.
+evaluate_on_grid                 all values of T_n or a derivative on a
+                                 uniform offset grid x_i = 2 pi (i +
+                                 offset)/N through one real inverse FFT
+                                 of the Hermitian half spectrum,
+                                 O(N log N) total; exact coefficient
+                                 folding covers N <= 2n.  The i.i.d.
+                                 and r != 0 counting routes certify
+                                 their counts from T, T', T'' on one
+                                 grid; the r = 0 route counts T* from
+                                 its carrier phase
                                  (zeros.carrier_phase) without a grid.
 
 Structure of ell-periodic samples
@@ -126,18 +132,43 @@ def normalized_coefficients(a, b):
     return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
 
 
-def evaluate_on_grid(sample: PolySample, num_nodes: int,
-                     offset: float = 0.5) -> np.ndarray:
-    """T_n at every node x_i of grid_nodes(num_nodes, offset), via one real
-    inverse FFT.
+def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
+    """Rows T_n, T_n', ..., T_n^(order) at the points x by direct summation.
 
-    With c_j = a_j - i b_j the value is Re sum_j c_j e^{i j x_i}.  The
+    T_n^(k) = Re sum_j c_j (i j)^k e^{i j x} with c_j = a_j - i b_j, so
+    every row is (cos jx) @ u_k + (sin jx) @ v_k with one coefficient
+    column pair per order: all rows share one cos/sin block, chunked
+    over x as in evaluate.  Returns an array of shape (order + 1, x.size).
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    j = np.arange(sample.n + 1, dtype=float)
+    c = sample.a - 1j * sample.b
+    # Re(c (i j)^k e^{ijx}) = Re(c (i j)^k) cos jx - Im(c (i j)^k) sin jx
+    rows = np.stack([c * (1j ** k * j ** k) for k in range(order + 1)], axis=1)
+    cos_cols, sin_cols = rows.real, -rows.imag
+    out = np.empty((order + 1, x_arr.size))
+    chunk = max(1, _CHUNK_BUDGET // j.size)
+    for lo in range(0, x_arr.size, chunk):
+        ang = np.outer(x_arr[lo:lo + chunk], j)
+        out[:, lo:lo + chunk] = (np.cos(ang) @ cos_cols + np.sin(ang) @ sin_cols).T
+    return out
+
+
+def evaluate_on_grid(sample: PolySample, num_nodes: int,
+                     offset: float = 0.5, order: int = 0) -> np.ndarray:
+    """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
+    one real inverse FFT.
+
+    With c_j = a_j - i b_j the value is Re sum_j c_j (i j)^order e^{i j x_i}
+    (order 0 is T_n itself); the factor (i j)^order multiplies the
+    normalized coefficients before the twist, and nothing else changes.  The
     offset enters as a per-coefficient phase twist d_j; frequencies at
     or above the grid size fold onto j mod N exactly (e^{2 pi i j i/N}
     depends on j only through j mod N once the twist is applied), giving
     a length-N spectrum F.  Taking the real part is the same as
     transforming the Hermitian spectrum (F_k + conj F_{N-k})/2, so the
-    values are N * irfft(H, N) with H its half k = 0..N//2 (H_0 = Re F_0,
+    values are the unscaled inverse transform of H, its half k = 0..N//2
+    (numpy's irfft with norm="forward"; H_0 = Re F_0,
     and H_{N/2} = Re F_{N/2} for even N).  When 2n < N no F_{N-k}
     overlaps the half, so H is d/2 placed at 0..n, with Re d_0 at index
     0, and no length-N complex array is built.
@@ -152,8 +183,12 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
     N = int(num_nodes)
     if N < 1:
         raise ValueError(f"need at least one node, got {num_nodes}")
+    if order < 0:
+        raise ValueError(f"need a derivative order >= 0, got {order}")
     freqs = np.arange(sample.n + 1)
     c, e = normalized_coefficients(sample.a, sample.b)
+    if order:
+        c = c * (1j ** order * freqs.astype(float) ** order)
     d = c * np.exp((2j * np.pi * offset / N) * freqs)
     half = N // 2 + 1
     if 2 * sample.n < N:
@@ -166,10 +201,11 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
              + 1j * np.bincount(folded, weights=d.imag, minlength=N))
         k = np.arange(half)
         H = 0.5 * (F[k] + np.conj(F[-k % N]))
-    vals = np.fft.irfft(H, N)
-    vals *= N
-    with np.errstate(over="ignore"):  # values beyond the double range are +-inf
-        return np.ldexp(vals, e, out=vals)
+    vals = np.fft.irfft(H, N, norm="forward")
+    if e:
+        with np.errstate(over="ignore"):  # values beyond the double range are +-inf
+            np.ldexp(vals, e, out=vals)
+    return vals
 
 
 def _removable(m: int, ell: int, x, far, near):

@@ -1,23 +1,61 @@
-"""Zero counting: sign-change scans with grid-doubling stability, and an
-exact phase count for the reduced factor of r = 0 samples.
+"""Zero counting: a certified cell-by-cell count on one spectral grid,
+and an exact phase count for the reduced factor of r = 0 samples.
 
 Grid route (i.i.d. and r != 0)
 ------------------------------
-A uniform open grid x_i = 2 pi (i + 1/2)/N is scanned for strict sign
-changes; each change brackets one root.  The scan is circular: the wrap
-cell (x_{N-1}, x_0 + 2 pi) is included so zeros beside the endpoints are
-not lost.  The grid starts at N = smooth_size(max(256, grid_per_degree
-* n)), the smallest 5-smooth size (no prime factor above 5) with at
-least grid_per_degree nodes per degree, so the real FFT never meets an
-awkward length; it doubles (staying 5-smooth) until the count is
-unchanged across two consecutive doublings (stable=True) or a doubling
-cap is hit (stable=False).  A node where the function is exactly 0.0
-counts once by itself and joins no bracket (tie-break: attributed to
-the cell on its left).  Each grid is counted in one pass over the sign
-bits unless some node is exactly +-0.0; bracket indices are built only
-for the final grid, and only when roots are requested.  The grid values
-come from the spectral evaluator trigpoly.evaluate_on_grid; dense
-summation at arbitrary points serves only root refinement.
+The circle is cut into the N cells [x_i, x_{i+1}] of the uniform open
+grid x_i = 2 pi (i + g)/N, wrap cell (x_{N-1}, x_0 + 2 pi) included,
+with g = GRID_OFFSET the golden section.
+N = smooth_size(max(256, grid_per_degree * n)) is the smallest 5-smooth
+size (no prime factor above 5) with at least grid_per_degree nodes per
+degree, so the real FFT never meets an awkward length.  T, T' and T''
+are read once on this grid (trigpoly.evaluate_on_grid with order 0, 1
+and 2: three transforms of N nodes, whatever the sample), after the
+coefficients are scaled by a power of two so that the largest is O(1).
+
+Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
+undecided.  The proof rests on
+
+  M >= max |T|, the smaller of sum_j |c_j| and (max_i |T(x_i)| +
+      delta_0)/(1 - (nh)^2/8) with h = 2 pi/N (at the maximizer T' = 0,
+      and a node lies within h/2 of it);
+  Bernstein's inequality max |T^(k)| <= n^k M;
+  the cubic Hermite interpolant of T^(k) from its values and slopes at
+      the cell ends, which misses T^(k) by at most w^4 n^(k+4) M/384 and
+      lies in the hull of its Bezier control points f_0, f_0 + w f_0'/3,
+      f_1 - w f_1'/3, f_1.
+
+A cell holds no zero when the control points of T clear w^4 n^4 M/384
+plus rounding with one sign.  It holds exactly its change of sign bit
+when those of T' (with T'') clear w^4 n^5 M/384 plus rounding, so that T
+is monotone; a node value within rounding of 0 between two monotone
+cells may move a zero to the neighbouring cell but not change the
+total.  On the base grid this leaves 0-2 cells per trial, beside close
+zero pairs.  Those are bisected locally, at most max_doublings times,
+with T', T'' and the third derivative summed pointwise from one chunked
+cos/sin block (trigpoly.evaluate_jet), and T too except at the grid
+nodes, which keep their grid values so that each node has one sign.  A
+sub-cell is certified only with both end values beyond rounding, by the
+two tests above or, where the control points of T'' clear
+w^4 n^6 M/384, as convex or concave: with a sign change
+it holds one zero, and with none it holds 0 or 2, which the value and
+tangent of T at the secant estimate of its critical point decide.  The
+rounding bounds are
+
+  delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
+      for grid values (the transform, normwise, plus the float nodes);
+  delta_k = 10 u (n+1) sum_j j^k (|a_j| + |b_j|)
+      for pointwise sums (summation plus argument rounding), and at
+      least the grid bound,
+
+with u the unit roundoff; each constant is several times the textbook
+one.  The count is stable (certified) when every cell is.  A cell left
+undecided counts its change of sign bit and makes the report unstable;
+a double zero, such as that of 1 + cos x at pi, is never certified.
+Roots are bisected inside the certified brackets: the cell of a single
+zero, or the two halves of a two-zero cell split where T has the sign
+opposite to its ends; a grid node whose value is within rounding of 0
+is itself the root.
 
 Phase route (periodic, r = 0)
 -----------------------------
@@ -47,6 +85,8 @@ margin, since theta grows like n); only then is stable=False.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,8 +96,8 @@ from .models import PolySample, decompose_degree
 from .trigpoly import (
     ReducedSample,
     evaluate,
+    evaluate_jet,
     evaluate_on_grid,
-    grid_nodes,
     normalized_coefficients,
     reduce_periodic,
 )
@@ -72,19 +112,39 @@ TWO_PI = 2.0 * np.pi
 PHASE_MARGIN = 1e-9
 BREAKPOINT_CUT = 1e-6
 
+# grid route: nodes sit at 2 pi (i + GRID_OFFSET)/N.  Structured samples
+# (periodic cosine with r != 0, rigged tones) have deterministic zeros at
+# rational multiples of 2 pi; a half-cell offset puts nodes and bisection
+# midpoints (2 pi k/N) on such points, where no sign is certain, and the
+# golden section keeps every node and midpoint off them
+GRID_OFFSET = (np.sqrt(5.0) - 1.0) / 2.0
+
+# grid route: the unit roundoff and the constants of the rounding bounds
+# delta_k (see _certificate), each several times the textbook constant;
+# _WIDTH_SLACK covers the rounding of cell widths in the w^4 term
+_U = 0.5 * np.finfo(float).eps
+_FFT_ROUNDING = 8.0
+_SUM_ROUNDING = 10.0
+_WIDTH_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class ZeroCountReport:
     """Outcome of one counting run.
 
-    count           zeros attributed to (0, 2 pi)
-    grid_size       grid route: nodes in the final scan; phase route: 0
-    doublings_used  grid route: grid doublings consumed by the stability
-                    protocol; phase route: 0
-    stable          grid route: count repeated across two consecutive
-                    doublings; phase route: no root of P and no phase
-                    value at a piece end within PHASE_MARGIN of the unit
-                    circle or of a level, so the count is exact
+    count           zeros attributed to (0, 2 pi); the certified count
+                    when stable
+    grid_size       grid route: nodes of the base grid, the only one
+                    transformed; phase route: 0
+    doublings_used  grid route: the deepest local halving of an
+                    undecided cell (0 when no cell needed one); phase
+                    route: 0
+    stable          grid route: every cell certified (no zero, exactly
+                    its sign change, or 0 or 2 in a convex or concave
+                    sub-cell), so the count is proved up to the stated
+                    rounding bounds; phase route: no root of P and no
+                    phase value at a piece end within PHASE_MARGIN of
+                    the unit circle or of a level, so the count is exact
     roots           refined abscissae, only when requested
     pieces          phase route: monotone pieces of the carrier phase
                     (>= 1); grid route: 0
@@ -112,6 +172,7 @@ def deterministic_zero_set(m: int, ell: int) -> np.ndarray:
     return TWO_PI * j / (m * ell)
 
 
+@functools.lru_cache(maxsize=256)
 def smooth_size(n: int) -> int:
     """The smallest 5-smooth integer (2^a 3^b 5^c) that is >= n."""
     n = max(int(n), 1)
@@ -125,35 +186,6 @@ def smooth_size(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _sign_changes(vals: np.ndarray) -> int:
-    """Count strict sign changes on the circular grid, plus exact zeros.
-
-    Without an exact-zero node this is one pass over the sign bits;
-    otherwise the count is that of _brackets.
-    """
-    if np.isnan(vals).any():
-        raise FloatingPointError("NaN encountered during grid evaluation")
-    if not vals.all():
-        brackets, zero_idx = _brackets(vals)
-        return brackets.size + zero_idx.size
-    neg = np.signbit(vals)
-    return int(np.count_nonzero(neg[1:] != neg[:-1])) + int(neg[-1] != neg[0])
-
-
-def _brackets(vals: np.ndarray):
-    """(bracket_start_indices, exact_zero_indices) of _sign_changes.
-
-    A node that is exactly +-0.0 counts once by itself and joins no
-    bracket.
-    """
-    s = np.sign(vals)
-    zero_idx = np.flatnonzero(s == 0.0)
-    s_next = np.empty_like(s)
-    s_next[:-1] = s[1:]
-    s_next[-1] = s[0]
-    return np.flatnonzero(s * s_next < 0), zero_idx
 
 
 def _bisect_brackets(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
@@ -193,38 +225,195 @@ def refine_root(sample: PolySample, lo: float, hi: float, tol: float = 1e-10) ->
     return float(root[0])
 
 
-def _stabilized_scan(values_at: Callable, base_nodes: int, max_doublings: int):
-    """Run the doubling protocol; returns (count, N, doublings, stable,
-    final-grid values)."""
-    N = int(base_nodes)
-    vals = values_at(N)
-    counts = [_sign_changes(vals)]
-    doublings = 0
-    stable = False
-    while doublings < max_doublings:
-        N *= 2
-        vals = values_at(N)
-        counts.append(_sign_changes(vals))
-        doublings += 1
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            stable = True
+def _one_sign(v0, d0, v1, d1, w, clearance) -> np.ndarray:
+    """+1 (-1) where the four Bezier control points v0, v0 + w d0/3,
+    v1 - w d1/3, v1 of the cubic Hermite interpolant of a function with
+    values v and slopes d at the ends of a cell of width w all exceed
+    clearance (all lie below -clearance); 0 elsewhere."""
+    b1 = v0 + (w / 3.0) * d0
+    b2 = v1 - (w / 3.0) * d1
+    lo = np.minimum(np.minimum(v0, b1), np.minimum(b2, v1))
+    hi = np.maximum(np.maximum(v0, b1), np.maximum(b2, v1))
+    return (lo > clearance).astype(np.int8) - (hi < -clearance)
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """The bounds of the cell tests for one sample of degree n.
+
+    bound is M >= max |T|; delta_grid[k] and delta_point[k] bound the
+    rounding error of T^(k) read from the spectral grid and from
+    evaluate_jet.
+    """
+
+    n: int
+    bound: float
+    delta_grid: np.ndarray
+    delta_point: np.ndarray
+
+    def clearance(self, k: int, w, delta) -> np.ndarray:
+        """What the control points of the Hermite cubic of T^(k) on a cell
+        of width w must clear: the interpolation error w^4 n^(k+4) M/384
+        (Bernstein) plus the rounding of the end values and slopes."""
+        interp = w ** 4 * (self.n ** (k + 4) * self.bound / 384.0 * (1.0 + _WIDTH_SLACK))
+        return interp + delta[k] + (w / 3.0) * delta[k + 1]
+
+
+def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Certificate:
+    """Bounds for the coefficients a, b (largest entry O(1)) on the N-node
+    grid whose largest |T| value is grid_max."""
+    n = a.size - 1
+    mag = np.hypot(a, b)
+    total = float(mag.sum())
+    powers = np.arange(n + 1, dtype=float)[None, :] ** np.arange(4)[:, None]
+    # the transform, normwise (N. J. Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 24), plus the float grid nodes, which sit
+    # within 16u of the exact ones
+    delta_grid = (_FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N)
+                  * np.sqrt(((powers * mag) ** 2).sum(axis=1))
+                  + 16.0 * _U * float(n) ** np.arange(1, 5) * total)
+    # dense sums of n+1 terms at |x| <= 7, argument rounding included; the
+    # local cells also read T at grid nodes, hence at least delta_grid
+    delta_point = np.maximum(
+        _SUM_ROUNDING * _U * (n + 1) * (powers @ (np.abs(a) + np.abs(b))), delta_grid)
+    bound = total
+    nh2 = (n * TWO_PI / N) ** 2
+    if nh2 < 8.0:
+        # at the maximizer T' = 0 and a node lies within h/2, so
+        # max |T| <= grid max + (h/2)^2/2 * n^2 max |T|
+        bound = min(bound, (grid_max + delta_grid[0]) / (1.0 - nh2 / 8.0))
+    return _Certificate(n, bound, delta_grid, delta_point)
+
+
+def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
+    """Test sub-cells (lo, hi) from pointwise T, T', T'', T''' at their ends.
+
+    Returns (count, brackets, decided): the certified count of each cell,
+    a list of (lo, hi) array pairs that bracket one certified zero each,
+    and the mask of certified cells.  A cell is certified when
+      - the Hermite control points of T clear their bound (no zero), or
+      - those of T' do and both end signs are certain (its sign change), or
+      - those of T'' do and both end signs are certain.  T is then convex
+        or concave: a sign change is one zero, ends on the side the curve
+        bends away from mean none, and otherwise the tangent at the
+        secant estimate y of the critical point decides between none (the
+        tangent stays clear of 0 on the cell) and two (T(y) has the other
+        sign).
+    """
+    delta = cert.delta_point
+    w = hi - lo
+    f0, f1 = jet_lo[0], jet_hi[0]
+    certain = (np.abs(f0) > delta[0]) & (np.abs(f1) > delta[0])
+    change = certain & (np.signbit(f0) != np.signbit(f1))
+    none = _one_sign(f0, jet_lo[1], f1, jet_hi[1], w, cert.clearance(0, w, delta)) != 0
+    mono = ~none & certain & (_one_sign(jet_lo[1], jet_lo[2], jet_hi[1], jet_hi[2], w,
+                                        cert.clearance(1, w, delta)) != 0)
+    bend = _one_sign(jet_lo[2], jet_lo[3], jet_hi[2], jet_hi[3], w,
+                     cert.clearance(2, w, delta))
+    curved = certain & ~none & ~mono & (bend != 0)
+    count = (change & (mono | curved)).astype(np.int64)
+    decided = none | mono | (curved & change)
+    # equal end signs s: with s T'' < 0 the curve stays on the side of its ends
+    side = np.where(np.signbit(f0), -1, 1)
+    decided |= curved & ~change & (side * bend < 0)
+    cup = np.flatnonzero(curved & ~change & (side * bend > 0))
+    ones = np.flatnonzero(count)
+    brackets = [(lo[ones], hi[ones])]
+    if cup.size:
+        # g = s T is convex with positive ends on these cells
+        s = side[cup]
+        a, b, cw = lo[cup], hi[cup], w[cup]
+        g0, g1 = s * jet_lo[1, cup], s * jet_hi[1, cup]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(g0 >= 0.0, a, np.where(g1 <= 0.0, b, a + cw * g0 / (g0 - g1)))
+        y = np.clip(y, a, b)
+        jet_y = evaluate_jet(unit, y, order=1)
+        gy, dgy = s * jet_y[0], s * jet_y[1]
+        tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
+        empty = tangent_min > delta[0] + cw * delta[1]
+        two = ~empty & (gy < -delta[0])
+        decided[cup[empty | two]] = True
+        count[cup[two]] = 2
+        brackets += [(a[two], y[two]), (y[two], b[two])]
+    return count, brackets, decided
+
+
+def _certified_count(unit: PolySample, N: int, max_doublings: int,
+                     want_roots: bool, tol: float):
+    """(count, doublings, stable, roots) of the grid route on N nodes.
+
+    unit is the sample scaled by a power of two so that its largest
+    coefficient is O(1): the bounds never overflow, and the signs are
+    those of the sample itself.
+    """
+    f, d1, d2 = (evaluate_on_grid(unit, N, GRID_OFFSET, order=k) for k in range(3))
+    cert = _certificate(unit.a, unit.b, N, float(np.abs(f).max()))
+    h = TWO_PI / N
+    delta = cert.delta_grid
+    clear0 = cert.clearance(0, h, delta)
+    # |f| - h |f'|/3 bounds the two control points beside a node on the
+    # side of f: cells whose ends both pass with one sign are zero-free,
+    # and only the others take the full hull test
+    neg = np.signbit(f)
+    sure = np.abs(f) - (h / 3.0) * np.abs(d1) > clear0
+    sure &= np.append(sure[1:], sure[0]) & (neg == np.append(neg[1:], neg[0]))
+    idx = np.flatnonzero(~sure)
+    nxt = (idx + 1) % N
+    hull = _one_sign(f[idx], d1[idx], f[nxt], d1[nxt], h, clear0) == 0
+    idx, nxt = idx[hull], nxt[hull]
+    # a monotone cell counts its computed sign change: along a run of
+    # them T is monotone, so the changes telescope even across a node
+    # value within rounding of 0, and a run ends at nodes whose sign is
+    # certain (zero-free cells) or at a cell that stays undecided (the
+    # local tests demand certain end signs)
+    mono = _one_sign(d1[idx], d2[idx], d1[nxt], d2[nxt], h,
+                     cert.clearance(1, h, delta)) != 0
+    change = idx[mono & (np.signbit(f[idx]) != np.signbit(f[nxt]))]
+    count = change.size
+    # cell i spans the nodes (i + g) h and (i + 1 + g) h; i = N - 1 wraps.
+    # An end value within rounding of 0 is the root itself (to ~delta_0/|T'|)
+    lo, hi = h * (change + GRID_OFFSET), h * (change + 1 + GRID_OFFSET)
+    at_lo = np.abs(f[change]) <= delta[0]
+    at_hi = np.abs(f[(change + 1) % N]) <= delta[0]
+    brackets = [(np.where(at_hi, hi, lo), np.where(at_lo, lo, hi))]
+
+    # local bisection of the cells that passed neither test.  T at their
+    # grid nodes keeps its grid value, so that every node has one sign
+    # for the cells on both sides of it
+    rest = idx[~mono]
+    lo, hi = h * (rest + GRID_OFFSET), h * (rest + 1 + GRID_OFFSET)
+    jet = evaluate_jet(unit, np.concatenate([lo, hi])) if rest.size else np.empty((4, 0))
+    jet[0] = np.concatenate([f[rest], f[(rest + 1) % N]])
+    jet_lo, jet_hi = jet[:, :rest.size], jet[:, rest.size:]
+    depth = 0
+    while lo.size:
+        counts, found, decided = _local_cells(cert, lo, hi, jet_lo, jet_hi, unit)
+        count += int(counts.sum())
+        brackets += found
+        keep = ~decided
+        lo, hi, jet_lo, jet_hi = lo[keep], hi[keep], jet_lo[:, keep], jet_hi[:, keep]
+        if not lo.size or depth == max_doublings:
             break
-    return counts[-1], N, doublings, stable, vals
+        mid = 0.5 * (lo + hi)
+        jet_mid = evaluate_jet(unit, mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        jet_lo = np.concatenate([jet_lo, jet_mid], axis=1)
+        jet_hi = np.concatenate([jet_mid, jet_hi], axis=1)
+        depth += 1
 
-
-def _refine_on_grid(f: Callable, vals: np.ndarray, tol: float) -> np.ndarray:
-    """Bisect the brackets of the final grid values; exact-zero nodes pass
-    through as-is."""
-    N = vals.size
-    brackets, zero_idx = _brackets(vals)
-    nodes = grid_nodes(N)
-    lo = nodes[brackets]
-    hi = np.where(brackets + 1 < N, nodes[(brackets + 1) % N], nodes[0] + TWO_PI)
-    roots = _bisect_brackets(f, lo, hi, tol)
-    roots = np.mod(roots, TWO_PI)
-    if zero_idx.size:
-        roots = np.concatenate([roots, nodes[zero_idx]])
-    return np.sort(roots)
+    # a cell left undecided counts the change of sign bit across it, as
+    # the monotone cells do
+    stable = lo.size == 0
+    change = np.signbit(jet_lo[0]) != np.signbit(jet_hi[0])
+    count += int(np.count_nonzero(change))
+    roots = None
+    if want_roots:
+        brackets.append((lo[change], hi[change]))
+        found = _bisect_brackets(lambda x: evaluate(unit, x),
+                                 np.concatenate([pair[0] for pair in brackets]),
+                                 np.concatenate([pair[1] for pair in brackets]), tol)
+        roots = np.sort(np.mod(found, TWO_PI))
+    return count, depth, stable, roots
 
 
 @dataclass(frozen=True)
@@ -396,9 +585,11 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     Dispatch: periodic samples with r = 0 take the phase route (the
     deterministic zero set plus the exact phase count of the reduced
     factor T^*; grid_per_degree and max_doublings do not enter);
-    everything else takes the grid route, a scan of FFT grid values
-    under the doubling protocol.  The returned count satisfies the hard
-    ceiling 2n.
+    everything else takes the grid route, the cell certificate on one
+    grid of smooth_size(max(256, grid_per_degree * n)) nodes with at
+    most max_doublings local halvings of an undecided cell (finest
+    spacing 2 pi/N 2^-max_doublings).  The returned count satisfies the
+    hard ceiling 2n.
     """
     if grid_per_degree < 1:
         raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")
@@ -416,14 +607,19 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         return ZeroCountReport(count=count + det.size, grid_size=0, doublings_used=0,
                                stable=stable, roots=roots, pieces=pieces)
 
-    base_nodes = smooth_size(max(256, grid_per_degree * n))
-    count, N, doublings, stable, vals = _stabilized_scan(
-        lambda k: evaluate_on_grid(sample, k), base_nodes, max_doublings
-    )
+    if not (np.isfinite(sample.a).all() and np.isfinite(sample.b).all()):
+        raise FloatingPointError("non-finite coefficient in the sample")
+    if not (sample.a.any() or sample.b.any()):
+        raise RuntimeError(
+            f"the sample vanishes identically (every x is a zero); "
+            f"model={model}, seed={sample.seed}"
+        )
+    e = normalized_coefficients(sample.a, sample.b)[1]
+    unit = dataclasses.replace(sample, a=np.ldexp(sample.a, -e), b=np.ldexp(sample.b, -e))
+    N = smooth_size(max(256, grid_per_degree * n))
+    count, doublings, stable, roots = _certified_count(unit, N, max_doublings,
+                                                       want_roots, tol)
     _enforce_ceiling(count, n, sample)
-    roots = None
-    if want_roots:
-        roots = _refine_on_grid(lambda x: evaluate(sample, x), vals, tol)
     return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings,
                            stable=stable, roots=roots)
 

@@ -45,7 +45,10 @@ def test_simulate_config_file_with_overrides(tmp_path, capsys):
     assert lines[1].split(",")[3] == "6"  # trials came from the file
 
 
-def test_simulate_failed_rows_exit_2(tmp_path, capsys):
+def test_simulate_failed_rows_exit_2(tmp_path, capsys, monkeypatch, tangent_draw):
+    """Uncertified trials (every draw replaced by T = 1 + cos x, a double
+    zero) fail the row and the command exits 2."""
+    monkeypatch.setattr("trigzeros.harness.sample_coefficients", tangent_draw)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("degrees = 30\ntrials = 2\nmax_doublings = 0\n")
     rc = main(["simulate", "--config", str(cfg)])

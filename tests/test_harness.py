@@ -55,7 +55,10 @@ class TestRowsAndAggregates:
         long = run_experiment(_config(degrees=(40, 61), trials=30))
         assert short.rows[0] == long.rows[0]
 
-    def test_no_doublings_means_no_stable_counts(self):
+    def test_no_doublings_means_no_stable_counts(self, monkeypatch, tangent_draw):
+        """Uncertified trials (a double zero, T = 1 + cos x) leave the row
+        without aggregates and mark it failed."""
+        monkeypatch.setattr("trigzeros.harness.sample_coefficients", tangent_draw)
         report = run_experiment(
             _config(degrees=(30,), trials=5, max_doublings=0)
         )

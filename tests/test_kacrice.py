@@ -24,6 +24,7 @@ from trigzeros.kacrice import (
     expected_zeros_quadrature,
     limit_integrand_g,
 )
+from trigzeros.zeros import count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,
     reduce_periodic,
@@ -274,6 +275,17 @@ class TestQuadrature:
         assert res.total() == pytest.approx(exact, rel=1e-9)
         if ell > 1:
             assert res.deterministic_zeros == n + 1 - ell
+
+    @pytest.mark.parametrize("n", [100, 299])
+    def test_rank_one_periodic_cosine_is_exactly_2n(self, n):
+        """ell = 1 cosine draws are multiples of sum_j cos jx: 2n zeros,
+        every draw (a double zero at pi for odd n), with zero error."""
+        res = expected_zeros_quadrature(_sample("cosine", "periodic", n, ell=1))
+        assert (res.total(), res.abs_error_estimate) == (2 * n, 0.0)
+        for seed in range(3):
+            s = _sample("cosine", "periodic", n, ell=1, seed=seed)
+            rep = count_zeros(s)
+            assert (rep.count, rep.stable) == (2 * n, True)
 
     def test_panel_doubling_self_consistency(self):
         s = _sample("cosine", "iid", 60)

@@ -21,6 +21,7 @@ from trigzeros.trigpoly import (
     dirichlet_ratio,
     evaluate,
     evaluate_derivative,
+    evaluate_jet,
     evaluate_on_grid,
     factorize_algebraic,
     grid_nodes,
@@ -110,7 +111,57 @@ class TestEvaluateDerivative:
             assert abs(evaluate_derivative(s, x) - fd) < 1e-2
 
 
+def fsum_reference_jet(a, b, x, k):
+    """Compensated reference for T^(k)(x) = Re sum_j (a_j - i b_j)(i j)^k e^{ijx}."""
+    terms = []
+    for j in range(len(a)):
+        c = (a[j] - 1j * b[j]) * (1j * j) ** k
+        terms += [c.real * math.cos(j * x), -c.imag * math.sin(j * x)]
+    return math.fsum(terms)
+
+
+class TestEvaluateJet:
+    def test_rows_match_termwise_reference(self):
+        model = CoefficientModel(kind="trig", dep="iid")
+        s = sample_coefficients(model, 300, seed=11)
+        x = np.array([0.5, 2.2, 5.9, 2 * np.pi + 0.01])
+        jet = evaluate_jet(s, x)
+        assert jet.shape == (4, 4)
+        j = np.arange(301)
+        for k in range(4):
+            scale = np.sum(j ** k * (np.abs(s.a) + np.abs(s.b)))
+            ref = [fsum_reference_jet(s.a, s.b, xi, k) for xi in x]
+            assert np.abs(jet[k] - ref).max() <= 1e-12 * scale, k
+
+    def test_first_rows_are_the_dense_sums(self):
+        model = CoefficientModel(kind="cosine", dep="iid")
+        s = sample_coefficients(model, 80, seed=12)
+        x = np.linspace(0.0, 2 * np.pi, 50)
+        jet = evaluate_jet(s, x, order=1)
+        assert jet.shape == (2, 50)
+        scale = np.sum(np.arange(81) * np.abs(s.a))
+        assert np.abs(jet[0] - evaluate(s, x)).max() <= 1e-13 * scale
+        assert np.abs(jet[1] - evaluate_derivative(s, x)).max() <= 1e-13 * scale
+
+
 class TestEvaluateOnGrid:
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_derivative_orders_on_every_grid_shape(self, kind):
+        """order = k gives T^(k) on the grid, folded or not."""
+        model = CoefficientModel(kind=kind, dep="iid")
+        n = 60
+        s = sample_coefficients(model, n, seed=25)
+        j = np.arange(n + 1)
+        for k in (1, 2, 3):
+            scale = np.sum(j ** k * (np.abs(s.a) + np.abs(s.b)))
+            for num in (1, 7, n, 2 * n, 2 * n + 1, 256, 6400):
+                for offset in (0.0, 0.5):
+                    g = evaluate_on_grid(s, num, offset=offset, order=k)
+                    d = evaluate_jet(s, grid_nodes(num, offset=offset))[k]
+                    assert np.abs(g - d).max() <= 1e-11 * scale, (k, num, offset)
+        with pytest.raises(ValueError, match="order"):
+            evaluate_on_grid(s, 64, order=-1)
+
     def test_matches_direct_evaluation(self):
         model = CoefficientModel(kind="trig", dep="iid")
         s = sample_coefficients(model, 300, seed=21)
