@@ -23,7 +23,6 @@ from .trigpoly import (
     dirichlet_pair,
     dirichlet_ratio,
     evaluate,
-    evaluate_derivative,
     evaluate_on_grid,
     factorize_algebraic,
     grid_nodes,
@@ -36,7 +35,6 @@ from .zeros import (
     ZeroCountReport,
     count_zeros,
     deterministic_zero_set,
-    refine_root,
 )
 from .kacrice import (
     AbcTriple,

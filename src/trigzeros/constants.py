@@ -30,13 +30,14 @@ panel rather than 16 they land within 2e-10 relative of their exact
 values.
 
 The quadrature is ``kacrice.composite_gauss_legendre`` on graded panel
-edges.  The integrands of C, J and I_alpha are unchanged by the central
-symmetry (s, t) -> (pi - s, pi - t), so only the triangle s + t < pi is
-integrated.  Nodes are walked in row blocks of about _BLOCK_POINTS values,
-with s passed as a column: s-only factors are computed once per row, and
-memory stays at a few MB whatever the node count.  With use_cache (the
-default) C and K are memoized for the life of the process; nothing is
-written to disk.
+edges, 2L + 1 panels per axis that mirror each other about the midpoint.
+The integrands of C, J and I_alpha are unchanged by the central
+symmetry (s, t) -> (pi - s, pi - t), which the mirrored grid shares, so
+only the triangle s + t < pi is integrated.  Nodes are walked in row
+blocks of about _BLOCK_POINTS values, with s passed as a column: s-only
+factors are computed once per row, and memory stays at a few MB
+whatever the node count.  With use_cache (the default) C and K are
+memoized for the life of the process; nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -61,12 +62,11 @@ _FINE_NODES = 2 * _NODES
 
 
 def _graded_edges(lo: float, hi: float, levels: int) -> np.ndarray:
-    """Panel edges on [lo, hi], dyadically refined toward both endpoints."""
-    width = hi - lo
-    left = [lo + width * 0.5 ** (levels - j + 1) for j in range(levels)]
-    right = [hi - width * 0.5 ** (j + 2) for j in range(levels - 1)]
-    edges = [lo] + left + right + [hi]
-    return np.array(edges)
+    """Panel edges on [lo, hi], dyadically refined toward both endpoints:
+    lo + width 2^-(levels+1), ..., lo + width/4 and their mirror images,
+    so that the grid is symmetric about the midpoint."""
+    left = lo + (hi - lo) * 0.5 ** np.arange(levels + 1, 1, -1)
+    return np.concatenate([[lo], left, (lo + hi) - left[::-1], [hi]])
 
 
 def _tensor_integral(func, s_range, t_range, levels: int, nodes: int) -> float:

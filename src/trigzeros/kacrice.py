@@ -63,6 +63,7 @@ TWO_PI = 2.0 * math.pi
 
 _DIRECT_CHUNK_BUDGET = 500_000  # max elements per (points x frequencies) block
 _BLOCK_POINTS = 1 << 15  # max integrand nodes per quadrature block
+_MIN_PANELS = 64  # panel floor of the first pass at small n
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,6 @@ class QuadConfig:
 
     panels_per_degree: int = 8
     nodes_per_panel: int = 16
-    min_panels: int = 64
 
 
 @dataclass(frozen=True)
@@ -486,7 +486,7 @@ def expected_zeros_quadrature(
     # mass is of this order (not a pointwise bound -- the density spikes there)
     mass_est = excluded_len * n / math.pi
 
-    n_panels = max(config.min_panels, config.panels_per_degree * max(n, 1))
+    n_panels = max(_MIN_PANELS, config.panels_per_degree * max(n, 1))
     value, panels_used = _integrate_panels(
         func, intervals, n_panels, config.nodes_per_panel
     )

@@ -2,15 +2,17 @@
 
 Evaluation routes
 -----------------
-evaluate / evaluate_derivative   chunked dense summation at arbitrary
+evaluate                         chunked dense summation at arbitrary
 ReducedSample.evaluate           abscissae, O(n) (O(ell) for T*) per
-                                 point; evaluate refines the roots of
-                                 the grid route, and the other two
-                                 serve as oracles in the tests.
+                                 point; the independent oracles of the
+                                 tests, and evaluate gives the root
+                                 residuals of `trigzeros count
+                                 --dump-roots`.
 evaluate_jet                     T_n, T_n', ... at arbitrary points
                                  from one shared cos/sin block; the
                                  local bisection of the zero
-                                 certificate uses it.
+                                 certificate and the Newton refinement
+                                 of its roots use it.
 evaluate_on_grid                 all values of T_n or a derivative on a
                                  uniform offset grid x_i = 2 pi (i +
                                  offset)/N through one real inverse FFT
@@ -101,20 +103,11 @@ def evaluate(sample: PolySample, x):
     return _eval_series_freq(sample.a, sample.b, freqs, x)
 
 
-def evaluate_derivative(sample: PolySample, x):
-    """T_n' at scalar or array x.
-
-    Termwise, T_n' has cosine coefficients j*b_j and sine coefficients
-    -j*a_j, so the same summation kernel applies.
-    """
-    freqs = np.arange(sample.n + 1, dtype=float)
-    return _eval_series_freq(freqs * sample.b, -freqs * sample.a, freqs, x)
-
-
 def grid_nodes(num_nodes: int, offset: float = 0.5) -> np.ndarray:
     """The uniform grid x_i = 2 pi (i + offset)/N, i = 0..N-1.
 
-    The default half-cell offset keeps 0 and 2 pi out of the scan.
+    The default half-cell offset keeps 0 and 2 pi off the nodes; the
+    zero counter uses its own offset, zeros.GRID_OFFSET.
     """
     if num_nodes < 1:
         raise ValueError(f"need at least one node, got {num_nodes}")

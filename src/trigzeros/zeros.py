@@ -52,10 +52,10 @@ with u the unit roundoff; each constant is several times the textbook
 one.  The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
 a double zero, such as that of 1 + cos x at pi, is never certified.
-Roots are bisected inside the certified brackets: the cell of a single
-zero, or the two halves of a two-zero cell split where T has the sign
-opposite to its ends; a grid node whose value is within rounding of 0
-is itself the root.
+Roots are refined inside the certified brackets by safeguarded Newton
+on T and T' (evaluate_jet): the cell of a single zero, or the two halves
+of a two-zero cell split where T has the sign opposite to its ends; a
+grid node whose value is within rounding of 0 is itself the root.
 
 Phase route (periodic, r = 0)
 -----------------------------
@@ -80,7 +80,9 @@ breakpoint the count is 2(f0 + w), w the number of roots of P inside
 the unit disk.  The count is exact unless a root of P lies within
 delta = PHASE_MARGIN = 1e-9 of the unit circle, or a phase value at a
 piece end lies within delta * max(1, |theta|) of a level (a relative
-margin, since theta grows like n); only then is stable=False.
+margin, since theta grows like n); only then is stable=False.  Roots
+are refined by the same safeguarded Newton, on theta minus its level
+across the monotone piece that crosses it.
 """
 
 from __future__ import annotations
@@ -95,7 +97,6 @@ import numpy as np
 from .models import PolySample, decompose_degree
 from .trigpoly import (
     ReducedSample,
-    evaluate,
     evaluate_jet,
     evaluate_on_grid,
     normalized_coefficients,
@@ -126,6 +127,10 @@ _U = 0.5 * np.finfo(float).eps
 _FFT_ROUNDING = 8.0
 _SUM_ROUNDING = 10.0
 _WIDTH_SLACK = 1e-9
+
+# root refinement: Newton steps and bisections per root at most; bisection
+# alone takes about 55 from a bracket of 2 pi to the spacing of doubles
+_REFINE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -188,41 +193,47 @@ def smooth_size(n: int) -> int:
     return best
 
 
-def _bisect_brackets(f: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
-                     max_iter: int = 200) -> np.ndarray:
-    """Vectorized bisection; each (lo_i, hi_i) must bracket a sign change."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    if lo.size == 0:
-        return lo
-    flo_sign = np.sign(np.atleast_1d(f(lo)))
-    for _ in range(max_iter):
-        if np.max(hi - lo) <= tol:
+def _refine_roots(jet: Callable, lo, hi, tol: float) -> np.ndarray:
+    """Roots of g in the brackets (lo_i, hi_i) by safeguarded Newton
+    (rtsafe), all brackets at once.
+
+    jet(x, idx) returns (g, g') at the points x for the brackets idx.
+    Each root starts at the secant of g across its bracket, and every
+    iterate shrinks the bracket; a step that would leave it, or that is
+    not under half the previous one, is replaced by bisection, so a root
+    never leaves its bracket.  A root is final once its step is within
+    tol, and only unfinished roots are iterated further.  A zero-width
+    bracket is returned as it is.
+    """
+    out = np.asarray(lo, dtype=float).copy()
+    idx = np.flatnonzero(np.asarray(hi) > out)
+    lo, hi = out[idx], np.asarray(hi, dtype=float)[idx]
+    g_ends = jet(np.concatenate([lo, hi]), np.concatenate([idx, idx]))[0]
+    g_lo, g_hi = g_ends[:idx.size], g_ends[idx.size:]
+    rising = g_hi > g_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + g_lo / (g_lo - g_hi) * (hi - lo)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    last = hi - lo
+    for _ in range(_REFINE_MAX_ITER):
+        if not idx.size:
             break
-        mid = 0.5 * (lo + hi)
-        fmid_sign = np.sign(np.atleast_1d(f(mid)))
-        exact = fmid_sign == 0.0
-        left = flo_sign * fmid_sign < 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo_sign = np.where(left, flo_sign, fmid_sign)
-        lo = np.where(exact, mid, lo)
-        hi = np.where(exact, mid, hi)
-    return 0.5 * (lo + hi)
-
-
-def refine_root(sample: PolySample, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Bisection refinement of one bracketed root of the raw sample."""
-    flo = evaluate(sample, lo)
-    fhi = evaluate(sample, hi)
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if np.sign(flo) == np.sign(fhi):
-        raise ValueError(f"interval ({lo}, {hi}) does not bracket a sign change")
-    root = _bisect_brackets(lambda x: evaluate(sample, x), np.array([lo]), np.array([hi]), tol)
-    return float(root[0])
+        g, dg = jet(x, idx)
+        past = (g > 0.0) == rising
+        hi = np.where(past | (g == 0.0), x, hi)
+        lo = np.where(past & (g != 0.0), lo, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - g / dg
+        newton = (step >= lo) & (step <= hi) & (np.abs(step - x) <= 0.5 * last)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        last = np.abs(step - x)
+        x = step
+        done = last <= tol
+        out[idx[done]] = x[done]
+        keep = ~done
+        idx, x, lo, hi, last, rising = (a[keep] for a in (idx, x, lo, hi, last, rising))
+    out[idx] = x
+    return out
 
 
 def _one_sign(v0, d0, v1, d1, w, clearance) -> np.ndarray:
@@ -409,9 +420,9 @@ def _certified_count(unit: PolySample, N: int, max_doublings: int,
     roots = None
     if want_roots:
         brackets.append((lo[change], hi[change]))
-        found = _bisect_brackets(lambda x: evaluate(unit, x),
-                                 np.concatenate([pair[0] for pair in brackets]),
-                                 np.concatenate([pair[1] for pair in brackets]), tol)
+        found = _refine_roots(lambda x, _: evaluate_jet(unit, x, order=1),
+                              np.concatenate([pair[0] for pair in brackets]),
+                              np.concatenate([pair[1] for pair in brackets]), tol)
         roots = np.sort(np.mod(found, TWO_PI))
     return count, depth, stable, roots
 
@@ -513,7 +524,8 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
     The pieces of [0, 2 pi] end at the breakpoints; on each, theta is
     monotone and the zeros are the levels pi/2 + k pi it crosses:
     |floor(theta_end/pi - 1/2) - floor(theta_start/pi - 1/2)| of them.
-    Roots come from _newton_in_pieces on theta minus their level.
+    Each root is refined on its whole piece, as a zero of theta minus
+    its level.
     """
     phase = carrier_phase(red)
     starts = np.concatenate([[0.0], phase.breakpoints()])
@@ -534,48 +546,11 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
         # the i-th crossing of a piece is level floor(min) + 1 + i
         rank = np.arange(count) - np.repeat(np.cumsum(crossed) - crossed, crossed)
         target = np.pi * (np.minimum(k[:-1], k[1:])[piece] + 1.5 + rank)
-        roots = _newton_in_pieces(phase, target, ends[piece], ends[piece + 1],
-                                  theta[piece], theta[piece + 1], tol)
+        roots = _refine_roots(
+            lambda x, i: (phase(x) - target[i], phase.derivative(x)),
+            ends[piece], ends[piece + 1], tol)
         roots = np.mod(roots, TWO_PI)
     return count, starts.size, stable, roots
-
-
-def _newton_in_pieces(phase: CarrierPhase, target, lo, hi, theta_lo, theta_hi,
-                      tol: float, max_iter: int = 200) -> np.ndarray:
-    """Solve phase(x) = target inside each monotone piece (lo, hi).
-
-    Safeguarded Newton (rtsafe): the start is the linear interpolation of
-    the phase across the piece and every iterate shrinks the bracket; a
-    step that would leave the bracket, or that is not under half the
-    previous one, is replaced by bisection.  A root is final once its
-    step is within tol, and only unfinished roots are iterated further.
-    """
-    rising = theta_hi > theta_lo
-    x = lo + (target - theta_lo) / (theta_hi - theta_lo) * (hi - lo)
-    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-    last = hi - lo
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    for _ in range(max_iter):
-        g = phase(x) - target
-        past = (g > 0.0) == rising
-        hi = np.where(past | (g == 0.0), x, hi)
-        lo = np.where(past & (g != 0.0), lo, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - g / phase.derivative(x)
-        newton = (step >= lo) & (step <= hi) & (np.abs(step - x) <= 0.5 * last)
-        step = np.where(newton, step, 0.5 * (lo + hi))
-        last = np.abs(step - x)
-        x = step
-        done = last <= tol
-        out[idx[done]] = x[done]
-        keep = ~done
-        if not keep.any():
-            return out
-        idx, x, lo, hi, last, target, rising = (
-            a[keep] for a in (idx, x, lo, hi, last, target, rising))
-    out[idx] = x
-    return out
 
 
 def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-10,
@@ -590,6 +565,11 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     most max_doublings local halvings of an undecided cell (finest
     spacing 2 pi/N 2^-max_doublings).  The returned count satisfies the
     hard ceiling 2n.
+
+    With want_roots, every zero is refined by safeguarded Newton inside
+    its certified bracket (a cell, a sub-cell or a monotone piece of the
+    phase), and tol bounds the last step of each root; the deterministic
+    zeros of the phase route are exact.
     """
     if grid_per_degree < 1:
         raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")

@@ -225,7 +225,7 @@ class TestQuadratureLayout:
         ids=["C(5,2)", "K(4)"],
     )
     def test_memory_is_bounded_by_the_row_block(self, compute):
-        """The full 1280 x 1280 node grid would hold ~90-120 MB of
+        """The full 1296 x 1296 node grid would hold ~90-120 MB of
         temporaries; row blocks keep the peak at a few MB."""
         tracemalloc.start()
         try:

@@ -20,7 +20,6 @@ from trigzeros.trigpoly import (
     dirichlet_pair,
     dirichlet_ratio,
     evaluate,
-    evaluate_derivative,
     evaluate_jet,
     evaluate_on_grid,
     factorize_algebraic,
@@ -47,15 +46,6 @@ def reduced_derivative(red, x):
     coefficients -f_k a_k at the reduced frequencies f_k."""
     f = red.frequencies()
     return float(np.sum(f * red.b * np.cos(f * x) - f * red.a * np.sin(f * x)))
-
-
-def fsum_reference_deriv(a, b, x):
-    terms = []
-    for j in range(len(a)):
-        terms.append(-j * a[j] * math.sin(j * x))
-        if b[j] != 0.0:
-            terms.append(j * b[j] * math.cos(j * x))
-    return math.fsum(terms)
 
 
 class TestEvaluate:
@@ -92,25 +82,6 @@ class TestEvaluate:
         assert np.allclose(evaluate(s, xs), evaluate(s, xs + 2 * np.pi), atol=1e-9)
 
 
-class TestEvaluateDerivative:
-    def test_matches_termwise_reference(self):
-        model = CoefficientModel(kind="trig", dep="iid")
-        s = sample_coefficients(model, 300, seed=11)
-        scale = np.sum(np.arange(301) * (np.abs(s.a) + np.abs(s.b)))
-        for x in (0.5, 2.2, 5.9):
-            ref = fsum_reference_deriv(s.a, s.b, x)
-            assert abs(evaluate_derivative(s, x) - ref) <= 1e-12 * scale
-
-    def test_matches_finite_difference(self):
-        model = CoefficientModel(kind="trig", dep="iid")
-        s = sample_coefficients(model, 40, seed=12)
-        h = 1e-6
-        for x in (0.7, 3.1, 5.5):
-            fd = (evaluate(s, x + h) - evaluate(s, x - h)) / (2 * h)
-            # FD truncation ~ |T'''| h^2 / 6 with |T'''| <~ n^3 * coeff scale
-            assert abs(evaluate_derivative(s, x) - fd) < 1e-2
-
-
 def fsum_reference_jet(a, b, x, k):
     """Compensated reference for T^(k)(x) = Re sum_j (a_j - i b_j)(i j)^k e^{ijx}."""
     terms = []
@@ -141,7 +112,17 @@ class TestEvaluateJet:
         assert jet.shape == (2, 50)
         scale = np.sum(np.arange(81) * np.abs(s.a))
         assert np.abs(jet[0] - evaluate(s, x)).max() <= 1e-13 * scale
-        assert np.abs(jet[1] - evaluate_derivative(s, x)).max() <= 1e-13 * scale
+        ref = [fsum_reference_jet(s.a, s.b, xi, 1) for xi in x]
+        assert np.abs(jet[1] - ref).max() <= 1e-13 * scale
+
+    def test_first_derivative_matches_finite_difference(self):
+        model = CoefficientModel(kind="trig", dep="iid")
+        s = sample_coefficients(model, 40, seed=12)
+        h = 1e-6
+        for x in (0.7, 3.1, 5.5):
+            fd = (evaluate(s, x + h) - evaluate(s, x - h)) / (2 * h)
+            # FD truncation ~ |T'''| h^2 / 6 with |T'''| <~ n^3 * coeff scale
+            assert abs(evaluate_jet(s, x, order=1)[1, 0] - fd) < 1e-2
 
 
 class TestEvaluateOnGrid:

@@ -16,13 +16,11 @@ from trigzeros.trigpoly import (
 from trigzeros.zeros import (
     GRID_OFFSET,
     ZeroCountReport,
-    _bisect_brackets,
     _certificate,
     _one_sign,
     carrier_phase,
     count_zeros,
     deterministic_zero_set,
-    refine_root,
     smooth_size,
 )
 
@@ -131,9 +129,21 @@ def _acceptance_sample(kind, ell, n, seed, trial):
     return sample_coefficients(model, n, seed=mix64(seed, n, trial))
 
 
+def bisect(f, lo, hi, tol):
+    """Midpoints of the brackets (lo_i, hi_i) of sign changes of f after
+    halving them to width tol or below."""
+    left_sign = np.signbit(f(lo))
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        left = np.signbit(f(mid)) != left_sign
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def grid_oracle(sample, tol=None, max_doublings=7):
     """(count, stable, roots) of an r = 0 sample from a sign scan of the
-    densely summed reduced factor under the doubling rule.
+    densely summed reduced factor under the doubling rule, with roots
+    bisected on the dense sums: independent of the phase route.
 
     The wrap cell compares the last node with T* at x_0 + 2 pi itself, so
     half-integer frequencies (T* anti-periodic) need no sign rule.
@@ -154,7 +164,7 @@ def grid_oracle(sample, tol=None, max_doublings=7):
     stable = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
     roots = None
     if tol is not None:
-        found = _bisect_brackets(red.evaluate, x[cells], x[cells + 1], tol)
+        found = bisect(red.evaluate, x[cells], x[cells + 1], tol)
         roots = np.sort(np.concatenate([np.mod(found, 2 * np.pi), det]))
     return counts[-1] + det.size, stable, roots
 
@@ -619,18 +629,6 @@ class TestGridRule:
 
 
 class TestRootRefinement:
-    def test_refine_single_cosine_root(self):
-        a = np.array([0.0, 1.0])
-        s = _rigged_sample(1, a=a, b=np.zeros(2))
-        root = refine_root(s, 1.0, 2.0, tol=1e-12)
-        assert root == pytest.approx(np.pi / 2, abs=1e-11)
-
-    def test_refine_rejects_non_bracketing(self):
-        a = np.array([0.0, 1.0])
-        s = _rigged_sample(1, a=a, b=np.zeros(2))
-        with pytest.raises(ValueError):
-            refine_root(s, 0.1, 0.5)
-
     def test_roots_match_count_and_interval(self):
         model = CoefficientModel(kind="trig", dep="iid")
         s = sample_coefficients(model, 60, seed=13)
@@ -647,6 +645,15 @@ class TestRootRefinement:
             rep = count_zeros(s, want_roots=True, tol=1e-12)
             resid = np.abs(evaluate(s, rep.roots))
             assert resid.max() <= 1e-8 * np.sqrt(s.n + 1.0)
+
+    def test_residuals_at_the_default_tol(self):
+        """n = 1999 at the default tol: the roots re-evaluate below 1e-8 of
+        the amplitude sqrt(n+1), although a root known only to within
+        tol may leave |T'| tol ~ 1e-5."""
+        s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 1999, seed=3)
+        rep = count_zeros(s, want_roots=True)
+        assert (rep.count, rep.stable) == (2326, True)
+        assert np.abs(evaluate(s, rep.roots)).max() <= 1e-8 * np.sqrt(s.n + 1.0)
 
     def test_r0_roots_split_into_both_families(self):
         """Merged roots match the deterministic set or kill the reduced factor."""
