@@ -18,17 +18,13 @@ from .models import (
     validate_model,
 )
 from .trigpoly import (
-    AlgebraicFactorization,
     ReducedSample,
     dirichlet_pair,
     dirichlet_ratio,
     evaluate,
     evaluate_on_grid,
-    factorize_algebraic,
     grid_nodes,
     reduce_periodic,
-    trig_sum_cos,
-    trig_sum_sin,
     u_ell,
 )
 from .zeros import (
@@ -45,13 +41,13 @@ from .kacrice import (
     abc_reduced,
     expected_zeros_exact_r0,
     expected_zeros_quadrature,
-    limit_integrand_g,
 )
 from .constants import (
     compute_C,
     compute_I_alpha,
     compute_J,
     compute_K,
+    limit_integrand_g,
     monte_carlo_C,
     monte_carlo_K,
     theoretical_mean,

@@ -11,8 +11,10 @@ the lot and is what `trigzeros verify` prints.  The checks pin down:
      with C confirmed by an independent Monte Carlo double integral;
   5. identities and bounds for the limit constants themselves;
   6. the i.i.d. baseline 2n/sqrt(3);
-  7. the algebraic factorization underlying the deterministic zeros;
-  8. micro-identities the closed forms rely on.
+  7. the factorization T_n = phi_m * T* behind the deterministic zeros,
+     on the functions the r = 0 counts run through;
+  8. micro-identities the closed forms rely on, checked on the kernel
+     and the covariance routes that every Kac-Rice total uses.
 
 All seeds are fixed, so the battery is deterministic; quick=True shrinks
 trial counts for a fast smoke run (seconds instead of minutes).
@@ -33,18 +35,14 @@ from .constants import (
 )
 from .harness import ExperimentConfig, run_experiment
 from .kacrice import (
-    abc_direct,
+    abc_closed,
+    abc_reduced,
     expected_zeros_exact_r0,
     expected_zeros_quadrature,
 )
 from .models import CoefficientModel, sample_coefficients
-from .trigpoly import (
-    dirichlet_ratio,
-    factorize_algebraic,
-    trig_sum_cos,
-    trig_sum_sin,
-)
-from .zeros import deterministic_zero_set
+from .trigpoly import dirichlet_pair, dirichlet_ratio, evaluate, reduce_periodic
+from .zeros import carrier_phase, deterministic_zero_set
 
 
 @dataclass(frozen=True)
@@ -317,47 +315,57 @@ def iid_baseline(quick: bool = False) -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# 7. algebraic factorization of periodic coefficient vectors
+# 7. the factorization T_n = phi_m * T* of r = 0 samples
 # ---------------------------------------------------------------------------
 
 
 def factorization_residuals(quick: bool = False) -> CriterionResult:
-    """P(z) = quotient(z) * base(z) to 1e-10 relative at random complex
-    points, and the forced unimodular root count is n+1-ell."""
-    n_vectors = 25 if quick else 100
+    """T_n = phi_m * T* to 1e-10 relative on the r = 0 counting path.
+
+    On each periodic sample (ell in 1..6, m in 2..40, both kinds), dense
+    evaluate must match dirichlet_pair's phi_m times reduce_periodic's T*
+    at random points, beside every lattice point 2 pi k/ell (inside the
+    Taylor window) and at some of the deterministic zeros, relative to
+    max(|T|, 1); deterministic_zero_set must hold n+1-ell points; and
+    carrier_phase must give back T* as 2^e |P(e^{ix})| cos theta(x).
+    """
+    n_samples = 25 if quick else 100
     rng = np.random.default_rng(np.random.Philox(key=2031))
-    worst_rel = 0.0
-    for _ in range(n_vectors):
+    worst_split = worst_phase = 0.0
+    for _ in range(n_samples):
         ell = int(rng.integers(1, 7))
         m = int(rng.integers(2, 41))
-        base = rng.standard_normal(ell)
-        coeffs = np.tile(base, m)
-        fact = factorize_algebraic(coeffs, ell)
-
-        radius = rng.uniform(0.9, 1.1, 50)
-        angle = rng.uniform(0.0, 2.0 * math.pi, 50)
-        z = radius * np.exp(1j * angle)
-        direct = np.polyval(coeffs[::-1], z)
-        split = fact.evaluate(z)
-        scale = np.maximum(np.abs(direct), 1.0)
-        worst_rel = max(worst_rel, float(np.max(np.abs(direct - split) / scale)))
-
-        roots = fact.deterministic_roots()
-        if roots.size != fact.n + 1 - ell:
+        kind = ("trig", "cosine")[int(rng.integers(0, 2))]
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        sample = sample_coefficients(model, ell * m - 1, seed=int(rng.integers(2**32)))
+        red = reduce_periodic(sample)
+        zs = deterministic_zero_set(m, ell)
+        if zs.size != sample.n + 1 - ell:
             return CriterionResult(
                 "factorization-residuals", False,
-                f"ell={ell}, m={m}: {roots.size} forced roots, expected "
-                f"{fact.n + 1 - ell}",
+                f"{kind} ell={ell}, m={m}: {zs.size} deterministic zeros, "
+                f"expected {sample.n + 1 - ell}",
             )
-        if np.max(np.abs(fact.quotient(roots))) > 1e-8 * m:
-            return CriterionResult(
-                "factorization-residuals", False,
-                f"ell={ell}, m={m}: forced roots do not kill the quotient",
-            )
+        x = np.concatenate([
+            rng.uniform(0.0, 2.0 * math.pi, 50),
+            2.0 * math.pi * np.arange(ell + 1) / ell + 1e-9,
+            rng.choice(zs, 5),
+        ])
+        dense = evaluate(sample, x)
+        reduced = red.evaluate(x)
+        split = dirichlet_pair(m, ell, x)[0] * reduced
+        worst_split = max(worst_split, float(np.max(
+            np.abs(dense - split) / np.maximum(np.abs(dense), 1.0))))
+        phase = carrier_phase(red)
+        carrier = np.ldexp(np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
+                           * np.cos(phase(x)), phase.exponent)
+        worst_phase = max(worst_phase, float(np.max(
+            np.abs(reduced - carrier) / np.maximum(np.abs(reduced), 1.0))))
     return CriterionResult(
-        "factorization-residuals", worst_rel <= 1e-10,
-        f"max relative residual {worst_rel:.2e} (<= 1e-10) over "
-        f"{n_vectors} vectors x 50 complex points; root counts all n+1-ell",
+        "factorization-residuals", max(worst_split, worst_phase) <= 1e-10,
+        f"max relative residual of phi_m T* {worst_split:.2e}, of the carrier "
+        f"phase {worst_phase:.2e} (<= 1e-10) over {n_samples} samples; "
+        f"deterministic zero counts all n+1-ell",
     )
 
 
@@ -367,33 +375,35 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
 
 
 def micro_identities(quick: bool = False) -> CriterionResult:
-    """Closed trig sums, the shifted sin^2 identity, Cauchy-Schwarz for
-    the covariance triple, sigma-invariance, and the forced-zero count
-    of the Dirichlet ratio."""
+    """The Dirichlet kernel against literal sums, the shifted sin^2
+    identity, Cauchy-Schwarz for the covariance triple of the Kac-Rice
+    routes, sigma-invariance, and the forced-zero count of the Dirichlet
+    ratio."""
     cases = 60 if quick else 300
     rng = np.random.default_rng(np.random.Philox(key=2032))
 
-    # closed trig sums against literal term-by-term summation
-    worst_sum = 0.0
+    # dirichlet_pair at ell = 2p against phi_r = sum_t cos((t - (r-1)/2) ell x)
+    # and its termwise derivative, at random points and the zeros of sin(px);
+    # the errors are in units of r and r^3 ell
+    worst_val = worst_der = 0.0
     for _ in range(cases):
         r = int(rng.integers(1, 9))
         p = int(rng.integers(1, 7))
-        q = float(rng.uniform(-10.0, 10.0))
         x = np.concatenate([
             rng.uniform(0.0, 2.0 * math.pi, 40),
             math.pi * rng.integers(0, 2 * p + 1, 8) / p,  # sin(px) zeros
         ])
-        freqs = 2.0 * p * np.arange(r) + q
-        lit_cos = np.cos(x[:, None] * freqs[None, :]).sum(axis=1)
-        lit_sin = np.sin(x[:, None] * freqs[None, :]).sum(axis=1)
-        worst_sum = max(
-            worst_sum,
-            float(np.max(np.abs(trig_sum_cos(r, p, q, x) - lit_cos))),
-            float(np.max(np.abs(trig_sum_sin(r, p, q, x) - lit_sin))),
-        )
-    if worst_sum > 1e-11 * 8:
+        freqs = 2.0 * p * (np.arange(r) - 0.5 * (r - 1))
+        angles = x[:, None] * freqs[None, :]
+        phi, phid = dirichlet_pair(r, 2 * p, x)
+        lit, lit_d = np.cos(angles).sum(axis=1), -(freqs * np.sin(angles)).sum(axis=1)
+        worst_val = max(worst_val, float(np.max(np.abs(phi - lit))) / r)
+        worst_der = max(worst_der, float(np.max(np.abs(phid - lit_d))) / (r**3 * 2 * p))
+    if worst_val > 1e-11 or worst_der > 1e-9:
         return CriterionResult(
-            "micro-identities", False, f"trig sums off by {worst_sum:.2e}"
+            "micro-identities", False,
+            f"dirichlet_pair off by {worst_val:.2e} r, its derivative by "
+            f"{worst_der:.2e} r^3 ell",
         )
 
     # sin^2 a + sin^2 b + 2 sin a sin b cos(a+b) = sin^2(a+b)
@@ -406,20 +416,23 @@ def micro_identities(quick: bool = False) -> CriterionResult:
             "micro-identities", False, f"sin^2 identity off by {worst_pair:.2e}"
         )
 
-    # Cauchy-Schwarz: AC - B^2 >= 0 up to roundoff, any model
+    # Cauchy-Schwarz: AC - B^2 >= 0 up to roundoff on the Kac-Rice routes,
+    # abc_closed on every model and abc_reduced on the r = 0 one
     x = np.linspace(1e-3, 2.0 * math.pi - 1e-3, 400)
     worst_cs = 0.0
-    for model, n in (
-        (CoefficientModel(kind="trig", dep="iid"), 40),
-        (CoefficientModel(kind="cosine", dep="iid"), 40),
-        (CoefficientModel(kind="trig", dep="periodic", ell=3), 100),
-        (CoefficientModel(kind="cosine", dep="periodic", ell=4), 99),
+    for model, n, routes in (
+        (CoefficientModel(kind="trig", dep="iid"), 40, (abc_closed,)),
+        (CoefficientModel(kind="cosine", dep="iid"), 40, (abc_closed,)),
+        (CoefficientModel(kind="trig", dep="periodic", ell=3), 100, (abc_closed,)),
+        (CoefficientModel(kind="cosine", dep="periodic", ell=4), 99,
+         (abc_closed, abc_reduced)),
     ):
         sample = sample_coefficients(model, n, seed=5)
-        t = abc_direct(sample, x)
-        disc = t.A * t.C - t.B * t.B
-        rel = disc / np.maximum(t.A * t.C, 1.0)
-        worst_cs = min(worst_cs, float(np.min(rel)))
+        for route in routes:
+            t = route(sample, x)
+            disc = t.A * t.C - t.B * t.B
+            rel = disc / np.maximum(t.A * t.C, 1.0)
+            worst_cs = min(worst_cs, float(np.min(rel)))
     if worst_cs < -1e-12:
         return CriterionResult(
             "micro-identities", False,
@@ -458,7 +471,8 @@ def micro_identities(quick: bool = False) -> CriterionResult:
 
     return CriterionResult(
         "micro-identities", True,
-        f"trig sums {worst_sum:.1e}; paired-angle identity {worst_pair:.1e}; "
+        f"dirichlet_pair {worst_val:.1e} r, derivative {worst_der:.1e} r^3 ell; "
+        f"paired-angle identity {worst_pair:.1e}; "
         f"min(AC-B^2)/AC {worst_cs:.1e}; sigma-invariance bit-exact at "
         f"sigma=4; forced-zero counts all ell(m-1)",
     )

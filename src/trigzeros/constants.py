@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .models import CoefficientModel, decompose_degree
-from .kacrice import _BLOCK_POINTS, composite_gauss_legendre, limit_integrand_g
+from .kacrice import _BLOCK_POINTS, composite_gauss_legendre
 from .trigpoly import u_ell
 
 _GRADE_LEVELS = 40
@@ -130,6 +130,19 @@ def _c_value(ell: int, r: int) -> float:
         lambda s, t: limit_integrand_g(ell, r, s, t), _GRADE_LEVELS, _FINE_NODES
     )
     return value / math.pi**2
+
+
+def limit_integrand_g(ell: int, r: int, s, t) -> np.ndarray:
+    """Integrand of the r != 0 trig limit constant on (0, pi)^2.
+
+    g(s, t) = sqrt(1 + r (ell - r) sin^2 s / [(ell - r) sin^2 t
+                                              + r sin^2(s + t)]^2).
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    den = (ell - r) * np.sin(t) ** 2 + r * np.sin(s + t) ** 2
+    den = np.maximum(den * den, 1e-300)
+    return np.sqrt(1.0 + r * (ell - r) * np.sin(s) ** 2 / den)
 
 
 def compute_J(ell: int, r: int) -> float:

@@ -23,8 +23,9 @@ Three evaluation routes for (A, B, C):
   stationary: A = ell, B = 0, C = const.
 * ``abc_direct``   -- literal sums over the independent Gaussian directions,
   O(basis size) per point and chunked over x, so memory stays O(chunk * n).
-  Slow but assumption-free; the test oracle the closed forms are checked
-  against, with no production caller.
+  Slow but assumption-free: the oracle the tests check the closed forms
+  against, and the full-circle reference of the benchmark.  No module of
+  the package calls it, the acceptance battery included.
 
 ``expected_zeros_quadrature`` integrates the appropriate route with composite
 Gauss-Legendre panels sized to the oscillation scale (panel width ~ 1/n), and
@@ -525,21 +526,3 @@ def expected_zeros_exact_r0(n: int, ell: int) -> float:
         # no repetition actually occurs; the i.i.d. formula applies instead
         raise ValueError("m = 1 leaves the coefficients i.i.d.; no closed form")
     return (n + 1 - ell) + math.sqrt(n * n + (ell * ell - 1) / 3.0)
-
-
-# ---------------------------------------------------------------------------
-# Limit integrand (asymptotic shape of the constants module's C)
-# ---------------------------------------------------------------------------
-
-
-def limit_integrand_g(ell: int, r: int, s, t) -> np.ndarray:
-    """Integrand of the r != 0 trig limit constant on (0, pi)^2.
-
-    g(s, t) = sqrt(1 + r (ell - r) sin^2 s / [(ell - r) sin^2 t
-                                              + r sin^2(s + t)]^2).
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    den = (ell - r) * np.sin(t) ** 2 + r * np.sin(s + t) ** 2
-    den = np.maximum(den * den, 1e-300)
-    return np.sqrt(1.0 + r * (ell - r) * np.sin(s) ** 2 / den)

@@ -1,4 +1,4 @@
-"""Evaluation kernels and algebraic structure of the sampled polynomials.
+"""Evaluation kernels and periodic structure of the sampled polynomials.
 
 Evaluation routes
 -----------------
@@ -50,24 +50,13 @@ x = 2 k pi / ell.
 Every removable singularity of the package goes through one kernel, the
 lattice reduction behind dirichlet_ratio and dirichlet_pair, which
 returns phi_M and phi_M' from the same reduction (the Kac-Rice
-covariances need both): u_ell(x) = phi_ell(x)/ell at ell := 2, and the
-grouped sums trig_sum_cos/trig_sum_sin are phi_r at ell := 2p times one
-cosine or sine.  The quotient is evaluated on every node and the
-Taylor form overwrites it inside the window |sin(ell t/2)| <
-SINGULARITY_EPS, a constant.
-
-The same grouping applied to the algebraic polynomial P(z) = sum a_j z^j
-with an ell-periodic coefficient vector of length ell*m yields
-
-    P(z) = (z^(ell m) - 1)/(z^ell - 1) * sum_{k<ell} a_k z^k,
-
-so P always carries the ell(m-1) = n+1-ell unimodular roots of the
-quotient factor, independent of the draw.
+covariances need both), and u_ell(x) = phi_ell(x)/ell at ell := 2.
+The quotient is evaluated on every node and the Taylor form overwrites
+it inside the window |sin(ell t/2)| < SINGULARITY_EPS, a constant.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,24 +268,6 @@ def dirichlet_pair(m: int, ell: int, x):
     return _removable(m, ell, x, far, near)
 
 
-def trig_sum_cos(r: int, p: int, q: float, x):
-    """sum_{j=0}^{r-1} cos((2 p j + q) x) = phi_r(x) cos(((r-1) p + q) x).
-
-    phi_r is dirichlet_ratio(r, 2p, .) = sin(r p x)/sin(p x), so the
-    zeros of sin(p x) are handled by its lattice reduction.
-    """
-    if r < 1 or p < 1:
-        raise ValueError(f"need r >= 1 and p >= 1, got r={r}, p={p}")
-    return dirichlet_ratio(r, 2 * p, x) * np.cos(((r - 1) * p + q) * np.asarray(x, dtype=float))
-
-
-def trig_sum_sin(r: int, p: int, q: float, x):
-    """sum_{j=0}^{r-1} sin((2 p j + q) x); closed form as trig_sum_cos."""
-    if r < 1 or p < 1:
-        raise ValueError(f"need r >= 1 and p >= 1, got r={r}, p={p}")
-    return dirichlet_ratio(r, 2 * p, x) * np.sin(((r - 1) * p + q) * np.asarray(x, dtype=float))
-
-
 def u_ell(ell: int, x):
     """Normalized kernel u_ell(x) = sin(ell x)/(ell sin x).
 
@@ -366,90 +337,3 @@ def reduce_periodic(sample: PolySample) -> ReducedSample:
     return ReducedSample(
         model=model, n=sample.n, ell=ell, m=m, freq_twice=freq_twice, a=a, b=b
     )
-
-
-@dataclass(frozen=True)
-class AlgebraicFactorization:
-    """P(z) = quotient(z) * base_poly(z) for an ell-periodic vector.
-
-    quotient(z) = (z^(ell m) - 1)/(z^ell - 1) = sum_{t<m} z^(ell t) and
-    base_poly(z) = sum_{k<ell} base_k z^k.  The quotient's roots are the
-    (ell m)-th roots of unity that are not ell-th roots of unity:
-    exactly ell(m-1) = n+1-ell deterministic unimodular roots.
-    """
-
-    ell: int
-    m: int
-    n: int
-    base: np.ndarray
-
-    def base_poly(self, z):
-        return np.polyval(self.base[::-1], z)
-
-    def quotient(self, z):
-        """(z^(ell m) - 1)/(z^ell - 1), geometric-sum fallback near z^ell = 1."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = z_arr ** self.ell
-        out = np.empty(z_arr.shape, dtype=complex)
-        near = np.abs(w - 1.0) < SINGULARITY_EPS
-        far = ~near
-        out[far] = (w[far] ** self.m - 1.0) / (w[far] - 1.0)
-        if near.any():
-            # literal geometric sum: exact at w = 1 and stable beside it
-            acc = np.zeros(near.sum(), dtype=complex)
-            wp = np.ones(near.sum(), dtype=complex)
-            for _ in range(self.m):
-                acc += wp
-                wp *= w[near]
-            out[near] = acc
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out
-
-    def evaluate(self, z):
-        return self.quotient(z) * self.base_poly(z)
-
-    def deterministic_roots(self) -> np.ndarray:
-        """The n+1-ell unimodular roots shared by every draw.
-
-        Roots of z^(ell m) = 1 excluding those with z^ell = 1; the
-        excluded indices are exactly the multiples of m.
-        """
-        j = np.arange(self.ell * self.m)
-        j = j[(j % self.m) != 0]
-        return np.exp(2j * np.pi * j / (self.ell * self.m))
-
-    def as_dict(self) -> dict:
-        roots = self.deterministic_roots()
-        return {
-            "ell": int(self.ell),
-            "m": int(self.m),
-            "n": int(self.n),
-            "base": [float(c) for c in self.base],
-            "deterministic_roots": [[float(z.real), float(z.imag)] for z in roots],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-
-def factorize_algebraic(a, ell: int) -> AlgebraicFactorization:
-    """Factor the algebraic polynomial of an ell-periodic coefficient vector.
-
-    The vector must have length ell*m and be exactly ell-periodic
-    (sampled periodic vectors are bit-exact copies, so equality is
-    checked without tolerance).
-    """
-    a_arr = np.asarray(a, dtype=float)
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got ell={ell}")
-    if a_arr.ndim != 1 or a_arr.size == 0 or a_arr.size % ell != 0:
-        raise ValueError(
-            f"coefficient vector length {a_arr.size} is not a positive multiple of ell={ell}"
-        )
-    m = a_arr.size // ell
-    base = np.ascontiguousarray(a_arr[:ell])
-    if not np.array_equal(a_arr, np.tile(base, m)):
-        raise ValueError("coefficient vector is not ell-periodic")
-    base.flags.writeable = False
-    return AlgebraicFactorization(ell=int(ell), m=int(m), n=int(a_arr.size - 1), base=base)

@@ -53,7 +53,8 @@ one.  The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
 a double zero, such as that of 1 + cos x at pi, is never certified.
 Roots are refined inside the certified brackets by safeguarded Newton
-on T and T' (evaluate_jet): the cell of a single zero, or the two halves
+on T and T' (evaluate_jet), starting from the end values that the
+certificate already read: the cell of a single zero, or the two halves
 of a two-zero cell split where T has the sign opposite to its ends; a
 grid node whose value is within rounding of 0 is itself the root.
 
@@ -193,23 +194,23 @@ def smooth_size(n: int) -> int:
     return best
 
 
-def _refine_roots(jet: Callable, lo, hi, tol: float) -> np.ndarray:
+def _refine_roots(jet: Callable, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     """Roots of g in the brackets (lo_i, hi_i) by safeguarded Newton
     (rtsafe), all brackets at once.
 
-    jet(x, idx) returns (g, g') at the points x for the brackets idx.
-    Each root starts at the secant of g across its bracket, and every
-    iterate shrinks the bracket; a step that would leave it, or that is
-    not under half the previous one, is replaced by bisection, so a root
-    never leaves its bracket.  A root is final once its step is within
-    tol, and only unfinished roots are iterated further.  A zero-width
-    bracket is returned as it is.
+    g_lo and g_hi are the values of g at the bracket ends, which every
+    caller already holds; jet(x, idx) returns (g, g') at the points x for
+    the brackets idx.  Each root starts at the secant of g across its
+    bracket, and every iterate shrinks the bracket; a step that would
+    leave it, or that is not under half the previous one, is replaced by
+    bisection, so a root never leaves its bracket.  A root is final once
+    its step is within tol, and only unfinished roots are iterated
+    further.  A zero-width bracket is returned as it is.
     """
     out = np.asarray(lo, dtype=float).copy()
     idx = np.flatnonzero(np.asarray(hi) > out)
     lo, hi = out[idx], np.asarray(hi, dtype=float)[idx]
-    g_ends = jet(np.concatenate([lo, hi]), np.concatenate([idx, idx]))[0]
-    g_lo, g_hi = g_ends[:idx.size], g_ends[idx.size:]
+    g_lo, g_hi = np.asarray(g_lo)[idx], np.asarray(g_hi)[idx]
     rising = g_hi > g_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         x = lo + g_lo / (g_lo - g_hi) * (hi - lo)
@@ -300,8 +301,9 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
     """Test sub-cells (lo, hi) from pointwise T, T', T'', T''' at their ends.
 
     Returns (count, brackets, decided): the certified count of each cell,
-    a list of (lo, hi) array pairs that bracket one certified zero each,
-    and the mask of certified cells.  A cell is certified when
+    a list of (lo, hi, T(lo), T(hi)) array tuples that bracket one
+    certified zero each, and the mask of certified cells.  A cell is
+    certified when
       - the Hermite control points of T clear their bound (no zero), or
       - those of T' do and both end signs are certain (its sign change), or
       - those of T'' do and both end signs are certain.  T is then convex
@@ -329,7 +331,7 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
     decided |= curved & ~change & (side * bend < 0)
     cup = np.flatnonzero(curved & ~change & (side * bend > 0))
     ones = np.flatnonzero(count)
-    brackets = [(lo[ones], hi[ones])]
+    brackets = [(lo[ones], hi[ones], f0[ones], f1[ones])]
     if cup.size:
         # g = s T is convex with positive ends on these cells
         s = side[cup]
@@ -345,7 +347,8 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
         two = ~empty & (gy < -delta[0])
         decided[cup[empty | two]] = True
         count[cup[two]] = 2
-        brackets += [(a[two], y[two]), (y[two], b[two])]
+        f0_two, fy, f1_two = f0[cup][two], jet_y[0][two], f1[cup][two]
+        brackets += [(a[two], y[two], f0_two, fy), (y[two], b[two], fy, f1_two)]
     return count, brackets, decided
 
 
@@ -384,9 +387,10 @@ def _certified_count(unit: PolySample, N: int, max_doublings: int,
     # cell i spans the nodes (i + g) h and (i + 1 + g) h; i = N - 1 wraps.
     # An end value within rounding of 0 is the root itself (to ~delta_0/|T'|)
     lo, hi = h * (change + GRID_OFFSET), h * (change + 1 + GRID_OFFSET)
-    at_lo = np.abs(f[change]) <= delta[0]
-    at_hi = np.abs(f[(change + 1) % N]) <= delta[0]
-    brackets = [(np.where(at_hi, hi, lo), np.where(at_lo, lo, hi))]
+    f_lo, f_hi = f[change], f[(change + 1) % N]
+    at_lo = np.abs(f_lo) <= delta[0]
+    at_hi = np.abs(f_hi) <= delta[0]
+    brackets = [(np.where(at_hi, hi, lo), np.where(at_lo, lo, hi), f_lo, f_hi)]
 
     # local bisection of the cells that passed neither test.  T at their
     # grid nodes keeps its grid value, so that every node has one sign
@@ -419,10 +423,9 @@ def _certified_count(unit: PolySample, N: int, max_doublings: int,
     count += int(np.count_nonzero(change))
     roots = None
     if want_roots:
-        brackets.append((lo[change], hi[change]))
+        brackets.append((lo[change], hi[change], jet_lo[0, change], jet_hi[0, change]))
         found = _refine_roots(lambda x, _: evaluate_jet(unit, x, order=1),
-                              np.concatenate([pair[0] for pair in brackets]),
-                              np.concatenate([pair[1] for pair in brackets]), tol)
+                              *(np.concatenate(ends) for ends in zip(*brackets)), tol)
         roots = np.sort(np.mod(found, TWO_PI))
     return count, depth, stable, roots
 
@@ -548,7 +551,8 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
         target = np.pi * (np.minimum(k[:-1], k[1:])[piece] + 1.5 + rank)
         roots = _refine_roots(
             lambda x, i: (phase(x) - target[i], phase.derivative(x)),
-            ends[piece], ends[piece + 1], tol)
+            ends[piece], ends[piece + 1], theta[piece] - target,
+            theta[piece + 1] - target, tol)
         roots = np.mod(roots, TWO_PI)
     return count, starts.size, stable, roots
 

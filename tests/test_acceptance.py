@@ -5,7 +5,7 @@ battery `trigzeros verify` executes) and prints its one-line verdict, so
 a verbose test run reads as the acceptance report.
 """
 
-from trigzeros import acceptance
+from trigzeros import acceptance, kacrice
 
 
 def _check(criterion):
@@ -44,3 +44,15 @@ def test_factorization_residuals():
 
 def test_micro_identities():
     _check(acceptance.micro_identities)
+
+
+def test_factorization_and_micro_identities_skip_the_oracle(monkeypatch):
+    """Criteria 7 and 8 check the routes the counts and totals run
+    through, so they pass with the abc_direct oracle out of reach."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("abc_direct is a test oracle, not a checked route")
+
+    monkeypatch.setattr(kacrice, "abc_direct", unreachable)
+    for criterion in (acceptance.factorization_residuals, acceptance.micro_identities):
+        res = criterion(quick=True)
+        assert res.passed, f"{res.name}: {res.detail}"

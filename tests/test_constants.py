@@ -17,11 +17,12 @@ from trigzeros.constants import (
     compute_I_alpha,
     compute_J,
     compute_K,
+    limit_integrand_g,
     monte_carlo_C,
     monte_carlo_K,
     theoretical_mean,
 )
-from trigzeros.kacrice import composite_gauss_legendre, limit_integrand_g
+from trigzeros.kacrice import composite_gauss_legendre
 
 
 def poisson_average(u: float) -> float:

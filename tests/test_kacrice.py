@@ -22,8 +22,8 @@ from trigzeros.kacrice import (
     composite_gauss_legendre,
     expected_zeros_exact_r0,
     expected_zeros_quadrature,
-    limit_integrand_g,
 )
+from trigzeros.constants import limit_integrand_g
 from trigzeros.zeros import count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,

@@ -4,11 +4,9 @@ Oracles used here, all computed inside the tests themselves:
   - compensated termwise summation via math.fsum (evaluation accuracy)
   - literal frequency-by-frequency sums (Dirichlet closed forms)
   - central finite differences (derivatives)
-  - numpy polyval at complex points (algebraic factorization residuals)
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -22,11 +20,8 @@ from trigzeros.trigpoly import (
     evaluate,
     evaluate_jet,
     evaluate_on_grid,
-    factorize_algebraic,
     grid_nodes,
     reduce_periodic,
-    trig_sum_cos,
-    trig_sum_sin,
     u_ell,
 )
 
@@ -332,42 +327,13 @@ class TestDirichletRatio:
 
 
 class TestTrigSums:
-    def test_cos_sum_against_literal(self):
-        rng = np.random.default_rng(41)
-        for _ in range(300):
-            r = int(rng.integers(1, 21))
-            p = int(rng.integers(1, 21))
-            q = float(rng.uniform(-30, 30))
-            x = float(rng.uniform(0, 2 * np.pi))
-            lit = math.fsum(math.cos((2 * p * j + q) * x) for j in range(r))
-            assert abs(trig_sum_cos(r, p, q, x) - lit) <= 1e-11 * r
-
-    def test_sin_sum_against_literal(self):
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            r = int(rng.integers(1, 21))
-            p = int(rng.integers(1, 21))
-            q = float(rng.uniform(-30, 30))
-            x = float(rng.uniform(0, 2 * np.pi))
-            lit = math.fsum(math.sin((2 * p * j + q) * x) for j in range(r))
-            assert abs(trig_sum_sin(r, p, q, x) - lit) <= 1e-11 * r
-
-    def test_near_lattice_falls_back_to_literal(self):
-        # x on or just beside a zero of sin(px), where the quotient form
-        # sin(rpx)/sin(px) cancels catastrophically
-        cases = [
-            (trig_sum_cos, math.cos, 7, 5, 1.25, 0.0),
-            (trig_sum_cos, math.cos, 7, 5, 1.25, np.pi / 5),
-            (trig_sum_cos, math.cos, 7, 5, 1.25, 2 * np.pi / 5 + 1e-13),
-            (trig_sum_cos, math.cos, 20, 20, 0.0, math.pi * 39 / 20 + 1e-7),
-            (trig_sum_sin, math.sin, 7, 5, 1.25, 2 * math.pi / 5 + 1e-7),
-        ]
-        for closed, term, r, p, q, x in cases:
-            lit = math.fsum(term((2 * p * j + q) * x) for j in range(r))
-            assert abs(closed(r, p, q, x) - lit) <= 1e-11 * r, (r, p, q, x)
-
     def test_grouped_residue_class_identity(self):
-        """sum_t cos((k + ell t)x) = phi_m(x) cos((k + (m-1) ell/2) x)."""
+        """sum_t cos((k + ell t)x) = phi_m(x) cos((k + (m-1) ell/2) x).
+
+        Also with sin, ell = 2p and a real offset k, at random points and
+        on or just beside zeros of sin(px), where the quotient
+        sin(m p x)/sin(p x) cancels catastrophically.
+        """
         rng = np.random.default_rng(43)
         for _ in range(100):
             m = int(rng.integers(1, 25))
@@ -377,6 +343,24 @@ class TestTrigSums:
             lit = math.fsum(math.cos((k + ell * t) * x) for t in range(m))
             closed = dirichlet_ratio(m, ell, x) * math.cos((k + (m - 1) * ell / 2.0) * x)
             assert abs(lit - closed) <= 1e-10 * m
+
+        cases = [(7, 10, 1.25, 0.0), (7, 10, 1.25, np.pi / 5),
+                 (7, 10, 1.25, 2 * np.pi / 5 + 1e-13),
+                 (20, 40, 0.0, math.pi * 39 / 20 + 1e-7),
+                 (7, 10, 1.25, 2 * math.pi / 5 + 1e-7)]
+        for seed in (41, 42):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                m = int(rng.integers(1, 21))
+                p = int(rng.integers(1, 21))
+                k = float(rng.uniform(-30, 30))
+                cases.append((m, 2 * p, k, float(rng.uniform(0, 2 * np.pi))))
+        for m, ell, k, x in cases:
+            phi = dirichlet_ratio(m, ell, x)
+            for term in (math.cos, math.sin):
+                lit = math.fsum(term((k + ell * t) * x) for t in range(m))
+                closed = phi * term((k + (m - 1) * ell / 2.0) * x)
+                assert abs(closed - lit) <= 1e-11 * m, (term, m, ell, k, x)
 
 
 class TestUEll:
@@ -441,53 +425,3 @@ class TestReducePeriodic:
         s = sample_coefficients(model, 11, seed=1)
         with pytest.raises(ValueError):
             reduce_periodic(s)
-
-
-class TestFactorizeAlgebraic:
-    def test_two_periodic_product_is_exact_at_two(self):
-        # coefficients are exact binary fractions: Horner at z=2 is exact
-        base = np.array([1.5, -2.25])
-        a = np.tile(base, 3)
-        f = factorize_algebraic(a, 2)
-        direct = np.polyval(a[::-1], 2.0)
-        assert f.evaluate(2.0) == direct
-
-    def test_residual_at_random_complex_points(self):
-        rng = np.random.default_rng(61)
-        model = CoefficientModel(kind="cosine", dep="periodic", ell=5)
-        s = sample_coefficients(model, 34, seed=3)  # m = 7
-        f = factorize_algebraic(s.a, 5)
-        scale = np.abs(s.a).sum()
-        for _ in range(50):
-            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            direct = np.polyval(np.asarray(s.a)[::-1], z)
-            bound = 1e-10 * scale * max(1.0, abs(z)) ** s.n
-            assert abs(f.evaluate(z) - direct) <= bound
-
-    def test_deterministic_root_count_and_residuals(self):
-        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
-        s = sample_coefficients(model, 23, seed=9)  # m = 8
-        f = factorize_algebraic(s.a, 3)
-        roots = f.deterministic_roots()
-        assert len(roots) == s.n + 1 - 3
-        vals = np.polyval(np.asarray(s.a)[::-1], roots)
-        assert np.abs(vals).max() <= 1e-10 * np.abs(s.a).sum()
-
-    def test_quotient_at_unit_argument(self):
-        f = factorize_algebraic(np.tile([2.0, 3.0], 4), 2)
-        assert f.quotient(1.0) == 4.0  # literal geometric sum, exact
-
-    def test_rejects_non_periodic(self):
-        with pytest.raises(ValueError):
-            factorize_algebraic(np.array([1.0, 2.0, 1.0, 2.1]), 2)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            factorize_algebraic(np.array([1.0, 2.0, 1.0]), 2)
-
-    def test_json_round_trip(self):
-        f = factorize_algebraic(np.tile([1.0, -1.0, 0.5], 2), 3)
-        d = json.loads(f.to_json())
-        assert d == f.as_dict()
-        assert d["ell"] == 3 and d["m"] == 2 and d["n"] == 5
-        assert len(d["deterministic_roots"]) == 3
