@@ -327,40 +327,58 @@ class TestDirichletRatio:
 
 
 class TestTrigSums:
-    def test_grouped_residue_class_identity(self):
-        """sum_t cos((k + ell t)x) = phi_m(x) cos((k + (m-1) ell/2) x).
+    """sum_t f((k + ell t)x) = phi_m(x) f((k + (m-1) ell/2) x) for f = cos, sin,
+    checked against literal sums; with ell = 2p this is the sum over the
+    frequencies 2pt + k that the periodic covariance kernels group."""
 
-        Also with sin, ell = 2p and a real offset k, at random points and
-        on or just beside zeros of sin(px), where the quotient
-        sin(m p x)/sin(p x) cancels catastrophically.
-        """
+    @staticmethod
+    def _closed(term, m, ell, k, x):
+        return dirichlet_ratio(m, ell, x) * term((k + (m - 1) * ell / 2.0) * x)
+
+    @staticmethod
+    def _literal(term, m, ell, k, x):
+        return math.fsum(term((k + ell * t) * x) for t in range(m))
+
+    def _random_real_offsets(self, term, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            m = int(rng.integers(1, 21))
+            p = int(rng.integers(1, 21))
+            k = float(rng.uniform(-30, 30))
+            x = float(rng.uniform(0, 2 * np.pi))
+            lit = self._literal(term, m, 2 * p, k, x)
+            assert abs(self._closed(term, m, 2 * p, k, x) - lit) <= 1e-11 * m
+
+    def test_cos_sum_against_literal(self):
+        self._random_real_offsets(math.cos, 41)
+
+    def test_sin_sum_against_literal(self):
+        self._random_real_offsets(math.sin, 42)
+
+    def test_near_lattice_falls_back_to_literal(self):
+        # x on or just beside a zero of sin(px), where the quotient form
+        # sin(mpx)/sin(px) cancels catastrophically
+        cases = [
+            (math.cos, 7, 10, 1.25, 0.0),
+            (math.cos, 7, 10, 1.25, np.pi / 5),
+            (math.cos, 7, 10, 1.25, 2 * np.pi / 5 + 1e-13),
+            (math.cos, 20, 40, 0.0, math.pi * 39 / 20 + 1e-7),
+            (math.sin, 7, 10, 1.25, 2 * math.pi / 5 + 1e-7),
+        ]
+        for term, m, ell, k, x in cases:
+            lit = self._literal(term, m, ell, k, x)
+            assert abs(self._closed(term, m, ell, k, x) - lit) <= 1e-11 * m, (m, ell, k, x)
+
+    def test_grouped_residue_class_identity(self):
+        """sum_t cos((k + ell t)x) = phi_m(x) cos((k + (m-1) ell/2) x)."""
         rng = np.random.default_rng(43)
         for _ in range(100):
             m = int(rng.integers(1, 25))
             ell = int(rng.integers(1, 7))
             k = int(rng.integers(0, ell))
             x = float(rng.uniform(0.0, 2 * np.pi))
-            lit = math.fsum(math.cos((k + ell * t) * x) for t in range(m))
-            closed = dirichlet_ratio(m, ell, x) * math.cos((k + (m - 1) * ell / 2.0) * x)
-            assert abs(lit - closed) <= 1e-10 * m
-
-        cases = [(7, 10, 1.25, 0.0), (7, 10, 1.25, np.pi / 5),
-                 (7, 10, 1.25, 2 * np.pi / 5 + 1e-13),
-                 (20, 40, 0.0, math.pi * 39 / 20 + 1e-7),
-                 (7, 10, 1.25, 2 * math.pi / 5 + 1e-7)]
-        for seed in (41, 42):
-            rng = np.random.default_rng(seed)
-            for _ in range(300):
-                m = int(rng.integers(1, 21))
-                p = int(rng.integers(1, 21))
-                k = float(rng.uniform(-30, 30))
-                cases.append((m, 2 * p, k, float(rng.uniform(0, 2 * np.pi))))
-        for m, ell, k, x in cases:
-            phi = dirichlet_ratio(m, ell, x)
-            for term in (math.cos, math.sin):
-                lit = math.fsum(term((k + ell * t) * x) for t in range(m))
-                closed = phi * term((k + (m - 1) * ell / 2.0) * x)
-                assert abs(closed - lit) <= 1e-11 * m, (term, m, ell, k, x)
+            lit = self._literal(math.cos, m, ell, k, x)
+            assert abs(lit - self._closed(math.cos, m, ell, k, x)) <= 1e-10 * m
 
 
 class TestUEll:
