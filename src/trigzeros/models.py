@@ -26,6 +26,8 @@ trial of any experiment can be regenerated in isolation.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,6 +123,17 @@ def validate_model(model: CoefficientModel) -> CoefficientModel:
     return model
 
 
+def normalized_coefficients(a, b):
+    """(c, e): c_k = (a_k - i b_k) 2^-e with e the binary exponent of the
+    largest |a_k|, |b_k|, so that max |c_k| lies in [1/2, sqrt 2).
+
+    Scaling by a power of two is exact, so every quantity built from c
+    is the sigma = 1 quantity to the last bit, whatever the draw's scale.
+    """
+    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
+
+
 @dataclass(frozen=True)
 class PolySample:
     """One drawn coefficient vector pair; arrays are read-only views."""
@@ -130,6 +143,24 @@ class PolySample:
     seed: int
     a: np.ndarray
     b: np.ndarray
+
+    @functools.cached_property
+    def normalized(self) -> tuple[np.ndarray, int]:
+        """normalized_coefficients(a, b), computed once per sample; the
+        evaluators of trigpoly read the coefficients from here."""
+        c, e = normalized_coefficients(self.a, self.b)
+        c.flags.writeable = False
+        return c, e
+
+    def unit(self) -> PolySample:
+        """The sample times 2^-e (e from normalized), so that its largest
+        coefficient lies in [1/2, 1).  The scaling is exact, so the copy's
+        normalized coefficients are this sample's c with exponent 0; they
+        are handed over rather than computed again."""
+        c, e = self.normalized
+        unit = dataclasses.replace(self, a=np.ldexp(self.a, -e), b=np.ldexp(self.b, -e))
+        unit.__dict__["normalized"] = (c, 0)  # the slot cached_property fills
+        return unit
 
 
 def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySample:

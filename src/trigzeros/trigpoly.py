@@ -9,10 +9,16 @@ ReducedSample.evaluate           abscissae, O(n) (O(ell) for T*) per
                                  residuals of `trigzeros count
                                  --dump-roots`.
 evaluate_jet                     T_n, T_n', ... at arbitrary points
-                                 from one shared cos/sin block; the
-                                 local bisection of the zero
-                                 certificate and the Newton refinement
-                                 of its roots use it.
+                                 from a two-level power table, e^{ijx}
+                                 = e^{iBpx} e^{iqx} with B ~ sqrt(n):
+                                 O(sqrt n) phases and one complex
+                                 matrix product per point; the local
+                                 bisection of the zero certificate and
+                                 the Newton refinement of its roots
+                                 use it.  What depends on the degree
+                                 alone (the powers j^k, the table's
+                                 exponents and binomial weights, the
+                                 grid twist) is built once per degree.
 evaluate_on_grid                 all values of T_n or a derivative on a
                                  uniform offset grid x_i = 2 pi (i +
                                  offset)/N through one real inverse FFT
@@ -57,6 +63,8 @@ it inside the window |sin(ell t/2)| < SINGULARITY_EPS, a constant.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +73,12 @@ from .models import CoefficientModel, PolySample, decompose_degree
 
 # half-width of the removable-singularity windows, measured on |sin(.)|
 SINGULARITY_EPS = 1e-8
+
+# dirichlet_pair: phi_m' comes from its series where m |s| is below this
+# (see there).  The series error grows like (m s)^6 and the cancellation
+# error of the quotient like 1/(m s)^2; against long-double sums the
+# worse of the two is smallest near 0.05
+_PAIR_SERIES_WINDOW = 0.05
 
 _CHUNK_BUDGET = 4_000_000  # max elements per (points x frequencies) block
 
@@ -103,36 +117,90 @@ def grid_nodes(num_nodes: int, offset: float = 0.5) -> np.ndarray:
     return (2.0 * np.pi / num_nodes) * (np.arange(num_nodes) + offset)
 
 
-def normalized_coefficients(a, b):
-    """(c, e): c_k = (a_k - i b_k) 2^-e with e the binary exponent of the
-    largest |a_k|, |b_k|, so that max |c_k| lies in [1/2, sqrt 2).
+@functools.lru_cache(maxsize=32)
+def frequency_powers(n: int, top: int) -> np.ndarray:
+    """j^k for k = 0..top (rows) and j = 0..n (columns), built once per
+    degree and read-only; exact integers while n^top < 2^53."""
+    powers = np.arange(n + 1, dtype=float)[None, :] ** np.arange(top + 1)[:, None]
+    powers.flags.writeable = False
+    return powers
 
-    Scaling by a power of two is exact, so every quantity built from c
-    is the sigma = 1 quantity to the last bit, whatever the draw's scale.
+
+@functools.lru_cache(maxsize=32)
+def _twist(n: int, num_nodes: int, offset: float) -> np.ndarray:
+    """The phases e^{2 pi i offset j/N}, j = 0..n, of evaluate_on_grid."""
+    twist = np.exp((2j * np.pi * offset / num_nodes) * np.arange(n + 1))
+    twist.flags.writeable = False
+    return twist
+
+
+@functools.lru_cache(maxsize=32)
+def _power_table(n: int, top: int):
+    """(exponents, q_powers, weights) of the two-level power table of
+    degree n, read-only.
+
+    With B = ceil(sqrt(n+1)) and P = ceil((n+1)/B), every frequency is
+    j = B p + q with 0 <= q < B, 0 <= p < P.  exponents holds q = 0..B-1
+    followed by B p, p = 0..P-1; q_powers[i, q] = q^i for i <= top; and
+    weights[i, p, k] = i^k binom(k, i) (B p)^(k-i) for i <= k <= top (0
+    for i > k), so that sum_i weights[i, p, k] q^i = (i j)^k.
     """
-    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
-    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
+    B = math.isqrt(n)
+    B += B * B < n + 1
+    P = -(-(n + 1) // B)
+    exponents = np.concatenate([np.arange(B), B * np.arange(P)]).astype(float)
+    k = np.arange(top + 1)
+    q_powers = exponents[None, :B] ** k[:, None]
+    block_powers = exponents[None, B:] ** k[:, None]
+    weights = np.zeros((top + 1, P, top + 1), dtype=complex)
+    for kk in k:
+        for i in range(kk + 1):
+            weights[i, :, kk] = 1j ** kk * math.comb(kk, i) * block_powers[kk - i]
+    for table in (exponents, q_powers, weights):
+        table.flags.writeable = False
+    return exponents, q_powers, weights
 
 
 def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
-    """Rows T_n, T_n', ..., T_n^(order) at the points x by direct summation.
+    """Rows T_n, T_n', ..., T_n^(order) at the points x.
 
-    T_n^(k) = Re sum_j c_j (i j)^k e^{i j x} with c_j = a_j - i b_j, so
-    every row is (cos jx) @ u_k + (sin jx) @ v_k with one coefficient
-    column pair per order: all rows share one cos/sin block, chunked
-    over x as in evaluate.  Returns an array of shape (order + 1, x.size).
+    T_n^(k) = Re sum_j c_j (i j)^k e^{i j x} with c_j = a_j - i b_j.
+    Writing j = B p + q (_power_table), e^{i j x} = e^{i B p x} e^{i q x}
+    and (i j)^k = i^k sum_i binom(k, i) (B p)^(k-i) q^i, so a point needs
+    the B + P ~ 2 sqrt(n+1) phases of the power table, not n+1.  One
+    complex matrix product of the rows q^i e^{iqx} (i <= order) with the
+    coefficients c_{Bp+q} laid out as a B x P matrix gives the inner sums
+    G_i[p]; T^(k) is then Re sum_{i,p} weights[i, p, k] G_i[p] e^{iBpx},
+    a second product.  The magnitudes binom(k, i) (B p)^(k-i) q^i sum to
+    j^k with no cancellation, so the rounding error is relative to
+    sum_j j^k |c_j| as for a dense sum (zeros states the bound).  Blocks
+    of points hold no more bytes than 4e6 doubles.  The coefficients come
+    normalized (PolySample.normalized) and the rows are scaled back by
+    2^e, which is exact.  Returns an array of shape (order + 1, x.size).
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    j = np.arange(sample.n + 1, dtype=float)
-    c = sample.a - 1j * sample.b
-    # Re(c (i j)^k e^{ijx}) = Re(c (i j)^k) cos jx - Im(c (i j)^k) sin jx
-    rows = np.stack([c * (1j ** k * j ** k) for k in range(order + 1)], axis=1)
-    cos_cols, sin_cols = rows.real, -rows.imag
-    out = np.empty((order + 1, x_arr.size))
-    chunk = max(1, _CHUNK_BUDGET // j.size)
+    c, e = sample.normalized
+    exponents, q_powers, weights = _power_table(sample.n, max(order, 3))
+    rows = order + 1
+    B, P = q_powers.shape[1], weights.shape[1]
+    coeffs = np.zeros(P * B, dtype=complex)
+    coeffs[:c.size] = c
+    coeffs = coeffs.reshape(P, B).T
+    w = weights[:rows, :, :rows].reshape(rows * P, rows)
+    out = np.empty((rows, x_arr.size))
+    chunk = max(1, _CHUNK_BUDGET // (2 * max(rows * max(B, P), B + P)))
     for lo in range(0, x_arr.size, chunk):
-        ang = np.outer(x_arr[lo:lo + chunk], j)
-        out[:, lo:lo + chunk] = (np.cos(ang) @ cos_cols + np.sin(ang) @ sin_cols).T
+        ang = np.outer(x_arr[lo:lo + chunk], exponents)
+        phases = np.empty(ang.shape, dtype=complex)
+        np.cos(ang, out=phases.real)
+        np.sin(ang, out=phases.imag)
+        inner = ((phases[:, None, :B] * q_powers[:rows]).reshape(-1, B) @ coeffs
+                 ).reshape(-1, rows, P)
+        inner *= phases[:, None, B:]
+        out[:, lo:lo + chunk] = (inner.reshape(-1, rows * P) @ w).real.T
+    if e:
+        with np.errstate(over="ignore"):  # values beyond the double range are +-inf
+            np.ldexp(out, e, out=out)
     return out
 
 
@@ -143,45 +211,44 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
 
     With c_j = a_j - i b_j the value is Re sum_j c_j (i j)^order e^{i j x_i}
     (order 0 is T_n itself); the factor (i j)^order multiplies the
-    normalized coefficients before the twist, and nothing else changes.  The
-    offset enters as a per-coefficient phase twist d_j; frequencies at
-    or above the grid size fold onto j mod N exactly (e^{2 pi i j i/N}
-    depends on j only through j mod N once the twist is applied), giving
-    a length-N spectrum F.  Taking the real part is the same as
-    transforming the Hermitian spectrum (F_k + conj F_{N-k})/2, so the
-    values are the unscaled inverse transform of H, its half k = 0..N//2
-    (numpy's irfft with norm="forward"; H_0 = Re F_0,
-    and H_{N/2} = Re F_{N/2} for even N).  When 2n < N no F_{N-k}
-    overlaps the half, so H is d/2 placed at 0..n, with Re d_0 at index
-    0, and no length-N complex array is built.
+    normalized coefficients before the twist, and nothing else changes.
+    The offset enters as a per-coefficient phase twist d_j (the twist and
+    the powers j^k are tables built once per degree, grid size and
+    offset); frequencies at or above the grid size fold onto j mod N
+    exactly (e^{2 pi i j i/N} depends on j only through j mod N once the
+    twist is applied), giving a length-N spectrum F.  Taking the real part
+    is the same as transforming the Hermitian spectrum
+    (F_k + conj F_{N-k})/2, so the values are the unscaled inverse
+    transform of H, its half k = 0..N//2 (numpy's irfft with
+    norm="forward"; H_0 = Re F_0, and H_{N/2} = Re F_{N/2} for even N).
+    When 2n < N no F_{N-k} overlaps the half, so H is d/2 at 0..n, with
+    Re d_0 at index 0, and irfft pads it with zeros: no array of length N
+    or N/2 is built before the transform.
 
-    The coefficients are normalized by 2^-e (normalized_coefficients)
-    and the values scaled back by 2^e.  Scaling by a power of two is
-    exact through the twist and the transform, so this changes no value.
-    It keeps the transform away from overflow at huge scales and from
-    subnormal arithmetic at tiny ones; only a value that itself exceeds
-    the double range comes back as +-inf.
+    The coefficients are normalized by 2^-e (PolySample.normalized, so
+    once per sample) and the values scaled back by 2^e.  Scaling by a
+    power of two is exact through the twist and the transform, so this
+    changes no value.  It keeps the transform away from overflow at huge
+    scales and from subnormal arithmetic at tiny ones; only a value that
+    itself exceeds the double range comes back as +-inf.
     """
     N = int(num_nodes)
     if N < 1:
         raise ValueError(f"need at least one node, got {num_nodes}")
     if order < 0:
         raise ValueError(f"need a derivative order >= 0, got {order}")
-    freqs = np.arange(sample.n + 1)
-    c, e = normalized_coefficients(sample.a, sample.b)
+    c, e = sample.normalized
     if order:
-        c = c * (1j ** order * freqs.astype(float) ** order)
-    d = c * np.exp((2j * np.pi * offset / N) * freqs)
-    half = N // 2 + 1
+        c = c * (1j ** order * frequency_powers(sample.n, max(order, 3))[order])
+    d = c * _twist(sample.n, N, offset)
     if 2 * sample.n < N:
-        H = np.zeros(half, dtype=complex)
-        H[: sample.n + 1] = 0.5 * d
+        H = 0.5 * d  # irfft pads it with zeros to the half spectrum
         H[0] = 2.0 * H[0].real
     else:
-        folded = freqs % N
+        folded = np.arange(sample.n + 1) % N
         F = (np.bincount(folded, weights=d.real, minlength=N)
              + 1j * np.bincount(folded, weights=d.imag, minlength=N))
-        k = np.arange(half)
+        k = np.arange(N // 2 + 1)
         H = 0.5 * (F[k] + np.conj(F[-k % N]))
     vals = np.fft.irfft(H, N, norm="forward")
     if e:
@@ -246,24 +313,39 @@ def dirichlet_pair(m: int, ell: int, x):
     phi_m is dirichlet_ratio(m, ell, x) to the bit.  Away from the
     lattice, with s = ell t/2 and the sign as in dirichlet_ratio,
 
-        phi_m'(x) = sign * (ell/2) [m cos(ms) sin(s) - sin(ms) cos(s)] / sin(s)^2;
+        phi_m'(x) = sign * (ell/2) [m cos(ms) sin(s) - sin(ms) cos(s)] / sin(s)^2.
 
-    inside the window the odd Taylor term -sign * m(m^2-1) ell s / 6
-    is used (phi_m' vanishes at the lattice points themselves).  m = 1
-    gives exactly (1, 0).
+    Near the lattice the bracket cancels: its two terms are about m s
+    and their difference is m(m^2-1) s^3/3, so the quotient carries an
+    absolute error of about u ell m/s.  Where m |s| < _PAIR_SERIES_WINDOW
+    the derivative comes instead from the series of
+    phi_m = sum_t cos(nu_t s), nu_t = m-1-2t, t < m:
+
+        d phi_m/ds = -S_2 s + S_4 s^3/3! - S_6 s^5/5!,
+        S_2 = m(m^2-1)/3, S_4 = S_2 (3m^2-7)/5, S_6 = S_2 (3m^4-18m^2+31)/7,
+
+    the power sums S_p = sum_t nu_t^p.  Its terms do not cancel, and the
+    first term left out is below (m s)^6/5040 of it.  phi_m' vanishes at
+    the lattice points themselves, and m = 1 gives exactly (1, 0).
     """
+    s2 = m * (m * m - 1.0) / 3.0
+    s4 = s2 * (3.0 * m * m - 7.0) / 5.0
+    s6 = s2 * (3.0 * m ** 4 - 18.0 * m * m + 31.0) / 7.0
+
+    def slope_series(s):
+        s_sq = s * s
+        return 0.5 * ell * s * (-s2 + s_sq * (s4 / 6.0 - s_sq * (s6 / 120.0)))
+
     def far(s, sin_s):
         sin_ms = np.sin(m * s)
-        return (
-            sin_ms / sin_s,
-            0.5 * ell * (m * np.cos(m * s) * sin_s - sin_ms * np.cos(s)) / (sin_s**2),
-        )
+        slope = 0.5 * ell * (m * np.cos(m * s) * sin_s - sin_ms * np.cos(s)) / (sin_s**2)
+        series = np.abs(s) < _PAIR_SERIES_WINDOW / m
+        if series.any():
+            slope[series] = slope_series(s[series])
+        return sin_ms / sin_s, slope
 
     def near(s):
-        return (
-            m * (1.0 - (m * m - 1.0) * s * s / 6.0),
-            -m * (m * m - 1.0) * ell * s / 6.0,
-        )
+        return m * (1.0 - (m * m - 1.0) * s * s / 6.0), slope_series(s)
 
     return _removable(m, ell, x, far, near)
 

@@ -32,9 +32,9 @@ is monotone; a node value within rounding of 0 between two monotone
 cells may move a zero to the neighbouring cell but not change the
 total.  On the base grid this leaves 0-2 cells per trial, beside close
 zero pairs.  Those are bisected locally, at most max_doublings times,
-with T', T'' and the third derivative summed pointwise from one chunked
-cos/sin block (trigpoly.evaluate_jet), and T too except at the grid
-nodes, which keep their grid values so that each node has one sign.  A
+with T', T'' and the third derivative summed pointwise through the
+two-level power table of trigpoly.evaluate_jet, and T too except at the
+grid nodes, which keep their grid values so that each node has one sign.  A
 sub-cell is certified only with both end values beyond rounding, by the
 two tests above or, where the control points of T'' clear
 w^4 n^6 M/384, as convex or concave: with a sign change
@@ -45,11 +45,28 @@ rounding bounds are
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes);
   delta_k = 10 u (n+1) sum_j j^k (|a_j| + |b_j|)
-      for pointwise sums (summation plus argument rounding), and at
-      least the grid bound,
+      for pointwise values (evaluate_jet), and at least the grid bound,
 
 with u the unit roundoff; each constant is several times the textbook
-one.  The count is stable (certified) when every cell is.  A cell left
+one.  The pointwise bound covers the power table, by the rules for
+products of rounded factors and for inner products (N. J. Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 3; a complex
+product adds sqrt(2) gamma_2).  Write j = B p + q with B = ceil(sqrt(n+1))
+and P = ceil((n+1)/B).  The arguments q x and B p x are rounded once, and
+cos and sin are good to an ulp, so the table phases lie within
+u (q |x| + 2 sqrt 2) and u (B p |x| + 2 sqrt 2) of e^{iqx} and e^{iBpx}:
+together u (j |x| + 4 sqrt 2).  The rows q^i e^{iqx}, the product with
+e^{iBpx} and the exact weights i^k binom(k, i) (B p)^(k-i) add a rounding
+each, and the two complex inner products, of lengths B and at most 4P,
+add sqrt(2) (B + 4P + 3) u.  The magnitudes binom(k, i) (B p)^(k-i) q^i
+sum to j^k with no cancellation, so every error is relative to
+sum_j j^k |c_j|, and T^(k) is off by at most
+u sum_j j^k |c_j| (j |x| + sqrt(2) (B + 4P) + 15).  Every point the grid
+route evaluates lies in [0, 2 pi (1 + g/N)], so |x| < 6.3, and
+B + 4P <= 5 sqrt(n+1) + 5; the sum is then below the pointwise delta_k
+for n >= 10, and below the grid bound (N >= 256) for n <= 9.
+
+The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
 a double zero, such as that of 1 + cos x at pi, is never certified.
 Roots are refined inside the certified brackets by safeguarded Newton
@@ -88,19 +105,18 @@ across the monotone piece that crosses it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .models import PolySample, decompose_degree
+from .models import PolySample, decompose_degree, normalized_coefficients
 from .trigpoly import (
     ReducedSample,
     evaluate_jet,
     evaluate_on_grid,
-    normalized_coefficients,
+    frequency_powers,
     reduce_periodic,
 )
 
@@ -255,7 +271,7 @@ class _Certificate:
 
     bound is M >= max |T|; delta_grid[k] and delta_point[k] bound the
     rounding error of T^(k) read from the spectral grid and from
-    evaluate_jet.
+    evaluate_jet's power table.
     """
 
     n: int
@@ -277,15 +293,16 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Cert
     n = a.size - 1
     mag = np.hypot(a, b)
     total = float(mag.sum())
-    powers = np.arange(n + 1, dtype=float)[None, :] ** np.arange(4)[:, None]
+    powers = frequency_powers(n, 3)
     # the transform, normwise (N. J. Higham, Accuracy and Stability of
     # Numerical Algorithms, ch. 24), plus the float grid nodes, which sit
     # within 16u of the exact ones
     delta_grid = (_FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N)
                   * np.sqrt(((powers * mag) ** 2).sum(axis=1))
                   + 16.0 * _U * float(n) ** np.arange(1, 5) * total)
-    # dense sums of n+1 terms at |x| <= 7, argument rounding included; the
-    # local cells also read T at grid nodes, hence at least delta_grid
+    # the power table of evaluate_jet at |x| < 6.3, argument rounding
+    # included (module docstring); the local cells also read T at grid
+    # nodes, hence at least delta_grid
     delta_point = np.maximum(
         _SUM_ROUNDING * _U * (n + 1) * (powers @ (np.abs(a) + np.abs(b))), delta_grid)
     bound = total
@@ -598,8 +615,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             f"the sample vanishes identically (every x is a zero); "
             f"model={model}, seed={sample.seed}"
         )
-    e = normalized_coefficients(sample.a, sample.b)[1]
-    unit = dataclasses.replace(sample, a=np.ldexp(sample.a, -e), b=np.ldexp(sample.b, -e))
+    unit = sample.unit()
     N = smooth_size(max(256, grid_per_degree * n))
     count, doublings, stable, roots = _certified_count(unit, N, max_doublings,
                                                        want_roots, tol)

@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from trigzeros import models, trigpoly
+from trigzeros.harness import ExperimentConfig, run_experiment
 from trigzeros.models import CoefficientModel, sample_coefficients
-from trigzeros.zeros import carrier_phase
+from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,
     dirichlet_ratio,
@@ -239,6 +241,76 @@ class TestEvaluateOnGrid:
                 assert np.array_equal(phase.breakpoints(), base.breakpoints())
 
 
+def uncached_grid(sample, num_nodes, offset, order):
+    """evaluate_on_grid with every table built in place: normalization,
+    (i j)^order, the twist, the fold and the real inverse transform."""
+    freqs = np.arange(sample.n + 1)
+    e = int(np.frexp(max(np.abs(sample.a).max(), np.abs(sample.b).max()))[1])
+    c = np.ldexp(sample.a, -e) - 1j * np.ldexp(sample.b, -e)
+    if order:
+        c = c * (1j ** order * freqs.astype(float) ** order)
+    d = c * np.exp((2j * np.pi * offset / num_nodes) * freqs)
+    half = num_nodes // 2 + 1
+    if 2 * sample.n < num_nodes:
+        H = np.zeros(half, dtype=complex)
+        H[: sample.n + 1] = 0.5 * d
+        H[0] = 2.0 * H[0].real
+    else:
+        folded = freqs % num_nodes
+        F = (np.bincount(folded, weights=d.real, minlength=num_nodes)
+             + 1j * np.bincount(folded, weights=d.imag, minlength=num_nodes))
+        k = np.arange(half)
+        H = 0.5 * (F[k] + np.conj(F[-k % num_nodes]))
+    vals = np.fft.irfft(H, num_nodes, norm="forward")
+    with np.errstate(over="ignore"):
+        return np.ldexp(vals, e)
+
+
+class TestPerDegreeTables:
+    @pytest.mark.parametrize("dep, ell, n, scale", [
+        ("iid", None, 60, 0), ("periodic", 3, 400, 0), ("iid", None, 199, 700),
+    ])
+    def test_grid_values_equal_the_uncached_reference(self, dep, ell, n, scale):
+        """Cached twist, powers and normalization change no bit, on grids
+        with N > 2n and on folding grids N <= 2n."""
+        s = sample_coefficients(CoefficientModel(kind="trig", dep=dep, ell=ell), n, seed=41)
+        s = dataclasses.replace(s, a=np.ldexp(s.a, scale), b=np.ldexp(s.b, scale))
+        for num in (7, n, 2 * n, 2 * n + 1, 32 * n):
+            for offset in (0.0, 0.5, GRID_OFFSET):
+                for order in range(3):
+                    assert np.array_equal(evaluate_on_grid(s, num, offset, order=order),
+                                          uncached_grid(s, num, offset, order)), \
+                        (num, offset, order)
+
+    def test_each_table_is_built_once_per_row(self):
+        """A 12-trial row at one degree builds the powers, the twist and the
+        power table once each, and reuses them in every later trial."""
+        tables = (trigpoly.frequency_powers, trigpoly._twist, trigpoly._power_table)
+        for table in tables:
+            table.cache_clear()
+        config = ExperimentConfig(kind="trig", dep="periodic", ell=3, degrees=(100,),
+                                  trials=12, master_seed=7, grid_per_degree=4)
+        run_experiment(config)
+        for table in tables:
+            info = table.cache_info()
+            assert (info.misses, info.hits > 0) == (1, True), table
+
+    def test_one_normalization_per_trial(self, monkeypatch):
+        """count_zeros normalizes the sample once; the unit copy, its three
+        grids, the local halvings and the root refinement reuse it."""
+        calls = []
+        original = models.normalized_coefficients
+
+        def spy(a, b):
+            calls.append(a.size)
+            return original(a, b)
+
+        monkeypatch.setattr(models, "normalized_coefficients", spy)
+        s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 100, seed=42)
+        count_zeros(s, grid_per_degree=3, want_roots=True)
+        assert calls == [101]
+
+
 class TestDirichletRatio:
     def test_value_at_origin_is_m(self):
         assert dirichlet_ratio(7, 3, 0.0) == pytest.approx(7.0, abs=1e-12)
@@ -304,19 +376,29 @@ class TestDirichletRatio:
         phi, _ = dirichlet_pair(m, ell, x)
         assert np.array_equal(phi, dirichlet_ratio(m, ell, x))
 
-    @pytest.mark.parametrize("m,ell", [(2, 1), (7, 3), (100, 3), (81, 5), (12, 7)])
+    @pytest.mark.parametrize("m,ell", [(2, 1), (2, 7), (7, 3), (100, 3), (81, 5), (12, 7)])
     def test_pair_derivative_across_the_lattice(self, m, ell):
-        """Central differences of phi_m on array points beside every lattice
-        point, at both parities of k, through and beyond the window."""
+        """Central differences of phi_m, and literal sums in long double, on
+        array points beside every lattice point, at both parities of k,
+        through and beyond the window: random offsets, 10^(-12...-5), and
+        3e-9...6.3e-9, where the quotient form cancels (m = 2, ell = 7 lost
+        1.6e-9 m^3 ell there)."""
         rng = np.random.default_rng(33)
         h = 1e-6
         lattice = 2 * np.pi * np.arange(-1, ell + 2) / ell
         x = (lattice[:, None] + rng.uniform(-0.3, 0.3, (lattice.size, 40))
              / (m * ell)).ravel()
-        x = np.concatenate([x, lattice + 1e-9, lattice - 3e-10])
+        offsets = np.concatenate([10.0 ** np.arange(-12.0, -4.9, 0.25),
+                                  np.linspace(3e-9, 6.3e-9, 12)])
+        beside = (lattice[:, None] + np.concatenate([offsets, -offsets])).ravel()
+        x = np.concatenate([x, lattice + 1e-9, lattice - 3e-10, beside])
         fd = (dirichlet_ratio(m, ell, x + h) - dirichlet_ratio(m, ell, x - h)) / (2 * h)
         _, phid = dirichlet_pair(m, ell, x)
         assert np.abs(phid - fd).max() < 1e-9 * m**3 * ell
+        # phi_m = sum_t cos(nu_t ell x/2), nu_t = m-1-2t, differentiated termwise
+        nu = (m - 1 - 2 * np.arange(m)).astype(np.longdouble) * ell / 2
+        literal = -(nu * np.sin(np.outer(x.astype(np.longdouble), nu))).sum(axis=1)
+        assert np.abs(phid - literal.astype(float)).max() < 1e-12 * m**3 * ell
 
     def test_pair_at_m_one_is_exactly_one_and_zero(self):
         for ell in (1, 2, 5):

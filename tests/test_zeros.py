@@ -532,18 +532,23 @@ class TestCertificate:
                         reason="needs an extended-precision reference")
     def test_rounding_bounds_cover_the_errors(self):
         """delta_k bounds the error of T^(k) read from the grid (k <= 2) and
-        of evaluate_jet (k <= 3), measured against extended-precision sums
-        at float nodes, on coarse and fine grids."""
+        of evaluate_jet's power table (k <= 3), measured against
+        extended-precision sums at float nodes, on coarse and fine grids,
+        including i.i.d. n = 1999, periodic ell = 3 samples with r = 2 and
+        points in [2 pi - h, 2 pi + pi/N], where the arguments are largest."""
         worst = 0.0
-        for kind, n in (("trig", 60), ("cosine", 150), ("trig", 400)):
-            s = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), n, seed=31)
+        for kind, ell, n in (("trig", None, 60), ("cosine", None, 150), ("trig", None, 400),
+                             ("trig", 3, 400), ("trig", 3, 1600), ("trig", None, 1999)):
+            model = CoefficientModel(kind=kind, dep="periodic" if ell else "iid", ell=ell)
+            s = sample_coefficients(model, n, seed=31)
             j = np.arange(n + 1).astype(np.longdouble)
             for gpd in (3, 32):
                 N = smooth_size(max(256, gpd * n))
                 grid = [evaluate_on_grid(s, N, 0.5, order=k) for k in range(3)]
                 cert = _certificate(s.a, s.b, N, float(np.abs(grid[0]).max()))
                 pick = np.linspace(0, N - 1, 200).astype(int)
-                points = np.concatenate([grid_nodes(N)[pick], [2 * np.pi + np.pi / N]])
+                top = np.linspace(2 * np.pi * (1 - 1 / N), 2 * np.pi * (1 + 0.5 / N), 9)
+                points = np.concatenate([grid_nodes(N)[pick], top])
                 jet = evaluate_jet(s, points)
                 angle = np.outer(points.astype(np.longdouble), j)
                 cos, sin = np.cos(angle), np.sin(angle)
@@ -553,10 +558,23 @@ class TestCertificate:
                     exact = (cos @ ck.real - sin @ ck.imag).astype(float)
                     err = np.abs(jet[k] - exact).max() / cert.delta_point[k]
                     if k < 3:
-                        err = max(err, np.abs(grid[k][pick] - exact[:-1]).max()
+                        err = max(err, np.abs(grid[k][pick] - exact[:pick.size]).max()
                                   / cert.delta_grid[k])
                     worst = max(worst, err)
         assert worst < 0.5
+
+    @pytest.mark.parametrize("kind, ell, n, master, pins", [
+        ("trig", 3, 1600, 2026, {93: 2246, 121: 2448, 195: 2256, 282: 1792}),
+        ("trig", None, 1999, 2030, {14: 2302, 38: 2266, 73: 2298, 80: 2342}),
+    ])
+    def test_counts_decided_by_local_halvings(self, kind, ell, n, master, pins):
+        """Trials whose count needs a local halving, so the pointwise jet
+        decides it: each certified count, the same at grid_per_degree 256."""
+        model = CoefficientModel(kind=kind, dep="periodic" if ell else "iid", ell=ell)
+        for trial, zeros in pins.items():
+            s = sample_coefficients(model, n, seed=mix64(master, n, trial))
+            rep = count_zeros(s)
+            assert (rep.count, rep.stable) == (zeros, True), trial
 
     def test_periodic_cosine_deterministic_zeros(self):
         """ell = 2, n = 42 (r = 1): every draw is cos(21x) times a random
