@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .models import CoefficientModel, decompose_degree
-from .kacrice import _BLOCK_POINTS, composite_gauss_legendre
+from .kacrice import _BLOCK_POINTS, composite_gauss_legendre, expected_zeros_exact_r0
 from .trigpoly import u_ell
 
 _GRADE_LEVELS = 40
@@ -290,23 +290,17 @@ def theoretical_mean(model: CoefficientModel, n: int):
         return 2.0 * n / math.sqrt(3.0), "o(n)"
 
     dec = decompose_degree(n, model.ell)
-    if dec.m == 1:
-        # the period exceeds the coefficient count: i.i.d. in disguise
+    if dec.factors:
+        if model.kind == "trig":
+            return expected_zeros_exact_r0(n, dec.ell), "exact"
+        return 2.0 * n, "exact" if dec.ell == 1 else "O(n^(2/3))"
+    if dec.r == 0:
+        # n + 1 = ell: the period exceeds the coefficient count, i.i.d. in disguise
         return theoretical_mean(
             CoefficientModel(kind=model.kind, dep="iid", sigma=model.sigma), n
         )
     if model.kind == "trig":
-        if dec.r == 0:
-            value = (n + 1 - dec.ell) + math.sqrt(
-                n * n + (dec.ell**2 - 1) / 3.0
-            )
-            return value, "exact"
         return n * compute_C(dec.ell, dec.r), "O(n^(4/5))"
-    # cosine
-    if dec.r == 0:
-        if dec.ell == 1:
-            return 2.0 * n, "exact"
-        return 2.0 * n, "O(n^(2/3))"
     raise ValueError(
         "no closed asymptotic is available for cosine polynomials with "
         f"partial trailing blocks (ell={model.ell}, n={n} leaves r={dec.r})"

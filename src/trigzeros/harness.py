@@ -138,34 +138,15 @@ def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
     except ValueError:
         theory, order = None, None
 
-    if not counts:
-        return DegreeRow(
-            n=n,
-            m=m_val,
-            r=r_val,
-            trials=len(outcomes),
-            unstable=unstable,
-            empirical_mean=None,
-            stddev=None,
-            stderr=None,
-            theory=theory,
-            order=order,
-            z=None,
-            failed=True,
-        )
-
-    k = len(counts)
-    mean = sum(counts) / k
-    if k > 1:
-        var = sum((c - mean) ** 2 for c in counts) / (k - 1)
-        stddev = math.sqrt(var)
-    else:
-        stddev = None
-    stderr = stddev / math.sqrt(k) if stddev is not None else None
-    z = None
-    if theory is not None and stderr is not None and stderr > 0.0:
-        z = (mean - theory) / stderr
-    failed = unstable > 0.01 * len(outcomes)
+    mean = stddev = stderr = z = None
+    if counts:
+        k = len(counts)
+        mean = sum(counts) / k
+        if k > 1:
+            stddev = math.sqrt(sum((c - mean) ** 2 for c in counts) / (k - 1))
+            stderr = stddev / math.sqrt(k)
+        if theory is not None and stderr is not None and stderr > 0.0:
+            z = (mean - theory) / stderr
     return DegreeRow(
         n=n,
         m=m_val,
@@ -178,7 +159,7 @@ def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
         theory=theory,
         order=order,
         z=z,
-        failed=failed,
+        failed=not counts or unstable > 0.01 * len(outcomes),
     )
 
 

@@ -14,13 +14,15 @@ Three evaluation routes for (A, B, C):
   O(ell) work per point.  i.i.d. cosine goes through K(t) = sum_{j<=n} cos jt
   at t = 2x.  The periodic models go through one core over the ell grouped
   directions sum_t cos((k + ell t) x) = phi_M(x) cos(nu_k x) (and the sine
-  twins for trig), with phi_M and phi_M' from one lattice reduction
-  (trigpoly.dirichlet_pair) per distinct M.  The cosine forms sum the few
-  nodes within 1/n of the kernel lattice literally.
+  twins for trig), (M_k, 2 nu_k) from PeriodDecomposition.directions, with
+  phi_M and phi_M' from one lattice reduction (trigpoly.dirichlet_pair) per
+  distinct M.  The cosine forms sum the few nodes within 1/n of the kernel
+  lattice literally.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0: the same core
-  with phi = 1 and phi' = 0.  For the trig model the reduced process is
-  stationary: A = ell, B = 0, C = const.
+  over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0.
+  For the trig model the reduced process is stationary: A = ell, B = 0,
+  C = const.
 * ``abc_direct``   -- literal sums over the independent Gaussian directions,
   O(basis size) per point and chunked over x, so memory stays O(chunk * n).
   Slow but assumption-free: the oracle the tests check the closed forms
@@ -188,40 +190,36 @@ def _iid_cosine_abc(n: int, x: np.ndarray):
     return 0.5 * (A0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
 
 
-def _grouped_abc(sample: PolySample, x: np.ndarray, reduced: bool = False):
-    """A, B, C over the ell grouped directions of a periodic sample.
+def _grouped_abc(kind: str, ell: int, directions, x: np.ndarray):
+    """A, B, C over the ell grouped directions (M, freq_twice) of a
+    periodic sample.
 
-    Direction k < ell sums the frequencies k + ell t, t < M_k, where
-    M_k = m+1 for k < r and m otherwise:
+    Direction k < ell sums M_k frequencies with mean nu_k = freq_twice[k]/2:
 
-        g_k = phi_{M_k}(x) cos(nu_k x),   nu_k = k + (M_k - 1) ell / 2,
+        g_k = phi_{M_k}(x) cos(nu_k x),
 
     and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M')
-    comes from one dirichlet_pair per distinct M, or is (1, 0) for the
-    reduced polynomial.  Cosine sums g_k^2, g_k g_k' and g_k'^2.  For
-    trig the cross terms of g_k and h_k cancel, leaving
+    comes from one dirichlet_pair per distinct M, largest M first, and is
+    (1, 0) for M = 1.  Cosine sums g_k^2, g_k g_k' and g_k'^2.  For trig
+    the cross terms of g_k and h_k cancel, leaving
 
         A = sum phi^2,  B = sum phi phi',  C = sum (phi'^2 + nu^2 phi^2),
 
     one term per distinct M and no cosine or sine at all.
     """
-    dec = decompose_degree(sample.n, sample.model.ell)
-    groups = {}  # M -> nu_k of its directions, in the order of k
-    for k in range(dec.ell):
-        M = dec.m + 1 if k < dec.r else dec.m
-        groups.setdefault(M, []).append(k + 0.5 * (M - 1) * dec.ell)
+    M, freq_twice = directions
     A = np.zeros_like(x)
     B = np.zeros_like(x)
     C = np.zeros_like(x)
-    for M, nus in groups.items():
-        phi, phid = (1.0, 0.0) if reduced else dirichlet_pair(M, dec.ell, x)
-        if sample.model.kind == "trig":
-            nu = np.array(nus)
-            A += nu.size * phi * phi
-            B += nu.size * phi * phid
-            C += nu.size * phid * phid + float((nu * nu).sum()) * phi * phi
+    for size in sorted(set(M.tolist()), reverse=True):
+        phi, phid = (1.0, 0.0) if size == 1 else dirichlet_pair(size, ell, x)
+        nus = freq_twice[M == size] / 2.0
+        if kind == "trig":
+            A += nus.size * phi * phi
+            B += nus.size * phi * phid
+            C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
             continue
-        for nu in nus:
+        for nu in nus.tolist():
             cos_nu = np.cos(nu * x)
             sin_nu = np.sin(nu * x)
             g = phi * cos_nu
@@ -251,7 +249,8 @@ def _cosine_closed(sample: PolySample, x: np.ndarray) -> AbcTriple:
     if model.dep == "iid":
         A[far], B[far], C[far] = _iid_cosine_abc(n, x[far])
     else:
-        A[far], B[far], C[far] = _grouped_abc(sample, x[far])
+        A[far], B[far], C[far] = _grouped_abc(
+            "cosine", model.ell, decompose_degree(n, model.ell).directions(), x[far])
     if near.any():
         A[near], B[near], C[near] = _literal_sums(sample, x[near])
     return AbcTriple(A=A, B=B, C=C, x=x)
@@ -271,9 +270,9 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
 
     Periodic: the sums over the ell grouped directions
     g_k = phi_M(x) cos(nu_k x) (and h_k = phi_M(x) sin(nu_k x) for trig),
-    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2; see
-    _grouped_abc.  phi_M and phi_M' come from dirichlet_pair, one lattice
-    reduction per distinct M.
+    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2
+    (PeriodDecomposition.directions); see _grouped_abc.  phi_M and phi_M'
+    come from dirichlet_pair, one lattice reduction per distinct M.
 
     Both cosine forms lose their derivatives to cancellation next to the
     kernel lattice; the nodes with |sin s| < 1/n there are summed
@@ -287,7 +286,8 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
         A0, C0 = _iid_constants(sample.n)
         full = np.full_like(x, A0)
         return AbcTriple(A=full, B=np.zeros_like(x), C=np.full_like(x, C0), x=x)
-    A, B, C = _grouped_abc(sample, x)
+    dec = decompose_degree(sample.n, model.ell)
+    A, B, C = _grouped_abc("trig", dec.ell, dec.directions(), x)
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
@@ -296,13 +296,15 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
 
     The reduced polynomial keeps one direction per residue class at the
     grouped frequencies nu_k, so these are the grouped sums of abc_closed
-    with phi = 1 and phi' = 0.  Trig: the reduced process is stationary,
-    A = ell, B = 0, C = sum nu_k^2 = ell (3 n^2 + ell^2 - 1) / 12.
+    over those frequencies with M = 1: phi = 1 and phi' = 0.  Trig: the
+    reduced process is stationary, A = ell, B = 0,
+    C = sum nu_k^2 = ell (3 n^2 + ell^2 - 1) / 12.
     Cosine: O(ell) sums of cos(nu_k x) and its derivative.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    reduce_periodic(sample)  # raises unless periodic with r = 0
-    A, B, C = _grouped_abc(sample, x, reduced=True)
+    red = reduce_periodic(sample)  # raises unless periodic with r = 0
+    directions = (np.ones_like(red.freq_twice), red.freq_twice)
+    A, B, C = _grouped_abc(sample.model.kind, red.ell, directions, x)
     return AbcTriple(A=A, B=B, C=C, x=x)
 
 
@@ -393,13 +395,13 @@ def _exclusion_windows(sample: PolySample):
         return [], 0.0
     dec = decompose_degree(sample.n, model.ell)
     if dec.m == 1:
-        return [], 0.0  # no repetition occurs; A stays bounded below
+        return [], 0.0  # A stays bounded below
     if dec.r != 0:
         half = (2.0 / dec.ell) * dec.m ** (-0.2)
         half = min(half, math.pi / (4.0 * dec.ell))  # never swallow a cell
         centers = [TWO_PI * k / dec.ell for k in range(dec.ell + 1)]
         return [(c, half) for c in centers], half
-    if model.kind == "cosine" and dec.r == 0:
+    if model.kind == "cosine":  # the sample factors
         half = min(float(sample.n) ** (-1.0 / 3.0), 0.5)
         return [(c, half) for c in (0.0, math.pi, TWO_PI)], half
     return [], 0.0
@@ -432,9 +434,10 @@ def expected_zeros_quadrature(
     Dispatch:
       * i.i.d. trig      -- stationary, integrand constant: no quadrature.
       * i.i.d. cosine    -- abc_closed over the full circle.
-      * periodic r = 0, m > 1 -- deterministic lattice zeros counted exactly,
-        plus quadrature of the reduced factor (abc_reduced); cosine
-        additionally excises n^{-1/3} windows where the reduced A touches zero.
+      * periodic samples that factor (r = 0, m >= 2) -- deterministic
+        lattice zeros counted exactly, plus quadrature of the reduced factor
+        (abc_reduced); cosine additionally excises n^{-1/3} windows where the
+        reduced A touches zero.
       * periodic r = 0, m = 1 -- the coefficients never repeat: abc_closed
         over the full circle.
       * periodic r != 0  -- abc_closed with lattice windows excised.
@@ -473,11 +476,9 @@ def expected_zeros_quadrature(
     windows, _ = _exclusion_windows(sample)
 
     route = abc_closed
-    if model.dep == "periodic":
-        dec = decompose_degree(n, model.ell)
-        if dec.r == 0 and dec.m > 1:
-            det_zeros = dec.ell * (dec.m - 1)
-            route = abc_reduced
+    if model.dep == "periodic" and decompose_degree(n, model.ell).factors:
+        det_zeros = n + 1 - model.ell
+        route = abc_reduced
 
     func = lambda xs: route(sample, xs).integrand()  # noqa: E731
 
@@ -513,16 +514,13 @@ def expected_zeros_quadrature(
 
 
 def expected_zeros_exact_r0(n: int, ell: int) -> float:
-    """Closed-form E[N(0, 2 pi)] for the periodic trig model with ell | n+1.
+    """Closed-form E[N(0, 2 pi)] for the periodic trig model when the
+    sample factors (ell | n+1 with m >= 2).
 
     Deterministic lattice zeros contribute n + 1 - ell; the reduced factor is
     stationary with A = ell, C = ell (3 n^2 + ell^2 - 1)/12, so its Kac-Rice
     integral is 2 sqrt(C/A) = sqrt(n^2 + (ell^2 - 1)/3).
     """
-    dec = decompose_degree(n, ell)
-    if dec.r != 0:
-        raise ValueError(f"n={n} is not of the form ell*m - 1 for ell={ell}")
-    if dec.m == 1 and ell > 1:
-        # no repetition actually occurs; the i.i.d. formula applies instead
-        raise ValueError("m = 1 leaves the coefficients i.i.d.; no closed form")
+    if not decompose_degree(n, ell).factors:
+        raise ValueError(f"n={n} is not of the form ell*m - 1 with m >= 2 for ell={ell}")
     return (n + 1 - ell) + math.sqrt(n * n + (ell * ell - 1) / 3.0)

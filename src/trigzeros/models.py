@@ -14,9 +14,14 @@ Periodic degrees decompose as
 
     n = ell*m - 1 + r,    0 <= r <= ell - 1,    m >= 1,
 
-that is m = (n+1) // ell and r = (n+1) % ell.  r = 0 exactly when ell
-divides n+1; that case factors algebraically (trigpoly.reduce_periodic)
-and carries n+1-ell deterministic real zeros.
+that is m = (n+1) // ell and r = (n+1) % ell.  PeriodDecomposition
+holds the split and the two facts every consumer reads from it: the
+grouped directions (M_k, 2 nu_k) of the residue classes k < ell, and
+whether the sample factors.  It factors when ell divides n+1 with
+m >= 2: then T_n = phi_m * T* (trigpoly.reduce_periodic) with n+1-ell
+deterministic real zeros.  m = 1 is a vacuous period: with r = 0
+(n+1 = ell) no coefficient repeats and the sample is i.i.d.; with r > 0
+only the first r residue classes repeat, once.
 
 Reproducibility: per-trial seeds are derived with mix64(), a splitmix64
 fold of (master_seed, degree, trial_index).  Samples are drawn from a
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,15 +75,34 @@ class PeriodDecomposition:
     m: int
     r: int
 
+    @property
+    def factors(self) -> bool:
+        """True when r = 0 and m >= 2, the only case in which
+        T_n = phi_m * T* carries n+1-ell deterministic zeros."""
+        return self.r == 0 and self.m >= 2
+
+    def directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, freq_twice), exact int64 arrays over the residue classes
+        k < ell: class k holds the M_k frequencies k + ell t, t < M_k, with
+        M_k = m+1 for k < r and m otherwise, and their mean nu_k is
+        freq_twice[k]/2 = k + (M_k - 1) ell/2."""
+        k = np.arange(self.ell, dtype=np.int64)
+        M = np.where(k < self.r, self.m + 1, self.m).astype(np.int64)
+        return M, 2 * k + (M - 1) * self.ell
+
+
+def _check_period(ell) -> None:
+    if not isinstance(ell, numbers.Integral) or ell < 1:
+        raise ValueError(f"period must be an integer >= 1, got ell={ell!r}")
+
 
 def decompose_degree(n: int, ell: int) -> PeriodDecomposition:
     """Split a degree against a coefficient period.
 
-    Requires n >= ell - 1 so the sample holds at least one full period
-    of coefficients (m >= 1).
+    Requires an integer ell >= 1 and n >= ell - 1, so the sample holds
+    at least one full period of coefficients (m >= 1).
     """
-    if ell < 1:
-        raise ValueError(f"period must be >= 1, got ell={ell}")
+    _check_period(ell)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
     if n < ell - 1:
@@ -113,8 +138,7 @@ def validate_model(model: CoefficientModel) -> CoefficientModel:
     if model.dep not in DEPENDENCIES:
         raise ValueError(f"dep must be one of {DEPENDENCIES}, got {model.dep!r}")
     if model.dep == "periodic":
-        if model.ell is None or int(model.ell) < 1:
-            raise ValueError(f"periodic model needs ell >= 1, got ell={model.ell}")
+        _check_period(model.ell)
     elif model.ell is not None:
         raise ValueError("iid model must not carry a period; leave ell=None")
     sigma = float(model.sigma)
@@ -187,7 +211,7 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
         return values
 
     if model.dep == "periodic":
-        dec = decompose_degree(n, int(model.ell))
+        dec = decompose_degree(n, model.ell)
         base_a = draw(dec.ell)
         # tile copies bits exactly, so a[j] IS a[j % ell] to the last ulp
         a = np.tile(base_a, dec.m + 1)[: n + 1]

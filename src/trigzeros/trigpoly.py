@@ -376,8 +376,9 @@ class ReducedSample:
 
     Holds one coefficient pair per residue class k = 0..ell-1 at the
     shifted frequency k + (m-1) ell/2.  freq_twice stores the exact
-    integer numerators 2k + (m-1) ell; dividing an integer float by two
-    is exact, so frequencies carry no representation error.
+    integer numerators 2k + (m-1) ell (PeriodDecomposition.directions);
+    dividing an integer float by two is exact, so frequencies carry no
+    representation error.
     """
 
     model: CoefficientModel
@@ -404,18 +405,16 @@ def reduce_periodic(sample: PolySample) -> ReducedSample:
     model = sample.model
     if model.dep != "periodic":
         raise ValueError("reduction needs a periodic model")
-    dec = decompose_degree(sample.n, int(model.ell))
+    dec = decompose_degree(sample.n, model.ell)
     if dec.r != 0:
         raise ValueError(
             f"no reduced form: ell={dec.ell} does not divide n+1={sample.n + 1} (r={dec.r})"
         )
-    ell, m = dec.ell, dec.m
-    a = np.ascontiguousarray(sample.a[:ell])
-    b = np.ascontiguousarray(sample.b[:ell])
-    a.flags.writeable = False
-    b.flags.writeable = False
-    freq_twice = 2 * np.arange(ell, dtype=np.int64) + (m - 1) * ell
-    freq_twice.flags.writeable = False
+    a = np.ascontiguousarray(sample.a[:dec.ell])
+    b = np.ascontiguousarray(sample.b[:dec.ell])
+    freq_twice = dec.directions()[1]
+    for arr in (a, b, freq_twice):
+        arr.flags.writeable = False
     return ReducedSample(
-        model=model, n=sample.n, ell=ell, m=m, freq_twice=freq_twice, a=a, b=b
+        model=model, n=sample.n, ell=dec.ell, m=dec.m, freq_twice=freq_twice, a=a, b=b
     )

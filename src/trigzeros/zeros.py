@@ -1,8 +1,9 @@
 """Zero counting: a certified cell-by-cell count on one spectral grid,
-and an exact phase count for the reduced factor of r = 0 samples.
+and an exact phase count for the reduced factor of periodic samples
+that factor (r = 0, m >= 2).
 
-Grid route (i.i.d. and r != 0)
-------------------------------
+Grid route (i.i.d., r != 0 and m = 1)
+-------------------------------------
 The circle is cut into the N cells [x_i, x_{i+1}] of the uniform open
 grid x_i = 2 pi (i + g)/N, wrap cell (x_{N-1}, x_0 + 2 pi) included,
 with g = GRID_OFFSET the golden section.
@@ -75,15 +76,16 @@ certificate already read: the cell of a single zero, or the two halves
 of a two-zero cell split where T has the sign opposite to its ends; a
 grid node whose value is within rounding of 0 is itself the root.
 
-Phase route (periodic, r = 0)
------------------------------
-Periodic r = 0 samples factor exactly as T_n = phi_m * T^*
-(trigpoly.reduce_periodic).  They are not scanned raw: the deterministic
-zeros of phi_m and the random zeros of T^* form two interleaved combs
-with no repulsion between the families, so near-coincident pairs arise
-that no affordable grid resolves.  The n+1-ell deterministic zeros are
-known in closed form, and no grid is needed for T^* either.  With c_k = a_k - i b_k, P(z) = sum_{k<ell} c_k z^k and
-f0 = (m-1) ell/2,
+Phase route (periodic, r = 0, m >= 2)
+-------------------------------------
+Periodic samples with r = 0 and m >= 2 factor exactly as T_n = phi_m * T^*
+(PeriodDecomposition.factors, trigpoly.reduce_periodic).  They are not
+scanned raw: the deterministic zeros of phi_m and the random zeros of
+T^* form two interleaved combs with no repulsion between the families,
+so near-coincident pairs arise that no affordable grid resolves.  The
+n+1-ell deterministic zeros are known in closed form, and no grid is
+needed for T^* either.  With c_k = a_k - i b_k, P(z) = sum_{k<ell}
+c_k z^k and f0 = (m-1) ell/2,
 
     T^*(x) = Re(e^{i f0 x} P(e^{ix})) = |P(e^{ix})| cos theta(x),
 
@@ -578,14 +580,14 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
                 want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
-    Dispatch: periodic samples with r = 0 take the phase route (the
-    deterministic zero set plus the exact phase count of the reduced
-    factor T^*; grid_per_degree and max_doublings do not enter);
-    everything else takes the grid route, the cell certificate on one
-    grid of smooth_size(max(256, grid_per_degree * n)) nodes with at
-    most max_doublings local halvings of an undecided cell (finest
-    spacing 2 pi/N 2^-max_doublings).  The returned count satisfies the
-    hard ceiling 2n.
+    Dispatch: periodic samples that factor (r = 0, m >= 2) take the
+    phase route (the deterministic zero set plus the exact phase count of
+    the reduced factor T^*; grid_per_degree and max_doublings do not
+    enter); everything else, m = 1 included, takes the grid route, the
+    cell certificate on one grid of smooth_size(max(256, grid_per_degree
+    * n)) nodes with at most max_doublings local halvings of an undecided
+    cell (finest spacing 2 pi/N 2^-max_doublings).  The returned count
+    satisfies the hard ceiling 2n.
 
     With want_roots, every zero is refined by safeguarded Newton inside
     its certified bracket (a cell, a sub-cell or a monotone piece of the
@@ -598,7 +600,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     n = sample.n
     model = sample.model
-    if model.dep == "periodic" and decompose_degree(n, int(model.ell)).r == 0:
+    if model.dep == "periodic" and decompose_degree(n, model.ell).factors:
         red = reduce_periodic(sample)
         count, pieces, stable, roots = _phase_count(red, want_roots, tol)
         det = deterministic_zero_set(red.m, red.ell)

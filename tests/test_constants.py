@@ -276,6 +276,18 @@ class TestTheoryTable:
         iid = CoefficientModel(kind="trig", dep="iid")
         assert theoretical_mean(periodic, 30) == theoretical_mean(iid, 30)
 
+    def test_partially_repeated_period_is_not_iid(self):
+        """ell = 7, n = 12: m = 1 but r = 6, so six residue classes repeat
+        once.  The mean is not the i.i.d. value (Kac-Rice reads 15.343,
+        the i.i.d. formula 14.142), so the r != 0 entries apply."""
+        periodic = CoefficientModel(kind="trig", dep="periodic", ell=7)
+        iid = CoefficientModel(kind="trig", dep="iid")
+        value, tag = theoretical_mean(periodic, 12)
+        assert (value, tag) == (12 * compute_C(7, 6), "O(n^(4/5))")
+        assert value != theoretical_mean(iid, 12)[0]
+        with pytest.raises(ValueError):
+            theoretical_mean(CoefficientModel(kind="cosine", dep="periodic", ell=7), 12)
+
     def test_periodic_cosine_partial_block_unsupported(self):
         model = CoefficientModel(kind="cosine", dep="periodic", ell=3)
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Coefficient-model tests: degree decomposition, seeding, periodic copies."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from trigzeros.constants import theoretical_mean
+from trigzeros.kacrice import expected_zeros_quadrature
 from trigzeros.models import (
     CoefficientModel,
     decompose_degree,
@@ -13,6 +16,7 @@ from trigzeros.models import (
     splitmix64,
     validate_model,
 )
+from trigzeros.zeros import count_zeros
 
 
 class TestDecomposeDegree:
@@ -50,6 +54,26 @@ class TestDecomposeDegree:
         with pytest.raises(ValueError):
             decompose_degree(0, 1)
 
+    def test_factors_only_with_a_repeated_full_period(self):
+        assert decompose_degree(299, 3).factors  # r = 0, m = 100
+        assert decompose_degree(5, 1).factors  # ell = 1: m = n + 1 >= 2
+        assert not decompose_degree(4, 5).factors  # r = 0, m = 1
+        assert not decompose_degree(12, 7).factors  # r = 6, m = 1
+        assert not decompose_degree(300, 2).factors  # r = 1
+
+    def test_directions_against_literal_enumeration(self):
+        """M_k counts the frequencies j <= n with j = k mod ell, and
+        freq_twice[k]/2 is their mean."""
+        for ell in range(1, 8):
+            for n in range(max(1, ell - 1), 61):
+                M, twice = decompose_degree(n, ell).directions()
+                assert M.dtype == twice.dtype == np.int64
+                assert M.shape == twice.shape == (ell,)
+                for k in range(ell):
+                    freqs = [j for j in range(n + 1) if j % ell == k]
+                    assert M[k] == len(freqs), (ell, n, k)
+                    assert twice[k] * len(freqs) == 2 * sum(freqs), (ell, n, k)
+
 
 class TestValidateModel:
     def test_accepts_iid_trig(self):
@@ -67,6 +91,32 @@ class TestValidateModel:
     def test_periodic_requires_period(self):
         with pytest.raises(ValueError):
             validate_model(CoefficientModel(kind="trig", dep="periodic"))
+
+    @pytest.mark.parametrize("ell", [3.0, 2.5])
+    def test_rejects_non_integral_period(self, ell):
+        """A float period is refused wherever it enters, with ValueError:
+        validate_model, decompose_degree and every consumer of a model."""
+        model = CoefficientModel(kind="trig", dep="periodic", ell=ell)
+        with pytest.raises(ValueError):
+            validate_model(model)
+        with pytest.raises(ValueError):
+            decompose_degree(11, ell)
+        with pytest.raises(ValueError):
+            sample_coefficients(model, 11, seed=0)
+        with pytest.raises(ValueError):
+            theoretical_mean(model, 11)
+        good = sample_coefficients(
+            CoefficientModel(kind="trig", dep="periodic", ell=3), 11, seed=0)
+        bad = dataclasses.replace(good, model=model)
+        with pytest.raises(ValueError):
+            count_zeros(bad)
+        with pytest.raises(ValueError):
+            expected_zeros_quadrature(bad)
+
+    def test_accepts_numpy_integer_period(self):
+        model = CoefficientModel(kind="trig", dep="periodic", ell=np.int64(3))
+        assert validate_model(model) is model
+        assert decompose_degree(11, np.int64(3)).factors
 
     def test_iid_must_not_carry_period(self):
         with pytest.raises(ValueError):

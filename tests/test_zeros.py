@@ -5,7 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trigzeros.models import CoefficientModel, mix64, sample_coefficients
+from trigzeros.models import (
+    CoefficientModel,
+    decompose_degree,
+    mix64,
+    sample_coefficients,
+)
 from trigzeros.trigpoly import (
     evaluate,
     evaluate_jet,
@@ -497,8 +502,8 @@ class TestCertificate:
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)
         decided = 0
         for n in range(max(1, (ell or 1) - 1), 61):
-            if ell and (n + 1) % ell == 0:
-                continue  # r = 0 takes the phase route
+            if ell and decompose_degree(n, ell).factors:
+                continue  # the phase route
             for t in range(4):
                 s = sample_coefficients(model, n, seed=mix64(91, n, t))
                 expected = decided_circle_roots(s)
@@ -508,6 +513,22 @@ class TestCertificate:
                 assert (rep.count, rep.stable) == (expected, True), (n, t)
                 decided += 1
         assert decided >= 150
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("ell", [5, 100])
+    def test_unrepeated_period_reports_as_iid(self, kind, ell):
+        """n = ell - 1 (r = 0, m = 1): no coefficient repeats, so the sample
+        takes the grid route and its report is that of the same
+        coefficients under the i.i.d. model."""
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        iid = CoefficientModel(kind=kind, dep="iid")
+        for t in range(4):
+            s = sample_coefficients(model, ell - 1, seed=mix64(93, ell, t))
+            reports = [count_zeros(s), count_zeros(dataclasses.replace(s, model=iid))]
+            fields = [(r.count, r.stable, r.grid_size, r.doublings_used, r.pieces)
+                      for r in reports]
+            assert fields[0] == fields[1], t
+            assert fields[0][4] == 0 and fields[0][2] > 0
 
     def test_coarse_grid_reaches_local_bisection(self):
         """At 3 nodes per degree most cells need local halvings; the counts
