@@ -230,7 +230,7 @@ def constant_identities(quick: bool = False) -> CriterionResult:
     for ell in range(2, ell_max_j + 1):
         for r in range(1, ell):
             worst_j = max(worst_j, abs(compute_J(ell, r) - 1.0))
-    if worst_j > 1e-7:
+    if worst_j > 1e-12:
         return CriterionResult(
             "constant-identities", False, f"max |J - 1| = {worst_j:.2e}"
         )
@@ -239,7 +239,7 @@ def constant_identities(quick: bool = False) -> CriterionResult:
     for alpha in np.linspace(0.1, math.pi / 2 - 0.1, n_angles):
         closed = math.pi**2 / (math.sin(alpha) * math.cos(alpha))
         worst_i = max(worst_i, abs(compute_I_alpha(alpha) - closed) / closed)
-    if worst_i > 1e-7:
+    if worst_i > 1e-12:
         return CriterionResult(
             "constant-identities", False, f"max I rel err = {worst_i:.2e}"
         )

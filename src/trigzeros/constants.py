@@ -22,22 +22,28 @@ Both integrands are analytic except at isolated boundary corners where the
 denominators vanish, where they behave like 1/distance.  Panels graded
 dyadically toward every edge resolve them, but the error falls only like
 2^-L in the grading depth L, not geometrically: relative to the L = 40
-used here, C(3,1) is off by 1.8e-9 at L = 20 and by 1.8e-12 at L = 30.
+used here, C(3,1) is off by 2.6e-9 at L = 20 and by 2.5e-12 at L = 30.
 ``compute_J`` and ``compute_I_alpha`` evaluate the companion identities
 (J = 1 and I_alpha = pi^2/(sin a cos a)) that pin down C's bounds and
-double as end-to-end checks of the quadrature machinery; on 8 nodes per
-panel rather than 16 they land within 2e-10 relative of their exact
-values.
+double as end-to-end checks of the quadrature machinery: on the same
+rule as C they land within 1e-14 relative of their exact values.
 
-The quadrature is ``kacrice.composite_gauss_legendre`` on graded panel
-edges, 2L + 1 panels per axis that mirror each other about the midpoint.
-The integrands of C, J and I_alpha are unchanged by the central
-symmetry (s, t) -> (pi - s, pi - t), which the mirrored grid shares, so
-only the triangle s + t < pi is integrated.  Nodes are walked in row
-blocks of about _BLOCK_POINTS values, with s passed as a column: s-only
-factors are computed once per row, and memory stays at a few MB
-whatever the node count.  With use_cache (the default) C and K are
-memoized for the life of the process; nothing is written to disk.
+The quadrature is ``kacrice.composite_gauss_legendre`` with _NODES points
+on graded panel edges, 2L + 1 panels per axis that mirror each other
+about the midpoint.  The integrands of C, J and I_alpha are pi-periodic
+in t, so the column shear x = t or x = s + t (mod pi) preserves measure
+and turns the square into another square; the shear is chosen so that
+the sharper zero line of the denominator lies on the panel edge x = 0,
+and each integral is a plain tensor product.  The other sine comes from
+the addition rule, so a node costs a few products and at most one square
+root.  The sheared integrands keep the central symmetry (s, x) ->
+(pi - s, pi - x), which the mirrored grid shares, so only the rows
+s < pi/2 are summed.  K is integrated on the unsheared (s, t) grid.
+Nodes are walked in row blocks of about _BLOCK_POINTS values, with s
+passed as a column: s-only factors are computed once per row, and
+memory stays at a few MB whatever the node count.  With use_cache (the
+default) C and K are memoized for the life of the process; nothing is
+written to disk.
 """
 
 from __future__ import annotations
@@ -52,8 +58,7 @@ from .kacrice import _BLOCK_POINTS, composite_gauss_legendre, expected_zeros_exa
 from .trigpoly import u_ell
 
 _GRADE_LEVELS = 40
-_NODES = 8
-_FINE_NODES = 2 * _NODES
+_NODES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -77,22 +82,20 @@ def _tensor_integral(func, s_range, t_range, levels: int, nodes: int) -> float:
 
 
 def _ridge_split_integral(func, levels: int, nodes: int) -> float:
-    """integral of func over (0, pi)^2 with grading toward s + t = pi.
+    """integral over (0, pi)^2 of a sheared integrand func(s, x).
 
-    Precondition: func(s, t) == func(pi - s, pi - t).  The C/J/I
-    integrands concentrate along the anti-diagonal (where sin(s + t)
-    vanishes) as well as at the boundary.  The central symmetry carries
-    the triangle s + t < pi onto s + t > pi, so the integral is twice that
-    over the lower triangle; mapping it onto an (s, w) square puts the
-    ridge on a panel edge, where the dyadic grading resolves it:
-
-        t = (pi - s) w,    Jacobian pi - s.
+    func(s, x) is the integrand at (s, t) with x = t or x = s + t (mod pi),
+    whichever column shear the integrand chose; both preserve measure on
+    columns of a pi-periodic integrand, so the sheared square is a plain
+    tensor product.  Precondition: func(s, x) == func(pi - s, pi - x).
+    The mirror-symmetric graded grid shares that central symmetry, and an
+    even node count puts no node on s = pi/2, so the rows s < pi/2 are
+    summed and doubled.  The name is kept for the benchmark tracer, which
+    wraps this function by name.
     """
-    sx, sw = composite_gauss_legendre(_graded_edges(0.0, math.pi, levels), nodes)
-    wx, ww = composite_gauss_legendre(_graded_edges(0.0, 1.0, levels), nodes)
-    return 2.0 * _row_blocks(
-        lambda s: func(s, (math.pi - s) * wx), sx, sw * (math.pi - sx), ww
-    )
+    x, w = composite_gauss_legendre(_graded_edges(0.0, math.pi, levels), nodes)
+    half = x.size // 2
+    return 2.0 * _row_blocks(lambda s: func(s, x), x[:half], w[:half], w)
 
 
 def _row_blocks(row_values, sx, sw, tw) -> float:
@@ -127,7 +130,7 @@ def compute_C(ell: int, r: int, use_cache: bool = True) -> float:
 @functools.cache
 def _c_value(ell: int, r: int) -> float:
     value = _ridge_split_integral(
-        lambda s, t: limit_integrand_g(ell, r, s, t), _GRADE_LEVELS, _FINE_NODES
+        lambda s, x: _sheared_g(ell, r, s, x), _GRADE_LEVELS, _NODES
     )
     return value / math.pi**2
 
@@ -143,6 +146,50 @@ def limit_integrand_g(ell: int, r: int, s, t) -> np.ndarray:
     den = (ell - r) * np.sin(t) ** 2 + r * np.sin(s + t) ** 2
     den = np.maximum(den * den, 1e-300)
     return np.sqrt(1.0 + r * (ell - r) * np.sin(s) ** 2 / den)
+
+
+def _sheared_den(p: float, q: float, s, x):
+    """p sin^2 t + q sin^2(s + t) on the sheared square, s a column.
+
+    x = t when q < p, else x = s + t (mod pi): the zero line of the term
+    with the smaller coefficient, the sharper of the two, lands on the
+    panel edge x = 0.  The other sine follows from the addition rule,
+
+        sin(s + t) = cos s (sin x + cos x tan s)    (x = t),
+        sin t      = cos s (sin x - cos x tan s)    (x = s + t, up to sign),
+
+    so a node costs three products and two sums, done in place in the one
+    node-sized array allocated per call: a fresh temporary per product
+    would cost more in page faults than the products.  Multiplying back
+    by cos s leaves the rounding of the two-product form, even near
+    s = pi/2.
+    """
+    ss, cs, sx, cx = np.sin(s), np.cos(s), np.sin(x), np.cos(x)
+    if q < p:
+        a, b, tan_s = q, p, ss / cs
+    else:
+        a, b, tan_s = p, q, -ss / cs
+    den = cx * tan_s
+    den += sx
+    den *= math.sqrt(a) * cs  # sqrt(a) times the other sine
+    den *= den
+    den += b * (sx * sx)
+    return den
+
+
+def _sheared_g(ell: int, r: int, s, x):
+    """limit_integrand_g on the sheared square (see _sheared_den)."""
+    v = _sheared_den(ell - r, r, s, x)
+    v *= v
+    np.divide(r * (ell - r) * np.sin(s) ** 2, v, out=v)
+    v += 1.0
+    return np.sqrt(v, out=v)
+
+
+def _sheared_sine_ratio(p: float, q: float, s, x):
+    """_sine_ratio_integrand on the sheared square (see _sheared_den)."""
+    den = _sheared_den(p, q, s, x)
+    return np.divide(np.sin(s), den, out=den)
 
 
 def compute_J(ell: int, r: int) -> float:
@@ -165,7 +212,7 @@ def compute_I_alpha(alpha: float) -> float:
 def _sine_ratio_integral(p: float, q: float) -> float:
     """int_0^pi int_0^pi sin s / (p sin^2 t + q sin^2(s+t)) ds dt."""
     return _ridge_split_integral(
-        lambda s, t: _sine_ratio_integrand(p, q, s, t), _GRADE_LEVELS, _NODES
+        lambda s, x: _sheared_sine_ratio(p, q, s, x), _GRADE_LEVELS, _NODES
     )
 
 
@@ -188,7 +235,7 @@ def compute_K(ell: int, use_cache: bool = True) -> float:
 def _k_value(ell: int) -> float:
     value = _tensor_integral(
         lambda s, t: _limit_integrand_k(ell, s, t),
-        (0.0, math.pi / 2), (0.0, math.pi), _GRADE_LEVELS, _FINE_NODES,
+        (0.0, math.pi / 2), (0.0, math.pi), _GRADE_LEVELS, _NODES,
     )
     return value / math.pi**2
 

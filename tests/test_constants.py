@@ -12,6 +12,8 @@ from trigzeros.constants import (
     _GRADE_LEVELS,
     _NODES,
     _graded_edges,
+    _sheared_g,
+    _sheared_sine_ratio,
     _sine_ratio_integrand,
     compute_C,
     compute_I_alpha,
@@ -44,7 +46,7 @@ class TestJIdentity:
         """The companion integral is exactly 1 for every 0 < r < ell <= 6."""
         for ell in range(2, 7):
             for r in range(1, ell):
-                assert abs(compute_J(ell, r) - 1.0) < 1e-7, (ell, r)
+                assert abs(compute_J(ell, r) - 1.0) < 1e-12, (ell, r)
 
     def test_J_rejects_degenerate_r(self):
         with pytest.raises(ValueError):
@@ -58,7 +60,7 @@ class TestIAlphaIdentity:
         for alpha in np.linspace(0.1, math.pi / 2 - 0.1, 20):
             want = math.pi**2 / (math.sin(alpha) * math.cos(alpha))
             got = compute_I_alpha(float(alpha))
-            assert abs(got - want) < 1e-7 * want, alpha
+            assert abs(got - want) < 1e-12 * want, alpha
 
     def test_rejects_boundary(self):
         for bad in (0.0, math.pi / 2, -0.3, 2.0):
@@ -171,8 +173,8 @@ class TestCache:
         assert len(calls) == 1
 
 
-# Values of the full-square tensor quadrature that the row-blocked
-# half-square evaluation replaced; the two agree to rounding.
+# Values of an earlier full-square tensor quadrature on the unsheared square;
+# the row-blocked, sheared half-square rule agrees with them to rounding.
 PINNED_C = {
     (2, 1): 1.5238429977259413, (3, 1): 1.533470221543412,
     (3, 2): 1.5334702215434126, (4, 1): 1.5472710905452358,
@@ -180,24 +182,17 @@ PINNED_C = {
     (5, 1): 1.5600451309577146, (5, 2): 1.5271846000823472,
     (5, 3): 1.5271846000823472, (5, 4): 1.5600451309577161,
 }
-PINNED_J = {
-    (2, 1): 0.9999999999502869, (3, 1): 0.99999999995158,
-    (3, 2): 0.999999999951581, (4, 1): 0.9999999999709785,
-    (4, 2): 0.9999999999502869, (4, 3): 0.99999999997098,
-    (5, 1): 0.9999999999734447, (5, 2): 0.999999999979397,
-    (5, 3): 0.9999999999793976, (5, 4): 0.9999999999734468,
-}
 PINNED_K = {2: 1.064237447196125, 3: 1.0408330356020878, 4: 1.0301606963560836}
 
 
 class TestQuadratureLayout:
-    """The row-blocked, half-square quadrature reproduces the full grid."""
+    """The row-blocked, sheared half-square rule reproduces the full grid."""
 
     def test_pinned_values(self):
         for (ell, r), want in PINNED_C.items():
             assert abs(compute_C(ell, r, use_cache=False) - want) < 1e-12, (ell, r)
-        for (ell, r), want in PINNED_J.items():
-            assert abs(compute_J(ell, r) - want) < 1e-12, (ell, r)
+        for ell, r in PINNED_C:
+            assert abs(compute_J(ell, r) - 1.0) < 1e-12, (ell, r)
         for ell, want in PINNED_K.items():
             assert abs(compute_K(ell, use_cache=False) - want) < 1e-12, ell
 
@@ -208,17 +203,62 @@ class TestQuadratureLayout:
             lambda s, t: limit_integrand_g(3, 1, s, t),
             lambda s, t: _sine_ratio_integrand(3.0, 2.0, s, t),
             lambda s, t: _sine_ratio_integrand(math.sin(0.3) ** 2, math.cos(0.3) ** 2, s, t),
+            lambda s, x: _sheared_g(5, 2, s, x),
+            lambda s, x: _sheared_g(4, 2, s, x),
+            lambda s, x: _sheared_g(5, 3, s, x),
+            lambda s, x: _sheared_sine_ratio(3.0, 2.0, s, x),
+            lambda s, x: _sheared_sine_ratio(math.sin(0.3) ** 2, math.cos(0.3) ** 2, s, x),
+            lambda s, x: _sheared_sine_ratio(math.sin(1.2) ** 2, math.cos(1.2) ** 2, s, x),
         ],
-        ids=["C(5,2)", "C(3,1)", "J(5,2)", "I(0.3)"],
+        ids=[
+            "C(5,2)", "C(3,1)", "J(5,2)", "I(0.3)", "sheared-C(5,2)",
+            "sheared-C(4,2)", "sheared-C(5,3)", "sheared-J(5,2)",
+            "sheared-I(0.3)", "sheared-I(1.2)",
+        ],
     )
     def test_integrands_have_central_symmetry(self, integrand):
-        """_ridge_split_integral doubles the lower triangle, which is right
-        only when func(s, t) == func(pi - s, pi - t)."""
+        """_ridge_split_integral doubles the rows s < pi/2 of the sheared
+        square, which is right only when func(s, x) == func(pi - s, pi - x).
+        The shear x = t or s + t (mod pi) carries the central symmetry of
+        the unsheared integrands over to the sheared ones."""
         rng = np.random.default_rng(12)
         s, t = rng.uniform(0.0, math.pi, (2, 20_000))
         here = integrand(s, t)
         there = integrand(math.pi - s, math.pi - t)
         np.testing.assert_allclose(there, here, rtol=1e-9, atol=0.0)
+
+    @staticmethod
+    def _unsheared_t(p, q, s, x):
+        """t of the sheared node (s, x): x itself when q < p, else x - s."""
+        return x if q < p else np.mod(x - s, math.pi)
+
+    @pytest.mark.parametrize("ell, r", [(5, 2), (4, 2), (5, 3)],
+                             ids=["r<ell-r", "r=ell-r", "r>ell-r"])
+    def test_sheared_g_is_the_integrand_at_its_node(self, ell, r):
+        """Both column choices give limit_integrand_g at the unsheared t."""
+        rng = np.random.default_rng(ell * 10 + r)
+        s, x = rng.uniform(0.0, math.pi, (2, 20_000))
+        t = self._unsheared_t(ell - r, r, s, x)
+        np.testing.assert_allclose(
+            _sheared_g(ell, r, s, x), limit_integrand_g(ell, r, s, t),
+            rtol=1e-12, atol=0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(3.0, 2.0), (2.0, 3.0), (math.sin(0.3) ** 2, math.cos(0.3) ** 2),
+         (math.sin(1.2) ** 2, math.cos(1.2) ** 2)],
+        ids=["J(5,2)", "J(5,3)", "I(0.3)", "I(1.2)"],
+    )
+    def test_sheared_sine_ratio_is_the_integrand_at_its_node(self, p, q):
+        """The J and I_alpha integrand on both sides of q = p (alpha = pi/4)."""
+        rng = np.random.default_rng(7)
+        s, x = rng.uniform(0.0, math.pi, (2, 20_000))
+        t = self._unsheared_t(p, q, s, x)
+        np.testing.assert_allclose(
+            _sheared_sine_ratio(p, q, s, x), _sine_ratio_integrand(p, q, s, t),
+            rtol=1e-12, atol=0.0,
+        )
 
     @pytest.mark.parametrize(
         "compute",
