@@ -241,10 +241,20 @@ def _k_value(ell: int) -> float:
 
 
 def _limit_integrand_k(ell: int, s, t):
-    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2), u = u_ell(s)."""
+    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2), u = u_ell(s).
+
+    Computed in place in one node-sized array, as the sheared integrands
+    are: a temporary per operation costs more in page faults than the
+    arithmetic.
+    """
     u = u_ell(ell, s)
-    den = (1.0 + u * np.cos(t)) ** 2
-    return np.sqrt(1.0 + 3.0 * (1.0 - u * u) / np.maximum(den, 1e-300))
+    v = u * np.cos(t)
+    v += 1.0
+    v *= v
+    np.maximum(v, 1e-300, out=v)
+    np.divide(3.0 * (1.0 - u * u), v, out=v)
+    v += 1.0
+    return np.sqrt(v, out=v)
 
 
 def monte_carlo_C(

@@ -30,7 +30,22 @@ Three evaluation routes for (A, B, C):
   the package calls it, the acceptance battery included.
 
 ``expected_zeros_quadrature`` integrates the appropriate route with composite
-Gauss-Legendre panels sized to the oscillation scale (panel width ~ 1/n), and
+Gauss-Legendre panels sized to the oscillation scale (panel width ~ 1/n) over
+one symmetry cell [0, pi/q] of the density, and multiplies by 2q: the
+density of every route it calls is even and 2 pi/q-periodic, so the circle
+holds 2q mirror copies of the cell.  The fold order q is
+
+* ell for periodic trig, both routes and every r and m: the directions
+  phi_M(x) cos(nu x), phi_M(x) sin(nu x) enter A, B, C only through phi_M^2,
+  phi_M phi_M' and phi_M'^2, and phi_M(x + 2 pi/ell) = (-1)^(M-1) phi_M(x),
+  phi_M(-x) = phi_M(x), so A and C are even, B is odd, and all three are
+  2 pi/ell-periodic;
+* 2 for i.i.d. cosine, whose A, C (even) and B (odd) are functions of
+  K(2x), and K is even with period 2 pi;
+* 1 for periodic cosine on both routes: every sample is even, so A, C are
+  even and B odd, and 2 pi-periodic even when the reduced frequencies
+  nu_k are half-integers (cos^2(nu x) has period pi/nu).
+
 ``expected_zeros_exact_r0`` returns the closed-form count for the fully
 periodic trig model, where the stationary reduced process makes the integral
 elementary.
@@ -42,7 +57,10 @@ integrand.  The spike mass is O(width * n), so the engine excises windows
 around the lattice that shrink like m^(-1/5) (n^(-1/3) for the reduced
 cosine route) and folds an estimate of the excised mass (average-density
 scale n/pi per unit length) into the error estimate instead of chasing the
-spikes with panels.
+spikes with panels.  The windows, centred on 2 pi k/ell or on 0, pi and
+2 pi, map onto each other under the reflections that fold the circle, so
+the cell [0, pi/q] is excised where the circle is and carries 1/(2q) of the
+excised length.
 
 ``composite_gauss_legendre`` is the one quadrature rule of the package: the
 Kac-Rice integrals use it on uniform panels, the limit constants of the
@@ -426,6 +444,14 @@ def _excise(lo: float, hi: float, windows):
     return intervals, cuts
 
 
+def _fold_order(model) -> int:
+    """q such that the Kac-Rice density is even and 2 pi/q-periodic (see the
+    module docstring); i.i.d. trig never reaches the quadrature."""
+    if model.kind == "trig":
+        return model.ell
+    return 2 if model.dep == "iid" else 1
+
+
 def expected_zeros_quadrature(
     sample: PolySample, config: QuadConfig | None = None
 ) -> KacRiceResult:
@@ -433,19 +459,26 @@ def expected_zeros_quadrature(
 
     Dispatch:
       * i.i.d. trig      -- stationary, integrand constant: no quadrature.
-      * i.i.d. cosine    -- abc_closed over the full circle.
+      * i.i.d. cosine    -- abc_closed.
       * periodic samples that factor (r = 0, m >= 2) -- deterministic
         lattice zeros counted exactly, plus quadrature of the reduced factor
         (abc_reduced); cosine additionally excises n^{-1/3} windows where the
         reduced A touches zero.
-      * periodic r = 0, m = 1 -- the coefficients never repeat: abc_closed
-        over the full circle.
+      * periodic r = 0, m = 1 -- the coefficients never repeat: abc_closed.
       * periodic r != 0  -- abc_closed with lattice windows excised.
       * periodic cosine, ell = 1 -- a rank-one process with no Kac-Rice
         density: its 2n deterministic zeros, with zero error.
 
-    The error estimate is |I(2P) - I(P)| from panel doubling plus the excised
-    mass estimate (n/pi per unit length, the circle-average density scale).
+    The routes are integrated over the symmetry cell [0, pi/q] of the
+    density (q = ell for periodic trig, 2 for i.i.d. cosine, 1 for periodic
+    cosine) and the cell integral I is multiplied by 2q.  The cell gets
+    ceil(P/(2q)) panels in the first pass and twice that in the second, P
+    being the whole-circle panel count of the config, so the panel width is
+    that of a whole-circle rule.  The error estimate is 2q |I(2P) - I(P)|
+    from panel doubling plus the excised mass estimate (n/pi per unit
+    length, the circle-average density scale).  excluded_windows lists the
+    cuts of the whole circle and panels_used counts the panels of the
+    second pass over the whole circle, 2q per cell panel.
     """
     config = config or QuadConfig()
     model = sample.model
@@ -482,30 +515,31 @@ def expected_zeros_quadrature(
 
     func = lambda xs: route(sample, xs).integrand()  # noqa: E731
 
-    intervals, cuts = _excise(0.0, TWO_PI, windows)
+    fold = 2 * _fold_order(model)
+    intervals, _ = _excise(0.0, TWO_PI / fold, windows)
+    _, cuts = _excise(0.0, TWO_PI, windows)
     excluded_len = sum(b - a for a, b in cuts)
     # 2n zeros per 2 pi gives the average-density scale n/pi; the true window
     # mass is of this order (not a pointwise bound -- the density spikes there)
     mass_est = excluded_len * n / math.pi
 
-    n_panels = max(_MIN_PANELS, config.panels_per_degree * max(n, 1))
-    value, panels_used = _integrate_panels(
-        func, intervals, n_panels, config.nodes_per_panel
-    )
-    value2, _ = _integrate_panels(
+    n_panels = math.ceil(max(_MIN_PANELS, config.panels_per_degree * max(n, 1)) / fold)
+    cell, _ = _integrate_panels(func, intervals, n_panels, config.nodes_per_panel)
+    cell2, panels_used = _integrate_panels(
         func, intervals, 2 * n_panels, config.nodes_per_panel
     )
-    err = abs(value2 - value) + mass_est
+    value = fold * cell2
+    err = fold * abs(cell2 - cell) + mass_est
 
-    total = det_zeros + value2
+    total = det_zeros + value
     if total > 2.0 * n + 0.5:
         raise FloatingPointError(
             f"Kac-Rice total {total:.3f} exceeds the 2n ceiling for n={n}"
         )
     return KacRiceResult(
-        value=value2,
+        value=value,
         abs_error_estimate=err,
-        panels_used=panels_used * 2,
+        panels_used=fold * panels_used,
         nodes_per_panel=config.nodes_per_panel,
         excluded_windows=tuple(cuts),
         excluded_mass_estimate=mass_est,

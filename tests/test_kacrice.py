@@ -365,6 +365,165 @@ class TestClosedRoutes:
         assert periodic.total() == pytest.approx(iid.total(), rel=1e-12)
 
 
+def _route(sample):
+    """(deterministic zeros, (A, B, C) route) that expected_zeros_quadrature uses."""
+    model, n = sample.model, sample.n
+    if model.dep == "periodic" and decompose_degree(n, model.ell).factors:
+        return n + 1 - model.ell, abc_reduced
+    return 0, abc_closed
+
+
+def _whole_circle_rule(sample, config=QuadConfig()):
+    """The unfolded rule: the route over the excised circle on P and 2P panels.
+
+    Returns (total of the 2P pass, |I(2P) - I(P)|).
+    """
+    det, route = _route(sample)
+    windows, _ = kacrice._exclusion_windows(sample)
+    intervals, _ = kacrice._excise(0.0, TWO_PI, windows)
+    length = sum(b - a for a, b in intervals)
+    panels = max(64, config.panels_per_degree * sample.n)
+    values = []
+    for p in (panels, 2 * panels):
+        value = 0.0
+        for lo, hi in intervals:
+            edges = np.linspace(lo, hi, max(1, round(p * (hi - lo) / length)) + 1)
+            for first in range(0, edges.size - 1, 2048):
+                xs, ws = composite_gauss_legendre(
+                    edges[first:first + 2049], config.nodes_per_panel)
+                value += float(route(sample, xs).integrand() @ ws)
+        values.append(value)
+    return det + values[1], abs(values[1] - values[0])
+
+
+def _direct_whole_circle(sample, panels_per_degree=40):
+    """Deterministic zeros plus abc_direct over the whole circle, no windows."""
+    edges = np.linspace(0.0, TWO_PI, panels_per_degree * sample.n + 1)
+    xs, ws = composite_gauss_legendre(edges, 16)
+    return _route(sample)[0] + float(abc_direct(sample, xs).integrand() @ ws)
+
+
+class TestFoldedQuadrature:
+    """expected_zeros_quadrature integrates one symmetry cell [0, pi/q]."""
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n,q",
+        [("trig", "periodic", ell, 12 * ell + r - 1, ell)
+         for ell in range(2, 6) for r in range(ell)]
+        + [
+            ("trig", "periodic", 7, 12, 7),  # m = 1, r = 6
+            ("trig", "periodic", 5, 4, 5),  # m = 1, r = 0
+            ("cosine", "iid", None, 37, 2),
+            ("cosine", "iid", None, 60, 2),
+            ("cosine", "periodic", 3, 59, 1),  # r = 0, half-integer nu_k
+            ("cosine", "periodic", 3, 17, 1),  # r = 0, half-integer nu_k
+            ("cosine", "periodic", 4, 39, 1),  # r = 0, integer nu_k
+            ("cosine", "periodic", 7, 12, 1),  # m = 1, r = 6
+            ("cosine", "periodic", 4, 3, 1),  # m = 1, r = 0
+        ]
+        + [("cosine", "periodic", ell, 6 * ell + r - 1, 1)
+           for ell in range(2, 6) for r in range(1, ell)],
+    )
+    def test_density_is_even_and_periodic(self, kind, dep, ell, n, q):
+        """A, C and the density agree at x, 2 pi - x, 2 pi/q - x and
+        x + 2 pi/q, and B changes sign under the reflections.
+
+        The density is compared relative to the larger of itself and its
+        mean, where the discriminant AC - B^2 keeps at least 1e-2 of AC: the
+        ell = 2 cosine densities vanish at isolated points, where the square
+        root of a cancelled discriminant has no relative accuracy, and
+        x + 2 pi carries the rounding of 2 pi into the phases.
+        """
+        sample = _sample(kind, dep, n, ell=ell)
+        assert kacrice._fold_order(sample.model) == q
+        _, route = _route(sample)
+        L = 2 if ell is None else ell
+        x = (math.pi / q) * (np.arange(997) + 0.6180339887498949) / 997
+        keep = np.abs(np.sin(0.5 * L * x)) > 0.05  # off the kernel lattice
+        if route is abc_reduced and kind == "cosine":
+            keep &= np.abs(np.sin(x)) > 0.05  # off the zeros of the reduced A
+        at_x = route(sample, x[keep])
+        f = at_x.integrand()
+        scale = np.maximum(f, f.mean())
+        conditioned = at_x.discriminant() >= 1e-2 * at_x.A * at_x.C
+        scale_b = math.sqrt(at_x.A.max() * at_x.C.max())
+        for y, sign in ((TWO_PI - x, -1), (TWO_PI / q - x, -1), (x + TWO_PI / q, 1)):
+            at_y = route(sample, y[keep])
+            assert np.abs(at_y.A - at_x.A).max() < 1e-12 * at_x.A.max()
+            assert np.abs(at_y.C - at_x.C).max() < 1e-12 * at_x.C.max()
+            assert np.abs(at_y.B - sign * at_x.B).max() < 1e-12 * scale_b
+            g = at_y.integrand()
+            assert (np.abs(g - f) / scale)[conditioned].max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n",
+        [
+            ("trig", "periodic", 3, 400),
+            ("trig", "periodic", 3, 1000),
+            ("trig", "periodic", 3, 299),
+            ("cosine", "periodic", 3, 1199),
+            ("cosine", "iid", None, 200),
+            ("cosine", "iid", None, 400),
+            ("cosine", "periodic", 3, 201),
+            ("trig", "periodic", 4, 402),
+            ("trig", "periodic", 5, 402),
+            ("trig", "periodic", 7, 12),
+            ("trig", "periodic", 5, 7),
+            ("cosine", "periodic", 4, 402),
+            ("cosine", "periodic", 7, 12),
+            ("cosine", "iid", None, 2),
+        ],
+    )
+    def test_matches_the_whole_circle_rule(self, kind, dep, ell, n):
+        sample = _sample(kind, dep, n, ell=ell)
+        res = expected_zeros_quadrature(sample)
+        want, _ = _whole_circle_rule(sample)
+        assert res.total() == pytest.approx(want, rel=1e-12, abs=0.0)
+        windows, _ = kacrice._exclusion_windows(sample)
+        _, cuts = kacrice._excise(0.0, TWO_PI, windows)
+        assert res.excluded_windows == tuple(cuts)
+        assert res.excluded_mass_estimate == sum(b - a for a, b in cuts) * n / math.pi
+        fold = 2 * kacrice._fold_order(sample.model)
+        assert res.panels_used % fold == 0
+        assert abs(res.panels_used - 2 * max(64, 8 * n)) <= 2 * fold
+
+    def test_moved_panel_edge_stays_within_the_doubling_gap(self):
+        """cosine ell = 5, n = 401: the circle rule puts an odd panel count on
+        the interval around pi, which the cell cuts at a panel edge, so the
+        nodes differ; the totals then agree to the doubling gap of the rule,
+        not to roundoff."""
+        sample = _sample("cosine", "periodic", 401, ell=5)
+        want, gap = _whole_circle_rule(sample)
+        assert abs(expected_zeros_quadrature(sample).total() - want) <= gap
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n",
+        [
+            ("trig", "periodic", 3, 100),  # r = 1
+            ("trig", "periodic", 4, 41),  # r = 2
+            ("trig", "periodic", 3, 59),  # r = 0: reduced route
+            ("trig", "periodic", 2, 39),  # r = 0: reduced route
+            ("trig", "periodic", 7, 12),  # m = 1
+            ("trig", "periodic", 5, 7),  # m = 1
+            ("cosine", "iid", None, 37),
+            ("cosine", "iid", None, 60),
+            ("cosine", "periodic", 3, 61),  # r = 2
+            ("cosine", "periodic", 5, 41),  # r = 2
+            ("cosine", "periodic", 3, 59),  # r = 0: reduced route
+            ("cosine", "periodic", 4, 39),  # r = 0: reduced route
+            ("cosine", "periodic", 7, 12),  # m = 1
+            ("cosine", "periodic", 5, 4),  # m = 1
+        ],
+    )
+    def test_within_its_estimate_of_the_direct_whole_circle(self, kind, dep, ell, n):
+        """Against abc_direct on 40n panels over the circle, no windows; the
+        estimate gets a 1e-12 relative floor for roundoff where it is 0."""
+        sample = _sample(kind, dep, n, ell=ell)
+        res = expected_zeros_quadrature(sample)
+        want = _direct_whole_circle(sample)
+        assert abs(res.total() - want) <= res.abs_error_estimate + 1e-12 * want
+
+
 def _peak_mb(func):
     tracemalloc.start()
     try:
