@@ -35,7 +35,6 @@ from .zeros import (
 from .kacrice import (
     AbcTriple,
     KacRiceResult,
-    QuadConfig,
     abc_closed,
     abc_direct,
     abc_reduced,

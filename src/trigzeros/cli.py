@@ -35,7 +35,7 @@ from .harness import (
     report_to_json,
     run_experiment,
 )
-from .kacrice import QuadConfig, expected_zeros_quadrature
+from .kacrice import expected_zeros_quadrature
 from .models import (
     CoefficientModel,
     decompose_degree,
@@ -101,7 +101,10 @@ def _check_remainder(parser, model, degrees, expected_r):
     if model.dep != "periodic":
         parser.error("--r only applies to the periodic model")
     for n in degrees:
-        got = decompose_degree(n, model.ell).r
+        try:
+            got = decompose_degree(n, model.ell).r
+        except ValueError as exc:
+            parser.error(str(exc))
         if got != expected_r:
             parser.error(
                 f"degree n={n} with ell={model.ell} leaves remainder {got}, "
@@ -181,19 +184,21 @@ def _cmd_kacrice(parser, args):
     model = _resolve_model_args(parser, args)
     degrees = tuple(args.n) if args.n else (100,)
     _check_remainder(parser, model, degrees, args.r)
-    quad = QuadConfig(
-        panels_per_degree=args.panels_per_degree,
-        nodes_per_panel=args.nodes_per_panel,
-    )
+    try:  # the draws are never used; drawing checks each degree
+        samples = [sample_coefficients(model, n, seed=0) for n in degrees]
+    except ValueError as exc:
+        parser.error(str(exc))
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
-    for n in degrees:
-        sample = sample_coefficients(model, n, seed=0)  # draws never used
+    for sample in samples:
         try:
-            res = expected_zeros_quadrature(sample, quad)
+            res = expected_zeros_quadrature(sample)
         except (ValueError, FloatingPointError) as exc:
-            print(f"n={n}: {exc}", file=sys.stderr)
+            print(f"n={sample.n}: {exc}", file=sys.stderr)
             return 2
-        rows.append((n, res))
+        rows.append((sample.n, res))
 
     if args.format == "json":
         import json
@@ -337,8 +342,6 @@ def build_parser() -> _Parser:
 
     p_kr = sub.add_parser("kacrice", help="expected zeros by quadrature")
     _add_model_arguments(p_kr)
-    p_kr.add_argument("--panels-per-degree", type=int, default=8)
-    p_kr.add_argument("--nodes-per-panel", type=int, default=16)
     p_kr.add_argument("--format", choices=("csv", "json"), default="csv")
     p_kr.add_argument("--out", default=None)
 

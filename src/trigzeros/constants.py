@@ -54,11 +54,15 @@ import math
 import numpy as np
 
 from .models import CoefficientModel, decompose_degree
-from .kacrice import _BLOCK_POINTS, composite_gauss_legendre, expected_zeros_exact_r0
+from .kacrice import (
+    _BLOCK_POINTS, _NODES, composite_gauss_legendre, expected_zeros_exact_r0,
+)
 from .trigpoly import u_ell
 
 _GRADE_LEVELS = 40
-_NODES = 16
+# Monte Carlo points per block of u, v draws.  The block size sets the order
+# in which the stream is consumed, so it is part of the estimate, not a knob.
+_MC_CHUNK = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +261,7 @@ def _limit_integrand_k(ell: int, s, t):
     return np.sqrt(v, out=v)
 
 
-def monte_carlo_C(
-    ell: int,
-    r: int,
-    n_points: int = 10_000_000,
-    seed: int = 0,
-    chunk: int = 1_000_000,
-):
+def monte_carlo_C(ell: int, r: int, n_points: int = 10_000_000, seed: int = 0):
     """Monte Carlo estimate of compute_C with a trustworthy standard error.
 
     The raw integrand spikes like 1/distance at the square's corners, which
@@ -279,42 +277,27 @@ def monte_carlo_C(
     if not 0 < r < ell:
         raise ValueError(f"need 0 < r < ell, got ell={ell}, r={r}")
     return _mc_smoothstep_square(
-        lambda s, t: limit_integrand_g(ell, r, s, t),
-        math.pi,
-        math.pi,
-        n_points,
-        seed,
-        chunk,
+        lambda s, t: limit_integrand_g(ell, r, s, t), math.pi, math.pi, n_points, seed
     )
 
 
-def monte_carlo_K(
-    ell: int,
-    n_points: int = 10_000_000,
-    seed: int = 0,
-    chunk: int = 1_000_000,
-):
+def monte_carlo_K(ell: int, n_points: int = 10_000_000, seed: int = 0):
     """Monte Carlo estimate of compute_K, same variance taming as above."""
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
     return _mc_smoothstep_square(
-        lambda s, t: _limit_integrand_k(ell, s, t),
-        math.pi / 2,
-        math.pi,
-        n_points,
-        seed,
-        chunk,
+        lambda s, t: _limit_integrand_k(ell, s, t), math.pi / 2, math.pi, n_points, seed
     )
 
 
-def _mc_smoothstep_square(func, s_hi, t_hi, n_points, seed, chunk):
+def _mc_smoothstep_square(func, s_hi, t_hi, n_points, seed):
     rng = np.random.default_rng(np.random.Philox(key=seed & (2**64 - 1)))
     norm = s_hi * t_hi / math.pi**2
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_points:
-        take = min(chunk, n_points - done)
+        take = min(_MC_CHUNK, n_points - done)
         u = rng.uniform(0.0, 1.0, take)
         v = rng.uniform(0.0, 1.0, take)
         s = s_hi * (3.0 * u * u - 2.0 * u**3)

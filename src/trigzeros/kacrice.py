@@ -11,13 +11,15 @@ cancels in the ratio, so everything here is sigma-free.
 Three evaluation routes for (A, B, C):
 
 * ``abc_closed``   -- closed forms for every raw (unfactored) model, O(1) to
-  O(ell) work per point.  i.i.d. cosine goes through K(t) = sum_{j<=n} cos jt
-  at t = 2x.  The periodic models go through one core over the ell grouped
-  directions sum_t cos((k + ell t) x) = phi_M(x) cos(nu_k x) (and the sine
-  twins for trig), (M_k, 2 nu_k) from PeriodDecomposition.directions, with
-  phi_M and phi_M' from one lattice reduction (trigpoly.dirichlet_pair) per
-  distinct M.  The cosine forms sum the few nodes within 1/n of the kernel
-  lattice literally.
+  O(ell) work per point.  Every model but i.i.d. cosine goes through one
+  core over the ell grouped directions sum_t cos((k + ell t) x) =
+  phi_M(x) cos(nu_k x) (and the sine twins for trig), (M_k, 2 nu_k) from
+  PeriodDecomposition.directions, with phi_M and phi_M' from one lattice
+  reduction (trigpoly.dirichlet_pair) per distinct M; i.i.d. trig is the
+  vacuous period ell = n + 1, where every M is 1.  i.i.d. cosine goes
+  through K(t) = sum_{j<=n} cos jt at t = 2x, and sums the few nodes within
+  1/n of the kernel lattice literally: the only use of the literal sums
+  outside the oracle.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0: the same core
   over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0.
@@ -29,11 +31,13 @@ Three evaluation routes for (A, B, C):
   against, and the full-circle reference of the benchmark.  No module of
   the package calls it, the acceptance battery included.
 
-``expected_zeros_quadrature`` integrates the appropriate route with composite
-Gauss-Legendre panels sized to the oscillation scale (panel width ~ 1/n) over
-one symmetry cell [0, pi/q] of the density, and multiplies by 2q: the
-density of every route it calls is even and 2 pi/q-periodic, so the circle
-holds 2q mirror copies of the cell.  The fold order q is
+``expected_zeros_quadrature`` integrates the appropriate route with one fixed
+rule: _NODES-point Gauss-Legendre on _PANELS_PER_DEGREE panels per degree
+(panel width ~ 1/n, the oscillation scale), then on twice as many for the
+error estimate.  It integrates one symmetry cell [0, pi/q] of the density
+and multiplies by 2q: the density of every route it calls is even and
+2 pi/q-periodic, so the circle holds 2q mirror copies of the cell.  The
+fold order q is
 
 * ell for periodic trig, both routes and every r and m: the directions
   phi_M(x) cos(nu x), phi_M(x) sin(nu x) enter A, B, C only through phi_M^2,
@@ -64,9 +68,9 @@ excised length.
 
 ``composite_gauss_legendre`` is the one quadrature rule of the package: the
 Kac-Rice integrals use it on uniform panels, the limit constants of the
-``constants`` module on dyadically graded ones.  Both evaluate their
-integrands in blocks of at most _BLOCK_POINTS nodes, so memory stays at a
-few MB whatever the degree.
+``constants`` module on dyadically graded ones, both with _NODES points
+per panel.  Both evaluate their integrands in blocks of at most
+_BLOCK_POINTS nodes, so memory stays at a few MB whatever the degree.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ TWO_PI = 2.0 * math.pi
 
 _DIRECT_CHUNK_BUDGET = 500_000  # max elements per (points x frequencies) block
 _BLOCK_POINTS = 1 << 15  # max integrand nodes per quadrature block
+_NODES = 16  # Gauss-Legendre nodes per panel, here and in constants
+_PANELS_PER_DEGREE = 8  # first-pass panels per degree over the circle
 _MIN_PANELS = 64  # panel floor of the first pass at small n
 
 
@@ -99,7 +105,6 @@ class AbcTriple:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    x: np.ndarray
 
     def discriminant(self) -> np.ndarray:
         """A*C - B^2, clamped to zero when negative within roundoff."""
@@ -179,8 +184,7 @@ def _literal_sums(sample: PolySample, x: np.ndarray):
 def abc_direct(sample: PolySample, x) -> AbcTriple:
     """Literal O(n)-per-point sums.  Oracle route; no closed-form shortcuts."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    A, B, C = _literal_sums(sample, x)
-    return AbcTriple(A=A, B=B, C=C, x=x)
+    return AbcTriple(*_literal_sums(sample, x))
 
 
 def _iid_constants(n: int):
@@ -249,64 +253,52 @@ def _grouped_abc(kind: str, ell: int, directions, x: np.ndarray):
 
 
 def _cosine_closed(sample: PolySample, x: np.ndarray) -> AbcTriple:
-    """Cosine closed forms, with literal sums within 1/n of the lattice.
+    """i.i.d. cosine forms, with literal sums within 1/n of the lattice.
 
-    The kernels are singular where sin(L x/2) = 0 (L = 2 for the i.i.d.
-    K(2x), L = ell for the periodic phi_M); for |sin(L x/2)| < 1/n the
-    derivatives cancel to roundoff, and the few nodes there are summed
-    literally instead.
+    Next to x = 0 and pi, C = (S2 + K''(2x))/2 cancels two terms of size
+    about n^3/3 (K''(0) = -S2), and phi'' divides phi' by sin x: 1e-12
+    from 2 pi the closed C reads -1.2e-4 at n = 1 and -1316 at n = 400,
+    where the literal sums give 1e-24 and 2e-12.  The few nodes with
+    |sin x| < 1/n are summed literally instead.
     """
-    n = sample.n
-    model = sample.model
-    L = 2 if model.dep == "iid" else model.ell
-    near = np.abs(np.sin(0.5 * L * x)) < 1.0 / n
+    near = np.abs(np.sin(x)) < 1.0 / sample.n
     far = ~near
     A = np.empty_like(x)
     B = np.empty_like(x)
     C = np.empty_like(x)
-    if model.dep == "iid":
-        A[far], B[far], C[far] = _iid_cosine_abc(n, x[far])
-    else:
-        A[far], B[far], C[far] = _grouped_abc(
-            "cosine", model.ell, decompose_degree(n, model.ell).directions(), x[far])
+    A[far], B[far], C[far] = _iid_cosine_abc(sample.n, x[far])
     if near.any():
         A[near], B[near], C[near] = _literal_sums(sample, x[near])
-    return AbcTriple(A=A, B=B, C=C, x=x)
+    return AbcTriple(A=A, B=B, C=C)
 
 
 def abc_closed(sample: PolySample, x) -> AbcTriple:
     """O(1)-to-O(ell)-per-point closed forms for the raw (unfactored) polynomial.
 
-    i.i.d. trig: A = n+1, B = 0, C = n(n+1)(2n+1)/6.
+    Every model but i.i.d. cosine: the sums over the ell grouped directions
+    g_k = phi_M(x) cos(nu_k x) (and h_k = phi_M(x) sin(nu_k x) for trig),
+    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2
+    (PeriodDecomposition.directions); see _grouped_abc.  phi_M and phi_M'
+    come from dirichlet_pair, one lattice reduction per distinct M, whose
+    series keeps them accurate up to the lattice itself.  i.i.d. trig is
+    the vacuous period ell = n+1: every M is 1, so A = n+1, B = 0 and
+    C = sum_{j<=n} j^2 = n(n+1)(2n+1)/6, all exact.
 
     i.i.d. cosine: the covariance is (K(x-y) + K(x+y))/2 with
     K(t) = sum_{j<=n} cos jt = phi_{n+1}(t; 1) cos(n t/2), so
 
         A = (n + 1 + K(2x))/2,  B = K'(2x)/2,  C = (S2 + K''(2x))/2,
 
-    S2 = n(n+1)(2n+1)/6.
-
-    Periodic: the sums over the ell grouped directions
-    g_k = phi_M(x) cos(nu_k x) (and h_k = phi_M(x) sin(nu_k x) for trig),
-    M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2
-    (PeriodDecomposition.directions); see _grouped_abc.  phi_M and phi_M'
-    come from dirichlet_pair, one lattice reduction per distinct M.
-
-    Both cosine forms lose their derivatives to cancellation next to the
-    kernel lattice; the nodes with |sin s| < 1/n there are summed
-    literally (see _cosine_closed).
+    S2 = n(n+1)(2n+1)/6.  C cancels next to x = 0 and pi, where the nodes
+    with |sin x| < 1/n are summed literally (see _cosine_closed).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     model = sample.model
-    if model.kind == "cosine":
+    if model.dep == "iid" and model.kind == "cosine":
         return _cosine_closed(sample, x)
-    if model.dep == "iid":
-        A0, C0 = _iid_constants(sample.n)
-        full = np.full_like(x, A0)
-        return AbcTriple(A=full, B=np.zeros_like(x), C=np.full_like(x, C0), x=x)
-    dec = decompose_degree(sample.n, model.ell)
-    A, B, C = _grouped_abc("trig", dec.ell, dec.directions(), x)
-    return AbcTriple(A=A, B=B, C=C, x=x)
+    ell = model.ell if model.dep == "periodic" else sample.n + 1
+    directions = decompose_degree(sample.n, ell).directions()
+    return AbcTriple(*_grouped_abc(model.kind, ell, directions, x))
 
 
 def abc_reduced(sample: PolySample, x) -> AbcTriple:
@@ -322,8 +314,7 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     red = reduce_periodic(sample)  # raises unless periodic with r = 0
     directions = (np.ones_like(red.freq_twice), red.freq_twice)
-    A, B, C = _grouped_abc(sample.model.kind, red.ell, directions, x)
-    return AbcTriple(A=A, B=B, C=C, x=x)
+    return AbcTriple(*_grouped_abc(sample.model.kind, red.ell, directions, x))
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +323,10 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    """Composite Gauss-Legendre settings.
-
-    panels_per_degree scales panel count with n (the integrand oscillates at
-    wavelength ~ 2 pi / n).
-    """
-
-    panels_per_degree: int = 8
-    nodes_per_panel: int = 16
-
-
-@dataclass(frozen=True)
 class KacRiceResult:
     value: float
     abs_error_estimate: float
     panels_used: int
-    nodes_per_panel: int
     excluded_windows: tuple = ()
     excluded_mass_estimate: float = 0.0
     deterministic_zeros: int = 0
@@ -381,20 +359,21 @@ def composite_gauss_legendre(edges: np.ndarray, nodes: int):
     return xs, ws
 
 
-def _integrate_panels(func, intervals, n_panels_total: int, nodes: int):
-    """Integrate func over the union of intervals with ~n_panels_total panels.
+def _integrate_panels(func, intervals, n_panels_total: int):
+    """Integrate func over the union of intervals with ~n_panels_total panels
+    of _NODES points.
 
     func sees at most _BLOCK_POINTS nodes per call.
     """
     total_len = sum(hi - lo for lo, hi in intervals)
-    block = max(1, _BLOCK_POINTS // nodes)
+    block = _BLOCK_POINTS // _NODES
     value = 0.0
     panels_used = 0
     for lo, hi in intervals:
         share = max(1, int(round(n_panels_total * (hi - lo) / total_len)))
         edges = np.linspace(lo, hi, share + 1)
         for first in range(0, share, block):
-            xs, ws = composite_gauss_legendre(edges[first:first + block + 1], nodes)
+            xs, ws = composite_gauss_legendre(edges[first:first + block + 1], _NODES)
             value += float(np.dot(func(xs), ws))
         panels_used += share
     return value, panels_used
@@ -452,9 +431,7 @@ def _fold_order(model) -> int:
     return 2 if model.dep == "iid" else 1
 
 
-def expected_zeros_quadrature(
-    sample: PolySample, config: QuadConfig | None = None
-) -> KacRiceResult:
+def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     """E[number of zeros on (0, 2 pi)] by Kac-Rice quadrature.
 
     Dispatch:
@@ -472,38 +449,28 @@ def expected_zeros_quadrature(
     The routes are integrated over the symmetry cell [0, pi/q] of the
     density (q = ell for periodic trig, 2 for i.i.d. cosine, 1 for periodic
     cosine) and the cell integral I is multiplied by 2q.  The cell gets
-    ceil(P/(2q)) panels in the first pass and twice that in the second, P
-    being the whole-circle panel count of the config, so the panel width is
-    that of a whole-circle rule.  The error estimate is 2q |I(2P) - I(P)|
+    ceil(P/(2q)) panels of _NODES points in the first pass and twice that
+    in the second, P = max(_MIN_PANELS, _PANELS_PER_DEGREE n) being the
+    whole-circle panel count, so the panel width is that of a whole-circle
+    rule.  The error estimate is 2q |I(2P) - I(P)|
     from panel doubling plus the excised mass estimate (n/pi per unit
     length, the circle-average density scale).  excluded_windows lists the
     cuts of the whole circle and panels_used counts the panels of the
     second pass over the whole circle, 2q per cell panel.
     """
-    config = config or QuadConfig()
     model = sample.model
     n = sample.n
 
     if model.dep == "iid" and model.kind == "trig":
         A0, C0 = _iid_constants(n)
         value = 2.0 * math.sqrt(C0 / A0)
-        return KacRiceResult(
-            value=value,
-            abs_error_estimate=0.0,
-            panels_used=0,
-            nodes_per_panel=0,
-        )
+        return KacRiceResult(value=value, abs_error_estimate=0.0, panels_used=0)
 
     if model.dep == "periodic" and model.kind == "cosine" and model.ell == 1:
         # rank one: every draw is a_0 sum_{j<=n} cos jx = a_0 phi_{n+1}(x)
         # cos(nx/2), whose 2n zeros (with multiplicity) are deterministic
-        return KacRiceResult(
-            value=0.0,
-            abs_error_estimate=0.0,
-            panels_used=0,
-            nodes_per_panel=0,
-            deterministic_zeros=2 * n,
-        )
+        return KacRiceResult(value=0.0, abs_error_estimate=0.0, panels_used=0,
+                             deterministic_zeros=2 * n)
 
     det_zeros = 0
     windows, _ = _exclusion_windows(sample)
@@ -523,11 +490,9 @@ def expected_zeros_quadrature(
     # mass is of this order (not a pointwise bound -- the density spikes there)
     mass_est = excluded_len * n / math.pi
 
-    n_panels = math.ceil(max(_MIN_PANELS, config.panels_per_degree * max(n, 1)) / fold)
-    cell, _ = _integrate_panels(func, intervals, n_panels, config.nodes_per_panel)
-    cell2, panels_used = _integrate_panels(
-        func, intervals, 2 * n_panels, config.nodes_per_panel
-    )
+    n_panels = math.ceil(max(_MIN_PANELS, _PANELS_PER_DEGREE * n) / fold)
+    cell, _ = _integrate_panels(func, intervals, n_panels)
+    cell2, panels_used = _integrate_panels(func, intervals, 2 * n_panels)
     value = fold * cell2
     err = fold * abs(cell2 - cell) + mass_est
 
@@ -540,7 +505,6 @@ def expected_zeros_quadrature(
         value=value,
         abs_error_estimate=err,
         panels_used=fold * panels_used,
-        nodes_per_panel=config.nodes_per_panel,
         excluded_windows=tuple(cuts),
         excluded_mass_estimate=mass_est,
         deterministic_zeros=det_zeros,

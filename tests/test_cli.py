@@ -119,6 +119,30 @@ def test_kacrice_iid_cosine_large_degree(capsys):
     assert float(cells[3]) == pytest.approx(2 * math.sqrt(1000 * 2001 / 6), rel=5e-3)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["kacrice", "--n", "0"], "degree must be >= 1"),
+        (["kacrice", "--ell", "5", "--n", "3"], "fewer than one period"),
+        (["kacrice", "--ell", "5", "--n", "3", "--r", "0"], "fewer than one period"),
+        (["count", "--ell", "5", "--n", "3", "--r", "0"], "fewer than one period"),
+        (["kacrice", "--nodes-per-panel", "0"], "unrecognized arguments"),
+    ],
+)
+def test_bad_degrees_are_usage_errors(capsys, argv, message):
+    """Degrees are checked before any quadrature (exit 1, no traceback); the
+    quadrature rule is fixed and takes no flags."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_kacrice_draw_overflow_exits_2(capsys):
+    assert main(["kacrice", "--sigma", "1e308"]) == 2
+    assert "overflows the double range" in capsys.readouterr().err
+
+
 def test_constants_shortcuts(capsys):
     assert main(["constants", "--what", "K", "--ell", "1"]) == 0
     assert "0.5" in capsys.readouterr().out

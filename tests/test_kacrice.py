@@ -15,7 +15,6 @@ from trigzeros.models import (
 from trigzeros.kacrice import (
     TWO_PI,
     AbcTriple,
-    QuadConfig,
     abc_closed,
     abc_direct,
     abc_reduced,
@@ -74,7 +73,7 @@ def abc_leading_order(sample, x) -> AbcTriple:
         + ell * phid * phid
     )
     B = np.sign(ell * phi * phid) * np.sqrt(np.maximum(B2, 0.0))
-    return AbcTriple(A=A, B=B, C=C, x=x)
+    return AbcTriple(A=A, B=B, C=C)
 
 
 def limit_integrand_fpm(ell, n, x, sign):
@@ -99,8 +98,9 @@ def _beside(centers):
     return x[(x > 0) & (x < TWO_PI)]
 
 
-def _assert_closed_matches_direct(sample, x):
-    d = abc_direct(sample, x)
+def _assert_closed_matches_direct(sample, x, d=None):
+    """abc_closed against abc_direct, or against d when given."""
+    d = abc_direct(sample, x) if d is None else d
     c = abc_closed(sample, x)
     scale_a = np.maximum(np.abs(d.A), 1.0)
     scale_b = np.maximum(np.abs(d.B), float(sample.n))
@@ -155,6 +155,28 @@ class TestClosedVersusDirect:
             n = 12 * ell + r - 1
             assert decompose_degree(n, ell).r == r
             _assert_closed_matches_direct(_sample("cosine", "periodic", n, ell=ell), x)
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize(
+        "ell,n",
+        [(3, 100), (5, 102), (3, 59), (4, 39), (7, 12), (5, 4)],
+        ids=["r2", "r3", "r0-m20", "r0-m10", "m1-r6", "m1-r0"],
+    )
+    def test_periodic_beside_the_lattice_without_literal_sums(
+        self, monkeypatch, kind, ell, n
+    ):
+        """The grouped core alone reproduces the oracle up to 1e-12 from the
+        lattice: dirichlet_pair's series keeps phi_M' accurate there, so no
+        node falls back to the literal sums."""
+        sample = _sample(kind, "periodic", n, ell=ell)
+        x = _beside(TWO_PI * np.arange(ell + 1) / ell)
+        direct = abc_direct(sample, x)
+
+        def refuse(sample, x):
+            raise AssertionError("periodic abc_closed summed literally")
+
+        monkeypatch.setattr(kacrice, "_literal_sums", refuse)
+        _assert_closed_matches_direct(sample, x, d=direct)
 
 
 class TestReducedForms:
@@ -287,10 +309,12 @@ class TestQuadrature:
             rep = count_zeros(s)
             assert (rep.count, rep.stable) == (2 * n, True)
 
-    def test_panel_doubling_self_consistency(self):
+    def test_panel_doubling_self_consistency(self, monkeypatch):
         s = _sample("cosine", "iid", 60)
-        v8 = expected_zeros_quadrature(s, QuadConfig(panels_per_degree=8))
-        v16 = expected_zeros_quadrature(s, QuadConfig(panels_per_degree=16))
+        v8 = expected_zeros_quadrature(s)
+        monkeypatch.setattr(kacrice, "_PANELS_PER_DEGREE", 16)
+        v16 = expected_zeros_quadrature(s)
+        assert v16.panels_used == 2 * v8.panels_used
         assert abs(v8.value - v16.value) < 1e-6
 
     def test_lattice_windows_reported_for_nonzero_r(self):
@@ -373,7 +397,7 @@ def _route(sample):
     return 0, abc_closed
 
 
-def _whole_circle_rule(sample, config=QuadConfig()):
+def _whole_circle_rule(sample):
     """The unfolded rule: the route over the excised circle on P and 2P panels.
 
     Returns (total of the 2P pass, |I(2P) - I(P)|).
@@ -382,7 +406,7 @@ def _whole_circle_rule(sample, config=QuadConfig()):
     windows, _ = kacrice._exclusion_windows(sample)
     intervals, _ = kacrice._excise(0.0, TWO_PI, windows)
     length = sum(b - a for a, b in intervals)
-    panels = max(64, config.panels_per_degree * sample.n)
+    panels = max(kacrice._MIN_PANELS, kacrice._PANELS_PER_DEGREE * sample.n)
     values = []
     for p in (panels, 2 * panels):
         value = 0.0
@@ -390,7 +414,7 @@ def _whole_circle_rule(sample, config=QuadConfig()):
             edges = np.linspace(lo, hi, max(1, round(p * (hi - lo) / length)) + 1)
             for first in range(0, edges.size - 1, 2048):
                 xs, ws = composite_gauss_legendre(
-                    edges[first:first + 2049], config.nodes_per_panel)
+                    edges[first:first + 2049], kacrice._NODES)
                 value += float(route(sample, xs).integrand() @ ws)
         values.append(value)
     return det + values[1], abs(values[1] - values[0])
