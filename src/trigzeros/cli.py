@@ -95,17 +95,21 @@ def _resolve_model_args(parser, args):
     return model
 
 
-def _check_remainder(parser, model, degrees, expected_r):
-    if expected_r is None:
-        return
-    if model.dep != "periodic":
+def _check_degrees(parser, model, degrees, expected_r):
+    """Usage errors for a degree below 1, below one period of a periodic
+    model, or with a block remainder other than --r."""
+    if expected_r is not None and model.dep != "periodic":
         parser.error("--r only applies to the periodic model")
     for n in degrees:
+        if n < 1:
+            parser.error(f"degree must be >= 1, got n={n}")
+        if model.dep != "periodic":
+            continue
         try:
             got = decompose_degree(n, model.ell).r
         except ValueError as exc:
             parser.error(str(exc))
-        if got != expected_r:
+        if expected_r is not None and got != expected_r:
             parser.error(
                 f"degree n={n} with ell={model.ell} leaves remainder {got}, "
                 f"not the requested r={expected_r}"
@@ -161,7 +165,7 @@ def _cmd_simulate(parser, args):
         config.validate()
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    _check_remainder(parser, config.model(), config.degrees, args.r)
+    _check_degrees(parser, config.model(), config.degrees, args.r)
 
     try:
         report = run_experiment(config)
@@ -183,11 +187,9 @@ def _cmd_simulate(parser, args):
 def _cmd_kacrice(parser, args):
     model = _resolve_model_args(parser, args)
     degrees = tuple(args.n) if args.n else (100,)
-    _check_remainder(parser, model, degrees, args.r)
-    try:  # the draws are never used; drawing checks each degree
+    _check_degrees(parser, model, degrees, args.r)
+    try:
         samples = [sample_coefficients(model, n, seed=0) for n in degrees]
-    except ValueError as exc:
-        parser.error(str(exc))
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -276,7 +278,7 @@ def _cmd_constants(parser, args):
 def _cmd_count(parser, args):
     model = _resolve_model_args(parser, args)
     n = args.n[-1] if args.n else 100
-    _check_remainder(parser, model, (n,), args.r)
+    _check_degrees(parser, model, (n,), args.r)
     if args.grid_per_degree < 1:
         parser.error("--grid-per-degree must be >= 1")
     try:

@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise ValueError("at least one degree is required")
         if any(n < 1 for n in self.degrees):
             raise ValueError("degrees must be positive")
+        if self.dep == "periodic":
+            for n in self.degrees:  # each must hold one full period
+                decompose_degree(n, self.ell)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.workers < 1:

@@ -26,7 +26,7 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  O(N log N) total; exact coefficient
                                  folding covers N <= 2n.  The i.i.d.
                                  and r != 0 counting routes certify
-                                 their counts from T, T', T'' on one
+                                 their counts from T and T' on one
                                  grid; the r = 0 route counts T* from
                                  its carrier phase
                                  (zeros.carrier_phase) without a grid.
@@ -81,6 +81,11 @@ SINGULARITY_EPS = 1e-8
 _PAIR_SERIES_WINDOW = 0.05
 
 _CHUNK_BUDGET = 4_000_000  # max elements per (points x frequencies) block
+
+# evaluate_jet: max doubles per block of points (a complex element counts
+# twice), so a block's temporaries stay near 0.5 MB; larger blocks are no
+# faster and only raise the peak memory
+_JET_BLOCK = 1 << 16
 
 
 def _eval_series_freq(a, b, freqs, x):
@@ -174,7 +179,7 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     a second product.  The magnitudes binom(k, i) (B p)^(k-i) q^i sum to
     j^k with no cancellation, so the rounding error is relative to
     sum_j j^k |c_j| as for a dense sum (zeros states the bound).  Blocks
-    of points hold no more bytes than 4e6 doubles.  The coefficients come
+    of points hold no more than _JET_BLOCK doubles.  The coefficients come
     normalized (PolySample.normalized) and the rows are scaled back by
     2^e, which is exact.  Returns an array of shape (order + 1, x.size).
     """
@@ -188,7 +193,7 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     coeffs = coeffs.reshape(P, B).T
     w = weights[:rows, :, :rows].reshape(rows * P, rows)
     out = np.empty((rows, x_arr.size))
-    chunk = max(1, _CHUNK_BUDGET // (2 * max(rows * max(B, P), B + P)))
+    chunk = max(1, _JET_BLOCK // (2 * max(rows * max(B, P), B + P)))
     for lo in range(0, x_arr.size, chunk):
         ang = np.outer(x_arr[lo:lo + chunk], exponents)
         phases = np.empty(ang.shape, dtype=complex)

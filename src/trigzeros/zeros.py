@@ -9,10 +9,10 @@ grid x_i = 2 pi (i + g)/N, wrap cell (x_{N-1}, x_0 + 2 pi) included,
 with g = GRID_OFFSET the golden section.
 N = smooth_size(max(256, grid_per_degree * n)) is the smallest 5-smooth
 size (no prime factor above 5) with at least grid_per_degree nodes per
-degree, so the real FFT never meets an awkward length.  T, T' and T''
-are read once on this grid (trigpoly.evaluate_on_grid with order 0, 1
-and 2: three transforms of N nodes, whatever the sample), after the
-coefficients are scaled by a power of two so that the largest is O(1).
+degree, so the real FFT never meets an awkward length.  T and T' are
+read once on this grid (trigpoly.evaluate_on_grid with order 0 and 1:
+two transforms of N nodes, whatever the sample), after the coefficients
+are scaled by a power of two so that the largest is O(1).
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -21,27 +21,34 @@ undecided.  The proof rests on
       delta_0)/(1 - (nh)^2/8) with h = 2 pi/N (at the maximizer T' = 0,
       and a node lies within h/2 of it);
   Bernstein's inequality max |T^(k)| <= n^k M;
-  the cubic Hermite interpolant of T^(k) from its values and slopes at
-      the cell ends, which misses T^(k) by at most w^4 n^(k+4) M/384 and
-      lies in the hull of its Bezier control points f_0, f_0 + w f_0'/3,
-      f_1 - w f_1'/3, f_1.
+  the cubic Hermite interpolant p_k of T^(k) from its values and slopes
+      at the cell ends, which misses T^(k) by at most w^4 n^(k+4) M/384
+      and lies in the hull of its Bezier control points f_0, f_0 +
+      w f_0'/3, f_1 - w f_1'/3, f_1;
+  the slope p_0', which misses T' by at most sqrt(3)/216 w^3 n^4 M (G.
+      Birkhoff and A. Priver, Hermite interpolation errors for
+      derivatives, J. Math. Phys. 46, 1967) and lies in the hull of its
+      quadratic Bezier control points f_0', 3 (f_1 - f_0)/w - f_0' -
+      f_1', f_1'.
 
-A cell holds no zero when the control points of T clear w^4 n^4 M/384
-plus rounding with one sign.  It holds exactly its change of sign bit
-when those of T' (with T'') clear w^4 n^5 M/384 plus rounding, so that T
-is monotone; a node value within rounding of 0 between two monotone
-cells may move a zero to the neighbouring cell but not change the
-total.  On the base grid this leaves 0-2 cells per trial, beside close
-zero pairs.  Those are bisected locally, at most max_doublings times,
-with T', T'' and the third derivative summed pointwise through the
-two-level power table of trigpoly.evaluate_jet, and T too except at the
-grid nodes, which keep their grid values so that each node has one sign.  A
-sub-cell is certified only with both end values beyond rounding, by the
-two tests above or, where the control points of T'' clear
-w^4 n^6 M/384, as convex or concave: with a sign change
-it holds one zero, and with none it holds 0 or 2, which the value and
-tangent of T at the secant estimate of its critical point decide.  The
-rounding bounds are
+A cell holds no zero when the control points of p_0 clear
+w^4 n^4 M/384 plus rounding with one sign.  On the base grid it holds
+exactly its change of sign bit when those of p_0' clear
+sqrt(3)/216 w^3 n^4 M plus rounding, so that T is monotone; a node value
+within rounding of 0 between two monotone cells may move a zero to the
+neighbouring cell but not change the total.  This leaves a few cells
+per trial beside close zero pairs, more on periodic samples, whose M
+the lattice spike sets.  Those are bisected locally, at most
+max_doublings times, with T', T'' and the third derivative summed
+pointwise through the two-level power table of trigpoly.evaluate_jet,
+and T too except at the grid nodes, which keep their grid values so
+that each node has one sign.  A sub-cell is certified only with both
+end values beyond rounding: as zero-free by the test above, as
+monotone where the control points of p_1 clear w^4 n^5 M/384, or, where
+those of p_2 clear w^4 n^6 M/384, as convex or concave: with a sign
+change it holds one zero, and with none it holds 0 or 2, which the
+value and tangent of T at the secant estimate of its critical point
+decide.  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes);
@@ -141,11 +148,15 @@ GRID_OFFSET = (np.sqrt(5.0) - 1.0) / 2.0
 
 # grid route: the unit roundoff and the constants of the rounding bounds
 # delta_k (see _certificate), each several times the textbook constant;
-# _WIDTH_SLACK covers the rounding of cell widths in the w^4 term
+# _WIDTH_SLACK covers the rounding of cell widths in the w^4 and w^3 terms
 _U = 0.5 * np.finfo(float).eps
 _FFT_ROUNDING = 8.0
 _SUM_ROUNDING = 10.0
 _WIDTH_SLACK = 1e-9
+
+# the slope of the cubic Hermite interpolant of f on a cell of width w
+# misses f' by at most _SLOPE_HERMITE w^3 max |f^(4)| (Birkhoff and Priver)
+_SLOPE_HERMITE = np.sqrt(3.0) / 216.0
 
 # root refinement: Newton steps and bisections per root at most; bisection
 # alone takes about 55 from a bracket of 2 pi to the spacing of doubles
@@ -288,6 +299,19 @@ class _Certificate:
         interp = w ** 4 * (self.n ** (k + 4) * self.bound / 384.0 * (1.0 + _WIDTH_SLACK))
         return interp + delta[k] + (w / 3.0) * delta[k + 1]
 
+    def slope_clearance(self, w: float, delta) -> tuple[float, float]:
+        """What the control points of p' must clear, p the cubic Hermite
+        interpolant of T on a cell of width w: (the two end points, the
+        middle one).  Both take the interpolation error
+        sqrt(3)/216 w^3 n^4 M; the ends add the rounding delta_1 of a
+        slope, and the middle 3 (f_1 - f_0)/w - f_0' - f_1' adds
+        6 delta_0/w + 2 delta_1 and the rounding of its own five
+        operations, relative to |f| <= M + delta_0 and |f'| <= n M + delta_1."""
+        interp = w ** 3 * (self.n ** 4 * self.bound * _SLOPE_HERMITE * (1.0 + _WIDTH_SLACK))
+        own = _SUM_ROUNDING * _U * (6.0 * (self.bound + delta[0]) / w
+                                    + 2.0 * (self.n * self.bound + delta[1]))
+        return interp + delta[1], interp + 6.0 * delta[0] / w + 2.0 * delta[1] + own
+
 
 def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Certificate:
     """Bounds for the coefficients a, b (largest entry O(1)) on the N-node
@@ -379,7 +403,7 @@ def _certified_count(unit: PolySample, N: int, max_doublings: int,
     coefficient is O(1): the bounds never overflow, and the signs are
     those of the sample itself.
     """
-    f, d1, d2 = (evaluate_on_grid(unit, N, GRID_OFFSET, order=k) for k in range(3))
+    f, d1 = (evaluate_on_grid(unit, N, GRID_OFFSET, order=k) for k in range(2))
     cert = _certificate(unit.a, unit.b, N, float(np.abs(f).max()))
     h = TWO_PI / N
     delta = cert.delta_grid
@@ -394,13 +418,17 @@ def _certified_count(unit: PolySample, N: int, max_doublings: int,
     nxt = (idx + 1) % N
     hull = _one_sign(f[idx], d1[idx], f[nxt], d1[nxt], h, clear0) == 0
     idx, nxt = idx[hull], nxt[hull]
-    # a monotone cell counts its computed sign change: along a run of
-    # them T is monotone, so the changes telescope even across a node
-    # value within rounding of 0, and a run ends at nodes whose sign is
-    # certain (zero-free cells) or at a cell that stays undecided (the
+    # T is monotone where the control points of p' clear their bound with
+    # one sign.  A monotone cell counts its computed sign change: along a
+    # run of them T is monotone, so the changes telescope even across a
+    # node value within rounding of 0, and a run ends at nodes whose sign
+    # is certain (zero-free cells) or at a cell that stays undecided (the
     # local tests demand certain end signs)
-    mono = _one_sign(d1[idx], d2[idx], d1[nxt], d2[nxt], h,
-                     cert.clearance(1, h, delta)) != 0
+    clear_end, clear_mid = cert.slope_clearance(h, delta)
+    s0, s1 = d1[idx], d1[nxt]
+    mid = (f[nxt] - f[idx]) * (3.0 / h) - s0 - s1
+    mono = (((np.minimum(s0, s1) > clear_end) & (mid > clear_mid))
+            | ((np.maximum(s0, s1) < -clear_end) & (mid < -clear_mid)))
     change = idx[mono & (np.signbit(f[idx]) != np.signbit(f[nxt]))]
     count = change.size
     # cell i spans the nodes (i + g) h and (i + 1 + g) h; i = N - 1 wraps.

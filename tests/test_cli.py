@@ -126,16 +126,23 @@ def test_kacrice_iid_cosine_large_degree(capsys):
         (["kacrice", "--ell", "5", "--n", "3"], "fewer than one period"),
         (["kacrice", "--ell", "5", "--n", "3", "--r", "0"], "fewer than one period"),
         (["count", "--ell", "5", "--n", "3", "--r", "0"], "fewer than one period"),
+        (["count", "--ell", "5", "--n", "3"], "fewer than one period"),
+        (["count", "--n", "0"], "degree must be >= 1"),
+        (["simulate", "--ell", "5", "--n", "3", "--trials", "2"], "fewer than one period"),
+        (["simulate", "--ell", "3", "--n", "20", "--n", "1", "--trials", "2"],
+         "fewer than one period"),
         (["kacrice", "--nodes-per-panel", "0"], "unrecognized arguments"),
     ],
 )
 def test_bad_degrees_are_usage_errors(capsys, argv, message):
-    """Degrees are checked before any quadrature (exit 1, no traceback); the
-    quadrature rule is fixed and takes no flags."""
+    """Degrees are checked before any sampling or quadrature (exit 1, one
+    line, no traceback), with or without --r; the quadrature rule is fixed
+    and takes no flags."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_kacrice_draw_overflow_exits_2(capsys):

@@ -203,3 +203,8 @@ class TestValidation:
     def test_rejects_periodic_without_ell(self):
         with pytest.raises(ValueError):
             _config(dep="periodic").validate()
+
+    def test_rejects_periodic_degree_below_one_period(self):
+        with pytest.raises(ValueError, match="fewer than one period"):
+            _config(dep="periodic", ell=5, degrees=(20, 3)).validate()
+        _config(dep="periodic", ell=5, degrees=(20, 4)).validate()  # m = 1
