@@ -31,6 +31,7 @@ from .constants import (
     compute_C,
     compute_I_alpha,
     compute_J,
+    grading_gap,
     monte_carlo_C,
 )
 from .harness import ExperimentConfig, run_experiment
@@ -221,60 +222,48 @@ def linear_growth_constant(quick: bool = False) -> CriterionResult:
 
 
 def constant_identities(quick: bool = False) -> CriterionResult:
-    """J = 1, the alpha-integral closed form, and the range of C."""
+    """J = 1, the alpha-integral closed form, the range of C, and C and K
+    within 1e-12 of their rules one grading level deeper."""
     ell_max_c = 5 if quick else 8
     ell_max_j = 4 if quick else 6
     n_angles = 8 if quick else 20
 
-    worst_j = 0.0
-    for ell in range(2, ell_max_j + 1):
-        for r in range(1, ell):
-            worst_j = max(worst_j, abs(compute_J(ell, r) - 1.0))
+    def fail(detail):
+        return CriterionResult("constant-identities", False, detail)
+
+    worst_j = max(abs(compute_J(ell, r) - 1.0)
+                  for ell in range(2, ell_max_j + 1) for r in range(1, ell))
     if worst_j > 1e-12:
-        return CriterionResult(
-            "constant-identities", False, f"max |J - 1| = {worst_j:.2e}"
-        )
+        return fail(f"max |J - 1| = {worst_j:.2e}")
 
     worst_i = 0.0
     for alpha in np.linspace(0.1, math.pi / 2 - 0.1, n_angles):
         closed = math.pi**2 / (math.sin(alpha) * math.cos(alpha))
         worst_i = max(worst_i, abs(compute_I_alpha(alpha) - closed) / closed)
     if worst_i > 1e-12:
-        return CriterionResult(
-            "constant-identities", False, f"max I rel err = {worst_i:.2e}"
-        )
+        return fail(f"max I rel err = {worst_i:.2e}")
 
     lo, hi = math.sqrt(2.0) + 1e-6, 2.0 + 1e-9
+    worst_gap = 0.0
     for ell in range(2, ell_max_c + 1):
         if compute_C(ell, 0) != 1.0:
-            return CriterionResult(
-                "constant-identities", False, f"C[{ell},0] != 1"
-            )
+            return fail(f"C[{ell},0] != 1")
         for r in range(1, ell):
             c = compute_C(ell, r)
             if not lo < c <= hi:
-                return CriterionResult(
-                    "constant-identities", False,
-                    f"C[{ell},{r}] = {c:.8f} outside (sqrt2, 2]",
-                )
-            if ell <= ell_max_j:
-                j = compute_J(ell, r)
-                if c < math.sqrt(1.0 + j * j) - 1e-6:
-                    return CriterionResult(
-                        "constant-identities", False,
-                        f"C[{ell},{r}] = {c:.8f} below the Jensen bound",
-                    )
-            sym = compute_C(ell, ell - r)
-            if abs(c - sym) > 1e-9:
-                return CriterionResult(
-                    "constant-identities", False,
-                    f"C[{ell},{r}] != C[{ell},{ell - r}]",
-                )
+                return fail(f"C[{ell},{r}] = {c:.8f} outside (sqrt2, 2]")
+            if ell <= ell_max_j and c < math.hypot(1.0, compute_J(ell, r)) - 1e-6:
+                return fail(f"C[{ell},{r}] = {c:.8f} below the Jensen bound")
+            if abs(c - compute_C(ell, ell - r)) > 1e-9:
+                return fail(f"C[{ell},{r}] != C[{ell},{ell - r}]")
+            worst_gap = max(worst_gap, grading_gap("C", ell, r))
+        worst_gap = max(worst_gap, grading_gap("K", ell))
     return CriterionResult(
-        "constant-identities", True,
+        "constant-identities", worst_gap <= 1e-12,
         f"|J-1| <= {worst_j:.1e} (ell <= {ell_max_j}); I identity rel "
         f"{worst_i:.1e} on {n_angles} angles; all C in (sqrt2, 2] with "
-        f"complement symmetry (ell <= {ell_max_c})",
+        f"complement symmetry (ell <= {ell_max_c}); C and K move by <= "
+        f"{worst_gap:.1e} one grading level deeper (gate 1e-12)",
     )
 
 

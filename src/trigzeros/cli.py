@@ -353,7 +353,7 @@ def build_parser() -> _Parser:
     p_const.add_argument("--r", type=int, default=None)
     p_const.add_argument("--alpha", type=float, default=None)
     p_const.add_argument("--mc", type=int, default=0,
-                         help="confirm with this many Monte Carlo points")
+                         help="confirm with this many Monte Carlo points (0: off)")
 
     p_count = sub.add_parser("count", help="count zeros of one sample")
     _add_model_arguments(p_count)

@@ -18,32 +18,19 @@ The two families of constants are double integrals over a period square:
 
   with u_ell(s) = sin(ell s)/(ell sin s).  K_1 = 1/2 exactly.
 
-Both integrands are analytic except at isolated boundary corners where the
-denominators vanish, where they behave like 1/distance.  Panels graded
-dyadically toward every edge resolve them, but the error falls only like
-2^-L in the grading depth L, not geometrically: relative to the L = 40
-used here, C(3,1) is off by 2.6e-9 at L = 20 and by 2.5e-12 at L = 30.
 ``compute_J`` and ``compute_I_alpha`` evaluate the companion identities
 (J = 1 and I_alpha = pi^2/(sin a cos a)) that pin down C's bounds and
-double as end-to-end checks of the quadrature machinery: on the same
-rule as C they land within 1e-14 relative of their exact values.
+double as end-to-end checks of the quadrature.
 
-The quadrature is ``kacrice.composite_gauss_legendre`` with _NODES points
-on graded panel edges, 2L + 1 panels per axis that mirror each other
-about the midpoint.  The integrands of C, J and I_alpha are pi-periodic
-in t, so the column shear x = t or x = s + t (mod pi) preserves measure
-and turns the square into another square; the shear is chosen so that
-the sharper zero line of the denominator lies on the panel edge x = 0,
-and each integral is a plain tensor product.  The other sine comes from
-the addition rule, so a node costs a few products and at most one square
-root.  The sheared integrands keep the central symmetry (s, x) ->
-(pi - s, pi - x), which the mirrored grid shares, so only the rows
-s < pi/2 are summed.  K is integrated on the unsheared (s, t) grid.
-Nodes are walked in row blocks of about _BLOCK_POINTS values, with s
-passed as a column: s-only factors are computed once per row, and
-memory stays at a few MB whatever the node count.  With use_cache (the
-default) C and K are memoized for the life of the process; nothing is
-written to disk.
+Each integrand grows like 1/distance at one corner of the region that
+is integrated (see _ridge_split_integral and _tensor_integral) and is
+analytic elsewhere.  Duffy triangles with their apex there (M. G. Duffy,
+SIAM J. Numer. Anal. 19, 1982) cancel the growth, and Gauss-Legendre
+panels graded geometrically toward the apex resolve the bounded cone
+that is left (see _corner_triangles).  ``grading_gap``, the move of a
+constant one grading level deeper, is at most 4e-15 for C (ell <= 8)
+and K (ell = 2..8).  With use_cache (the default) C and K are memoized
+for the life of the process.
 """
 
 from __future__ import annotations
@@ -54,62 +41,80 @@ import math
 import numpy as np
 
 from .models import CoefficientModel, decompose_degree
-from .kacrice import (
-    _BLOCK_POINTS, _NODES, composite_gauss_legendre, expected_zeros_exact_r0,
-)
-from .trigpoly import u_ell
+from .kacrice import _NODES, composite_gauss_legendre, expected_zeros_exact_r0
 
-_GRADE_LEVELS = 40
+# Grading levels (toward xi = 0, toward eta = 0) of each corner rule; at
+# these each rule agrees with an independent reference to about 1e-14
+_C_GRADING = (9, 6)
+_J_GRADING = (3, 3)
+_K_GRADING = (6, 9)
+# Integrand values per block of rows: 64 KB arrays that malloc reuses
+_ROW_BLOCK = 1 << 13
 # Monte Carlo points per block of u, v draws.  The block size sets the order
 # in which the stream is consumed, so it is part of the estimate, not a knob.
 _MC_CHUNK = 1_000_000
+_H = math.pi / 2
 
 
 # ---------------------------------------------------------------------------
-# Graded composite Gauss-Legendre grids
+# Duffy corner rules
 # ---------------------------------------------------------------------------
 
 
-def _graded_edges(lo: float, hi: float, levels: int) -> np.ndarray:
-    """Panel edges on [lo, hi], dyadically refined toward both endpoints:
-    lo + width 2^-(levels+1), ..., lo + width/4 and their mirror images,
-    so that the grid is symmetric about the midpoint."""
-    left = lo + (hi - lo) * 0.5 ** np.arange(levels + 1, 1, -1)
-    return np.concatenate([[lo], left, (lo + hi) - left[::-1], [hi]])
+def _corner_triangles(func, x0: float, signs, grading, panels: int = 1) -> float:
+    """integral of func(s, x) over the squares [0, h] x (x0 + sign [0, h]).
+
+    Each square is split into two Duffy triangles with apex (0, x0),
+    (s, x) = (h xi, x0 + sign h xi eta) and (h xi eta, x0 + sign h xi) for
+    (xi, eta) in the unit square, whose Jacobian h^2 xi cancels a 1/distance
+    growth at the apex.  The cone left at xi = eta = 0 is resolved by
+    grading both axes geometrically toward 0, to the levels in `grading`
+    (the error falls about eightfold per level); each axis also gets at
+    least `panels` equal panels.
+    """
+    def rule(levels):
+        edges = {0.5**k for k in range(levels + 1)} | {k / panels for k in range(panels + 1)}
+        return composite_gauss_legendre(np.array(sorted(edges)), _NODES)
+
+    (xi, xi_w), (eta, eta_w) = rule(grading[0]), rule(grading[1])
+    xi_w = xi_w * xi
+    total = 0.0
+    for sign in signs:
+        total += _row_blocks(lambda c: func(_H * c, x0 + sign * _H * c * eta), xi, xi_w, eta_w)
+        total += _row_blocks(lambda c: func(_H * c * eta, x0 + sign * _H * c), xi, xi_w, eta_w)
+    return _H * _H * total
 
 
-def _tensor_integral(func, s_range, t_range, levels: int, nodes: int) -> float:
-    """integral of func(s, t) over s_range x t_range on the graded grid."""
-    sx, sw = composite_gauss_legendre(_graded_edges(*s_range, levels), nodes)
-    tx, tw = composite_gauss_legendre(_graded_edges(*t_range, levels), nodes)
-    return _row_blocks(lambda s: func(s, tx), sx, sw, tw)
-
-
-def _ridge_split_integral(func, levels: int, nodes: int) -> float:
+def _ridge_split_integral(func, grading, ratio: float) -> float:
     """integral over (0, pi)^2 of a sheared integrand func(s, x).
 
     func(s, x) is the integrand at (s, t) with x = t or x = s + t (mod pi),
-    whichever column shear the integrand chose; both preserve measure on
-    columns of a pi-periodic integrand, so the sheared square is a plain
-    tensor product.  Precondition: func(s, x) == func(pi - s, pi - x).
-    The mirror-symmetric graded grid shares that central symmetry, and an
-    even node count puts no node on s = pi/2, so the rows s < pi/2 are
-    summed and doubled.  The name is kept for the benchmark tracer, which
-    wraps this function by name.
+    a shear that preserves measure on columns of a pi-periodic integrand.
+    Precondition: func(s, x) == func(pi - s, pi - x), and func is singular
+    only at s = 0, x = 0 (mod pi).  So the half-square [0, pi/2] x
+    [-pi/2, pi/2] is integrated on the four Duffy triangles at its one
+    singular point and doubled.  The ridge of p sin^2 t + q sin^2(s + t)
+    has angular width ratio^(-1/2), ratio = max(p, q)/min(p, q), so ratios
+    beyond 64 get one more angular level per factor 4.  The benchmark
+    tracer wraps this function by name.
     """
-    x, w = composite_gauss_legendre(_graded_edges(0.0, math.pi, levels), nodes)
-    half = x.size // 2
-    return 2.0 * _row_blocks(lambda s: func(s, x), x[:half], w[:half], w)
+    levels = (grading[0], grading[1] + max(0, math.ceil(math.log2(ratio) / 2) - 3))
+    return 2.0 * _corner_triangles(func, 0.0, (1.0, -1.0), levels)
+
+
+def _tensor_integral(func, grading, panels: int) -> float:
+    """integral of func(s, t) over [0, pi/2] x [0, pi], singular only at (0, pi):
+    Duffy triangles above t = pi/2, a tensor rule below, at least `panels`
+    equal panels per axis.  The benchmark tracer wraps it by name."""
+    x, w = composite_gauss_legendre(np.linspace(0.0, _H, panels + 1), _NODES)
+    smooth = _row_blocks(lambda s: func(s, x), x, w, w)
+    return smooth + _corner_triangles(func, math.pi, (-1.0,), grading, panels)
 
 
 def _row_blocks(row_values, sx, sw, tw) -> float:
-    """sw @ V @ tw for V = row_values(sx[:, None]), one block of rows at a time.
-
-    row_values maps a column of s nodes to their rows of integrand values,
-    so s-only factors are computed once per row and no block holds more
-    than about _BLOCK_POINTS values.
-    """
-    rows = max(1, _BLOCK_POINTS // tw.size)
+    """sw @ V @ tw for V = row_values(sx[:, None]), one block of rows at a
+    time; per-row factors of the integrand are computed once per row."""
+    rows = max(1, _ROW_BLOCK // tw.size)
     total = 0.0
     for lo in range(0, sx.size, rows):
         vals = row_values(sx[lo:lo + rows, None])
@@ -132,10 +137,9 @@ def compute_C(ell: int, r: int, use_cache: bool = True) -> float:
 
 
 @functools.cache
-def _c_value(ell: int, r: int) -> float:
-    value = _ridge_split_integral(
-        lambda s, x: _sheared_g(ell, r, s, x), _GRADE_LEVELS, _NODES
-    )
+def _c_value(ell: int, r: int, grading=_C_GRADING) -> float:
+    ratio = max(r, ell - r) / min(r, ell - r)
+    value = _ridge_split_integral(lambda s, x: _sheared_g(ell, r, s, x), grading, ratio)
     return value / math.pi**2
 
 
@@ -152,23 +156,17 @@ def limit_integrand_g(ell: int, r: int, s, t) -> np.ndarray:
     return np.sqrt(1.0 + r * (ell - r) * np.sin(s) ** 2 / den)
 
 
-def _sheared_den(p: float, q: float, s, x):
-    """p sin^2 t + q sin^2(s + t) on the sheared square, s a column.
-
-    x = t when q < p, else x = s + t (mod pi): the zero line of the term
-    with the smaller coefficient, the sharper of the two, lands on the
-    panel edge x = 0.  The other sine follows from the addition rule,
+def _sheared_den(p: float, q: float, ss, cs, x):
+    """p sin^2 t + q sin^2(s + t) on the sheared square, from ss = sin s
+    and cs = cos s.  x = t when q < p, else x = s + t (mod pi), so the zero
+    line of the sharper term runs along x = 0; the other sine is
 
         sin(s + t) = cos s (sin x + cos x tan s)    (x = t),
         sin t      = cos s (sin x - cos x tan s)    (x = s + t, up to sign),
 
-    so a node costs three products and two sums, done in place in the one
-    node-sized array allocated per call: a fresh temporary per product
-    would cost more in page faults than the products.  Multiplying back
-    by cos s leaves the rounding of the two-product form, even near
-    s = pi/2.
+    computed in place in one node-sized array.
     """
-    ss, cs, sx, cx = np.sin(s), np.cos(s), np.sin(x), np.cos(x)
+    sx, cx = np.sin(x), np.cos(x)
     if q < p:
         a, b, tan_s = q, p, ss / cs
     else:
@@ -183,24 +181,33 @@ def _sheared_den(p: float, q: float, s, x):
 
 def _sheared_g(ell: int, r: int, s, x):
     """limit_integrand_g on the sheared square (see _sheared_den)."""
-    v = _sheared_den(ell - r, r, s, x)
+    ss = np.sin(s)
+    v = _sheared_den(ell - r, r, ss, np.cos(s), x)
     v *= v
-    np.divide(r * (ell - r) * np.sin(s) ** 2, v, out=v)
+    np.divide(r * (ell - r) * (ss * ss), v, out=v)
     v += 1.0
     return np.sqrt(v, out=v)
 
 
 def _sheared_sine_ratio(p: float, q: float, s, x):
-    """_sine_ratio_integrand on the sheared square (see _sheared_den)."""
-    den = _sheared_den(p, q, s, x)
-    return np.divide(np.sin(s), den, out=den)
+    """sin s / (p sin^2 t + q sin^2(s + t)), the integrand of J and
+    I_alpha, on the sheared square (see _sheared_den)."""
+    ss = np.sin(s)
+    den = _sheared_den(p, q, ss, np.cos(s), x)
+    return np.divide(ss, den, out=den)
 
 
 def compute_J(ell: int, r: int) -> float:
     """Companion integral of compute_C; equals 1 for every 0 < r < ell."""
     if not 0 < r < ell:
         raise ValueError(f"need 0 < r < ell, got ell={ell}, r={r}")
-    return math.sqrt(r * (ell - r)) * _sine_ratio_integral(ell - r, r) / math.pi**2
+    return _j_value(ell, r)
+
+
+def _j_value(ell: int, r: int, grading=_J_GRADING) -> float:
+    value = _ridge_split_integral(lambda s, x: _sheared_sine_ratio(ell - r, r, s, x), grading,
+                                  max(r, ell - r) / min(r, ell - r))
+    return math.sqrt(r * (ell - r)) * value / math.pi**2
 
 
 def compute_I_alpha(alpha: float) -> float:
@@ -210,20 +217,9 @@ def compute_I_alpha(alpha: float) -> float:
     """
     if not 0.0 < alpha < math.pi / 2:
         raise ValueError("alpha must lie strictly inside (0, pi/2)")
-    return _sine_ratio_integral(math.sin(alpha) ** 2, math.cos(alpha) ** 2)
-
-
-def _sine_ratio_integral(p: float, q: float) -> float:
-    """int_0^pi int_0^pi sin s / (p sin^2 t + q sin^2(s+t)) ds dt."""
-    return _ridge_split_integral(
-        lambda s, x: _sheared_sine_ratio(p, q, s, x), _GRADE_LEVELS, _NODES
-    )
-
-
-def _sine_ratio_integrand(p: float, q: float, s, t):
-    """Integrand of J and I_alpha: sin s / (p sin^2 t + q sin^2(s+t))."""
-    den = p * np.sin(t) ** 2 + q * np.sin(s + t) ** 2
-    return np.sin(s) / np.maximum(den, 1e-300)
+    p, q = math.sin(alpha) ** 2, math.cos(alpha) ** 2
+    return _ridge_split_integral(lambda s, x: _sheared_sine_ratio(p, q, s, x), _J_GRADING,
+                                 max(p, q) / min(p, q))
 
 
 def compute_K(ell: int, use_cache: bool = True) -> float:
@@ -236,43 +232,58 @@ def compute_K(ell: int, use_cache: bool = True) -> float:
 
 
 @functools.cache
-def _k_value(ell: int) -> float:
-    value = _tensor_integral(
-        lambda s, t: _limit_integrand_k(ell, s, t),
-        (0.0, math.pi / 2), (0.0, math.pi), _GRADE_LEVELS, _NODES,
-    )
+def _k_value(ell: int, grading=_K_GRADING) -> float:
+    # 1 + ell // 3 panels keep the smooth square at rounding up to ell = 20
+    value = _tensor_integral(lambda s, t: _limit_integrand_k(ell, s, t), grading, 1 + ell // 3)
     return value / math.pi**2
 
 
 def _limit_integrand_k(ell: int, s, t):
-    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2), u = u_ell(s).
+    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2), u = u_ell(s),
+    on arrays s in [0, pi/2] and t.  Near the corner (0, pi) both 1 - u^2
+    and 1 + u cos t cancel, so they come from d = 1 - u, as d (2 - d) and
+    d + 2 u cos^2(t/2); where ell s < 1, d is summed from
 
-    Computed in place in one node-sized array, as the sheared integrands
-    are: a temporary per operation costs more in page faults than the
-    arithmetic.
+        1 - u_ell(s) = (2/ell) sum_{k=0}^{ell-1} sin^2((ell - 1 - 2k) s/2),
+
+    whose terms pair up (k and ell - 1 - k).  Elsewhere d >= 0.12.
     """
-    u = u_ell(ell, s)
-    v = u * np.cos(t)
-    v += 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1.0 - np.sin(ell * s) / (ell * np.sin(s))
+    near = ell * s < 1.0
+    if near.any():
+        s_near = s[near]
+        acc = sum(np.sin((0.5 * (ell - 1) - k) * s_near) ** 2 for k in range(ell // 2))
+        d[near] = (4.0 / ell) * acc
+    v = (2.0 - 2.0 * d) * np.cos(0.5 * t) ** 2
+    v += d
     v *= v
     np.maximum(v, 1e-300, out=v)
-    np.divide(3.0 * (1.0 - u * u), v, out=v)
+    np.divide(3.0 * d * (2.0 - d), v, out=v)
     v += 1.0
     return np.sqrt(v, out=v)
+
+
+def grading_gap(what: str, ell: int, r: int = 0) -> float:
+    """Stated error of C[ell, r], K[ell] or J[ell, r] (what = "C", "K" or
+    "J", with 0 < r < ell and ell >= 2): its move when the corner rule is
+    graded one level deeper on both axes."""
+    rule, (lr, la), args = {
+        "C": (_c_value, _C_GRADING, (ell, r)),
+        "K": (_k_value, _K_GRADING, (ell,)),
+        "J": (_j_value, _J_GRADING, (ell, r)),
+    }[what]
+    return abs(rule(*args) - rule(*args, (lr + 1, la + 1)))
 
 
 def monte_carlo_C(ell: int, r: int, n_points: int = 10_000_000, seed: int = 0):
     """Monte Carlo estimate of compute_C with a trustworthy standard error.
 
-    The raw integrand spikes like 1/distance at the square's corners, which
-    makes its *second* moment diverge -- a plain uniform average would report
-    an understated stderr.  Sampling instead in smoothstep coordinates
-
-        s = pi (3u^2 - 2u^3),   ds = 6 pi u (1 - u) du,
-
-    (same for t) compresses the corners; the Jacobian vanishes linearly at
-    the ends and cancels the spike, leaving a bounded integrand whose sample
-    variance is finite and the reported mean +/- stderr honest.
+    The integrand's 1/distance spikes at the corners make its second
+    moment diverge, so a uniform average would understate its stderr.
+    Sampling in smoothstep coordinates, s = pi (3u^2 - 2u^3) with
+    ds = 6 pi u (1 - u) du (same for t), cancels the spike with a Jacobian
+    that vanishes linearly at the ends: the sample variance is finite.
     """
     if not 0 < r < ell:
         raise ValueError(f"need 0 < r < ell, got ell={ell}, r={r}")
@@ -291,6 +302,8 @@ def monte_carlo_K(ell: int, n_points: int = 10_000_000, seed: int = 0):
 
 
 def _mc_smoothstep_square(func, s_hi, t_hi, n_points, seed):
+    if n_points < 1:
+        raise ValueError(f"need n_points >= 1, got {n_points}")
     rng = np.random.default_rng(np.random.Philox(key=seed & (2**64 - 1)))
     norm = s_hi * t_hi / math.pi**2
     total = 0.0

@@ -67,10 +67,9 @@ the cell [0, pi/q] is excised where the circle is and carries 1/(2q) of the
 excised length.
 
 ``composite_gauss_legendre`` is the one quadrature rule of the package: the
-Kac-Rice integrals use it on uniform panels, the limit constants of the
-``constants`` module on dyadically graded ones, both with _NODES points
-per panel.  Both evaluate their integrands in blocks of at most
-_BLOCK_POINTS nodes, so memory stays at a few MB whatever the degree.
+Kac-Rice integrals use it on uniform panels, in blocks of at most
+_BLOCK_POINTS nodes so that memory stays at a few MB whatever the degree,
+and the ``constants`` module on graded Duffy triangles.
 """
 
 from __future__ import annotations

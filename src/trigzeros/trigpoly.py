@@ -361,10 +361,9 @@ def u_ell(ell: int, x):
     This is dirichlet_ratio(ell, 2, x)/ell, with removable singularities
     at multiples of pi: u_ell -> 1 at even ones (x -> 0) and (-1)^(ell+1)
     at odd ones (x -> pi).  |u_ell| <= 1 everywhere, with equality only
-    at those points.  The normalization is folded into the quotient
-    rather than applied afterwards: near x = 0, 1 - u_ell sits at the
-    rounding level, and the K integrand of the constants module amplifies
-    a one-ulp change there into ~1e-11 of K.
+    at those points.  Near them 1 - |u_ell| has only the absolute accuracy
+    of the quotient, about 1e-16; K, which needs 1 - u_ell to relative
+    accuracy near x = 0, sums it from its sine-square series instead.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell={ell}")

@@ -157,6 +157,19 @@ def test_constants_shortcuts(capsys):
     assert "1.0" in capsys.readouterr().out
 
 
+def test_constants_monte_carlo_count(capsys):
+    """--mc 0 is off; a negative count is a usage error, not a confirmation."""
+    assert main(["constants", "--what", "K", "--ell", "3", "--mc", "0"]) == 0
+    assert "monte-carlo" not in capsys.readouterr().out
+    for what in (["K", "--ell", "3"], ["C", "--ell", "3", "--r", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--what", *what, "--mc", "-5"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "monte-carlo" not in captured.out
+        assert "n_points >= 1" in captured.err
+
+
 def test_constants_identity(capsys):
     rc = main(["constants", "--what", "I", "--alpha", "0.9"])
     assert rc == 0

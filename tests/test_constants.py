@@ -9,44 +9,37 @@ import pytest
 from trigzeros import constants
 from trigzeros.models import CoefficientModel
 from trigzeros.constants import (
-    _GRADE_LEVELS,
-    _NODES,
-    _graded_edges,
+    _C_GRADING,
+    _K_GRADING,
+    _corner_triangles,
+    _limit_integrand_k,
     _sheared_g,
     _sheared_sine_ratio,
-    _sine_ratio_integrand,
     compute_C,
     compute_I_alpha,
     compute_J,
     compute_K,
+    grading_gap,
     limit_integrand_g,
     monte_carlo_C,
     monte_carlo_K,
     theoretical_mean,
 )
-from trigzeros.kacrice import composite_gauss_legendre
 
 
-def poisson_average(u: float) -> float:
-    """(1/pi) int_0^pi dt / (1 - u cos t), which equals 1/sqrt(1 - u^2).
-
-    Machinery check: the graded axis must resolve the near-pole at t = 0 as
-    |u| -> 1, the same boundary behavior the constants' integrands have.
-    """
-    if not -1.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (-1, 1)")
-    edges = _graded_edges(0.0, math.pi, _GRADE_LEVELS)
-    tx, tw = composite_gauss_legendre(edges, _NODES)
-    vals = 1.0 / (1.0 - u * np.cos(tx))
-    return float(np.dot(vals, tw)) / math.pi
+def _sine_ratio_integrand(p: float, q: float, s, t):
+    """Integrand of J and I_alpha: sin s / (p sin^2 t + q sin^2(s+t))."""
+    den = p * np.sin(t) ** 2 + q * np.sin(s + t) ** 2
+    return np.sin(s) / np.maximum(den, 1e-300)
 
 
 class TestJIdentity:
     def test_J_equals_one_everywhere(self):
-        """The companion integral is exactly 1 for every 0 < r < ell <= 6."""
-        for ell in range(2, 7):
-            for r in range(1, ell):
-                assert abs(compute_J(ell, r) - 1.0) < 1e-12, (ell, r)
+        """The companion integral is exactly 1 for every 0 < r < ell <= 6,
+        and for the coefficient ratios 999 of ell = 1000."""
+        cases = [(ell, r) for ell in range(2, 7) for r in range(1, ell)]
+        for ell, r in cases + [(1000, 1), (1000, 999)]:
+            assert abs(compute_J(ell, r) - 1.0) < 1e-12, (ell, r)
 
     def test_J_rejects_degenerate_r(self):
         with pytest.raises(ValueError):
@@ -57,7 +50,10 @@ class TestJIdentity:
 
 class TestIAlphaIdentity:
     def test_closed_form_across_angles(self):
-        for alpha in np.linspace(0.1, math.pi / 2 - 0.1, 20):
+        """Also near the ends, where the ratio cot^2 alpha of the
+        denominator's coefficients reaches 1e8 or 1e-6."""
+        ends = [1e-4, 1e-3, 0.01, math.pi / 2 - 1e-3]
+        for alpha in np.concatenate([np.linspace(0.1, math.pi / 2 - 0.1, 20), ends]):
             want = math.pi**2 / (math.sin(alpha) * math.cos(alpha))
             got = compute_I_alpha(float(alpha))
             assert abs(got - want) < 1e-12 * want, alpha
@@ -113,6 +109,9 @@ class TestCConstant:
             compute_C(3, 3)
         with pytest.raises(ValueError):
             monte_carlo_C(3, 0)
+        for bad in (0, -5):
+            with pytest.raises(ValueError):
+                monte_carlo_C(3, 1, n_points=bad)
 
 
 class TestKConstant:
@@ -133,19 +132,93 @@ class TestKConstant:
     def test_rejects_bad_ell(self):
         with pytest.raises(ValueError):
             compute_K(0)
+        for bad in (0, -5):
+            with pytest.raises(ValueError):
+                monte_carlo_K(3, n_points=bad)
+
+    def test_integrand_at_the_corner_matches_extended_precision(self):
+        """Near (0, pi), 1 - u^2 and 1 + u cos t both cancel in the plain
+        form; the integrand must still match a 50-digit evaluation at the
+        same double inputs.  The points within 1e-6 of the corner are
+        where the plain form lost about 1 %; the others straddle the
+        series window ell |s| = 1 and sit far from the corner."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        near = [(1e-7, 3e-7), (3e-7, 1e-7), (5e-7, 8e-7), (1e-9, 2e-9)]
+        for ell in (2, 3, 4, 7, 12):
+            far = [(0.99 / ell, 0.3), (1.01 / ell, 1e-3), (1.3, 2.0)]
+            s = np.array([p[0] for p in near + far])
+            t = math.pi - np.array([p[1] for p in near + far])
+            got = _limit_integrand_k(ell, s, t)
+            for si, ti, gi in zip(s, t, got):
+                ms, mt = mpmath.mpf(float(si)), mpmath.mpf(float(ti))
+                u = mpmath.sin(ell * ms) / (ell * mpmath.sin(ms))
+                want = mpmath.sqrt(1 + 3 * (1 - u * u) / (1 + u * mpmath.cos(mt)) ** 2)
+                assert abs(gi - want) <= 1e-13 * want, (ell, si, ti)
 
 
-class TestQuadratureMachinery:
-    def test_poisson_average_near_edge(self):
-        """1/pi int dt/(1 - u cos t) = 1/sqrt(1-u^2), u pushed toward +-1."""
-        for u in (0.9, -0.9, 0.9999, -0.9999, 0.999999):
-            want = 1.0 / math.sqrt(1.0 - u * u)
-            got = poisson_average(u)
-            assert abs(got - want) < 1e-8 * want, u
+class TestCornerRule:
+    """The Duffy triangles, their node counts and their stated error."""
 
-    def test_poisson_rejects_unit_u(self):
-        with pytest.raises(ValueError):
-            poisson_average(1.0)
+    @staticmethod
+    def _smooth(s, x):
+        return 1.0 + np.cos(s) * np.sin(x + 0.5) + np.sin(2.0 * s) * np.cos(3.0 * x)
+
+    def test_half_square_triangles_are_exact_on_smooth_integrands(self):
+        """The four triangles tile [0, pi/2] x [-pi/2, pi/2]: they give
+        its area pi^2/2, and integrate a trig polynomial that is neither
+        even nor odd in x to rounding."""
+        area = _corner_triangles(lambda s, x: np.ones(np.broadcast(s, x).shape),
+                                 0.0, (1.0, -1.0), _C_GRADING)
+        assert area == pytest.approx(math.pi**2 / 2, rel=1e-14)
+        want = math.pi**2 / 2 + 2.0 * math.sin(0.5) - 2.0 / 3.0
+        got = _corner_triangles(self._smooth, 0.0, (1.0, -1.0), _C_GRADING)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_k_layout_is_exact_on_smooth_integrands(self):
+        """K's Duffy square and smooth square tile [0, pi/2] x [0, pi]."""
+        for panels in (1, 3):
+            area = constants._tensor_integral(
+                lambda s, t: np.ones(np.broadcast(s, t).shape), _K_GRADING, panels)
+            assert area == pytest.approx(math.pi**2 / 2, rel=1e-14)
+            # int_0^{pi/2} cos s ds = 1, int_0^pi cos(t/3) dt = 3 sin(pi/3)
+            got = constants._tensor_integral(
+                lambda s, t: np.cos(s) * np.cos(t / 3.0), _K_GRADING, panels)
+            assert got == pytest.approx(3.0 * math.sin(math.pi / 3), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "compute, integral, nodes",
+        [
+            (lambda: compute_C(5, 2, use_cache=False), "_ridge_split_integral", 71_680),
+            (lambda: compute_J(5, 2), "_ridge_split_integral", 16_384),
+            (lambda: compute_K(2, use_cache=False), "_tensor_integral", 36_096),
+            (lambda: compute_K(4, use_cache=False), "_tensor_integral", 36_864),
+            (lambda: compute_K(8, use_cache=False), "_tensor_integral", 57_600),
+        ],
+        ids=["C", "J", "K2", "K4", "K8"],
+    )
+    def test_node_counts(self, compute, integral, nodes, monkeypatch):
+        """Integrand nodes per constant, counted by a wrapped integrand."""
+        seen = []
+        original = getattr(constants, integral)
+
+        def counting(func, *args):
+            def counted(s, x):
+                seen.append(np.broadcast(s, x).size)
+                return func(s, x)
+            return original(counted, *args)
+
+        monkeypatch.setattr(constants, integral, counting)
+        compute()
+        assert sum(seen) == nodes
+
+    def test_stated_error(self):
+        """Each constant moves by at most 1e-13 one grading level deeper."""
+        for ell in range(2, 9):
+            assert grading_gap("K", ell) <= 1e-13, ell
+            for r in range(1, ell):
+                assert grading_gap("C", ell, r) <= 1e-13, (ell, r)
+                assert grading_gap("J", ell, r) <= 1e-13, (ell, r)
 
 
 class TestCache:
@@ -173,8 +246,11 @@ class TestCache:
         assert len(calls) == 1
 
 
-# Values of an earlier full-square tensor quadrature on the unsheared square;
-# the row-blocked, sheared half-square rule agrees with them to rounding.
+# C: values of an earlier full-square tensor quadrature on the unsheared
+# square; the corner rule agrees with them to rounding.  K: the corner rule
+# on the cancellation-free integrand, confirmed within 2e-15 by that
+# integrand on the earlier dyadically graded tensor rule (40 and 50
+# levels); the plain integrand had put them 2.5e-9 to 5.7e-9 lower.
 PINNED_C = {
     (2, 1): 1.5238429977259413, (3, 1): 1.533470221543412,
     (3, 2): 1.5334702215434126, (4, 1): 1.5472710905452358,
@@ -182,11 +258,11 @@ PINNED_C = {
     (5, 1): 1.5600451309577146, (5, 2): 1.5271846000823472,
     (5, 3): 1.5271846000823472, (5, 4): 1.5600451309577161,
 }
-PINNED_K = {2: 1.064237447196125, 3: 1.0408330356020878, 4: 1.0301606963560836}
+PINNED_K = {2: 1.0642374529118535, 3: 1.0408330389936047, 4: 1.0301606988135583}
 
 
 class TestQuadratureLayout:
-    """The row-blocked, sheared half-square rule reproduces the full grid."""
+    """The sheared corner rule reproduces the full grid."""
 
     def test_pinned_values(self):
         for (ell, r), want in PINNED_C.items():
@@ -217,8 +293,9 @@ class TestQuadratureLayout:
         ],
     )
     def test_integrands_have_central_symmetry(self, integrand):
-        """_ridge_split_integral doubles the rows s < pi/2 of the sheared
-        square, which is right only when func(s, x) == func(pi - s, pi - x).
+        """_ridge_split_integral doubles the half-square s < pi/2 of the
+        sheared square, which is right only when func(s, x) == func(pi - s,
+        pi - x).
         The shear x = t or s + t (mod pi) carries the central symmetry of
         the unsheared integrands over to the sheared ones."""
         rng = np.random.default_rng(12)
@@ -266,8 +343,7 @@ class TestQuadratureLayout:
         ids=["C(5,2)", "K(4)"],
     )
     def test_memory_is_bounded_by_the_row_block(self, compute):
-        """The full 1296 x 1296 node grid would hold ~90-120 MB of
-        temporaries; row blocks keep the peak at a few MB."""
+        """Row blocks bound the temporaries, whatever the node count."""
         tracemalloc.start()
         try:
             compute()
