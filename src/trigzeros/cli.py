@@ -236,6 +236,8 @@ def _cmd_kacrice(parser, args):
 
 def _cmd_constants(parser, args):
     what = args.what
+    if args.mc < 0 or (args.mc and what in ("J", "I")):
+        parser.error(f"--mc takes n_points >= 1 for C or K (0: off), got {args.mc} for {what}")
     try:
         if what == "C":
             if args.ell is None or args.r is None:
@@ -353,7 +355,7 @@ def build_parser() -> _Parser:
     p_const.add_argument("--r", type=int, default=None)
     p_const.add_argument("--alpha", type=float, default=None)
     p_const.add_argument("--mc", type=int, default=0,
-                         help="confirm with this many Monte Carlo points (0: off)")
+                         help="confirm C or K with this many random points (0: off)")
 
     p_count = sub.add_parser("count", help="count zeros of one sample")
     _add_model_arguments(p_count)

@@ -14,22 +14,18 @@ Three evaluation routes for (A, B, C):
   O(ell) work per point.  Every model but i.i.d. cosine goes through one
   core over the ell grouped directions sum_t cos((k + ell t) x) =
   phi_M(x) cos(nu_k x) (and the sine twins for trig), (M_k, 2 nu_k) from
-  PeriodDecomposition.directions, with phi_M and phi_M' from one lattice
-  reduction (trigpoly.dirichlet_pair) per distinct M; i.i.d. trig is the
-  vacuous period ell = n + 1, where every M is 1.  i.i.d. cosine goes
-  through K(t) = sum_{j<=n} cos jt at t = 2x, and sums the few nodes within
-  1/n of the kernel lattice literally: the only use of the literal sums
-  outside the oracle.
+  PeriodDecomposition.directions, with phi_M and phi_M' for both M from
+  one trigpoly.dirichlet_pairs; i.i.d. trig is the vacuous period
+  ell = n + 1, where every M is 1.  i.i.d. cosine goes through
+  K(t) = sum_{j<=n} cos jt at t = 2x, and sums the few nodes within 1/n
+  of the kernel lattice literally, over the powers of e^{ix}.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0: the same core
   over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0.
-  For the trig model the reduced process is stationary: A = ell, B = 0,
-  C = const.
 * ``abc_direct``   -- literal sums over the independent Gaussian directions,
-  O(basis size) per point and chunked over x, so memory stays O(chunk * n).
-  Slow but assumption-free: the oracle the tests check the closed forms
-  against, and the full-circle reference of the benchmark.  No module of
-  the package calls it, the acceptance battery included.
+  chunked over x, so memory stays O(chunk * n).  Slow but assumption-free:
+  the oracle of the tests and the full-circle reference of the benchmark;
+  no module of the package calls it.
 
 ``expected_zeros_quadrature`` integrates the appropriate route with one fixed
 rule: _NODES-point Gauss-Legendre on _PANELS_PER_DEGREE panels per degree
@@ -70,6 +66,15 @@ excised length.
 Kac-Rice integrals use it on uniform panels, in blocks of at most
 _BLOCK_POINTS nodes so that memory stays at a few MB whatever the degree,
 and the ``constants`` module on graded Duffy triangles.
+
+A block is a PanelNodes, and the routes take each phase e^{ifx} at its
+nodes x = mid_p + half z_i as e^{if mid_p} e^{if half z_i}: 2 sines and
+cosines per panel and frequency, not 2 per node (they cost tens of ns an
+element, a product under one).  The factors round their angles to about
+u|f mid_p| and u|f half z_i|, as np.cos(f * x) rounds f * x to u|fx|.
+The lattice reduction of phi_M keeps 4 per node, since its small
+argument must come from each node.  Graded panels would form one block
+per width, and gain only where widths repeat.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import PolySample, decompose_degree
-from .trigpoly import dirichlet_pair, reduce_periodic
+from .trigpoly import dirichlet_pair, dirichlet_pairs, reduce_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,10 +112,10 @@ class AbcTriple:
 
     def discriminant(self) -> np.ndarray:
         """A*C - B^2, clamped to zero when negative within roundoff."""
-        d = self.A * self.C - self.B * self.B
-        floor = -1e-12 * np.maximum(self.A * self.C, 1.0)
-        if np.any(d < floor):
-            worst = float((d / np.maximum(self.A * self.C, 1e-300)).min())
+        ac = self.A * self.C
+        d = ac - self.B * self.B
+        if np.any(d < -1e-12 * np.maximum(ac, 1.0)):
+            worst = float((d / np.maximum(ac, 1e-300)).min())
             raise FloatingPointError(
                 f"A*C - B^2 < 0 beyond roundoff (relative {worst:.3e})"
             )
@@ -161,23 +166,29 @@ def _basis_functions(sample: PolySample, x: np.ndarray):
     return np.vstack(rows), np.vstack(rows_d)
 
 
-def _literal_sums(sample: PolySample, x: np.ndarray):
-    """A, B, C as literal sums over the directions, chunked over x.
-
-    A chunk of _DIRECT_CHUNK_BUDGET // (n+1) points keeps every basis
-    array O(chunk * n), whatever len(x).  The sums run over directions at
-    each point, so chunking leaves every value unchanged.
-    """
-    A = np.empty_like(x)
-    B = np.empty_like(x)
-    C = np.empty_like(x)
+def _literal_sums(sample: PolySample, x: np.ndarray, basis=_basis_functions):
+    """A, B, C as literal sums over the directions of basis, in chunks of
+    _DIRECT_CHUNK_BUDGET // (n+1) points, so every basis array is O(chunk
+    * n) whatever len(x); the sums run over directions, so chunking changes
+    no value."""
+    A, B, C = np.empty((3,) + x.shape)
     chunk = max(1, _DIRECT_CHUNK_BUDGET // (sample.n + 1))
     for lo in range(0, x.size, chunk):
-        f, fd = _basis_functions(sample, x[lo:lo + chunk])
+        f, fd = basis(sample, x[lo:lo + chunk])
         A[lo:lo + chunk] = (f * f).sum(axis=0)
         B[lo:lo + chunk] = (f * fd).sum(axis=0)
         C[lo:lo + chunk] = (fd * fd).sum(axis=0)
     return A, B, C
+
+
+def _cosine_powers(sample: PolySample, phase: np.ndarray):
+    """The i.i.d. cosine basis cos(jx), -j sin(jx), j <= n, from e^{ijx} =
+    (e^{ix})^j.  Beside 0 and pi the terms of each product step share a
+    sign, so sin(jx) keeps about j u of relative accuracy."""
+    powers = np.ones((sample.n + 1, phase.size), dtype=complex)
+    powers[1:] = phase
+    np.cumprod(powers, axis=0, out=powers)
+    return powers.real, -np.arange(sample.n + 1.0)[:, None] * powers.imag
 
 
 def abc_direct(sample: PolySample, x) -> AbcTriple:
@@ -193,47 +204,65 @@ def _iid_constants(n: int):
     return A, C
 
 
-def _iid_cosine_abc(n: int, x: np.ndarray):
-    """The i.i.d. cosine forms of abc_closed, with phi = phi_{n+1}(.; 1).
+@dataclass(frozen=True)
+class PanelNodes:
+    """The nodes x = mid_p + half z_i of panels of one width, panel-major.
 
-    phi'' comes from the equation phi_ss = (1 - m^2) phi - 2 cot(s) phi_s
-    of sin(m s)/sin(s), s = t/2 = x, so sin x must stay away from 0.
-    """
-    A0, S2 = _iid_constants(n)
-    t = 2.0 * x
-    phi, phid = dirichlet_pair(n + 1, 1, t)
-    phidd = 0.25 * (1.0 - (n + 1.0) ** 2) * phi - (np.cos(x) / np.sin(x)) * phid
-    cos_n = np.cos(n * x)
-    sin_n = np.sin(n * x)
-    K = phi * cos_n
-    Kd = phid * cos_n - 0.5 * n * phi * sin_n
-    Kdd = phidd * cos_n - n * phid * sin_n - 0.25 * n * n * K
-    return 0.5 * (A0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
+    A plain array is a block of one-node panels, half = 0 and z = [0],
+    whose node phase is exactly (1, 0): cis(f) is then np.cos(f x) and
+    np.sin(f x) to the bit."""
+
+    mid: np.ndarray
+    half: float
+    z: np.ndarray
+
+    @classmethod
+    def of(cls, x) -> "PanelNodes":
+        if isinstance(x, cls):
+            return x
+        return cls(np.atleast_1d(np.asarray(x, dtype=float)).ravel(), 0.0, np.zeros(1))
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return (self.mid[:, None] + self.half * self.z).ravel()
+
+    @property
+    def size(self) -> int:
+        return self.mid.size * self.z.size
+
+    def cis(self, f: float):
+        """(cos(f x), sin(f x)) at the nodes, by angle addition."""
+        panel, node = (np.cos(a) + 1j * np.sin(a) for a in (f * self.mid, f * self.half * self.z))
+        phase = (panel[:, None] * node).ravel()
+        return phase.real, phase.imag
 
 
-def _grouped_abc(kind: str, ell: int, directions, x: np.ndarray):
+def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
     """A, B, C over the ell grouped directions (M, freq_twice) of a
-    periodic sample.
-
-    Direction k < ell sums M_k frequencies with mean nu_k = freq_twice[k]/2:
+    periodic sample: direction k sums M_k frequencies of mean
+    nu_k = freq_twice[k]/2,
 
         g_k = phi_{M_k}(x) cos(nu_k x),
 
-    and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M')
-    comes from one dirichlet_pair per distinct M, largest M first, and is
-    (1, 0) for M = 1.  Cosine sums g_k^2, g_k g_k' and g_k'^2.  For trig
-    the cross terms of g_k and h_k cancel, leaving
+    and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M') of
+    every M > 1 (m and m+1) comes from one dirichlet_pairs reduction, and
+    is (1, 0) for M = 1.  Cosine sums g_k^2, g_k g_k' and g_k'^2 with the
+    block's phases of nu_k x.  For trig the cross terms cancel, leaving
 
         A = sum phi^2,  B = sum phi phi',  C = sum (phi'^2 + nu^2 phi^2),
 
     one term per distinct M and no cosine or sine at all.
     """
     M, freq_twice = directions
+    x = block.x
+    sizes = sorted(set(M.tolist()), reverse=True)
+    orders = sorted(size for size in sizes if size > 1)  # m and m+1 at most
+    pairs = dict(zip(orders, dirichlet_pairs(orders[0], ell, x, len(orders)))) if orders else {}
     A = np.zeros_like(x)
     B = np.zeros_like(x)
     C = np.zeros_like(x)
-    for size in sorted(set(M.tolist()), reverse=True):
-        phi, phid = (1.0, 0.0) if size == 1 else dirichlet_pair(size, ell, x)
+    for size in sizes:
+        phi, phid = pairs.pop(size, (1.0, 0.0))
         nus = freq_twice[M == size] / 2.0
         if kind == "trig":
             A += nus.size * phi * phi
@@ -241,8 +270,7 @@ def _grouped_abc(kind: str, ell: int, directions, x: np.ndarray):
             C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
             continue
         for nu in nus.tolist():
-            cos_nu = np.cos(nu * x)
-            sin_nu = np.sin(nu * x)
+            cos_nu, sin_nu = block.cis(nu)
             g = phi * cos_nu
             gd = phid * cos_nu - nu * phi * sin_nu
             A += g * g
@@ -251,35 +279,43 @@ def _grouped_abc(kind: str, ell: int, directions, x: np.ndarray):
     return A, B, C
 
 
-def _cosine_closed(sample: PolySample, x: np.ndarray) -> AbcTriple:
-    """i.i.d. cosine forms, with literal sums within 1/n of the lattice.
+def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
+    """The i.i.d. cosine forms of abc_closed, phi = phi_{n+1}(.; 1), with
+    phi'' from phi_ss = (1 - m^2) phi - 2 cot(s) phi_s, s = t/2 = x.
 
     Next to x = 0 and pi, C = (S2 + K''(2x))/2 cancels two terms of size
     about n^3/3 (K''(0) = -S2), and phi'' divides phi' by sin x: 1e-12
     from 2 pi the closed C reads -1.2e-4 at n = 1 and -1316 at n = 400,
-    where the literal sums give 1e-24 and 2e-12.  The few nodes with
-    |sin x| < 1/n are summed literally instead.
+    where the literal sums give 1e-24 and 2e-12.  So literal sums
+    (_cosine_powers) overwrite the few nodes with |sin x| < 1/n.
     """
-    near = np.abs(np.sin(x)) < 1.0 / sample.n
-    far = ~near
-    A = np.empty_like(x)
-    B = np.empty_like(x)
-    C = np.empty_like(x)
-    A[far], B[far], C[far] = _iid_cosine_abc(sample.n, x[far])
+    n = sample.n
+    A0, S2 = _iid_constants(n)
+    cos_x, sin_x = block.cis(1.0)
+    cos_n, sin_n = block.cis(float(n))
+    phi, phid = dirichlet_pair(n + 1, 1, 2.0 * block.x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at sin x = 0, overwritten
+        phidd = 0.25 * (1.0 - (n + 1.0) ** 2) * phi - (cos_x / sin_x) * phid
+    K = phi * cos_n
+    Kd = phid * cos_n - 0.5 * n * phi * sin_n
+    Kdd = phidd * cos_n - n * phid * sin_n - 0.25 * n * n * K
+    A, B, C = 0.5 * (A0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
+    near = np.abs(sin_x) < 1.0 / n
     if near.any():
-        A[near], B[near], C[near] = _literal_sums(sample, x[near])
+        phase = cos_x[near] + 1j * sin_x[near]
+        A[near], B[near], C[near] = _literal_sums(sample, phase, _cosine_powers)
     return AbcTriple(A=A, B=B, C=C)
 
 
 def abc_closed(sample: PolySample, x) -> AbcTriple:
     """O(1)-to-O(ell)-per-point closed forms for the raw (unfactored) polynomial.
 
-    Every model but i.i.d. cosine: the sums over the ell grouped directions
+    x is an array of points or a PanelNodes block.  Every model but
+    i.i.d. cosine: the sums over the ell grouped directions
     g_k = phi_M(x) cos(nu_k x) (and h_k = phi_M(x) sin(nu_k x) for trig),
     M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2
-    (PeriodDecomposition.directions); see _grouped_abc.  phi_M and phi_M'
-    come from dirichlet_pair, one lattice reduction per distinct M, whose
-    series keeps them accurate up to the lattice itself.  i.i.d. trig is
+    (PeriodDecomposition.directions); see _grouped_abc.  dirichlet_pairs'
+    series keeps phi_M' accurate up to the lattice.  i.i.d. trig is
     the vacuous period ell = n+1: every M is 1, so A = n+1, B = 0 and
     C = sum_{j<=n} j^2 = n(n+1)(2n+1)/6, all exact.
 
@@ -291,29 +327,30 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
     S2 = n(n+1)(2n+1)/6.  C cancels next to x = 0 and pi, where the nodes
     with |sin x| < 1/n are summed literally (see _cosine_closed).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    block = PanelNodes.of(x)
     model = sample.model
     if model.dep == "iid" and model.kind == "cosine":
-        return _cosine_closed(sample, x)
+        return _cosine_closed(sample, block)
     ell = model.ell if model.dep == "periodic" else sample.n + 1
     directions = decompose_degree(sample.n, ell).directions()
-    return AbcTriple(*_grouped_abc(model.kind, ell, directions, x))
+    return AbcTriple(*_grouped_abc(model.kind, ell, directions, block))
 
 
 def abc_reduced(sample: PolySample, x) -> AbcTriple:
     """(A, B, C) of the reduced polynomial after factoring out phi_m (r = 0).
 
-    The reduced polynomial keeps one direction per residue class at the
-    grouped frequencies nu_k, so these are the grouped sums of abc_closed
-    over those frequencies with M = 1: phi = 1 and phi' = 0.  Trig: the
+    x is an array of points or a PanelNodes block.  The reduced
+    polynomial keeps one direction per residue class at the grouped
+    frequencies nu_k, so these are the grouped sums of abc_closed over
+    those frequencies with M = 1: phi = 1 and phi' = 0.  Trig: the
     reduced process is stationary, A = ell, B = 0,
     C = sum nu_k^2 = ell (3 n^2 + ell^2 - 1) / 12.
     Cosine: O(ell) sums of cos(nu_k x) and its derivative.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    block = PanelNodes.of(x)
     red = reduce_periodic(sample)  # raises unless periodic with r = 0
     directions = (np.ones_like(red.freq_twice), red.freq_twice)
-    return AbcTriple(*_grouped_abc(sample.model.kind, red.ell, directions, x))
+    return AbcTriple(*_grouped_abc(sample.model.kind, red.ell, directions, block))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +399,10 @@ def _integrate_panels(func, intervals, n_panels_total: int):
     """Integrate func over the union of intervals with ~n_panels_total panels
     of _NODES points.
 
-    func sees at most _BLOCK_POINTS nodes per call.
+    func sees one PanelNodes block of at most _BLOCK_POINTS nodes per call,
+    with the weights of composite_gauss_legendre.
     """
+    z, w = _legendre_rule(_NODES)
     total_len = sum(hi - lo for lo, hi in intervals)
     block = _BLOCK_POINTS // _NODES
     value = 0.0
@@ -372,8 +411,10 @@ def _integrate_panels(func, intervals, n_panels_total: int):
         share = max(1, int(round(n_panels_total * (hi - lo) / total_len)))
         edges = np.linspace(lo, hi, share + 1)
         for first in range(0, share, block):
-            xs, ws = composite_gauss_legendre(edges[first:first + block + 1], _NODES)
-            value += float(np.dot(func(xs), ws))
+            e = edges[first:first + block + 1]
+            nodes = PanelNodes(0.5 * (e[1:] + e[:-1]), 0.5 * (hi - lo) / share, z)
+            ws = (0.5 * (e[1:] - e[:-1])[:, None] * w).ravel()
+            value += float(np.dot(func(nodes), ws))
         panels_used += share
     return value, panels_used
 
@@ -435,27 +476,25 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
 
     Dispatch:
       * i.i.d. trig      -- stationary, integrand constant: no quadrature.
-      * i.i.d. cosine    -- abc_closed.
       * periodic samples that factor (r = 0, m >= 2) -- deterministic
         lattice zeros counted exactly, plus quadrature of the reduced factor
         (abc_reduced); cosine additionally excises n^{-1/3} windows where the
         reduced A touches zero.
-      * periodic r = 0, m = 1 -- the coefficients never repeat: abc_closed.
-      * periodic r != 0  -- abc_closed with lattice windows excised.
+      * i.i.d. cosine, periodic r = 0 with m = 1 (the coefficients never
+        repeat) and periodic r != 0 with lattice windows excised -- abc_closed.
       * periodic cosine, ell = 1 -- a rank-one process with no Kac-Rice
         density: its 2n deterministic zeros, with zero error.
 
     The routes are integrated over the symmetry cell [0, pi/q] of the
-    density (q = ell for periodic trig, 2 for i.i.d. cosine, 1 for periodic
-    cosine) and the cell integral I is multiplied by 2q.  The cell gets
-    ceil(P/(2q)) panels of _NODES points in the first pass and twice that
-    in the second, P = max(_MIN_PANELS, _PANELS_PER_DEGREE n) being the
-    whole-circle panel count, so the panel width is that of a whole-circle
-    rule.  The error estimate is 2q |I(2P) - I(P)|
-    from panel doubling plus the excised mass estimate (n/pi per unit
-    length, the circle-average density scale).  excluded_windows lists the
-    cuts of the whole circle and panels_used counts the panels of the
-    second pass over the whole circle, 2q per cell panel.
+    density (see the module docstring), and the integral I times 2q.  The
+    cell gets ceil(P/(2q)) panels of _NODES points in the first pass and
+    twice that in the second, P = max(_MIN_PANELS, _PANELS_PER_DEGREE n)
+    being the whole-circle panel count, so the panel width is that of a
+    whole-circle rule.  The error estimate is 2q |I(2P) - I(P)| from panel
+    doubling plus the excised mass estimate (n/pi per unit length, the
+    circle-average density scale).  excluded_windows lists the cuts of the
+    whole circle and panels_used counts the panels of the second pass over
+    the whole circle, 2q per cell panel.
     """
     model = sample.model
     n = sample.n

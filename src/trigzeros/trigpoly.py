@@ -54,8 +54,8 @@ extends to +-m across the removable singularities at the lattice
 x = 2 k pi / ell.
 
 Every removable singularity of the package goes through one kernel, the
-lattice reduction behind dirichlet_ratio and dirichlet_pair, which
-returns phi_M and phi_M' from the same reduction (the Kac-Rice
+lattice reduction behind dirichlet_pairs, which returns phi_M and phi_M'
+of consecutive orders M = m, m+1 from the same reduction (the Kac-Rice
 covariances need both), and u_ell(x) = phi_ell(x)/ell at ell := 2.
 The quotient is evaluated on every node and the Taylor form overwrites
 it inside the window |sin(ell t/2)| < SINGULARITY_EPS, a constant.
@@ -262,22 +262,20 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
     return vals
 
 
-def _removable(m: int, ell: int, x, far, near):
-    """The removable-singularity kernel behind dirichlet_ratio,
-    dirichlet_pair and u_ell.
+def _removable(orders, ell: int, x, far, near):
+    """The removable-singularity kernel behind dirichlet_pairs and u_ell.
 
     Writes x = 2 k pi/ell + t and evaluates far(s, sin s) at s = ell t/2
     on every node; within |sin s| < SINGULARITY_EPS, where the quotient
     loses its digits or divides by zero, near(s) overwrites it.  Both
-    return a tuple of arrays (a value, or a value and its derivative),
-    and each gets the sign (-1)^(k(m-1)) that the reduction pulls out
-    of the quotient.
+    return a tuple of arrays, and output i gets the sign (-1)^(k(M-1)),
+    M = orders[i], that the reduction pulls out of the quotient phi_M.
     """
-    if m < 1 or ell < 1:
-        raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")
+    if min(orders) < 1 or ell < 1:
+        raise ValueError(f"need m >= 1 and ell >= 1, got m={min(orders)}, ell={ell}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     period = 2.0 * np.pi / ell
-    k = np.rint(x_arr / period).astype(np.int64)
+    k = np.rint(x_arr / period)
     s = 0.5 * ell * (x_arr - k * period)
     sin_s = np.sin(s)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -286,10 +284,11 @@ def _removable(m: int, ell: int, x, far, near):
     if near_mask.any():
         for out, fix in zip(outs, near(s[near_mask])):
             out[near_mask] = fix
-    if (m - 1) % 2 == 1:
-        odd = (k % 2) == 1
-        for out in outs:
-            out[odd] *= -1.0
+    flips = [out for M, out in zip(orders, outs) if (M - 1) % 2]
+    if flips:
+        sign = np.where(np.fmod(k, 2.0) != 0.0, -1.0, 1.0)
+        for out in flips:
+            out *= sign
     if np.ndim(x) == 0:
         return tuple(float(out[0]) for out in outs)
     return outs
@@ -299,60 +298,74 @@ def dirichlet_ratio(m: int, ell: int, x):
     """phi_m(x) = sin(m ell x/2)/sin(ell x/2) with singularities removed.
 
     Writing x = 2 k pi/ell + t reduces the quotient exactly to
-    (-1)^(k(m-1)) sin(m ell t/2)/sin(ell t/2), which is numerically
-    stable because the small argument is evaluated directly.  Within
-    |sin(ell t/2)| < SINGULARITY_EPS the quadratic Taylor form
-    m(1 - (m^2-1)s^2/6), s = ell t/2, replaces the quotient; at the
-    lattice itself this is the continuous extension +-m.
+    (-1)^(k(m-1)) sin(m ell t/2)/sin(ell t/2), stable because the small
+    argument is evaluated directly.  Within |sin(ell t/2)| < SINGULARITY_EPS
+    the Taylor form m(1 - (m^2-1)s^2/6), s = ell t/2, replaces the
+    quotient: +-m at the lattice itself.
     """
-    return _removable(
-        m, ell, x,
-        lambda s, sin_s: (np.sin(m * s) / sin_s,),
-        lambda s: (m * (1.0 - (m * m - 1.0) * s * s / 6.0),),
-    )[0]
+    return dirichlet_pair(m, ell, x)[0]
 
 
 def dirichlet_pair(m: int, ell: int, x):
-    """(phi_m, phi_m') at x from one lattice reduction.
+    """(phi_m, phi_m') at x: dirichlet_pairs with one order."""
+    return dirichlet_pairs(m, ell, x, 1)[0]
 
-    phi_m is dirichlet_ratio(m, ell, x) to the bit.  Away from the
-    lattice, with s = ell t/2 and the sign as in dirichlet_ratio,
 
-        phi_m'(x) = sign * (ell/2) [m cos(ms) sin(s) - sin(ms) cos(s)] / sin(s)^2.
+def dirichlet_pairs(m: int, ell: int, x, orders: int):
+    """[(phi_M, phi_M') for M = m, ..., m + orders - 1] at x from one
+    lattice reduction.  Away from the lattice, with s = ell t/2 and the
+    sign as in dirichlet_ratio,
 
-    Near the lattice the bracket cancels: its two terms are about m s
-    and their difference is m(m^2-1) s^3/3, so the quotient carries an
-    absolute error of about u ell m/s.  Where m |s| < _PAIR_SERIES_WINDOW
+        phi_M'(x) = sign * (ell/2) [M cos(Ms) sin(s) - sin(Ms) cos(s)] / sin(s)^2.
+
+    Each order past m takes sin(Ms), cos(Ms) from one angle-addition step,
+    so 4 sines and cosines per node serve every order.  A step adds a few
+    u to the numerators, so order m+1 agrees with its own call to about
+    u (1 + M|s|)/|sin s|; beside the lattice its terms share the sign of s.
+
+    Near the lattice the bracket cancels: its two terms are about M s
+    and their difference is M(M^2-1) s^3/3, so the quotient carries an
+    absolute error of about u ell M/s.  Where M |s| < _PAIR_SERIES_WINDOW
     the derivative comes instead from the series of
-    phi_m = sum_t cos(nu_t s), nu_t = m-1-2t, t < m:
+    phi_M = sum_t cos(nu_t s), nu_t = M-1-2t, t < M:
 
-        d phi_m/ds = -S_2 s + S_4 s^3/3! - S_6 s^5/5!,
-        S_2 = m(m^2-1)/3, S_4 = S_2 (3m^2-7)/5, S_6 = S_2 (3m^4-18m^2+31)/7,
+        d phi_M/ds = -S_2 s + S_4 s^3/3! - S_6 s^5/5!,
+        S_2 = M(M^2-1)/3, S_4 = S_2 (3M^2-7)/5, S_6 = S_2 (3M^4-18M^2+31)/7,
 
     the power sums S_p = sum_t nu_t^p.  Its terms do not cancel, and the
-    first term left out is below (m s)^6/5040 of it.  phi_m' vanishes at
-    the lattice points themselves, and m = 1 gives exactly (1, 0).
+    first term left out is below (M s)^6/5040 of it.  phi_M' vanishes at
+    the lattice points themselves, and M = 1 gives exactly (1, 0).
     """
-    s2 = m * (m * m - 1.0) / 3.0
-    s4 = s2 * (3.0 * m * m - 7.0) / 5.0
-    s6 = s2 * (3.0 * m ** 4 - 18.0 * m * m + 31.0) / 7.0
+    sizes = range(m, m + orders)
 
-    def slope_series(s):
+    def slope_series(M, s):
+        s2 = M * (M * M - 1.0) / 3.0
+        s4 = s2 * (3.0 * M * M - 7.0) / 5.0
+        s6 = s2 * (3.0 * M ** 4 - 18.0 * M * M + 31.0) / 7.0
         s_sq = s * s
         return 0.5 * ell * s * (-s2 + s_sq * (s4 / 6.0 - s_sq * (s6 / 120.0)))
 
     def far(s, sin_s):
-        sin_ms = np.sin(m * s)
-        slope = 0.5 * ell * (m * np.cos(m * s) * sin_s - sin_ms * np.cos(s)) / (sin_s**2)
-        series = np.abs(s) < _PAIR_SERIES_WINDOW / m
-        if series.any():
-            slope[series] = slope_series(s[series])
-        return sin_ms / sin_s, slope
+        cos_s = np.cos(s)
+        sin_ms, cos_ms = np.sin(m * s), np.cos(m * s)
+        outs = []
+        for M in sizes:
+            if M > m:
+                sin_ms, cos_ms = sin_ms * cos_s + cos_ms * sin_s, cos_ms * cos_s - sin_ms * sin_s
+            slope = 0.5 * ell * (M * cos_ms * sin_s - sin_ms * cos_s) / (sin_s**2)
+            series = np.abs(s) < _PAIR_SERIES_WINDOW / M
+            if series.any():
+                slope[series] = slope_series(M, s[series])
+            outs += [sin_ms / sin_s, slope]
+        return tuple(outs)
 
     def near(s):
-        return m * (1.0 - (m * m - 1.0) * s * s / 6.0), slope_series(s)
+        return tuple(out for M in sizes
+                     for out in (M * (1.0 - (M * M - 1.0) * s * s / 6.0),
+                                 slope_series(M, s)))
 
-    return _removable(m, ell, x, far, near)
+    outs = _removable(tuple(M for M in sizes for _ in range(2)), ell, x, far, near)
+    return [outs[i:i + 2] for i in range(0, len(outs), 2)]
 
 
 def u_ell(ell: int, x):
@@ -368,7 +381,7 @@ def u_ell(ell: int, x):
     if ell < 1:
         raise ValueError(f"need ell >= 1, got ell={ell}")
     return _removable(
-        ell, 2, x,
+        (ell,), 2, x,
         lambda s, sin_s: (np.sin(ell * s) / (ell * sin_s),),
         lambda s: (1.0 - (ell * ell - 1.0) * s * s / 6.0,),
     )[0]

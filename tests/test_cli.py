@@ -158,7 +158,8 @@ def test_constants_shortcuts(capsys):
 
 
 def test_constants_monte_carlo_count(capsys):
-    """--mc 0 is off; a negative count is a usage error, not a confirmation."""
+    """--mc 0 is off; a negative count is a usage error, not a confirmation,
+    and it fails before any value reaches stdout."""
     assert main(["constants", "--what", "K", "--ell", "3", "--mc", "0"]) == 0
     assert "monte-carlo" not in capsys.readouterr().out
     for what in (["K", "--ell", "3"], ["C", "--ell", "3", "--r", "1"]):
@@ -166,8 +167,18 @@ def test_constants_monte_carlo_count(capsys):
             main(["constants", "--what", *what, "--mc", "-5"])
         assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert "monte-carlo" not in captured.out
+        assert captured.out == ""
         assert "n_points >= 1" in captured.err
+
+
+@pytest.mark.parametrize("what", [["J", "--ell", "3", "--r", "1"], ["I", "--alpha", "0.9"]])
+def test_constants_monte_carlo_only_for_C_and_K(capsys, what):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--what", *what, "--mc", "1000"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--mc" in captured.err
 
 
 def test_constants_identity(capsys):

@@ -15,6 +15,7 @@ from trigzeros.models import (
 from trigzeros.kacrice import (
     TWO_PI,
     AbcTriple,
+    PanelNodes,
     abc_closed,
     abc_direct,
     abc_reduced,
@@ -546,6 +547,158 @@ class TestFoldedQuadrature:
         res = expected_zeros_quadrature(sample)
         want = _direct_whole_circle(sample)
         assert abs(res.total() - want) <= res.abs_error_estimate + 1e-12 * want
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _quadrature_blocks(sample):
+    """The PanelNodes blocks that expected_zeros_quadrature hands its route."""
+    blocks = []
+    _, route = _route(sample)
+
+    def record(sample, x):
+        blocks.append(x)
+        return route(sample, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kacrice, route.__name__, record)
+        expected_zeros_quadrature(sample)
+    return blocks
+
+
+def _route_frequencies(sample):
+    """Every f whose phases cos(f x), sin(f x) a route takes from its block."""
+    model, n = sample.model, sample.n
+    if model.dep == "iid":
+        return [1.0, float(n)]
+    if decompose_degree(n, model.ell).factors:
+        return (reduce_periodic(sample).freq_twice / 2.0).tolist()
+    return (decompose_degree(n, model.ell).directions()[1] / 2.0).tolist()
+
+
+class TestPanelPhases:
+    """PanelNodes.cis(f): cos(f x) and sin(f x) from the panel phases
+    e^{i f mid} and the node phases e^{i f half z}.
+
+    Against np.cos and np.sin of f x the phases stay within 8u(1 + |f x|),
+    u the unit roundoff: both sides round the angle f x to about u |f x|,
+    and the angle addition adds a few u more while |f half| < 1, as on the
+    quadrature's panels (f <= n, half about pi/(8n)).
+    """
+
+    @staticmethod
+    def _assert_phases(block, f):
+        c, s = block.cis(f)
+        fx = f * block.x
+        bound = 8 * _U * (1 + np.abs(fx))
+        assert np.all(np.abs(c - np.cos(fx)) <= bound)
+        assert np.all(np.abs(s - np.sin(fx)) <= bound)
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n",
+        [
+            ("cosine", "iid", None, 400),  # cell [0, pi/2] from x = 0
+            ("cosine", "periodic", 3, 201),  # r = 1: lattice windows
+            ("cosine", "periodic", 3, 299),  # r = 0: reduced, windows at 0, pi
+            ("cosine", "periodic", 7, 12),  # m = 1
+        ],
+    )
+    def test_quadrature_blocks_at_every_route_frequency(self, kind, dep, ell, n):
+        """Every block of the quadrature and every frequency of its route,
+        the first and last nodes of the cell and of each window edge
+        included (there 1 + z = 0.0106, where the addition cancels most)."""
+        sample = _sample(kind, dep, n, ell=ell)
+        blocks = _quadrature_blocks(sample)
+        assert all(isinstance(b, PanelNodes) and b.half > 0 for b in blocks)
+        for f in _route_frequencies(sample):
+            for block in blocks:
+                self._assert_phases(block, f)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5])
+    def test_panels_beside_the_lattice(self, ell):
+        """Panels that end on, or 1e-12 to 1e-3 from, the lattice points
+        2 pi k/ell, at the frequencies of a degree-1000 sample."""
+        lattice = TWO_PI * np.arange(ell + 1) / ell
+        half = math.pi / 8000
+        gaps = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, -2.0)])
+        z = kacrice._legendre_rule(kacrice._NODES)[0]
+        for sign in (-1.0, 1.0):
+            mid = (lattice[:, None] + sign * (gaps + half)).ravel()
+            block = PanelNodes(mid, half, z)
+            for f in (1.0, 0.5 * ell, 333.5, 500.0, 1000.0):
+                self._assert_phases(block, f)
+
+    def test_plain_array_is_bit_for_bit(self):
+        x = np.concatenate([_beside(TWO_PI * np.arange(4) / 3), [0.0, math.pi, 7.5]])
+        block = PanelNodes.of(x)
+        assert block.half == 0.0 and np.size(block) == x.size
+        assert np.array_equal(block.x, x)
+        for f in (1.0, 2.5, 150.0, 401.0, 1199.5):
+            c, s = block.cis(f)
+            assert np.array_equal(c, np.cos(f * x))
+            assert np.array_equal(s, np.sin(f * x))
+
+
+class TestPanelBlocks:
+    """What the quadrature hands its routes, as the tracer and the
+    dispatch tests see it."""
+
+    @pytest.mark.parametrize("lo,hi,panels", [(0.0, math.pi / 2, 3200),
+                                              (0.31, 2.1, 4097), (1.0, 1.5, 1)])
+    def test_blocks_are_the_composite_rule(self, lo, hi, panels):
+        """The blocks cover the composite Gauss-Legendre rule in order: their
+        nodes within 4 ulp of 2 pi of its abscissae, np.size(block) their
+        node count, at most _BLOCK_POINTS each, and its weights."""
+        blocks = []
+
+        def record(block):
+            blocks.append(block)
+            return np.cos(block.x)
+
+        total, used = kacrice._integrate_panels(record, [(lo, hi)], panels)
+        xs, ws = composite_gauss_legendre(np.linspace(lo, hi, panels + 1), kacrice._NODES)
+        assert used == panels
+        assert total == pytest.approx(math.sin(hi) - math.sin(lo), rel=1e-14)
+        assert total == pytest.approx(float(np.cos(xs) @ ws), rel=1e-15)
+        assert [np.size(b) for b in blocks] == [b.x.size for b in blocks]
+        assert max(np.size(b) for b in blocks) <= kacrice._BLOCK_POINTS
+        x = np.concatenate([b.x for b in blocks])
+        assert x.size == xs.size
+        assert np.abs(x - xs).max() <= 4 * np.spacing(TWO_PI)
+
+
+class TestTranscendentalBudget:
+    """np.sin and np.cos elements per node that the routes evaluate in one
+    expected_zeros_quadrature: the phases cost 2 per panel and frequency,
+    2/16 per node, and a lattice reduction 4 per node."""
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n,budget",
+        [
+            ("cosine", "periodic", 3, 1199, 2 * 3 / 16 + 0.01),  # reduced
+            ("trig", "periodic", 3, 1000, 4.01),  # r = 2
+            ("cosine", "periodic", 3, 1201, 4 + 2 * 3 / 16 + 0.01),  # r = 2
+            ("cosine", "iid", None, 400, 4.26),
+        ],
+    )
+    def test_per_node(self, monkeypatch, kind, dep, ell, n, budget):
+        sample = _sample(kind, dep, n, ell=ell)
+        counts = {"trig": 0, "nodes": 0}
+
+        def counted(func, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += np.size(args[1] if key == "nodes" else args[0])
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in ("abc_closed", "abc_reduced"):
+            monkeypatch.setattr(kacrice, name, counted(getattr(kacrice, name), "nodes"))
+        for name in ("sin", "cos"):
+            monkeypatch.setattr(np, name, counted(getattr(np, name), "trig"))
+        expected_zeros_quadrature(sample)
+        assert counts["nodes"] > 0
+        assert counts["trig"] / counts["nodes"] <= budget
 
 
 def _peak_mb(func):

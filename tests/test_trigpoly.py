@@ -18,6 +18,7 @@ from trigzeros.models import CoefficientModel, sample_coefficients
 from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,
+    dirichlet_pairs,
     dirichlet_ratio,
     evaluate,
     evaluate_jet,
@@ -376,29 +377,65 @@ class TestDirichletRatio:
         phi, _ = dirichlet_pair(m, ell, x)
         assert np.array_equal(phi, dirichlet_ratio(m, ell, x))
 
-    @pytest.mark.parametrize("m,ell", [(2, 1), (2, 7), (7, 3), (100, 3), (81, 5), (12, 7)])
-    def test_pair_derivative_across_the_lattice(self, m, ell):
-        """Central differences of phi_m, and literal sums in long double, on
-        array points beside every lattice point, at both parities of k,
+    @staticmethod
+    def _across_the_lattice(m, ell):
+        """Array points beside every lattice point, at both parities of k,
         through and beyond the window: random offsets, 10^(-12...-5), and
-        3e-9...6.3e-9, where the quotient form cancels (m = 2, ell = 7 lost
-        1.6e-9 m^3 ell there)."""
+        3e-9...6.3e-9, where the quotient form of phi_m' cancels."""
         rng = np.random.default_rng(33)
-        h = 1e-6
         lattice = 2 * np.pi * np.arange(-1, ell + 2) / ell
         x = (lattice[:, None] + rng.uniform(-0.3, 0.3, (lattice.size, 40))
              / (m * ell)).ravel()
         offsets = np.concatenate([10.0 ** np.arange(-12.0, -4.9, 0.25),
                                   np.linspace(3e-9, 6.3e-9, 12)])
         beside = (lattice[:, None] + np.concatenate([offsets, -offsets])).ravel()
-        x = np.concatenate([x, lattice + 1e-9, lattice - 3e-10, beside])
+        return np.concatenate([x, lattice + 1e-9, lattice - 3e-10, beside])
+
+    @staticmethod
+    def _assert_pair_matches_literal_sums(m, ell, x, phi, phid):
+        """Central differences of phi_m, and literal sums in long double."""
+        h = 1e-6
         fd = (dirichlet_ratio(m, ell, x + h) - dirichlet_ratio(m, ell, x - h)) / (2 * h)
-        _, phid = dirichlet_pair(m, ell, x)
         assert np.abs(phid - fd).max() < 1e-9 * m**3 * ell
         # phi_m = sum_t cos(nu_t ell x/2), nu_t = m-1-2t, differentiated termwise
         nu = (m - 1 - 2 * np.arange(m)).astype(np.longdouble) * ell / 2
-        literal = -(nu * np.sin(np.outer(x.astype(np.longdouble), nu))).sum(axis=1)
+        angles = np.outer(x.astype(np.longdouble), nu)
+        assert np.abs(phi - np.cos(angles).sum(axis=1).astype(float)).max() < 1e-11 * m
+        literal = -(nu * np.sin(angles)).sum(axis=1)
         assert np.abs(phid - literal.astype(float)).max() < 1e-12 * m**3 * ell
+
+    @pytest.mark.parametrize("m,ell", [(2, 1), (2, 7), (7, 3), (100, 3), (81, 5), (12, 7)])
+    def test_pair_derivative_across_the_lattice(self, m, ell):
+        """The pair against central differences and long-double literal
+        sums across the lattice (m = 2, ell = 7 lost 1.6e-9 m^3 ell to the
+        quotient form at 3e-9...6.3e-9)."""
+        x = self._across_the_lattice(m, ell)
+        self._assert_pair_matches_literal_sums(m, ell, x, *dirichlet_pair(m, ell, x))
+
+    @pytest.mark.parametrize("m,ell", [(1, 3), (2, 1), (2, 7), (7, 3), (100, 3), (81, 5), (12, 7)])
+    def test_consecutive_orders_share_one_reduction(self, m, ell):
+        """dirichlet_pairs(m, ell, x, 2): order m is dirichlet_pair to the
+        bit.  Order m+1 takes sin((m+1)s) and cos((m+1)s) from one
+        angle-addition step, so it differs from its own dirichlet_pair call
+        only by the rounding of the numerators: at most 8u (1 + M|s|) each,
+        divided by |sin s| for phi_M and by sin(s)^2 / (ell/2 (1 + M|sin s|))
+        for phi_M', with u = 2^-53 and s the reduced argument.  It meets the
+        literal sums with the tolerances of dirichlet_pair itself."""
+        x = np.concatenate([self._across_the_lattice(m + 1, ell),
+                            self._lattice_and_window_points(ell, np.random.default_rng(m))])
+        low, high = dirichlet_pairs(m, ell, x, 2)
+        for got, want in zip(low, dirichlet_pair(m, ell, x)):
+            assert np.array_equal(got, want)
+        M = m + 1
+        k = np.rint(x * ell / (2 * np.pi))
+        s = 0.5 * ell * (x - k * (2 * np.pi / ell))
+        sin_s = np.maximum(np.abs(np.sin(s)), 1e-150)
+        bound = 8 * (np.finfo(float).eps / 2) * (1 + M * np.abs(s))
+        phi, phid = dirichlet_pair(M, ell, x)
+        assert np.all(np.abs(high[0] - phi) <= bound / sin_s)
+        assert np.all(np.abs(high[1] - phid)
+                      <= bound * 0.5 * ell * (1 + M * sin_s) / sin_s**2)
+        self._assert_pair_matches_literal_sums(M, ell, x, *high)
 
     def test_pair_at_m_one_is_exactly_one_and_zero(self):
         for ell in (1, 2, 5):
