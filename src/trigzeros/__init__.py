@@ -20,12 +20,10 @@ from .models import (
 from .trigpoly import (
     ReducedSample,
     dirichlet_pair,
-    dirichlet_ratio,
     evaluate,
     evaluate_on_grid,
     grid_nodes,
     reduce_periodic,
-    u_ell,
 )
 from .zeros import (
     ZeroCountReport,

@@ -42,7 +42,7 @@ from .kacrice import (
     expected_zeros_quadrature,
 )
 from .models import CoefficientModel, sample_coefficients
-from .trigpoly import dirichlet_pair, dirichlet_ratio, evaluate, reduce_periodic
+from .trigpoly import dirichlet_pair, evaluate, reduce_periodic
 from .zeros import carrier_phase, deterministic_zero_set
 
 
@@ -314,7 +314,7 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
     On each periodic sample (ell in 1..6, m in 2..40, both kinds), dense
     evaluate must match dirichlet_pair's phi_m times reduce_periodic's T*
     at random points, beside every lattice point 2 pi k/ell (inside the
-    Taylor window) and at some of the deterministic zeros, relative to
+    series window) and at some of the deterministic zeros, relative to
     max(|T|, 1); deterministic_zero_set must hold n+1-ell points; and
     carrier_phase must give back T* as 2^e |P(e^{ix})| cos theta(x).
     """
@@ -452,7 +452,7 @@ def micro_identities(quick: bool = False) -> CriterionResult:
                 f"ell={ell}, m={m}: {zs.size} forced zeros, "
                 f"expected {ell * (m - 1)}",
             )
-        if zs.size and np.max(np.abs(dirichlet_ratio(m, ell, zs))) > 1e-9 * m:
+        if zs.size and np.max(np.abs(dirichlet_pair(m, ell, zs)[0])) > 1e-9 * m:
             return CriterionResult(
                 "micro-identities", False,
                 f"ell={ell}, m={m}: forced zeros do not kill the ratio",

@@ -79,6 +79,8 @@ def _add_model_arguments(parser, with_degrees=True, none_defaults=False):
 
 
 def _resolve_model_args(parser, args):
+    if args.ell is not None and args.dep == "iid":
+        parser.error("--ell only applies to the periodic model")
     dep = args.dep
     if dep is None:
         dep = "periodic" if args.ell is not None else "iid"
@@ -155,6 +157,8 @@ def _cmd_simulate(parser, args):
             merged[key] = value
     if merged["dep"] is None:
         merged["dep"] = "periodic" if merged["ell"] is not None else "iid"
+    if args.ell is not None and merged["dep"] == "iid":
+        parser.error("--ell only applies to the periodic model")
     if merged["dep"] != "periodic":
         merged["ell"] = None
 

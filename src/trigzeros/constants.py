@@ -14,9 +14,9 @@ The two families of constants are double integrals over a period square:
   cosine polynomials with palindromically identified blocks of length ell:
 
       K = (1/pi^2) * int_{t=0}^{pi} int_{s=0}^{pi/2}
-              sqrt(1 + 3(1 - u_ell^2(s)) / (1 + u_ell(s) cos t)^2) ds dt,
+              sqrt(1 + 3(1 - u(s)^2) / (1 + u(s) cos t)^2) ds dt,
 
-  with u_ell(s) = sin(ell s)/(ell sin s).  K_1 = 1/2 exactly.
+  with u(s) = sin(ell s)/(ell sin s).  K_1 = 1/2 exactly.
 
 ``compute_J`` and ``compute_I_alpha`` evaluate the companion identities
 (J = 1 and I_alpha = pi^2/(sin a cos a)) that pin down C's bounds and
@@ -239,12 +239,13 @@ def _k_value(ell: int, grading=_K_GRADING) -> float:
 
 
 def _limit_integrand_k(ell: int, s, t):
-    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2), u = u_ell(s),
-    on arrays s in [0, pi/2] and t.  Near the corner (0, pi) both 1 - u^2
-    and 1 + u cos t cancel, so they come from d = 1 - u, as d (2 - d) and
-    d + 2 u cos^2(t/2); where ell s < 1, d is summed from
+    """Integrand of K: sqrt(1 + 3(1 - u^2) / (1 + u cos t)^2) with
+    u = u(s) = sin(ell s)/(ell sin s), on arrays s in [0, pi/2] and t.
+    Near the corner (0, pi) both 1 - u^2 and 1 + u cos t cancel, so they
+    come from d = 1 - u, as d (2 - d) and d + 2 u cos^2(t/2); where
+    ell s < 1, d is summed from
 
-        1 - u_ell(s) = (2/ell) sum_{k=0}^{ell-1} sin^2((ell - 1 - 2k) s/2),
+        1 - u(s) = (2/ell) sum_{k=0}^{ell-1} sin^2((ell - 1 - 2k) s/2),
 
     whose terms pair up (k and ell - 1 - k).  Elsewhere d >= 0.12.
     """

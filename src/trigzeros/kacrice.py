@@ -414,7 +414,8 @@ def _integrate_panels(func, intervals, n_panels_total: int):
             e = edges[first:first + block + 1]
             nodes = PanelNodes(0.5 * (e[1:] + e[:-1]), 0.5 * (hi - lo) / share, z)
             ws = (0.5 * (e[1:] - e[:-1])[:, None] * w).ravel()
-            value += float(np.dot(func(nodes), ws))
+            # numpy's own sum, not a BLAS dot, whose result depends on its threads
+            value += float((func(nodes) * ws).sum())
         panels_used += share
     return value, panels_used
 

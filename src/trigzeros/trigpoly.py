@@ -53,12 +53,12 @@ at ell(m-1) points per full period - the deterministic zeros - and
 extends to +-m across the removable singularities at the lattice
 x = 2 k pi / ell.
 
-Every removable singularity of the package goes through one kernel, the
-lattice reduction behind dirichlet_pairs, which returns phi_M and phi_M'
-of consecutive orders M = m, m+1 from the same reduction (the Kac-Rice
-covariances need both), and u_ell(x) = phi_ell(x)/ell at ell := 2.
-The quotient is evaluated on every node and the Taylor form overwrites
-it inside the window |sin(ell t/2)| < SINGULARITY_EPS, a constant.
+Every Dirichlet ratio of the package goes through one kernel,
+dirichlet_pairs, which returns phi_M and phi_M' of consecutive orders
+M = m, m+1 from one lattice reduction (the Kac-Rice covariances need
+both).  Each order has one window beside the lattice, M |s| <
+_PAIR_SERIES_WINDOW with s = ell t/2, where the series of both phi_M and
+phi_M' overwrite the quotients that every other node keeps.
 """
 
 from __future__ import annotations
@@ -71,13 +71,10 @@ import numpy as np
 
 from .models import CoefficientModel, PolySample, decompose_degree
 
-# half-width of the removable-singularity windows, measured on |sin(.)|
-SINGULARITY_EPS = 1e-8
-
-# dirichlet_pair: phi_m' comes from its series where m |s| is below this
-# (see there).  The series error grows like (m s)^6 and the cancellation
-# error of the quotient like 1/(m s)^2; against long-double sums the
-# worse of the two is smallest near 0.05
+# dirichlet_pairs: phi_M and phi_M' come from their series where M |s| is
+# below this (see there).  The series error grows like (M s)^6 and the
+# cancellation error of the quotient phi_M' like 1/(M s)^2; against
+# long-double sums the worse of the two is smallest near 0.05
 _PAIR_SERIES_WINDOW = 0.05
 
 _CHUNK_BUDGET = 4_000_000  # max elements per (points x frequencies) block
@@ -262,50 +259,6 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
     return vals
 
 
-def _removable(orders, ell: int, x, far, near):
-    """The removable-singularity kernel behind dirichlet_pairs and u_ell.
-
-    Writes x = 2 k pi/ell + t and evaluates far(s, sin s) at s = ell t/2
-    on every node; within |sin s| < SINGULARITY_EPS, where the quotient
-    loses its digits or divides by zero, near(s) overwrites it.  Both
-    return a tuple of arrays, and output i gets the sign (-1)^(k(M-1)),
-    M = orders[i], that the reduction pulls out of the quotient phi_M.
-    """
-    if min(orders) < 1 or ell < 1:
-        raise ValueError(f"need m >= 1 and ell >= 1, got m={min(orders)}, ell={ell}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    period = 2.0 * np.pi / ell
-    k = np.rint(x_arr / period)
-    s = 0.5 * ell * (x_arr - k * period)
-    sin_s = np.sin(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outs = far(s, sin_s)
-    near_mask = np.abs(sin_s) < SINGULARITY_EPS
-    if near_mask.any():
-        for out, fix in zip(outs, near(s[near_mask])):
-            out[near_mask] = fix
-    flips = [out for M, out in zip(orders, outs) if (M - 1) % 2]
-    if flips:
-        sign = np.where(np.fmod(k, 2.0) != 0.0, -1.0, 1.0)
-        for out in flips:
-            out *= sign
-    if np.ndim(x) == 0:
-        return tuple(float(out[0]) for out in outs)
-    return outs
-
-
-def dirichlet_ratio(m: int, ell: int, x):
-    """phi_m(x) = sin(m ell x/2)/sin(ell x/2) with singularities removed.
-
-    Writing x = 2 k pi/ell + t reduces the quotient exactly to
-    (-1)^(k(m-1)) sin(m ell t/2)/sin(ell t/2), stable because the small
-    argument is evaluated directly.  Within |sin(ell t/2)| < SINGULARITY_EPS
-    the Taylor form m(1 - (m^2-1)s^2/6), s = ell t/2, replaces the
-    quotient: +-m at the lattice itself.
-    """
-    return dirichlet_pair(m, ell, x)[0]
-
-
 def dirichlet_pair(m: int, ell: int, x):
     """(phi_m, phi_m') at x: dirichlet_pairs with one order."""
     return dirichlet_pairs(m, ell, x, 1)[0]
@@ -313,8 +266,11 @@ def dirichlet_pair(m: int, ell: int, x):
 
 def dirichlet_pairs(m: int, ell: int, x, orders: int):
     """[(phi_M, phi_M') for M = m, ..., m + orders - 1] at x from one
-    lattice reduction.  Away from the lattice, with s = ell t/2 and the
-    sign as in dirichlet_ratio,
+    lattice reduction, with phi_M(x) = sin(M ell x/2)/sin(ell x/2).
+
+    Writing x = 2 k pi/ell + t and s = ell t/2 reduces the quotient
+    exactly to (-1)^(k(M-1)) sin(Ms)/sin(s), stable because the small
+    argument s is evaluated directly; with the same sign
 
         phi_M'(x) = sign * (ell/2) [M cos(Ms) sin(s) - sin(Ms) cos(s)] / sin(s)^2.
 
@@ -325,66 +281,52 @@ def dirichlet_pairs(m: int, ell: int, x, orders: int):
 
     Near the lattice the bracket cancels: its two terms are about M s
     and their difference is M(M^2-1) s^3/3, so the quotient carries an
-    absolute error of about u ell M/s.  Where M |s| < _PAIR_SERIES_WINDOW
-    the derivative comes instead from the series of
+    absolute error of about u ell M/s, and at s = 0 both quotients are
+    0/0.  So each order has one window, M |s| < _PAIR_SERIES_WINDOW,
+    where both come instead from the series of
     phi_M = sum_t cos(nu_t s), nu_t = M-1-2t, t < M:
 
+        phi_M      = M - S_2 s^2/2! + S_4 s^4/4! - S_6 s^6/6!,
         d phi_M/ds = -S_2 s + S_4 s^3/3! - S_6 s^5/5!,
         S_2 = M(M^2-1)/3, S_4 = S_2 (3M^2-7)/5, S_6 = S_2 (3M^4-18M^2+31)/7,
 
-    the power sums S_p = sum_t nu_t^p.  Its terms do not cancel, and the
-    first term left out is below (M s)^6/5040 of it.  phi_M' vanishes at
-    the lattice points themselves, and M = 1 gives exactly (1, 0).
+    the power sums S_p = sum_t nu_t^p.  Their terms do not cancel, and
+    in each the first term left out is below (M s)^6/5040 of the leading
+    one.  So phi_M = +-M and phi_M' = 0 at the lattice points themselves,
+    and M = 1 gives exactly (1, 0).
     """
-    sizes = range(m, m + orders)
-
-    def slope_series(M, s):
-        s2 = M * (M * M - 1.0) / 3.0
-        s4 = s2 * (3.0 * M * M - 7.0) / 5.0
-        s6 = s2 * (3.0 * M ** 4 - 18.0 * M * M + 31.0) / 7.0
-        s_sq = s * s
-        return 0.5 * ell * s * (-s2 + s_sq * (s4 / 6.0 - s_sq * (s6 / 120.0)))
-
-    def far(s, sin_s):
-        cos_s = np.cos(s)
-        sin_ms, cos_ms = np.sin(m * s), np.cos(m * s)
-        outs = []
-        for M in sizes:
-            if M > m:
-                sin_ms, cos_ms = sin_ms * cos_s + cos_ms * sin_s, cos_ms * cos_s - sin_ms * sin_s
+    if m < 1 or ell < 1:
+        raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    period = 2.0 * np.pi / ell
+    k = np.rint(x_arr / period)
+    s = 0.5 * ell * (x_arr - k * period)
+    sin_s, cos_s = np.sin(s), np.cos(s)
+    sin_ms, cos_ms = np.sin(m * s), np.cos(m * s)
+    pairs = []
+    for M in range(m, m + orders):
+        if M > m:
+            sin_ms, cos_ms = sin_ms * cos_s + cos_ms * sin_s, cos_ms * cos_s - sin_ms * sin_s
+        with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 is in the window
+            phi = sin_ms / sin_s
             slope = 0.5 * ell * (M * cos_ms * sin_s - sin_ms * cos_s) / (sin_s**2)
-            series = np.abs(s) < _PAIR_SERIES_WINDOW / M
-            if series.any():
-                slope[series] = slope_series(M, s[series])
-            outs += [sin_ms / sin_s, slope]
-        return tuple(outs)
-
-    def near(s):
-        return tuple(out for M in sizes
-                     for out in (M * (1.0 - (M * M - 1.0) * s * s / 6.0),
-                                 slope_series(M, s)))
-
-    outs = _removable(tuple(M for M in sizes for _ in range(2)), ell, x, far, near)
-    return [outs[i:i + 2] for i in range(0, len(outs), 2)]
-
-
-def u_ell(ell: int, x):
-    """Normalized kernel u_ell(x) = sin(ell x)/(ell sin x).
-
-    This is dirichlet_ratio(ell, 2, x)/ell, with removable singularities
-    at multiples of pi: u_ell -> 1 at even ones (x -> 0) and (-1)^(ell+1)
-    at odd ones (x -> pi).  |u_ell| <= 1 everywhere, with equality only
-    at those points.  Near them 1 - |u_ell| has only the absolute accuracy
-    of the quotient, about 1e-16; K, which needs 1 - u_ell to relative
-    accuracy near x = 0, sums it from its sine-square series instead.
-    """
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got ell={ell}")
-    return _removable(
-        (ell,), 2, x,
-        lambda s, sin_s: (np.sin(ell * s) / (ell * sin_s),),
-        lambda s: (1.0 - (ell * ell - 1.0) * s * s / 6.0,),
-    )[0]
+        series = np.abs(s) < _PAIR_SERIES_WINDOW / M
+        if series.any():
+            z = s[series]
+            zz = z * z
+            s2 = M * (M * M - 1.0) / 3.0
+            s4 = s2 * (3.0 * M * M - 7.0) / 5.0
+            s6 = s2 * (3.0 * M ** 4 - 18.0 * M * M + 31.0) / 7.0
+            phi[series] = M - zz * (s2 / 2.0 - zz * (s4 / 24.0 - zz * (s6 / 720.0)))
+            slope[series] = 0.5 * ell * z * (-s2 + zz * (s4 / 6.0 - zz * (s6 / 120.0)))
+        if (M - 1) % 2:
+            sign = np.where(np.fmod(k, 2.0) != 0.0, -1.0, 1.0)
+            phi *= sign
+            slope *= sign
+        pairs.append((phi, slope))
+    if np.ndim(x) == 0:
+        return [(float(phi[0]), float(slope[0])) for phi, slope in pairs]
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -417,7 +359,7 @@ def reduce_periodic(sample: PolySample) -> ReducedSample:
     """Split an r = 0 periodic sample into its random factor T*.
 
     Only defined when ell divides n+1 (r = 0); the identity
-    T_n(x) = dirichlet_ratio(m, ell, x) * T*(x) then holds for all x.
+    T_n(x) = phi_m(x) T*(x) (dirichlet_pair) then holds for all x.
     """
     model = sample.model
     if model.dep != "periodic":

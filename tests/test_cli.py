@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import trigzeros
 from trigzeros.cli import main
 
 
@@ -55,6 +57,22 @@ def test_simulate_failed_rows_exit_2(tmp_path, capsys, monkeypatch, tangent_draw
     assert rc == 2
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[1].split(",")[4] == "2"  # both trials unstable
+
+
+@pytest.mark.parametrize("argv", [
+    ["kacrice", "--dep", "iid", "--ell", "3", "--n", "50"],
+    ["count", "--dep", "iid", "--ell", "3", "--n", "50"],
+    ["simulate", "--dep", "iid", "--ell", "3", "--n", "50", "--trials", "2"],
+])
+def test_ell_with_iid_is_a_usage_error(capsys, argv):
+    """An explicit period with --dep iid is rejected, not dropped, as --r
+    without the periodic model is (exit 1, nothing on stdout)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--ell only applies to the periodic model" in captured.err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -252,3 +270,29 @@ def test_counting_failures_exit_2_with_reason(monkeypatch, capsys, error):
     assert main(["simulate", "--n", "30", "--trials", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
+_THREADED_RUNS = """
+from trigzeros.cli import main
+main(["kacrice", "--ell", "3", "--n", "299", "--format", "json"])
+main(["kacrice", "--kind", "cosine", "--n", "400", "--format", "json"])
+main(["constants", "--what", "C", "--ell", "3", "--r", "1"])
+main(["constants", "--what", "K", "--ell", "4"])
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    """Kac-Rice totals (periodic trig ell=3 n=299, i.i.d. cosine n=400) and
+    the constants C[3,1] and K[4] print the same bytes with one BLAS thread
+    and with two."""
+    src = os.path.dirname(os.path.dirname(trigzeros.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _THREADED_RUNS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"total"') == 2 and "C[3,1] = " in outputs[0]

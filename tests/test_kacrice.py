@@ -28,7 +28,6 @@ from trigzeros.zeros import count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,
     reduce_periodic,
-    u_ell,
 )
 
 
@@ -78,13 +77,13 @@ def abc_leading_order(sample, x) -> AbcTriple:
 
 
 def limit_integrand_fpm(ell, n, x, sign):
-    """f_n^{+/-}(x) = sqrt(1 - u_ell^2) / (1 +/- u_ell cos(n x)).
+    """f_n^{+/-}(x) = sqrt(1 - u^2) / (1 +/- u cos(n x)), u = sin(ell x)/(ell sin x).
 
     The large-n Kac-Rice density of the reduced periodic cosine model, up to
     the factor n/2; its circle averages tend to 1/2.
     """
     x = np.asarray(x, dtype=float)
-    u = u_ell(ell, x)
+    u = dirichlet_pair(ell, 2, x)[0] / ell
     den = 1.0 + sign * u * np.cos(n * x)
     den = np.maximum(den, 1e-300)
     return np.sqrt(np.maximum(1.0 - u * u, 0.0)) / den
@@ -795,7 +794,7 @@ class TestLimitIntegrands:
         fp = limit_integrand_fpm(3, 200, x, +1)
         fm = limit_integrand_fpm(3, 200, x, -1)
         assert np.all(fp >= 0) and np.all(fm >= 0)
-        u = u_ell(3, x)
+        u = dirichlet_pair(3, 2, x)[0] / 3
         assert np.allclose(
             fp * (1 + u * np.cos(200 * x)), np.sqrt(1 - u * u), atol=1e-12
         )

@@ -19,13 +19,11 @@ from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,
     dirichlet_pairs,
-    dirichlet_ratio,
     evaluate,
     evaluate_jet,
     evaluate_on_grid,
     grid_nodes,
     reduce_periodic,
-    u_ell,
 )
 
 
@@ -312,15 +310,20 @@ class TestPerDegreeTables:
         assert calls == [101]
 
 
+def _phi(m, ell, x):
+    """phi_m(x) = sin(m ell x/2)/sin(ell x/2), the first of dirichlet_pair."""
+    return dirichlet_pair(m, ell, x)[0]
+
+
 class TestDirichletRatio:
     def test_value_at_origin_is_m(self):
-        assert dirichlet_ratio(7, 3, 0.0) == pytest.approx(7.0, abs=1e-12)
+        assert _phi(7, 3, 0.0) == pytest.approx(7.0, abs=1e-12)
 
     def test_lattice_limits_alternate_sign(self):
         # phi_m(2 k pi / ell) = (-1)^(k(m-1)) m
-        assert dirichlet_ratio(4, 3, 2 * np.pi / 3) == pytest.approx(-4.0, abs=1e-9)
-        assert dirichlet_ratio(5, 3, 2 * np.pi / 3) == pytest.approx(5.0, abs=1e-9)
-        assert dirichlet_ratio(4, 3, 4 * np.pi / 3) == pytest.approx(4.0, abs=1e-9)
+        assert _phi(4, 3, 2 * np.pi / 3) == pytest.approx(-4.0, abs=1e-9)
+        assert _phi(5, 3, 2 * np.pi / 3) == pytest.approx(5.0, abs=1e-9)
+        assert _phi(4, 3, 4 * np.pi / 3) == pytest.approx(4.0, abs=1e-9)
 
     def test_quotient_identity_away_from_lattice(self):
         """phi_m * sin(ell x/2) = sin(m ell x/2) wherever both sides live."""
@@ -331,21 +334,19 @@ class TestDirichletRatio:
             x = float(rng.uniform(0.05, 2 * np.pi - 0.05))
             if abs(math.sin(ell * x / 2)) < 1e-3:
                 continue
-            lhs = dirichlet_ratio(m, ell, x) * math.sin(ell * x / 2)
+            lhs = _phi(m, ell, x) * math.sin(ell * x / 2)
             assert lhs == pytest.approx(math.sin(m * ell * x / 2), abs=1e-10 * m)
 
     def test_window_is_continuous(self):
         x0 = 2 * np.pi / 5
         for delta in (1e-12, 1e-10, 1e-9):
-            assert dirichlet_ratio(9, 5, x0 + delta) == pytest.approx(
-                dirichlet_ratio(9, 5, x0), abs=1e-6
-            )
+            assert _phi(9, 5, x0 + delta) == pytest.approx(_phi(9, 5, x0), abs=1e-6)
 
     def test_zero_count_in_full_period(self):
         """phi_m has ell(m-1) zeros in (0, 2 pi): the deterministic set."""
         m, ell = 6, 4
         xs = np.linspace(1e-4, 2 * np.pi - 1e-4, 200_001)
-        vals = dirichlet_ratio(m, ell, xs)
+        vals = _phi(m, ell, xs)
         changes = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
         assert changes == ell * (m - 1)
 
@@ -356,7 +357,7 @@ class TestDirichletRatio:
             m = int(rng.integers(2, 30))
             ell = int(rng.integers(1, 7))
             x = float(rng.uniform(0.1, 2 * np.pi - 0.1))
-            fd = (dirichlet_ratio(m, ell, x + h) - dirichlet_ratio(m, ell, x - h)) / (2 * h)
+            fd = (_phi(m, ell, x + h) - _phi(m, ell, x - h)) / (2 * h)
             tol = 1e-4 * max(1.0, m * m * ell)
             assert abs(dirichlet_pair(m, ell, x)[1] - fd) < tol
 
@@ -365,17 +366,11 @@ class TestDirichletRatio:
 
     @staticmethod
     def _lattice_and_window_points(ell, rng):
-        """Random points plus the lattice, the Taylor window and just beyond it."""
+        """Random points plus the lattice and offsets 1e-16 ... 0.03 beside it."""
         lattice = 2 * np.pi * np.arange(-1, ell + 2) / ell
         offsets = np.concatenate([[0.0], 10.0 ** np.arange(-16.0, -1.0, 0.5)])
         beside = (lattice[:, None] + np.concatenate([offsets, -offsets])).ravel()
         return np.concatenate([rng.uniform(-1.0, 7.0, 2000), beside])
-
-    @pytest.mark.parametrize("m,ell", [(1, 3), (2, 1), (7, 3), (100, 3), (81, 5), (12, 7)])
-    def test_pair_value_is_dirichlet_ratio(self, m, ell):
-        x = self._lattice_and_window_points(ell, np.random.default_rng(m + ell))
-        phi, _ = dirichlet_pair(m, ell, x)
-        assert np.array_equal(phi, dirichlet_ratio(m, ell, x))
 
     @staticmethod
     def _across_the_lattice(m, ell):
@@ -395,7 +390,7 @@ class TestDirichletRatio:
     def _assert_pair_matches_literal_sums(m, ell, x, phi, phid):
         """Central differences of phi_m, and literal sums in long double."""
         h = 1e-6
-        fd = (dirichlet_ratio(m, ell, x + h) - dirichlet_ratio(m, ell, x - h)) / (2 * h)
+        fd = (_phi(m, ell, x + h) - _phi(m, ell, x - h)) / (2 * h)
         assert np.abs(phid - fd).max() < 1e-9 * m**3 * ell
         # phi_m = sum_t cos(nu_t ell x/2), nu_t = m-1-2t, differentiated termwise
         nu = (m - 1 - 2 * np.arange(m)).astype(np.longdouble) * ell / 2
@@ -444,6 +439,27 @@ class TestDirichletRatio:
             assert np.array_equal(phi, np.ones_like(x))
             assert np.array_equal(phid, np.zeros_like(x))
 
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("M", [101, 4001, 12001])
+    def test_series_switch_at_large_order(self, M, ell):
+        """Beside the lattice points 0 and 2 pi/ell, at M|s| = 0.05 (0.5,
+        1 - 1e-6, 1, 1 + 1e-6, 1.5, 3) on both sides, the pair meets the
+        long-double literal sums whether its series or its quotients
+        served the node; and either side of the switch at M|s| = 0.05
+        (1 -+ 1e-12) the two forms agree: phi to 1e-14 M, phi' to 1e-11 of
+        itself (about 2e-15 M and 2e-12 when written)."""
+        window = trigpoly._PAIR_SERIES_WINDOW
+        lattice = 2 * np.pi * np.array([0.0, 1.0]) / ell
+        fractions = np.array([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 1.5, 3.0])
+        s = window * np.concatenate([fractions, -fractions]) / M
+        x = (lattice[:, None] + 2 * s / ell).ravel()
+        self._assert_pair_matches_literal_sums(M, ell, x, *dirichlet_pair(M, ell, x))
+        s = window * np.array([1 - 1e-12, 1 + 1e-12, -1 + 1e-12, -1 - 1e-12]) / M
+        phi, phid = dirichlet_pair(M, ell, (lattice[:, None] + 2 * s / ell).ravel())
+        phi, phid = phi.reshape(-1, 2), phid.reshape(-1, 2)
+        assert np.abs(phi[:, 0] - phi[:, 1]).max() < 1e-14 * M
+        assert np.all(np.abs(phid[:, 0] - phid[:, 1]) < 1e-11 * np.abs(phid[:, 0]))
+
 
 class TestTrigSums:
     """sum_t f((k + ell t)x) = phi_m(x) f((k + (m-1) ell/2) x) for f = cos, sin,
@@ -452,7 +468,7 @@ class TestTrigSums:
 
     @staticmethod
     def _closed(term, m, ell, k, x):
-        return dirichlet_ratio(m, ell, x) * term((k + (m - 1) * ell / 2.0) * x)
+        return _phi(m, ell, x) * term((k + (m - 1) * ell / 2.0) * x)
 
     @staticmethod
     def _literal(term, m, ell, k, x):
@@ -501,24 +517,32 @@ class TestTrigSums:
 
 
 class TestUEll:
+    """The kernel u_ell(x) = sin(ell x)/(ell sin x) of the constant K is
+    phi_ell/ell at period 2, with removable singularities at multiples of
+    pi: u_ell -> 1 at even ones and (-1)^(ell+1) at odd ones."""
+
+    @staticmethod
+    def _u(ell, x):
+        return _phi(ell, 2, x) / ell
+
     def test_ell_one_is_identity(self):
         xs = np.linspace(-5, 5, 41)
-        assert np.allclose(u_ell(1, xs), 1.0, atol=1e-12)
+        assert np.allclose(self._u(1, xs), 1.0, atol=1e-12)
 
     def test_interior_bound(self):
         xs = np.linspace(1e-6, 2 * np.pi - 1e-6, 100_000)
         for ell in range(1, 9):
-            assert np.abs(u_ell(ell, xs)).max() <= 1.0 + 1e-12
+            assert np.abs(self._u(ell, xs)).max() <= 1.0 + 1e-12
 
     def test_known_values(self):
-        assert u_ell(2, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
-        assert u_ell(3, np.pi) == pytest.approx(1.0, abs=1e-9)   # (-1)^(ell+1)
-        assert u_ell(4, np.pi) == pytest.approx(-1.0, abs=1e-9)
-        assert u_ell(6, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert self._u(2, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert self._u(3, np.pi) == pytest.approx(1.0, abs=1e-9)   # (-1)^(ell+1)
+        assert self._u(4, np.pi) == pytest.approx(-1.0, abs=1e-9)
+        assert self._u(6, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_even_function(self):
         xs = np.linspace(0.01, 3.0, 50)
-        assert np.allclose(u_ell(5, xs), u_ell(5, -xs), atol=1e-12)
+        assert np.allclose(self._u(5, xs), self._u(5, -xs), atol=1e-12)
 
 
 class TestReducePeriodic:
@@ -539,7 +563,7 @@ class TestReducePeriodic:
             scale = np.abs(s.a).sum() + np.abs(s.b).sum()
             xs = rng.uniform(0, 2 * np.pi, 100)
             lhs = evaluate(s, xs)
-            rhs = dirichlet_ratio(red.m, red.ell, xs) * red.evaluate(xs)
+            rhs = _phi(red.m, red.ell, xs) * red.evaluate(xs)
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale * red.m
 
     def test_derivative_of_reduced_factor(self):

@@ -350,10 +350,10 @@ class TestDeterministicZeroSet:
         assert deterministic_zero_set(1, 5).size == 0
 
     def test_values_are_zeros_of_the_ratio(self):
-        from trigzeros.trigpoly import dirichlet_ratio
+        from trigzeros.trigpoly import dirichlet_pair
 
         zs = deterministic_zero_set(7, 3)
-        vals = dirichlet_ratio(7, 3, zs)
+        vals = dirichlet_pair(7, 3, zs)[0]
         assert np.abs(vals).max() < 1e-8 * 7
 
 
