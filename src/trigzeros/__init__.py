@@ -26,6 +26,7 @@ from .trigpoly import (
     reduce_periodic,
 )
 from .zeros import (
+    GridWorkspace,
     ZeroCountReport,
     count_zeros,
     deterministic_zero_set,

@@ -332,6 +332,9 @@ def _cmd_verify(parser, args):
 
 
 def build_parser() -> _Parser:
+    """The top-level parser; each subcommand's parser is kept as the
+    command_parser default of its arguments, so that a handler reports a
+    usage error with the subcommand's own usage line."""
     parser = _Parser(prog="trigzeros", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -374,6 +377,8 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--quick", action="store_true",
                           help="reduced trial counts (minutes -> seconds)")
 
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -387,10 +392,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
-    return handler(parser, args)
+    args = build_parser().parse_args(argv)
+    return _HANDLERS[args.command](args.command_parser, args)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .models import (
     sample_coefficients,
     validate_model,
 )
-from .zeros import count_zeros
+from .zeros import GridWorkspace, count_zeros
 
 CSV_COLUMNS = (
     "n",
@@ -115,14 +115,26 @@ class ExperimentReport:
         return any(row.failed for row in self.rows)
 
 
-def _single_trial(args):
-    """One seeded sample counted; module-level so worker pools can pickle it."""
+# trials per task of a worker pool, which share one grid workspace
+_POOL_CHUNK = 8
+
+
+def _single_trial(args, workspace: GridWorkspace):
+    """One seeded sample counted."""
     model, n, seed, grid_per_degree, max_doublings = args
     sample = sample_coefficients(model, n, seed=seed)
     report = count_zeros(
-        sample, grid_per_degree=grid_per_degree, max_doublings=max_doublings
+        sample, grid_per_degree=grid_per_degree, max_doublings=max_doublings,
+        workspace=workspace,
     )
     return report.count, report.stable
+
+
+def _trials(jobs):
+    """Seeded trials counted in order, sharing one zeros.GridWorkspace;
+    module-level so worker pools can pickle it."""
+    workspace = GridWorkspace()
+    return [_single_trial(job, workspace) for job in jobs]
 
 
 def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
@@ -169,9 +181,11 @@ def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (degree, trial) cell and aggregate per degree.
 
-    With workers > 1 the trials are evaluated by a process pool; results are
-    consumed in submission order, so the aggregates (and hence the report
-    bytes) do not depend on scheduling.
+    With workers > 1 the trials are evaluated by a process pool in chunks
+    of _POOL_CHUNK; results are consumed in submission order, so the
+    aggregates (and hence the report bytes) do not depend on scheduling.
+    The trials of a run, or of a chunk, share one zeros.GridWorkspace,
+    released when they return.
     """
     config.validate()
     model = config.model()
@@ -182,10 +196,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in range(config.trials)
     ]
     if config.workers > 1:
+        chunks = [jobs[i:i + _POOL_CHUNK] for i in range(0, len(jobs), _POOL_CHUNK)]
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            outcomes = list(pool.map(_single_trial, jobs, chunksize=8))
+            outcomes = [out for chunk in pool.map(_trials, chunks) for out in chunk]
     else:
-        outcomes = [_single_trial(job) for job in jobs]
+        outcomes = _trials(jobs)
 
     rows = []
     for i, n in enumerate(config.degrees):

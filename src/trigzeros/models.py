@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -96,11 +97,14 @@ def _check_period(ell) -> None:
         raise ValueError(f"period must be an integer >= 1, got ell={ell!r}")
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def decompose_degree(n: int, ell: int) -> PeriodDecomposition:
     """Split a degree against a coefficient period.
 
     Requires an integer ell >= 1 and n >= ell - 1, so the sample holds
-    at least one full period of coefficients (m >= 1).
+    at least one full period of coefficients (m >= 1).  Cached, since
+    every trial of a row asks for the same split; typed, so that a float
+    period equal to a cached integer one is still refused.
     """
     _check_period(ell)
     if n < 1:
@@ -154,7 +158,7 @@ def normalized_coefficients(a, b):
     Scaling by a power of two is exact, so every quantity built from c
     is the sigma = 1 quantity to the last bit, whatever the draw's scale.
     """
-    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+    e = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
     return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
 
 

@@ -17,18 +17,24 @@ evaluate_jet                     T_n, T_n', ... at arbitrary points
                                  the Newton refinement of its roots
                                  use it.  What depends on the degree
                                  alone (the powers j^k, the table's
-                                 exponents and binomial weights, the
-                                 grid twist) is built once per degree.
+                                 exponents and binomial weights and
+                                 its weight matrix per order, the grid
+                                 twist) is built once per degree, the
+                                 coefficient layout once per sample.
 evaluate_on_grid                 all values of T_n or a derivative on a
                                  uniform offset grid x_i = 2 pi (i +
                                  offset)/N through one real inverse FFT
                                  of the Hermitian half spectrum,
                                  O(N log N) total; exact coefficient
-                                 folding covers N <= 2n.  The i.i.d.
-                                 and r != 0 counting routes certify
-                                 their counts from T and T' on one
-                                 grid; the r = 0 route counts T* from
-                                 its carrier phase
+                                 folding covers N <= 2n.  A tuple of
+                                 orders gives one row each from one
+                                 batched transform, optionally into a
+                                 caller's array.  The i.i.d. and
+                                 r != 0 counting routes certify their
+                                 counts from T and T' on one grid, one
+                                 order=(0, 1) call into a reused
+                                 workspace; the r = 0 route counts T*
+                                 from its carrier phase
                                  (zeros.carrier_phase) without a grid.
 
 Structure of ell-periodic samples
@@ -163,6 +169,37 @@ def _power_table(n: int, top: int):
     return exponents, q_powers, weights
 
 
+@functools.lru_cache(maxsize=32)
+def _jet_plan(n: int, order: int):
+    """What evaluate_jet needs of the power table for rows 0..order:
+    (exponents, q_powers[:order+1], weights[:order+1, :, :order+1] as an
+    (order+1) P x (order+1) matrix, B, P, points per block), once per
+    degree and order."""
+    exponents, q_powers, weights = _power_table(n, max(order, 3))
+    rows = order + 1
+    B, P = q_powers.shape[1], weights.shape[1]
+    w = weights[:rows, :, :rows].reshape(rows * P, rows)
+    w.flags.writeable = False
+    chunk = max(1, _JET_BLOCK // (2 * max(rows * max(B, P), B + P)))
+    return exponents, q_powers[:rows], w, B, P, chunk
+
+
+def _jet_coefficients(sample: PolySample, B: int, P: int) -> np.ndarray:
+    """The normalized coefficients c_{Bp+q} of evaluate_jet as a B x P
+    matrix (the transpose of a zero-padded P x B array), once per sample:
+    kept in the sample's instance dictionary, beside its normalized
+    coefficients."""
+    layout = sample.__dict__.get("_jet_coefficients")
+    if layout is None:
+        c = sample.normalized[0]
+        layout = np.zeros(P * B, dtype=complex)
+        layout[:c.size] = c
+        layout = layout.reshape(P, B).T
+        layout.flags.writeable = False
+        sample.__dict__["_jet_coefficients"] = layout
+    return layout
+
+
 def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     """Rows T_n, T_n', ..., T_n^(order) at the points x.
 
@@ -178,44 +215,51 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     sum_j j^k |c_j| as for a dense sum (zeros states the bound).  Blocks
     of points hold no more than _JET_BLOCK doubles.  The coefficients come
     normalized (PolySample.normalized) and the rows are scaled back by
-    2^e, which is exact.  Returns an array of shape (order + 1, x.size).
+    2^e, which is exact.  The weight matrix is built once per degree and
+    order, the coefficient layout once per sample.  Returns an array of
+    shape (order + 1, x.size).
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    c, e = sample.normalized
-    exponents, q_powers, weights = _power_table(sample.n, max(order, 3))
+    exponents, q_powers, w, B, P, chunk = _jet_plan(sample.n, order)
+    coeffs = _jet_coefficients(sample, B, P)
     rows = order + 1
-    B, P = q_powers.shape[1], weights.shape[1]
-    coeffs = np.zeros(P * B, dtype=complex)
-    coeffs[:c.size] = c
-    coeffs = coeffs.reshape(P, B).T
-    w = weights[:rows, :, :rows].reshape(rows * P, rows)
     out = np.empty((rows, x_arr.size))
-    chunk = max(1, _JET_BLOCK // (2 * max(rows * max(B, P), B + P)))
     for lo in range(0, x_arr.size, chunk):
-        ang = np.outer(x_arr[lo:lo + chunk], exponents)
+        ang = x_arr[lo:lo + chunk, None] * exponents
         phases = np.empty(ang.shape, dtype=complex)
         np.cos(ang, out=phases.real)
         np.sin(ang, out=phases.imag)
-        inner = ((phases[:, None, :B] * q_powers[:rows]).reshape(-1, B) @ coeffs
+        inner = ((phases[:, None, :B] * q_powers).reshape(-1, B) @ coeffs
                  ).reshape(-1, rows, P)
         inner *= phases[:, None, B:]
         out[:, lo:lo + chunk] = (inner.reshape(-1, rows * P) @ w).real.T
+    e = sample.normalized[1]
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(out, e, out=out)
     return out
 
 
-def evaluate_on_grid(sample: PolySample, num_nodes: int,
-                     offset: float = 0.5, order: int = 0) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _derivative_factors(n: int, order: int) -> np.ndarray:
+    """(i j)^order, j = 0..n, of evaluate_on_grid, read-only."""
+    factors = 1j ** order * frequency_powers(n, max(order, 3))[order]
+    factors.flags.writeable = False
+    return factors
+
+
+def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
+                     order: int | tuple[int, ...] = 0,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
-    one real inverse FFT.
+    one real inverse FFT; with a tuple of orders, one row per order from
+    one batched transform.
 
     With c_j = a_j - i b_j the value is Re sum_j c_j (i j)^order e^{i j x_i}
     (order 0 is T_n itself); the factor (i j)^order multiplies the
     normalized coefficients before the twist, and nothing else changes.
     The offset enters as a per-coefficient phase twist d_j (the twist and
-    the powers j^k are tables built once per degree, grid size and
+    the factors (i j)^k are tables built once per degree, grid size and
     offset); frequencies at or above the grid size fold onto j mod N
     exactly (e^{2 pi i j i/N} depends on j only through j mod N once the
     twist is applied), giving a length-N spectrum F.  Taking the real part
@@ -227,6 +271,13 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
     Re d_0 at index 0, and irfft pads it with zeros: no array of length N
     or N/2 is built before the transform.
 
+    order=(0, 1) stacks the half spectra of T and T' and transforms both
+    rows in one irfft call, which is faster than two calls at every grid
+    size the counter uses and changes no bit of either row.  out, when
+    given, receives the values (shape (N,) for one order, (len(order), N)
+    for a tuple) and is returned, so that a caller can reuse one array
+    for every sample of a grid size.
+
     The coefficients are normalized by 2^-e (PolySample.normalized, so
     once per sample) and the values scaled back by 2^e.  Scaling by a
     power of two is exact through the twist and the transform, so this
@@ -237,22 +288,30 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int,
     N = int(num_nodes)
     if N < 1:
         raise ValueError(f"need at least one node, got {num_nodes}")
-    if order < 0:
+    single = np.ndim(order) == 0
+    orders = (order,) if single else tuple(order)
+    if min(orders) < 0:
         raise ValueError(f"need a derivative order >= 0, got {order}")
+    n = sample.n
     c, e = sample.normalized
-    if order:
-        c = c * (1j ** order * frequency_powers(sample.n, max(order, 3))[order])
-    d = c * _twist(sample.n, N, offset)
-    if 2 * sample.n < N:
-        H = 0.5 * d  # irfft pads it with zeros to the half spectrum
-        H[0] = 2.0 * H[0].real
+    twist = _twist(n, N, offset)
+    d = np.empty((len(orders), n + 1), dtype=complex)
+    for row, k in zip(d, orders):
+        np.multiply(c * _derivative_factors(n, k) if k else c, twist, out=row)
+    if 2 * n < N:
+        H = np.multiply(0.5, d, out=d)  # irfft pads it with zeros to the half spectrum
+        H[:, 0] = 2.0 * H[:, 0].real
     else:
-        folded = np.arange(sample.n + 1) % N
-        F = (np.bincount(folded, weights=d.real, minlength=N)
-             + 1j * np.bincount(folded, weights=d.imag, minlength=N))
-        k = np.arange(N // 2 + 1)
-        H = 0.5 * (F[k] + np.conj(F[-k % N]))
-    vals = np.fft.irfft(H, N, norm="forward")
+        folded = np.arange(n + 1) % N
+        half = np.arange(N // 2 + 1)
+        H = np.empty((len(orders), half.size), dtype=complex)
+        for row, dk in zip(H, d):
+            F = (np.bincount(folded, weights=dk.real, minlength=N)
+                 + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
+            row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
+    if out is None:
+        out = np.empty(N if single else (len(orders), N))
+    vals = np.fft.irfft(H[0] if single else H, N, norm="forward", out=out)
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(vals, e, out=vals)

@@ -10,9 +10,15 @@ with g = GRID_OFFSET the golden section.
 N = smooth_size(max(256, grid_per_degree * n)) is the smallest 5-smooth
 size (no prime factor above 5) with at least grid_per_degree nodes per
 degree, so the real FFT never meets an awkward length.  T and T' are
-read once on this grid (trigpoly.evaluate_on_grid with order 0 and 1:
-two transforms of N nodes, whatever the sample), after the coefficients
-are scaled by a power of two so that the largest is O(1).
+read once on this grid, after the coefficients are scaled by a power of
+two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
+order=(0, 1), a single two-row real transform of N nodes whatever the
+sample.  It writes into a GridWorkspace of N-node arrays (T, T', the
+margins and masks of the zero-free pass below), which the trials of one
+grid size share when the caller passes one, as harness.run_experiment
+does; what depends on the degree and N alone (the twist, the factors
+(i j)^k, the certificate's factors, the power table of the local stage)
+is built once and cached.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -90,14 +96,16 @@ Periodic samples with r = 0 and m >= 2 factor exactly as T_n = phi_m * T^*
 scanned raw: the deterministic zeros of phi_m and the random zeros of
 T^* form two interleaved combs with no repulsion between the families,
 so near-coincident pairs arise that no affordable grid resolves.  The
-n+1-ell deterministic zeros are known in closed form, and no grid is
-needed for T^* either.  With c_k = a_k - i b_k, P(z) = sum_{k<ell}
-c_k z^k and f0 = (m-1) ell/2,
+n+1-ell deterministic zeros are known in closed form: the count adds
+their number, and deterministic_zero_set lists them only when roots are
+requested.  No grid is needed for T^* either.  With c_k = a_k - i b_k,
+P(z) = sum_{k<ell} c_k z^k and f0 = (m-1) ell/2,
 
     T^*(x) = Re(e^{i f0 x} P(e^{ix})) = |P(e^{ix})| cos theta(x),
 
 so the zeros of T^* are the solutions of theta = pi/2 (mod pi).  The
-phase theta is continuous and is written from the roots of P without
+phase theta is continuous and is written from the roots of P (the
+eigenvalues of its companion matrix, as np.roots finds them) without
 unwrapping (CarrierPhase); it is monotone between the unit-circle roots
 of one polynomial of degree 2 ell - 2 (z^(ell-1) times the numerator of
 theta'), so the count is the number of levels pi/2 + k pi crossed on
@@ -157,6 +165,10 @@ _WIDTH_SLACK = 1e-9
 # the slope of the cubic Hermite interpolant of f on a cell of width w
 # misses f' by at most _SLOPE_HERMITE w^3 max |f^(4)| (Birkhoff and Priver)
 _SLOPE_HERMITE = np.sqrt(3.0) / 216.0
+
+# grid route: open cells per block of the hull and monotone tests, so that
+# a block's arrays take about 0.13 MB however many cells are open
+_OPEN_BLOCK = 1536
 
 # root refinement: Newton steps and bisections per root at most; bisection
 # alone takes about 55 from a bracket of 2 pi to the spacing of doubles
@@ -223,6 +235,18 @@ def smooth_size(n: int) -> int:
     return best
 
 
+def _polynomial_roots(p: np.ndarray) -> np.ndarray:
+    """np.roots(p), p in decreasing powers: the eigenvalues of the companion
+    matrix that np.roots builds, computed here without its trimming and
+    wrapping when neither end coefficient is 0, so the roots are the same
+    to the last bit; otherwise np.roots itself."""
+    if p.size < 2 or p[0] == 0 or p[-1] == 0:
+        return np.roots(p)
+    companion = np.diag(np.ones(p.size - 2, p.dtype), -1)
+    companion[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
+
+
 def _refine_roots(jet: Callable, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     """Roots of g in the brackets (lo_i, hi_i) by safeguarded Newton
     (rtsafe), all brackets at once.
@@ -266,16 +290,21 @@ def _refine_roots(jet: Callable, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     return out
 
 
-def _one_sign(v0, d0, v1, d1, w, clearance) -> np.ndarray:
-    """+1 (-1) where the four Bezier control points v0, v0 + w d0/3,
+def _hull_sides(v0, d0, v1, d1, w3, clearance):
+    """(above, below): where the four Bezier control points v0, v0 + w d0/3,
     v1 - w d1/3, v1 of the cubic Hermite interpolant of a function with
-    values v and slopes d at the ends of a cell of width w all exceed
-    clearance (all lie below -clearance); 0 elsewhere."""
-    b1 = v0 + (w / 3.0) * d0
-    b2 = v1 - (w / 3.0) * d1
-    lo = np.minimum(np.minimum(v0, b1), np.minimum(b2, v1))
-    hi = np.maximum(np.maximum(v0, b1), np.maximum(b2, v1))
-    return (lo > clearance).astype(np.int8) - (hi < -clearance)
+    values v and slopes d at the ends of a cell of width w = 3 w3 all
+    exceed clearance, and where they all lie below -clearance.  Stacked
+    rows are tested at once."""
+    b1 = w3 * d0
+    b1 += v0
+    b2 = w3 * d1
+    np.subtract(v1, b2, out=b2)
+    lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
+    for b in (b1, b2):
+        np.minimum(lo, b, out=lo)
+        np.maximum(hi, b, out=hi)
+    return lo > clearance, hi < -clearance
 
 
 @dataclass(frozen=True)
@@ -292,12 +321,18 @@ class _Certificate:
     delta_grid: np.ndarray
     delta_point: np.ndarray
 
-    def clearance(self, k: int, w, delta) -> np.ndarray:
-        """What the control points of the Hermite cubic of T^(k) on a cell
-        of width w must clear: the interpolation error w^4 n^(k+4) M/384
-        (Bernstein) plus the rounding of the end values and slopes."""
-        interp = w ** 4 * (self.n ** (k + 4) * self.bound / 384.0 * (1.0 + _WIDTH_SLACK))
-        return interp + delta[k] + (w / 3.0) * delta[k + 1]
+    @functools.cached_property
+    def _interp_rows(self) -> np.ndarray:
+        """n^(k+4) M/384 for k = 0, 1, 2 (rows), widened by _WIDTH_SLACK."""
+        return np.array([[self.n ** (k + 4) * self.bound / 384.0 * (1.0 + _WIDTH_SLACK)]
+                         for k in range(3)])
+
+    def clearances(self, w, delta) -> np.ndarray:
+        """What the control points of the Hermite cubics of T, T' and T''
+        (rows) on cells of width w must clear: the interpolation error
+        w^4 n^(k+4) M/384 of T^(k) (Bernstein) plus the rounding of the end
+        values and slopes."""
+        return w ** 4 * self._interp_rows + delta[:3, None] + (w / 3.0) * delta[1:4, None]
 
     def slope_clearance(self, w: float, delta) -> tuple[float, float]:
         """What the control points of p' must clear, p the cubic Hermite
@@ -313,26 +348,34 @@ class _Certificate:
         return interp + delta[1], interp + 6.0 * delta[0] / w + 2.0 * delta[1] + own
 
 
+@functools.lru_cache(maxsize=32)
+def _certificate_factors(n: int, N: int):
+    """What _certificate's bounds take from the degree and the grid size
+    alone: (j^k for k <= 3, the transform's 8 u log2(N) sqrt(N), the
+    nodes' 16 u n^(k+1), the power table's 10 u (n+1), (n h)^2)."""
+    node_factors = 16.0 * _U * float(n) ** np.arange(1, 5)
+    node_factors.flags.writeable = False
+    return (frequency_powers(n, 3), _FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N),
+            node_factors, _SUM_ROUNDING * _U * (n + 1), (n * TWO_PI / N) ** 2)
+
+
 def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Certificate:
     """Bounds for the coefficients a, b (largest entry O(1)) on the N-node
     grid whose largest |T| value is grid_max."""
     n = a.size - 1
+    powers, fft_factor, node_factors, sum_factor, nh2 = _certificate_factors(n, N)
     mag = np.hypot(a, b)
     total = float(mag.sum())
-    powers = frequency_powers(n, 3)
     # the transform, normwise (N. J. Higham, Accuracy and Stability of
     # Numerical Algorithms, ch. 24), plus the float grid nodes, which sit
     # within 16u of the exact ones
-    delta_grid = (_FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N)
-                  * np.sqrt(((powers * mag) ** 2).sum(axis=1))
-                  + 16.0 * _U * float(n) ** np.arange(1, 5) * total)
+    delta_grid = (fft_factor * np.sqrt(((powers * mag) ** 2).sum(axis=1))
+                  + node_factors * total)
     # the power table of evaluate_jet at |x| < 6.3, argument rounding
     # included (module docstring); the local cells also read T at grid
     # nodes, hence at least delta_grid
-    delta_point = np.maximum(
-        _SUM_ROUNDING * _U * (n + 1) * (powers @ (np.abs(a) + np.abs(b))), delta_grid)
+    delta_point = np.maximum(sum_factor * (powers @ (np.abs(a) + np.abs(b))), delta_grid)
     bound = total
-    nh2 = (n * TWO_PI / N) ** 2
     if nh2 < 8.0:
         # at the maximizer T' = 0 and a node lies within h/2, so
         # max |T| <= grid max + (h/2)^2/2 * n^2 max |T|
@@ -340,13 +383,14 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Cert
     return _Certificate(n, bound, delta_grid, delta_point)
 
 
-def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
+def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample,
+                 want_roots: bool):
     """Test sub-cells (lo, hi) from pointwise T, T', T'', T''' at their ends.
 
-    Returns (count, brackets, decided): the certified count of each cell,
+    Returns (count, brackets, decided): the certified count of the cells,
     a list of (lo, hi, T(lo), T(hi)) array tuples that bracket one
-    certified zero each, and the mask of certified cells.  A cell is
-    certified when
+    certified zero each (only with want_roots), and the mask of certified
+    cells.  A cell is certified when
       - the Hermite control points of T clear their bound (no zero), or
       - those of T' do and both end signs are certain (its sign change), or
       - those of T'' do and both end signs are certain.  T is then convex
@@ -355,29 +399,33 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
         secant estimate y of the critical point decides between none (the
         tangent stays clear of 0 on the cell) and two (T(y) has the other
         sign).
+    The control points of T, T' and T'' are the three rows of one test.
     """
     delta = cert.delta_point
     w = hi - lo
+    w3 = w / 3.0
+    above, below = _hull_sides(jet_lo[:3], jet_lo[1:], jet_hi[:3], jet_hi[1:], w3,
+                               cert.clearances(w, delta))
+    clear = above | below
     f0, f1 = jet_lo[0], jet_hi[0]
     certain = (np.abs(f0) > delta[0]) & (np.abs(f1) > delta[0])
-    change = certain & (np.signbit(f0) != np.signbit(f1))
-    none = _one_sign(f0, jet_lo[1], f1, jet_hi[1], w, cert.clearance(0, w, delta)) != 0
-    mono = ~none & certain & (_one_sign(jet_lo[1], jet_lo[2], jet_hi[1], jet_hi[2], w,
-                                        cert.clearance(1, w, delta)) != 0)
-    bend = _one_sign(jet_lo[2], jet_lo[3], jet_hi[2], jet_hi[3], w,
-                     cert.clearance(2, w, delta))
-    curved = certain & ~none & ~mono & (bend != 0)
-    count = (change & (mono | curved)).astype(np.int64)
-    decided = none | mono | (curved & change)
-    # equal end signs s: with s T'' < 0 the curve stays on the side of its ends
-    side = np.where(np.signbit(f0), -1, 1)
-    decided |= curved & ~change & (side * bend < 0)
-    cup = np.flatnonzero(curved & ~change & (side * bend > 0))
-    ones = np.flatnonzero(count)
-    brackets = [(lo[ones], hi[ones], f0[ones], f1[ones])]
+    neg = np.signbit(f0)
+    change = certain & (neg != np.signbit(f1))
+    none = clear[0]
+    mono = certain & clear[1] & ~none
+    curved = certain & clear[2] & ~(none | mono)
+    ones = change & (mono | curved)
+    count = int(np.count_nonzero(ones))
+    # equal end signs: T'' of the sign of the ends bends the curve towards
+    # 0 (a cup of g = sign * T); otherwise it stays on the side of its ends
+    flat = curved & ~change
+    cup = flat & np.where(neg, below[2], above[2])
+    decided = none | mono | (curved & change) | (flat & ~cup)
+    brackets = [(lo[ones], hi[ones], f0[ones], f1[ones])] if want_roots else []
+    cup = np.flatnonzero(cup)
     if cup.size:
         # g = s T is convex with positive ends on these cells
-        s = side[cup]
+        s = np.where(neg[cup], -1, 1)
         a, b, cw = lo[cup], hi[cup], w[cup]
         g0, g1 = s * jet_lo[1, cup], s * jet_hi[1, cup]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,88 +437,161 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample):
         empty = tangent_min > delta[0] + cw * delta[1]
         two = ~empty & (gy < -delta[0])
         decided[cup[empty | two]] = True
-        count[cup[two]] = 2
-        f0_two, fy, f1_two = f0[cup][two], jet_y[0][two], f1[cup][two]
-        brackets += [(a[two], y[two], f0_two, fy), (y[two], b[two], fy, f1_two)]
+        count += 2 * int(np.count_nonzero(two))
+        if want_roots:
+            f0_two, fy, f1_two = f0[cup][two], jet_y[0][two], f1[cup][two]
+            brackets += [(a[two], y[two], f0_two, fy), (y[two], b[two], fy, f1_two)]
     return count, brackets, decided
 
 
-def _certified_count(unit: PolySample, N: int, max_doublings: int,
-                     want_roots: bool, tol: float):
-    """(count, doublings, stable, roots) of the grid route on N nodes.
+class GridWorkspace:
+    """The N-node arrays of the grid route: T and T' (the rows of one
+    transform), the margins |T| and h |T'|/3 of the zero-free pass, and
+    its three masks.  A caller that counts many samples passes one to
+    count_zeros (one per thread), so that the trials of a grid size
+    overwrite the same arrays; a trial on another grid size builds them
+    anew.  Counts and roots do not depend on it, and no report shares its
+    memory."""
 
-    unit is the sample scaled by a power of two so that its largest
-    coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.
+    def __init__(self):
+        self.N = 0
+
+    def resize(self, N: int) -> GridWorkspace:
+        if N != self.N:
+            self.N = N
+            self.grid = np.empty((2, N))
+            self.margin = np.empty((2, N))
+            self.flags = np.empty((3, N), dtype=bool)
+        return self
+
+
+def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0: float,
+                want_roots: bool):
+    """The hull and monotone tests of open cells of the base grid.
+
+    grid holds T and T' at the N nodes; cell i spans the nodes i and
+    i + 1 (mod N).  Returns (count, brackets, rest): the sign changes of
+    the monotone cells, their root brackets (only with want_roots), and
+    (cells, T(lo), T(hi)) of the cells that passed neither test.
     """
-    f, d1 = (evaluate_on_grid(unit, N, GRID_OFFSET, order=k) for k in range(2))
-    cert = _certificate(unit.a, unit.b, N, float(np.abs(f).max()))
+    N = grid.shape[1]
     h = TWO_PI / N
     delta = cert.delta_grid
-    clear0 = cert.clearance(0, h, delta)
-    # |f| - h |f'|/3 bounds the two control points beside a node on the
-    # side of f: cells whose ends both pass with one sign are zero-free,
-    # and only the others take the full hull test
-    neg = np.signbit(f)
-    sure = np.abs(f) - (h / 3.0) * np.abs(d1) > clear0
-    sure &= np.append(sure[1:], sure[0]) & (neg == np.append(neg[1:], neg[0]))
-    idx = np.flatnonzero(~sure)
-    nxt = (idx + 1) % N
-    hull = _one_sign(f[idx], d1[idx], f[nxt], d1[nxt], h, clear0) == 0
-    idx, nxt = idx[hull], nxt[hull]
+    nxt = cells + 1
+    nxt[-1:] %= N
+    (f_lo, s0), (f_hi, s1) = grid.take(cells, axis=1), grid.take(nxt, axis=1)
+    above, below = _hull_sides(f_lo, s0, f_hi, s1, h / 3.0, clear0)
+    zero_free = above | below
     # T is monotone where the control points of p' clear their bound with
     # one sign.  A monotone cell counts its computed sign change: along a
     # run of them T is monotone, so the changes telescope even across a
     # node value within rounding of 0, and a run ends at nodes whose sign
     # is certain (zero-free cells) or at a cell that stays undecided (the
-    # local tests demand certain end signs)
+    # local tests demand certain end signs).  Zero-free cells take the
+    # test too, but their outcome is not used
     clear_end, clear_mid = cert.slope_clearance(h, delta)
-    s0, s1 = d1[idx], d1[nxt]
-    mid = (f[nxt] - f[idx]) * (3.0 / h) - s0 - s1
+    mid = f_hi - f_lo
+    mid *= 3.0 / h
+    mid -= s0
+    mid -= s1
     mono = (((np.minimum(s0, s1) > clear_end) & (mid > clear_mid))
             | ((np.maximum(s0, s1) < -clear_end) & (mid < -clear_mid)))
-    change = idx[mono & (np.signbit(f[idx]) != np.signbit(f[nxt]))]
-    count = change.size
-    # cell i spans the nodes (i + g) h and (i + 1 + g) h; i = N - 1 wraps.
-    # An end value within rounding of 0 is the root itself (to ~delta_0/|T'|)
-    lo, hi = h * (change + GRID_OFFSET), h * (change + 1 + GRID_OFFSET)
-    f_lo, f_hi = f[change], f[(change + 1) % N]
-    at_lo = np.abs(f_lo) <= delta[0]
-    at_hi = np.abs(f_hi) <= delta[0]
-    brackets = [(np.where(at_hi, hi, lo), np.where(at_lo, lo, hi), f_lo, f_hi)]
+    change = mono & (np.signbit(f_lo) != np.signbit(f_hi)) & ~zero_free
+    brackets = []
+    if want_roots:
+        # cell i spans the nodes (i + g) h and (i + 1 + g) h; i = N - 1
+        # wraps.  An end value within rounding of 0 is the root itself (to
+        # ~delta_0/|T'|)
+        at = cells[change]
+        lo, hi = h * (at + GRID_OFFSET), h * (at + 1 + GRID_OFFSET)
+        v_lo, v_hi = f_lo[change], f_hi[change]
+        at_lo = np.abs(v_lo) <= delta[0]
+        at_hi = np.abs(v_hi) <= delta[0]
+        brackets.append((np.where(at_hi, hi, lo), np.where(at_lo, lo, hi), v_lo, v_hi))
+    rest = ~(zero_free | mono)
+    return int(np.count_nonzero(change)), brackets, (cells[rest], f_lo[rest], f_hi[rest])
+
+
+def _certified_count(unit: PolySample, ws: GridWorkspace, max_doublings: int,
+                     want_roots: bool, tol: float):
+    """(count, doublings, stable, roots) of the grid route on ws.N nodes.
+
+    unit is the sample scaled by a power of two so that its largest
+    coefficient is O(1): the bounds never overflow, and the signs are
+    those of the sample itself.  The N-node arrays live in the workspace;
+    the open cells are tested in blocks of _OPEN_BLOCK, so that a trial's
+    other arrays stay small, and every array returned is a copy.  The
+    brackets of the roots are gathered only with want_roots.
+    """
+    N = ws.N
+    grid = evaluate_on_grid(unit, N, GRID_OFFSET, order=(0, 1), out=ws.grid)
+    f = grid[0]
+    size, slack = np.abs(grid, out=ws.margin)
+    cert = _certificate(unit.a, unit.b, N, float(size.max()))
+    h = TWO_PI / N
+    clear0 = cert.clearances(h, cert.delta_grid)[0, 0]
+    # |f| - h |f'|/3 bounds the two control points beside a node on the
+    # side of f: cells whose ends both pass with one sign are zero-free,
+    # and only the others (open) take the full hull test
+    slack *= h / 3.0
+    size -= slack
+    unsure, neg, open_ = ws.flags
+    np.signbit(f, out=neg)
+    np.not_equal(neg[:-1], neg[1:], out=open_[:-1])
+    open_[-1] = neg[-1] != neg[0]
+    np.greater(size, clear0, out=unsure)
+    np.logical_not(unsure, out=unsure)
+    open_ |= unsure
+    open_[:-1] |= unsure[1:]
+    open_[-1] |= unsure[0]
+    idx = np.flatnonzero(open_)
+    count, brackets, rest = 0, [], []
+    for start in range(0, max(idx.size, 1), _OPEN_BLOCK):
+        found, bracketed, left = _open_cells(grid, idx[start:start + _OPEN_BLOCK], cert,
+                                             clear0, want_roots)
+        count += found
+        brackets += bracketed
+        rest.append(left)
+    cells, f_lo, f_hi = rest[0] if len(rest) == 1 else (
+        np.concatenate(part) for part in zip(*rest))
 
     # local bisection of the cells that passed neither test.  T at their
     # grid nodes keeps its grid value, so that every node has one sign
     # for the cells on both sides of it
-    rest = idx[~mono]
-    lo, hi = h * (rest + GRID_OFFSET), h * (rest + 1 + GRID_OFFSET)
-    jet = evaluate_jet(unit, np.concatenate([lo, hi])) if rest.size else np.empty((4, 0))
-    jet[0] = np.concatenate([f[rest], f[(rest + 1) % N]])
-    jet_lo, jet_hi = jet[:, :rest.size], jet[:, rest.size:]
     depth = 0
-    while lo.size:
-        counts, found, decided = _local_cells(cert, lo, hi, jet_lo, jet_hi, unit)
-        count += int(counts.sum())
-        brackets += found
-        keep = ~decided
-        lo, hi, jet_lo, jet_hi = lo[keep], hi[keep], jet_lo[:, keep], jet_hi[:, keep]
-        if not lo.size or depth == max_doublings:
-            break
-        mid = 0.5 * (lo + hi)
-        jet_mid = evaluate_jet(unit, mid)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        jet_lo = np.concatenate([jet_lo, jet_mid], axis=1)
-        jet_hi = np.concatenate([jet_mid, jet_hi], axis=1)
-        depth += 1
+    stable = True
+    if cells.size:
+        lo, hi = points = h * (np.stack([cells, cells + 1]) + GRID_OFFSET)
+        jet = evaluate_jet(unit, points.ravel())
+        jet[0, :cells.size], jet[0, cells.size:] = f_lo, f_hi
+        jet_lo, jet_hi = jet[:, :cells.size], jet[:, cells.size:]
+        while True:
+            found, bracketed, decided = _local_cells(cert, lo, hi, jet_lo, jet_hi, unit,
+                                                     want_roots)
+            count += found
+            brackets += bracketed
+            if decided.all():
+                break
+            keep = ~decided
+            lo, hi, jet_lo, jet_hi = lo[keep], hi[keep], jet_lo[:, keep], jet_hi[:, keep]
+            if depth == max_doublings:
+                # a cell left undecided counts the change of sign bit
+                # across it, as the monotone cells do
+                stable = False
+                change = np.signbit(jet_lo[0]) != np.signbit(jet_hi[0])
+                count += int(np.count_nonzero(change))
+                brackets.append((lo[change], hi[change], jet_lo[0, change],
+                                 jet_hi[0, change]))
+                break
+            mid = 0.5 * (lo + hi)
+            jet_mid = evaluate_jet(unit, mid)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            jet_lo = np.concatenate([jet_lo, jet_mid], axis=1)
+            jet_hi = np.concatenate([jet_mid, jet_hi], axis=1)
+            depth += 1
 
-    # a cell left undecided counts the change of sign bit across it, as
-    # the monotone cells do
-    stable = lo.size == 0
-    change = np.signbit(jet_lo[0]) != np.signbit(jet_hi[0])
-    count += int(np.count_nonzero(change))
     roots = None
     if want_roots:
-        brackets.append((lo[change], hi[change], jet_lo[0, change], jet_hi[0, change]))
         found = _refine_roots(lambda x, _: evaluate_jet(unit, x, order=1),
                               *(np.concatenate(ends) for ends in zip(*brackets)), tol)
         roots = np.sort(np.mod(found, TWO_PI))
@@ -544,7 +665,7 @@ class CarrierPhase:
         c_rev = np.conj(c)[::-1]
         q = (self.f0 * np.convolve(c, c_rev) + 0.5 * np.convolve(j * c, c_rev)
              + 0.5 * np.convolve(c, (j * np.conj(c))[::-1]))
-        z = np.roots(q[::-1])
+        z = _polynomial_roots(q[::-1])
         z = z[np.abs(np.abs(z) - 1.0) < BREAKPOINT_CUT]
         return np.sort(np.mod(np.angle(z), TWO_PI))
 
@@ -560,7 +681,7 @@ def carrier_phase(red: ReducedSample) -> CarrierPhase:
             f"the reduced factor vanishes identically (every x is a zero); "
             f"model={red.model}, n={red.n}"
         )
-    alpha = np.roots(c[::-1])
+    alpha = _polynomial_roots(c[::-1])
     inside = np.abs(alpha) < 1.0
     outside = alpha[~inside]
     constant = float(np.angle(c[nonzero[-1]]) + np.angle(-outside).sum())
@@ -605,7 +726,8 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
 
 
 def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-10,
-                want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
+                want_roots: bool = False, max_doublings: int = 4,
+                workspace: GridWorkspace | None = None) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
     Dispatch: periodic samples that factor (r = 0, m >= 2) take the
@@ -620,7 +742,13 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     With want_roots, every zero is refined by safeguarded Newton inside
     its certified bracket (a cell, a sub-cell or a monotone piece of the
     phase), and tol bounds the last step of each root; the deterministic
-    zeros of the phase route are exact.
+    zeros of the phase route are exact, and are listed only then (the
+    count takes their number, n + 1 - ell, in closed form).
+
+    The grid route reads T and T' from one two-row transform into the
+    N-node arrays of workspace (a GridWorkspace, resized to the grid),
+    or of a workspace of its own when none is given; the report is the
+    same either way.
     """
     if grid_per_degree < 1:
         raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")
@@ -631,11 +759,11 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     if model.dep == "periodic" and decompose_degree(n, model.ell).factors:
         red = reduce_periodic(sample)
         count, pieces, stable, roots = _phase_count(red, want_roots, tol)
-        det = deterministic_zero_set(red.m, red.ell)
-        _enforce_ceiling(count + det.size, n, sample)
+        count += red.ell * (red.m - 1)  # the size of deterministic_zero_set
+        _enforce_ceiling(count, n, sample)
         if want_roots:
-            roots = np.sort(np.concatenate([roots, det]))
-        return ZeroCountReport(count=count + det.size, grid_size=0, doublings_used=0,
+            roots = np.sort(np.concatenate([roots, deterministic_zero_set(red.m, red.ell)]))
+        return ZeroCountReport(count=count, grid_size=0, doublings_used=0,
                                stable=stable, roots=roots, pieces=pieces)
 
     if not (np.isfinite(sample.a).all() and np.isfinite(sample.b).all()):
@@ -647,7 +775,8 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         )
     unit = sample.unit()
     N = smooth_size(max(256, grid_per_degree * n))
-    count, doublings, stable, roots = _certified_count(unit, N, max_doublings,
+    ws = (GridWorkspace() if workspace is None else workspace).resize(N)
+    count, doublings, stable, roots = _certified_count(unit, ws, max_doublings,
                                                        want_roots, tol)
     _enforce_ceiling(count, n, sample)
     return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings,

@@ -75,6 +75,20 @@ def test_ell_with_iid_is_a_usage_error(capsys, argv):
     assert "--ell only applies to the periodic model" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kacrice", "--dep", "iid", "--ell", "3", "--n", "50"],
+    ["count", "--dep", "iid", "--ell", "3", "--n", "50"],
+    ["simulate", "--dep", "iid", "--ell", "3", "--n", "50", "--trials", "2"],
+    ["constants", "--what", "C"],
+])
+def test_usage_errors_name_the_subcommand(capsys, argv):
+    """A handler's usage error prints its own subcommand's usage line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith(f"usage: trigzeros {argv[0]} ")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--ell", "0", "--n", "20"])

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from trigzeros import models, trigpoly
+from trigzeros import models, trigpoly, zeros
 from trigzeros.harness import ExperimentConfig, run_experiment
 from trigzeros.models import CoefficientModel, sample_coefficients
 from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
@@ -240,6 +240,30 @@ class TestEvaluateOnGrid:
                 assert np.array_equal(phase.breakpoints(), base.breakpoints())
 
 
+class TestTwoRowGrid:
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("sigma", [1.0, 1e200, 1e-200])
+    def test_rows_equal_single_order_calls(self, kind, sigma):
+        """order=(0, 1) gives T and T' bit for bit as the two single-order
+        calls do, signs of zero included: on grids with 2n < N and on folded
+        grids 2n >= N, at sigma 1, 1e200 and 1e-200, and with and without
+        out."""
+        n = 150
+        s = sample_coefficients(CoefficientModel(kind=kind, dep="iid", sigma=sigma), n, seed=43)
+        assert s.normalized[1] != 0  # the values are scaled back by 2^e
+        for num in (7, n, 2 * n, 2 * n + 1, 256, 32 * n):
+            for offset in (0.5, GRID_OFFSET):
+                single = np.stack([evaluate_on_grid(s, num, offset, order=k) for k in (0, 1)])
+                rows = evaluate_on_grid(s, num, offset, order=(0, 1))
+                assert rows.tobytes() == single.tobytes(), (num, offset)
+                out = np.full((2, num), np.nan)
+                assert evaluate_on_grid(s, num, offset, order=(0, 1), out=out) is out
+                assert out.tobytes() == single.tobytes(), (num, offset)
+                row = np.full(num, np.nan)
+                assert evaluate_on_grid(s, num, offset, order=1, out=row) is row
+                assert row.tobytes() == single[1].tobytes(), (num, offset)
+
+
 def uncached_grid(sample, num_nodes, offset, order):
     """evaluate_on_grid with every table built in place: normalization,
     (i j)^order, the twist, the fold and the real inverse transform."""
@@ -283,8 +307,12 @@ class TestPerDegreeTables:
 
     def test_each_table_is_built_once_per_row(self):
         """A 12-trial row at one degree builds the powers, the twist and the
-        power table once each, and reuses them in every later trial."""
-        tables = (trigpoly.frequency_powers, trigpoly._twist, trigpoly._power_table)
+        power table once each, and the tables derived from them (the jet's
+        plan per order, the factors (i j)^k, the certificate's factors) once
+        per key, and reuses them in every later trial."""
+        tables = (trigpoly.frequency_powers, trigpoly._twist, trigpoly._power_table,
+                  trigpoly._jet_plan, trigpoly._derivative_factors,
+                  zeros._certificate_factors)
         for table in tables:
             table.cache_clear()
         config = ExperimentConfig(kind="trig", dep="periodic", ell=3, degrees=(100,),
@@ -292,7 +320,9 @@ class TestPerDegreeTables:
         run_experiment(config)
         for table in tables:
             info = table.cache_info()
-            assert (info.misses, info.hits > 0) == (1, True), table
+            assert (info.misses, info.hits > 0) == (info.currsize, True), table
+        for table in tables[:3]:
+            assert table.cache_info().misses == 1, table
 
     def test_one_normalization_per_trial(self, monkeypatch):
         """count_zeros normalizes the sample once; the unit copy, its three

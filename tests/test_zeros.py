@@ -1,6 +1,7 @@
 """Zero-counting tests: known counts, the cell certificate, refinement."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from trigzeros.trigpoly import (
 )
 from trigzeros.zeros import (
     GRID_OFFSET,
+    GridWorkspace,
     ZeroCountReport,
     _certificate,
-    _one_sign,
+    _hull_sides,
+    _polynomial_roots,
     carrier_phase,
     count_zeros,
     deterministic_zero_set,
@@ -98,7 +101,7 @@ class TestKnownCounts:
 
 class TestCellTest:
     def test_bezier_hull_matches_dense_cubic(self):
-        """Where _one_sign gives a sign, the cubic Hermite interpolant of the
+        """Where _hull_sides gives a sign, the cubic Hermite interpolant of the
         end data stays beyond the clearance with that sign on 2001 points;
         a sign of 0 only where some control point falls short of it."""
         rng = np.random.default_rng(41)
@@ -106,7 +109,8 @@ class TestCellTest:
         v0, d0, v1, d1 = rng.standard_normal((4, k))
         w = rng.uniform(0.05, 2.0, k)
         clearance = rng.uniform(0.0, 0.5, k)
-        sign = _one_sign(v0, d0, v1, d1, w, clearance)
+        above, below = _hull_sides(v0, d0, v1, d1, w / 3.0, clearance)
+        sign = above.astype(int) - below
         assert set(np.unique(sign)) == {-1, 0, 1}
         t = np.linspace(0.0, 1.0, 2001)[:, None]
         # Bernstein form of the Hermite cubic on [0, w]
@@ -488,7 +492,7 @@ class TestCertificate:
                     cubic = ((2 * t**3 - 3 * t**2 + 1) * v0 + (t**3 - 2 * t**2 + t) * s0
                              + (3 * t**2 - 2 * t**3) * v1 + (t**3 - t**2) * s1)
                     miss = np.abs(inside[k].reshape(t.size, N) - cubic).max()
-                    allowed = cert.clearance(k, h, np.zeros(4))
+                    allowed = cert.clearances(h, np.zeros(4))[k, 0]
                     assert tight * allowed < miss <= allowed, (which, gpd, k)
                     if k == 0:
                         slope = ((6 * t**2 - 6 * t) * (v0 - v1) + (3 * t**2 - 4 * t + 1) * s0
@@ -648,21 +652,22 @@ class TestCertificate:
         assert decided >= 30
 
     def test_grid_route_reads_two_grids_of_base_size(self, monkeypatch):
-        """T and T' once each on the base grid, whatever the sample: the
-        monotone test reads the slope of T's Hermite interpolant, not T''."""
+        """T and T' once each on the base grid, whatever the sample, as the
+        two rows of one order=(0, 1) call: the monotone test reads the slope
+        of T's Hermite interpolant, not T''."""
         import trigzeros.zeros as zeros_module
 
         calls = []
         original = zeros_module.evaluate_on_grid
 
-        def spy(sample, num_nodes, offset=0.5, order=0):
+        def spy(sample, num_nodes, offset=0.5, order=0, out=None):
             calls.append((num_nodes, order))
-            return original(sample, num_nodes, offset, order=order)
+            return original(sample, num_nodes, offset, order=order, out=out)
 
         monkeypatch.setattr(zeros_module, "evaluate_on_grid", spy)
         s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=5)
         count_zeros(s)
-        assert calls == [(6400, 0), (6400, 1)]
+        assert calls == [(6400, (0, 1))]
 
 
 class TestGridRule:
@@ -748,3 +753,96 @@ class TestCeiling:
             for seed in range(10):
                 s = sample_coefficients(model, 35, seed=seed)
                 assert count_zeros(s).count <= 70
+
+
+def _report_key(rep):
+    roots = None if rep.roots is None else rep.roots.tobytes()
+    return rep.count, rep.grid_size, rep.doublings_used, rep.stable, rep.pieces, roots
+
+
+class TestWorkspace:
+    def test_interleaved_degrees_equal_fresh_calls(self):
+        """Trials that share one workspace while alternating between two
+        grid sizes, with and without roots, report exactly what calls with
+        a workspace of their own report."""
+        iid = CoefficientModel(kind="trig", dep="iid")
+        periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        samples = []
+        for t in range(6):
+            samples += [sample_coefficients(iid, 199, seed=t),
+                        sample_coefficients(periodic, 400, seed=t)]
+        workspace = GridWorkspace()
+        for want_roots in (False, True):
+            fresh = [_report_key(count_zeros(s, want_roots=want_roots)) for s in samples]
+            shared = [_report_key(count_zeros(s, want_roots=want_roots, workspace=workspace))
+                      for s in samples]
+            assert shared == fresh
+
+    def test_reports_share_no_memory_with_the_workspace(self):
+        """A workspace keeps its arrays for the next trial of its grid size,
+        and no report shares its memory."""
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        workspace = GridWorkspace()
+        rep = count_zeros(sample_coefficients(model, 400, seed=1), want_roots=True,
+                          workspace=workspace)
+        arrays = (workspace.grid, workspace.margin, workspace.flags)
+        assert workspace.N == rep.grid_size
+        for array in arrays:
+            assert not np.shares_memory(rep.roots, array)
+        count_zeros(sample_coefficients(model, 400, seed=2), workspace=workspace)
+        assert all(a is b for a, b in zip(arrays, (workspace.grid, workspace.margin,
+                                                   workspace.flags)))
+
+    def test_warm_trials_allocate_no_grid(self):
+        """Under tracemalloc, warm grid-route trials at n = 1999 (N = 64000)
+        allocate no N-node grid: the median peak of nine trials stays below
+        4 N bytes and every peak below 6 N, against about 34 N when T and T'
+        and their margins are allocated per trial."""
+        model = CoefficientModel(kind="trig", dep="iid")
+        workspace = GridWorkspace()
+        count_zeros(sample_coefficients(model, 1999, seed=0), workspace=workspace)
+        peaks = []
+        for t in range(1, 10):
+            s = sample_coefficients(model, 1999, seed=t)
+            tracemalloc.start()
+            try:
+                assert count_zeros(s, workspace=workspace).grid_size == 64000
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.median(peaks) < 4 * 64000 and max(peaks) < 6 * 64000, peaks
+
+
+class TestPhaseRouteShortcuts:
+    def test_companion_roots_equal_np_roots(self):
+        """The companion eigenvalues are np.roots to the last bit, on random
+        complex and real vectors, and np.roots itself is used where an end
+        coefficient is 0."""
+        rng = np.random.default_rng(47)
+        for size in range(1, 14):
+            for _ in range(20):
+                p = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                variants = [p, p.real.copy()]
+                for zeros_at in ([0], [-1], [0, -1], [0, 1], [-2, -1]):
+                    q = p.copy()
+                    q[[i for i in zeros_at if -size <= i < size]] = 0.0
+                    variants.append(q)
+                for q in variants:
+                    got, want = _polynomial_roots(q), np.roots(q)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q
+
+    def test_deterministic_count_without_roots(self):
+        """For ell = 1..6 and m = 2..40 the closed-form count of the
+        deterministic zeros gives the report that listing them does."""
+        for ell in range(1, 7):
+            model = CoefficientModel(kind="trig", dep="periodic", ell=ell)
+            for m in range(2, 41):
+                n = ell * m - 1
+                s = sample_coefficients(model, n, seed=mix64(53, n))
+                plain, listed = count_zeros(s), count_zeros(s, want_roots=True)
+                assert (plain.count, plain.stable, plain.pieces) == (
+                    listed.count, listed.stable, listed.pieces), (ell, m)
+                assert listed.roots.size == listed.count
+                det = deterministic_zero_set(m, ell)
+                assert det.size == n + 1 - ell
+                assert np.isin(det, listed.roots).all()
