@@ -26,7 +26,6 @@ from .trigpoly import (
     reduce_periodic,
 )
 from .zeros import (
-    GridWorkspace,
     ZeroCountReport,
     count_zeros,
     deterministic_zero_set,

@@ -97,14 +97,11 @@ def _check_period(ell) -> None:
         raise ValueError(f"period must be an integer >= 1, got ell={ell!r}")
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def decompose_degree(n: int, ell: int) -> PeriodDecomposition:
     """Split a degree against a coefficient period.
 
     Requires an integer ell >= 1 and n >= ell - 1, so the sample holds
-    at least one full period of coefficients (m >= 1).  Cached, since
-    every trial of a row asks for the same split; typed, so that a float
-    period equal to a cached integer one is still refused.
+    at least one full period of coefficients (m >= 1).
     """
     _check_period(ell)
     if n < 1:

@@ -19,8 +19,7 @@ evaluate_jet                     T_n, T_n', ... at arbitrary points
                                  alone (the powers j^k, the table's
                                  exponents and binomial weights and
                                  its weight matrix per order, the grid
-                                 twist) is built once per degree, the
-                                 coefficient layout once per sample.
+                                 twist) is built once per degree.
 evaluate_on_grid                 all values of T_n or a derivative on a
                                  uniform offset grid x_i = 2 pi (i +
                                  offset)/N through one real inverse FFT
@@ -184,22 +183,6 @@ def _jet_plan(n: int, order: int):
     return exponents, q_powers[:rows], w, B, P, chunk
 
 
-def _jet_coefficients(sample: PolySample, B: int, P: int) -> np.ndarray:
-    """The normalized coefficients c_{Bp+q} of evaluate_jet as a B x P
-    matrix (the transpose of a zero-padded P x B array), once per sample:
-    kept in the sample's instance dictionary, beside its normalized
-    coefficients."""
-    layout = sample.__dict__.get("_jet_coefficients")
-    if layout is None:
-        c = sample.normalized[0]
-        layout = np.zeros(P * B, dtype=complex)
-        layout[:c.size] = c
-        layout = layout.reshape(P, B).T
-        layout.flags.writeable = False
-        sample.__dict__["_jet_coefficients"] = layout
-    return layout
-
-
 def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     """Rows T_n, T_n', ..., T_n^(order) at the points x.
 
@@ -216,12 +199,14 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     of points hold no more than _JET_BLOCK doubles.  The coefficients come
     normalized (PolySample.normalized) and the rows are scaled back by
     2^e, which is exact.  The weight matrix is built once per degree and
-    order, the coefficient layout once per sample.  Returns an array of
-    shape (order + 1, x.size).
+    order.  Returns an array of shape (order + 1, x.size).
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    c, e = sample.normalized
     exponents, q_powers, w, B, P, chunk = _jet_plan(sample.n, order)
-    coeffs = _jet_coefficients(sample, B, P)
+    coeffs = np.zeros(P * B, dtype=complex)
+    coeffs[:c.size] = c
+    coeffs = coeffs.reshape(P, B).T
     rows = order + 1
     out = np.empty((rows, x_arr.size))
     for lo in range(0, x_arr.size, chunk):
@@ -233,19 +218,10 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
                  ).reshape(-1, rows, P)
         inner *= phases[:, None, B:]
         out[:, lo:lo + chunk] = (inner.reshape(-1, rows * P) @ w).real.T
-    e = sample.normalized[1]
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(out, e, out=out)
     return out
-
-
-@functools.lru_cache(maxsize=32)
-def _derivative_factors(n: int, order: int) -> np.ndarray:
-    """(i j)^order, j = 0..n, of evaluate_on_grid, read-only."""
-    factors = 1j ** order * frequency_powers(n, max(order, 3))[order]
-    factors.flags.writeable = False
-    return factors
 
 
 def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
@@ -259,7 +235,7 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     (order 0 is T_n itself); the factor (i j)^order multiplies the
     normalized coefficients before the twist, and nothing else changes.
     The offset enters as a per-coefficient phase twist d_j (the twist and
-    the factors (i j)^k are tables built once per degree, grid size and
+    the powers j^k are tables built once per degree, grid size and
     offset); frequencies at or above the grid size fold onto j mod N
     exactly (e^{2 pi i j i/N} depends on j only through j mod N once the
     twist is applied), giving a length-N spectrum F.  Taking the real part
@@ -297,7 +273,8 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     twist = _twist(n, N, offset)
     d = np.empty((len(orders), n + 1), dtype=complex)
     for row, k in zip(d, orders):
-        np.multiply(c * _derivative_factors(n, k) if k else c, twist, out=row)
+        ck = c * (1j ** k * frequency_powers(n, max(k, 3))[k]) if k else c
+        np.multiply(ck, twist, out=row)
     if 2 * n < N:
         H = np.multiply(0.5, d, out=d)  # irfft pads it with zeros to the half spectrum
         H[:, 0] = 2.0 * H[:, 0].real

@@ -16,9 +16,9 @@ order=(0, 1), a single two-row real transform of N nodes whatever the
 sample.  It writes into a GridWorkspace of N-node arrays (T, T', the
 margins and masks of the zero-free pass below), which the trials of one
 grid size share when the caller passes one, as harness.run_experiment
-does; what depends on the degree and N alone (the twist, the factors
-(i j)^k, the certificate's factors, the power table of the local stage)
-is built once and cached.
+does; what depends on the degree and N alone (the twist, the powers
+j^k, the certificate's factors, the power table of the local stage) is
+built once and cached.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -165,10 +165,6 @@ _WIDTH_SLACK = 1e-9
 # the slope of the cubic Hermite interpolant of f on a cell of width w
 # misses f' by at most _SLOPE_HERMITE w^3 max |f^(4)| (Birkhoff and Priver)
 _SLOPE_HERMITE = np.sqrt(3.0) / 216.0
-
-# grid route: open cells per block of the hull and monotone tests, so that
-# a block's arrays take about 0.13 MB however many cells are open
-_OPEN_BLOCK = 1536
 
 # root refinement: Newton steps and bisections per root at most; bisection
 # alone takes about 55 from a bracket of 2 pi to the spacing of doubles
@@ -472,7 +468,9 @@ def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0:
     grid holds T and T' at the N nodes; cell i spans the nodes i and
     i + 1 (mod N).  Returns (count, brackets, rest): the sign changes of
     the monotone cells, their root brackets (only with want_roots), and
-    (cells, T(lo), T(hi)) of the cells that passed neither test.
+    (cells, T(lo), T(hi)) of the cells that passed neither test.  Its
+    arrays of all open cells are freed when it returns, before the local
+    stage allocates its own.
     """
     N = grid.shape[1]
     h = TWO_PI / N
@@ -518,10 +516,9 @@ def _certified_count(unit: PolySample, ws: GridWorkspace, max_doublings: int,
 
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  The N-node arrays live in the workspace;
-    the open cells are tested in blocks of _OPEN_BLOCK, so that a trial's
-    other arrays stay small, and every array returned is a copy.  The
-    brackets of the roots are gathered only with want_roots.
+    those of the sample itself.  The N-node arrays live in the workspace,
+    and every array returned is a copy.  The brackets of the roots are
+    gathered only with want_roots.
     """
     N = ws.N
     grid = evaluate_on_grid(unit, N, GRID_OFFSET, order=(0, 1), out=ws.grid)
@@ -544,16 +541,8 @@ def _certified_count(unit: PolySample, ws: GridWorkspace, max_doublings: int,
     open_ |= unsure
     open_[:-1] |= unsure[1:]
     open_[-1] |= unsure[0]
-    idx = np.flatnonzero(open_)
-    count, brackets, rest = 0, [], []
-    for start in range(0, max(idx.size, 1), _OPEN_BLOCK):
-        found, bracketed, left = _open_cells(grid, idx[start:start + _OPEN_BLOCK], cert,
-                                             clear0, want_roots)
-        count += found
-        brackets += bracketed
-        rest.append(left)
-    cells, f_lo, f_hi = rest[0] if len(rest) == 1 else (
-        np.concatenate(part) for part in zip(*rest))
+    count, brackets, (cells, f_lo, f_hi) = _open_cells(grid, np.flatnonzero(open_), cert,
+                                                        clear0, want_roots)
 
     # local bisection of the cells that passed neither test.  T at their
     # grid nodes keeps its grid value, so that every node has one sign

@@ -308,11 +308,10 @@ class TestPerDegreeTables:
     def test_each_table_is_built_once_per_row(self):
         """A 12-trial row at one degree builds the powers, the twist and the
         power table once each, and the tables derived from them (the jet's
-        plan per order, the factors (i j)^k, the certificate's factors) once
-        per key, and reuses them in every later trial."""
+        plan per order, the certificate's factors) once per key, and reuses
+        them in every later trial."""
         tables = (trigpoly.frequency_powers, trigpoly._twist, trigpoly._power_table,
-                  trigpoly._jet_plan, trigpoly._derivative_factors,
-                  zeros._certificate_factors)
+                  trigpoly._jet_plan, zeros._certificate_factors)
         for table in tables:
             table.cache_clear()
         config = ExperimentConfig(kind="trig", dep="periodic", ell=3, degrees=(100,),
