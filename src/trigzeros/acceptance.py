@@ -223,7 +223,8 @@ def linear_growth_constant(quick: bool = False) -> CriterionResult:
 
 def constant_identities(quick: bool = False) -> CriterionResult:
     """J = 1, the alpha-integral closed form, the range of C, and C and K
-    within 1e-12 of their rules one grading level deeper."""
+    within 1e-12 of their rules one grading level deeper (K also of its
+    rule on twice the panels)."""
     ell_max_c = 5 if quick else 8
     ell_max_j = 4 if quick else 6
     n_angles = 8 if quick else 20
@@ -263,7 +264,8 @@ def constant_identities(quick: bool = False) -> CriterionResult:
         f"|J-1| <= {worst_j:.1e} (ell <= {ell_max_j}); I identity rel "
         f"{worst_i:.1e} on {n_angles} angles; all C in (sqrt2, 2] with "
         f"complement symmetry (ell <= {ell_max_c}); C and K move by <= "
-        f"{worst_gap:.1e} one grading level deeper (gate 1e-12)",
+        f"{worst_gap:.1e} one grading level deeper, K also on twice the panels "
+        "(gate 1e-12)",
     )
 
 

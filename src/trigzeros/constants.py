@@ -27,10 +27,14 @@ is integrated (see _ridge_split_integral and _tensor_integral) and is
 analytic elsewhere.  Duffy triangles with their apex there (M. G. Duffy,
 SIAM J. Numer. Anal. 19, 1982) cancel the growth, and Gauss-Legendre
 panels graded geometrically toward the apex resolve the bounded cone
-that is left (see _corner_triangles).  ``grading_gap``, the move of a
-constant one grading level deeper, is at most 4e-15 for C (ell <= 8)
-and K (ell = 2..8).  With use_cache (the default) C and K are memoized
-for the life of the process.
+that is left (see _graded_rule).  Sines and cosines are most of the
+cost, so the sheared integrands of C, J and I_alpha take the phases
+e^{is}, e^{ix} of their node rather than its angles, and the four
+triangles of the ridge split share one sine and cosine per node.
+``grading_gap``, the move of a constant one grading level deeper (for K
+also on twice the panels), is at most 7e-15 for C (ell <= 8) and K
+(ell = 2..8).  With use_cache (the default) C and K are memoized for
+the life of the process.
 """
 
 from __future__ import annotations
@@ -61,45 +65,76 @@ _H = math.pi / 2
 # ---------------------------------------------------------------------------
 
 
-def _corner_triangles(func, x0: float, signs, grading, panels: int = 1) -> float:
-    """integral of func(s, x) over the squares [0, h] x (x0 + sign [0, h]).
-
-    Each square is split into two Duffy triangles with apex (0, x0),
-    (s, x) = (h xi, x0 + sign h xi eta) and (h xi eta, x0 + sign h xi) for
-    (xi, eta) in the unit square, whose Jacobian h^2 xi cancels a 1/distance
-    growth at the apex.  The cone left at xi = eta = 0 is resolved by
-    grading both axes geometrically toward 0, to the levels in `grading`
-    (the error falls about eightfold per level); each axis also gets at
-    least `panels` equal panels.
-    """
+def _graded_rule(grading, panels: int = 1):
+    """Nodes and weights of the Duffy coordinates xi, eta in [0, 1], each
+    axis graded geometrically toward 0 to the levels in `grading` (the
+    error falls about eightfold per level) and split into at least
+    `panels` equal panels; the xi weights carry the Jacobian factor xi."""
     def rule(levels):
         edges = {0.5**k for k in range(levels + 1)} | {k / panels for k in range(panels + 1)}
         return composite_gauss_legendre(np.array(sorted(edges)), _NODES)
 
     (xi, xi_w), (eta, eta_w) = rule(grading[0]), rule(grading[1])
-    xi_w = xi_w * xi
-    total = 0.0
-    for sign in signs:
-        total += _row_blocks(lambda c: func(_H * c, x0 + sign * _H * c * eta), xi, xi_w, eta_w)
-        total += _row_blocks(lambda c: func(_H * c * eta, x0 + sign * _H * c), xi, xi_w, eta_w)
+    return xi, xi_w * xi, eta, eta_w
+
+
+def _phase(theta):
+    """e^{i theta}, its parts from np.cos and np.sin: np.exp of an
+    imaginary argument need not round the same way."""
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
+
+
+def _corner_triangles(func, grading, panels: int) -> float:
+    """integral of func(s, t) over the square [0, h] x [pi - h, pi].
+
+    The square is split into two Duffy triangles with apex (0, pi),
+    (s, t) = (h xi, pi - h xi eta) and (h xi eta, pi - h xi) for (xi, eta)
+    in the unit square, whose Jacobian h^2 xi cancels a 1/distance growth
+    at the apex; _graded_rule resolves the cone left at xi = eta = 0.
+    """
+    xi, xi_w, eta, eta_w = _graded_rule(grading, panels)
+    total = _row_blocks(lambda c: func(_H * c, math.pi - _H * c * eta), xi, xi_w, eta_w)
+    total += _row_blocks(lambda c: func(_H * c * eta, math.pi - _H * c), xi, xi_w, eta_w)
     return _H * _H * total
 
 
 def _ridge_split_integral(func, grading, ratio: float) -> float:
-    """integral over (0, pi)^2 of a sheared integrand func(s, x).
+    """integral over (0, pi)^2 of a sheared integrand func(e^{is}, e^{ix}).
 
-    func(s, x) is the integrand at (s, t) with x = t or x = s + t (mod pi),
-    a shear that preserves measure on columns of a pi-periodic integrand.
-    Precondition: func(s, x) == func(pi - s, pi - x), and func is singular
-    only at s = 0, x = 0 (mod pi).  So the half-square [0, pi/2] x
-    [-pi/2, pi/2] is integrated on the four Duffy triangles at its one
-    singular point and doubled.  The ridge of p sin^2 t + q sin^2(s + t)
-    has angular width ratio^(-1/2), ratio = max(p, q)/min(p, q), so ratios
-    beyond 64 get one more angular level per factor 4.  The benchmark
-    tracer wraps this function by name.
+    func takes the phases of its node, not the angles: it is the integrand
+    at (s, t) with x = t or x = s + t (mod pi), a shear that preserves
+    measure on columns of a pi-periodic integrand.  Precondition:
+    func(s, x) == func(pi - s, pi - x), and func is singular only at
+    s = 0, x = 0 (mod pi).  So the half-square [0, pi/2] x [-pi/2, pi/2]
+    is integrated on the four Duffy triangles at its one singular point,
+
+        A+-: (s, x) = (h xi, +-h xi eta),   B+-: (s, x) = (h xi eta, +-h xi),
+
+    and doubled.  Their angles are h xi per row and h xi eta per node, so
+    one sine and cosine per node, u = e^{i h xi} and y = e^{i h xi eta},
+    feed all four: A+- gets (u, y or conj y) and B+- gets (y, u or conj u).
+    Each triangle keeps its own sum, so the value is the one of four
+    separate passes to the last bit.  The ridge of p sin^2 t +
+    q sin^2(s + t) has angular width ratio^(-1/2), ratio = max(p, q)/min(p,
+    q), so ratios beyond 64 get one more angular level per factor 4.  The
+    benchmark tracer replaces this function by name with a wrapper that
+    counts the integrand's nodes, calling it as (func, grading, ratio) and
+    forwarding func's two arguments, so the name and both call forms stay.
     """
     levels = (grading[0], grading[1] + max(0, math.ceil(math.log2(ratio) / 2) - 3))
-    return 2.0 * _corner_triangles(func, 0.0, (1.0, -1.0), levels)
+    xi, xi_w, eta, eta_w = _graded_rule(levels)
+    rows = max(1, _ROW_BLOCK // eta.size)
+    sums = [0.0, 0.0, 0.0, 0.0]  # A+, B+, A-, B-
+    for lo in range(0, xi.size, rows):
+        hc = _H * xi[lo:lo + rows, None]
+        u, y = _phase(hc), _phase(hc * eta)
+        w = xi_w[lo:lo + rows]
+        for k, vals in enumerate((func(u, y), func(y, u), func(u, y.conj()), func(y, u.conj()))):
+            sums[k] += float(w @ (vals @ eta_w))
+    return 2.0 * (_H * _H * (((sums[0] + sums[1]) + sums[2]) + sums[3]))
 
 
 def _tensor_integral(func, grading, panels: int) -> float:
@@ -108,7 +143,7 @@ def _tensor_integral(func, grading, panels: int) -> float:
     equal panels per axis.  The benchmark tracer wraps it by name."""
     x, w = composite_gauss_legendre(np.linspace(0.0, _H, panels + 1), _NODES)
     smooth = _row_blocks(lambda s: func(s, x), x, w, w)
-    return smooth + _corner_triangles(func, math.pi, (-1.0,), grading, panels)
+    return smooth + _corner_triangles(func, grading, panels)
 
 
 def _row_blocks(row_values, sx, sw, tw) -> float:
@@ -156,17 +191,18 @@ def limit_integrand_g(ell: int, r: int, s, t) -> np.ndarray:
     return np.sqrt(1.0 + r * (ell - r) * np.sin(s) ** 2 / den)
 
 
-def _sheared_den(p: float, q: float, ss, cs, x):
-    """p sin^2 t + q sin^2(s + t) on the sheared square, from ss = sin s
-    and cs = cos s.  x = t when q < p, else x = s + t (mod pi), so the zero
-    line of the sharper term runs along x = 0; the other sine is
+def _sheared_den(p: float, q: float, es, ex):
+    """p sin^2 t + q sin^2(s + t) on the sheared square, from the phases
+    es = e^{is} and ex = e^{ix}.  x = t when q < p, else x = s + t (mod
+    pi), so the zero line of the sharper term runs along x = 0; the other
+    sine is
 
         sin(s + t) = cos s (sin x + cos x tan s)    (x = t),
         sin t      = cos s (sin x - cos x tan s)    (x = s + t, up to sign),
 
     computed in place in one node-sized array.
     """
-    sx, cx = np.sin(x), np.cos(x)
+    ss, cs, sx, cx = es.imag, es.real, ex.imag, ex.real
     if q < p:
         a, b, tan_s = q, p, ss / cs
     else:
@@ -179,22 +215,23 @@ def _sheared_den(p: float, q: float, ss, cs, x):
     return den
 
 
-def _sheared_g(ell: int, r: int, s, x):
-    """limit_integrand_g on the sheared square (see _sheared_den)."""
-    ss = np.sin(s)
-    v = _sheared_den(ell - r, r, ss, np.cos(s), x)
+def _sheared_g(ell: int, r: int, es, ex):
+    """limit_integrand_g on the sheared square, at the phases es = e^{is}
+    and ex = e^{ix} (see _sheared_den)."""
+    ss = es.imag
+    v = _sheared_den(ell - r, r, es, ex)
     v *= v
     np.divide(r * (ell - r) * (ss * ss), v, out=v)
     v += 1.0
     return np.sqrt(v, out=v)
 
 
-def _sheared_sine_ratio(p: float, q: float, s, x):
+def _sheared_sine_ratio(p: float, q: float, es, ex):
     """sin s / (p sin^2 t + q sin^2(s + t)), the integrand of J and
-    I_alpha, on the sheared square (see _sheared_den)."""
-    ss = np.sin(s)
-    den = _sheared_den(p, q, ss, np.cos(s), x)
-    return np.divide(ss, den, out=den)
+    I_alpha, on the sheared square at the phases es = e^{is} and
+    ex = e^{ix} (see _sheared_den)."""
+    den = _sheared_den(p, q, es, ex)
+    return np.divide(es.imag, den, out=den)
 
 
 def compute_J(ell: int, r: int) -> float:
@@ -232,9 +269,10 @@ def compute_K(ell: int, use_cache: bool = True) -> float:
 
 
 @functools.cache
-def _k_value(ell: int, grading=_K_GRADING) -> float:
+def _k_value(ell: int, grading=_K_GRADING, panel_factor: int = 1) -> float:
     # 1 + ell // 3 panels keep the smooth square at rounding up to ell = 20
-    value = _tensor_integral(lambda s, t: _limit_integrand_k(ell, s, t), grading, 1 + ell // 3)
+    value = _tensor_integral(lambda s, t: _limit_integrand_k(ell, s, t), grading,
+                             panel_factor * (1 + ell // 3))
     return value / math.pi**2
 
 
@@ -268,13 +306,18 @@ def _limit_integrand_k(ell: int, s, t):
 def grading_gap(what: str, ell: int, r: int = 0) -> float:
     """Stated error of C[ell, r], K[ell] or J[ell, r] (what = "C", "K" or
     "J", with 0 < r < ell and ell >= 2): its move when the corner rule is
-    graded one level deeper on both axes."""
+    graded one level deeper on both axes, or for K, the larger of that
+    and its move when its panels are doubled."""
     rule, (lr, la), args = {
         "C": (_c_value, _C_GRADING, (ell, r)),
         "K": (_k_value, _K_GRADING, (ell,)),
         "J": (_j_value, _J_GRADING, (ell, r)),
     }[what]
-    return abs(rule(*args) - rule(*args, (lr + 1, la + 1)))
+    value = rule(*args)
+    gap = abs(value - rule(*args, (lr + 1, la + 1)))
+    if what == "K":
+        gap = max(gap, abs(value - rule(*args, _K_GRADING, 2)))
+    return gap
 
 
 def monte_carlo_C(ell: int, r: int, n_points: int = 10_000_000, seed: int = 0):

@@ -201,34 +201,25 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-
-    def draw(size):
-        with np.errstate(over="ignore"):
-            values = model.sigma * rng.standard_normal(size)
-        if not np.isfinite(values).all():
-            raise FloatingPointError(
-                f"coefficient draw overflows the double range at sigma={model.sigma}"
-            )
-        return values
-
+    rows = 2 if model.kind == "trig" else 1
     if model.dep == "periodic":
         dec = decompose_degree(n, model.ell)
-        base_a = draw(dec.ell)
-        # tile copies bits exactly, so a[j] IS a[j % ell] to the last ulp
-        a = np.tile(base_a, dec.m + 1)[: n + 1]
-        if model.kind == "trig":
-            base_b = draw(dec.ell)
-            b = np.tile(base_b, dec.m + 1)[: n + 1]
-        else:
-            b = np.zeros(n + 1)
+        size = dec.ell
     else:
-        a = draw(n + 1)
-        if model.kind == "trig":
-            b = draw(n + 1)
-        else:
-            b = np.zeros(n + 1)
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
+        size = n + 1
+    # one call draws a then b: the stream is the one of two calls in turn
+    with np.errstate(over="ignore"):
+        values = model.sigma * rng.standard_normal(rows * size)
+    if not np.isfinite(values).all():
+        raise FloatingPointError(
+            f"coefficient draw overflows the double range at sigma={model.sigma}"
+        )
+    values = values.reshape(rows, size)
+    if model.dep == "periodic":
+        # tile copies bits exactly, so a[j] IS a[j % ell] to the last ulp
+        values = np.tile(values, dec.m + 1)[:, : n + 1]
+    a = values[0]
+    b = values[1] if rows == 2 else np.zeros(n + 1)
     a.flags.writeable = False
     b.flags.writeable = False
     return PolySample(model=model, n=int(n), seed=int(seed), a=a, b=b)

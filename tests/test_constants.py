@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from trigzeros.models import CoefficientModel
 from trigzeros.constants import (
     _C_GRADING,
     _K_GRADING,
-    _corner_triangles,
     _limit_integrand_k,
+    _ridge_split_integral,
     _sheared_g,
     _sheared_sine_ratio,
     compute_C,
@@ -31,6 +32,30 @@ def _sine_ratio_integrand(p: float, q: float, s, t):
     """Integrand of J and I_alpha: sin s / (p sin^2 t + q sin^2(s+t))."""
     den = p * np.sin(t) ** 2 + q * np.sin(s + t) ** 2
     return np.sin(s) / np.maximum(den, 1e-300)
+
+
+def _at_angles(sheared):
+    """A sheared integrand, which takes the phases e^{is}, e^{ix}, called
+    on the angles s, x."""
+    return lambda s, x: sheared(np.exp(1j * s), np.exp(1j * x))
+
+
+def _per_triangle_ridge_split(func, grading, ratio: float) -> float:
+    """_ridge_split_integral as four separate passes, one per Duffy
+    triangle, each taking the sine and cosine of its own angles: the
+    reference for the phases that the four triangles share."""
+    h = math.pi / 2
+    levels = (grading[0], grading[1] + max(0, math.ceil(math.log2(ratio) / 2) - 3))
+    xi, xi_w, eta, eta_w = constants._graded_rule(levels)
+    total = 0.0
+    for sign in (1.0, -1.0):
+        total += constants._row_blocks(
+            lambda c: func(constants._phase(h * c), constants._phase(sign * h * c * eta)),
+            xi, xi_w, eta_w)
+        total += constants._row_blocks(
+            lambda c: func(constants._phase(h * c * eta), constants._phase(sign * h * c)),
+            xi, xi_w, eta_w)
+    return 2.0 * (h * h * total)
 
 
 class TestJIdentity:
@@ -161,19 +186,39 @@ class TestCornerRule:
     """The Duffy triangles, their node counts and their stated error."""
 
     @staticmethod
-    def _smooth(s, x):
-        return 1.0 + np.cos(s) * np.sin(x + 0.5) + np.sin(2.0 * s) * np.cos(3.0 * x)
+    def _smooth(es, ex):
+        """1 + cos s sin(x + 1/2) + sin 2s cos 3x at the phases e^{is}, e^{ix}."""
+        return 1.0 + es.real * (ex * np.exp(0.5j)).imag + (es * es).imag * (ex**3).real
 
     def test_half_square_triangles_are_exact_on_smooth_integrands(self):
-        """The four triangles tile [0, pi/2] x [-pi/2, pi/2]: they give
-        its area pi^2/2, and integrate a trig polynomial that is neither
-        even nor odd in x to rounding."""
-        area = _corner_triangles(lambda s, x: np.ones(np.broadcast(s, x).shape),
-                                 0.0, (1.0, -1.0), _C_GRADING)
-        assert area == pytest.approx(math.pi**2 / 2, rel=1e-14)
-        want = math.pi**2 / 2 + 2.0 * math.sin(0.5) - 2.0 / 3.0
-        got = _corner_triangles(self._smooth, 0.0, (1.0, -1.0), _C_GRADING)
+        """The four triangles tile [0, pi/2] x [-pi/2, pi/2], which the
+        ridge split doubles: they give twice its area pi^2/2, and twice
+        the integral of a trig polynomial that is neither even nor odd in
+        x, to rounding."""
+        area = _ridge_split_integral(lambda es, ex: np.ones(np.broadcast(es, ex).shape),
+                                     _C_GRADING, 1.0)
+        assert area == pytest.approx(math.pi**2, rel=1e-14)
+        want = math.pi**2 + 4.0 * math.sin(0.5) - 4.0 / 3.0
+        got = _ridge_split_integral(self._smooth, _C_GRADING, 1.0)
         assert got == pytest.approx(want, rel=1e-14)
+
+    def test_shared_phases_equal_per_triangle_angles(self, monkeypatch):
+        """One phase per node, shared by the four triangles, gives C and J
+        (2 <= ell <= 8) and I_alpha bit for bit as when each triangle
+        takes the sine and cosine of its own angles."""
+        def values():
+            out = {}
+            for ell in range(2, 9):
+                for r in range(1, ell):
+                    out["C", ell, r] = compute_C(ell, r, use_cache=False)
+                    out["J", ell, r] = compute_J(ell, r)
+            for alpha in (1e-4, 0.3, 0.7, 1.2, math.pi / 2 - 1e-3):
+                out["I", alpha] = compute_I_alpha(alpha)
+            return out
+
+        shared = values()
+        monkeypatch.setattr(constants, "_ridge_split_integral", _per_triangle_ridge_split)
+        assert values() == shared
 
     def test_k_layout_is_exact_on_smooth_integrands(self):
         """K's Duffy square and smooth square tile [0, pi/2] x [0, pi]."""
@@ -279,12 +324,12 @@ class TestQuadratureLayout:
             lambda s, t: limit_integrand_g(3, 1, s, t),
             lambda s, t: _sine_ratio_integrand(3.0, 2.0, s, t),
             lambda s, t: _sine_ratio_integrand(math.sin(0.3) ** 2, math.cos(0.3) ** 2, s, t),
-            lambda s, x: _sheared_g(5, 2, s, x),
-            lambda s, x: _sheared_g(4, 2, s, x),
-            lambda s, x: _sheared_g(5, 3, s, x),
-            lambda s, x: _sheared_sine_ratio(3.0, 2.0, s, x),
-            lambda s, x: _sheared_sine_ratio(math.sin(0.3) ** 2, math.cos(0.3) ** 2, s, x),
-            lambda s, x: _sheared_sine_ratio(math.sin(1.2) ** 2, math.cos(1.2) ** 2, s, x),
+            _at_angles(partial(_sheared_g, 5, 2)),
+            _at_angles(partial(_sheared_g, 4, 2)),
+            _at_angles(partial(_sheared_g, 5, 3)),
+            _at_angles(partial(_sheared_sine_ratio, 3.0, 2.0)),
+            _at_angles(partial(_sheared_sine_ratio, math.sin(0.3) ** 2, math.cos(0.3) ** 2)),
+            _at_angles(partial(_sheared_sine_ratio, math.sin(1.2) ** 2, math.cos(1.2) ** 2)),
         ],
         ids=[
             "C(5,2)", "C(3,1)", "J(5,2)", "I(0.3)", "sheared-C(5,2)",
@@ -317,7 +362,8 @@ class TestQuadratureLayout:
         s, x = rng.uniform(0.0, math.pi, (2, 20_000))
         t = self._unsheared_t(ell - r, r, s, x)
         np.testing.assert_allclose(
-            _sheared_g(ell, r, s, x), limit_integrand_g(ell, r, s, t),
+            _at_angles(partial(_sheared_g, ell, r))(s, x),
+            limit_integrand_g(ell, r, s, t),
             rtol=1e-12, atol=0.0,
         )
 
@@ -333,7 +379,8 @@ class TestQuadratureLayout:
         s, x = rng.uniform(0.0, math.pi, (2, 20_000))
         t = self._unsheared_t(p, q, s, x)
         np.testing.assert_allclose(
-            _sheared_sine_ratio(p, q, s, x), _sine_ratio_integrand(p, q, s, t),
+            _at_angles(partial(_sheared_sine_ratio, p, q))(s, x),
+            _sine_ratio_integrand(p, q, s, t),
             rtol=1e-12, atol=0.0,
         )
 

@@ -189,14 +189,17 @@ class TestSampling:
     @pytest.mark.parametrize("kind, dep, ell, sigma", [
         ("trig", "iid", None, 1.0),
         ("trig", "periodic", 3, 2.5),
+        ("trig", "periodic", 4, 1.0),
         ("cosine", "iid", None, 1e-300),
         ("cosine", "periodic", 5, 1e300),
     ])
     def test_draws_are_the_documented_stream(self, kind, dep, ell, sigma):
-        """Bit for bit: sigma times the Philox normals keyed by the seed, a
-        (or its ell-long base) first, then b."""
+        """Bit for bit: sigma times the Philox normals keyed by the seed,
+        two draws in turn, a (or its ell-long base) first, then b; the
+        sampler draws both in one call.  Both vectors are contiguous and
+        read-only."""
         n = 29
-        for seed in (0, 123, mix64(2026, n, 209)):
+        for seed in [0, 123] + [mix64(2026, n, t) for t in range(200)]:
             s = sample_coefficients(CoefficientModel(kind, dep, ell, sigma), n, seed)
             rng = np.random.Generator(np.random.Philox(key=seed))
             size = n + 1 if ell is None else ell
@@ -205,6 +208,8 @@ class TestSampling:
             reps = -(-(n + 1) // size)
             assert np.array_equal(s.a, np.tile(a, reps)[: n + 1])
             assert np.array_equal(s.b, np.tile(b, reps)[: n + 1])
+            for v in (s.a, s.b):
+                assert v.flags.c_contiguous and not v.flags.writeable
 
     def test_overflowing_draw_raises_without_warning(self):
         model = CoefficientModel(kind="trig", dep="iid", sigma=1e308)
