@@ -72,9 +72,13 @@ nodes x = mid_p + half z_i as e^{if mid_p} e^{if half z_i}: 2 sines and
 cosines per panel and frequency, not 2 per node (they cost tens of ns an
 element, a product under one).  The factors round their angles to about
 u|f mid_p| and u|f half z_i|, as np.cos(f * x) rounds f * x to u|fx|.
-The lattice reduction of phi_M keeps 4 per node, since its small
-argument must come from each node.  Graded panels would form one block
-per width, and gain only where widths repeat.
+The Dirichlet kernel takes the block too (trigpoly.dirichlet_pairs, where
+PanelNodes lives): one lattice reduction per panel, and the small argument
+s = sigma_p + tau_i of phi_M split the same way, each part rounded once,
+so s keeps its relative accuracy.  That is 4 sines and cosines per panel;
+only the few panels beside the lattice that reach M|s| < 1.5 are reduced
+node by node.  Graded panels would form one block per width, and gain
+only where widths repeat.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import PolySample, decompose_degree
-from .trigpoly import dirichlet_pair, dirichlet_pairs, reduce_periodic
+from .trigpoly import PanelNodes, dirichlet_pair, dirichlet_pairs, reduce_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,11 +115,15 @@ class AbcTriple:
     C: np.ndarray
 
     def discriminant(self) -> np.ndarray:
-        """A*C - B^2, clamped to zero when negative within roundoff."""
+        """A*C - B^2, clamped to zero when negative within roundoff.
+
+        Raises when it falls below -1e-12 max(A*C, 1) and reports the
+        worst d / max(A*C, 1), the quantity that the check compares."""
         ac = self.A * self.C
         d = ac - self.B * self.B
-        if np.any(d < -1e-12 * np.maximum(ac, 1.0)):
-            worst = float((d / np.maximum(ac, 1e-300)).min())
+        scale = np.maximum(ac, 1.0)
+        if np.any(d < -1e-12 * scale):
+            worst = float((d / scale).min())
             raise FloatingPointError(
                 f"A*C - B^2 < 0 beyond roundoff (relative {worst:.3e})"
             )
@@ -204,39 +212,6 @@ def _iid_constants(n: int):
     return A, C
 
 
-@dataclass(frozen=True)
-class PanelNodes:
-    """The nodes x = mid_p + half z_i of panels of one width, panel-major.
-
-    A plain array is a block of one-node panels, half = 0 and z = [0],
-    whose node phase is exactly (1, 0): cis(f) is then np.cos(f x) and
-    np.sin(f x) to the bit."""
-
-    mid: np.ndarray
-    half: float
-    z: np.ndarray
-
-    @classmethod
-    def of(cls, x) -> "PanelNodes":
-        if isinstance(x, cls):
-            return x
-        return cls(np.atleast_1d(np.asarray(x, dtype=float)).ravel(), 0.0, np.zeros(1))
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        return (self.mid[:, None] + self.half * self.z).ravel()
-
-    @property
-    def size(self) -> int:
-        return self.mid.size * self.z.size
-
-    def cis(self, f: float):
-        """(cos(f x), sin(f x)) at the nodes, by angle addition."""
-        panel, node = (np.cos(a) + 1j * np.sin(a) for a in (f * self.mid, f * self.half * self.z))
-        phase = (panel[:, None] * node).ravel()
-        return phase.real, phase.imag
-
-
 def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
     """A, B, C over the ell grouped directions (M, freq_twice) of a
     periodic sample: direction k sums M_k frequencies of mean
@@ -245,34 +220,41 @@ def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
         g_k = phi_{M_k}(x) cos(nu_k x),
 
     and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M') of
-    every M > 1 (m and m+1) comes from one dirichlet_pairs reduction, and
-    is (1, 0) for M = 1.  Cosine sums g_k^2, g_k g_k' and g_k'^2 with the
-    block's phases of nu_k x.  For trig the cross terms cancel, leaving
+    every M > 1 (m and m+1) comes from one dirichlet_pairs reduction of
+    the block; for M = 1 it is (1, 0), and those directions skip the
+    products with it, which is exact.  Cosine sums g_k^2, g_k g_k' and
+    g_k'^2 with the block's phases of nu_k x.  For trig the cross terms
+    cancel, leaving
 
         A = sum phi^2,  B = sum phi phi',  C = sum (phi'^2 + nu^2 phi^2),
 
     one term per distinct M and no cosine or sine at all.
     """
     M, freq_twice = directions
-    x = block.x
     sizes = sorted(set(M.tolist()), reverse=True)
     orders = sorted(size for size in sizes if size > 1)  # m and m+1 at most
-    pairs = dict(zip(orders, dirichlet_pairs(orders[0], ell, x, len(orders)))) if orders else {}
-    A = np.zeros_like(x)
-    B = np.zeros_like(x)
-    C = np.zeros_like(x)
+    pairs = dict(zip(orders, dirichlet_pairs(orders[0], ell, block, len(orders)))) if orders else {}
+    A = np.zeros(block.size)
+    B = np.zeros(block.size)
+    C = np.zeros(block.size)
     for size in sizes:
-        phi, phid = pairs.pop(size, (1.0, 0.0))
         nus = freq_twice[M == size] / 2.0
+        phi, phid = pairs.get(size, (1.0, 0.0))
         if kind == "trig":
-            A += nus.size * phi * phi
-            B += nus.size * phi * phid
-            C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
+            if size == 1:
+                A += nus.size
+                C += float((nus * nus).sum())
+            else:
+                A += nus.size * phi * phi
+                B += nus.size * phi * phid
+                C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
             continue
         for nu in nus.tolist():
             cos_nu, sin_nu = block.cis(nu)
-            g = phi * cos_nu
-            gd = phid * cos_nu - nu * phi * sin_nu
+            if size == 1:
+                g, gd = cos_nu, -nu * sin_nu
+            else:
+                g, gd = phi * cos_nu, phid * cos_nu - nu * phi * sin_nu
             A += g * g
             B += g * gd
             C += gd * gd
@@ -280,8 +262,10 @@ def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
 
 
 def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
-    """The i.i.d. cosine forms of abc_closed, phi = phi_{n+1}(.; 1), with
-    phi'' from phi_ss = (1 - m^2) phi - 2 cot(s) phi_s, s = t/2 = x.
+    """The i.i.d. cosine forms of abc_closed, phi = phi_{n+1}(.; 1) at
+    t = 2x, from dirichlet_pair on the doubled block (2 mid, 2 half, z;
+    doubling is exact), with phi'' from
+    phi_ss = (1 - m^2) phi - 2 cot(s) phi_s, s = t/2 = x.
 
     Next to x = 0 and pi, C = (S2 + K''(2x))/2 cancels two terms of size
     about n^3/3 (K''(0) = -S2), and phi'' divides phi' by sin x: 1e-12
@@ -293,7 +277,7 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     A0, S2 = _iid_constants(n)
     cos_x, sin_x = block.cis(1.0)
     cos_n, sin_n = block.cis(float(n))
-    phi, phid = dirichlet_pair(n + 1, 1, 2.0 * block.x)
+    phi, phid = dirichlet_pair(n + 1, 1, PanelNodes(2.0 * block.mid, 2.0 * block.half, block.z))
     with np.errstate(divide="ignore", invalid="ignore"):  # at sin x = 0, overwritten
         phidd = 0.25 * (1.0 - (n + 1.0) ** 2) * phi - (cos_x / sin_x) * phid
     K = phi * cos_n

@@ -490,6 +490,73 @@ class TestDirichletRatio:
         assert np.all(np.abs(phid[:, 0] - phid[:, 1]) < 1e-11 * np.abs(phid[:, 0]))
 
 
+def _per_node_pairs(m, ell, x, orders):
+    """The per-node reduction that dirichlet_pairs replaced, kept as the
+    reference of plain arrays: k and s = ell t/2 at every node, 4 sines and
+    cosines per node, one angle-addition step per order past m."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    period = 2.0 * np.pi / ell
+    k = np.rint(x_arr / period)
+    s = 0.5 * ell * (x_arr - k * period)
+    sin_s, cos_s = np.sin(s), np.cos(s)
+    sin_ms, cos_ms = np.sin(m * s), np.cos(m * s)
+    pairs = []
+    for M in range(m, m + orders):
+        if M > m:
+            sin_ms, cos_ms = sin_ms * cos_s + cos_ms * sin_s, cos_ms * cos_s - sin_ms * sin_s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = sin_ms / sin_s
+            slope = 0.5 * ell * (M * cos_ms * sin_s - sin_ms * cos_s) / (sin_s**2)
+        series = np.abs(s) < trigpoly._PAIR_SERIES_WINDOW / M
+        if series.any():
+            z = s[series]
+            zz = z * z
+            s2 = M * (M * M - 1.0) / 3.0
+            s4 = s2 * (3.0 * M * M - 7.0) / 5.0
+            s6 = s2 * (3.0 * M ** 4 - 18.0 * M * M + 31.0) / 7.0
+            phi[series] = M - zz * (s2 / 2.0 - zz * (s4 / 24.0 - zz * (s6 / 720.0)))
+            slope[series] = 0.5 * ell * z * (-s2 + zz * (s4 / 6.0 - zz * (s6 / 120.0)))
+        if (M - 1) % 2:
+            sign = np.where(np.fmod(k, 2.0) != 0.0, -1.0, 1.0)
+            phi *= sign
+            slope *= sign
+        pairs.append((phi, slope))
+    return pairs
+
+
+class TestPlainArrays:
+    """A plain array is a block of one-node panels (PanelNodes.of): its node
+    phases are exactly (1, 0), so dirichlet_pairs is the per-node reduction
+    to the bit, signs of zero included."""
+
+    @pytest.mark.parametrize("m,ell", [(1, 3), (2, 1), (2, 7), (7, 3), (100, 3), (81, 5),
+                                       (333, 3), (401, 1)])
+    def test_equal_to_the_per_node_reduction(self, m, ell):
+        rng = np.random.default_rng(m * ell)
+        x = np.concatenate([TestDirichletRatio._across_the_lattice(m + 1, ell),
+                            TestDirichletRatio._lattice_and_window_points(ell, rng)])
+        for orders in (1, 2):
+            got = dirichlet_pairs(m, ell, x, orders)
+            want = _per_node_pairs(m, ell, x, orders)
+            for (phi, slope), (phi_want, slope_want) in zip(got, want, strict=True):
+                assert phi.tobytes() == phi_want.tobytes()
+                assert slope.tobytes() == slope_want.tobytes()
+
+    def test_shapes_and_scalars(self):
+        x = np.linspace(0.1, 6.0, 12).reshape(3, 4)
+        phi, slope = dirichlet_pair(5, 3, x)
+        assert phi.shape == slope.shape == (3, 4)
+        assert phi.tobytes() == _per_node_pairs(5, 3, x.ravel(), 1)[0][0].tobytes()
+        value = dirichlet_pair(5, 3, 0.7)
+        assert isinstance(value[0], float) and isinstance(value[1], float)
+        assert value == tuple(float(v[0]) for v in _per_node_pairs(5, 3, 0.7, 1)[0])
+
+    def test_panel_nodes_moved_beside_the_kernel(self):
+        from trigzeros import kacrice
+
+        assert kacrice.PanelNodes is trigpoly.PanelNodes
+
+
 class TestTrigSums:
     """sum_t f((k + ell t)x) = phi_m(x) f((k + (m-1) ell/2) x) for f = cos, sin,
     checked against literal sums; with ell = 2p this is the sum over the
