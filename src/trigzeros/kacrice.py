@@ -221,8 +221,7 @@ def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
 
     and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M') of
     every M > 1 (m and m+1) comes from one dirichlet_pairs reduction of
-    the block; for M = 1 it is (1, 0), and those directions skip the
-    products with it, which is exact.  Cosine sums g_k^2, g_k g_k' and
+    the block, and is (1, 0) for M = 1.  Cosine sums g_k^2, g_k g_k' and
     g_k'^2 with the block's phases of nu_k x.  For trig the cross terms
     cancel, leaving
 
@@ -239,22 +238,16 @@ def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
     C = np.zeros(block.size)
     for size in sizes:
         nus = freq_twice[M == size] / 2.0
-        phi, phid = pairs.get(size, (1.0, 0.0))
+        phi, phid = pairs.pop(size, (1.0, 0.0))
         if kind == "trig":
-            if size == 1:
-                A += nus.size
-                C += float((nus * nus).sum())
-            else:
-                A += nus.size * phi * phi
-                B += nus.size * phi * phid
-                C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
+            A += nus.size * phi * phi
+            B += nus.size * phi * phid
+            C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
             continue
         for nu in nus.tolist():
             cos_nu, sin_nu = block.cis(nu)
-            if size == 1:
-                g, gd = cos_nu, -nu * sin_nu
-            else:
-                g, gd = phi * cos_nu, phid * cos_nu - nu * phi * sin_nu
+            g = phi * cos_nu
+            gd = phid * cos_nu - nu * phi * sin_nu
             A += g * g
             B += g * gd
             C += gd * gd

@@ -97,15 +97,11 @@ def _check_period(ell) -> None:
         raise ValueError(f"period must be an integer >= 1, got ell={ell!r}")
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def decompose_degree(n: int, ell: int) -> PeriodDecomposition:
     """Split a degree against a coefficient period.
 
     Requires an integer ell >= 1 and n >= ell - 1, so the sample holds
-    at least one full period of coefficients (m >= 1).  Memoized: equal
-    arguments of equal types share one frozen result, and invalid ones
-    raise on every call, since the cache keeps no exceptions and typed
-    keys keep ell = 3.0 apart from ell = 3.
+    at least one full period of coefficients (m >= 1).
     """
     _check_period(ell)
     if n < 1:
