@@ -238,41 +238,39 @@ def _cmd_kacrice(parser, args):
 # ---------------------------------------------------------------------------
 
 
+_CONSTANT_ARGUMENTS = {"C": ("ell", "r"), "J": ("ell", "r"), "K": ("ell",), "I": ("alpha",)}
+
+
 def _cmd_constants(parser, args):
+    """Every requested value, the Monte Carlo estimate included, is computed
+    before the first line is printed, so a usage error leaves stdout empty."""
     what = args.what
-    if args.mc < 0 or (args.mc and what in ("J", "I")):
-        parser.error(f"--mc takes n_points >= 1 for C or K (0: off), got {args.mc} for {what}")
+    if args.mc and what in ("J", "I"):
+        parser.error(f"--mc applies to C or K only, got --mc {args.mc} for {what}")
+    needed = _CONSTANT_ARGUMENTS[what]
+    if any(getattr(args, name) is None for name in needed):
+        parser.error(f"{what} requires " + " and ".join("--" + name for name in needed))
+    mc = None
     try:
         if what == "C":
-            if args.ell is None or args.r is None:
-                parser.error("C requires --ell and --r")
-            value = compute_C(args.ell, args.r)
-            print(f"C[{args.ell},{args.r}] = {value:.12f}")
+            lines = [f"C[{args.ell},{args.r}] = {compute_C(args.ell, args.r):.12f}"]
             if args.mc:
-                mean, se = monte_carlo_C(args.ell, args.r, n_points=args.mc)
-                print(f"monte-carlo = {mean:.12f} +- {se:.2e}")
+                mc = monte_carlo_C(args.ell, args.r, n_points=args.mc)
         elif what == "J":
-            if args.ell is None or args.r is None:
-                parser.error("J requires --ell and --r")
-            value = compute_J(args.ell, args.r)
-            print(f"J[{args.ell},{args.r}] = {value:.12f}")
+            lines = [f"J[{args.ell},{args.r}] = {compute_J(args.ell, args.r):.12f}"]
         elif what == "K":
-            if args.ell is None:
-                parser.error("K requires --ell")
-            value = compute_K(args.ell)
-            print(f"K[{args.ell}] = {value:.12f}")
+            lines = [f"K[{args.ell}] = {compute_K(args.ell):.12f}"]
             if args.mc:
-                mean, se = monte_carlo_K(args.ell, n_points=args.mc)
-                print(f"monte-carlo = {mean:.12f} +- {se:.2e}")
+                mc = monte_carlo_K(args.ell, n_points=args.mc)
         else:  # I
-            if args.alpha is None:
-                parser.error("I requires --alpha")
-            value = compute_I_alpha(args.alpha)
+            value = compute_I_alpha(args.alpha)  # refuses alpha outside (0, pi/2)
             closed = math.pi**2 / (math.sin(args.alpha) * math.cos(args.alpha))
-            print(f"I[{args.alpha}] = {value:.12f}")
-            print(f"closed form  = {closed:.12f}")
+            lines = [f"I[{args.alpha}] = {value:.12f}", f"closed form  = {closed:.12f}"]
     except ValueError as exc:
         parser.error(str(exc))
+    if mc is not None:
+        lines.append(f"monte-carlo = {mc[0]:.12f} +- {mc[1]:.2e}")
+    print("\n".join(lines))
     return 0
 
 

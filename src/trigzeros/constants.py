@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .models import CoefficientModel, decompose_degree
+from .models import CoefficientModel
 from .kacrice import _NODES, composite_gauss_legendre, expected_zeros_exact_r0
 
 # Grading levels (toward xi = 0, toward eta = 0) of each corner rule; at
@@ -328,6 +328,7 @@ def monte_carlo_C(ell: int, r: int, n_points: int = 10_000_000, seed: int = 0):
     Sampling in smoothstep coordinates, s = pi (3u^2 - 2u^3) with
     ds = 6 pi u (1 - u) du (same for t), cancels the spike with a Jacobian
     that vanishes linearly at the ends: the sample variance is finite.
+    Refuses n_points < 2, where the standard error would read 0.
     """
     if not 0 < r < ell:
         raise ValueError(f"need 0 < r < ell, got ell={ell}, r={r}")
@@ -346,8 +347,8 @@ def monte_carlo_K(ell: int, n_points: int = 10_000_000, seed: int = 0):
 
 
 def _mc_smoothstep_square(func, s_hi, t_hi, n_points, seed):
-    if n_points < 1:
-        raise ValueError(f"need n_points >= 1, got {n_points}")
+    if n_points < 2:  # one point carries no spread, so no stated error
+        raise ValueError(f"need n_points >= 2, got {n_points}")
     rng = np.random.default_rng(np.random.Philox(key=seed & (2**64 - 1)))
     norm = s_hi * t_hi / math.pi**2
     total = 0.0
@@ -378,27 +379,25 @@ def _mc_smoothstep_square(func, s_hi, t_hi, n_points, seed):
 def theoretical_mean(model: CoefficientModel, n: int):
     """(expected zero count on (0, 2 pi), order tag of the approximation).
 
+    Reads the split model.period(n), where i.i.d. is the vacuous period
+    ell = n + 1.  Trig with r = 0, m = 1 (and so i.i.d.) included: the
+    exact law expected_zeros_exact_r0.  Trig with r != 0: n C[ell, r].
+    Cosine with ell = n + 1: the universal 2n/sqrt 3; with r = 0 and
+    m >= 2: 2n, exact for ell = 1.
+
     Tags: "exact" marks a closed form valid at every degree; the O tags give
     the error order of the asymptotic approximation returned.
     """
-    if model.dep == "iid":
-        if model.kind == "trig":
-            return 2.0 * math.sqrt(n * (2 * n + 1) / 6.0), "exact"
-        return 2.0 * n / math.sqrt(3.0), "o(n)"
-
-    dec = decompose_degree(n, model.ell)
-    if dec.factors:
-        if model.kind == "trig":
-            return expected_zeros_exact_r0(n, dec.ell), "exact"
-        return 2.0 * n, "exact" if dec.ell == 1 else "O(n^(2/3))"
-    if dec.r == 0:
-        # n + 1 = ell: the period exceeds the coefficient count, i.i.d. in disguise
-        return theoretical_mean(
-            CoefficientModel(kind=model.kind, dep="iid", sigma=model.sigma), n
-        )
+    dec = model.period(n)
     if model.kind == "trig":
+        if dec.r == 0:
+            return expected_zeros_exact_r0(n, dec.ell), "exact"
         return n * compute_C(dec.ell, dec.r), "O(n^(4/5))"
+    if dec.ell == n + 1:
+        return 2.0 * n / math.sqrt(3.0), "o(n)"
+    if dec.factors:
+        return 2.0 * n, "exact" if dec.ell == 1 else "O(n^(2/3))"
     raise ValueError(
         "no closed asymptotic is available for cosine polynomials with "
-        f"partial trailing blocks (ell={model.ell}, n={n} leaves r={dec.r})"
+        f"partial trailing blocks (ell={dec.ell}, n={n} leaves r={dec.r})"
     )

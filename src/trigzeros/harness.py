@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass
 from .constants import theoretical_mean
 from .models import (
     CoefficientModel,
-    decompose_degree,
     mix64,
     sample_coefficients,
     validate_model,
@@ -72,14 +71,13 @@ class ExperimentConfig:
         return model
 
     def validate(self) -> None:
-        self.model()
+        model = self.model()
         if not self.degrees:
             raise ValueError("at least one degree is required")
         if any(n < 1 for n in self.degrees):
             raise ValueError("degrees must be positive")
-        if self.dep == "periodic":
-            for n in self.degrees:  # each must hold one full period
-                decompose_degree(n, self.ell)
+        for n in self.degrees:  # each must hold one full period
+            model.period(n)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.workers < 1:
@@ -142,11 +140,9 @@ def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
     counts = [c for c, stable in outcomes if stable]
     unstable = sum(1 for _, stable in outcomes if not stable)
 
-    if model.dep == "periodic":
-        dec = decompose_degree(n, model.ell)
-        m_val, r_val = dec.m, dec.r
-    else:
-        m_val = r_val = None
+    dec = model.period(n)
+    # i.i.d. rows leave m and r blank: their split is the vacuous period
+    m_val, r_val = (dec.m, dec.r) if model.dep == "periodic" else (None, None)
 
     try:
         theory, order = theoretical_mean(model, n)

@@ -8,15 +8,17 @@ coefficients, the expected number of zeros on (lo, hi) is
 with A = sum f_j^2, B = sum f_j f_j', C = sum (f_j')^2.  The variance s^2
 cancels in the ratio, so everything here is sigma-free.
 
-Three evaluation routes for (A, B, C):
+Every route reads the degree split of CoefficientModel.period(n), in
+which the i.i.d. model is the vacuous period ell = n + 1 (m = 1, r = 0:
+no coefficient repeats).  Three evaluation routes for (A, B, C):
 
 * ``abc_closed``   -- closed forms for every raw (unfactored) model, O(1) to
-  O(ell) work per point.  Every model but i.i.d. cosine goes through one
-  core over the ell grouped directions sum_t cos((k + ell t) x) =
-  phi_M(x) cos(nu_k x) (and the sine twins for trig), (M_k, 2 nu_k) from
+  O(ell) work per point.  Every split but cosine with ell = n + 1 goes
+  through one core over the ell grouped directions sum_t cos((k + ell t) x)
+  = phi_M(x) cos(nu_k x) (and the sine twins for trig), (M_k, 2 nu_k) from
   PeriodDecomposition.directions, with phi_M and phi_M' for both M from
-  one trigpoly.dirichlet_pairs; i.i.d. trig is the vacuous period
-  ell = n + 1, where every M is 1.  i.i.d. cosine goes through
+  one trigpoly.dirichlet_pairs; at ell = n + 1 every M is 1.  Cosine with
+  ell = n + 1, i.i.d. or periodic, goes through
   K(t) = sum_{j<=n} cos jt at t = 2x, and sums the few nodes within 1/n
   of the kernel lattice literally, over the powers of e^{ix}.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
@@ -35,20 +37,20 @@ and multiplies by 2q: the density of every route it calls is even and
 2 pi/q-periodic, so the circle holds 2q mirror copies of the cell.  The
 fold order q is
 
-* ell for periodic trig, both routes and every r and m: the directions
-  phi_M(x) cos(nu x), phi_M(x) sin(nu x) enter A, B, C only through phi_M^2,
-  phi_M phi_M' and phi_M'^2, and phi_M(x + 2 pi/ell) = (-1)^(M-1) phi_M(x),
-  phi_M(-x) = phi_M(x), so A and C are even, B is odd, and all three are
-  2 pi/ell-periodic;
-* 2 for i.i.d. cosine, whose A, C (even) and B (odd) are functions of
-  K(2x), and K is even with period 2 pi;
-* 1 for periodic cosine on both routes: every sample is even, so A, C are
-  even and B odd, and 2 pi-periodic even when the reduced frequencies
-  nu_k are half-integers (cos^2(nu x) has period pi/nu).
+* ell for trig, both routes and every r and m, i.i.d. (ell = n + 1)
+  included: the directions phi_M(x) cos(nu x), phi_M(x) sin(nu x) enter
+  A, B, C only through phi_M^2, phi_M phi_M' and phi_M'^2, and
+  phi_M(x + 2 pi/ell) = (-1)^(M-1) phi_M(x), phi_M(-x) = phi_M(x), so A
+  and C are even, B is odd, and all three are 2 pi/ell-periodic;
+* 2 for cosine with ell = n + 1, whose A, C (even) and B (odd) are
+  functions of K(2x), and K is even with period 2 pi;
+* 1 for every other cosine split, on both routes: every sample is even,
+  so A, C are even and B odd, and 2 pi-periodic even when the reduced
+  frequencies nu_k are half-integers (cos^2(nu x) has period pi/nu).
 
-``expected_zeros_exact_r0`` returns the closed-form count for the fully
-periodic trig model, where the stationary reduced process makes the integral
-elementary.
+``expected_zeros_exact_r0`` returns the closed-form count for the trig
+model at every r = 0 degree, where the stationary reduced process makes the
+integral elementary; at ell = n + 1 it is the i.i.d. trig law.
 
 Near the degree-grid lattice points x = 2*pi*k/ell the closed forms for r != 0
 involve cancellations between O(n^2) terms, and A itself dips toward its
@@ -89,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PolySample, decompose_degree
+from .models import PeriodDecomposition, PolySample, decompose_degree
 from .trigpoly import PanelNodes, dirichlet_pair, dirichlet_pairs, reduce_periodic
 
 TWO_PI = 2.0 * math.pi
@@ -205,13 +207,6 @@ def abc_direct(sample: PolySample, x) -> AbcTriple:
     return AbcTriple(*_literal_sums(sample, x))
 
 
-def _iid_constants(n: int):
-    """A, C for the i.i.d. trig model (both constant in x)."""
-    A = float(n + 1)
-    C = n * (n + 1) * (2 * n + 1) / 6.0
-    return A, C
-
-
 def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
     """A, B, C over the ell grouped directions (M, freq_twice) of a
     periodic sample: direction k sums M_k frequencies of mean
@@ -267,7 +262,7 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     (_cosine_powers) overwrite the few nodes with |sin x| < 1/n.
     """
     n = sample.n
-    A0, S2 = _iid_constants(n)
+    S2 = n * (n + 1) * (2 * n + 1) / 6.0
     cos_x, sin_x = block.cis(1.0)
     cos_n, sin_n = block.cis(float(n))
     phi, phid = dirichlet_pair(n + 1, 1, PanelNodes(2.0 * block.mid, 2.0 * block.half, block.z))
@@ -276,7 +271,7 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     K = phi * cos_n
     Kd = phid * cos_n - 0.5 * n * phi * sin_n
     Kdd = phidd * cos_n - n * phid * sin_n - 0.25 * n * n * K
-    A, B, C = 0.5 * (A0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
+    A, B, C = 0.5 * (n + 1.0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
     near = np.abs(sin_x) < 1.0 / n
     if near.any():
         phase = cos_x[near] + 1j * sin_x[near]
@@ -287,16 +282,18 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
 def abc_closed(sample: PolySample, x) -> AbcTriple:
     """O(1)-to-O(ell)-per-point closed forms for the raw (unfactored) polynomial.
 
-    x is an array of points or a PanelNodes block.  Every model but
-    i.i.d. cosine: the sums over the ell grouped directions
+    x is an array of points or a PanelNodes block.  The split is
+    model.period(n).  Every split but cosine with ell = n+1: the sums
+    over the ell grouped directions
     g_k = phi_M(x) cos(nu_k x) (and h_k = phi_M(x) sin(nu_k x) for trig),
     M = m+1 for k < r and m otherwise, nu_k = k + (M-1) ell/2
     (PeriodDecomposition.directions); see _grouped_abc.  dirichlet_pairs'
-    series keeps phi_M' accurate up to the lattice.  i.i.d. trig is
-    the vacuous period ell = n+1: every M is 1, so A = n+1, B = 0 and
+    series keeps phi_M' accurate up to the lattice.  Trig with ell = n+1
+    (i.i.d. trig) has every M = 1, so A = n+1, B = 0 and
     C = sum_{j<=n} j^2 = n(n+1)(2n+1)/6, all exact.
 
-    i.i.d. cosine: the covariance is (K(x-y) + K(x+y))/2 with
+    Cosine with ell = n+1, i.i.d. or periodic (no coefficient repeats):
+    the covariance is (K(x-y) + K(x+y))/2 with
     K(t) = sum_{j<=n} cos jt = phi_{n+1}(t; 1) cos(n t/2), so
 
         A = (n + 1 + K(2x))/2,  B = K'(2x)/2,  C = (S2 + K''(2x))/2,
@@ -305,12 +302,10 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
     with |sin x| < 1/n are summed literally (see _cosine_closed).
     """
     block = PanelNodes.of(x)
-    model = sample.model
-    if model.dep == "iid" and model.kind == "cosine":
+    kind, dec = sample.model.kind, sample.model.period(sample.n)
+    if kind == "cosine" and dec.ell == sample.n + 1:
         return _cosine_closed(sample, block)
-    ell = model.ell if model.dep == "periodic" else sample.n + 1
-    directions = decompose_degree(sample.n, ell).directions()
-    return AbcTriple(*_grouped_abc(model.kind, ell, directions, block))
+    return AbcTriple(*_grouped_abc(kind, dec.ell, dec.directions(), block))
 
 
 def abc_reduced(sample: PolySample, x) -> AbcTriple:
@@ -397,29 +392,24 @@ def _integrate_panels(func, intervals, n_panels_total: int):
     return value, panels_used
 
 
-def _exclusion_windows(sample: PolySample):
-    """Centers and half-widths of integrable-spike windows to excise.
+def _exclusion_windows(kind: str, dec: PeriodDecomposition) -> list:
+    """(center, half-width) of the integrable-spike windows to excise.
 
-    Periodic trig r != 0: lattice points 2 pi k / ell, half-width
+    r != 0 with m >= 2: lattice points 2 pi k / ell, half-width
     (2/ell) m^{-1/5} (the remainder-balancing choice).
-    Periodic cosine r = 0 (reduced route): {0, pi, 2 pi}, half-width n^{-1/3}.
-    Everything else: none.
+    Cosine r = 0 with m >= 2 (reduced route): {0, pi, 2 pi}, half-width
+    n^{-1/3}.  Everything else, m = 1 and so i.i.d. included: none.
     """
-    model = sample.model
-    if model.dep != "periodic":
-        return [], 0.0
-    dec = decompose_degree(sample.n, model.ell)
     if dec.m == 1:
-        return [], 0.0  # A stays bounded below
+        return []  # A stays bounded below
     if dec.r != 0:
         half = (2.0 / dec.ell) * dec.m ** (-0.2)
         half = min(half, math.pi / (4.0 * dec.ell))  # never swallow a cell
-        centers = [TWO_PI * k / dec.ell for k in range(dec.ell + 1)]
-        return [(c, half) for c in centers], half
-    if model.kind == "cosine":  # the sample factors
-        half = min(float(sample.n) ** (-1.0 / 3.0), 0.5)
-        return [(c, half) for c in (0.0, math.pi, TWO_PI)], half
-    return [], 0.0
+        return [(TWO_PI * k / dec.ell, half) for k in range(dec.ell + 1)]
+    if kind == "cosine":  # the sample factors
+        half = min(float(dec.n) ** (-1.0 / 3.0), 0.5)
+        return [(c, half) for c in (0.0, math.pi, TWO_PI)]
+    return []
 
 
 def _excise(lo: float, hi: float, windows):
@@ -441,26 +431,27 @@ def _excise(lo: float, hi: float, windows):
     return intervals, cuts
 
 
-def _fold_order(model) -> int:
+def _fold_order(kind: str, dec: PeriodDecomposition) -> int:
     """q such that the Kac-Rice density is even and 2 pi/q-periodic (see the
-    module docstring); i.i.d. trig never reaches the quadrature."""
-    if model.kind == "trig":
-        return model.ell
-    return 2 if model.dep == "iid" else 1
+    module docstring)."""
+    if kind == "trig":
+        return dec.ell
+    return 2 if dec.ell == dec.n + 1 else 1
 
 
 def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     """E[number of zeros on (0, 2 pi)] by Kac-Rice quadrature.
 
-    Dispatch:
-      * i.i.d. trig      -- stationary, integrand constant: no quadrature.
-      * periodic samples that factor (r = 0, m >= 2) -- deterministic
-        lattice zeros counted exactly, plus quadrature of the reduced factor
-        (abc_reduced); cosine additionally excises n^{-1/3} windows where the
-        reduced A touches zero.
-      * i.i.d. cosine, periodic r = 0 with m = 1 (the coefficients never
-        repeat) and periodic r != 0 with lattice windows excised -- abc_closed.
-      * periodic cosine, ell = 1 -- a rank-one process with no Kac-Rice
+    Dispatch, on the split model.period(n), where i.i.d. is the vacuous
+    period ell = n + 1 (m = 1, r = 0):
+      * samples that factor (r = 0, m >= 2) -- deterministic lattice zeros
+        counted exactly, plus quadrature of the reduced factor
+        (abc_reduced); cosine additionally excises n^{-1/3} windows where
+        the reduced A touches zero.
+      * m = 1 (i.i.d. included: for trig a constant density, for cosine
+        the i.i.d. forms) and r != 0 with lattice windows excised --
+        abc_closed.
+      * cosine with ell = 1 -- a rank-one process with no Kac-Rice
         density: its 2n deterministic zeros, with zero error.
 
     The routes are integrated over the symmetry cell [0, pi/q] of the
@@ -474,31 +465,25 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     whole circle and panels_used counts the panels of the second pass over
     the whole circle, 2q per cell panel.
     """
-    model = sample.model
-    n = sample.n
-
-    if model.dep == "iid" and model.kind == "trig":
-        A0, C0 = _iid_constants(n)
-        value = 2.0 * math.sqrt(C0 / A0)
-        return KacRiceResult(value=value, abs_error_estimate=0.0, panels_used=0)
-
-    if model.dep == "periodic" and model.kind == "cosine" and model.ell == 1:
+    kind, n = sample.model.kind, sample.n
+    dec = sample.model.period(n)
+    if kind == "cosine" and dec.ell == 1:
         # rank one: every draw is a_0 sum_{j<=n} cos jx = a_0 phi_{n+1}(x)
         # cos(nx/2), whose 2n zeros (with multiplicity) are deterministic
         return KacRiceResult(value=0.0, abs_error_estimate=0.0, panels_used=0,
                              deterministic_zeros=2 * n)
 
     det_zeros = 0
-    windows, _ = _exclusion_windows(sample)
+    windows = _exclusion_windows(kind, dec)
 
     route = abc_closed
-    if model.dep == "periodic" and decompose_degree(n, model.ell).factors:
-        det_zeros = n + 1 - model.ell
+    if dec.factors:
+        det_zeros = n + 1 - dec.ell
         route = abc_reduced
 
     func = lambda xs: route(sample, xs).integrand()  # noqa: E731
 
-    fold = 2 * _fold_order(model)
+    fold = 2 * _fold_order(kind, dec)
     intervals, _ = _excise(0.0, TWO_PI / fold, windows)
     _, cuts = _excise(0.0, TWO_PI, windows)
     excluded_len = sum(b - a for a, b in cuts)
@@ -528,13 +513,15 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
 
 
 def expected_zeros_exact_r0(n: int, ell: int) -> float:
-    """Closed-form E[N(0, 2 pi)] for the periodic trig model when the
-    sample factors (ell | n+1 with m >= 2).
+    """Closed-form E[N(0, 2 pi)] for the ell-periodic trig model at every
+    degree with r = 0 (ell | n+1), m = 1 included.
 
     Deterministic lattice zeros contribute n + 1 - ell; the reduced factor is
     stationary with A = ell, C = ell (3 n^2 + ell^2 - 1)/12, so its Kac-Rice
-    integral is 2 sqrt(C/A) = sqrt(n^2 + (ell^2 - 1)/3).
+    integral is 2 sqrt(C/A) = sqrt(n^2 + (ell^2 - 1)/3).  At m = 1 no
+    coefficient repeats and the law is the i.i.d. trig one: ell = n + 1
+    gives 2 sqrt(n (2n+1)/6).
     """
-    if not decompose_degree(n, ell).factors:
-        raise ValueError(f"n={n} is not of the form ell*m - 1 with m >= 2 for ell={ell}")
+    if decompose_degree(n, ell).r != 0:
+        raise ValueError(f"n={n} is not of the form ell*m - 1 for ell={ell}")
     return (n + 1 - ell) + math.sqrt(n * n + (ell * ell - 1) / 3.0)

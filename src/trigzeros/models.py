@@ -23,6 +23,11 @@ deterministic real zeros.  m = 1 is a vacuous period: with r = 0
 (n+1 = ell) no coefficient repeats and the sample is i.i.d.; with r > 0
 only the first r residue classes repeat, once.
 
+CoefficientModel.period(n) is the one place that maps dep to this
+structure: the periodic model splits against its ell, the i.i.d. model
+against the vacuous period ell = n + 1.  The sampler, the zero counter,
+the Kac-Rice routes and the theory table all read the split it returns.
+
 Reproducibility: per-trial seeds are derived with mix64(), a splitmix64
 fold of (master_seed, degree, trial_index).  Samples are drawn from a
 counter-based Philox generator keyed by the folded seed, so any single
@@ -131,6 +136,12 @@ class CoefficientModel:
     ell: Optional[int] = None
     sigma: float = 1.0
 
+    def period(self, n: int) -> PeriodDecomposition:
+        """The split of degree n that every numerical route reads: against
+        ell for the periodic model, and against the vacuous period n + 1
+        (m = 1, r = 0, no coefficient repeats) for the i.i.d. one."""
+        return decompose_degree(n, n + 1 if self.dep == "iid" else self.ell)
+
 
 def validate_model(model: CoefficientModel) -> CoefficientModel:
     """Check model fields, returning the model unchanged if coherent."""
@@ -198,24 +209,18 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     leaves the double range.
     """
     validate_model(model)
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got n={n}")
+    dec = model.period(n)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     rows = 2 if model.kind == "trig" else 1
-    if model.dep == "periodic":
-        dec = decompose_degree(n, model.ell)
-        size = dec.ell
-    else:
-        size = n + 1
     # one call draws a then b: the stream is the one of two calls in turn
     with np.errstate(over="ignore"):
-        values = model.sigma * rng.standard_normal(rows * size)
+        values = model.sigma * rng.standard_normal(rows * dec.ell)
     if not np.isfinite(values).all():
         raise FloatingPointError(
             f"coefficient draw overflows the double range at sigma={model.sigma}"
         )
-    values = values.reshape(rows, size)
-    if model.dep == "periodic":
+    values = values.reshape(rows, dec.ell)
+    if dec.ell <= n:
         # tile copies bits exactly, so a[j] IS a[j % ell] to the last ulp
         values = np.tile(values, dec.m + 1)[:, : n + 1]
     a = values[0]

@@ -190,17 +190,44 @@ def test_constants_shortcuts(capsys):
 
 
 def test_constants_monte_carlo_count(capsys):
-    """--mc 0 is off; a negative count is a usage error, not a confirmation,
-    and it fails before any value reaches stdout."""
+    """--mc 0 is off; a negative count, or one point, whose spread would
+    state a zero error, is a usage error, not a confirmation, and it fails
+    before any value reaches stdout."""
     assert main(["constants", "--what", "K", "--ell", "3", "--mc", "0"]) == 0
     assert "monte-carlo" not in capsys.readouterr().out
     for what in (["K", "--ell", "3"], ["C", "--ell", "3", "--r", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["constants", "--what", *what, "--mc", "-5"])
-        assert exc.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "n_points >= 1" in captured.err
+        for count in ("-5", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["constants", "--what", *what, "--mc", count])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "n_points >= 2" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["C"], ["C", "--ell", "3"], ["J", "--r", "1"], ["K"], ["I"],
+    ["C", "--ell", "3", "--r", "0", "--mc", "1000"],
+    ["C", "--ell", "3", "--r", "3"],
+    ["C", "--ell", "3", "--r", "1", "--mc", "1"],
+    ["C", "--ell", "3", "--r", "1", "--mc", "-5"],
+    ["J", "--ell", "3", "--r", "0"],
+    ["J", "--ell", "3", "--r", "1", "--mc", "1000"],
+    ["K", "--ell", "0"],
+    ["K", "--ell", "3", "--mc", "1"],
+    ["I", "--alpha", "0"],
+    ["I", "--alpha", "2.0"],
+    ["I", "--alpha", "0.9", "--mc", "1000"],
+])
+def test_constants_usage_errors_leave_stdout_empty(capsys, args):
+    """Every value is computed before the first line is printed, so no
+    usage error of constants, however late it is found, prints a value."""
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--what", *args])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 @pytest.mark.parametrize("what", [["J", "--ell", "3", "--r", "1"], ["I", "--alpha", "0.9"]])

@@ -134,8 +134,8 @@ class TestCConstant:
             compute_C(3, 3)
         with pytest.raises(ValueError):
             monte_carlo_C(3, 0)
-        for bad in (0, -5):
-            with pytest.raises(ValueError):
+        for bad in (1, 0, -5):  # one point has no spread to state an error
+            with pytest.raises(ValueError, match="n_points >= 2"):
                 monte_carlo_C(3, 1, n_points=bad)
 
 
@@ -157,8 +157,8 @@ class TestKConstant:
     def test_rejects_bad_ell(self):
         with pytest.raises(ValueError):
             compute_K(0)
-        for bad in (0, -5):
-            with pytest.raises(ValueError):
+        for bad in (1, 0, -5):
+            with pytest.raises(ValueError, match="n_points >= 2"):
                 monte_carlo_K(3, n_points=bad)
 
     def test_integrand_at_the_corner_matches_extended_precision(self):

@@ -23,7 +23,7 @@ from trigzeros.kacrice import (
     expected_zeros_exact_r0,
     expected_zeros_quadrature,
 )
-from trigzeros.constants import limit_integrand_g
+from trigzeros.constants import limit_integrand_g, theoretical_mean
 from trigzeros.zeros import count_zeros
 from trigzeros.trigpoly import (
     dirichlet_pair,
@@ -157,18 +157,22 @@ class TestClosedVersusDirect:
             assert decompose_degree(n, ell).r == r
             _assert_closed_matches_direct(_sample("cosine", "periodic", n, ell=ell), x)
 
-    @pytest.mark.parametrize("kind", ["trig", "cosine"])
     @pytest.mark.parametrize(
-        "ell,n",
-        [(3, 100), (5, 102), (3, 59), (4, 39), (7, 12), (5, 4)],
-        ids=["r2", "r3", "r0-m20", "r0-m10", "m1-r6", "m1-r0"],
+        "kind,ell,n",
+        [pytest.param(kind, ell, n, id=f"{name}-{kind}")
+         for name, ell, n in [("r2", 3, 100), ("r3", 5, 102), ("r0-m20", 3, 59),
+                              ("r0-m10", 4, 39), ("m1-r6", 7, 12), ("m1-r0", 5, 4)]
+         for kind in ("trig", "cosine")
+         if (kind, name) != ("cosine", "m1-r0")],
     )
     def test_periodic_beside_the_lattice_without_literal_sums(
         self, monkeypatch, kind, ell, n
     ):
         """The grouped core alone reproduces the oracle up to 1e-12 from the
         lattice: dirichlet_pair's series keeps phi_M' accurate there, so no
-        node falls back to the literal sums."""
+        node falls back to the literal sums.  Cosine with m = 1, r = 0 is
+        left out: it takes the i.i.d. cosine route, whose literal sums
+        TestIidCosineAccuracy covers."""
         sample = _sample(kind, "periodic", n, ell=ell)
         x = _beside(TWO_PI * np.arange(ell + 1) / ell)
         direct = abc_direct(sample, x)
@@ -279,9 +283,15 @@ class TestExactCount:
         with pytest.raises(ValueError):
             expected_zeros_exact_r0(100, 3)
 
-    def test_rejects_vacuous_period(self):
-        with pytest.raises(ValueError):
-            expected_zeros_exact_r0(4, 5)  # m = 1: coefficients never repeat
+    def test_vacuous_period_is_the_iid_law(self):
+        """ell = n + 1 (m = 1, no coefficient repeats) gives the i.i.d. trig
+        law 2 sqrt(n (2n+1)/6), within 1 ulp, and so does the theory table's
+        i.i.d. trig entry, which reads the same split."""
+        iid = CoefficientModel(kind="trig", dep="iid")
+        for n in range(1, 2001):
+            want = 2.0 * math.sqrt(n * (2 * n + 1) / 6.0)
+            assert abs(expected_zeros_exact_r0(n, n + 1) - want) <= math.ulp(want), n
+            assert theoretical_mean(iid, n) == (expected_zeros_exact_r0(n, n + 1), "exact")
 
 
 class TestQuadrature:
@@ -398,6 +408,20 @@ class TestClosedRoutes:
         assert periodic.deterministic_zeros == 0
         assert periodic.total() == pytest.approx(iid.total(), rel=1e-12)
 
+    def test_vacuous_period_cosine_takes_the_iid_route(self, monkeypatch):
+        """Cosine with ell = n + 1 has the i.i.d. covariance, and its split
+        sends it to _cosine_closed, never to the O(n)-per-node grouped core."""
+        n = 400
+
+        def refuse(*args):
+            raise AssertionError("ell = n + 1 cosine summed over the grouped core")
+
+        monkeypatch.setattr(kacrice, "_grouped_abc", refuse)
+        periodic = expected_zeros_quadrature(_sample("cosine", "periodic", n, ell=n + 1))
+        iid = expected_zeros_quadrature(_sample("cosine", "iid", n))
+        assert periodic.total() == pytest.approx(iid.total(), rel=1e-13)
+        assert periodic.panels_used == iid.panels_used
+
 
 def _route(sample):
     """(deterministic zeros, (A, B, C) route) that expected_zeros_quadrature uses."""
@@ -413,7 +437,7 @@ def _whole_circle_rule(sample):
     Returns (total of the 2P pass, |I(2P) - I(P)|).
     """
     det, route = _route(sample)
-    windows, _ = kacrice._exclusion_windows(sample)
+    windows = kacrice._exclusion_windows(sample.model.kind, sample.model.period(sample.n))
     intervals, _ = kacrice._excise(0.0, TWO_PI, windows)
     length = sum(b - a for a, b in intervals)
     panels = max(kacrice._MIN_PANELS, kacrice._PANELS_PER_DEGREE * sample.n)
@@ -453,7 +477,7 @@ class TestFoldedQuadrature:
             ("cosine", "periodic", 3, 17, 1),  # r = 0, half-integer nu_k
             ("cosine", "periodic", 4, 39, 1),  # r = 0, integer nu_k
             ("cosine", "periodic", 7, 12, 1),  # m = 1, r = 6
-            ("cosine", "periodic", 4, 3, 1),  # m = 1, r = 0
+            ("cosine", "periodic", 4, 3, 2),  # m = 1, r = 0: the i.i.d. route
         ]
         + [("cosine", "periodic", ell, 6 * ell + r - 1, 1)
            for ell in range(2, 6) for r in range(1, ell)],
@@ -469,7 +493,7 @@ class TestFoldedQuadrature:
         x + 2 pi carries the rounding of 2 pi into the phases.
         """
         sample = _sample(kind, dep, n, ell=ell)
-        assert kacrice._fold_order(sample.model) == q
+        assert kacrice._fold_order(kind, sample.model.period(n)) == q
         _, route = _route(sample)
         L = 2 if ell is None else ell
         x = (math.pi / q) * (np.arange(997) + 0.6180339887498949) / 997
@@ -513,11 +537,11 @@ class TestFoldedQuadrature:
         res = expected_zeros_quadrature(sample)
         want, _ = _whole_circle_rule(sample)
         assert res.total() == pytest.approx(want, rel=1e-12, abs=0.0)
-        windows, _ = kacrice._exclusion_windows(sample)
+        windows = kacrice._exclusion_windows(kind, sample.model.period(n))
         _, cuts = kacrice._excise(0.0, TWO_PI, windows)
         assert res.excluded_windows == tuple(cuts)
         assert res.excluded_mass_estimate == sum(b - a for a, b in cuts) * n / math.pi
-        fold = 2 * kacrice._fold_order(sample.model)
+        fold = 2 * kacrice._fold_order(kind, sample.model.period(n))
         assert res.panels_used % fold == 0
         assert abs(res.panels_used - 2 * max(64, 8 * n)) <= 2 * fold
 

@@ -125,6 +125,24 @@ class TestValidateModel:
         assert validate_model(model) is model
         assert decompose_degree(11, np.int64(3)).factors
 
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_period_of_iid_is_vacuous(self, kind):
+        """period(n) splits i.i.d. against ell = n + 1 (m = 1, r = 0) and a
+        periodic model against its ell; the periodic model with ell = n + 1
+        draws the i.i.d. sample bit for bit."""
+        iid = CoefficientModel(kind=kind, dep="iid")
+        for n in (1, 2, 12, 199):
+            assert iid.period(n) == decompose_degree(n, n + 1)
+            assert (iid.period(n).m, iid.period(n).r) == (1, 0)
+            periodic = CoefficientModel(kind=kind, dep="periodic", ell=n + 1)
+            assert periodic.period(n) == iid.period(n)
+            a, b = (sample_coefficients(model, n, seed=5) for model in (iid, periodic))
+            assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
+        assert CoefficientModel(kind=kind, dep="periodic", ell=3).period(299) == \
+            decompose_degree(299, 3)
+        with pytest.raises(ValueError):
+            iid.period(0)
+
     def test_iid_must_not_carry_period(self):
         with pytest.raises(ValueError):
             validate_model(CoefficientModel(kind="trig", dep="iid", ell=3))
