@@ -23,7 +23,8 @@ no coefficient repeats).  Three evaluation routes for (A, B, C):
   of the kernel lattice literally, over the powers of e^{ix}.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0: the same core
-  over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0.
+  over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0,
+  and the core skips its products with them, which is exact.
 * ``abc_direct``   -- literal sums over the independent Gaussian directions,
   chunked over x, so memory stays O(chunk * n).  Slow but assumption-free:
   the oracle of the tests and the full-circle reference of the benchmark;
@@ -81,6 +82,11 @@ so s keeps its relative accuracy.  That is 4 sines and cosines per panel;
 only the few panels beside the lattice that reach M|s| < 1.5 are reduced
 node by node.  Graded panels would form one block per width, and gain
 only where widths repeat.
+
+The density needs A*C - B^2 >= 0, which roundoff can break by a few ulp.
+AbcTriple.discriminant screens it with one minimum over the block: only
+a negative or NaN minimum pays for the relative check against
+1e-12 max(A*C, 1), which clamps roundoff to zero and raises beyond it.
 """
 
 from __future__ import annotations
@@ -120,20 +126,28 @@ class AbcTriple:
         """A*C - B^2, clamped to zero when negative within roundoff.
 
         Raises when it falls below -1e-12 max(A*C, 1) and reports the
-        worst d / max(A*C, 1), the quantity that the check compares."""
+        worst d / max(A*C, 1), the quantity that the check compares.  One
+        d.min() screens d: only a negative or NaN minimum builds that
+        scale and the ratio, so a NaN beside a real violation still raises.
+        """
+        d = self.A * self.C
+        d -= self.B * self.B
+        if d.min(initial=0.0) >= 0.0:  # False for NaN; an empty d passes
+            return d
         ac = self.A * self.C
-        d = ac - self.B * self.B
         scale = np.maximum(ac, 1.0)
         if np.any(d < -1e-12 * scale):
             worst = float((d / scale).min())
             raise FloatingPointError(
                 f"A*C - B^2 < 0 beyond roundoff (relative {worst:.3e})"
             )
-        return np.maximum(d, 0.0)
+        return np.maximum(d, 0.0, out=d)
 
     def integrand(self) -> np.ndarray:
         """sqrt(A*C - B^2) / (pi * A), the Kac-Rice density."""
-        return np.sqrt(self.discriminant()) / (math.pi * self.A)
+        density = np.sqrt(self.discriminant())
+        density /= math.pi * self.A
+        return density
 
 
 def _basis_functions(sample: PolySample, x: np.ndarray):
@@ -216,36 +230,68 @@ def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
 
     and for trig also h_k = phi_{M_k}(x) sin(nu_k x).  (phi_M, phi_M') of
     every M > 1 (m and m+1) comes from one dirichlet_pairs reduction of
-    the block, and is (1, 0) for M = 1.  Cosine sums g_k^2, g_k g_k' and
-    g_k'^2 with the block's phases of nu_k x.  For trig the cross terms
-    cancel, leaving
+    the block.  Cosine sums g_k^2, g_k g_k' and g_k'^2 with the block's
+    phases of nu_k x.  For trig the cross terms cancel, leaving
 
         A = sum phi^2,  B = sum phi phi',  C = sum (phi'^2 + nu^2 phi^2),
 
     one term per distinct M and no cosine or sine at all.
+
+    A direction of size M = 1 (every direction of abc_reduced) has phi = 1
+    and phi' = 0 and skips the products with them: g = cos(nu x) and
+    g' = -nu sin(nu x) for cosine; for trig A gains the number of such
+    directions, B nothing and C their sum of nu^2.  A product by 1.0 and
+    a sum with 0.0 times a finite number change no value, so the skip is
+    exact, up to the sign of a zero in B.  A, B and C start as the first
+    direction's terms.
     """
     M, freq_twice = directions
-    sizes = sorted(set(M.tolist()), reverse=True)
+    sizes = sorted(set(M.tolist()), reverse=True)  # m+1 before m: M = 1 comes last
     orders = sorted(size for size in sizes if size > 1)  # m and m+1 at most
     pairs = dict(zip(orders, dirichlet_pairs(orders[0], ell, block, len(orders)))) if orders else {}
-    A = np.zeros(block.size)
-    B = np.zeros(block.size)
-    C = np.zeros(block.size)
-    for size in sizes:
-        nus = freq_twice[M == size] / 2.0
-        phi, phid = pairs.pop(size, (1.0, 0.0))
-        if kind == "trig":
-            A += nus.size * phi * phi
-            B += nus.size * phi * phid
-            C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
-            continue
+    groups = [(size, freq_twice[M == size] / 2.0, pairs.get(size)) for size in sizes]
+    if kind == "trig":
+        return _trig_sums(groups, block.size)
+    A = B = C = None
+    for size, nus, pair in groups:
         for nu in nus.tolist():
             cos_nu, sin_nu = block.cis(nu)
-            g = phi * cos_nu
-            gd = phid * cos_nu - nu * phi * sin_nu
-            A += g * g
-            B += g * gd
-            C += gd * gd
+            if size == 1:  # phi = 1, phi' = 0
+                g, gd = cos_nu, -nu * sin_nu
+            else:
+                phi, phid = pair
+                g = phi * cos_nu
+                gd = phid * cos_nu
+                gd -= nu * phi * sin_nu
+            # each product is freed before the next: fewer fresh pages
+            if A is None:
+                A, B, C = g * g, g * gd, gd * gd
+            else:
+                A += g * g
+                B += g * gd
+                C += gd * gd
+    return A, B, C
+
+
+def _trig_sums(groups, nodes: int):
+    """A, B, C of _grouped_abc for trig: one term per size (M, nus, pair)."""
+    A = B = C = None
+    for size, nus, pair in groups:
+        count, square = nus.size, float((nus * nus).sum())
+        if size == 1:  # the last size: phi = 1, phi' = 0
+            if A is None:  # every M is 1: a stationary process
+                return np.full(nodes, float(count)), np.zeros(nodes), np.full(nodes, square)
+            A += count
+            C += square
+            continue
+        phi, phid = pair
+        if A is None:
+            A, B = count * phi * phi, count * phi * phid
+            C = count * phid * phid + square * phi * phi
+        else:
+            A += count * phi * phi
+            B += count * phi * phid
+            C += count * phid * phid + square * phi * phi
     return A, B, C
 
 
@@ -302,7 +348,7 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
     with |sin x| < 1/n are summed literally (see _cosine_closed).
     """
     block = PanelNodes.of(x)
-    kind, dec = sample.model.kind, sample.model.period(sample.n)
+    kind, dec = sample.model.kind, sample.split
     if kind == "cosine" and dec.ell == sample.n + 1:
         return _cosine_closed(sample, block)
     return AbcTriple(*_grouped_abc(kind, dec.ell, dec.directions(), block))
@@ -465,8 +511,7 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     whole circle and panels_used counts the panels of the second pass over
     the whole circle, 2q per cell panel.
     """
-    kind, n = sample.model.kind, sample.n
-    dec = sample.model.period(n)
+    kind, n, dec = sample.model.kind, sample.n, sample.split
     if kind == "cosine" and dec.ell == 1:
         # rank one: every draw is a_0 sum_{j<=n} cos jx = a_0 phi_{n+1}(x)
         # cos(nx/2), whose 2n zeros (with multiplicity) are deterministic

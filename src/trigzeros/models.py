@@ -26,7 +26,9 @@ only the first r residue classes repeat, once.
 CoefficientModel.period(n) is the one place that maps dep to this
 structure: the periodic model splits against its ell, the i.i.d. model
 against the vacuous period ell = n + 1.  The sampler, the zero counter,
-the Kac-Rice routes and the theory table all read the split it returns.
+the Kac-Rice routes and the theory table all read the split it returns;
+a drawn sample carries the sampler's split as PolySample.split, so one
+trial builds it once.
 
 Reproducibility: per-trial seeds are derived with mix64(), a splitmix64
 fold of (master_seed, degree, trial_index).  Samples are drawn from a
@@ -181,6 +183,13 @@ class PolySample:
     b: np.ndarray
 
     @functools.cached_property
+    def split(self) -> PeriodDecomposition:
+        """model.period(n), built once per sample: sample_coefficients
+        hands over the split it drew with, and the zero counter and
+        reduce_periodic read it from here."""
+        return self.model.period(self.n)
+
+    @functools.cached_property
     def normalized(self) -> tuple[np.ndarray, int]:
         """normalized_coefficients(a, b), computed once per sample; the
         evaluators of trigpoly read the coefficients from here."""
@@ -227,4 +236,6 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     b = values[1] if rows == 2 else np.zeros(n + 1)
     a.flags.writeable = False
     b.flags.writeable = False
-    return PolySample(model=model, n=int(n), seed=int(seed), a=a, b=b)
+    sample = PolySample(model=model, n=int(n), seed=int(seed), a=a, b=b)
+    sample.__dict__["split"] = dec  # the slot cached_property fills
+    return sample

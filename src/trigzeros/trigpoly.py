@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CoefficientModel, PolySample, decompose_degree
+from .models import CoefficientModel, PolySample
 
 # dirichlet_pairs: phi_M and phi_M' come from their series where M |s| is
 # below this (see there).  The series error grows like (M s)^6 and the
@@ -490,7 +490,7 @@ def reduce_periodic(sample: PolySample) -> ReducedSample:
     model = sample.model
     if model.dep != "periodic":
         raise ValueError("reduction needs a periodic model")
-    dec = decompose_degree(sample.n, model.ell)
+    dec = sample.split
     if dec.r != 0:
         raise ValueError(
             f"no reduced form: ell={dec.ell} does not divide n+1={sample.n + 1} (r={dec.r})"

@@ -719,7 +719,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
                 workspace: GridWorkspace | None = None) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
-    Dispatch: samples whose split model.period(n) factors (r = 0,
+    Dispatch: samples whose split (PolySample.split) factors (r = 0,
     m >= 2, so never an i.i.d. one, the vacuous period) take the
     phase route (the deterministic zero set plus the exact phase count of
     the reduced factor T^*; grid_per_degree and max_doublings do not
@@ -746,7 +746,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     n = sample.n
     model = sample.model
-    if model.period(n).factors:
+    if sample.split.factors:
         red = reduce_periodic(sample)
         count, pieces, stable, roots = _phase_count(red, want_roots, tol)
         count += red.ell * (red.m - 1)  # the size of deterministic_zero_set

@@ -261,6 +261,60 @@ class TestDiscriminant:
         assert np.array_equal(a.C, b.C)
 
 
+def _unscreened_discriminant(triple):
+    """The discriminant without the one-minimum screen: the oracle of
+    TestDiscriminantScreen."""
+    ac = triple.A * triple.C
+    d = ac - triple.B * triple.B
+    scale = np.maximum(ac, 1.0)
+    if np.any(d < -1e-12 * scale):
+        worst = float((d / scale).min())
+        raise FloatingPointError(
+            f"A*C - B^2 < 0 beyond roundoff (relative {worst:.3e})"
+        )
+    return np.maximum(d, 0.0)
+
+
+class TestDiscriminantScreen:
+    """AbcTriple.discriminant screens A*C - B^2 with one minimum; values
+    and error messages equal the unscreened formula's, and A, B, C stay."""
+
+    TRIPLES = {
+        "positive": ([1.0, 2.0, 3.0], [0.5, 1.0, -1.0], [1.0, 4.0, 9.0]),
+        "exact-zeros": ([4.0, 1.0, 0.0, 2.0], [6.0, -1.0, 0.0, 0.0], [9.0, 1.0, 5.0, 0.0]),
+        "within-roundoff": ([1.0, 1e8, 3.0], [1.0 + 4e-15, 1e8 * (1.0 + 1e-14), 0.0],
+                            [1.0, 1e8, 1.0]),
+        "beyond-roundoff": ([1.0, 1.0], [1.0 + 1e-10, 0.0], [1.0, 1.0]),
+        "scaled-beyond": ([1e8, 1.0], [1e8 * (1.0 + 1e-10), 0.0], [1e8, 1.0]),
+        "underflowing-ac": ([1e-200, 1.0], [1e10, 0.0], [1e-200, 1.0]),
+        "nan-alone": ([np.nan, 1.0], [0.0, 0.5], [1.0, 1.0]),
+        # NaN < 0 is False: a screen of d.min() < 0 alone would pass it
+        "nan-beside-violation": ([np.nan, 1.0], [0.0, 2.0], [1.0, 1.0]),
+        "empty": ([], [], []),
+    }
+
+    @staticmethod
+    def _outcome(func, triple):
+        try:
+            return func(triple), None
+        except FloatingPointError as exc:
+            return None, str(exc)
+
+    @pytest.mark.parametrize("name", list(TRIPLES))
+    def test_equals_the_unscreened_formula(self, name):
+        triple = AbcTriple(*(np.array(v, dtype=float) for v in self.TRIPLES[name]))
+        before = [v.copy() for v in (triple.A, triple.B, triple.C)]
+        got, got_error = self._outcome(AbcTriple.discriminant, triple)
+        want, want_error = self._outcome(_unscreened_discriminant, triple)
+        assert got_error == want_error
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+        for old, new in zip(before, (triple.A, triple.B, triple.C)):
+            assert np.array_equal(old, new, equal_nan=True)
+
+
 class TestExactCount:
     def test_small_example(self):
         # ell = 2, n = 5: 4 lattice zeros plus sqrt(25 + 1) random ones
@@ -671,6 +725,94 @@ class TestPanelPhases:
             c, s = block.cis(f)
             assert np.array_equal(c, np.cos(f * x))
             assert np.array_equal(s, np.sin(f * x))
+
+
+def _general_grouped_abc(kind, ell, directions, block):
+    """The grouped core with one formula for every M, (phi, phi') =
+    (1.0, 0.0) for M = 1, accumulated from zeros: the oracle of
+    TestUnitDirections."""
+    M, freq_twice = directions
+    sizes = sorted(set(M.tolist()), reverse=True)
+    orders = sorted(size for size in sizes if size > 1)
+    pairs = dict(zip(orders, dirichlet_pairs(orders[0], ell, block, len(orders)))) if orders else {}
+    A = np.zeros(block.size)
+    B = np.zeros(block.size)
+    C = np.zeros(block.size)
+    for size in sizes:
+        nus = freq_twice[M == size] / 2.0
+        phi, phid = pairs.pop(size, (1.0, 0.0))
+        if kind == "trig":
+            A += nus.size * phi * phi
+            B += nus.size * phi * phid
+            C += nus.size * phid * phid + float((nus * nus).sum()) * phi * phi
+            continue
+        for nu in nus.tolist():
+            cos_nu, sin_nu = block.cis(nu)
+            g = phi * cos_nu
+            gd = phid * cos_nu - nu * phi * sin_nu
+            A += g * g
+            B += g * gd
+            C += gd * gd
+    return A, B, C
+
+
+class TestUnitDirections:
+    """Directions of size M = 1 skip the products with phi = 1 and
+    phi' = 0; A, B and C equal the general formula's (np.array_equal,
+    which takes -0.0 == 0.0) on every quadrature block."""
+
+    @pytest.mark.parametrize(
+        "kind,ell,n,sizes",
+        [
+            ("cosine", 3, 1199, {1}),  # reduced route: every M is 1
+            ("trig", 3, 299, {1}),  # reduced route: stationary
+            ("cosine", 5, 6, {2, 1}),  # m = 1, r = 2: closed route, both sizes
+            ("trig", 5, 6, {2, 1}),
+            ("cosine", 3, 201, {68, 67}),  # r = 1: no M = 1
+        ],
+    )
+    def test_equals_the_general_formula(self, kind, ell, n, sizes):
+        sample = _sample(kind, "periodic", n, ell=ell)
+        dec = sample.split
+        if dec.factors:
+            red = reduce_periodic(sample)
+            directions = (np.ones_like(red.freq_twice), red.freq_twice)
+        else:
+            directions = dec.directions()
+        assert set(directions[0].tolist()) == sizes
+        blocks = _quadrature_blocks(sample)
+        assert blocks
+        for block in blocks:
+            got = kacrice._grouped_abc(kind, ell, directions, block)
+            want = _general_grouped_abc(kind, ell, directions, block)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w)
+
+
+class TestBenchCasePins:
+    """The seven Kac-Rice cases of the analytic benchmark, restated here:
+    total(), abs_error_estimate and panels_used of the excising rule, to
+    the bit.  The draw never enters.  These values move when the rule
+    does (the adaptive whole-circle rule of ROADMAP item 2)."""
+
+    @pytest.mark.parametrize(
+        "kind,dep,ell,n,total,estimate,panels",
+        [
+            ("trig", "periodic", 3, 400, 449.3043344778791, 191.51367131169894, 6408),
+            ("trig", "periodic", 3, 1000, 1186.3012380628434, 398.49352762603695, 16008),
+            ("trig", "periodic", 3, 299, 596.0044592755544, 0.0, 4788),
+            ("cosine", "periodic", 3, 1199, 2324.639332489707, 143.6998258599191, 19184),
+            ("cosine", "iid", None, 200, 230.50018700357447, 2.842170943040401e-14, 3200),
+            ("cosine", "iid", None, 400, 461.4386800864369, 0.0, 6400),
+            ("cosine", "periodic", 3, 201, 209.86502253031708, 100.50003208151853, 3216),
+        ],
+    )
+    def test_bit_for_bit(self, kind, dep, ell, n, total, estimate, panels):
+        result = expected_zeros_quadrature(_sample(kind, dep, n, ell=ell, seed=7))
+        assert result.total() == total
+        assert result.abs_error_estimate == estimate
+        assert result.panels_used == panels
 
 
 _LD_PI = 4 * np.arctan(np.longdouble(1))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from trigzeros import harness, models
 from trigzeros.constants import theoretical_mean
 from trigzeros.kacrice import expected_zeros_quadrature
 from trigzeros.models import (
@@ -16,7 +17,7 @@ from trigzeros.models import (
     splitmix64,
     validate_model,
 )
-from trigzeros.zeros import count_zeros
+from trigzeros.zeros import GridWorkspace, count_zeros
 
 
 class TestDecomposeDegree:
@@ -265,3 +266,48 @@ class TestSampling:
         n = vals.size
         assert abs(vals.mean()) < 4.0 / np.sqrt(n)
         assert abs(vals.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+
+class TestSplitOncePerTrial:
+    """The sampler hands its split to the sample (PolySample.split), so a
+    trial builds it once, on either counting route."""
+
+    CASES = [
+        ("trig", "iid", None, 199),  # grid route
+        ("trig", "periodic", 3, 400),  # grid route, r = 2
+        ("cosine", "periodic", 3, 1199),  # phase route, r = 0
+        ("trig", "periodic", 5, 499),  # phase route, r = 0
+    ]
+
+    @pytest.mark.parametrize("kind, dep, ell, n", CASES)
+    def test_one_split_per_trial(self, monkeypatch, kind, dep, ell, n):
+        """Counts every PeriodDecomposition built, whichever name builds it."""
+        calls = []
+        init = models.PeriodDecomposition.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(models.PeriodDecomposition, "__init__", counting)
+        model = CoefficientModel(kind=kind, dep=dep, ell=ell)
+        workspace = GridWorkspace()
+        for t in range(5):
+            harness._single_trial((model, n, mix64(25, n, t), 32, 4), workspace)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("kind, dep, ell, n", CASES)
+    def test_handed_split_is_the_model_split(self, kind, dep, ell, n):
+        """The handed-over split equals model.period(n), and counts,
+        stable flags and roots equal those of a copy that builds its own."""
+        model = CoefficientModel(kind=kind, dep=dep, ell=ell)
+        for t in range(3):
+            sample = sample_coefficients(model, n, mix64(25, n, t))
+            assert "split" in vars(sample)
+            assert sample.split == model.period(n)
+            fresh = dataclasses.replace(sample)
+            assert "split" not in vars(fresh)
+            got = count_zeros(sample, want_roots=True)
+            want = count_zeros(fresh, want_roots=True)
+            assert (got.count, got.stable) == (want.count, want.stable)
+            assert np.array_equal(got.roots, want.roots)
