@@ -67,8 +67,19 @@ excised length.
 
 ``composite_gauss_legendre`` is the one quadrature rule of the package: the
 Kac-Rice integrals use it on uniform panels, in blocks of at most
-_BLOCK_POINTS nodes so that memory stays at a few MB whatever the degree,
-and the ``constants`` module on graded Duffy triangles.
+_BLOCK_POINTS nodes, and the ``constants`` module on graded Duffy
+triangles.  Each expected_zeros_quadrature call makes one
+trigpoly.BlockWorkspace, node-sized buffers as large as its largest
+block, and every block of both passes carries it: the phases, the
+Dirichlet kernel, A, B, C, the discriminant, the density and the weights
+are written into its buffers with out= and in-place ufuncs, in the same
+operations and order as fresh arrays would be.  So memory stays at about
+ten such buffers, a few MB, whatever the degree; and each block writes to
+pages that an earlier block of the call faulted in, where freed arrays of
+a few hundred kB go back to the OS and every block faulted them in anew.
+The workspace belongs to the call and dies with it: no state outlives
+the call, concurrent calls share nothing, and an array a route returns
+is never overwritten while its caller holds it (see BlockWorkspace).
 
 A block is a PanelNodes, and the routes take each phase e^{ifx} at its
 nodes x = mid_p + half z_i as e^{if mid_p} e^{if half z_i}: 2 sines and
@@ -93,12 +104,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import PeriodDecomposition, PolySample, decompose_degree
-from .trigpoly import PanelNodes, dirichlet_pair, dirichlet_pairs, reduce_periodic
+from .trigpoly import BlockWorkspace, PanelNodes, dirichlet_pair, dirichlet_pairs, reduce_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,11 +127,21 @@ _MIN_PANELS = 64  # panel floor of the first pass at small n
 
 @dataclass(frozen=True)
 class AbcTriple:
-    """Covariance data A = Var T, B = Cov(T, T'), C = Var T' at points x."""
+    """Covariance data A = Var T, B = Cov(T, T'), C = Var T' at points x.
+
+    work is the BlockWorkspace of the block they were evaluated on, or
+    None: discriminant and integrand take their node-sized arrays from it
+    (see PanelNodes)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    work: BlockWorkspace | None = field(default=None, repr=False, compare=False)
+
+    def _empty(self) -> np.ndarray:
+        if self.work is None:
+            return np.empty_like(self.A)
+        return self.work.empty(self.A.size)
 
     def discriminant(self) -> np.ndarray:
         """A*C - B^2, clamped to zero when negative within roundoff.
@@ -130,8 +151,8 @@ class AbcTriple:
         d.min() screens d: only a negative or NaN minimum builds that
         scale and the ratio, so a NaN beside a real violation still raises.
         """
-        d = self.A * self.C
-        d -= self.B * self.B
+        d = np.multiply(self.A, self.C, out=self._empty())
+        d -= np.multiply(self.B, self.B, out=self._empty())
         if d.min(initial=0.0) >= 0.0:  # False for NaN; an empty d passes
             return d
         ac = self.A * self.C
@@ -145,8 +166,9 @@ class AbcTriple:
 
     def integrand(self) -> np.ndarray:
         """sqrt(A*C - B^2) / (pi * A), the Kac-Rice density."""
-        density = np.sqrt(self.discriminant())
-        density /= math.pi * self.A
+        density = self.discriminant()
+        np.sqrt(density, out=density)
+        density /= np.multiply(math.pi, self.A, out=self._empty())
         return density
 
 
@@ -251,47 +273,65 @@ def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
     pairs = dict(zip(orders, dirichlet_pairs(orders[0], ell, block, len(orders)))) if orders else {}
     groups = [(size, freq_twice[M == size] / 2.0, pairs.get(size)) for size in sizes]
     if kind == "trig":
-        return _trig_sums(groups, block.size)
-    A = B = C = None
+        return _trig_sums(groups, block)
+    A, B, C, gd, term = (block.empty() for _ in range(5))
+    first = True
     for size, nus, pair in groups:
         for nu in nus.tolist():
             cos_nu, sin_nu = block.cis(nu)
             if size == 1:  # phi = 1, phi' = 0
-                g, gd = cos_nu, -nu * sin_nu
+                g = cos_nu
+                np.multiply(-nu, sin_nu, out=gd)
             else:
                 phi, phid = pair
-                g = phi * cos_nu
-                gd = phid * cos_nu
-                gd -= nu * phi * sin_nu
-            # each product is freed before the next: fewer fresh pages
-            if A is None:
-                A, B, C = g * g, g * gd, gd * gd
-            else:
-                A += g * g
-                B += g * gd
-                C += gd * gd
+                g = np.multiply(phi, cos_nu, out=block.empty())
+                np.multiply(phid, cos_nu, out=gd)
+                gd -= _scaled_product(nu, phi, sin_nu, term)
+            for acc, u, v in ((A, g, g), (B, g, gd), (C, gd, gd)):
+                if first:
+                    np.multiply(u, v, out=acc)
+                else:
+                    acc += np.multiply(u, v, out=term)
+            first = False
+            del cos_nu, sin_nu, g  # the next direction's phase reuses this one's array
     return A, B, C
 
 
-def _trig_sums(groups, nodes: int):
+def _scaled_product(c: float, u, v, out):
+    """(c u) v into out."""
+    np.multiply(c, u, out=out)
+    out *= v
+    return out
+
+
+def _trig_sums(groups, block: PanelNodes):
     """A, B, C of _grouped_abc for trig: one term per size (M, nus, pair)."""
     A = B = C = None
+    term, term2 = block.empty(), block.empty()
     for size, nus, pair in groups:
         count, square = nus.size, float((nus * nus).sum())
         if size == 1:  # the last size: phi = 1, phi' = 0
             if A is None:  # every M is 1: a stationary process
-                return np.full(nodes, float(count)), np.zeros(nodes), np.full(nodes, square)
+                A, B, C = block.empty(), block.empty(), block.empty()
+                A.fill(float(count))
+                B.fill(0.0)
+                C.fill(square)
+                return A, B, C
             A += count
             C += square
             continue
         phi, phid = pair
         if A is None:
-            A, B = count * phi * phi, count * phi * phid
-            C = count * phid * phid + square * phi * phi
+            A = _scaled_product(count, phi, phi, block.empty())
+            B = _scaled_product(count, phi, phid, block.empty())
+            C = _scaled_product(count, phid, phid, block.empty())
+            C += _scaled_product(square, phi, phi, term)
         else:
-            A += count * phi * phi
-            B += count * phi * phid
-            C += count * phid * phid + square * phi * phi
+            A += _scaled_product(count, phi, phi, term)
+            B += _scaled_product(count, phi, phid, term)
+            c = _scaled_product(count, phid, phid, term)
+            c += _scaled_product(square, phi, phi, term2)
+            C += c
     return A, B, C
 
 
@@ -311,18 +351,32 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     S2 = n * (n + 1) * (2 * n + 1) / 6.0
     cos_x, sin_x = block.cis(1.0)
     cos_n, sin_n = block.cis(float(n))
-    phi, phid = dirichlet_pair(n + 1, 1, PanelNodes(2.0 * block.mid, 2.0 * block.half, block.z))
+    doubled = PanelNodes(2.0 * block.mid, 2.0 * block.half, block.z, block.work)
+    phi, phid = dirichlet_pair(n + 1, 1, doubled)
+    phidd, K, Kd, term = (block.empty() for _ in range(4))
     with np.errstate(divide="ignore", invalid="ignore"):  # at sin x = 0, overwritten
-        phidd = 0.25 * (1.0 - (n + 1.0) ** 2) * phi - (cos_x / sin_x) * phid
-    K = phi * cos_n
-    Kd = phid * cos_n - 0.5 * n * phi * sin_n
-    Kdd = phidd * cos_n - n * phid * sin_n - 0.25 * n * n * K
-    A, B, C = 0.5 * (n + 1.0 + K), 0.5 * Kd, 0.5 * (S2 + Kdd)
-    near = np.abs(sin_x) < 1.0 / n
+        np.multiply(0.25 * (1.0 - (n + 1.0) ** 2), phi, out=phidd)
+        np.divide(cos_x, sin_x, out=term)
+        term *= phid
+        phidd -= term
+    np.multiply(phi, cos_n, out=K)
+    np.multiply(phid, cos_n, out=Kd)
+    Kd -= _scaled_product(0.5 * n, phi, sin_n, term)
+    Kdd = np.multiply(phidd, cos_n, out=phidd)  # phidd is not read again
+    Kdd -= _scaled_product(n, phid, sin_n, term)
+    Kdd -= np.multiply(0.25 * n * n, K, out=term)
+    # A, B, C = (n + 1 + K)/2, K'/2, (S2 + K'')/2, in place of K, K', K''
+    A, B, C = K, Kd, Kdd
+    A += n + 1.0
+    A *= 0.5
+    B *= 0.5
+    C += S2
+    C *= 0.5
+    near = np.abs(sin_x, out=term) < 1.0 / n
     if near.any():
         phase = cos_x[near] + 1j * sin_x[near]
         A[near], B[near], C[near] = _literal_sums(sample, phase, _cosine_powers)
-    return AbcTriple(A=A, B=B, C=C)
+    return AbcTriple(A=A, B=B, C=C, work=block.work)
 
 
 def abc_closed(sample: PolySample, x) -> AbcTriple:
@@ -351,7 +405,7 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
     kind, dec = sample.model.kind, sample.split
     if kind == "cosine" and dec.ell == sample.n + 1:
         return _cosine_closed(sample, block)
-    return AbcTriple(*_grouped_abc(kind, dec.ell, dec.directions(), block))
+    return AbcTriple(*_grouped_abc(kind, dec.ell, dec.directions(), block), block.work)
 
 
 def abc_reduced(sample: PolySample, x) -> AbcTriple:
@@ -368,7 +422,7 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
     block = PanelNodes.of(x)
     red = reduce_periodic(sample)  # raises unless periodic with r = 0
     directions = (np.ones_like(red.freq_twice), red.freq_twice)
-    return AbcTriple(*_grouped_abc(sample.model.kind, red.ell, directions, block))
+    return AbcTriple(*_grouped_abc(sample.model.kind, red.ell, directions, block), block.work)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +467,16 @@ def composite_gauss_legendre(edges: np.ndarray, nodes: int):
     return xs, ws
 
 
-def _integrate_panels(func, intervals, n_panels_total: int):
+def _integrate_panels(func, intervals, n_panels_total: int, work: BlockWorkspace):
     """Integrate func over the union of intervals with ~n_panels_total panels
     of _NODES points.
 
     func sees one PanelNodes block of at most _BLOCK_POINTS nodes per call,
-    with the weights of composite_gauss_legendre.
+    with the weights of composite_gauss_legendre.  Every block carries
+    work, the caller's BlockWorkspace, whose capacity covers the largest
+    block.  The weights go into a buffer that func has freed, the density
+    is weighted in place there, and both go back to the workspace before
+    the next block.
     """
     z, w = _legendre_rule(_NODES)
     total_len = sum(hi - lo for lo, hi in intervals)
@@ -430,10 +488,13 @@ def _integrate_panels(func, intervals, n_panels_total: int):
         edges = np.linspace(lo, hi, share + 1)
         for first in range(0, share, block):
             e = edges[first:first + block + 1]
-            nodes = PanelNodes(0.5 * (e[1:] + e[:-1]), 0.5 * (hi - lo) / share, z)
-            ws = (0.5 * (e[1:] - e[:-1])[:, None] * w).ravel()
+            nodes = PanelNodes(0.5 * (e[1:] + e[:-1]), 0.5 * (hi - lo) / share, z, work)
+            density = func(nodes)
+            ws = nodes.empty().reshape(-1, w.size)  # after func: an array it has freed
+            ws = np.multiply(0.5 * (e[1:] - e[:-1])[:, None], w, out=ws).ravel()
             # numpy's own sum, not a BLAS dot, whose result depends on its threads
-            value += float((func(nodes) * ws).sum())
+            value += float(np.multiply(density, ws, out=ws).sum())
+            del density, ws  # back to the workspace before the next block
         panels_used += share
     return value, panels_used
 
@@ -537,8 +598,9 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     mass_est = excluded_len * n / math.pi
 
     n_panels = math.ceil(max(_MIN_PANELS, _PANELS_PER_DEGREE * n) / fold)
-    cell, _ = _integrate_panels(func, intervals, n_panels)
-    cell2, panels_used = _integrate_panels(func, intervals, 2 * n_panels)
+    work = BlockWorkspace(min(_BLOCK_POINTS, 2 * n_panels * _NODES))  # the largest block
+    cell, _ = _integrate_panels(func, intervals, n_panels, work)
+    cell2, panels_used = _integrate_panels(func, intervals, 2 * n_panels, work)
     value = fold * cell2
     err = fold * abs(cell2 - cell) + mass_est
 

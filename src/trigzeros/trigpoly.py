@@ -66,14 +66,17 @@ mid_p + half z_i of Gauss panels of one width, and reduces once per
 panel: the phases of a node are products of a panel phase and a node
 phase.  Each order has one window beside the lattice, M |s| <
 _PAIR_SERIES_WINDOW with s = ell t/2, where the series of both phi_M and
-phi_M' overwrite the quotients that every other node keeps.
+phi_M' overwrite the quotients that every other node keeps.  The blocks of
+a Kac-Rice quadrature carry that call's BlockWorkspace, and the kernel and
+the block phases write their node-sized arrays into its buffers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -306,17 +309,63 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     return vals
 
 
+class BlockWorkspace:
+    """Node-sized scratch arrays that the blocks of one Kac-Rice quadrature
+    share.
+
+    kacrice.expected_zeros_quadrature makes one per call, of the capacity
+    of its largest block, and every PanelNodes block of both its passes
+    carries it; the kernels write their node-sized arrays into it with
+    out= (PanelNodes.empty).  Between blocks the buffers stay mapped, so a
+    block writes to pages faulted in by the block before it, where fresh
+    arrays of a few hundred kB would come from the OS and be faulted in
+    anew.  The workspace dies with the call: no state outlives it, and
+    each call (each thread) has its own.
+
+    empty(size, dtype) returns the first size elements of a buffer that no
+    array refers to any more, and allocates a buffer only when every one
+    of that dtype is in use.  A slice, reshape or .real of a buffer holds
+    a reference to it, so a buffer is handed out again only once the last
+    array that could read it is gone: an array that a caller keeps is
+    never overwritten, and the pool settles at the most arrays one block
+    holds at once.  A buffer is idle when its reference count equals that
+    of _pool[0], a buffer never handed out, read the same way; so the test
+    does not depend on how the interpreter counts its own references.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._pool = [np.empty(0)]
+
+    def empty(self, size: int, dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        pool = self._pool
+        idle = sys.getrefcount(pool[0])
+        for i in range(1, len(pool)):
+            if pool[i].dtype == dtype and sys.getrefcount(pool[i]) == idle:
+                return pool[i][:size]
+        pool.append(np.empty(self.capacity, dtype))
+        return pool[-1][:size]
+
+
 @dataclass(frozen=True)
 class PanelNodes:
     """The nodes x = mid_p + half z_i of panels of one width, panel-major.
 
     A plain array is a block of one-node panels, half = 0 and z = [0],
     whose node phase is exactly (1, 0): cis(f) is then np.cos(f x) and
-    np.sin(f x), and dirichlet_pairs the reduction of each x, to the bit."""
+    np.sin(f x), and dirichlet_pairs the reduction of each x, to the bit.
+
+    work is the BlockWorkspace of the quadrature that made the block, or
+    None.  The kernels take their node-sized arrays from empty(): with a
+    workspace they reuse its buffers, and what they return stays valid
+    while the caller holds it; without one (plain arrays, PanelNodes.of,
+    a block built by hand) every array is fresh and the caller's own."""
 
     mid: np.ndarray
     half: float
     z: np.ndarray
+    work: BlockWorkspace | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, x) -> "PanelNodes":
@@ -332,22 +381,34 @@ class PanelNodes:
     def size(self) -> int:
         return self.mid.size * self.z.size
 
+    def empty(self, dtype=float) -> np.ndarray:
+        """An uninitialized node-sized array, from the workspace if any."""
+        if self.work is None:
+            return np.empty(self.size, dtype)
+        return self.work.empty(self.size, dtype)
+
     def cis(self, f: float):
-        """(cos(f x), sin(f x)) at the nodes, by angle addition."""
+        """(cos(f x), sin(f x)) at the nodes, by angle addition: the real
+        and imaginary parts of one complex array from empty().  On a block
+        with a workspace, its buffer goes back to the workspace once the
+        caller has dropped both parts."""
         panel, node = (np.cos(a) + 1j * np.sin(a) for a in (f * self.mid, f * self.half * self.z))
-        phase = (panel[:, None] * node).ravel()
+        phase = self.empty(complex).reshape(panel.size, node.size)
+        np.multiply(panel[:, None], node, out=phase)
+        phase = phase.ravel()
         return phase.real, phase.imag
 
 
-def _add_angles(sin_p, cos_p, node):
-    """(sin, cos) of panel angle + node angle at every node, panel-major,
-    from the sine and cosine of the panel angles and the node angles."""
+def _add_angles(sin_p, cos_p, node, sin, cos, term):
+    """sin and cos of panel angle + node angle at every node, panel-major,
+    from the sine and cosine of the panel angles and the node angles,
+    written into the node-sized arrays sin and cos; term is scratch."""
     sin_n, cos_n = np.sin(node), np.cos(node)
-    sin = np.multiply.outer(sin_p, cos_n)
-    sin += np.multiply.outer(cos_p, sin_n)
-    cos = np.multiply.outer(cos_p, cos_n)
-    cos -= np.multiply.outer(sin_p, sin_n)
-    return sin.ravel(), cos.ravel()
+    sin, cos, term = (a.reshape(sin_p.size, node.size) for a in (sin, cos, term))
+    np.multiply.outer(sin_p, cos_n, out=sin)
+    sin += np.multiply.outer(cos_p, sin_n, out=term)
+    np.multiply.outer(cos_p, cos_n, out=cos)
+    cos -= np.multiply.outer(sin_p, sin_n, out=term)
 
 
 def dirichlet_pair(m: int, ell: int, x):
@@ -406,6 +467,13 @@ def dirichlet_pairs(m: int, ell: int, x, orders: int):
     one.  The windows lie within the panels reduced node by node.  So
     phi_M = +-M and phi_M' = 0 at the lattice points themselves, and
     M = 1 gives exactly (1, 0).
+
+    The node-sized arrays come from block.empty(): sin s and cos s, and
+    cos(Ms) and a product shared by the orders, then phi_M (which holds
+    sin(Ms) until the quotient overwrites it) and phi_M' for each order.
+    On a block of a quadrature they are buffers of its BlockWorkspace, and
+    the pairs returned stay valid while the caller holds them; for an
+    array x, or a block without a workspace, they are fresh arrays.
     """
     if m < 1 or ell < 1:
         raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")
@@ -417,7 +485,9 @@ def dirichlet_pairs(m: int, ell: int, x, orders: int):
     odd = np.fmod(k, 2.0) != 0.0
     sin_p, cos_p = np.sin(sigma), np.cos(sigma)
     sin_mp, cos_mp = np.sin(m * sigma), np.cos(m * sigma)
-    sin_s, cos_s = _add_angles(sin_p, cos_p, tau)
+    # sin s and cos s for every order; cos(Ms) and term are scratch
+    sin_s, cos_s, cos_ms, term = (block.empty() for _ in range(4))
+    _add_angles(sin_p, cos_p, tau, sin_s, cos_s, term)
     near = np.flatnonzero(np.abs(sigma) < _PAIR_DIRECT_WINDOW / m + np.abs(tau).max())
     at = (near[:, None] * tau.size + np.arange(tau.size)).ravel()
     s = (sigma[near, None] + tau).ravel()  # the nodes reduced one by one
@@ -430,12 +500,18 @@ def dirichlet_pairs(m: int, ell: int, x, orders: int):
             sin_mp, cos_mp = sin_mp * cos_p + cos_mp * sin_p, cos_mp * cos_p - sin_mp * sin_p
             sin_md, cos_md = sin_md * cos_d + cos_md * sin_d, cos_md * cos_d - sin_md * sin_d
         sign = np.where(odd, -1.0, 1.0) if (M - 1) % 2 else np.ones_like(sigma)
-        sin_ms, cos_ms = _add_angles(sign * sin_mp, sign * cos_mp, M * tau)
+        phi, slope = block.empty(), block.empty()
+        sin_ms = phi  # until the quotient overwrites it
+        _add_angles(sign * sin_mp, sign * cos_mp, M * tau, sin_ms, cos_ms, term)
         sign_s = sign[near].repeat(tau.size)
         sin_ms[at], cos_ms[at] = sign_s * sin_md, sign_s * cos_md
         with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 is in the window
-            phi = sin_ms / sin_s
-            slope = 0.5 * ell * (M * cos_ms * sin_s - sin_ms * cos_s) / (sin_s**2)
+            np.multiply(M, cos_ms, out=slope)
+            slope *= sin_s
+            slope -= np.multiply(sin_ms, cos_s, out=term)
+            slope *= 0.5 * ell
+            slope /= np.square(sin_s, out=term)
+            np.divide(sin_ms, sin_s, out=phi)
         series = np.abs(s) < _PAIR_SERIES_WINDOW / M
         if series.any():
             z = s[series]

@@ -1,7 +1,9 @@
 """Kac-Rice engine tests: closed forms vs literal sums, quadrature, limits."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from trigzeros.kacrice import (
 from trigzeros.constants import limit_integrand_g, theoretical_mean
 from trigzeros.zeros import count_zeros
 from trigzeros.trigpoly import (
+    BlockWorkspace,
     dirichlet_pair,
     dirichlet_pairs,
     reduce_periodic,
@@ -313,6 +316,27 @@ class TestDiscriminantScreen:
             assert np.array_equal(got, want, equal_nan=True)
         for old, new in zip(before, (triple.A, triple.B, triple.C)):
             assert np.array_equal(old, new, equal_nan=True)
+
+    @pytest.mark.parametrize("name", list(TRIPLES))
+    def test_on_a_workspace_equals_fresh_arrays(self, name):
+        """The same triple carrying a workspace whose buffers hold NaN from
+        earlier use: equal values, or the same error message."""
+        values = [np.array(v, dtype=float) for v in self.TRIPLES[name]]
+        work = _used_workspace(values[0].size)
+        got = self._outcome(AbcTriple.discriminant, AbcTriple(*values, work=work))
+        want = self._outcome(AbcTriple.discriminant, AbcTriple(*values))
+        assert got[1] == want[1]
+        assert (got[0] is None) == (want[0] is None)
+        if want[0] is not None:
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+
+
+def _used_workspace(capacity):
+    """A BlockWorkspace of eight buffers, all released and holding NaN."""
+    work = BlockWorkspace(capacity)
+    for held in [work.empty(capacity) for _ in range(8)]:
+        held.fill(np.nan)
+    return work
 
 
 class TestExactCount:
@@ -790,6 +814,17 @@ class TestUnitDirections:
                 assert np.array_equal(g, w)
 
 
+_BENCH_CASES = [
+    ("trig", "periodic", 3, 400),
+    ("trig", "periodic", 3, 1000),
+    ("trig", "periodic", 3, 299),
+    ("cosine", "periodic", 3, 1199),
+    ("cosine", "iid", None, 200),
+    ("cosine", "iid", None, 400),
+    ("cosine", "periodic", 3, 201),
+]
+
+
 class TestBenchCasePins:
     """The seven Kac-Rice cases of the analytic benchmark, restated here:
     total(), abs_error_estimate and panels_used of the excising rule, to
@@ -813,6 +848,132 @@ class TestBenchCasePins:
         assert result.total() == total
         assert result.abs_error_estimate == estimate
         assert result.panels_used == panels
+
+
+def _result_key(result):
+    return result.total(), result.abs_error_estimate, result.panels_used
+
+
+class TestWorkspaceBlocks:
+    """Every block of a quadrature carries the call's one BlockWorkspace;
+    on each block, while the quadrature runs and the workspace holds the
+    earlier blocks' arrays, the route's A, B, C and density equal those of
+    the same block without a workspace (np.array_equal)."""
+
+    @pytest.mark.parametrize("kind,dep,ell,n", _BENCH_CASES)
+    def test_equals_fresh_arrays(self, kind, dep, ell, n):
+        sample = _sample(kind, dep, n, ell=ell, seed=7)
+        route = _route(sample)[1]
+        works = []
+
+        def checked(sample, block):
+            got = route(sample, block)
+            want = route(sample, PanelNodes(block.mid, block.half, block.z))
+            for g, w in zip((got.A, got.B, got.C, got.integrand()),
+                            (want.A, want.B, want.C, want.integrand())):
+                assert np.array_equal(g, w)
+            works.append(block.work)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kacrice, route.__name__, checked)
+            result = expected_zeros_quadrature(sample)
+        assert _result_key(result) == _result_key(expected_zeros_quadrature(sample))
+        assert len(works) >= 2 and isinstance(works[0], BlockWorkspace)  # both passes
+        assert all(work is works[0] for work in works)
+
+
+class TestWorkspaceIsolation:
+    """Quadratures share no buffer: run one after another, inside one
+    another or on several threads, each reproduces its own outcome, and
+    arrays that a caller holds are never overwritten."""
+
+    def test_interleaved(self):
+        a = _sample("cosine", "periodic", 1199, ell=3, seed=7)  # abc_reduced
+        b = _sample("cosine", "periodic", 201, ell=3, seed=7)  # abc_closed
+        want = {id(s): _result_key(expected_zeros_quadrature(s)) for s in (a, b)}
+        assert [_result_key(expected_zeros_quadrature(s)) for s in (a, b, a)] == [
+            want[id(a)], want[id(b)], want[id(a)]]
+        # b's whole quadrature runs inside each route call of a's, between
+        # a's triple and its density
+        works = {id(a): [], id(b): []}  # held, so no id is reused
+        nested = []
+        routes = {name: getattr(kacrice, name) for name in ("abc_reduced", "abc_closed")}
+
+        def recording(name):
+            def call(sample, block):
+                works[id(sample)].append(block.work)
+                triple = routes[name](sample, block)
+                if sample is a:
+                    nested.append(_result_key(expected_zeros_quadrature(b)))
+                return triple
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in routes:
+                mp.setattr(kacrice, name, recording(name))
+            outer = expected_zeros_quadrature(a)
+        assert _result_key(outer) == want[id(a)]
+        assert nested and set(nested) == {want[id(b)]}
+        per_call = [{id(work) for work in works[id(s)]} for s in (a, b)]
+        assert len(per_call[0]) == 1 and len(per_call[1]) == len(nested)
+        assert per_call[0].isdisjoint(per_call[1])
+
+    def test_threads(self):
+        """Four threads on two cores, switching every 10 us."""
+        samples = [_sample(kind, dep, n, ell=ell, seed=7)
+                   for kind, dep, ell, n in (_BENCH_CASES[0], _BENCH_CASES[3],
+                                             _BENCH_CASES[4], _BENCH_CASES[6])]
+        want = [_result_key(expected_zeros_quadrature(s)) for s in samples]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda s: _result_key(expected_zeros_quadrature(s)), s)
+                           for s in samples * 3]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
+
+    @staticmethod
+    def _producers():
+        """name -> arrays of one public call at x (points or a block)."""
+        closed = _sample("cosine", "periodic", 201, ell=3)
+        iid = _sample("cosine", "iid", 200)
+        reduced = _sample("cosine", "periodic", 299, ell=3)
+
+        def triple(t):
+            return [t.A, t.B, t.C, t.discriminant(), t.integrand()]
+
+        return {
+            "abc_closed": lambda x: triple(abc_closed(closed, x)),
+            "abc_closed iid cosine": lambda x: triple(abc_closed(iid, x)),
+            "abc_reduced": lambda x: triple(abc_reduced(reduced, x)),
+            "dirichlet_pairs": lambda x: [a for pair in dirichlet_pairs(67, 3, x, 2) for a in pair],
+            "cis": lambda x: list(PanelNodes.of(x).cis(40.5)),
+        }
+
+    @pytest.mark.parametrize("on_workspace", [False, True])
+    def test_held_arrays_are_left_untouched(self, on_workspace):
+        """Arrays of a first call on plain points, or on a workspace block,
+        keep their values through a second call at other points, and share
+        no memory with its arrays."""
+        z = kacrice._legendre_rule(kacrice._NODES)[0]
+        half = math.pi / 3200
+        mids = [np.linspace(0.1, 3.0, 40), np.linspace(0.2, 3.1, 40)]
+        work = _used_workspace(mids[0].size * z.size)
+        if on_workspace:
+            points = [PanelNodes(mid, half, z, work) for mid in mids]
+        else:
+            points = [PanelNodes(mid, half, z).x for mid in mids]
+        for name, produce in self._producers().items():
+            first = produce(points[0])
+            kept = [a.copy() for a in first]
+            second = produce(points[1])
+            for held, value in zip(first, kept):
+                assert np.array_equal(held, value), name
+                assert not any(np.shares_memory(held, other) for other in second), name
 
 
 _LD_PI = 4 * np.arctan(np.longdouble(1))
@@ -986,7 +1147,8 @@ class TestPanelBlocks:
             blocks.append(block)
             return np.cos(block.x)
 
-        total, used = kacrice._integrate_panels(record, [(lo, hi)], panels)
+        work = BlockWorkspace(kacrice._BLOCK_POINTS)
+        total, used = kacrice._integrate_panels(record, [(lo, hi)], panels, work)
         xs, ws = composite_gauss_legendre(np.linspace(lo, hi, panels + 1), kacrice._NODES)
         assert used == panels
         assert total == pytest.approx(math.sin(hi) - math.sin(lo), rel=1e-14)

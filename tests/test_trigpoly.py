@@ -17,6 +17,8 @@ from trigzeros.harness import ExperimentConfig, run_experiment
 from trigzeros.models import CoefficientModel, sample_coefficients
 from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
 from trigzeros.trigpoly import (
+    BlockWorkspace,
+    PanelNodes,
     dirichlet_pair,
     dirichlet_pairs,
     evaluate,
@@ -555,6 +557,53 @@ class TestPlainArrays:
         from trigzeros import kacrice
 
         assert kacrice.PanelNodes is trigpoly.PanelNodes
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+class TestBlockWorkspace:
+    """A workspace buffer is handed out again only once no array refers to
+    it; a block's arrays come from its workspace, and a block without one
+    hands out fresh arrays."""
+
+    def test_buffer_returns_when_its_last_view_is_gone(self):
+        work = BlockWorkspace(8)
+        a, b = work.empty(5), work.empty(8)
+        assert a.shape == (5,) and b.shape == (8,)
+        assert not np.shares_memory(a, b)
+        first = _address(a)
+        view = a[1:3]
+        del a
+        c = work.empty(8)  # the view keeps a's buffer
+        assert not np.shares_memory(c, view) and not np.shares_memory(c, b)
+        del view, c
+        assert _address(work.empty(4)) == first
+
+    def test_complex_parts_keep_their_buffer(self):
+        work = BlockWorkspace(6)
+        phase = work.empty(6, complex)
+        first = _address(phase)
+        real = phase.real
+        del phase
+        other = work.empty(6, complex)
+        assert not np.shares_memory(real, other)
+        floats = work.empty(6)
+        assert floats.dtype == np.float64 and not np.shares_memory(floats, other)
+        del real
+        again = work.empty(3, complex)
+        assert again.dtype == np.complex128 and _address(again) == first
+
+    def test_block_arrays_come_from_its_workspace(self):
+        mid, z = np.array([0.5, 1.5]), np.array([-0.5, 0.5])
+        work = BlockWorkspace(4)
+        held = PanelNodes(mid, 0.25, z, work).empty()
+        cos, sin = PanelNodes(mid, 0.25, z, work).cis(3.0)
+        assert held.shape == cos.shape == (4,)
+        assert not np.shares_memory(held, cos)
+        bare = PanelNodes(mid, 0.25, z)
+        assert np.array_equal(bare.cis(3.0)[0], cos) and np.array_equal(bare.cis(3.0)[1], sin)
 
 
 class TestTrigSums:
