@@ -34,7 +34,6 @@ from .kacrice import (
     AbcTriple,
     KacRiceResult,
     abc_closed,
-    abc_direct,
     abc_reduced,
     expected_zeros_exact_r0,
     expected_zeros_quadrature,

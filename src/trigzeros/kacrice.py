@@ -19,16 +19,15 @@ no coefficient repeats).  Three evaluation routes for (A, B, C):
   PeriodDecomposition.directions, with phi_M and phi_M' for both M from
   one trigpoly.dirichlet_pairs; at ell = n + 1 every M is 1.  Cosine with
   ell = n + 1, i.i.d. or periodic, goes through
-  K(t) = sum_{j<=n} cos jt at t = 2x, and sums the few nodes within 1/n
-  of the kernel lattice literally, over the powers of e^{ix}.
+  K(t) = sum_{j<=n} cos jt at t = 2x, and the few nodes within 1/n of 0
+  and pi through a Taylor table in their offset from there, O(1) a node.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0: the same core
   over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0,
   and the core skips its products with them, which is exact.
-* ``abc_direct``   -- literal sums over the independent Gaussian directions,
-  chunked over x, so memory stays O(chunk * n).  Slow but assumption-free:
-  the oracle of the tests and the full-circle reference of the benchmark;
-  no module of the package calls it.
+* ``abc_direct``   -- literal O(n)-per-point sums over the independent
+  Gaussian directions, chunked over x: the oracle of the tests and the
+  full-circle reference of the benchmark.  No route calls it.
 
 ``expected_zeros_quadrature`` integrates the appropriate route with one fixed
 rule: _NODES-point Gauss-Legendre on _PANELS_PER_DEGREE panels per degree
@@ -118,6 +117,8 @@ _BLOCK_POINTS = 1 << 15  # max integrand nodes per quadrature block
 _NODES = 16  # Gauss-Legendre nodes per panel, here and in constants
 _PANELS_PER_DEGREE = 8  # first-pass panels per degree over the circle
 _MIN_PANELS = 64  # panel floor of the first pass at small n
+_TAYLOR_DEGREE = 34  # highest power of t in _cosine_taylor
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -212,35 +213,19 @@ def _basis_functions(sample: PolySample, x: np.ndarray):
     return np.vstack(rows), np.vstack(rows_d)
 
 
-def _literal_sums(sample: PolySample, x: np.ndarray, basis=_basis_functions):
-    """A, B, C as literal sums over the directions of basis, in chunks of
-    _DIRECT_CHUNK_BUDGET // (n+1) points, so every basis array is O(chunk
-    * n) whatever len(x); the sums run over directions, so chunking changes
-    no value."""
+def abc_direct(sample: PolySample, x) -> AbcTriple:
+    """Literal O(n)-per-point sums over the directions of _basis_functions,
+    the oracle of the tests, in chunks of _DIRECT_CHUNK_BUDGET // (n+1)
+    points: every basis array is O(chunk * n), and chunking changes no value."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     A, B, C = np.empty((3,) + x.shape)
     chunk = max(1, _DIRECT_CHUNK_BUDGET // (sample.n + 1))
     for lo in range(0, x.size, chunk):
-        f, fd = basis(sample, x[lo:lo + chunk])
+        f, fd = _basis_functions(sample, x[lo:lo + chunk])
         A[lo:lo + chunk] = (f * f).sum(axis=0)
         B[lo:lo + chunk] = (f * fd).sum(axis=0)
         C[lo:lo + chunk] = (fd * fd).sum(axis=0)
-    return A, B, C
-
-
-def _cosine_powers(sample: PolySample, phase: np.ndarray):
-    """The i.i.d. cosine basis cos(jx), -j sin(jx), j <= n, from e^{ijx} =
-    (e^{ix})^j.  Beside 0 and pi the terms of each product step share a
-    sign, so sin(jx) keeps about j u of relative accuracy."""
-    powers = np.ones((sample.n + 1, phase.size), dtype=complex)
-    powers[1:] = phase
-    np.cumprod(powers, axis=0, out=powers)
-    return powers.real, -np.arange(sample.n + 1.0)[:, None] * powers.imag
-
-
-def abc_direct(sample: PolySample, x) -> AbcTriple:
-    """Literal O(n)-per-point sums.  Oracle route; no closed-form shortcuts."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return AbcTriple(*_literal_sums(sample, x))
+    return AbcTriple(A, B, C)
 
 
 def _grouped_abc(kind: str, ell: int, directions, block: PanelNodes):
@@ -335,6 +320,30 @@ def _trig_sums(groups, block: PanelNodes):
     return A, B, C
 
 
+@functools.lru_cache(maxsize=None)
+def _cosine_taylor(n: int) -> np.ndarray:
+    """The i.i.d. cosine A, B, C (columns) at x = k pi + y as power series
+    in t = 2 n y, to t^_TAYLOR_DEGREE (rows).  cos(j(k pi + y))^2 =
+    (1 + cos 2jy)/2 and so on, so with s_p = sum_{j<=n} (j/n)^p
+
+        A = n+1 + (1/2) sum_{k>=1} (-1)^k s_{2k} t^{2k}/(2k)!,
+        B = -(n/2) sum_{k>=0} (-1)^k s_{2k+2} t^{2k+1}/(2k+1)!,
+        C = (n^2/2) sum_{k>=1} (-1)^(k+1) s_{2k+2} t^{2k}/(2k)!.
+
+    At |t| <= pi the first term left out is below 1e-23 of the largest.
+    Built once per n and read-only, since every call at that degree shares it."""
+    frac = np.arange(n + 1.0) / n
+    s = np.array([(frac ** p).sum() for p in range(_TAYLOR_DEGREE + 3)])
+    q = np.arange(_TAYLOR_DEGREE + 1)
+    signed = (-1.0) ** (q // 2) / np.cumprod(np.maximum(q, 1.0))  # float q!: int64 overflows at 21!
+    table = signed[:, None] * np.stack([0.5 * s[q], -0.5 * n * s[q + 1], -0.5 * n * n * s[q + 2]], 1)
+    table[1::2, 0::2] = 0.0  # A and C are even in t
+    table[0::2, 1] = 0.0  # B is odd
+    table[0] = (n + 1.0, 0.0, 0.0)
+    table.flags.writeable = False
+    return table
+
+
 def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     """The i.i.d. cosine forms of abc_closed, phi = phi_{n+1}(.; 1) at
     t = 2x, from dirichlet_pair on the doubled block (2 mid, 2 half, z;
@@ -344,8 +353,9 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     Next to x = 0 and pi, C = (S2 + K''(2x))/2 cancels two terms of size
     about n^3/3 (K''(0) = -S2), and phi'' divides phi' by sin x: 1e-12
     from 2 pi the closed C reads -1.2e-4 at n = 1 and -1316 at n = 400,
-    where the literal sums give 1e-24 and 2e-12.  So literal sums
-    (_cosine_powers) overwrite the few nodes with |sin x| < 1/n.
+    where the literal sums give 1e-24 and 2e-12.  So _cosine_taylor's
+    table overwrites the nodes with |sin x| < 1/n, at the offset
+    y = (mid - k pi_hi - k pi_lo) + half z, k = rint(mid/pi), pi in two parts.
     """
     n = sample.n
     S2 = n * (n + 1) * (2 * n + 1) / 6.0
@@ -372,10 +382,11 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     B *= 0.5
     C += S2
     C *= 0.5
-    near = np.abs(sin_x, out=term) < 1.0 / n
-    if near.any():
-        phase = cos_x[near] + 1j * sin_x[near]
-        A[near], B[near], C[near] = _literal_sums(sample, phase, _cosine_powers)
+    near = np.flatnonzero(np.abs(sin_x, out=term) < 1.0 / n)
+    panel, node = np.divmod(near, block.z.size)
+    k = np.rint(block.mid[panel] / math.pi)
+    y = (block.mid[panel] - k * math.pi - k * _PI_LO) + block.half * block.z[node]
+    A[near], B[near], C[near] = np.polynomial.polynomial.polyval(2.0 * n * y, _cosine_taylor(n))
     return AbcTriple(A=A, B=B, C=C, work=block.work)
 
 
@@ -398,8 +409,8 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
 
         A = (n + 1 + K(2x))/2,  B = K'(2x)/2,  C = (S2 + K''(2x))/2,
 
-    S2 = n(n+1)(2n+1)/6.  C cancels next to x = 0 and pi, where the nodes
-    with |sin x| < 1/n are summed literally (see _cosine_closed).
+    S2 = n(n+1)(2n+1)/6, and a Taylor table next to 0 and pi, where C
+    cancels (see _cosine_closed).
     """
     block = PanelNodes.of(x)
     kind, dec = sample.model.kind, sample.split

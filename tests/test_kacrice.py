@@ -114,6 +114,10 @@ def _assert_closed_matches_direct(sample, x, d=None):
     assert (np.abs(d.C - c.C) / scale_c).max() < 1e-10
 
 
+def _refuse_the_oracle(sample, x):
+    raise AssertionError("a Kac-Rice route summed the oracle's basis literally")
+
+
 class TestClosedVersusDirect:
     """abc_closed must reproduce the literal basis sums to roundoff."""
 
@@ -165,25 +169,20 @@ class TestClosedVersusDirect:
         [pytest.param(kind, ell, n, id=f"{name}-{kind}")
          for name, ell, n in [("r2", 3, 100), ("r3", 5, 102), ("r0-m20", 3, 59),
                               ("r0-m10", 4, 39), ("m1-r6", 7, 12), ("m1-r0", 5, 4)]
-         for kind in ("trig", "cosine")
-         if (kind, name) != ("cosine", "m1-r0")],
+         for kind in ("trig", "cosine")],
     )
     def test_periodic_beside_the_lattice_without_literal_sums(
         self, monkeypatch, kind, ell, n
     ):
-        """The grouped core alone reproduces the oracle up to 1e-12 from the
-        lattice: dirichlet_pair's series keeps phi_M' accurate there, so no
-        node falls back to the literal sums.  Cosine with m = 1, r = 0 is
-        left out: it takes the i.i.d. cosine route, whose literal sums
-        TestIidCosineAccuracy covers."""
+        """abc_closed reproduces the oracle up to 1e-12 from the lattice
+        with the oracle's basis out of reach: dirichlet_pair's series keeps
+        phi_M' of the grouped core accurate there, and cosine with m = 1,
+        r = 0 (the i.i.d. cosine route) reads its Taylor table beside 0
+        and pi."""
         sample = _sample(kind, "periodic", n, ell=ell)
         x = _beside(TWO_PI * np.arange(ell + 1) / ell)
         direct = abc_direct(sample, x)
-
-        def refuse(sample, x):
-            raise AssertionError("periodic abc_closed summed literally")
-
-        monkeypatch.setattr(kacrice, "_literal_sums", refuse)
+        monkeypatch.setattr(kacrice, "_basis_functions", _refuse_the_oracle)
         _assert_closed_matches_direct(sample, x, d=direct)
 
 
@@ -825,29 +824,37 @@ _BENCH_CASES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "kind,dep,ell,n,total,estimate,panels",
+    [
+        ("trig", "periodic", 3, 400, 449.3043344778791, 191.51367131169894, 6408),
+        ("trig", "periodic", 3, 1000, 1186.3012380628434, 398.49352762603695, 16008),
+        ("trig", "periodic", 3, 299, 596.0044592755544, 0.0, 4788),
+        ("cosine", "periodic", 3, 1199, 2324.639332489707, 143.6998258599191, 19184),
+        ("cosine", "iid", None, 200, 230.50018700357447, 2.842170943040401e-14, 3200),
+        ("cosine", "iid", None, 400, 461.4386800864369, 0.0, 6400),
+        ("cosine", "periodic", 3, 201, 209.86502253031708, 100.50003208151853, 3216),
+    ],
+)
 class TestBenchCasePins:
     """The seven Kac-Rice cases of the analytic benchmark, restated here:
     total(), abs_error_estimate and panels_used of the excising rule, to
     the bit.  The draw never enters.  These values move when the rule
     does (the adaptive whole-circle rule of ROADMAP item 2)."""
 
-    @pytest.mark.parametrize(
-        "kind,dep,ell,n,total,estimate,panels",
-        [
-            ("trig", "periodic", 3, 400, 449.3043344778791, 191.51367131169894, 6408),
-            ("trig", "periodic", 3, 1000, 1186.3012380628434, 398.49352762603695, 16008),
-            ("trig", "periodic", 3, 299, 596.0044592755544, 0.0, 4788),
-            ("cosine", "periodic", 3, 1199, 2324.639332489707, 143.6998258599191, 19184),
-            ("cosine", "iid", None, 200, 230.50018700357447, 2.842170943040401e-14, 3200),
-            ("cosine", "iid", None, 400, 461.4386800864369, 0.0, 6400),
-            ("cosine", "periodic", 3, 201, 209.86502253031708, 100.50003208151853, 3216),
-        ],
-    )
     def test_bit_for_bit(self, kind, dep, ell, n, total, estimate, panels):
         result = expected_zeros_quadrature(_sample(kind, dep, n, ell=ell, seed=7))
         assert result.total() == total
         assert result.abs_error_estimate == estimate
         assert result.panels_used == panels
+
+    def test_without_the_oracle(self, monkeypatch, kind, dep, ell, n, total, estimate,
+                                panels):
+        """The whole quadrature runs with the oracle's basis out of reach:
+        no route sums O(n) terms per node."""
+        monkeypatch.setattr(kacrice, "_basis_functions", _refuse_the_oracle)
+        result = expected_zeros_quadrature(_sample(kind, dep, n, ell=ell, seed=7))
+        assert _result_key(result) == (total, estimate, panels)
 
 
 def _result_key(result):
@@ -1100,10 +1107,11 @@ class TestKernelOnBlocks:
 class TestIidCosineAccuracy:
     """i.i.d. cosine A, B and C at n = 2000 against long-double literal sums
     at the exact nodes, over the powers of e^{ix} (their error is about
-    j 2^-64 at frequency j).  The pins are the errors of the per-node
-    kernel on the same nodes: A, B (of sqrt(AC)) and C to 1.76e-13,
-    1.96e-13 and 2.92e-13 at the literal nodes |sin x| < 1/n, the worst at
-    x = 3.8e-5, and to 2.53e-16, 3.04e-16 and 5.06e-16 at the closed ones."""
+    j 2^-64 at frequency j).  The pins are the measured errors, A, B (of
+    sqrt(AC)) and C: 1.15e-16, 2.26e-15 and 5.38e-15 at the Taylor-table
+    nodes |sin x| < 1/n, C's worst at the node 1.04e-6 next to 0, where
+    rounding half z costs y its last digits, and 2.53e-16, 3.04e-16 and
+    5.06e-16 at the closed ones (the per-node kernel's errors)."""
 
     def test_abc_at_every_24th_panel(self):
         n = 2000
@@ -1122,13 +1130,57 @@ class TestIidCosineAccuracy:
                 ref[2] += (j * sin_j) ** 2
                 cos_j, sin_j = cos_j * cos_x - sin_j * sin_x, sin_j * cos_x + cos_j * sin_x
             scales = (ref[0], np.sqrt(ref[0] * ref[2]), ref[2])
-            literal = np.abs(sub.cis(1.0)[1]) < 1.0 / n
+            taylor = np.abs(sub.cis(1.0)[1]) < 1.0 / n
             for col, (value, want, scale) in enumerate(zip((got.A, got.B, got.C), ref, scales)):
                 err = (np.abs(value - want) / scale).astype(float)
-                for row, nodes in enumerate((literal, ~literal)):
+                for row, nodes in enumerate((taylor, ~taylor)):
                     worst[row, col] = max(worst[row, col], err[nodes].max(initial=0.0))
-        pins = np.array([[1.76e-13, 1.96e-13, 2.92e-13], [2.53e-16, 3.04e-16, 5.06e-16]])
+        pins = np.array([[1.15e-16, 2.26e-15, 5.38e-15], [2.53e-16, 3.04e-16, 5.06e-16]])
         assert np.all(worst <= pins), worst
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 400, 12001])
+    def test_both_sides_of_the_switch(self, n):
+        """At |sin x| = 1/n the route switches from the closed forms to the
+        Taylor table.  Against long-double literal sums at the offset y of
+        x from k pi (pi in two parts, so y is exact to 2^-64 of itself),
+        both sides hold to 2e-15 of A, sqrt(AC) and C: the table at
+        (1 - 1e-6) asin(1/n) either side of 0, pi and 2 pi and at 0 and pi
+        themselves, the closed forms at (1 + 1e-6) asin(1/n) either side
+        of 0.  Beside pi and 2 pi the closed forms lose about u n pi to
+        the rounded phase of n x, and are not tested here."""
+        edge = math.asin(1.0 / n)
+        table = [c + sign * (1 - 1e-6) * edge for c in (0.0, math.pi, TWO_PI)
+                 for sign in (-1, 1)] + [0.0, math.pi]
+        x = np.array(table + [sign * (1 + 1e-6) * edge for sign in (-1, 1)])
+        got = abc_closed(_sample("cosine", "iid", n), x)
+        ld = np.longdouble
+        k = np.rint(x / math.pi).astype(ld)
+        y = (x.astype(ld) - k * ld(math.pi)) - k * ld("1.2246467991473531772e-16")  # pi - math.pi
+        j = np.arange(n + 1, dtype=ld)
+        cos_j, sin_j = np.cos(np.multiply.outer(y, j)), np.sin(np.multiply.outer(y, j))
+        A = (cos_j * cos_j).sum(axis=1)
+        B = -(j * cos_j * sin_j).sum(axis=1)
+        C = ((j * sin_j) ** 2).sum(axis=1)
+        for value, want, scale in zip((got.A, got.B, got.C), (A, B, C), (A, np.sqrt(A * C), C)):
+            assert np.isfinite(value).all()
+            assert np.all(np.abs(value - want) <= 2e-15 * scale), (value - want) / scale
+
+
+class TestCosineTaylorTable:
+    def test_built_once_per_degree(self):
+        """Both passes of repeated i.i.d. cosine quadratures at two degrees
+        build the table once per degree, reuse it in every later block,
+        and cannot write to it."""
+        table = kacrice._cosine_taylor
+        table.cache_clear()
+        for n in (200, 400, 200):
+            expected_zeros_quadrature(_sample("cosine", "iid", n))
+        info = table.cache_info()
+        assert (info.misses, info.currsize, info.hits > 0) == (2, 2, True)
+        for n in (200, 400):
+            assert not table(n).flags.writeable
+            with pytest.raises(ValueError):
+                table(n)[0, 0] = 0.0
 
 
 class TestPanelBlocks:
