@@ -15,6 +15,7 @@ a count above the 2n ceiling, or acceptance criteria not met).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -36,12 +37,7 @@ from .harness import (
     run_experiment,
 )
 from .kacrice import expected_zeros_quadrature
-from .models import (
-    CoefficientModel,
-    decompose_degree,
-    sample_coefficients,
-    validate_model,
-)
+from .models import CoefficientModel, sample_coefficients
 from .trigpoly import evaluate
 from .zeros import count_zeros
 
@@ -56,11 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_model_arguments(parser, with_degrees=True, none_defaults=False):
-    # none_defaults lets a config file fill flags the user did not type
-    parser.add_argument("--kind", choices=("trig", "cosine"),
-                        default=None if none_defaults else "trig",
-                        help="basis: cos+sin pairs or cosines only")
+def _add_model_arguments(parser):
+    # every model flag defaults to None, so that _model can tell a flag
+    # left out from one given, and a config file can fill the former
+    parser.add_argument("--kind", choices=("trig", "cosine"), default=None,
+                        help="basis: cos+sin pairs or cosines only (default: trig)")
     parser.add_argument("--dep", choices=("iid", "periodic"), default=None,
                         help="coefficient dependence (default: periodic when "
                              "--ell is given, iid otherwise)")
@@ -69,53 +65,45 @@ def _add_model_arguments(parser, with_degrees=True, none_defaults=False):
     parser.add_argument("--r", type=int, default=None,
                         help="expected block remainder; rejected if any "
                              "degree disagrees (sanity check)")
-    parser.add_argument("--sigma", type=float,
-                        default=None if none_defaults else 1.0,
-                        help="coefficient standard deviation (zero counts "
-                             "are invariant to it)")
-    if with_degrees:
-        parser.add_argument("--n", type=int, action="append", required=False,
-                            help="degree; repeat for several rows")
+    parser.add_argument("--sigma", type=float, default=None,
+                        help="coefficient standard deviation (default: 1; zero "
+                             "counts are invariant to it)")
+    parser.add_argument("--n", type=int, action="append", required=False,
+                        help="degree; repeat for several rows")
 
 
-def _resolve_model_args(parser, args):
-    if args.ell is not None and args.dep == "iid":
-        parser.error("--ell only applies to the periodic model")
-    dep = args.dep
+_MODEL_KEYS = ("kind", "dep", "ell", "sigma")
+
+
+def _model(parser, values, degrees, expected_r):
+    """The model of values["kind"], ["dep"], ["ell"] and ["sigma"] (None
+    where no flag or config key gave one), checked against the degrees.
+
+    One set of rules, whichever source gave a value: kind defaults to
+    trig, sigma to 1, and dep to periodic when ell is given and iid
+    otherwise; ell and expected_r (--r) belong to the periodic model;
+    each degree splits by model.period(n), and with expected_r its block
+    remainder must equal it.  A breach is a usage error (exit 1)."""
+    kind, dep, ell, sigma = (values[key] for key in _MODEL_KEYS)
     if dep is None:
-        dep = "periodic" if args.ell is not None else "iid"
-    model = CoefficientModel(
-        kind=args.kind,
-        dep=dep,
-        ell=args.ell if dep == "periodic" else None,
-        sigma=args.sigma,
-    )
+        dep = "iid" if ell is None else "periodic"
+    if dep == "iid" and ell is not None:
+        parser.error("--ell only applies to the periodic model")
+    if dep == "iid" and expected_r is not None:
+        parser.error("--r only applies to the periodic model")
     try:
-        validate_model(model)
+        model = CoefficientModel(kind="trig" if kind is None else kind, dep=dep, ell=ell,
+                                 sigma=1.0 if sigma is None else sigma)
+        splits = [model.period(n) for n in degrees]
     except ValueError as exc:
         parser.error(str(exc))
-    return model
-
-
-def _check_degrees(parser, model, degrees, expected_r):
-    """Usage errors for a degree below 1, below one period of a periodic
-    model, or with a block remainder other than --r."""
-    if expected_r is not None and model.dep != "periodic":
-        parser.error("--r only applies to the periodic model")
-    for n in degrees:
-        if n < 1:
-            parser.error(f"degree must be >= 1, got n={n}")
-        if model.dep != "periodic":
-            continue
-        try:
-            got = decompose_degree(n, model.ell).r
-        except ValueError as exc:
-            parser.error(str(exc))
-        if expected_r is not None and got != expected_r:
+    for split in splits:
+        if expected_r not in (None, split.r):
             parser.error(
-                f"degree n={n} with ell={model.ell} leaves remainder {got}, "
+                f"degree n={split.n} with ell={split.ell} leaves remainder {split.r}, "
                 f"not the requested r={expected_r}"
             )
+    return model
 
 
 def _write_output(text: str, out_path):
@@ -132,14 +120,7 @@ def _write_output(text: str, out_path):
 
 
 def _cmd_simulate(parser, args):
-    overrides = {}
-    if args.config:
-        try:
-            overrides = load_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config: {exc}")
-
-    merged = {
+    values = {
         "kind": args.kind,
         "dep": args.dep,
         "ell": args.ell,
@@ -150,26 +131,26 @@ def _cmd_simulate(parser, args):
         "grid_per_degree": args.grid_per_degree,
         "workers": args.workers,
     }
-    # config file fills gaps; explicit CLI flags win; ExperimentConfig
-    # defaults fill the rest
-    for key, value in overrides.items():
-        if merged.get(key) is None:
-            merged[key] = value
-    if merged["dep"] is None:
-        merged["dep"] = "periodic" if merged["ell"] is not None else "iid"
-    if args.ell is not None and merged["dep"] == "iid":
-        parser.error("--ell only applies to the periodic model")
-    if merged["dep"] != "periodic":
-        merged["ell"] = None
-
+    if args.config:
+        try:
+            from_file = load_config_file(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
+        # explicit flags win; the file fills the flags left out
+        for key, value in from_file.items():
+            if values.get(key) is None:
+                values[key] = value
+    degrees = values.pop("degrees")
+    if degrees is None:
+        degrees = ExperimentConfig.degrees
+    model = _model(parser, values, degrees, args.r)
+    # ExperimentConfig defaults fill what neither flags nor file gave
+    options = {key: value for key, value in values.items()
+               if value is not None and key not in _MODEL_KEYS}
     try:
-        config = ExperimentConfig(
-            **{key: value for key, value in merged.items() if value is not None}
-        )
-        config.validate()
-    except (TypeError, ValueError) as exc:
+        config = ExperimentConfig(**dataclasses.asdict(model), degrees=degrees, **options)
+    except ValueError as exc:
         parser.error(str(exc))
-    _check_degrees(parser, config.model(), config.degrees, args.r)
 
     try:
         report = run_experiment(config)
@@ -189,22 +170,15 @@ def _cmd_simulate(parser, args):
 
 
 def _cmd_kacrice(parser, args):
-    model = _resolve_model_args(parser, args)
     degrees = tuple(args.n) if args.n else (100,)
-    _check_degrees(parser, model, degrees, args.r)
-    try:
-        samples = [sample_coefficients(model, n, seed=0) for n in degrees]
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = _model(parser, vars(args), degrees, args.r)
     rows = []
-    for sample in samples:
+    for n in degrees:
         try:
-            res = expected_zeros_quadrature(sample)
-        except (ValueError, FloatingPointError) as exc:
-            print(f"n={sample.n}: {exc}", file=sys.stderr)
+            rows.append((n, expected_zeros_quadrature(sample_coefficients(model, n, seed=0))))
+        except (ValueError, FloatingPointError, RuntimeError) as exc:
+            print(f"error: n={n}: {exc}", file=sys.stderr)
             return 2
-        rows.append((sample.n, res))
 
     if args.format == "json":
         import json
@@ -280,9 +254,8 @@ def _cmd_constants(parser, args):
 
 
 def _cmd_count(parser, args):
-    model = _resolve_model_args(parser, args)
     n = args.n[-1] if args.n else 100
-    _check_degrees(parser, model, (n,), args.r)
+    model = _model(parser, vars(args), (n,), args.r)
     if args.grid_per_degree < 1:
         parser.error("--grid-per-degree must be >= 1")
     try:
@@ -337,7 +310,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo zero counting")
-    _add_model_arguments(p_sim, none_defaults=True)
+    _add_model_arguments(p_sim)
     p_sim.add_argument("--trials", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--grid-per-degree", type=int, default=None,

@@ -27,12 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
-from .models import (
-    CoefficientModel,
-    mix64,
-    sample_coefficients,
-    validate_model,
-)
+from .models import CoefficientModel, mix64, sample_coefficients
 from .zeros import GridWorkspace, count_zeros
 
 CSV_COLUMNS = (
@@ -52,6 +47,9 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the model fields, the degrees and the counting
+    options.  Construction runs validate(), so a config in hand is valid."""
+
     kind: str = "trig"
     dep: str = "iid"
     ell: int | None = None
@@ -63,20 +61,17 @@ class ExperimentConfig:
     max_doublings: int = 4
     workers: int = 1
 
+    def __post_init__(self):
+        self.validate()
+
     def model(self) -> CoefficientModel:
-        model = CoefficientModel(
-            kind=self.kind, dep=self.dep, ell=self.ell, sigma=self.sigma
-        )
-        validate_model(model)
-        return model
+        return CoefficientModel(kind=self.kind, dep=self.dep, ell=self.ell, sigma=self.sigma)
 
     def validate(self) -> None:
         model = self.model()
         if not self.degrees:
             raise ValueError("at least one degree is required")
-        if any(n < 1 for n in self.degrees):
-            raise ValueError("degrees must be positive")
-        for n in self.degrees:  # each must hold one full period
+        for n in self.degrees:  # each must be >= 1 and hold one full period
             model.period(n)
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -183,7 +178,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     The trials of a run, or of a chunk, share one zeros.GridWorkspace,
     released when they return.
     """
-    config.validate()
     model = config.model()
     jobs = [
         (model, n, mix64(config.master_seed, n, t), config.grid_per_degree,

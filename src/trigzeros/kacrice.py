@@ -19,8 +19,9 @@ no coefficient repeats).  Three evaluation routes for (A, B, C):
   PeriodDecomposition.directions, with phi_M and phi_M' for both M from
   one trigpoly.dirichlet_pairs; at ell = n + 1 every M is 1.  Cosine with
   ell = n + 1, i.i.d. or periodic, goes through
-  K(t) = sum_{j<=n} cos jt at t = 2x, and the few nodes within 1/n of 0
-  and pi through a Taylor table in their offset from there, O(1) a node.
+  K(t) = sum_{j<=n} cos jt at t = 2x, on nodes reduced modulo pi (A, B
+  and C have period pi), and the few nodes within 1/n of 0 and pi
+  through a Taylor table in their reduced offset, O(1) a node.
 * ``abc_reduced``  -- (A, B, C) of the *reduced* polynomial that remains after
   factoring phi_m out of a block-periodic sample with r = 0: the same core
   over the ReducedSample frequencies with M = 1, so phi = 1 and phi' = 0,
@@ -64,10 +65,12 @@ spikes with panels.  The windows, centred on 2 pi k/ell or on 0, pi and
 the cell [0, pi/q] is excised where the circle is and carries 1/(2q) of the
 excised length.
 
-``composite_gauss_legendre`` is the one quadrature rule of the package: the
-Kac-Rice integrals use it on uniform panels, in blocks of at most
-_BLOCK_POINTS nodes, and the ``constants`` module on graded Duffy
-triangles.  Each expected_zeros_quadrature call makes one
+Gauss-Legendre on panels is the one quadrature rule of the package,
+with nodes and weights from _legendre_rule: the Kac-Rice integrals build
+PanelNodes blocks of at most _BLOCK_POINTS nodes from it on uniform
+panels, and ``composite_gauss_legendre``, which spells the same rule out
+as node and weight arrays, serves the ``constants`` module's graded
+Duffy triangles.  Each expected_zeros_quadrature call makes one
 trigpoly.BlockWorkspace, node-sized buffers as large as its largest
 block, and every block of both passes carries it: the phases, the
 Dirichlet kernel, A, B, C, the discriminant, the density and the weights
@@ -350,13 +353,21 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     doubling is exact), with phi'' from
     phi_ss = (1 - m^2) phi - 2 cot(s) phi_s, s = t/2 = x.
 
-    Next to x = 0 and pi, C = (S2 + K''(2x))/2 cancels two terms of size
-    about n^3/3 (K''(0) = -S2), and phi'' divides phi' by sin x: 1e-12
-    from 2 pi the closed C reads -1.2e-4 at n = 1 and -1316 at n = 400,
-    where the literal sums give 1e-24 and 2e-12.  So _cosine_taylor's
-    table overwrites the nodes with |sin x| < 1/n, at the offset
-    y = (mid - k pi_hi - k pi_lo) + half z, k = rint(mid/pi), pi in two parts.
+    A, B and C have period pi, so the block is first reduced once per
+    panel, mid <- (mid - k pi_hi) - k pi_lo with k = rint(mid/pi) and pi
+    in two parts, and everything is evaluated at the reduced nodes
+    y = mid + half z, |y| <= pi/2 + half.  The phases of y beside pi and
+    2 pi are then as exact as beside 0.  In the quadrature cell
+    [0, pi/2] every k is 0, and the reduction changes no bit.
+
+    Next to y = 0, C = (S2 + K''(2y))/2 cancels two terms of size about
+    n^3/3 (K''(0) = -S2), and phi'' divides phi' by sin y: 1e-12 from
+    2 pi the closed C reads -1.2e-4 at n = 1 and -1316 at n = 400, where
+    the literal sums give 1e-24 and 2e-12.  So _cosine_taylor's table
+    overwrites the nodes with |sin y| < 1/n, at the offset y itself.
     """
+    k = np.rint(block.mid / math.pi)
+    block = PanelNodes((block.mid - k * math.pi) - k * _PI_LO, block.half, block.z, block.work)
     n = sample.n
     S2 = n * (n + 1) * (2 * n + 1) / 6.0
     cos_x, sin_x = block.cis(1.0)
@@ -384,8 +395,7 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     C *= 0.5
     near = np.flatnonzero(np.abs(sin_x, out=term) < 1.0 / n)
     panel, node = np.divmod(near, block.z.size)
-    k = np.rint(block.mid[panel] / math.pi)
-    y = (block.mid[panel] - k * math.pi - k * _PI_LO) + block.half * block.z[node]
+    y = block.mid[panel] + block.half * block.z[node]
     A[near], B[near], C[near] = np.polynomial.polynomial.polyval(2.0 * n * y, _cosine_taylor(n))
     return AbcTriple(A=A, B=B, C=C, work=block.work)
 

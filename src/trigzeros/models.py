@@ -110,9 +110,9 @@ def decompose_degree(n: int, ell: int) -> PeriodDecomposition:
     Requires an integer ell >= 1 and n >= ell - 1, so the sample holds
     at least one full period of coefficients (m >= 1).
     """
-    _check_period(ell)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
+    _check_period(ell)
     if n < ell - 1:
         raise ValueError(
             f"degree n={n} holds fewer than one period of ell={ell} coefficients"
@@ -131,12 +131,17 @@ class CoefficientModel:
     sigma : common standard deviation of each Gaussian coefficient.
             Zero counts and Kac-Rice ratios are sigma-invariant; the
             field only scales sample amplitudes.
+
+    Construction runs validate_model, so every model in hand is coherent.
     """
 
     kind: str
     dep: str
     ell: Optional[int] = None
     sigma: float = 1.0
+
+    def __post_init__(self):
+        validate_model(self)
 
     def period(self, n: int) -> PeriodDecomposition:
         """The split of degree n that every numerical route reads: against
@@ -217,7 +222,6 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     Raises FloatingPointError when sigma times a standard normal draw
     leaves the double range.
     """
-    validate_model(model)
     dec = model.period(n)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     rows = 2 if model.kind == "trig" else 1

@@ -75,6 +75,43 @@ def test_ell_with_iid_is_a_usage_error(capsys, argv):
     assert "--ell only applies to the periodic model" in captured.err
 
 
+@pytest.mark.parametrize("text,flags", [
+    ("dep = iid\nell = 3\n", []),
+    ("ell = 3\n", ["--dep", "iid"]),
+])
+def test_config_file_ell_with_iid_is_a_usage_error(tmp_path, capsys, text, flags):
+    """A config file's keys obey the rules of the flags: ell with the
+    i.i.d. model, from the file or with --dep iid over it, is refused."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text + "degrees = 50\ntrials = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), *flags])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ell only applies to the periodic model" in captured.err
+
+
+@pytest.mark.parametrize("text,flags", [
+    ("kind = cosine\nell = 3\ndegrees = 29, 31\ntrials = 3\nmaster_seed = 5\n"
+     "sigma = 2.5\ngrid_per_degree = 16\n",
+     ["--kind", "cosine", "--ell", "3", "--n", "29", "--n", "31", "--trials", "3",
+      "--seed", "5", "--sigma", "2.5", "--grid-per-degree", "16"]),
+    ("dep = iid\ndegrees = 20\ntrials = 2\n", ["--dep", "iid", "--n", "20", "--trials", "2"]),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_config_file_equals_flags(tmp_path, capsys, text, flags, fmt):
+    """The same values from a config file and as flags print the same bytes."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--format", fmt, "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr()
+    assert main(["simulate", "--format", fmt, *flags]) == 0
+    from_flags = capsys.readouterr()
+    assert from_file.out == from_flags.out and from_file.out
+    assert from_file.err == from_flags.err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["kacrice", "--dep", "iid", "--ell", "3", "--n", "50"],
     ["count", "--dep", "iid", "--ell", "3", "--n", "50"],
@@ -299,12 +336,17 @@ def test_installed_entry_point():
 ])
 def test_counting_failures_exit_2_with_reason(monkeypatch, capsys, error):
     """A numerical failure while counting is one line on stderr and exit 2,
-    never a traceback, from both count and simulate."""
+    never a traceback, from count and simulate, and from kacrice's
+    quadrature, which names the degree."""
     def failing_count(*args, **kwargs):
         raise error
 
     monkeypatch.setattr("trigzeros.cli.count_zeros", failing_count)
     monkeypatch.setattr("trigzeros.harness.count_zeros", failing_count)
+    monkeypatch.setattr("trigzeros.cli.expected_zeros_quadrature", failing_count)
+    assert main(["kacrice", "--n", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n=30: {error}\n" and captured.out == ""
     assert main(["count", "--n", "30"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {error}\n" and captured.out == ""

@@ -175,6 +175,17 @@ class TestConfigParsing:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("fields", [
+        dict(degrees=()), dict(degrees=(20, -1)), dict(trials=0), dict(workers=0),
+        dict(kind="poly"), dict(dep="markov"), dict(dep="periodic"), dict(ell=3),
+        dict(sigma=0.0), dict(dep="periodic", ell=5, degrees=(3,)),
+    ])
+    def test_invalid_config_cannot_be_built(self, fields):
+        """Construction runs validate(), so no invalid config exists to
+        reach run_experiment."""
+        with pytest.raises(ValueError):
+            ExperimentConfig(**fields)
+
     def test_rejects_empty_degrees(self):
         with pytest.raises(ValueError):
             _config(degrees=()).validate()

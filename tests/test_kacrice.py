@@ -861,6 +861,47 @@ def _result_key(result):
     return result.total(), result.abs_error_estimate, result.panels_used
 
 
+def _refuse_literal_series(a, b, freqs, x):
+    raise AssertionError("a production route summed the series literally")
+
+
+class TestNoLiteralSumsInProduction:
+    """With both O(n)-per-point evaluators raising (the series sum of
+    trigpoly.evaluate and the oracle's Kac-Rice basis), the zero counter
+    runs every route, roots included, and the quadrature every benchmark
+    case, to the same results."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def patch():
+            monkeypatch.setattr(trigpoly, "_eval_series_freq", _refuse_literal_series)
+            monkeypatch.setattr(kacrice, "_basis_functions", _refuse_the_oracle)
+        return patch
+
+    @pytest.mark.parametrize("kind,dep,ell,n,phase", [
+        ("trig", "iid", None, 199, False),
+        ("cosine", "iid", None, 200, False),
+        ("trig", "periodic", 3, 400, False),  # r = 2
+        ("cosine", "periodic", 3, 201, False),  # r = 1
+        ("trig", "periodic", 3, 299, True),  # r = 0: the phase route
+        ("cosine", "periodic", 3, 299, True),
+    ])
+    def test_count_zeros_every_route(self, refused, kind, dep, ell, n, phase):
+        sample = _sample(kind, dep, n, ell=ell, seed=7)
+        want = count_zeros(sample, want_roots=True)
+        refused()
+        got = count_zeros(sample, want_roots=True)
+        assert bool(got.pieces) == phase and got.stable
+        assert got.count == want.count and np.array_equal(got.roots, want.roots)
+
+    @pytest.mark.parametrize("kind,dep,ell,n", _BENCH_CASES)
+    def test_quadrature_bench_cases(self, refused, kind, dep, ell, n):
+        sample = _sample(kind, dep, n, ell=ell, seed=7)
+        want = _result_key(expected_zeros_quadrature(sample))
+        refused()
+        assert _result_key(expected_zeros_quadrature(sample)) == want
+
+
 class TestWorkspaceBlocks:
     """Every block of a quadrature carries the call's one BlockWorkspace;
     on each block, while the quadrature runs and the workspace holds the
@@ -1146,12 +1187,11 @@ class TestIidCosineAccuracy:
         both sides hold to 2e-15 of A, sqrt(AC) and C: the table at
         (1 - 1e-6) asin(1/n) either side of 0, pi and 2 pi and at 0 and pi
         themselves, the closed forms at (1 + 1e-6) asin(1/n) either side
-        of 0.  Beside pi and 2 pi the closed forms lose about u n pi to
-        the rounded phase of n x, and are not tested here."""
+        of 0, pi and 2 pi, which they reach through the same offset y."""
         edge = math.asin(1.0 / n)
-        table = [c + sign * (1 - 1e-6) * edge for c in (0.0, math.pi, TWO_PI)
-                 for sign in (-1, 1)] + [0.0, math.pi]
-        x = np.array(table + [sign * (1 + 1e-6) * edge for sign in (-1, 1)])
+        x = np.array([c + sign * factor * edge for factor in (1 - 1e-6, 1 + 1e-6)
+                      for c in (0.0, math.pi, TWO_PI) for sign in (-1, 1)]
+                     + [0.0, math.pi])
         got = abc_closed(_sample("cosine", "iid", n), x)
         ld = np.longdouble
         k = np.rint(x / math.pi).astype(ld)

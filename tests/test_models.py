@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from trigzeros import harness, models
-from trigzeros.constants import theoretical_mean
-from trigzeros.kacrice import expected_zeros_quadrature
 from trigzeros.models import (
     CoefficientModel,
     decompose_degree,
@@ -84,6 +82,18 @@ class TestDecomposeDegree:
 
 
 class TestValidateModel:
+    @pytest.mark.parametrize("fields", [
+        dict(kind="poly", dep="iid"), dict(kind="trig", dep="markov"),
+        dict(kind="trig", dep="periodic"), dict(kind="cosine", dep="periodic", ell=0),
+        dict(kind="trig", dep="iid", ell=3), dict(kind="trig", dep="iid", sigma=0.0),
+        dict(kind="trig", dep="iid", sigma=float("nan")),
+    ])
+    def test_invalid_model_cannot_be_built(self, fields):
+        """Construction runs validate_model, so no sampler, counter or
+        quadrature ever sees an incoherent model."""
+        with pytest.raises(ValueError):
+            CoefficientModel(**fields)
+
     def test_accepts_iid_trig(self):
         m = CoefficientModel(kind="trig", dep="iid")
         assert validate_model(m) is m
@@ -103,23 +113,18 @@ class TestValidateModel:
     @pytest.mark.parametrize("ell", [3.0, 2.5])
     def test_rejects_non_integral_period(self, ell):
         """A float period is refused wherever it enters, with ValueError:
-        validate_model, decompose_degree and every consumer of a model."""
-        model = CoefficientModel(kind="trig", dep="periodic", ell=ell)
-        with pytest.raises(ValueError):
-            validate_model(model)
-        with pytest.raises(ValueError):
+        building a model (directly or by dataclasses.replace) or an
+        experiment config, and decompose_degree.  No model that carries
+        one can be built, so no sampler, counter or quadrature sees it."""
+        with pytest.raises(ValueError, match="period must be an integer"):
+            CoefficientModel(kind="trig", dep="periodic", ell=ell)
+        good = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        with pytest.raises(ValueError, match="period must be an integer"):
+            dataclasses.replace(good, ell=ell)
+        with pytest.raises(ValueError, match="period must be an integer"):
+            harness.ExperimentConfig(dep="periodic", ell=ell, degrees=(11,))
+        with pytest.raises(ValueError, match="period must be an integer"):
             decompose_degree(11, ell)
-        with pytest.raises(ValueError):
-            sample_coefficients(model, 11, seed=0)
-        with pytest.raises(ValueError):
-            theoretical_mean(model, 11)
-        good = sample_coefficients(
-            CoefficientModel(kind="trig", dep="periodic", ell=3), 11, seed=0)
-        bad = dataclasses.replace(good, model=model)
-        with pytest.raises(ValueError):
-            count_zeros(bad)
-        with pytest.raises(ValueError):
-            expected_zeros_quadrature(bad)
 
     def test_accepts_numpy_integer_period(self):
         model = CoefficientModel(kind="trig", dep="periodic", ell=np.int64(3))
