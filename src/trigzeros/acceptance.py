@@ -10,11 +10,16 @@ the lot and is what `trigzeros verify` prints.  The checks pin down:
   4. linear growth n*C[ell,r] for partial-block (r != 0) trig ensembles,
      with C confirmed by an independent Monte Carlo double integral;
   5. identities and bounds for the limit constants themselves;
-  6. the i.i.d. baseline 2n/sqrt(3);
+  6. the i.i.d. baseline 2n/sqrt(3), and the exact i.i.d. law;
   7. the factorization T_n = phi_m * T* behind the deterministic zeros,
      on the functions the r = 0 counts run through;
   8. micro-identities the closed forms rely on, checked on the kernel
      and the covariance routes that every Kac-Rice total uses.
+
+A criterion records every check on one _Gate and returns once: it passes
+with a one-line summary when no check failed, and a failing one lists
+every failed check, in order, before that summary.  A failed Monte Carlo
+row is a failed check that skips only the arithmetic on its mean.
 
 All seeds are fixed, so the battery is deterministic; quick=True shrinks
 trial counts for a fast smoke run (seconds instead of minutes).
@@ -53,8 +58,29 @@ class CriterionResult:
     detail: str
 
 
-def _experiment(trials, **kwargs):
-    return run_experiment(ExperimentConfig(trials=trials, **kwargs))
+class _Gate:
+    """The checks of one criterion, each recorded, none returning early."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.failures: list[str] = []
+
+    def check(self, ok, detail: str) -> bool:
+        """Record one check; detail names it in the report if it fails."""
+        if not ok:
+            self.failures.append(detail)
+        return bool(ok)
+
+    def row(self, label: str, trials: int, **config):
+        """The one row of a Monte Carlo run, or None (a failed check) when
+        the row failed, so that no arithmetic runs on its missing mean."""
+        (row,) = run_experiment(ExperimentConfig(trials=trials, **config)).rows
+        ok = self.check(not row.failed, f"{label}: {row.unstable} unstable trials")
+        return row if ok else None
+
+    def result(self, summary: str) -> CriterionResult:
+        return CriterionResult(self.name, not self.failures,
+                               "; ".join(filter(None, [*self.failures, summary])))
 
 
 # ---------------------------------------------------------------------------
@@ -69,35 +95,31 @@ def exact_mean_full_blocks(quick: bool = False) -> CriterionResult:
     3 standard errors of (n+1-ell) + sqrt(n^2 + (ell^2-1)/3), and the
     Kac-Rice quadrature must reproduce the same number to 1e-9 relative.
     """
+    gate = _Gate("exact-mean-full-blocks")
     trials = 200 if quick else 2000
-    worst_z = 0.0
-    worst_quad = 0.0
+    worst_z = worst_quad = 0.0
     for ell, n in ((2, 199), (3, 299), (5, 499)):
+        family = f"(ell={ell}, n={n})"
         exact = expected_zeros_exact_r0(n, ell)
 
-        report = _experiment(trials, dep="periodic", ell=ell, degrees=(n,),
-                             master_seed=2026)
-        (row,) = report.rows
-        if row.failed or row.stderr is None or row.stderr == 0.0:
-            return CriterionResult(
-                "exact-mean-full-blocks", False,
-                f"(ell={ell}, n={n}): {row.unstable} unstable trials",
-            )
-        z = abs(row.empirical_mean - exact) / row.stderr
-        worst_z = max(worst_z, z)
+        row = gate.row(family, trials, dep="periodic", ell=ell, degrees=(n,),
+                       master_seed=2026)
+        if row and gate.check(row.stderr, f"{family}: zero standard error"):
+            z = abs(row.empirical_mean - exact) / row.stderr
+            gate.check(z <= 3.0, f"{family}: mean {row.empirical_mean:.3f} vs closed "
+                                 f"form {exact:.3f}, |z| {z:.2f} > 3")
+            worst_z = max(worst_z, z)
 
-        sample = sample_coefficients(
-            CoefficientModel(kind="trig", dep="periodic", ell=ell), n, seed=0
-        )
-        quad = expected_zeros_quadrature(sample).total()
-        worst_quad = max(worst_quad, abs(quad - exact) / exact)
+        model = CoefficientModel(kind="trig", dep="periodic", ell=ell)
+        quad = expected_zeros_quadrature(sample_coefficients(model, n, seed=0)).total()
+        rel = abs(quad - exact) / exact
+        gate.check(rel <= 1e-9, f"{family}: quadrature {quad:.6f} vs closed form "
+                                f"{exact:.6f}, rel {rel:.2e} > 1e-9")
+        worst_quad = max(worst_quad, rel)
 
-    passed = worst_z <= 3.0 and worst_quad <= 1e-9
-    return CriterionResult(
-        "exact-mean-full-blocks", passed,
+    return gate.result(
         f"max |z| {worst_z:.2f} (<= 3) over {trials} trials x 3 families; "
-        f"quadrature vs closed form rel {worst_quad:.2e} (<= 1e-9)",
-    )
+        f"quadrature vs closed form rel {worst_quad:.2e} (<= 1e-9)")
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +129,17 @@ def exact_mean_full_blocks(quick: bool = False) -> CriterionResult:
 
 def full_period_degeneracy(quick: bool = False) -> CriterionResult:
     """With ell = 1 all coefficients coincide and the count is always 2n."""
+    gate = _Gate("full-period-degeneracy")
     trials = 50 if quick else 200
     for n in (20, 50, 100):
-        report = _experiment(trials, dep="periodic", ell=1, degrees=(n,),
-                             master_seed=2027)
-        (row,) = report.rows
-        if row.unstable or row.empirical_mean != 2 * n or row.stddev != 0.0:
-            return CriterionResult(
-                "full-period-degeneracy", False,
-                f"n={n}: mean {row.empirical_mean}, stddev {row.stddev}, "
-                f"{row.unstable} unstable",
-            )
-    return CriterionResult(
-        "full-period-degeneracy", True,
-        f"exactly 2n zeros with zero variance, {trials} trials at "
-        f"n in (20, 50, 100)",
-    )
+        row = gate.row(f"n={n}", trials, dep="periodic", ell=1, degrees=(n,),
+                       master_seed=2027)
+        if row:
+            gate.check(not row.unstable and row.empirical_mean == 2 * n and row.stddev == 0.0,
+                       f"n={n}: mean {row.empirical_mean}, stddev {row.stddev}, "
+                       f"{row.unstable} unstable")
+    return gate.result(f"exactly 2n zeros with zero variance, {trials} trials at "
+                       f"n in (20, 50, 100)")
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +160,21 @@ def cosine_gap_order(quick: bool = False) -> CriterionResult:
     holds sample by sample.  The gap to 2n is therefore O(1), inside the
     O(n^(2/3)) order that the theory table states.
     """
+    gate = _Gate("cosine-gap-order")
     trials = 100 if quick else 800
     ell = 3
     details = []
     for n in (299, 599, 1199):
-        report = _experiment(trials, kind="cosine", dep="periodic", ell=ell,
-                             degrees=(n,), master_seed=2028)
-        (row,) = report.rows
-        if row.failed:
-            return CriterionResult(
-                "cosine-gap-order", False,
-                f"n={n}: {row.unstable} unstable trials",
-            )
-        lo = 2 * n + 1 - ell - 3 * row.stderr
-        hi = 2 * n + 3 * row.stderr
-        details.append(f"n={n}: mean {row.empirical_mean:.3f} in "
-                       f"[{2 * n + 1 - ell}, {2 * n}] +- {3 * row.stderr:.3f}")
-        if not lo <= row.empirical_mean <= hi:
-            return CriterionResult(
-                "cosine-gap-order", False,
-                f"n={n}: mean {row.empirical_mean:.3f} outside "
-                f"[{lo:.3f}, {hi:.3f}]",
-            )
-    return CriterionResult("cosine-gap-order", True, "; ".join(details))
+        row = gate.row(f"n={n}", trials, kind="cosine", dep="periodic", ell=ell,
+                       degrees=(n,), master_seed=2028)
+        if row:
+            lo = 2 * n + 1 - ell - 3 * row.stderr
+            hi = 2 * n + 3 * row.stderr
+            details.append(f"n={n}: mean {row.empirical_mean:.3f} in "
+                           f"[{2 * n + 1 - ell}, {2 * n}] +- {3 * row.stderr:.3f}")
+            gate.check(lo <= row.empirical_mean <= hi,
+                       f"n={n}: mean {row.empirical_mean:.3f} outside [{lo:.3f}, {hi:.3f}]")
+    return gate.result("; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -179,41 +188,30 @@ def linear_growth_constant(quick: bool = False) -> CriterionResult:
     compute_C itself is cross-checked against the Monte Carlo double
     integral before being trusted as the reference.
     """
+    gate = _Gate("linear-growth-constant")
     trials = 200 if quick else 2000
     mc_points = 100_000 if quick else 400_000
     worst_dev = 0.0
     for ell, r, n in ((2, 1, 400), (3, 1, 399), (3, 2, 400)):
         c_quad = compute_C(ell, r)
         c_mc, c_se = monte_carlo_C(ell, r, n_points=mc_points, seed=2029)
-        if abs(c_mc - c_quad) > 4.0 * c_se + 1e-3:
-            return CriterionResult(
-                "linear-growth-constant", False,
-                f"C[{ell},{r}]: quadrature {c_quad:.6f} vs Monte Carlo "
-                f"{c_mc:.6f} +- {c_se:.1e} disagree",
-            )
+        gate.check(abs(c_mc - c_quad) <= 4.0 * c_se + 1e-3,
+                   f"C[{ell},{r}]: quadrature {c_quad:.6f} vs Monte Carlo "
+                   f"{c_mc:.6f} +- {c_se:.1e} disagree")
 
-        report = _experiment(trials, dep="periodic", ell=ell, degrees=(n,),
-                             master_seed=2026)
-        (row,) = report.rows
-        if row.failed:
-            return CriterionResult(
-                "linear-growth-constant", False,
-                f"(ell={ell}, r={r}, n={n}): {row.unstable} unstable trials",
-            )
-        dev = abs(row.empirical_mean / n - c_quad)
-        allowed = max(3.0 * row.stderr / n, 0.01)
-        if dev > allowed:
-            return CriterionResult(
-                "linear-growth-constant", False,
-                f"(ell={ell}, r={r}, n={n}): mean/n {row.empirical_mean / n:.5f} "
-                f"vs C {c_quad:.5f}, |dev| {dev:.5f} > {allowed:.5f}",
-            )
-        worst_dev = max(worst_dev, dev)
-    return CriterionResult(
-        "linear-growth-constant", True,
+        family = f"(ell={ell}, r={r}, n={n})"
+        row = gate.row(family, trials, dep="periodic", ell=ell, degrees=(n,),
+                       master_seed=2026)
+        if row:
+            dev = abs(row.empirical_mean / n - c_quad)
+            allowed = max(3.0 * row.stderr / n, 0.01)
+            gate.check(dev <= allowed,
+                       f"{family}: mean/n {row.empirical_mean / n:.5f} vs C "
+                       f"{c_quad:.5f}, |dev| {dev:.5f} > {allowed:.5f}")
+            worst_dev = max(worst_dev, dev)
+    return gate.result(
         f"max |mean/n - C| {worst_dev:.4f} within tolerance over 3 families, "
-        f"{trials} trials each; C confirmed by Monte Carlo oracle",
-    )
+        f"{trials} trials each; C confirmed by Monte Carlo oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +223,44 @@ def constant_identities(quick: bool = False) -> CriterionResult:
     """J = 1, the alpha-integral closed form, the range of C, and C and K
     within 1e-12 of their rules one grading level deeper (K also of its
     rule on twice the panels)."""
+    gate = _Gate("constant-identities")
     ell_max_c = 5 if quick else 8
     ell_max_j = 4 if quick else 6
     n_angles = 8 if quick else 20
 
-    def fail(detail):
-        return CriterionResult("constant-identities", False, detail)
-
     worst_j = max(abs(compute_J(ell, r) - 1.0)
                   for ell in range(2, ell_max_j + 1) for r in range(1, ell))
-    if worst_j > 1e-12:
-        return fail(f"max |J - 1| = {worst_j:.2e}")
+    gate.check(worst_j <= 1e-12, f"max |J - 1| = {worst_j:.2e}")
 
     worst_i = 0.0
     for alpha in np.linspace(0.1, math.pi / 2 - 0.1, n_angles):
         closed = math.pi**2 / (math.sin(alpha) * math.cos(alpha))
         worst_i = max(worst_i, abs(compute_I_alpha(alpha) - closed) / closed)
-    if worst_i > 1e-12:
-        return fail(f"max I rel err = {worst_i:.2e}")
+    gate.check(worst_i <= 1e-12, f"max I rel err = {worst_i:.2e}")
 
     lo, hi = math.sqrt(2.0) + 1e-6, 2.0 + 1e-9
     worst_gap = 0.0
     for ell in range(2, ell_max_c + 1):
-        if compute_C(ell, 0) != 1.0:
-            return fail(f"C[{ell},0] != 1")
+        gate.check(compute_C(ell, 0) == 1.0, f"C[{ell},0] != 1")
         for r in range(1, ell):
             c = compute_C(ell, r)
-            if not lo < c <= hi:
-                return fail(f"C[{ell},{r}] = {c:.8f} outside (sqrt2, 2]")
-            if ell <= ell_max_j and c < math.hypot(1.0, compute_J(ell, r)) - 1e-6:
-                return fail(f"C[{ell},{r}] = {c:.8f} below the Jensen bound")
-            if abs(c - compute_C(ell, ell - r)) > 1e-9:
-                return fail(f"C[{ell},{r}] != C[{ell},{ell - r}]")
-            worst_gap = max(worst_gap, grading_gap("C", ell, r))
-        worst_gap = max(worst_gap, grading_gap("K", ell))
-    return CriterionResult(
-        "constant-identities", worst_gap <= 1e-12,
+            gate.check(lo < c <= hi, f"C[{ell},{r}] = {c:.8f} outside (sqrt2, 2]")
+            gate.check(ell > ell_max_j or c >= math.hypot(1.0, compute_J(ell, r)) - 1e-6,
+                       f"C[{ell},{r}] = {c:.8f} below the Jensen bound")
+            gate.check(abs(c - compute_C(ell, ell - r)) <= 1e-9,
+                       f"C[{ell},{r}] != C[{ell},{ell - r}]")
+            gap = grading_gap("C", ell, r)
+            gate.check(gap <= 1e-12, f"C[{ell},{r}] grading gap {gap:.2e}")
+            worst_gap = max(worst_gap, gap)
+        gap = grading_gap("K", ell)
+        gate.check(gap <= 1e-12, f"K[{ell}] grading gap {gap:.2e}")
+        worst_gap = max(worst_gap, gap)
+    return gate.result(
         f"|J-1| <= {worst_j:.1e} (ell <= {ell_max_j}); I identity rel "
         f"{worst_i:.1e} on {n_angles} angles; all C in (sqrt2, 2] with "
         f"complement symmetry (ell <= {ell_max_c}); C and K move by <= "
         f"{worst_gap:.1e} one grading level deeper, K also on twice the panels "
-        "(gate 1e-12)",
-    )
+        "(gate 1e-12)")
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +269,29 @@ def constant_identities(quick: bool = False) -> CriterionResult:
 
 
 def iid_baseline(quick: bool = False) -> CriterionResult:
-    """Quadrature at n=200 within 0.5% of 2n/sqrt(3); Monte Carlo at
-    n=100 within 2%."""
+    """Quadrature at n=200 within 1e-9 relative of the exact i.i.d. law
+    2 sqrt(n (2n+1)/6); Monte Carlo at n=100 within 2% of 2n/sqrt(3)."""
+    gate = _Gate("iid-baseline")
     trials = 200 if quick else 2000
     n_quad = 200
-    sample = sample_coefficients(
-        CoefficientModel(kind="trig", dep="iid"), n_quad, seed=0
-    )
+    sample = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), n_quad, seed=0)
     quad = expected_zeros_quadrature(sample).total()
-    target = 2.0 * n_quad / math.sqrt(3.0)
-    quad_rel = abs(quad - target) / target
-    if quad_rel > 0.005:
-        return CriterionResult(
-            "iid-baseline", False,
-            f"quadrature {quad:.3f} vs 2n/sqrt3 {target:.3f}: rel "
-            f"{quad_rel:.4f} > 0.005",
-        )
+    exact = expected_zeros_exact_r0(n_quad, n_quad + 1)
+    quad_rel = abs(quad - exact) / exact
+    gate.check(quad_rel <= 1e-9, f"quadrature {quad:.6f} vs exact law {exact:.6f}: "
+                                 f"rel {quad_rel:.2e} > 1e-9")
 
     n_mc = 100
-    report = _experiment(trials, degrees=(n_mc,), master_seed=2030)
-    (row,) = report.rows
-    target_mc = 2.0 * n_mc / math.sqrt(3.0)
-    mc_rel = abs(row.empirical_mean - target_mc) / target_mc
-    passed = not row.failed and mc_rel <= 0.02
-    return CriterionResult(
-        "iid-baseline", passed,
-        f"quadrature rel {quad_rel:.5f} (<= 0.005) at n={n_quad}; Monte "
-        f"Carlo rel {mc_rel:.5f} (<= 0.02) over {trials} trials at n={n_mc}",
-    )
+    target = 2.0 * n_mc / math.sqrt(3.0)
+    mc_rel = math.nan
+    row = gate.row(f"n={n_mc}", trials, degrees=(n_mc,), master_seed=2030)
+    if row:
+        mc_rel = abs(row.empirical_mean - target) / target
+        gate.check(mc_rel <= 0.02, f"Monte Carlo mean {row.empirical_mean:.3f} vs "
+                                   f"2n/sqrt3 {target:.3f}: rel {mc_rel:.5f} > 0.02")
+    return gate.result(
+        f"quadrature vs exact law rel {quad_rel:.2e} (<= 1e-9) at n={n_quad}; Monte "
+        f"Carlo rel {mc_rel:.5f} (<= 0.02) over {trials} trials at n={n_mc}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +308,9 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
     series window) and at some of the deterministic zeros, relative to
     max(|T|, 1); deterministic_zero_set must hold n+1-ell points; and
     carrier_phase must give back T* as 2^e |P(e^{ix})| cos theta(x).
+    A sample whose zero set has the wrong size skips its residuals.
     """
+    gate = _Gate("factorization-residuals")
     n_samples = 25 if quick else 100
     rng = np.random.default_rng(np.random.Philox(key=2031))
     worst_split = worst_phase = 0.0
@@ -331,12 +322,11 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
         sample = sample_coefficients(model, ell * m - 1, seed=int(rng.integers(2**32)))
         red = reduce_periodic(sample)
         zs = deterministic_zero_set(m, ell)
-        if zs.size != sample.n + 1 - ell:
-            return CriterionResult(
-                "factorization-residuals", False,
-                f"{kind} ell={ell}, m={m}: {zs.size} deterministic zeros, "
-                f"expected {sample.n + 1 - ell}",
-            )
+        family = f"{kind} ell={ell}, m={m}"
+        if not gate.check(zs.size == sample.n + 1 - ell,
+                          f"{family}: {zs.size} deterministic zeros, "
+                          f"expected {sample.n + 1 - ell}"):
+            continue
         x = np.concatenate([
             rng.uniform(0.0, 2.0 * math.pi, 50),
             2.0 * math.pi * np.arange(ell + 1) / ell + 1e-9,
@@ -345,19 +335,19 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
         dense = evaluate(sample, x)
         reduced = red.evaluate(x)
         split = dirichlet_pair(m, ell, x)[0] * reduced
-        worst_split = max(worst_split, float(np.max(
-            np.abs(dense - split) / np.maximum(np.abs(dense), 1.0))))
+        res_split = float(np.max(np.abs(dense - split) / np.maximum(np.abs(dense), 1.0)))
         phase = carrier_phase(red)
         carrier = np.ldexp(np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
                            * np.cos(phase(x)), phase.exponent)
-        worst_phase = max(worst_phase, float(np.max(
-            np.abs(reduced - carrier) / np.maximum(np.abs(reduced), 1.0))))
-    return CriterionResult(
-        "factorization-residuals", max(worst_split, worst_phase) <= 1e-10,
+        res_phase = float(np.max(np.abs(reduced - carrier) / np.maximum(np.abs(reduced), 1.0)))
+        gate.check(res_split <= 1e-10, f"{family}: phi_m T* residual {res_split:.2e}")
+        gate.check(res_phase <= 1e-10, f"{family}: carrier phase residual {res_phase:.2e}")
+        worst_split = max(worst_split, res_split)
+        worst_phase = max(worst_phase, res_phase)
+    return gate.result(
         f"max relative residual of phi_m T* {worst_split:.2e}, of the carrier "
         f"phase {worst_phase:.2e} (<= 1e-10) over {n_samples} samples; "
-        f"deterministic zero counts all n+1-ell",
-    )
+        f"deterministic zero counts all n+1-ell")
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +360,7 @@ def micro_identities(quick: bool = False) -> CriterionResult:
     identity, Cauchy-Schwarz for the covariance triple of the Kac-Rice
     routes, sigma-invariance, and the forced-zero count of the Dirichlet
     ratio."""
+    gate = _Gate("micro-identities")
     cases = 60 if quick else 300
     rng = np.random.default_rng(np.random.Philox(key=2032))
 
@@ -390,22 +381,15 @@ def micro_identities(quick: bool = False) -> CriterionResult:
         lit, lit_d = np.cos(angles).sum(axis=1), -(freqs * np.sin(angles)).sum(axis=1)
         worst_val = max(worst_val, float(np.max(np.abs(phi - lit))) / r)
         worst_der = max(worst_der, float(np.max(np.abs(phid - lit_d))) / (r**3 * 2 * p))
-    if worst_val > 1e-11 or worst_der > 1e-9:
-        return CriterionResult(
-            "micro-identities", False,
-            f"dirichlet_pair off by {worst_val:.2e} r, its derivative by "
-            f"{worst_der:.2e} r^3 ell",
-        )
+    gate.check(worst_val <= 1e-11, f"dirichlet_pair off by {worst_val:.2e} r")
+    gate.check(worst_der <= 1e-9, f"dirichlet_pair's derivative off by {worst_der:.2e} r^3 ell")
 
     # sin^2 a + sin^2 b + 2 sin a sin b cos(a+b) = sin^2(a+b)
     a = rng.uniform(-10.0, 10.0, 500)
     b = rng.uniform(-10.0, 10.0, 500)
     lhs = np.sin(a) ** 2 + np.sin(b) ** 2 + 2 * np.sin(a) * np.sin(b) * np.cos(a + b)
     worst_pair = float(np.max(np.abs(lhs - np.sin(a + b) ** 2)))
-    if worst_pair > 1e-12:
-        return CriterionResult(
-            "micro-identities", False, f"sin^2 identity off by {worst_pair:.2e}"
-        )
+    gate.check(worst_pair <= 1e-12, f"sin^2 identity off by {worst_pair:.2e}")
 
     # Cauchy-Schwarz: AC - B^2 >= 0 up to roundoff on the Kac-Rice routes,
     # abc_closed on every model and abc_reduced on the r = 0 one
@@ -424,49 +408,33 @@ def micro_identities(quick: bool = False) -> CriterionResult:
             disc = t.A * t.C - t.B * t.B
             rel = disc / np.maximum(t.A * t.C, 1.0)
             worst_cs = min(worst_cs, float(np.min(rel)))
-    if worst_cs < -1e-12:
-        return CriterionResult(
-            "micro-identities", False,
-            f"AC - B^2 dips to {worst_cs:.2e} of scale",
-        )
+    gate.check(worst_cs >= -1e-12, f"AC - B^2 dips to {worst_cs:.2e} of scale")
 
     # the expected count cannot depend on the coefficient scale
-    base = CoefficientModel(kind="trig", dep="periodic", ell=3, sigma=1.0)
-    wide = CoefficientModel(kind="trig", dep="periodic", ell=3, sigma=4.0)
-    odd = CoefficientModel(kind="trig", dep="periodic", ell=3, sigma=1.7)
-    v1 = expected_zeros_quadrature(sample_coefficients(base, 100, seed=1)).value
-    v4 = expected_zeros_quadrature(sample_coefficients(wide, 100, seed=1)).value
-    vo = expected_zeros_quadrature(sample_coefficients(odd, 100, seed=1)).value
-    if v1 != v4 or abs(vo - v1) > 1e-12 * v1:
-        return CriterionResult(
-            "micro-identities", False,
-            f"sigma leaks into the expected count: {v1!r} vs {v4!r} vs {vo!r}",
-        )
+    v1, v4, vo = (
+        expected_zeros_quadrature(sample_coefficients(
+            CoefficientModel(kind="trig", dep="periodic", ell=3, sigma=sigma), 100, seed=1
+        )).value
+        for sigma in (1.0, 4.0, 1.7)
+    )
+    gate.check(v1 == v4 and abs(vo - v1) <= 1e-12 * v1,
+               f"sigma leaks into the expected count: {v1!r} vs {v4!r} vs {vo!r}")
 
     # forced zeros of the Dirichlet ratio: exactly ell(m-1) per period
     for _ in range(20):
         ell = int(rng.integers(1, 7))
         m = int(rng.integers(2, 30))
         zs = deterministic_zero_set(m, ell)
-        if zs.size != ell * (m - 1):
-            return CriterionResult(
-                "micro-identities", False,
-                f"ell={ell}, m={m}: {zs.size} forced zeros, "
-                f"expected {ell * (m - 1)}",
-            )
-        if zs.size and np.max(np.abs(dirichlet_pair(m, ell, zs)[0])) > 1e-9 * m:
-            return CriterionResult(
-                "micro-identities", False,
-                f"ell={ell}, m={m}: forced zeros do not kill the ratio",
-            )
+        gate.check(zs.size == ell * (m - 1),
+                   f"ell={ell}, m={m}: {zs.size} forced zeros, expected {ell * (m - 1)}")
+        gate.check(not zs.size or np.max(np.abs(dirichlet_pair(m, ell, zs)[0])) <= 1e-9 * m,
+                   f"ell={ell}, m={m}: forced zeros do not kill the ratio")
 
-    return CriterionResult(
-        "micro-identities", True,
+    return gate.result(
         f"dirichlet_pair {worst_val:.1e} r, derivative {worst_der:.1e} r^3 ell; "
         f"paired-angle identity {worst_pair:.1e}; "
         f"min(AC-B^2)/AC {worst_cs:.1e}; sigma-invariance bit-exact at "
-        f"sigma=4; forced-zero counts all ell(m-1)",
-    )
+        f"sigma=4; forced-zero counts all ell(m-1)")
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,9 @@ def _cmd_constants(parser, args):
 
 
 def _cmd_count(parser, args):
-    n = args.n[-1] if args.n else 100
+    if args.n and len(args.n) > 1:
+        parser.error("count takes one --n")
+    n = args.n[0] if args.n else 100
     model = _model(parser, vars(args), (n,), args.r)
     if args.grid_per_degree < 1:
         parser.error("--grid-per-degree must be >= 1")

@@ -111,7 +111,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import PeriodDecomposition, PolySample, decompose_degree
-from .trigpoly import BlockWorkspace, PanelNodes, dirichlet_pair, dirichlet_pairs, reduce_periodic
+from .trigpoly import BlockWorkspace, PanelNodes, dirichlet_pair, dirichlet_pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -440,10 +440,14 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
     C = sum nu_k^2 = ell (3 n^2 + ell^2 - 1) / 12.
     Cosine: O(ell) sums of cos(nu_k x) and its derivative.
     """
+    dec = sample.split
+    if sample.model.dep != "periodic" or dec.r != 0:
+        raise ValueError(f"no reduced form: needs a periodic model with r = 0, "
+                         f"got dep={sample.model.dep}, r={dec.r}")
     block = PanelNodes.of(x)
-    red = reduce_periodic(sample)  # raises unless periodic with r = 0
-    directions = (np.ones_like(red.freq_twice), red.freq_twice)
-    return AbcTriple(*_grouped_abc(sample.model.kind, red.ell, directions, block), block.work)
+    freq_twice = dec.directions()[1]
+    directions = (np.ones_like(freq_twice), freq_twice)
+    return AbcTriple(*_grouped_abc(sample.model.kind, dec.ell, directions, block), block.work)
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +604,8 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
         return KacRiceResult(value=0.0, abs_error_estimate=0.0, panels_used=0,
                              deterministic_zeros=2 * n)
 
-    det_zeros = 0
     windows = _exclusion_windows(kind, dec)
-
-    route = abc_closed
-    if dec.factors:
-        det_zeros = n + 1 - dec.ell
-        route = abc_reduced
-
+    route = abc_reduced if dec.factors else abc_closed
     func = lambda xs: route(sample, xs).integrand()  # noqa: E731
 
     fold = 2 * _fold_order(kind, dec)
@@ -625,7 +623,7 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     value = fold * cell2
     err = fold * abs(cell2 - cell) + mass_est
 
-    total = det_zeros + value
+    total = dec.deterministic_zeros + value
     if total > 2.0 * n + 0.5:
         raise FloatingPointError(
             f"Kac-Rice total {total:.3f} exceeds the 2n ceiling for n={n}"
@@ -636,7 +634,7 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
         panels_used=fold * panels_used,
         excluded_windows=tuple(cuts),
         excluded_mass_estimate=mass_est,
-        deterministic_zeros=det_zeros,
+        deterministic_zeros=dec.deterministic_zeros,
     )
 
 
@@ -650,6 +648,7 @@ def expected_zeros_exact_r0(n: int, ell: int) -> float:
     coefficient repeats and the law is the i.i.d. trig one: ell = n + 1
     gives 2 sqrt(n (2n+1)/6).
     """
-    if decompose_degree(n, ell).r != 0:
+    dec = decompose_degree(n, ell)
+    if dec.r != 0:
         raise ValueError(f"n={n} is not of the form ell*m - 1 for ell={ell}")
-    return (n + 1 - ell) + math.sqrt(n * n + (ell * ell - 1) / 3.0)
+    return dec.deterministic_zeros + math.sqrt(n * n + (ell * ell - 1) / 3.0)

@@ -89,6 +89,12 @@ class PeriodDecomposition:
         T_n = phi_m * T* carries n+1-ell deterministic zeros."""
         return self.r == 0 and self.m >= 2
 
+    @property
+    def deterministic_zeros(self) -> int:
+        """ell(m-1) = n+1-ell when r = 0, the zeros of phi_m that every
+        sample shares (none at m = 1), and 0 when r != 0."""
+        return self.ell * (self.m - 1) if self.r == 0 else 0
+
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
         """(M, freq_twice), exact int64 arrays over the residue classes
         k < ell: class k holds the M_k frequencies k + ell t, t < M_k, with

@@ -733,7 +733,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     its certified bracket (a cell, a sub-cell or a monotone piece of the
     phase), and tol bounds the last step of each root; the deterministic
     zeros of the phase route are exact, and are listed only then (the
-    count takes their number, n + 1 - ell, in closed form).
+    count takes their number, split.deterministic_zeros = n + 1 - ell).
 
     The grid route reads T and T' from one two-row transform into the
     N-node arrays of workspace (a GridWorkspace, resized to the grid),
@@ -749,7 +749,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     if sample.split.factors:
         red = reduce_periodic(sample)
         count, pieces, stable, roots = _phase_count(red, want_roots, tol)
-        count += red.ell * (red.m - 1)  # the size of deterministic_zero_set
+        count += sample.split.deterministic_zeros  # the size of deterministic_zero_set
         _enforce_ceiling(count, n, sample)
         if want_roots:
             roots = np.sort(np.concatenate([roots, deterministic_zero_set(red.m, red.ell)]))

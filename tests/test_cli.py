@@ -139,6 +139,17 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+def test_count_refuses_a_second_degree(capsys):
+    """count counts one sample: a repeated --n is a usage error, not a
+    silent choice of the last one."""
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "20", "--n", "30"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count takes one --n" in captured.err
+
+
 def test_bad_grid_options_are_usage_errors(tmp_path, capsys):
     """Grid options are rejected before any counting starts (exit 1, not 2)."""
     with pytest.raises(SystemExit) as exc:

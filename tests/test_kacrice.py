@@ -218,6 +218,12 @@ class TestReducedForms:
             got.C, (fdx * fdx).sum(axis=0), atol=1e-9 * 53**2
         )
 
+    def test_reduced_form_refuses_iid_and_partial_blocks(self):
+        for sample in (_sample("trig", "iid", 59), _sample("cosine", "iid", 59),
+                       _sample("trig", "periodic", 60, ell=4)):  # r = 1
+            with pytest.raises(ValueError):
+                abc_reduced(sample, np.array([0.3]))
+
     def test_cosine_reduced_A_vanishes_only_at_known_points(self):
         # ell = 3, n = 299: A*(pi) = (3/2)(1 + cos(299 pi)) = 0
         s = _sample("cosine", "periodic", 299, ell=3)

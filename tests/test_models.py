@@ -15,7 +15,7 @@ from trigzeros.models import (
     splitmix64,
     validate_model,
 )
-from trigzeros.zeros import GridWorkspace, count_zeros
+from trigzeros.zeros import GridWorkspace, count_zeros, deterministic_zero_set
 
 
 class TestDecomposeDegree:
@@ -66,6 +66,16 @@ class TestDecomposeDegree:
         assert not decompose_degree(4, 5).factors  # r = 0, m = 1
         assert not decompose_degree(12, 7).factors  # r = 6, m = 1
         assert not decompose_degree(300, 2).factors  # r = 1
+
+    def test_deterministic_zeros_is_the_size_of_the_zero_set(self):
+        """ell(m-1) when r = 0 (m = 1 and ell = 1 included), 0 when r != 0."""
+        for ell in range(1, 8):
+            for n in range(max(1, ell - 1), 61):
+                dec = decompose_degree(n, ell)
+                expected = deterministic_zero_set(dec.m, ell).size if dec.r == 0 else 0
+                assert dec.deterministic_zeros == expected, (ell, n)
+        assert decompose_degree(299, 3).deterministic_zeros == 297
+        assert decompose_degree(300, 3).deterministic_zeros == 0
 
     def test_directions_against_literal_enumeration(self):
         """M_k counts the frequencies j <= n with j = k mod ell, and
