@@ -285,15 +285,16 @@ def _limit_integrand_k(ell: int, s, t):
 
         1 - u(s) = (2/ell) sum_{k=0}^{ell-1} sin^2((ell - 1 - 2k) s/2),
 
-    whose terms pair up (k and ell - 1 - k).  Elsewhere d >= 0.12.
+    whose terms pair up (k and ell - 1 - k).  Elsewhere d >= 0.12, and
+    only there is the quotient formed.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = 1.0 - np.sin(ell * s) / (ell * np.sin(s))
     near = ell * s < 1.0
-    if near.any():
-        s_near = s[near]
-        acc = sum(np.sin((0.5 * (ell - 1) - k) * s_near) ** 2 for k in range(ell // 2))
-        d[near] = (4.0 / ell) * acc
+    d = np.empty(s.shape)
+    s_far = s[~near]
+    d[~near] = 1.0 - np.sin(ell * s_far) / (ell * np.sin(s_far))
+    s_near = s[near]
+    acc = sum(np.sin((0.5 * (ell - 1) - k) * s_near) ** 2 for k in range(ell // 2))
+    d[near] = (4.0 / ell) * acc
     v = (2.0 - 2.0 * d) * np.cos(0.5 * t) ** 2
     v += d
     v *= v

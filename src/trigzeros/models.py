@@ -33,15 +33,19 @@ trial builds it once.
 Reproducibility: per-trial seeds are derived with mix64(), a splitmix64
 fold of (master_seed, degree, trial_index).  Samples are drawn from a
 counter-based Philox generator keyed by the folded seed, so any single
-trial of any experiment can be regenerated in isolation.
+trial of any experiment can be regenerated in isolation.  Each thread
+holds one such generator and re-keys it on every draw: key, counter and
+buffer are all reset, so the draw is the stream of a generator built
+afresh for that key, to the bit (Philox is keyed per stream: J. K.
+Salmon et al., Parallel random numbers: as easy as 1, 2, 3, SC 2011).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -172,6 +176,18 @@ def validate_model(model: CoefficientModel) -> CoefficientModel:
     return model
 
 
+def _peak(a, b) -> float:
+    """The largest |a_k|, |b_k|: nan or inf when an entry is, 0 when all
+    entries are 0."""
+    return float(np.maximum(np.abs(a).max(), np.abs(b).max()))
+
+
+def _scaled(a, b, peak: float):
+    """normalized_coefficients(a, b) with the largest |a_k|, |b_k| given."""
+    e = math.frexp(peak)[1]
+    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
+
+
 def normalized_coefficients(a, b):
     """(c, e): c_k = (a_k - i b_k) 2^-e with e the binary exponent of the
     largest |a_k|, |b_k|, so that max |c_k| lies in [1/2, sqrt 2).
@@ -179,8 +195,7 @@ def normalized_coefficients(a, b):
     Scaling by a power of two is exact, so every quantity built from c
     is the sigma = 1 quantity to the last bit, whatever the draw's scale.
     """
-    e = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
-    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
+    return _scaled(a, b, _peak(a, b))
 
 
 @dataclass(frozen=True)
@@ -201,10 +216,18 @@ class PolySample:
         return self.model.period(self.n)
 
     @functools.cached_property
+    def peak(self) -> float:
+        """The largest |a_k|, |b_k|, reduced once per sample (the sampler
+        hands over that of its draw): nan or inf when an entry is, 0 when
+        the sample vanishes.  normalized takes its exponent, and the zero
+        counter its checks, from here."""
+        return _peak(self.a, self.b)
+
+    @functools.cached_property
     def normalized(self) -> tuple[np.ndarray, int]:
         """normalized_coefficients(a, b), computed once per sample; the
         evaluators of trigpoly read the coefficients from here."""
-        c, e = normalized_coefficients(self.a, self.b)
+        c, e = _scaled(self.a, self.b, self.peak)
         c.flags.writeable = False
         return c, e
 
@@ -214,9 +237,42 @@ class PolySample:
         normalized coefficients are this sample's c with exponent 0; they
         are handed over rather than computed again."""
         c, e = self.normalized
-        unit = dataclasses.replace(self, a=np.ldexp(self.a, -e), b=np.ldexp(self.b, -e))
+        unit = PolySample(self.model, self.n, self.seed,
+                          np.ldexp(self.a, -e), np.ldexp(self.b, -e))
         unit.__dict__["normalized"] = (c, 0)  # the slot cached_property fills
         return unit
+
+
+# every thread draws from its own generator, re-keyed on each draw
+_THREAD = threading.local()
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def _keyed_generator(seed: int) -> np.random.Generator:
+    """The thread's Generator(Philox) with its whole state set as a
+    generator built afresh by Philox(key=seed) holds it: key [seed, 0],
+    counter 0 and an empty buffer, so nothing of an earlier draw, or of
+    one that raised, carries over."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": np.array([seed & _MASK64, 0], dtype=np.uint64)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+@functools.lru_cache(maxsize=32)
+def _period_index(n: int, ell: int) -> np.ndarray:
+    """j % ell for j = 0..n, read-only: the base entry of each coefficient."""
+    index = np.arange(n + 1) % ell
+    index.flags.writeable = False
+    return index
 
 
 def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySample:
@@ -225,27 +281,34 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     Deterministic in (model, n, seed).  Draw order is fixed: the a
     vector (or its ell-long base) first, then b for the trig kind, so
     identical seeds reproduce identical samples regardless of caller.
+    The draw comes from the calling thread's one Philox generator,
+    re-keyed by the seed on every call, which yields the stream of
+    np.random.Generator(np.random.Philox(key=seed)) to the bit.
     Raises FloatingPointError when sigma times a standard normal draw
     leaves the double range.
     """
     dec = model.period(n)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    rng = _keyed_generator(int(seed))
     rows = 2 if model.kind == "trig" else 1
     # one call draws a then b: the stream is the one of two calls in turn
     with np.errstate(over="ignore"):
         values = model.sigma * rng.standard_normal(rows * dec.ell)
-    if not np.isfinite(values).all():
+    # every coefficient is a copy of a drawn value (or 0 for cosine b), so
+    # their largest magnitude is that of the draw: inf if it overflowed
+    peak = float(np.abs(values).max())
+    if not np.isfinite(peak):
         raise FloatingPointError(
             f"coefficient draw overflows the double range at sigma={model.sigma}"
         )
     values = values.reshape(rows, dec.ell)
     if dec.ell <= n:
-        # tile copies bits exactly, so a[j] IS a[j % ell] to the last ulp
-        values = np.tile(values, dec.m + 1)[:, : n + 1]
+        # take copies bits exactly, so a[j] IS a[j % ell] to the last ulp
+        values = values.take(_period_index(int(n), dec.ell), axis=1)
     a = values[0]
     b = values[1] if rows == 2 else np.zeros(n + 1)
     a.flags.writeable = False
     b.flags.writeable = False
     sample = PolySample(model=model, n=int(n), seed=int(seed), a=a, b=b)
-    sample.__dict__["split"] = dec  # the slot cached_property fills
+    sample.__dict__["split"] = dec  # the slots cached_property fills
+    sample.__dict__["peak"] = peak
     return sample

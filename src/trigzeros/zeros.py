@@ -18,7 +18,11 @@ margins and masks of the zero-free pass below), which the trials of one
 grid size share when the caller passes one, as harness.run_experiment
 does; what depends on the degree and N alone (the twist, the powers
 j^k, the certificate's factors, the power table of the local stage) is
-built once and cached.
+built once and cached.  What depends on the
+sample is reduced once: its largest coefficient (PolySample.peak, which
+the sampler hands over from its draw) gives the finiteness and all-zero
+checks and the power of two of the scaling, and the zero-free clearance
+of the base grid, whose cells share one width, is one scalar.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -317,11 +321,14 @@ class _Certificate:
     delta_grid: np.ndarray
     delta_point: np.ndarray
 
+    def _interp(self, k: int) -> float:
+        """n^(k+4) M/384, widened by _WIDTH_SLACK."""
+        return self.n ** (k + 4) * self.bound / 384.0 * (1.0 + _WIDTH_SLACK)
+
     @functools.cached_property
     def _interp_rows(self) -> np.ndarray:
-        """n^(k+4) M/384 for k = 0, 1, 2 (rows), widened by _WIDTH_SLACK."""
-        return np.array([[self.n ** (k + 4) * self.bound / 384.0 * (1.0 + _WIDTH_SLACK)]
-                         for k in range(3)])
+        """_interp(k) for k = 0, 1, 2 (rows)."""
+        return np.array([[self._interp(k)] for k in range(3)])
 
     def clearances(self, w, delta) -> np.ndarray:
         """What the control points of the Hermite cubics of T, T' and T''
@@ -329,6 +336,13 @@ class _Certificate:
         w^4 n^(k+4) M/384 of T^(k) (Bernstein) plus the rounding of the end
         values and slopes."""
         return w ** 4 * self._interp_rows + delta[:3, None] + (w / 3.0) * delta[1:4, None]
+
+    def grid_clearance(self, h: float) -> float:
+        """Row T of clearances(h, delta_grid) for the one width h of the
+        base grid's cells, as a scalar: the same operations in the same
+        order, so the same bits."""
+        delta = self.delta_grid
+        return h ** 4 * self._interp(0) + delta[0] + (h / 3.0) * delta[1]
 
     def slope_clearance(self, w: float, delta) -> tuple[float, float]:
         """What the control points of p' must clear, p the cubic Hermite
@@ -364,13 +378,16 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Cert
     total = float(mag.sum())
     # the transform, normwise (N. J. Higham, Accuracy and Stability of
     # Numerical Algorithms, ch. 24), plus the float grid nodes, which sit
-    # within 16u of the exact ones
-    delta_grid = (fft_factor * np.sqrt(((powers * mag) ** 2).sum(axis=1))
-                  + node_factors * total)
+    # within 16u of the exact ones.  One (4, n+1) array, squared in place
+    weighted = powers * mag
+    np.square(weighted, out=weighted)
+    delta_grid = fft_factor * np.sqrt(weighted.sum(axis=1)) + node_factors * total
     # the power table of evaluate_jet at |x| < 6.3, argument rounding
     # included (module docstring); the local cells also read T at grid
     # nodes, hence at least delta_grid
-    delta_point = np.maximum(sum_factor * (powers @ (np.abs(a) + np.abs(b))), delta_grid)
+    absolute = np.abs(a, out=mag)
+    absolute += np.abs(b)
+    delta_point = np.maximum(sum_factor * (powers @ absolute), delta_grid)
     bound = total
     if nh2 < 8.0:
         # at the maximizer T' = 0 and a node lies within h/2, so
@@ -526,7 +543,7 @@ def _certified_count(unit: PolySample, ws: GridWorkspace, max_doublings: int,
     size, slack = np.abs(grid, out=ws.margin)
     cert = _certificate(unit.a, unit.b, N, float(size.max()))
     h = TWO_PI / N
-    clear0 = cert.clearances(h, cert.delta_grid)[0, 0]
+    clear0 = cert.grid_clearance(h)
     # |f| - h |f'|/3 bounds the two control points beside a node on the
     # side of f: cells whose ends both pass with one sign are zero-free,
     # and only the others (open) take the full hull test
@@ -756,9 +773,12 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         return ZeroCountReport(count=count, grid_size=0, doublings_used=0,
                                stable=stable, roots=roots, pieces=pieces)
 
-    if not (np.isfinite(sample.a).all() and np.isfinite(sample.b).all()):
+    # the largest |a_k|, |b_k| that normalized reduces: nan or inf when an
+    # entry is, 0 when the sample vanishes
+    peak = sample.peak
+    if not np.isfinite(peak):
         raise FloatingPointError("non-finite coefficient in the sample")
-    if not (sample.a.any() or sample.b.any()):
+    if peak == 0.0:
         raise RuntimeError(
             f"the sample vanishes identically (every x is a zero); "
             f"model={model}, seed={sample.seed}"

@@ -341,6 +341,24 @@ def test_installed_entry_point():
     assert proc.stdout.startswith("n,m,r,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--kind", "trig", "--dep", "periodic", "--ell", "3", "--n", "40",
+     "--seed", "11"],
+    ["count", "--n", "20", "--n", "30"],
+])
+def test_package_runs_as_a_module(argv):
+    """python -m trigzeros prints the bytes of python -m trigzeros.cli, on
+    stdout and stderr alike, and exits with its code."""
+    src = os.path.dirname(os.path.dirname(trigzeros.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    package, cli = (subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                                   capture_output=True, timeout=120)
+                    for module in ("trigzeros", "trigzeros.cli"))
+    assert (package.returncode, package.stdout, package.stderr) == \
+        (cli.returncode, cli.stdout, cli.stderr)
+    assert cli.stdout or cli.stderr
+
+
 @pytest.mark.parametrize("error", [
     FloatingPointError("NaN encountered during grid evaluation"),
     RuntimeError("counted 61 zeros for degree n=30 (ceiling 2n=60)"),

@@ -14,6 +14,8 @@ from trigzeros.harness import (
     report_to_json,
     run_experiment,
 )
+from trigzeros.models import CoefficientModel, mix64, sample_coefficients
+from trigzeros.zeros import count_zeros
 
 
 def _config(**kwargs):
@@ -219,3 +221,39 @@ class TestValidation:
         with pytest.raises(ValueError, match="fewer than one period"):
             _config(dep="periodic", ell=5, degrees=(20, 3)).validate()
         _config(dep="periodic", ell=5, degrees=(20, 4)).validate()  # m = 1
+
+
+@pytest.mark.parametrize("kind, dep, ell, n, trials, mean, unstable", [
+    ("trig", "iid", None, 199,
+     [(236, 6400, 0, True), (224, 6400, 0, True), (230, 6400, 0, True)], 230.0, 0),
+    ("trig", "iid", None, 499,
+     [(598, 16000, 0, True), (578, 16000, 0, True), (558, 16000, 0, True)], 578.0, 0),
+    ("trig", "iid", None, 1999,
+     [(2296, 64000, 0, True), (2332, 64000, 0, True), (2270, 64000, 0, True)],
+     2299.3333333333335, 0),
+    ("cosine", "iid", None, 499,
+     [(614, 16000, 0, True), (592, 16000, 0, True), (548, 16000, 0, True)],
+     584.6666666666666, 0),
+    ("trig", "periodic", 3, 400,
+     [(798, 12800, 0, True), (638, 12800, 0, True), (624, 12800, 0, True)],
+     686.6666666666666, 0),
+    ("trig", "periodic", 3, 1600,
+     [(2182, 51200, 1, True), (2324, 51200, 0, True), (3196, 51200, 0, True)],
+     2567.3333333333335, 0),
+    ("trig", "periodic", 5, 499,
+     [(994, 0, 0, True), (994, 0, 0, True), (994, 0, 0, True)], 994.0, 0),
+    ("cosine", "periodic", 3, 1199,
+     [(2398, 0, 0, True), (2396, 0, 0, True), (2396, 0, 0, True)], 2396.6666666666665, 0),
+])
+def test_bench_mix_pins(kind, dep, ell, n, trials, mean, unstable):
+    """One 3-trial row, master seed 7, of each family of the Monte Carlo
+    benchmark mixes, restated here: every trial's (count, grid_size,
+    doublings_used, stable) and the row's mean and unstable count, to the
+    bit.  A draw or a certificate that moves a bit on these rows shows
+    here."""
+    model = CoefficientModel(kind=kind, dep=dep, ell=ell)
+    reports = [count_zeros(sample_coefficients(model, n, mix64(7, n, t))) for t in range(3)]
+    assert [(r.count, r.grid_size, r.doublings_used, r.stable) for r in reports] == trials
+    (row,) = run_experiment(ExperimentConfig(kind=kind, dep=dep, ell=ell, degrees=(n,),
+                                             trials=3, master_seed=7)).rows
+    assert (row.empirical_mean, row.unstable) == (mean, unstable)

@@ -1,6 +1,7 @@
 """Coefficient-model tests: degree decomposition, seeding, periodic copies."""
 
 import dataclasses
+import threading
 import warnings
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestSampling:
             for v in (s.a, s.b):
                 assert v.flags.c_contiguous and not v.flags.writeable
 
+    @pytest.mark.parametrize("kind, dep, ell", [
+        ("trig", "iid", None), ("trig", "periodic", 3), ("cosine", "iid", None),
+        ("cosine", "periodic", 4)])
+    def test_handed_peak_is_the_largest_coefficient(self, kind, dep, ell):
+        """The sampler hands over the largest |a_k|, |b_k| of its draw, and
+        it equals the reduction over the spread vectors."""
+        model = CoefficientModel(kind=kind, dep=dep, ell=ell, sigma=2.5)
+        for seed in range(20):
+            s = sample_coefficients(model, 29, seed)
+            assert "peak" in vars(s)
+            assert s.peak == models._peak(s.a, s.b) == max(np.abs(s.a).max(), np.abs(s.b).max())
+
     def test_overflowing_draw_raises_without_warning(self):
         model = CoefficientModel(kind="trig", dep="iid", sigma=1e308)
         with warnings.catch_warnings():
@@ -281,6 +294,80 @@ class TestSampling:
         n = vals.size
         assert abs(vals.mean()) < 4.0 / np.sqrt(n)
         assert abs(vals.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+
+_KEYS = [0, 1, (1 << 63) - 1, (1 << 64) - 1, mix64(2026, 199, 3)]
+
+
+def _fresh_sample(model, n, seed):
+    """The documented draw from a generator built afresh for the seed."""
+    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    size = model.period(n).ell
+    a = model.sigma * rng.standard_normal(size)
+    b = model.sigma * rng.standard_normal(size) if model.kind == "trig" else np.zeros(size)
+    reps = -(-(n + 1) // size)
+    return np.tile(a, reps)[: n + 1], np.tile(b, reps)[: n + 1]
+
+
+class TestThreadGenerator:
+    """The sampler draws from one Philox generator per thread, re-keyed on
+    every call: each draw is the stream of a generator built afresh."""
+
+    @pytest.mark.parametrize("key", _KEYS)
+    def test_rekeyed_stream_is_that_of_a_fresh_generator(self, key):
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        want = fresh.standard_normal(9), fresh.integers(0, 1 << 40, 5), fresh.random(3)
+        # leave the thread's generator mid-buffer and with a spare 32-bit word
+        models._keyed_generator(12345).integers(0, 7, 3, dtype=np.uint32)
+        rng = models._keyed_generator(key)
+        got = rng.standard_normal(9), rng.integers(0, 1 << 40, 5), rng.random(3)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        model = CoefficientModel(kind="trig", dep="periodic", ell=4)
+        s = sample_coefficients(model, 29, key)
+        a, b = _fresh_sample(model, 29, key)
+        assert np.array_equal(s.a, a) and np.array_equal(s.b, b)
+
+    def test_draw_is_unchanged_by_what_came_before(self):
+        model = CoefficientModel(kind="trig", dep="iid")
+        want = _fresh_sample(model, 40, 77)
+        with pytest.raises(FloatingPointError):
+            sample_coefficients(CoefficientModel(kind="trig", dep="iid", sigma=1e308), 40, 77)
+        s = sample_coefficients(model, 40, 77)
+        assert np.array_equal(s.a, want[0]) and np.array_equal(s.b, want[1])
+        sample_coefficients(CoefficientModel(kind="cosine", dep="periodic", ell=3), 11, 78)
+        s = sample_coefficients(model, 40, 77)
+        assert np.array_equal(s.a, want[0]) and np.array_equal(s.b, want[1])
+
+    def test_threads_drawing_interleaved_keys_match_one_thread(self):
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        keys = [[mix64(5, 30, t) for t in range(0, 40, 2)],
+                [mix64(5, 30, t) for t in range(1, 40, 2)]]
+        alone = [[sample_coefficients(model, 30, k) for k in ks] for ks in keys]
+        barrier = threading.Barrier(2)
+        drawn = [[], []]
+
+        def draw(i):
+            for k in keys[i]:
+                barrier.wait()
+                drawn[i].append(sample_coefficients(model, 30, k))
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        for mine, theirs in zip(drawn, alone):
+            assert len(mine) == len(theirs)
+            for x, y in zip(mine, theirs):
+                assert np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
+
+    def test_worker_processes_give_the_same_report(self):
+        config = dict(kind="trig", dep="periodic", ell=3, degrees=(40, 61), trials=10,
+                      master_seed=9)
+        reports = [harness.report_to_json(harness.run_experiment(
+            harness.ExperimentConfig(workers=w, **config))) for w in (1, 2)]
+        assert reports[0] == reports[1]
 
 
 class TestSplitOncePerTrial:

@@ -326,19 +326,22 @@ class TestPerDegreeTables:
             assert table.cache_info().misses == 1, table
 
     def test_one_normalization_per_trial(self, monkeypatch):
-        """count_zeros normalizes the sample once; the unit copy, its three
-        grids, the local halvings and the root refinement reuse it."""
+        """count_zeros normalizes the sample once, with the largest
+        coefficient that the sampler handed over; its checks, the unit
+        copy, its three grids, the local halvings and the root refinement
+        reuse both."""
         calls = []
-        original = models.normalized_coefficients
+        for name in ("_peak", "_scaled"):
+            original = getattr(models, name)
 
-        def spy(a, b):
-            calls.append(a.size)
-            return original(a, b)
+            def spy(a, b, *rest, name=name, original=original):
+                calls.append((name, a.size))
+                return original(a, b, *rest)
 
-        monkeypatch.setattr(models, "normalized_coefficients", spy)
+            monkeypatch.setattr(models, name, spy)
         s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 100, seed=42)
         count_zeros(s, grid_per_degree=3, want_roots=True)
-        assert calls == [101]
+        assert calls == [("_scaled", 101)]
 
 
 def _phi(m, ell, x):

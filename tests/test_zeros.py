@@ -34,18 +34,17 @@ from trigzeros.zeros import (
 
 
 def _rigged_sample(n, a=None, b=None):
-    """Sample with hand-set coefficients (test rig for known functions)."""
+    """Sample with hand-set coefficients (test rig for known functions);
+    a vector not given is that of the seed-0 draw.  The rig is a new
+    sample, so nothing the sampler handed over (split, peak) carries over."""
     model = CoefficientModel(kind="trig", dep="iid")
     s = sample_coefficients(model, n, seed=0)
-    if a is not None:
-        arr = np.asarray(a, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(s, "a", arr)
-    if b is not None:
-        arr = np.asarray(b, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(s, "b", arr)
-    return s
+    fields = {}
+    for name, given in (("a", a), ("b", b)):
+        if given is not None:
+            fields[name] = np.array(given, dtype=float)
+            fields[name].flags.writeable = False
+    return dataclasses.replace(s, **fields)
 
 
 class TestKnownCounts:
@@ -462,6 +461,22 @@ class TestCertificate:
             s = sample_coefficients(model, 399, seed=mix64(2026, 399, trial))
             rep = count_zeros(s)
             assert (rep.count, rep.stable) == (zeros, True), trial
+
+    @pytest.mark.parametrize("kind, dep, ell, n", [
+        ("trig", "iid", None, 199), ("trig", "iid", None, 499), ("cosine", "iid", None, 499),
+        ("trig", "iid", None, 1999), ("trig", "periodic", 3, 400)])
+    def test_grid_clearance_is_the_clearance_row(self, kind, dep, ell, n):
+        """The zero-free clearance of the base grid, a scalar, is the T row
+        of clearances(h, delta_grid) to the bit."""
+        model = CoefficientModel(kind=kind, dep=dep, ell=ell)
+        for t in range(3):
+            s = sample_coefficients(model, n, seed=mix64(7, n, t)).unit()
+            N = smooth_size(max(256, 32 * n))
+            h = 2 * np.pi / N
+            grid = evaluate_on_grid(s, N, GRID_OFFSET)
+            cert = _certificate(s.a, s.b, N, float(np.abs(grid).max()))
+            row = cert.clearances(h, cert.delta_grid)[0, 0]
+            assert cert.grid_clearance(h) == row
 
     def test_hermite_error_is_within_the_clearance(self):
         """On every cell of a coarse and a fine grid the cubic Hermite
