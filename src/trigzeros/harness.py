@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
 from .models import CoefficientModel, mix64, sample_coefficients
-from .zeros import GridWorkspace, count_zeros
+from .trigpoly import scratch_scope
+from .zeros import count_zeros
 
 CSV_COLUMNS = (
     "n",
@@ -108,26 +109,23 @@ class ExperimentReport:
         return any(row.failed for row in self.rows)
 
 
-# trials per task of a worker pool, which share one grid workspace
+# trials per task of a worker pool, which share one scratch scope
 _POOL_CHUNK = 8
 
 
-def _single_trial(args, workspace: GridWorkspace):
+def _single_trial(args):
     """One seeded sample counted."""
     model, n, seed, grid_per_degree, max_doublings = args
     sample = sample_coefficients(model, n, seed=seed)
-    report = count_zeros(
-        sample, grid_per_degree=grid_per_degree, max_doublings=max_doublings,
-        workspace=workspace,
-    )
+    report = count_zeros(sample, grid_per_degree=grid_per_degree, max_doublings=max_doublings)
     return report.count, report.stable
 
 
 def _trials(jobs):
-    """Seeded trials counted in order, sharing one zeros.GridWorkspace;
+    """Seeded trials counted in order in one trigpoly.scratch_scope;
     module-level so worker pools can pickle it."""
-    workspace = GridWorkspace()
-    return [_single_trial(job, workspace) for job in jobs]
+    with scratch_scope():
+        return [_single_trial(job) for job in jobs]
 
 
 def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
@@ -172,11 +170,11 @@ def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (degree, trial) cell and aggregate per degree.
 
-    With workers > 1 the trials are evaluated by a process pool in chunks
-    of _POOL_CHUNK; results are consumed in submission order, so the
-    aggregates (and hence the report bytes) do not depend on scheduling.
-    The trials of a run, or of a chunk, share one zeros.GridWorkspace,
-    released when they return.
+    With workers > 1 the trials are evaluated by a process pool of at most
+    one process per chunk of _POOL_CHUNK trials; results are consumed in
+    submission order, so the aggregates (and hence the report bytes) do
+    not depend on scheduling.  The trials of a run, or of a chunk, share
+    one trigpoly.scratch_scope, released when they return.
     """
     model = config.model()
     jobs = [
@@ -187,7 +185,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ]
     if config.workers > 1:
         chunks = [jobs[i:i + _POOL_CHUNK] for i in range(0, len(jobs), _POOL_CHUNK)]
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
+        workers = min(config.workers, len(chunks))
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             outcomes = [out for chunk in pool.map(_trials, chunks) for out in chunk]
     else:
         outcomes = _trials(jobs)

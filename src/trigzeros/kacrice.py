@@ -70,18 +70,15 @@ with nodes and weights from _legendre_rule: the Kac-Rice integrals build
 PanelNodes blocks of at most _BLOCK_POINTS nodes from it on uniform
 panels, and ``composite_gauss_legendre``, which spells the same rule out
 as node and weight arrays, serves the ``constants`` module's graded
-Duffy triangles.  Each expected_zeros_quadrature call makes one
-trigpoly.BlockWorkspace, node-sized buffers as large as its largest
-block, and every block of both passes carries it: the phases, the
-Dirichlet kernel, A, B, C, the discriminant, the density and the weights
-are written into its buffers with out= and in-place ufuncs, in the same
-operations and order as fresh arrays would be.  So memory stays at about
-ten such buffers, a few MB, whatever the degree; and each block writes to
-pages that an earlier block of the call faulted in, where freed arrays of
-a few hundred kB go back to the OS and every block faulted them in anew.
-The workspace belongs to the call and dies with it: no state outlives
-the call, concurrent calls share nothing, and an array a route returns
-is never overwritten while its caller holds it (see BlockWorkspace).
+Duffy triangles.  Each expected_zeros_quadrature call runs both passes
+in one trigpoly.scratch_scope: the phases, the Dirichlet kernel, A, B,
+C, the discriminant, the density and the weights are written into
+scratch() buffers with out= and in-place ufuncs, in the same operations
+and order as fresh arrays would be.  So memory stays at about ten
+block-sized buffers, a few MB, whatever the degree, and each block
+writes to pages that an earlier block of the call faulted in.  The pool
+dies with the call, and an array a route returns is never overwritten
+while its caller holds it.
 
 A block is a PanelNodes, and the routes take each phase e^{ifx} at its
 nodes x = mid_p + half z_i as e^{if mid_p} e^{if half z_i}: 2 sines and
@@ -106,12 +103,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import PeriodDecomposition, PolySample, decompose_degree
-from .trigpoly import BlockWorkspace, PanelNodes, dirichlet_pair, dirichlet_pairs
+from .trigpoly import PanelNodes, dirichlet_pair, dirichlet_pairs, scratch, scratch_scope
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,19 +130,11 @@ _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 class AbcTriple:
     """Covariance data A = Var T, B = Cov(T, T'), C = Var T' at points x.
 
-    work is the BlockWorkspace of the block they were evaluated on, or
-    None: discriminant and integrand take their node-sized arrays from it
-    (see PanelNodes)."""
+    discriminant and integrand take their arrays from trigpoly.scratch."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    work: BlockWorkspace | None = field(default=None, repr=False, compare=False)
-
-    def _empty(self) -> np.ndarray:
-        if self.work is None:
-            return np.empty_like(self.A)
-        return self.work.empty(self.A.size)
 
     def discriminant(self) -> np.ndarray:
         """A*C - B^2, clamped to zero when negative within roundoff.
@@ -155,8 +144,8 @@ class AbcTriple:
         d.min() screens d: only a negative or NaN minimum builds that
         scale and the ratio, so a NaN beside a real violation still raises.
         """
-        d = np.multiply(self.A, self.C, out=self._empty())
-        d -= np.multiply(self.B, self.B, out=self._empty())
+        d = np.multiply(self.A, self.C, out=scratch(self.A.size).reshape(self.A.shape))
+        d -= np.multiply(self.B, self.B, out=scratch(d.size).reshape(d.shape))
         if d.min(initial=0.0) >= 0.0:  # False for NaN; an empty d passes
             return d
         ac = self.A * self.C
@@ -172,7 +161,7 @@ class AbcTriple:
         """sqrt(A*C - B^2) / (pi * A), the Kac-Rice density."""
         density = self.discriminant()
         np.sqrt(density, out=density)
-        density /= np.multiply(math.pi, self.A, out=self._empty())
+        density /= np.multiply(math.pi, self.A, out=scratch(self.A.size).reshape(self.A.shape))
         return density
 
 
@@ -367,12 +356,12 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     overwrites the nodes with |sin y| < 1/n, at the offset y itself.
     """
     k = np.rint(block.mid / math.pi)
-    block = PanelNodes((block.mid - k * math.pi) - k * _PI_LO, block.half, block.z, block.work)
+    block = PanelNodes((block.mid - k * math.pi) - k * _PI_LO, block.half, block.z)
     n = sample.n
     S2 = n * (n + 1) * (2 * n + 1) / 6.0
     cos_x, sin_x = block.cis(1.0)
     cos_n, sin_n = block.cis(float(n))
-    doubled = PanelNodes(2.0 * block.mid, 2.0 * block.half, block.z, block.work)
+    doubled = PanelNodes(2.0 * block.mid, 2.0 * block.half, block.z)
     phi, phid = dirichlet_pair(n + 1, 1, doubled)
     phidd, K, Kd, term = (block.empty() for _ in range(4))
     with np.errstate(divide="ignore", invalid="ignore"):  # at sin x = 0, overwritten
@@ -397,7 +386,7 @@ def _cosine_closed(sample: PolySample, block: PanelNodes) -> AbcTriple:
     panel, node = np.divmod(near, block.z.size)
     y = block.mid[panel] + block.half * block.z[node]
     A[near], B[near], C[near] = np.polynomial.polynomial.polyval(2.0 * n * y, _cosine_taylor(n))
-    return AbcTriple(A=A, B=B, C=C, work=block.work)
+    return AbcTriple(A=A, B=B, C=C)
 
 
 def abc_closed(sample: PolySample, x) -> AbcTriple:
@@ -426,7 +415,7 @@ def abc_closed(sample: PolySample, x) -> AbcTriple:
     kind, dec = sample.model.kind, sample.split
     if kind == "cosine" and dec.ell == sample.n + 1:
         return _cosine_closed(sample, block)
-    return AbcTriple(*_grouped_abc(kind, dec.ell, dec.directions(), block), block.work)
+    return AbcTriple(*_grouped_abc(kind, dec.ell, dec.directions(), block))
 
 
 def abc_reduced(sample: PolySample, x) -> AbcTriple:
@@ -447,7 +436,7 @@ def abc_reduced(sample: PolySample, x) -> AbcTriple:
     block = PanelNodes.of(x)
     freq_twice = dec.directions()[1]
     directions = (np.ones_like(freq_twice), freq_twice)
-    return AbcTriple(*_grouped_abc(sample.model.kind, dec.ell, directions, block), block.work)
+    return AbcTriple(*_grouped_abc(sample.model.kind, dec.ell, directions, block))
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +481,14 @@ def composite_gauss_legendre(edges: np.ndarray, nodes: int):
     return xs, ws
 
 
-def _integrate_panels(func, intervals, n_panels_total: int, work: BlockWorkspace):
+def _integrate_panels(func, intervals, n_panels_total: int):
     """Integrate func over the union of intervals with ~n_panels_total panels
     of _NODES points.
 
     func sees one PanelNodes block of at most _BLOCK_POINTS nodes per call,
-    with the weights of composite_gauss_legendre.  Every block carries
-    work, the caller's BlockWorkspace, whose capacity covers the largest
-    block.  The weights go into a buffer that func has freed, the density
-    is weighted in place there, and both go back to the workspace before
-    the next block.
+    with the weights of composite_gauss_legendre.  The weights go into a
+    scratch buffer that func has freed, the density is weighted in place
+    there, and both are idle again before the next block.
     """
     z, w = _legendre_rule(_NODES)
     total_len = sum(hi - lo for lo, hi in intervals)
@@ -513,13 +500,13 @@ def _integrate_panels(func, intervals, n_panels_total: int, work: BlockWorkspace
         edges = np.linspace(lo, hi, share + 1)
         for first in range(0, share, block):
             e = edges[first:first + block + 1]
-            nodes = PanelNodes(0.5 * (e[1:] + e[:-1]), 0.5 * (hi - lo) / share, z, work)
+            nodes = PanelNodes(0.5 * (e[1:] + e[:-1]), 0.5 * (hi - lo) / share, z)
             density = func(nodes)
             ws = nodes.empty().reshape(-1, w.size)  # after func: an array it has freed
             ws = np.multiply(0.5 * (e[1:] - e[:-1])[:, None], w, out=ws).ravel()
             # numpy's own sum, not a BLAS dot, whose result depends on its threads
             value += float(np.multiply(density, ws, out=ws).sum())
-            del density, ws  # back to the workspace before the next block
+            del density, ws  # idle again before the next block
         panels_used += share
     return value, panels_used
 
@@ -617,9 +604,9 @@ def expected_zeros_quadrature(sample: PolySample) -> KacRiceResult:
     mass_est = excluded_len * n / math.pi
 
     n_panels = math.ceil(max(_MIN_PANELS, _PANELS_PER_DEGREE * n) / fold)
-    work = BlockWorkspace(min(_BLOCK_POINTS, 2 * n_panels * _NODES))  # the largest block
-    cell, _ = _integrate_panels(func, intervals, n_panels, work)
-    cell2, panels_used = _integrate_panels(func, intervals, 2 * n_panels, work)
+    with scratch_scope():
+        cell, _ = _integrate_panels(func, intervals, n_panels)
+        cell2, panels_used = _integrate_panels(func, intervals, 2 * n_panels)
     value = fold * cell2
     err = fold * abs(cell2 - cell) + mass_est
 

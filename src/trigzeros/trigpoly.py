@@ -27,14 +27,20 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  O(N log N) total; exact coefficient
                                  folding covers N <= 2n.  A tuple of
                                  orders gives one row each from one
-                                 batched transform, optionally into a
-                                 caller's array.  The i.i.d. and
+                                 batched transform, written into a
+                                 scratch() array.  The i.i.d. and
                                  r != 0 counting routes certify their
                                  counts from T and T' on one grid, one
-                                 order=(0, 1) call into a reused
-                                 workspace; the r = 0 route counts T*
-                                 from its carrier phase
+                                 order=(0, 1) call; the r = 0 route
+                                 counts T* from its carrier phase
                                  (zeros.carrier_phase) without a grid.
+
+Scratch arrays
+--------------
+scratch(size, dtype) is the one source of the node-sized arrays that the
+kernels overwrite, of Kac-Rice blocks and of Monte Carlo grids alike;
+scratch_scope() sets how long its buffers are reused (one quadrature,
+one run of trials), and outside any scope each array is fresh.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -66,17 +72,18 @@ mid_p + half z_i of Gauss panels of one width, and reduces once per
 panel: the phases of a node are products of a panel phase and a node
 phase.  Each order has one window beside the lattice, M |s| <
 _PAIR_SERIES_WINDOW with s = ell t/2, where the series of both phi_M and
-phi_M' overwrite the quotients that every other node keeps.  The blocks of
-a Kac-Rice quadrature carry that call's BlockWorkspace, and the kernel and
-the block phases write their node-sized arrays into its buffers.
+phi_M' overwrite the quotients that every other node keeps.  The kernel
+and the block phases take their node-sized arrays from scratch().
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,8 +246,7 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
 
 
 def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
-                     order: int | tuple[int, ...] = 0,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     order: int | tuple[int, ...] = 0) -> np.ndarray:
     """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
     one real inverse FFT; with a tuple of orders, one row per order from
     one batched transform.
@@ -263,10 +269,10 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
 
     order=(0, 1) stacks the half spectra of T and T' and transforms both
     rows in one irfft call, which is faster than two calls at every grid
-    size the counter uses and changes no bit of either row.  out, when
-    given, receives the values (shape (N,) for one order, (len(order), N)
-    for a tuple) and is returned, so that a caller can reuse one array
-    for every sample of a grid size.
+    size the counter uses and changes no bit of either row.  The transform
+    writes the values (shape (N,) for one order, (len(order), N) for a
+    tuple) into a scratch() array, so that the trials of one scope reuse
+    its buffer.
 
     The coefficients are normalized by 2^-e (PolySample.normalized, so
     once per sample) and the values scaled back by 2^e.  Scaling by a
@@ -300,52 +306,65 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
             F = (np.bincount(folded, weights=dk.real, minlength=N)
                  + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
             row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
-    if out is None:
-        out = np.empty(N if single else (len(orders), N))
-    vals = np.fft.irfft(H[0] if single else H, N, norm="forward", out=out)
+    out = scratch(len(orders) * N)
+    vals = np.fft.irfft(H[0] if single else H, N, norm="forward",
+                        out=out if single else out.reshape(len(orders), N))
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(vals, e, out=vals)
     return vals
 
 
-class BlockWorkspace:
-    """Node-sized scratch arrays that the blocks of one Kac-Rice quadrature
-    share.
+_SCRATCH = contextvars.ContextVar("trigzeros_scratch", default=None)
 
-    kacrice.expected_zeros_quadrature makes one per call, of the capacity
-    of its largest block, and every PanelNodes block of both its passes
-    carries it; the kernels write their node-sized arrays into it with
-    out= (PanelNodes.empty).  Between blocks the buffers stay mapped, so a
-    block writes to pages faulted in by the block before it, where fresh
-    arrays of a few hundred kB would come from the OS and be faulted in
-    anew.  The workspace dies with the call: no state outlives it, and
-    each call (each thread) has its own.
 
-    empty(size, dtype) returns the first size elements of a buffer that no
-    array refers to any more, and allocates a buffer only when every one
-    of that dtype is in use.  A slice, reshape or .real of a buffer holds
-    a reference to it, so a buffer is handed out again only once the last
-    array that could read it is gone: an array that a caller keeps is
-    never overwritten, and the pool settles at the most arrays one block
-    holds at once.  A buffer is idle when its reference count equals that
-    of _pool[0], a buffer never handed out, read the same way; so the test
+@contextlib.contextmanager
+def scratch_scope():
+    """A pool of scratch buffers for the calls made inside the scope.
+
+    kacrice.expected_zeros_quadrature opens one per call, around both of
+    its passes, and harness one per run of trials (or chunk of a worker
+    pool): the blocks, or the trials, then write to pages faulted in by
+    the ones before, where fresh arrays of a few hundred kB would come
+    from the OS and be faulted in anew.  The pool dies with the scope, so
+    no buffer outlives it.  A nested scope has a pool of its own and
+    restores the outer one on exit, and every thread starts outside any
+    scope, so concurrent calls share nothing.
+    """
+    token = _SCRATCH.set([np.empty(0)])
+    try:
+        yield
+    finally:
+        _SCRATCH.reset(token)
+
+
+def scratch(size: int, dtype=float) -> np.ndarray:
+    """An uninitialized array of size elements: a fresh array outside any
+    scratch_scope, else the first size elements of an idle buffer of its
+    pool.
+
+    A slice, reshape or .real of a buffer holds a reference to it, so a
+    buffer is idle, and handed out again, only once the last array that
+    could read it is gone: an array that a caller keeps is never
+    overwritten, and the pool settles at the most arrays held at once.
+    An idle buffer too small for the request is replaced by one of the
+    requested size; a buffer is added only when none of the dtype is
+    idle.  A buffer is idle when its reference count equals that of
+    pool[0], a buffer never handed out, read the same way; so the test
     does not depend on how the interpreter counts its own references.
     """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._pool = [np.empty(0)]
-
-    def empty(self, size: int, dtype=float) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        pool = self._pool
-        idle = sys.getrefcount(pool[0])
-        for i in range(1, len(pool)):
-            if pool[i].dtype == dtype and sys.getrefcount(pool[i]) == idle:
-                return pool[i][:size]
-        pool.append(np.empty(self.capacity, dtype))
-        return pool[-1][:size]
+    pool = _SCRATCH.get()
+    if pool is None:
+        return np.empty(size, dtype)
+    dtype = np.dtype(dtype)
+    idle = sys.getrefcount(pool[0])
+    for i in range(1, len(pool)):
+        if pool[i].dtype == dtype and sys.getrefcount(pool[i]) == idle:
+            if pool[i].size < size:
+                pool[i] = np.empty(size, dtype)
+            return pool[i][:size]
+    pool.append(np.empty(size, dtype))
+    return pool[-1][:size]
 
 
 @dataclass(frozen=True)
@@ -355,17 +374,11 @@ class PanelNodes:
     A plain array is a block of one-node panels, half = 0 and z = [0],
     whose node phase is exactly (1, 0): cis(f) is then np.cos(f x) and
     np.sin(f x), and dirichlet_pairs the reduction of each x, to the bit.
-
-    work is the BlockWorkspace of the quadrature that made the block, or
-    None.  The kernels take their node-sized arrays from empty(): with a
-    workspace they reuse its buffers, and what they return stays valid
-    while the caller holds it; without one (plain arrays, PanelNodes.of,
-    a block built by hand) every array is fresh and the caller's own."""
+    The kernels take their node-sized arrays from empty(), so scratch()."""
 
     mid: np.ndarray
     half: float
     z: np.ndarray
-    work: BlockWorkspace | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(cls, x) -> "PanelNodes":
@@ -382,16 +395,13 @@ class PanelNodes:
         return self.mid.size * self.z.size
 
     def empty(self, dtype=float) -> np.ndarray:
-        """An uninitialized node-sized array, from the workspace if any."""
-        if self.work is None:
-            return np.empty(self.size, dtype)
-        return self.work.empty(self.size, dtype)
+        """An uninitialized node-sized array from scratch()."""
+        return scratch(self.size, dtype)
 
     def cis(self, f: float):
         """(cos(f x), sin(f x)) at the nodes, by angle addition: the real
-        and imaginary parts of one complex array from empty().  On a block
-        with a workspace, its buffer goes back to the workspace once the
-        caller has dropped both parts."""
+        and imaginary parts of one complex array from empty(), whose
+        buffer is idle again once the caller has dropped both parts."""
         panel, node = (np.cos(a) + 1j * np.sin(a) for a in (f * self.mid, f * self.half * self.z))
         phase = self.empty(complex).reshape(panel.size, node.size)
         np.multiply(panel[:, None], node, out=phase)
@@ -471,9 +481,7 @@ def dirichlet_pairs(m: int, ell: int, x, orders: int):
     The node-sized arrays come from block.empty(): sin s and cos s, and
     cos(Ms) and a product shared by the orders, then phi_M (which holds
     sin(Ms) until the quotient overwrites it) and phi_M' for each order.
-    On a block of a quadrature they are buffers of its BlockWorkspace, and
-    the pairs returned stay valid while the caller holds them; for an
-    array x, or a block without a workspace, they are fresh arrays.
+    The pairs returned stay valid while the caller holds them (scratch).
     """
     if m < 1 or ell < 1:
         raise ValueError(f"need m >= 1 and ell >= 1, got m={m}, ell={ell}")

@@ -13,16 +13,15 @@ degree, so the real FFT never meets an awkward length.  T and T' are
 read once on this grid, after the coefficients are scaled by a power of
 two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
 order=(0, 1), a single two-row real transform of N nodes whatever the
-sample.  It writes into a GridWorkspace of N-node arrays (T, T', the
-margins and masks of the zero-free pass below), which the trials of one
-grid size share when the caller passes one, as harness.run_experiment
-does; what depends on the degree and N alone (the twist, the powers
-j^k, the certificate's factors, the power table of the local stage) is
-built once and cached.  What depends on the
-sample is reduced once: its largest coefficient (PolySample.peak, which
-the sampler hands over from its draw) gives the finiteness and all-zero
-checks and the power of two of the scaling, and the zero-free clearance
-of the base grid, whose cells share one width, is one scalar.
+sample.  Its rows and the margins and masks of the zero-free pass below
+are trigpoly.scratch arrays, which the trials of one harness run reuse;
+what depends on the degree and N alone (the twist, the powers j^k, the
+certificate's factors, the power table of the local stage) is built
+once and cached.  What depends on the sample is reduced once: its
+largest coefficient (PolySample.peak, which the sampler hands over from
+its draw) gives the finiteness and all-zero checks and the power of two
+of the scaling, and the zero-free clearance of the base grid, whose
+cells share one width, is one scalar.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -139,6 +138,7 @@ from .trigpoly import (
     evaluate_on_grid,
     frequency_powers,
     reduce_periodic,
+    scratch,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -457,27 +457,6 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample,
     return count, brackets, decided
 
 
-class GridWorkspace:
-    """The N-node arrays of the grid route: T and T' (the rows of one
-    transform), the margins |T| and h |T'|/3 of the zero-free pass, and
-    its three masks.  A caller that counts many samples passes one to
-    count_zeros (one per thread), so that the trials of a grid size
-    overwrite the same arrays; a trial on another grid size builds them
-    anew.  Counts and roots do not depend on it, and no report shares its
-    memory."""
-
-    def __init__(self):
-        self.N = 0
-
-    def resize(self, N: int) -> GridWorkspace:
-        if N != self.N:
-            self.N = N
-            self.grid = np.empty((2, N))
-            self.margin = np.empty((2, N))
-            self.flags = np.empty((3, N), dtype=bool)
-        return self
-
-
 def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0: float,
                 want_roots: bool):
     """The hull and monotone tests of open cells of the base grid.
@@ -527,20 +506,19 @@ def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0:
     return int(np.count_nonzero(change)), brackets, (cells[rest], f_lo[rest], f_hi[rest])
 
 
-def _certified_count(unit: PolySample, ws: GridWorkspace, max_doublings: int,
-                     want_roots: bool, tol: float):
-    """(count, doublings, stable, roots) of the grid route on ws.N nodes.
+def _certified_count(unit: PolySample, N: int, max_doublings: int, want_roots: bool,
+                     tol: float):
+    """(count, doublings, stable, roots) of the grid route on N nodes.
 
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  The N-node arrays live in the workspace,
+    those of the sample itself.  The N-node arrays are scratch arrays,
     and every array returned is a copy.  The brackets of the roots are
     gathered only with want_roots.
     """
-    N = ws.N
-    grid = evaluate_on_grid(unit, N, GRID_OFFSET, order=(0, 1), out=ws.grid)
+    grid = evaluate_on_grid(unit, N, GRID_OFFSET, order=(0, 1))
     f = grid[0]
-    size, slack = np.abs(grid, out=ws.margin)
+    size, slack = np.abs(grid, out=scratch(2 * N).reshape(2, N))
     cert = _certificate(unit.a, unit.b, N, float(size.max()))
     h = TWO_PI / N
     clear0 = cert.grid_clearance(h)
@@ -549,7 +527,7 @@ def _certified_count(unit: PolySample, ws: GridWorkspace, max_doublings: int,
     # and only the others (open) take the full hull test
     slack *= h / 3.0
     size -= slack
-    unsure, neg, open_ = ws.flags
+    unsure, neg, open_ = scratch(3 * N, bool).reshape(3, N)
     np.signbit(f, out=neg)
     np.not_equal(neg[:-1], neg[1:], out=open_[:-1])
     open_[-1] = neg[-1] != neg[0]
@@ -732,8 +710,7 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
 
 
 def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-10,
-                want_roots: bool = False, max_doublings: int = 4,
-                workspace: GridWorkspace | None = None) -> ZeroCountReport:
+                want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
     Dispatch: samples whose split (PolySample.split) factors (r = 0,
@@ -751,11 +728,6 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     phase), and tol bounds the last step of each root; the deterministic
     zeros of the phase route are exact, and are listed only then (the
     count takes their number, split.deterministic_zeros = n + 1 - ell).
-
-    The grid route reads T and T' from one two-row transform into the
-    N-node arrays of workspace (a GridWorkspace, resized to the grid),
-    or of a workspace of its own when none is given; the report is the
-    same either way.
     """
     if grid_per_degree < 1:
         raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")
@@ -785,8 +757,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         )
     unit = sample.unit()
     N = smooth_size(max(256, grid_per_degree * n))
-    ws = (GridWorkspace() if workspace is None else workspace).resize(N)
-    count, doublings, stable, roots = _certified_count(unit, ws, max_doublings,
+    count, doublings, stable, roots = _certified_count(unit, N, max_doublings,
                                                        want_roots, tol)
     _enforce_ceiling(count, n, sample)
     return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings,

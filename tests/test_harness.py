@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import concurrent.futures
 import json
 import math
 
@@ -132,6 +133,35 @@ class TestSerialization:
         assert report_to_csv(serial) == report_to_csv(pooled)
         # the echoed config omits workers, so JSON matches too
         assert report_to_json(serial) == report_to_json(pooled)
+
+    @pytest.mark.parametrize("trials,workers,started", [(8, 16, 1), (20, 16, 3), (20, 2, 2)])
+    def test_pool_starts_no_process_without_a_chunk(self, monkeypatch, trials, workers,
+                                                    started):
+        """The pool asks for one process per chunk of _POOL_CHUNK trials at
+        most: 8 trials with 16 workers start 1.  A recording executor runs
+        map in this process, so none starts here, and the reports are the
+        bytes of a serial run."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        serial = run_experiment(_config(trials=trials))
+        pooled = run_experiment(_config(trials=trials, workers=workers))
+        assert sizes == [started]
+        assert report_to_csv(pooled) == report_to_csv(serial)
+        assert report_to_json(pooled) == report_to_json(serial)
 
 
 class TestConfigParsing:

@@ -1,5 +1,7 @@
 """Kac-Rice engine tests: closed forms vs literal sums, quadrature, limits."""
 
+import contextlib
+import contextvars
 import math
 import sys
 import tracemalloc
@@ -28,10 +30,11 @@ from trigzeros.kacrice import (
 from trigzeros.constants import limit_integrand_g, theoretical_mean
 from trigzeros.zeros import count_zeros
 from trigzeros.trigpoly import (
-    BlockWorkspace,
     dirichlet_pair,
     dirichlet_pairs,
     reduce_periodic,
+    scratch,
+    scratch_scope,
 )
 
 
@@ -299,6 +302,8 @@ class TestDiscriminantScreen:
         # NaN < 0 is False: a screen of d.min() < 0 alone would pass it
         "nan-beside-violation": ([np.nan, 1.0], [0.0, 2.0], [1.0, 1.0]),
         "empty": ([], [], []),
+        "two-dimensional": ([[1.0, 2.0], [3.0, 0.0]], [[0.5, 1.0], [-1.0, 0.0]],
+                            [[1.0, 4.0], [9.0, 5.0]]),
     }
 
     @staticmethod
@@ -323,25 +328,25 @@ class TestDiscriminantScreen:
             assert np.array_equal(old, new, equal_nan=True)
 
     @pytest.mark.parametrize("name", list(TRIPLES))
-    def test_on_a_workspace_equals_fresh_arrays(self, name):
-        """The same triple carrying a workspace whose buffers hold NaN from
+    def test_in_a_used_scope_equals_fresh_arrays(self, name):
+        """The same triple in a scratch scope whose buffers hold NaN from
         earlier use: equal values, or the same error message."""
         values = [np.array(v, dtype=float) for v in self.TRIPLES[name]]
-        work = _used_workspace(values[0].size)
-        got = self._outcome(AbcTriple.discriminant, AbcTriple(*values, work=work))
         want = self._outcome(AbcTriple.discriminant, AbcTriple(*values))
+        with scratch_scope():
+            _fill_pool_with_nan(values[0].size)
+            got = self._outcome(AbcTriple.discriminant, AbcTriple(*values))
         assert got[1] == want[1]
         assert (got[0] is None) == (want[0] is None)
         if want[0] is not None:
             assert np.array_equal(got[0], want[0], equal_nan=True)
 
 
-def _used_workspace(capacity):
-    """A BlockWorkspace of eight buffers, all released and holding NaN."""
-    work = BlockWorkspace(capacity)
-    for held in [work.empty(capacity) for _ in range(8)]:
+def _fill_pool_with_nan(size):
+    """Eight buffers of size doubles in the active scratch pool, all idle
+    and holding NaN."""
+    for held in [scratch(size) for _ in range(8)]:
         held.fill(np.nan)
-    return work
 
 
 class TestExactCount:
@@ -908,36 +913,49 @@ class TestNoLiteralSumsInProduction:
         assert _result_key(expected_zeros_quadrature(sample)) == want
 
 
-class TestWorkspaceBlocks:
-    """Every block of a quadrature carries the call's one BlockWorkspace;
-    on each block, while the quadrature runs and the workspace holds the
-    earlier blocks' arrays, the route's A, B, C and density equal those of
-    the same block without a workspace (np.array_equal)."""
+def _active_pool():
+    return trigpoly._SCRATCH.get()
+
+
+def _outside_any_scope(func, *args):
+    """func(*args) in an empty context, where scratch hands out fresh arrays."""
+    return contextvars.Context().run(func, *args)
+
+
+class TestScratchBlocks:
+    """Every block of a quadrature runs in the call's one scratch scope; on
+    each block, while the quadrature runs and the pool holds the earlier
+    blocks' buffers, the route's A, B, C and density equal those of the
+    same block outside any scope (np.array_equal)."""
 
     @pytest.mark.parametrize("kind,dep,ell,n", _BENCH_CASES)
     def test_equals_fresh_arrays(self, kind, dep, ell, n):
         sample = _sample(kind, dep, n, ell=ell, seed=7)
         route = _route(sample)[1]
-        works = []
+        pools = []
+
+        def fresh(block):
+            t = route(sample, block)
+            return t.A, t.B, t.C, t.integrand()
 
         def checked(sample, block):
             got = route(sample, block)
-            want = route(sample, PanelNodes(block.mid, block.half, block.z))
-            for g, w in zip((got.A, got.B, got.C, got.integrand()),
-                            (want.A, want.B, want.C, want.integrand())):
+            want = _outside_any_scope(fresh, block)
+            for g, w in zip((got.A, got.B, got.C, got.integrand()), want):
                 assert np.array_equal(g, w)
-            works.append(block.work)
+            pools.append(_active_pool())
             return got
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kacrice, route.__name__, checked)
             result = expected_zeros_quadrature(sample)
         assert _result_key(result) == _result_key(expected_zeros_quadrature(sample))
-        assert len(works) >= 2 and isinstance(works[0], BlockWorkspace)  # both passes
-        assert all(work is works[0] for work in works)
+        assert len(pools) >= 2 and pools[0] is not None  # both passes
+        assert all(pool is pools[0] for pool in pools)
+        assert _active_pool() is None  # released with the call
 
 
-class TestWorkspaceIsolation:
+class TestScratchIsolation:
     """Quadratures share no buffer: run one after another, inside one
     another or on several threads, each reproduces its own outcome, and
     arrays that a caller holds are never overwritten."""
@@ -950,13 +968,13 @@ class TestWorkspaceIsolation:
             want[id(a)], want[id(b)], want[id(a)]]
         # b's whole quadrature runs inside each route call of a's, between
         # a's triple and its density
-        works = {id(a): [], id(b): []}  # held, so no id is reused
+        pools = {id(a): [], id(b): []}  # held, so no id is reused
         nested = []
         routes = {name: getattr(kacrice, name) for name in ("abc_reduced", "abc_closed")}
 
         def recording(name):
             def call(sample, block):
-                works[id(sample)].append(block.work)
+                pools[id(sample)].append(_active_pool())
                 triple = routes[name](sample, block)
                 if sample is a:
                     nested.append(_result_key(expected_zeros_quadrature(b)))
@@ -969,7 +987,7 @@ class TestWorkspaceIsolation:
             outer = expected_zeros_quadrature(a)
         assert _result_key(outer) == want[id(a)]
         assert nested and set(nested) == {want[id(b)]}
-        per_call = [{id(work) for work in works[id(s)]} for s in (a, b)]
+        per_call = [{id(pool) for pool in pools[id(s)]} for s in (a, b)]
         assert len(per_call[0]) == 1 and len(per_call[1]) == len(nested)
         assert per_call[0].isdisjoint(per_call[1])
 
@@ -1008,26 +1026,28 @@ class TestWorkspaceIsolation:
             "cis": lambda x: list(PanelNodes.of(x).cis(40.5)),
         }
 
-    @pytest.mark.parametrize("on_workspace", [False, True])
-    def test_held_arrays_are_left_untouched(self, on_workspace):
-        """Arrays of a first call on plain points, or on a workspace block,
-        keep their values through a second call at other points, and share
-        no memory with its arrays."""
+    @pytest.mark.parametrize("in_scope", [False, True])
+    def test_held_arrays_are_left_untouched(self, in_scope):
+        """Arrays of a first call on plain points, or on a block in a used
+        scratch scope, keep their values through a second call at other
+        points, and share no memory with its arrays."""
         z = kacrice._legendre_rule(kacrice._NODES)[0]
         half = math.pi / 3200
         mids = [np.linspace(0.1, 3.0, 40), np.linspace(0.2, 3.1, 40)]
-        work = _used_workspace(mids[0].size * z.size)
-        if on_workspace:
-            points = [PanelNodes(mid, half, z, work) for mid in mids]
+        if in_scope:
+            points = [PanelNodes(mid, half, z) for mid in mids]
         else:
             points = [PanelNodes(mid, half, z).x for mid in mids]
-        for name, produce in self._producers().items():
-            first = produce(points[0])
-            kept = [a.copy() for a in first]
-            second = produce(points[1])
-            for held, value in zip(first, kept):
-                assert np.array_equal(held, value), name
-                assert not any(np.shares_memory(held, other) for other in second), name
+        with scratch_scope() if in_scope else contextlib.nullcontext():
+            if in_scope:
+                _fill_pool_with_nan(mids[0].size * z.size)
+            for name, produce in self._producers().items():
+                first = produce(points[0])
+                kept = [a.copy() for a in first]
+                second = produce(points[1])
+                for held, value in zip(first, kept):
+                    assert np.array_equal(held, value), name
+                    assert not any(np.shares_memory(held, other) for other in second), name
 
 
 _LD_PI = 4 * np.arctan(np.longdouble(1))
@@ -1245,8 +1265,7 @@ class TestPanelBlocks:
             blocks.append(block)
             return np.cos(block.x)
 
-        work = BlockWorkspace(kacrice._BLOCK_POINTS)
-        total, used = kacrice._integrate_panels(record, [(lo, hi)], panels, work)
+        total, used = kacrice._integrate_panels(record, [(lo, hi)], panels)
         xs, ws = composite_gauss_legendre(np.linspace(lo, hi, panels + 1), kacrice._NODES)
         assert used == panels
         assert total == pytest.approx(math.sin(hi) - math.sin(lo), rel=1e-14)

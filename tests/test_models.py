@@ -16,7 +16,7 @@ from trigzeros.models import (
     splitmix64,
     validate_model,
 )
-from trigzeros.zeros import GridWorkspace, count_zeros, deterministic_zero_set
+from trigzeros.zeros import count_zeros, deterministic_zero_set
 
 
 class TestDecomposeDegree:
@@ -393,9 +393,7 @@ class TestSplitOncePerTrial:
 
         monkeypatch.setattr(models.PeriodDecomposition, "__init__", counting)
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)
-        workspace = GridWorkspace()
-        for t in range(5):
-            harness._single_trial((model, n, mix64(25, n, t), 32, 4), workspace)
+        harness._trials([(model, n, mix64(25, n, t), 32, 4) for t in range(5)])
         assert len(calls) == 5
 
     @pytest.mark.parametrize("kind, dep, ell, n", CASES)

@@ -8,6 +8,7 @@ Oracles used here, all computed inside the tests themselves:
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from trigzeros.harness import ExperimentConfig, run_experiment
 from trigzeros.models import CoefficientModel, sample_coefficients
 from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
 from trigzeros.trigpoly import (
-    BlockWorkspace,
     PanelNodes,
     dirichlet_pair,
     dirichlet_pairs,
@@ -26,6 +26,8 @@ from trigzeros.trigpoly import (
     evaluate_on_grid,
     grid_nodes,
     reduce_periodic,
+    scratch,
+    scratch_scope,
 )
 
 
@@ -248,8 +250,8 @@ class TestTwoRowGrid:
     def test_rows_equal_single_order_calls(self, kind, sigma):
         """order=(0, 1) gives T and T' bit for bit as the two single-order
         calls do, signs of zero included: on grids with 2n < N and on folded
-        grids 2n >= N, at sigma 1, 1e200 and 1e-200, and with and without
-        out."""
+        grids 2n >= N, at sigma 1, 1e200 and 1e-200, outside any scratch
+        scope and inside one whose buffers hold NaN from earlier use."""
         n = 150
         s = sample_coefficients(CoefficientModel(kind=kind, dep="iid", sigma=sigma), n, seed=43)
         assert s.normalized[1] != 0  # the values are scaled back by 2^e
@@ -258,12 +260,12 @@ class TestTwoRowGrid:
                 single = np.stack([evaluate_on_grid(s, num, offset, order=k) for k in (0, 1)])
                 rows = evaluate_on_grid(s, num, offset, order=(0, 1))
                 assert rows.tobytes() == single.tobytes(), (num, offset)
-                out = np.full((2, num), np.nan)
-                assert evaluate_on_grid(s, num, offset, order=(0, 1), out=out) is out
-                assert out.tobytes() == single.tobytes(), (num, offset)
-                row = np.full(num, np.nan)
-                assert evaluate_on_grid(s, num, offset, order=1, out=row) is row
-                assert row.tobytes() == single[1].tobytes(), (num, offset)
+                with scratch_scope():
+                    for held in [scratch(2 * num) for _ in range(3)]:
+                        held.fill(np.nan)
+                    rows = evaluate_on_grid(s, num, offset, order=(0, 1))
+                    pooled = [evaluate_on_grid(s, num, offset, order=k) for k in (0, 1)]
+                    assert rows.tobytes() == np.stack(pooled).tobytes() == single.tobytes()
 
 
 def uncached_grid(sample, num_nodes, offset, order):
@@ -566,47 +568,94 @@ def _address(a):
     return a.__array_interface__["data"][0]
 
 
-class TestBlockWorkspace:
-    """A workspace buffer is handed out again only once no array refers to
-    it; a block's arrays come from its workspace, and a block without one
-    hands out fresh arrays."""
+def _pool():
+    """The buffers of the active scratch scope's pool (sentinel left out)."""
+    return trigpoly._SCRATCH.get()[1:]
+
+
+class TestScratch:
+    """A pool buffer is handed out again only once no array refers to it;
+    outside a scope every array is fresh, and a nested scope has a pool of
+    its own."""
 
     def test_buffer_returns_when_its_last_view_is_gone(self):
-        work = BlockWorkspace(8)
-        a, b = work.empty(5), work.empty(8)
-        assert a.shape == (5,) and b.shape == (8,)
-        assert not np.shares_memory(a, b)
-        first = _address(a)
-        view = a[1:3]
-        del a
-        c = work.empty(8)  # the view keeps a's buffer
-        assert not np.shares_memory(c, view) and not np.shares_memory(c, b)
-        del view, c
-        assert _address(work.empty(4)) == first
+        with scratch_scope():
+            a, b = scratch(5), scratch(8)
+            assert a.shape == (5,) and b.shape == (8,)
+            assert not np.shares_memory(a, b)
+            first = _address(a)
+            view = a[1:3]
+            del a
+            c = scratch(5)  # the view keeps a's buffer
+            assert not np.shares_memory(c, view) and not np.shares_memory(c, b)
+            del view, c
+            assert _address(scratch(4)) == first
 
     def test_complex_parts_keep_their_buffer(self):
-        work = BlockWorkspace(6)
-        phase = work.empty(6, complex)
-        first = _address(phase)
-        real = phase.real
-        del phase
-        other = work.empty(6, complex)
-        assert not np.shares_memory(real, other)
-        floats = work.empty(6)
-        assert floats.dtype == np.float64 and not np.shares_memory(floats, other)
-        del real
-        again = work.empty(3, complex)
-        assert again.dtype == np.complex128 and _address(again) == first
+        with scratch_scope():
+            phase = scratch(6, complex)
+            first = _address(phase)
+            real = phase.real
+            del phase
+            other = scratch(6, complex)
+            assert not np.shares_memory(real, other)
+            floats = scratch(6)
+            assert floats.dtype == np.float64 and not np.shares_memory(floats, other)
+            del real
+            again = scratch(3, complex)
+            assert again.dtype == np.complex128 and _address(again) == first
 
-    def test_block_arrays_come_from_its_workspace(self):
-        mid, z = np.array([0.5, 1.5]), np.array([-0.5, 0.5])
-        work = BlockWorkspace(4)
-        held = PanelNodes(mid, 0.25, z, work).empty()
-        cos, sin = PanelNodes(mid, 0.25, z, work).cis(3.0)
-        assert held.shape == cos.shape == (4,)
-        assert not np.shares_memory(held, cos)
-        bare = PanelNodes(mid, 0.25, z)
-        assert np.array_equal(bare.cis(3.0)[0], cos) and np.array_equal(bare.cis(3.0)[1], sin)
+    def test_idle_buffer_too_small_is_replaced(self):
+        """A request larger than the idle buffer replaces it, so the pool
+        keeps one buffer, of the larger size."""
+        with scratch_scope():
+            scratch(4)  # dropped at once: idle
+            assert [buf.size for buf in _pool()] == [4]
+            big = scratch(9)
+            assert big.size == 9 and [buf.size for buf in _pool()] == [9]
+
+    def test_outside_a_scope_every_array_is_fresh(self):
+        assert trigpoly._SCRATCH.get() is None
+        a = scratch(5)
+        assert a.base is None and a.flags.owndata
+        with scratch_scope():
+            pass
+        b = scratch(5, complex)
+        assert b.base is None and b.dtype == np.complex128
+
+    def test_nested_scope_restores_the_outer_pool(self):
+        with scratch_scope():
+            outer = _address(scratch(6))
+            pool = trigpoly._SCRATCH.get()
+            with scratch_scope():
+                inner = scratch(6)
+                assert trigpoly._SCRATCH.get() is not pool
+                assert _address(inner) != outer
+            assert trigpoly._SCRATCH.get() is pool
+            assert _address(scratch(6)) == outer
+
+    def test_a_thread_starts_outside_any_scope(self):
+        seen = []
+        with scratch_scope():
+            thread = threading.Thread(target=lambda: seen.append(trigpoly._SCRATCH.get()))
+            thread.start()
+            thread.join()
+        assert seen == [None]
+
+    def test_block_arrays_equal_fresh_arrays(self):
+        """A block's arrays come from the pool in a scope, share no memory
+        with an array held there, and equal those of a block outside one."""
+        block = PanelNodes(np.array([0.5, 1.5]), 0.25, np.array([-0.5, 0.5]))
+        fresh = block.cis(3.0)
+        with scratch_scope():
+            for held in [scratch(4, complex) for _ in range(2)]:
+                held.fill(np.nan)
+            held = block.empty()
+            cos, sin = block.cis(3.0)
+            assert held.shape == cos.shape == (4,)
+            assert not np.shares_memory(held, cos)
+            assert any(np.shares_memory(cos, buf) for buf in _pool())
+            assert np.array_equal(fresh[0], cos) and np.array_equal(fresh[1], sin)
 
 
 class TestTrigSums:

@@ -12,16 +12,17 @@ from trigzeros.models import (
     mix64,
     sample_coefficients,
 )
+from trigzeros import trigpoly
 from trigzeros.trigpoly import (
     evaluate,
     evaluate_jet,
     evaluate_on_grid,
     grid_nodes,
     reduce_periodic,
+    scratch_scope,
 )
 from trigzeros.zeros import (
     GRID_OFFSET,
-    GridWorkspace,
     ZeroCountReport,
     _certificate,
     _hull_sides,
@@ -675,9 +676,9 @@ class TestCertificate:
         calls = []
         original = zeros_module.evaluate_on_grid
 
-        def spy(sample, num_nodes, offset=0.5, order=0, out=None):
+        def spy(sample, num_nodes, offset=0.5, order=0):
             calls.append((num_nodes, order))
-            return original(sample, num_nodes, offset, order=order, out=out)
+            return original(sample, num_nodes, offset, order=order)
 
         monkeypatch.setattr(zeros_module, "evaluate_on_grid", spy)
         s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=5)
@@ -775,58 +776,77 @@ def _report_key(rep):
     return rep.count, rep.grid_size, rep.doublings_used, rep.stable, rep.pieces, roots
 
 
-class TestWorkspace:
+def _pool():
+    """The buffers of the active scratch scope's pool (sentinel left out)."""
+    return trigpoly._SCRATCH.get()[1:]
+
+
+class TestScratchTrials:
     def test_interleaved_degrees_equal_fresh_calls(self):
-        """Trials that share one workspace while alternating between two
-        grid sizes, with and without roots, report exactly what calls with
-        a workspace of their own report."""
+        """Trials that share one scratch scope while alternating between two
+        grid sizes, with and without roots, report exactly what trials
+        outside any scope report."""
         iid = CoefficientModel(kind="trig", dep="iid")
         periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
         samples = []
         for t in range(6):
             samples += [sample_coefficients(iid, 199, seed=t),
                         sample_coefficients(periodic, 400, seed=t)]
-        workspace = GridWorkspace()
         for want_roots in (False, True):
             fresh = [_report_key(count_zeros(s, want_roots=want_roots)) for s in samples]
-            shared = [_report_key(count_zeros(s, want_roots=want_roots, workspace=workspace))
-                      for s in samples]
+            with scratch_scope():
+                shared = [_report_key(count_zeros(s, want_roots=want_roots)) for s in samples]
             assert shared == fresh
 
-    def test_reports_share_no_memory_with_the_workspace(self):
-        """A workspace keeps its arrays for the next trial of its grid size,
-        and no report shares its memory."""
+    def test_reports_share_no_memory_with_the_pool(self):
+        """The pool keeps its buffers for the next trial of a grid size,
+        and no report shares their memory."""
         model = CoefficientModel(kind="trig", dep="periodic", ell=3)
-        workspace = GridWorkspace()
-        rep = count_zeros(sample_coefficients(model, 400, seed=1), want_roots=True,
-                          workspace=workspace)
-        arrays = (workspace.grid, workspace.margin, workspace.flags)
-        assert workspace.N == rep.grid_size
-        for array in arrays:
-            assert not np.shares_memory(rep.roots, array)
-        count_zeros(sample_coefficients(model, 400, seed=2), workspace=workspace)
-        assert all(a is b for a, b in zip(arrays, (workspace.grid, workspace.margin,
-                                                   workspace.flags)))
+        with scratch_scope():
+            rep = count_zeros(sample_coefficients(model, 400, seed=1), want_roots=True)
+            assert rep.grid_size > 0 and rep.roots.size
+            assert not any(np.shares_memory(rep.roots, buf) for buf in _pool())
+            buffers = [id(buf) for buf in _pool()]  # ids only: a held buffer is never idle
+            count_zeros(sample_coefficients(model, 400, seed=2))
+            assert buffers and [id(buf) for buf in _pool()] == buffers
+
+    def test_pool_holds_what_one_trial_holds_at_once(self):
+        """After trials on two grid sizes, up and down, the pool holds as
+        many buffers as one trial (T and T', their margins, the masks),
+        each of the larger grid's size: a buffer too small is replaced,
+        not kept beside, so memory stays linear in n."""
+        model = CoefficientModel(kind="trig", dep="iid")
+        with scratch_scope():
+            count_zeros(sample_coefficients(model, 199, seed=0))
+            one_trial = len(_pool())
+        with scratch_scope():
+            for t in range(3):
+                for n in (199, 499, 199):
+                    N = count_zeros(sample_coefficients(model, n, seed=t)).grid_size
+            assert N == 6400
+            assert len(_pool()) == one_trial == 3
+            assert sorted(buf.nbytes for buf in _pool()) == [3 * 16000, 16 * 16000, 16 * 16000]
 
     def test_warm_trials_allocate_no_grid(self):
         """Under tracemalloc, warm grid-route trials at n = 1999 (N = 64000)
-        allocate no N-node grid: the median peak of nine trials stays below
-        7 N bytes and every peak below 8 N, the size of one N-node array of
-        doubles, against about 34 N when T and T' and their margins are
-        allocated per trial.  The rest of the peak is the arrays of the
-        hull and monotone tests of about 3900 open cells."""
+        in one scratch scope allocate no N-node grid: the median peak of
+        nine trials stays below 7 N bytes and every peak below 8 N, the
+        size of one N-node array of doubles, against about 34 N when T and
+        T' and their margins are allocated per trial.  The rest of the
+        peak is the arrays of the hull and monotone tests of about 3900
+        open cells."""
         model = CoefficientModel(kind="trig", dep="iid")
-        workspace = GridWorkspace()
-        count_zeros(sample_coefficients(model, 1999, seed=0), workspace=workspace)
         peaks = []
-        for t in range(1, 10):
-            s = sample_coefficients(model, 1999, seed=t)
-            tracemalloc.start()
-            try:
-                assert count_zeros(s, workspace=workspace).grid_size == 64000
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        with scratch_scope():
+            count_zeros(sample_coefficients(model, 1999, seed=0))
+            for t in range(1, 10):
+                s = sample_coefficients(model, 1999, seed=t)
+                tracemalloc.start()
+                try:
+                    assert count_zeros(s).grid_size == 64000
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
         assert np.median(peaks) < 7 * 64000 and max(peaks) < 8 * 64000, peaks
 
 
