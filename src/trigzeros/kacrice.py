@@ -208,8 +208,9 @@ def _basis_functions(sample: PolySample, x: np.ndarray):
 def abc_direct(sample: PolySample, x) -> AbcTriple:
     """Literal O(n)-per-point sums over the directions of _basis_functions,
     the oracle of the tests, in chunks of _DIRECT_CHUNK_BUDGET // (n+1)
-    points: every basis array is O(chunk * n), and chunking changes no value."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    points: every basis array is O(chunk * n), and chunking changes no value.
+    The points are ravelled, as abc_closed and abc_reduced ravel theirs."""
+    x = np.asarray(x, dtype=float).ravel()
     A, B, C = np.empty((3,) + x.shape)
     chunk = max(1, _DIRECT_CHUNK_BUDGET // (sample.n + 1))
     for lo in range(0, x.size, chunk):

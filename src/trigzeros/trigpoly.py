@@ -31,9 +31,11 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  scratch() array.  The i.i.d. and
                                  r != 0 counting routes certify their
                                  counts from T and T' on one grid, one
-                                 order=(0, 1) call; the r = 0 route
-                                 counts T* from its carrier phase
-                                 (zeros.carrier_phase) without a grid.
+                                 order=(0, 1) call (of half the grid's
+                                 nodes for an even, cosine, sample);
+                                 the r = 0 route counts T* from its
+                                 carrier phase (zeros.carrier_phase)
+                                 without a grid.
 
 Scratch arrays
 --------------

@@ -6,29 +6,52 @@ Grid route (i.i.d., r != 0 and m = 1)
 -------------------------------------
 The circle is cut into the N cells [x_i, x_{i+1}] of the uniform open
 grid x_i = 2 pi (i + g)/N, wrap cell (x_{N-1}, x_0 + 2 pi) included,
-with g = GRID_OFFSET the golden section.
+with g = GRID_OFFSET the golden section and h = 2 pi/N.
 N = smooth_size(max(256, grid_per_degree * n)) is the smallest 5-smooth
 size (no prime factor above 5) with at least grid_per_degree nodes per
 degree, so the real FFT never meets an awkward length.  T and T' are
 read once on this grid, after the coefficients are scaled by a power of
 two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
-order=(0, 1), a single two-row real transform of N nodes whatever the
-sample.  Its rows and the margins and masks of the zero-free pass below
-are trigpoly.scratch arrays, which the trials of one harness run reuse;
-what depends on the degree and N alone (the twist, the powers j^k, the
-certificate's factors, the power table of the local stage) is built
-once and cached.  What depends on the sample is reduced once: its
-largest coefficient (PolySample.peak, which the sampler hands over from
-its draw) gives the finiteness and all-zero checks and the power of two
-of the scaling, and the zero-free clearance of the base grid, whose
-cells share one width, is one scalar.
+order=(0, 1), a single two-row real transform of N nodes.
+
+A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
+half circle instead.  N is then the smallest 5-smooth multiple of 4 at or
+above the same bound, and the transform has N/2 nodes, offset g/2: the
+even nodes (2k + g) h of the grid above.  Their mirror images
+(2k + 2 - g) h, where T is equal and T' negated, are nodes too, so on
+[-g h, pi + g h] nodes and mirror images alternate and the cells
+alternate between the widths 2 g h and 2 (1 - g) h.  Every cell counts
+for itself and its mirror image on (pi, 2 pi), but the two centred on 0
+and pi are their own mirror images and count once.  The node set
+is symmetric, and every node is an irrational multiple of h; the cell
+midpoints are the rational 2 pi k/N, so the local stage below splits
+these cells at the golden fraction lo + g (hi - lo) (no split point of
+ten levels is rational in exact arithmetic over Q(g)), where the whole
+circle splits at midpoints.  The layout (_Layout) holds the node
+positions, cell widths, weights and split fraction of both as data, for
+one certificate; on the half circle T and T' are copied once per trial
+into the sequence of nodes along [-g h, pi + g h], so every test after
+the transform reads one sequence of nodes on both layouts.  Where a
+bound below takes one width for all cells it takes the widest, w_max (h
+on the whole circle, 2 g h on the half): each grows with the width.
+
+The transform's rows and the margins and masks of the zero-free pass
+below are trigpoly.scratch arrays, which the trials of one harness run
+reuse; what depends on the degree and N alone (the twist, the powers
+j^k, the certificate's factors, the power table of the local stage, the
+layout) is built once and cached.  What depends on the sample is reduced
+once: its largest coefficient (PolySample.peak, which the sampler hands
+over from its draw) gives the finiteness and all-zero checks and the
+power of two of the scaling, and the zero-free clearance of the base
+grid, taken at w_max, is one scalar.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
 
   M >= max |T|, the smaller of sum_j |c_j| and (max_i |T(x_i)| +
-      delta_0)/(1 - (nh)^2/8) with h = 2 pi/N (at the maximizer T' = 0,
-      and a node lies within h/2 of it);
+      delta_0)/(1 - (n w_max)^2/8) with w_max the widest cell, h on the
+      whole circle (at the maximizer T' = 0, and a node lies within
+      w_max/2 of it);
   Bernstein's inequality max |T^(k)| <= n^k M;
   the cubic Hermite interpolant p_k of T^(k) from its values and slopes
       at the cell ends, which misses T^(k) by at most w^4 n^(k+4) M/384
@@ -43,24 +66,27 @@ undecided.  The proof rests on
 A cell holds no zero when the control points of p_0 clear
 w^4 n^4 M/384 plus rounding with one sign.  On the base grid it holds
 exactly its change of sign bit when those of p_0' clear
-sqrt(3)/216 w^3 n^4 M plus rounding, so that T is monotone; a node value
-within rounding of 0 between two monotone cells may move a zero to the
-neighbouring cell but not change the total.  This leaves a few cells
-per trial beside close zero pairs, more on periodic samples, whose M
-the lattice spike sets.  Those are bisected locally, at most
-max_doublings times, with T', T'' and the third derivative summed
-pointwise through the two-level power table of trigpoly.evaluate_jet,
-and T too except at the grid nodes, which keep their grid values so
-that each node has one sign.  A sub-cell is certified only with both
-end values beyond rounding: as zero-free by the test above, as
-monotone where the control points of p_1 clear w^4 n^5 M/384, or, where
-those of p_2 clear w^4 n^6 M/384, as convex or concave: with a sign
-change it holds one zero, and with none it holds 0 or 2, which the
-value and tangent of T at the secant estimate of its critical point
-decide.  The rounding bounds are
+sqrt(3)/216 w^3 n^4 M plus rounding, so that T is monotone (the
+clearances taken at the larger of the layout's two widths, the middle
+control point at each cell's own); a node value within rounding of 0
+between two monotone cells may move a zero to the neighbouring cell but
+not change the total.  This leaves a few cells per trial beside close
+zero pairs, more on periodic samples, whose M the lattice spike sets.
+Those are split locally, at most max_doublings times, with T', T'' and
+the third derivative summed pointwise through the two-level power table
+of trigpoly.evaluate_jet, and T too except at the grid nodes, which keep
+their grid values so that each node has one sign.  A sub-cell is
+certified only with both end values beyond rounding: as zero-free by the
+test above, as monotone where the control points of p_1 clear
+w^4 n^5 M/384, or, where those of p_2 clear w^4 n^6 M/384, as convex or
+concave: with a sign change it holds one zero, and with none it holds 0
+or 2, which the value and tangent of T at the secant estimate of its
+critical point decide.  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
-      for grid values (the transform, normwise, plus the float nodes);
+      for grid values (the transform, normwise, plus the float nodes;
+      the whole circle's N bounds the half circle's N/2-node transform
+      too);
   delta_k = 10 u (n+1) sum_j j^k (|a_j| + |b_j|)
       for pointwise values (evaluate_jet), and at least the grid bound,
 
@@ -79,7 +105,7 @@ add sqrt(2) (B + 4P + 3) u.  The magnitudes binom(k, i) (B p)^(k-i) q^i
 sum to j^k with no cancellation, so every error is relative to
 sum_j j^k |c_j|, and T^(k) is off by at most
 u sum_j j^k |c_j| (j |x| + sqrt(2) (B + 4P) + 15).  Every point the grid
-route evaluates lies in [0, 2 pi (1 + g/N)], so |x| < 6.3, and
+route evaluates lies in [-2 pi g/N, 2 pi (1 + g/N)], so |x| < 6.3, and
 B + 4P <= 5 sqrt(n+1) + 5; the sum is then below the pointwise delta_k
 for n >= 10, and below the grid bound (N >= 256) for n <= 9.
 
@@ -90,7 +116,10 @@ Roots are refined inside the certified brackets by safeguarded Newton
 on T and T' (evaluate_jet), starting from the end values that the
 certificate already read: the cell of a single zero, or the two halves
 of a two-zero cell split where T has the sign opposite to its ends; a
-grid node whose value is within rounding of 0 is itself the root.
+grid node whose value is within rounding of 0 is itself the root.  On
+the half circle a root x of a cell that counts twice brings its mirror
+image 2 pi - x; the cells about 0 and pi find their symmetric pairs
+themselves.
 
 Phase route (periodic, r = 0, m >= 2)
 -------------------------------------
@@ -155,7 +184,13 @@ BREAKPOINT_CUT = 1e-6
 # (periodic cosine with r != 0, rigged tones) have deterministic zeros at
 # rational multiples of 2 pi; a half-cell offset puts nodes and bisection
 # midpoints (2 pi k/N) on such points, where no sign is certain, and the
-# golden section keeps every node and midpoint off them
+# golden section keeps every node and midpoint off them.  The half circle
+# of an even T needs a node set symmetric under x -> 2 pi - x: the even
+# nodes and their mirror images, 2 pi (2k -+ GRID_OFFSET)/N, stay
+# irrational, but their cells are centred on the rational 2 pi k/N, so
+# the local stage splits those at the golden fraction GRID_OFFSET of the
+# width (the symmetric uniform grid, offset 1/2, would put its nodes on
+# 2 pi (k + 1/2)/N and its midpoints on 2 pi k/N)
 GRID_OFFSET = (np.sqrt(5.0) - 1.0) / 2.0
 
 # grid route: the unit roundoff and the constants of the rounding bounds
@@ -181,11 +216,15 @@ class ZeroCountReport:
 
     count           zeros attributed to (0, 2 pi); the certified count
                     when stable
-    grid_size       grid route: nodes of the base grid, the only one
-                    transformed; phase route: 0
-    doublings_used  grid route: the deepest local halving of an
-                    undecided cell (0 when no cell needed one); phase
-                    route: 0
+    grid_size       grid route: nodes N of the base grid on the whole
+                    circle, the only grid; a cosine sample's transform
+                    reads N/2 of them, and their mirror images are the
+                    rest; phase route: 0
+    doublings_used  grid route: the deepest local split of an
+                    undecided cell (0 when no cell needed one): a
+                    halving on the whole circle, a golden split on the
+                    half circle, which shrinks the widest piece by
+                    g = 0.618 only; phase route: 0
     stable          grid route: every cell certified (no zero, exactly
                     its sign change, or 0 or 2 in a convex or concave
                     sub-cell), so the count is proved up to the stated
@@ -308,6 +347,140 @@ def _hull_sides(v0, d0, v1, d1, w3, clearance):
 
 
 @dataclass(frozen=True)
+class _Layout:
+    """Where the cells of the grid route lie, as data.
+
+    The transform reads T and T' at the columns 2 pi (i + offset)/columns,
+    i < columns.  The cells run along a sequence of nodes: node k lies at
+    h (k + offsets[k mod p]), h = 2 pi/size and p = len(offsets).  On the
+    whole circle the sequence is the columns themselves, and a last cell
+    wraps from the last node to node 0.  On the half circle (mirror) node
+    2j + 1 is column j and node 2j the mirror image of column -j mod
+    columns, for j <= columns/2, and no cell wraps.  Cell k spans the
+    nodes k and k + 1, has width h widths[k mod p] and stands for weight
+    cells of the circle, but the first and last cells of the half circle
+    stand for one.  The local stage splits a cell at the fraction split of
+    its width.
+    """
+
+    size: int
+    columns: int
+    offset: float
+    offsets: np.ndarray
+    widths: tuple
+    split: float
+    mirror: bool = False
+
+    @functools.cached_property
+    def h(self) -> float:
+        return TWO_PI / self.size
+
+    @functools.cached_property
+    def gap(self) -> float:
+        """The widest cell, in units of h."""
+        return max(self.widths)
+
+    @property
+    def weight(self) -> int:
+        return 2 if self.mirror else 1
+
+    @functools.cached_property
+    def cell_count(self) -> int:
+        return self.columns + 1 if self.mirror else self.columns
+
+    @functools.cached_property
+    def width_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w/3, 3/w) for the widths w = h widths[i]; cell k takes entry
+        k mod p, p = len(widths) = 1 or 2, that is k & (p - 1)."""
+        w = self.h * np.array(self.widths)
+        return _read_only(w / 3.0), _read_only(3.0 / w)
+
+    def positions(self, k: np.ndarray) -> np.ndarray:
+        """The abscissae of the sequence nodes k."""
+        return self.h * (k + self.offsets[k % self.offsets.size])
+
+    def sequence(self, grid: np.ndarray) -> np.ndarray:
+        """T and T' (rows) at the sequence nodes, from their values at the
+        columns: the grid itself on the whole circle, else a scratch array
+        whose even nodes, mirror images, have T' negated."""
+        if not self.mirror:
+            return grid
+        K = self.columns // 2
+        seq = scratch(2 * (self.columns + 2)).reshape(2, -1)
+        seq[:, 1::2] = grid[:, :K + 1]
+        mirrored = seq[:, ::2]
+        mirrored[:, 0] = grid[:, 0]
+        mirrored[:, 1:] = grid[:, :K - 1:-1]
+        np.negative(mirrored[1], out=mirrored[1])
+        return seq
+
+    def parts(self, cells: np.ndarray):
+        """[(the cells of one weight, as a mask or a slice, their weight)]."""
+        if self.mirror:
+            own = (cells == 0) | (cells == self.cell_count - 1)  # about 0 and pi
+            if own.any():
+                return [(~own, self.weight), (own, 1)]
+        return [(slice(None), self.weight)]
+
+
+def _screen(f: np.ndarray, margin: np.ndarray, clear0: float, cells: int) -> np.ndarray:
+    """The open cells of a sequence of f.size nodes: all but those whose two
+    end nodes both have margin > clear0 and one sign of f.  Cell k spans the
+    nodes k and k + 1; with cells = f.size the last wraps to node 0."""
+    S = f.size
+    flags = scratch(2 * S + cells, bool)
+    unsure, neg = flags[:2 * S].reshape(2, S)
+    np.signbit(f, out=neg)
+    np.greater(margin, clear0, out=unsure)
+    np.logical_not(unsure, out=unsure)
+    open_ = flags[2 * S:]
+    inner = open_[:S - 1]
+    np.not_equal(neg[:-1], neg[1:], out=inner)
+    inner |= unsure[:-1]
+    inner |= unsure[1:]
+    if cells == S:  # the wrap cell
+        open_[-1] = (neg[-1] != neg[0]) | unsure[-1] | unsure[0]
+    return open_.nonzero()[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_layout(N: int, mirror: bool) -> _Layout:
+    """The layout of the grid route on N nodes of the circle.
+
+    mirror False: the N columns (i + g) h themselves, h = 2 pi/N, cells of
+    one width h split at their midpoints.  mirror True (an even T, N a
+    multiple of 4): the N/2 columns (2i + g) h, and for each its mirror
+    image 2 pi - (2i + g) h, where T is equal and T' negated.  On
+    [-g h, pi + g h] the sequence alternates mirror image and column,
+    -g h, g h, (2 - g) h, (2 + g) h, ..., pi - g h, pi + g h, so the cell
+    widths alternate between 2 g h and 2 (1 - g) h, and the cells about 0
+    and pi are their own mirror images; every other cell stands for
+    itself and its mirror image.  The cells' midpoints 2 pi k/N are
+    rational, and the local stage splits them at the golden point instead.
+    """
+    g = GRID_OFFSET
+    if not mirror:
+        return _Layout(N, N, g, _read_only([g]), (1.0,), 0.5)
+    # node 2j lies at (2j - g) h and node 2j + 1 at (2j + 1 + (g - 1)) h,
+    # which rounds as (2j + g) h does: g - 1 is exact
+    return _Layout(N, N // 2, g / 2.0, _read_only([-g, g - 1.0]), (2.0 * g, 2.0 * (1.0 - g)), g,
+                   True)
+
+
+def _read_only(values) -> np.ndarray:
+    table = np.asarray(values)
+    table.flags.writeable = False
+    return table
+
+
+def _grid_size(n: int, grid_per_degree: int, mirror: bool) -> int:
+    """smooth_size(max(256, grid_per_degree * n)); for a mirrored layout
+    the smallest 5-smooth multiple of 4 that is at least as large."""
+    least = max(256, grid_per_degree * n)
+    return 4 * smooth_size(-(-least // 4)) if mirror else smooth_size(least)
+
+
+@dataclass(frozen=True)
 class _Certificate:
     """The bounds of the cell tests for one sample of degree n.
 
@@ -337,12 +510,11 @@ class _Certificate:
         values and slopes."""
         return w ** 4 * self._interp_rows + delta[:3, None] + (w / 3.0) * delta[1:4, None]
 
-    def grid_clearance(self, h: float) -> float:
-        """Row T of clearances(h, delta_grid) for the one width h of the
-        base grid's cells, as a scalar: the same operations in the same
-        order, so the same bits."""
+    def grid_clearance(self, w: float) -> float:
+        """Row T of clearances(w, delta_grid) for one width w, as a scalar:
+        the same operations in the same order, so the same bits."""
         delta = self.delta_grid
-        return h ** 4 * self._interp(0) + delta[0] + (h / 3.0) * delta[1]
+        return w ** 4 * self._interp(0) + delta[0] + (w / 3.0) * delta[1]
 
     def slope_clearance(self, w: float, delta) -> tuple[float, float]:
         """What the control points of p' must clear, p the cubic Hermite
@@ -359,21 +531,24 @@ class _Certificate:
 
 
 @functools.lru_cache(maxsize=32)
-def _certificate_factors(n: int, N: int):
-    """What _certificate's bounds take from the degree and the grid size
-    alone: (j^k for k <= 3, the transform's 8 u log2(N) sqrt(N), the
-    nodes' 16 u n^(k+1), the power table's 10 u (n+1), (n h)^2)."""
+def _certificate_factors(n: int, N: int, gap: float):
+    """What _certificate's bounds take from the degree, the grid size and
+    the widest node gap alone: (j^k for k <= 3, the transform's
+    8 u log2(N) sqrt(N), the nodes' 16 u n^(k+1), the power table's
+    10 u (n+1), (n gap 2 pi/N)^2)."""
     node_factors = 16.0 * _U * float(n) ** np.arange(1, 5)
     node_factors.flags.writeable = False
     return (frequency_powers(n, 3), _FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N),
-            node_factors, _SUM_ROUNDING * _U * (n + 1), (n * TWO_PI / N) ** 2)
+            node_factors, _SUM_ROUNDING * _U * (n + 1), (n * TWO_PI * gap / N) ** 2)
 
 
-def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Certificate:
-    """Bounds for the coefficients a, b (largest entry O(1)) on the N-node
-    grid whose largest |T| value is grid_max."""
+def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float,
+                 gap: float) -> _Certificate:
+    """Bounds for the coefficients a, b (largest entry O(1)) on a grid of
+    N nodes of the circle, gap 2 pi/N apart at most, whose largest |T|
+    value is grid_max."""
     n = a.size - 1
-    powers, fft_factor, node_factors, sum_factor, nh2 = _certificate_factors(n, N)
+    powers, fft_factor, node_factors, sum_factor, nh2 = _certificate_factors(n, N, gap)
     mag = np.hypot(a, b)
     total = float(mag.sum())
     # the transform, normwise (N. J. Higham, Accuracy and Stability of
@@ -390,8 +565,8 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float) -> _Cert
     delta_point = np.maximum(sum_factor * (powers @ absolute), delta_grid)
     bound = total
     if nh2 < 8.0:
-        # at the maximizer T' = 0 and a node lies within h/2, so
-        # max |T| <= grid max + (h/2)^2/2 * n^2 max |T|
+        # at the maximizer T' = 0 and a node lies within half a gap, so
+        # max |T| <= grid max + (gap h/2)^2/2 * n^2 max |T|
         bound = min(bound, (grid_max + delta_grid[0]) / (1.0 - nh2 / 8.0))
     return _Certificate(n, bound, delta_grid, delta_point)
 
@@ -457,24 +632,23 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample,
     return count, brackets, decided
 
 
-def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0: float,
-                want_roots: bool):
-    """The hull and monotone tests of open cells of the base grid.
+def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Certificate,
+                clear0: float, want_roots: bool):
+    """The hull and monotone tests of open cells of the layout.
 
-    grid holds T and T' at the N nodes; cell i spans the nodes i and
-    i + 1 (mod N).  Returns (count, brackets, rest): the sign changes of
-    the monotone cells, their root brackets (only with want_roots), and
-    (cells, T(lo), T(hi)) of the cells that passed neither test.  Its
-    arrays of all open cells are freed when it returns, before the local
-    stage allocates its own.
+    seq holds T and T' at the layout's sequence nodes (_Layout.sequence).
+    Returns (count, brackets, rest): the sign changes of the monotone
+    cells, their root brackets (only with want_roots), and (cells, T(lo),
+    T(hi)) of the cells that passed neither test.  Its arrays of all open
+    cells are freed when it returns, before the local stage allocates its
+    own.
     """
-    N = grid.shape[1]
-    h = TWO_PI / N
     delta = cert.delta_grid
-    nxt = cells + 1
-    nxt[-1:] %= N
-    (f_lo, s0), (f_hi, s1) = grid.take(cells, axis=1), grid.take(nxt, axis=1)
-    above, below = _hull_sides(f_lo, s0, f_hi, s1, h / 3.0, clear0)
+    # mode="wrap" ends the whole circle's wrap cell at node 0
+    (f_lo, s0), (f_hi, s1) = seq.take(cells, axis=1), seq.take(cells + 1, axis=1, mode="wrap")
+    thirds, inverse = layout.width_tables
+    entry = cells & (thirds.size - 1)
+    above, below = _hull_sides(f_lo, s0, f_hi, s1, thirds[entry], clear0)
     zero_free = above | below
     # T is monotone where the control points of p' clear their bound with
     # one sign.  A monotone cell counts its computed sign change: along a
@@ -482,10 +656,14 @@ def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0:
     # node value within rounding of 0, and a run ends at nodes whose sign
     # is certain (zero-free cells) or at a cell that stays undecided (the
     # local tests demand certain end signs).  Zero-free cells take the
-    # test too, but their outcome is not used
-    clear_end, clear_mid = cert.slope_clearance(h, delta)
+    # test too, but their outcome is not used.  The middle control point
+    # takes each cell's own width, the clearances the larger of those of
+    # the layout's widths.  A cell that is its own mirror image has equal
+    # end values, so it never counts a change here
+    clear_end, clear_mid = map(max, zip(*[cert.slope_clearance(layout.h * width, delta)
+                                          for width in layout.widths]))
     mid = f_hi - f_lo
-    mid *= 3.0 / h
+    mid *= inverse[entry]
     mid -= s0
     mid -= s1
     mono = (((np.minimum(s0, s1) > clear_end) & (mid > clear_mid))
@@ -493,11 +671,10 @@ def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0:
     change = mono & (np.signbit(f_lo) != np.signbit(f_hi)) & ~zero_free
     brackets = []
     if want_roots:
-        # cell i spans the nodes (i + g) h and (i + 1 + g) h; i = N - 1
-        # wraps.  An end value within rounding of 0 is the root itself (to
+        # an end value within rounding of 0 is the root itself (to
         # ~delta_0/|T'|)
         at = cells[change]
-        lo, hi = h * (at + GRID_OFFSET), h * (at + 1 + GRID_OFFSET)
+        lo, hi = layout.positions(at), layout.positions(at + 1)
         v_lo, v_hi = f_lo[change], f_hi[change]
         at_lo = np.abs(v_lo) <= delta[0]
         at_hi = np.abs(v_hi) <= delta[0]
@@ -506,79 +683,88 @@ def _open_cells(grid: np.ndarray, cells: np.ndarray, cert: _Certificate, clear0:
     return int(np.count_nonzero(change)), brackets, (cells[rest], f_lo[rest], f_hi[rest])
 
 
-def _certified_count(unit: PolySample, N: int, max_doublings: int, want_roots: bool,
+def _local_stage(cert: _Certificate, layout: _Layout, unit: PolySample, cells, f_lo, f_hi,
+                 max_doublings: int, want_roots: bool):
+    """(count, depth, stable, brackets) of the local stage on the cells.
+
+    The cells are split at the layout's fraction, at most max_doublings
+    times.  T at their grid nodes keeps its grid value, so that every node
+    has one sign for the cells on both sides of it.
+    """
+    lo, hi = points = layout.positions(np.stack([cells, cells + 1]))
+    jet = evaluate_jet(unit, points.ravel())
+    jet[0, :cells.size], jet[0, cells.size:] = f_lo, f_hi
+    jet_lo, jet_hi = jet[:, :cells.size], jet[:, cells.size:]
+    count, depth, brackets = 0, 0, []
+    split = layout.split
+    while True:
+        found, bracketed, decided = _local_cells(cert, lo, hi, jet_lo, jet_hi, unit, want_roots)
+        count += found
+        brackets += bracketed
+        if decided.all():
+            return count, depth, True, brackets
+        keep = ~decided
+        lo, hi, jet_lo, jet_hi = lo[keep], hi[keep], jet_lo[:, keep], jet_hi[:, keep]
+        if depth == max_doublings:
+            # a cell left undecided counts the change of sign bit across
+            # it, as the monotone cells do
+            change = np.signbit(jet_lo[0]) != np.signbit(jet_hi[0])
+            brackets.append((lo[change], hi[change], jet_lo[0, change], jet_hi[0, change]))
+            return count + int(np.count_nonzero(change)), depth, False, brackets
+        # at split = 1/2 this is the midpoint 0.5 (lo + hi) to the bit
+        mid = (1.0 - split) * lo + split * hi
+        jet_mid = evaluate_jet(unit, mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        jet_lo = np.concatenate([jet_lo, jet_mid], axis=1)
+        jet_hi = np.concatenate([jet_mid, jet_hi], axis=1)
+        depth += 1
+
+
+def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want_roots: bool,
                      tol: float):
-    """(count, doublings, stable, roots) of the grid route on N nodes.
+    """(count, doublings, stable, roots) of the grid route on the layout.
 
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  The N-node arrays are scratch arrays,
-    and every array returned is a copy.  The brackets of the roots are
-    gathered only with want_roots.
+    those of the sample itself.  The node-sized arrays are scratch
+    arrays, and every array returned is a copy.  The brackets of the
+    roots are gathered only with want_roots.
     """
-    grid = evaluate_on_grid(unit, N, GRID_OFFSET, order=(0, 1))
-    f = grid[0]
-    size, slack = np.abs(grid, out=scratch(2 * N).reshape(2, N))
-    cert = _certificate(unit.a, unit.b, N, float(size.max()))
-    h = TWO_PI / N
-    clear0 = cert.grid_clearance(h)
-    # |f| - h |f'|/3 bounds the two control points beside a node on the
-    # side of f: cells whose ends both pass with one sign are zero-free,
-    # and only the others (open) take the full hull test
-    slack *= h / 3.0
+    seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1)))
+    size, slack = np.abs(seq, out=scratch(seq.size).reshape(seq.shape))
+    cert = _certificate(unit.a, unit.b, layout.size, float(size.max()), layout.gap)
+    widest = layout.h * layout.gap
+    clear0 = cert.grid_clearance(widest)
+    # |f| - w |f'|/3 bounds the two control points beside a node on the
+    # side of f for cells of width w or less: cells whose ends both pass
+    # with one sign are zero-free, and only the others (open) take the
+    # full hull test
+    slack *= widest / 3.0
     size -= slack
-    unsure, neg, open_ = scratch(3 * N, bool).reshape(3, N)
-    np.signbit(f, out=neg)
-    np.not_equal(neg[:-1], neg[1:], out=open_[:-1])
-    open_[-1] = neg[-1] != neg[0]
-    np.greater(size, clear0, out=unsure)
-    np.logical_not(unsure, out=unsure)
-    open_ |= unsure
-    open_[:-1] |= unsure[1:]
-    open_[-1] |= unsure[0]
-    count, brackets, (cells, f_lo, f_hi) = _open_cells(grid, np.flatnonzero(open_), cert,
-                                                        clear0, want_roots)
+    count, brackets, (cells, f_lo, f_hi) = _open_cells(
+        seq, _screen(seq[0], size, clear0, layout.cell_count), layout, cert, clear0, want_roots)
+    count *= layout.weight
+    brackets = [(layout.weight, ends) for ends in brackets]
 
-    # local bisection of the cells that passed neither test.  T at their
-    # grid nodes keeps its grid value, so that every node has one sign
-    # for the cells on both sides of it
     depth = 0
     stable = True
     if cells.size:
-        lo, hi = points = h * (np.stack([cells, cells + 1]) + GRID_OFFSET)
-        jet = evaluate_jet(unit, points.ravel())
-        jet[0, :cells.size], jet[0, cells.size:] = f_lo, f_hi
-        jet_lo, jet_hi = jet[:, :cells.size], jet[:, cells.size:]
-        while True:
-            found, bracketed, decided = _local_cells(cert, lo, hi, jet_lo, jet_hi, unit,
-                                                     want_roots)
-            count += found
-            brackets += bracketed
-            if decided.all():
-                break
-            keep = ~decided
-            lo, hi, jet_lo, jet_hi = lo[keep], hi[keep], jet_lo[:, keep], jet_hi[:, keep]
-            if depth == max_doublings:
-                # a cell left undecided counts the change of sign bit
-                # across it, as the monotone cells do
-                stable = False
-                change = np.signbit(jet_lo[0]) != np.signbit(jet_hi[0])
-                count += int(np.count_nonzero(change))
-                brackets.append((lo[change], hi[change], jet_lo[0, change],
-                                 jet_hi[0, change]))
-                break
-            mid = 0.5 * (lo + hi)
-            jet_mid = evaluate_jet(unit, mid)
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            jet_lo = np.concatenate([jet_lo, jet_mid], axis=1)
-            jet_hi = np.concatenate([jet_mid, jet_hi], axis=1)
-            depth += 1
+        for part, weight in layout.parts(cells):
+            found, deep, settled, bracketed = _local_stage(
+                cert, layout, unit, cells[part], f_lo[part], f_hi[part], max_doublings,
+                want_roots)
+            count += weight * found
+            depth, stable = max(depth, deep), stable and settled
+            brackets += [(weight, ends) for ends in bracketed]
 
     roots = None
     if want_roots:
+        weights, ends = zip(*brackets)
         found = _refine_roots(lambda x, _: evaluate_jet(unit, x, order=1),
-                              *(np.concatenate(ends) for ends in zip(*brackets)), tol)
-        roots = np.sort(np.mod(found, TWO_PI))
+                              *(np.concatenate(column) for column in zip(*ends)), tol)
+        # a zero of a cell that stands for its mirror image too brings 2 pi - x
+        twice = np.repeat(np.array(weights) == 2, [lo.size for lo, *_ in ends])
+        roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))
     return count, depth, stable, roots
 
 
@@ -719,9 +905,18 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     the reduced factor T^*; grid_per_degree and max_doublings do not
     enter); everything else, m = 1 included, takes the grid route, the
     cell certificate on one grid of smooth_size(max(256, grid_per_degree
-    * n)) nodes with at most max_doublings local halvings of an undecided
-    cell (finest spacing 2 pi/N 2^-max_doublings).  The returned count
-    satisfies the hard ceiling 2n.
+    * n)) nodes with at most max_doublings local splits of an undecided
+    cell (at the midpoint, so finest spacing 2 pi/N 2^-max_doublings).  A
+    cosine sample (T even; a nonzero b is a ValueError) is certified on
+    the half circle: the smallest 5-smooth multiple of 4 at or above that
+    size, one transform of half as many nodes, their mirror images, and
+    splits at the golden fraction g = 0.618 of a cell, so the widest
+    piece is 2 g^(max_doublings + 1) 2 pi/N, 0.18 of 2 pi/N at the default
+    4 where the whole circle reaches 0.0625.  On 200 close zero pairs
+    built at that budget each route certified some that the other left
+    undecided (4 the whole circle only, 11 the half circle only), and the
+    half circle with two more splits certified every pair that the whole
+    circle did.  The returned count satisfies the hard ceiling 2n.
 
     With want_roots, every zero is refined by safeguarded Newton inside
     its certified bracket (a cell, a sub-cell or a monotone piece of the
@@ -755,10 +950,14 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             f"the sample vanishes identically (every x is a zero); "
             f"model={model}, seed={sample.seed}"
         )
+    mirror = model.kind == "cosine"  # T is even, which the half circle needs
+    if mirror and sample.b.any():
+        raise ValueError(f"nonzero b in a cosine sample, whose b is 0; model={model}, "
+                         f"seed={sample.seed}")
     unit = sample.unit()
-    N = smooth_size(max(256, grid_per_degree * n))
-    count, doublings, stable, roots = _certified_count(unit, N, max_doublings,
-                                                       want_roots, tol)
+    N = _grid_size(n, grid_per_degree, mirror)
+    count, doublings, stable, roots = _certified_count(unit, _grid_layout(N, mirror),
+                                                       max_doublings, want_roots, tol)
     _enforce_ceiling(count, n, sample)
     return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings,
                            stable=stable, roots=roots)

@@ -135,6 +135,22 @@ class TestClosedVersusDirect:
         assert np.array_equal(c.A, np.full_like(x, 38.0))
         assert np.array_equal(c.B, np.zeros_like(x))
 
+    @pytest.mark.parametrize("kind, dep, ell", [
+        ("trig", "iid", None), ("cosine", "iid", None), ("trig", "periodic", 3)])
+    def test_points_of_any_shape_are_ravelled(self, kind, dep, ell):
+        """A (3, 4) array of points gives abc_direct and abc_closed the
+        triple of its ravelled 1-D array, to the bit."""
+        s = _sample(kind, dep, 20, ell=ell)
+        x = np.linspace(0.1, 3.0, 12)
+        flat = abc_direct(s, x)
+        for route in (abc_direct, abc_closed):
+            got = route(s, x.reshape(3, 4))
+            want = flat if route is abc_direct else route(s, x)
+            for name in ("A", "B", "C"):
+                value = getattr(got, name)
+                assert value.shape == (12,), (route.__name__, name)
+                assert value.tobytes() == getattr(want, name).tobytes(), (route.__name__, name)
+
     @pytest.mark.parametrize(
         "ell,n", [(4, 47), (3, 100), (5, 102), (2, 31), (7, 90)]
     )

@@ -25,6 +25,7 @@ from trigzeros.zeros import (
     GRID_OFFSET,
     ZeroCountReport,
     _certificate,
+    _grid_layout,
     _hull_sides,
     _polynomial_roots,
     carrier_phase,
@@ -373,16 +374,19 @@ class TestStabilityProtocol:
         assert (rep.doublings_used, rep.stable, rep.pieces) == (0, True, 0)
         assert rep.count == decided_circle_roots(s)
 
-    def test_insufficient_doubling_budget_is_flagged(self, tangent_draw):
-        """A double zero is never certified, whatever the halving budget."""
-        s = tangent_draw(CoefficientModel(kind="trig", dep="iid"), 1, 0)
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_insufficient_doubling_budget_is_flagged(self, tangent_draw, kind):
+        """A double zero is never certified, whatever the halving budget,
+        on the whole circle and on the half circle alike."""
+        s = tangent_draw(CoefficientModel(kind=kind, dep="iid"), 1, 0)
         for max_doublings in range(8):
             rep = count_zeros(s, max_doublings=max_doublings)
             assert not rep.stable, max_doublings
             assert rep.doublings_used == max_doublings
             assert rep.grid_size == 256
-            # pi is the midpoint of a base cell, where 1 + cos x is exactly
-            # +0.0 in floating point: no sign bit changes on either side
+            # 1 + cos x >= 0 in floating point too (pi is the midpoint of a
+            # base cell of the whole circle, where it is exactly +0.0): no
+            # sign bit changes on either side
             assert rep.count == 0, max_doublings
         with pytest.raises(ValueError, match="max_doublings"):
             count_zeros(s, max_doublings=-3)
@@ -404,6 +408,19 @@ class TestStabilityProtocol:
                 count_zeros(s)
         with pytest.raises(RuntimeError, match="vanishes identically"):
             count_zeros(_rigged_sample(3, a=np.zeros(4), b=np.zeros(4)))
+
+    def test_cosine_sample_with_a_sine_term_is_rejected(self):
+        """The half circle proves the count of an even T only, so a cosine
+        sample given a nonzero b is an input error, not a count of half its
+        circle; the same coefficients as a trig sample take the whole."""
+        s = sample_coefficients(CoefficientModel(kind="cosine", dep="iid"), 10, seed=3)
+        b = np.zeros(11)
+        b[4] = 1e-3
+        with pytest.raises(ValueError, match="nonzero b in a cosine sample"):
+            count_zeros(dataclasses.replace(s, b=b))
+        trig = dataclasses.replace(s, b=b, model=CoefficientModel(kind="trig", dep="iid"))
+        rep = count_zeros(trig)
+        assert rep.stable and rep.count == circle_roots_oracle(trig)
 
     def test_counts_consistent_across_base_grids(self):
         """600 random samples: every certified report agrees at
@@ -475,7 +492,7 @@ class TestCertificate:
             N = smooth_size(max(256, 32 * n))
             h = 2 * np.pi / N
             grid = evaluate_on_grid(s, N, GRID_OFFSET)
-            cert = _certificate(s.a, s.b, N, float(np.abs(grid).max()))
+            cert = _certificate(s.a, s.b, N, float(np.abs(grid).max()), 1.0)
             row = cert.clearances(h, cert.delta_grid)[0, 0]
             assert cert.grid_clearance(h) == row
 
@@ -499,7 +516,7 @@ class TestCertificate:
             for gpd in (3, 32):
                 N = smooth_size(max(256, gpd * n))
                 h = 2 * np.pi / N
-                cert = _certificate(s.a, s.b, N, float(np.abs(evaluate_on_grid(s, N)).max()))
+                cert = _certificate(s.a, s.b, N, float(np.abs(evaluate_on_grid(s, N)).max()), 1.0)
                 ends = evaluate_jet(s, np.append(grid_nodes(N), grid_nodes(N)[0] + 2 * np.pi))
                 inside = evaluate_jet(s, (grid_nodes(N)[None, :] + h * t).ravel())
                 for k in range(3):
@@ -608,7 +625,7 @@ class TestCertificate:
             for gpd in (3, 32):
                 N = smooth_size(max(256, gpd * n))
                 grid = [evaluate_on_grid(s, N, 0.5, order=k) for k in range(3)]
-                cert = _certificate(s.a, s.b, N, float(np.abs(grid[0]).max()))
+                cert = _certificate(s.a, s.b, N, float(np.abs(grid[0]).max()), 1.0)
                 # cells pick: their left nodes, their right nodes, then the top
                 pick = np.linspace(0, N - 2, 200).astype(int)
                 top = np.linspace(2 * np.pi * (1 - 1 / N), 2 * np.pi * (1 + 0.5 / N), 9)
@@ -667,10 +684,12 @@ class TestCertificate:
                 decided += 1
         assert decided >= 30
 
-    def test_grid_route_reads_two_grids_of_base_size(self, monkeypatch):
-        """T and T' once each on the base grid, whatever the sample, as the
-        two rows of one order=(0, 1) call: the monotone test reads the slope
-        of T's Hermite interpolant, not T''."""
+    @pytest.mark.parametrize("kind, columns", [("trig", 6400), ("cosine", 3200)])
+    def test_grid_route_reads_two_grids_of_base_size(self, monkeypatch, kind, columns):
+        """T and T' once each per trial, whatever the sample, as the two
+        rows of one order=(0, 1) call: the monotone test reads the slope of
+        T's Hermite interpolant, not T''.  The grid has N = 6400 nodes, and
+        an even (cosine) T is read at N/2 of them."""
         import trigzeros.zeros as zeros_module
 
         calls = []
@@ -681,9 +700,10 @@ class TestCertificate:
             return original(sample, num_nodes, offset, order=order)
 
         monkeypatch.setattr(zeros_module, "evaluate_on_grid", spy)
-        s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=5)
-        count_zeros(s)
-        assert calls == [(6400, (0, 1))]
+        model = CoefficientModel(kind=kind, dep="iid")
+        for seed in range(5):
+            assert count_zeros(sample_coefficients(model, 199, seed=seed)).grid_size == 6400
+        assert calls == [(columns, (0, 1))] * 5
 
 
 class TestGridRule:
@@ -704,6 +724,17 @@ class TestGridRule:
         assert smooth_size(63968) == 64000  # 32 * 1999
         assert smooth_size(256) == 256
 
+    def test_cosine_grid_is_a_multiple_of_four(self):
+        """An even T takes the smallest 5-smooth multiple of 4 at or above
+        max(256, 32 n), so its N/2 columns pair up with their mirror images:
+        640 and 1440 nodes where the whole circle takes 625 and 1350, and
+        the same size wherever that is a multiple of 4."""
+        for n, trig, cosine in ((19, 625, 640), (42, 1350, 1440), (199, 6400, 6400),
+                                (499, 16000, 16000), (5, 256, 256)):
+            for kind, size in (("trig", trig), ("cosine", cosine)):
+                s = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), n, seed=1)
+                assert count_zeros(s).grid_size == size, (kind, n)
+
     def test_prime_degree_gets_smooth_grid(self):
         model = CoefficientModel(kind="trig", dep="iid")
         s = sample_coefficients(model, 199, seed=5)
@@ -719,6 +750,164 @@ class TestGridRule:
         for gpd, md in ((1, 0), (128, 7)):
             rep = count_zeros(s, grid_per_degree=gpd, max_doublings=md)
             assert rep == expected
+
+
+class TestHalfCircle:
+    """Cosine samples (T even) are certified on [0, pi] from one transform
+    of N/2 columns, their mirror images and two kinds of cell."""
+
+    @pytest.mark.parametrize("dep, ell, n, trials", [
+        ("iid", None, 1, 20), ("iid", None, 2, 20), ("iid", None, 10, 20),
+        ("iid", None, 50, 20), ("iid", None, 199, 12), ("iid", None, 499, 6),
+        ("iid", None, 1999, 3), ("periodic", 2, 40, 20), ("periodic", 2, 42, 20),
+        ("periodic", 2, 200, 12), ("periodic", 3, 100, 12), ("periodic", 5, 101, 12),
+    ])
+    def test_reports_equal_the_whole_circle(self, dep, ell, n, trials):
+        """Count, stable flag and roots (within tol) equal those of the
+        same coefficients drawn as a trig-kind sample with b = 0, which
+        takes the whole circle.  Periodic ell = 2 with even n is cos(n x/2)
+        times a random factor: at n = 40 and 200 its deterministic zeros,
+        the odd multiples of pi/n, sit on cell midpoints 2 pi k/N of the
+        half circle; at n = 42 the whole circle has 1350 nodes and the
+        half circle's grid 1440.  A trial unstable on both sides would be
+        allowed; none of these is."""
+        model = CoefficientModel(kind="cosine", dep=dep, ell=ell)
+        trig = CoefficientModel(kind="trig", dep=dep, ell=ell)
+        want_roots = n <= 200
+        for t in range(trials):
+            s = sample_coefficients(model, n, seed=mix64(91, n, t))
+            half = count_zeros(s, want_roots=want_roots)
+            full = count_zeros(dataclasses.replace(s, model=trig), want_roots=want_roots)
+            assert (half.count, half.stable) == (full.count, full.stable), t
+            assert half.stable, t
+            if want_roots:
+                assert half.roots.size == half.count == full.roots.size
+                assert np.abs(half.roots - full.roots).max(initial=0.0) <= 1e-10, t
+
+    def test_close_pairs_at_the_split_budget(self):
+        """Golden splits shrink the widest piece by g = 0.618 a level, not by
+        1/2, so at max_doublings = 4 the half circle's finest piece is
+        about 0.18 of 2 pi/N against the whole circle's 0.0625.  On 200
+        close zero pairs, a positive local minimum of a cosine sample of
+        degree 50 lowered to 1e-12 ... 1e-9 of sum |a_j| below 0, the two
+        routes agree wherever both certify, each certifies a few pairs
+        the other leaves undecided (the tallies below; a change in either
+        stable rate shows here), 49 take the whole circle's full budget,
+        and the half circle at max_doublings = 6 certifies every pair that
+        the whole circle does at 4."""
+        model = CoefficientModel(kind="cosine", dep="iid")
+        trig = CoefficientModel(kind="trig", dep="iid")
+        tally = dict(both=0, whole=0, half=0, neither=0, at_budget=0)
+        for seed in range(20):
+            s = sample_coefficients(model, 50, seed=seed)
+            x = np.linspace(0.3, np.pi - 0.3, 4001)
+            v = np.cos(np.outer(x, np.arange(51))) @ s.a
+            i = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:]) & (v[1:-1] > 0))[0] + 1
+            x = np.linspace(x[i - 1], x[i + 1], 4001)
+            low = (np.cos(np.outer(x, np.arange(51))) @ s.a).min()
+            for eps in np.geomspace(1e-12, 1e-9, 10):
+                a = s.a.copy()
+                a[0] -= low + eps * np.abs(s.a).sum()
+                half = dataclasses.replace(s, a=a)
+                whole = count_zeros(dataclasses.replace(half, model=trig))
+                rep = count_zeros(half)
+                if whole.stable and rep.stable:
+                    assert whole.count == rep.count, (seed, eps)
+                key = {(True, True): "both", (True, False): "whole", (False, True): "half",
+                       (False, False): "neither"}[whole.stable, rep.stable]
+                tally[key] += 1
+                tally["at_budget"] += whole.stable and whole.doublings_used == 4
+                if whole.stable:
+                    deeper = count_zeros(half, max_doublings=6)
+                    assert deeper.stable and deeper.count == whole.count, (seed, eps)
+        assert tally == dict(both=170, whole=4, half=11, neither=15, at_budget=49)
+
+    def test_golden_splits_are_irrational(self):
+        """The nodes (2k -+ g) h of the half circle are irrational multiples
+        of h, but every cell midpoint is a rational multiple 2 pi k/N, where
+        the structured zeros of periodic cosine samples lie.  In exact
+        arithmetic over Q(g), g = (sqrt 5 - 1)/2, no point of ten levels of
+        splits at the golden fraction lo + g (hi - lo) of the three cells
+        (-g, g), (g, 2 - g) and (2 - g, 2 + g) is rational (3069 points);
+        every other cell is one of them shifted by an even integer.
+        Midpoint splits meet three rational points, the first midpoints."""
+        from fractions import Fraction
+
+        def times_g(x):  # (a + b g) g = b + (a - b) g, since g^2 = 1 - g
+            return (x[1], x[0] - x[1])
+
+        def golden(lo, hi):
+            d = times_g((hi[0] - lo[0], hi[1] - lo[1]))
+            return (lo[0] + d[0], lo[1] + d[1])
+
+        def midpoint(lo, hi):
+            return ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2)
+
+        one = Fraction(1)
+        cells = [((0, -one), (0, one)), ((0, one), (2, -one)), ((2, -one), (2, one))]
+        rational = {}
+        for name, split in (("golden", golden), ("midpoint", midpoint)):
+            level, points = cells, 0
+            rational[name] = 0
+            for _ in range(10):
+                nxt = []
+                for lo, hi in level:
+                    mid = split(lo, hi)
+                    points += 1
+                    rational[name] += mid[1] == 0
+                    nxt += [(lo, mid), (mid, hi)]
+                level = nxt
+            assert points == 3069
+        assert rational == {"golden": 0, "midpoint": 3}
+        layout = _grid_layout(6400, True)
+        assert layout.split == GRID_OFFSET == (np.sqrt(5.0) - 1.0) / 2.0
+        h = 2 * np.pi / 6400
+        assert np.array_equal(layout.positions(np.arange(5)),
+                              h * np.array([-GRID_OFFSET, GRID_OFFSET, 2 - GRID_OFFSET,
+                                            2 + GRID_OFFSET, 4 - GRID_OFFSET]))
+
+
+class TestTrigReportsUnchanged:
+    """Trig samples keep the whole circle's N nodes, one cell width and
+    midpoint splits: count, grid size, halvings, stable flag and the bits
+    of the roots (their SHA-256) as the whole-circle code gave them, on
+    i.i.d. and periodic r != 0 samples, coarse grids with local halvings
+    included."""
+
+    PINS = [
+        ('iid', None, 1, 32, 0, 2, 256, 0, True, '8af3281bd5a7bd6b'),
+        ('iid', None, 1, 32, 1, 2, 256, 0, True, 'b6699a7c1b1a13b8'),
+        ('iid', None, 10, 32, 0, 14, 320, 0, True, 'b1f135eff7afdd23'),
+        ('iid', None, 10, 32, 1, 10, 320, 0, True, 'f7f4e76ffb69f53f'),
+        ('iid', None, 199, 32, 0, 206, 6400, 0, True, '13e3604d54176e6c'),
+        ('iid', None, 199, 32, 1, 232, 6400, 0, True, '1160db7a6a33aea1'),
+        ('iid', None, 100, 3, 0, 108, 300, 2, True, '7d7d9536fb9806de'),
+        ('iid', None, 100, 3, 1, 116, 300, 2, True, '12bb7d86f601aef4'),
+        ('iid', None, 100, 3, 2, 126, 300, 2, True, 'b7890bb0088dd5e8'),
+        ('iid', None, 100, 3, 3, 124, 300, 1, True, '6ddf41ee1a89dd64'),
+        ('periodic', 3, 400, 32, 0, 800, 12800, 0, True, '02f5bfc5ff597ece'),
+        ('periodic', 3, 400, 32, 1, 638, 12800, 0, True, '5a8c79a48ac2eb0a'),
+        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, '303221eb60be51b5'),
+        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, 'c01a0998c8533624'),
+        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, '3358d41c90278801'),
+        ('periodic', 2, 42, 32, 1, 46, 1350, 0, True, '2633d100288b40c5'),
+        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '8e6d51d5dd73b903'),
+        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, '490e67db04b93dc2'),
+        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, '8e1d1ec4538ffba3'),
+        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, '808e4c5255933487'),
+    ]
+
+    @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
+                             PINS)
+    def test_report(self, dep, ell, n, gpd, trial, count, size, doublings, stable, digest):
+        import hashlib
+
+        model = CoefficientModel(kind="trig", dep=dep, ell=ell)
+        s = sample_coefficients(model, n, seed=mix64(33, n, trial))
+        rep = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+        assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
+            count, size, doublings, stable)
+        assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
 
 
 class TestRootRefinement:
