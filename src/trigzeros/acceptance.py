@@ -12,7 +12,7 @@ the lot and is what `trigzeros verify` prints.  The checks pin down:
   5. identities and bounds for the limit constants themselves;
   6. the i.i.d. baseline 2n/sqrt(3), and the exact i.i.d. law;
   7. the factorization T_n = phi_m * T* behind the deterministic zeros,
-     on the functions the r = 0 counts run through;
+     and the carrier phase that the r = 0 counts run through;
   8. micro-identities the closed forms rely on, checked on the kernel
      and the covariance routes that every Kac-Rice total uses.
 
@@ -300,14 +300,14 @@ def iid_baseline(quick: bool = False) -> CriterionResult:
 
 
 def factorization_residuals(quick: bool = False) -> CriterionResult:
-    """T_n = phi_m * T* to 1e-10 relative on the r = 0 counting path.
+    """T_n = phi_m * T*, and T* from the r = 0 counts' carrier phase, to 1e-10.
 
     On each periodic sample (ell in 1..6, m in 2..40, both kinds), dense
     evaluate must match dirichlet_pair's phi_m times reduce_periodic's T*
     at random points, beside every lattice point 2 pi k/ell (inside the
     series window) and at some of the deterministic zeros, relative to
     max(|T|, 1); deterministic_zero_set must hold n+1-ell points; and
-    carrier_phase must give back T* as 2^e |P(e^{ix})| cos theta(x).
+    carrier_phase(sample) must give back T* as 2^e |P(e^{ix})| cos theta(x).
     A sample whose zero set has the wrong size skips its residuals.
     """
     gate = _Gate("factorization-residuals")
@@ -336,7 +336,7 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
         reduced = red.evaluate(x)
         split = dirichlet_pair(m, ell, x)[0] * reduced
         res_split = float(np.max(np.abs(dense - split) / np.maximum(np.abs(dense), 1.0)))
-        phase = carrier_phase(red)
+        phase = carrier_phase(sample)
         carrier = np.ldexp(np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
                            * np.cos(phase(x)), phase.exponent)
         res_phase = float(np.max(np.abs(reduced - carrier) / np.maximum(np.abs(reduced), 1.0)))

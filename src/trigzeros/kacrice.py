@@ -313,7 +313,7 @@ def _trig_sums(groups, block: PanelNodes):
     return A, B, C
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _cosine_taylor(n: int) -> np.ndarray:
     """The i.i.d. cosine A, B, C (columns) at x = k pi + y as power series
     in t = 2 n y, to t^_TAYLOR_DEGREE (rows).  cos(j(k pi + y))^2 =

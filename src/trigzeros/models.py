@@ -183,19 +183,14 @@ def _peak(a, b) -> float:
 
 
 def _scaled(a, b, peak: float):
-    """normalized_coefficients(a, b) with the largest |a_k|, |b_k| given."""
-    e = math.frexp(peak)[1]
-    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
-
-
-def normalized_coefficients(a, b):
-    """(c, e): c_k = (a_k - i b_k) 2^-e with e the binary exponent of the
-    largest |a_k|, |b_k|, so that max |c_k| lies in [1/2, sqrt 2).
+    """(c, e): c_k = (a_k - i b_k) 2^-e with e the binary exponent of peak,
+    the largest |a_k|, |b_k|, so that max |c_k| lies in [1/2, sqrt 2).
 
     Scaling by a power of two is exact, so every quantity built from c
     is the sigma = 1 quantity to the last bit, whatever the draw's scale.
     """
-    return _scaled(a, b, _peak(a, b))
+    e = math.frexp(peak)[1]
+    return np.ldexp(a, -e) - 1j * np.ldexp(b, -e), e
 
 
 @dataclass(frozen=True)
@@ -225,8 +220,9 @@ class PolySample:
 
     @functools.cached_property
     def normalized(self) -> tuple[np.ndarray, int]:
-        """normalized_coefficients(a, b), computed once per sample; the
-        evaluators of trigpoly read the coefficients from here."""
+        """The normalized coefficients (c, e) of _scaled, computed once per
+        sample, the package's one normalization: the evaluators of trigpoly
+        and the zero counter's carrier phase read them from here."""
         c, e = _scaled(self.a, self.b, self.peak)
         c.flags.writeable = False
         return c, e

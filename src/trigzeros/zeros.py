@@ -124,14 +124,14 @@ themselves.
 Phase route (periodic, r = 0, m >= 2)
 -------------------------------------
 Periodic samples with r = 0 and m >= 2 factor exactly as T_n = phi_m * T^*
-(PeriodDecomposition.factors, trigpoly.reduce_periodic).  They are not
-scanned raw: the deterministic zeros of phi_m and the random zeros of
-T^* form two interleaved combs with no repulsion between the families,
-so near-coincident pairs arise that no affordable grid resolves.  The
+(PeriodDecomposition.factors).  They are not scanned raw: the
+deterministic zeros of phi_m and the random zeros of T^* form two
+interleaved combs with no repulsion between the families, so
+near-coincident pairs arise that no affordable grid resolves.  The
 n+1-ell deterministic zeros are known in closed form: the count adds
 their number, and deterministic_zero_set lists them only when roots are
 requested.  No grid is needed for T^* either.  With c_k = a_k - i b_k,
-P(z) = sum_{k<ell} c_k z^k and f0 = (m-1) ell/2,
+P(z) = sum_{k<ell} c_k z^k and f0 = (m-1) ell/2 (PolySample.split),
 
     T^*(x) = Re(e^{i f0 x} P(e^{ix})) = |P(e^{ix})| cos theta(x),
 
@@ -149,7 +149,9 @@ delta = PHASE_MARGIN = 1e-9 of the unit circle, or a phase value at a
 piece end lies within delta * max(1, |theta|) of a level (a relative
 margin, since theta grows like n); only then is stable=False.  Roots
 are refined by the same safeguarded Newton, on theta minus its level
-across the monotone piece that crosses it.
+across the monotone piece that crosses it.  P is read from the first ell
+of PolySample.normalized, not from a copy of T^*, so count_zeros first
+checks that the sample repeats its coefficients with period ell.
 """
 
 from __future__ import annotations
@@ -160,15 +162,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import PolySample, normalized_coefficients
-from .trigpoly import (
-    ReducedSample,
-    evaluate_jet,
-    evaluate_on_grid,
-    frequency_powers,
-    reduce_periodic,
-    scratch,
-)
+from .models import PolySample
+from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers, scratch
 
 TWO_PI = 2.0 * np.pi
 
@@ -772,8 +767,8 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
 class CarrierPhase:
     """The continuous phase theta of the reduced factor of an r = 0 sample.
 
-    With c the normalized coefficients (trigpoly.normalized_coefficients,
-    exponent e), P(z) = sum_k c_k z^k and f0 = (m-1) ell/2,
+    With c the first ell of PolySample.normalized (exponent e),
+    P(z) = sum_k c_k z^k and f0 = (m-1) ell/2,
 
         T^*(x) = 2^e Re(e^{i f0 x} P(e^{ix})) = 2^e |P(e^{ix})| cos theta(x).
 
@@ -840,26 +835,22 @@ class CarrierPhase:
         return np.sort(np.mod(np.angle(z), TWO_PI))
 
 
-def carrier_phase(red: ReducedSample) -> CarrierPhase:
-    """The CarrierPhase of a reduced factor, from the roots of P."""
-    if not (np.isfinite(red.a).all() and np.isfinite(red.b).all()):
-        raise FloatingPointError("non-finite coefficient in the reduced factor")
-    c, e = normalized_coefficients(red.a, red.b)
-    nonzero = np.flatnonzero(c)
-    if nonzero.size == 0:
-        raise RuntimeError(
-            f"the reduced factor vanishes identically (every x is a zero); "
-            f"model={red.model}, n={red.n}"
-        )
+def carrier_phase(sample: PolySample) -> CarrierPhase:
+    """The CarrierPhase of an r = 0 sample's reduced factor, from the roots
+    of P; the sample must be finite, nonzero and repeat its coefficients
+    with period ell, which count_zeros checks."""
+    split = sample.split
+    c, e = sample.normalized
+    c = c[:split.ell]
     alpha = _polynomial_roots(c[::-1])
     inside = np.abs(alpha) < 1.0
     outside = alpha[~inside]
-    constant = float(np.angle(c[nonzero[-1]]) + np.angle(-outside).sum())
-    return CarrierPhase(f0=red.freq_twice[0] / 2.0, coeffs=c, exponent=e,
+    constant = float(np.angle(c[np.flatnonzero(c)[-1]]) + np.angle(-outside).sum())
+    return CarrierPhase(f0=(split.m - 1) * split.ell / 2.0, coeffs=c, exponent=e,
                         inside=alpha[inside], outside=outside, constant=constant)
 
 
-def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
+def _phase_count(sample: PolySample, want_roots: bool, tol: float):
     """(count, pieces, stable, roots) of the zeros of T^* on the circle.
 
     The pieces of [0, 2 pi] end at the breakpoints; on each, theta is
@@ -868,7 +859,7 @@ def _phase_count(red: ReducedSample, want_roots: bool, tol: float):
     Each root is refined on its whole piece, as a zero of theta minus
     its level.
     """
-    phase = carrier_phase(red)
+    phase = carrier_phase(sample)
     starts = np.concatenate([[0.0], phase.breakpoints()])
     theta = phase(starts)
     theta = np.append(theta, theta[0] + TWO_PI * phase.slope)
@@ -918,6 +909,11 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     half circle with two more splits certified every pair that the whole
     circle did.  The returned count satisfies the hard ceiling 2n.
 
+    Either route first checks the sample: a non-finite coefficient is a
+    FloatingPointError, a vanishing sample a RuntimeError, and an r = 0
+    sample whose coefficients do not repeat with period ell a ValueError
+    (the phase route reads the first ell alone).
+
     With want_roots, every zero is refined by safeguarded Newton inside
     its certified bracket (a cell, a sub-cell or a monotone piece of the
     phase), and tol bounds the last step of each root; the deterministic
@@ -930,16 +926,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     n = sample.n
     model = sample.model
-    if sample.split.factors:
-        red = reduce_periodic(sample)
-        count, pieces, stable, roots = _phase_count(red, want_roots, tol)
-        count += sample.split.deterministic_zeros  # the size of deterministic_zero_set
-        _enforce_ceiling(count, n, sample)
-        if want_roots:
-            roots = np.sort(np.concatenate([roots, deterministic_zero_set(red.m, red.ell)]))
-        return ZeroCountReport(count=count, grid_size=0, doublings_used=0,
-                               stable=stable, roots=roots, pieces=pieces)
-
+    split = sample.split
     # the largest |a_k|, |b_k| that normalized reduces: nan or inf when an
     # entry is, 0 when the sample vanishes
     peak = sample.peak
@@ -950,10 +937,24 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             f"the sample vanishes identically (every x is a zero); "
             f"model={model}, seed={sample.seed}"
         )
-    mirror = model.kind == "cosine"  # T is even, which the half circle needs
+    mirror = model.kind == "cosine" and not split.factors  # the half circle needs T even
     if mirror and sample.b.any():
         raise ValueError(f"nonzero b in a cosine sample, whose b is 0; model={model}, "
                          f"seed={sample.seed}")
+    if split.factors:
+        ell = split.ell
+        if not (np.array_equal(sample.a[ell:], sample.a[:-ell])
+                and np.array_equal(sample.b[ell:], sample.b[:-ell])):
+            raise ValueError(f"coefficients that do not repeat with period ell={ell}; "
+                             f"model={model}, seed={sample.seed}")
+        count, pieces, stable, roots = _phase_count(sample, want_roots, tol)
+        count += split.deterministic_zeros  # the size of deterministic_zero_set
+        _enforce_ceiling(count, n, sample)
+        if want_roots:
+            roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, ell)]))
+        return ZeroCountReport(count=count, grid_size=0, doublings_used=0,
+                               stable=stable, roots=roots, pieces=pieces)
+
     unit = sample.unit()
     N = _grid_size(n, grid_per_degree, mirror)
     count, doublings, stable, roots = _certified_count(unit, _grid_layout(N, mirror),

@@ -1252,13 +1252,15 @@ class TestCosineTaylorTable:
     def test_built_once_per_degree(self):
         """Both passes of repeated i.i.d. cosine quadratures at two degrees
         build the table once per degree, reuse it in every later block,
-        and cannot write to it."""
+        and cannot write to it; the cache holds at most 32 degrees, as the
+        other per-degree tables do, so memory stays bounded over many."""
         table = kacrice._cosine_taylor
         table.cache_clear()
         for n in (200, 400, 200):
             expected_zeros_quadrature(_sample("cosine", "iid", n))
         info = table.cache_info()
         assert (info.misses, info.currsize, info.hits > 0) == (2, 2, True)
+        assert info.maxsize == 32
         for n in (200, 400):
             assert not table(n).flags.writeable
             with pytest.raises(ValueError):

@@ -198,8 +198,9 @@ class TestEvaluateOnGrid:
         phase, and 2^e |P(e^{ix})| cos theta(x) reproduces its dense
         summation on the grids of every shape, x = 0 included."""
         model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
-        red = reduce_periodic(sample_coefficients(model, n, seed=25))
-        phase = carrier_phase(red)
+        s = sample_coefficients(model, n, seed=25)
+        red = reduce_periodic(s)
+        phase = carrier_phase(s)
         scale = np.abs(red.a).sum() + np.abs(red.b).sum()
         top = int(red.freq_twice.max())  # twice the largest frequency
         for num in (1, 2, 3, 5, top // 2, top, top + 1, 2 * top, 2 * top + 1, 6400):
@@ -223,16 +224,14 @@ class TestEvaluateOnGrid:
         breakpoints to the last bit and moves only its exponent."""
         model = CoefficientModel(kind="trig", dep=dep, ell=ell)
         s = sample_coefficients(model, n, seed=26)
-        target = reduce_periodic(s) if reduced else s
         for num in (7, 4 * n, 6400):
             x = grid_nodes(num)
             if reduced:
-                base = carrier_phase(target)
+                base = carrier_phase(s)
             else:
-                base = evaluate_on_grid(target, num)
+                base = evaluate_on_grid(s, num)
             for k in (-1000, -900, -3, 1, 500, 1000, 1015):
-                scaled = dataclasses.replace(
-                    target, a=np.ldexp(target.a, k), b=np.ldexp(target.b, k))
+                scaled = dataclasses.replace(s, a=np.ldexp(s.a, k), b=np.ldexp(s.b, k))
                 if not reduced:
                     assert np.array_equal(evaluate_on_grid(scaled, num),
                                           np.ldexp(base, k)), (num, k)
@@ -327,11 +326,17 @@ class TestPerDegreeTables:
         for table in tables[:3]:
             assert table.cache_info().misses == 1, table
 
-    def test_one_normalization_per_trial(self, monkeypatch):
+    @pytest.mark.parametrize("kind, dep, ell, n", [
+        ("trig", "iid", None, 100),
+        ("cosine", "periodic", 3, 1199),  # r = 0: the phase route
+        ("trig", "periodic", 5, 499),  # r = 0: the phase route
+    ])
+    def test_one_normalization_per_trial(self, monkeypatch, kind, dep, ell, n):
         """count_zeros normalizes the sample once, with the largest
         coefficient that the sampler handed over; its checks, the unit
         copy, its three grids, the local halvings and the root refinement
-        reuse both."""
+        reuse both, and so does the carrier phase of an r = 0 sample,
+        which builds no reduced factor."""
         calls = []
         for name in ("_peak", "_scaled"):
             original = getattr(models, name)
@@ -341,9 +346,16 @@ class TestPerDegreeTables:
                 return original(a, b, *rest)
 
             monkeypatch.setattr(models, name, spy)
-        s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 100, seed=42)
+        init = trigpoly.ReducedSample.__init__
+
+        def reduced(self, *args, **kwargs):
+            calls.append(("ReducedSample", None))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(trigpoly.ReducedSample, "__init__", reduced)
+        s = sample_coefficients(CoefficientModel(kind=kind, dep=dep, ell=ell), n, seed=42)
         count_zeros(s, grid_per_degree=3, want_roots=True)
-        assert calls == [("_scaled", 101)]
+        assert calls == [("_scaled", n + 1)]
 
 
 def _phi(m, ell, x):

@@ -228,7 +228,7 @@ class TestReducedRouteIdentity:
         rep = count_zeros(s)
         assert (rep.count, rep.stable, rep.pieces) == (998, True, 3)
         assert grid_oracle(s)[:2] == (998, True)
-        phase = carrier_phase(reduce_periodic(s))
+        phase = carrier_phase(s)
         gap = np.abs(np.abs(phase.roots) - 1.0)
         assert gap.min() == pytest.approx(5.05e-4, rel=1e-2)
         assert 2 * phase.slope + 495 == 996
@@ -270,8 +270,9 @@ class TestReducedRouteIdentity:
     def test_phase_matches_dense_reduced_factor(self):
         """2^e |P(e^{ix})| cos theta(x) is T*(x), at x = 0, 2 pi and between."""
         for kind, ell, n, seed in ACCEPTANCE_R0:
-            red = reduce_periodic(_acceptance_sample(kind, ell, n, seed, 3))
-            phase = carrier_phase(red)
+            s = _acceptance_sample(kind, ell, n, seed, 3)
+            red = reduce_periodic(s)
+            phase = carrier_phase(s)
             x = np.linspace(0.0, 2 * np.pi, 4001)
             amp = np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
             got = np.ldexp(amp * np.cos(phase(x)), phase.exponent)
@@ -306,7 +307,7 @@ class TestExtraCrossings:
         extra = np.empty(4000)
         for t in range(extra.size):
             s = sample_coefficients(model, n, seed=mix64(2029, n, t))
-            slope = carrier_phase(reduce_periodic(s)).slope
+            slope = carrier_phase(s).slope
             extra[t] = count_zeros(s).count - (n + 1 - ell) - 2 * slope
         assert extra.min() >= 0
         want = np.sqrt(n * n + (ell * ell - 1) / 3.0) - n
@@ -421,6 +422,25 @@ class TestStabilityProtocol:
         trig = dataclasses.replace(s, b=b, model=CoefficientModel(kind="trig", dep="iid"))
         rep = count_zeros(trig)
         assert rep.stable and rep.count == circle_roots_oracle(trig)
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_unrepeated_coefficients_on_the_phase_route_are_rejected(self, kind):
+        """The phase route reads a[:ell] and b[:ell] alone, so an r = 0
+        sample whose coefficients do not repeat with period ell is an input
+        error, not the count of another polynomial; the same coefficients
+        as an i.i.d. sample take the grid route."""
+        s = sample_coefficients(CoefficientModel(kind=kind, dep="periodic", ell=3), 299, seed=1)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(300)
+        b = rng.standard_normal(300) if kind == "trig" else np.zeros(300)
+        with pytest.raises(ValueError, match="do not repeat with period ell=3"):
+            count_zeros(dataclasses.replace(s, a=a, b=b))
+        iid = dataclasses.replace(s, a=a, b=b, model=CoefficientModel(kind=kind, dep="iid"))
+        rep = count_zeros(iid)
+        assert rep.stable and rep.grid_size > 0
+        b[7] = 1.0
+        with pytest.raises(ValueError, match="do not repeat"):  # b alone breaks the period
+            count_zeros(dataclasses.replace(s, b=b))
 
     def test_counts_consistent_across_base_grids(self):
         """600 random samples: every certified report agrees at
@@ -908,6 +928,45 @@ class TestTrigReportsUnchanged:
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
+
+
+class TestPhaseReportsUnchanged:
+    """The phase route keeps its reports to the bit: count, stable flag,
+    pieces and root bytes of five r = 0 trials at each m in (2, 3, 10,
+    400), as the route gave them when it read a reduced copy of the
+    sample; sum of counts, stable trials and the SHA-256 of the reports
+    per kind and ell."""
+
+    PINS = [
+        ("trig", 1, 4110, 20, "0fa2f03d26eb90c7"),
+        ("trig", 2, 8238, 20, "dbe796f592dc1610"),
+        ("trig", 3, 12382, 20, "11d61c3fc5d73ece"),
+        ("trig", 5, 20638, 20, "bc4393549b840975"),
+        ("trig", 7, 28904, 20, "6d7a5c824c0806a7"),
+        ("cosine", 1, 4110, 20, "41e63ca02aa612a0"),
+        ("cosine", 2, 8236, 20, "81262c7ce802bd46"),
+        ("cosine", 3, 12374, 20, "876999c9d4a09930"),
+        ("cosine", 5, 20648, 20, "e2aa5be6a998d9a6"),
+        ("cosine", 7, 28908, 20, "16ca42336e446f05"),
+    ]
+
+    @pytest.mark.parametrize("kind, ell, total, stable, digest", PINS)
+    def test_reports(self, kind, ell, total, stable, digest):
+        import hashlib
+
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        h = hashlib.sha256()
+        counts = settled = 0
+        for m in (2, 3, 10, 400):
+            n = ell * m - 1
+            for t in range(5):
+                s = sample_coefficients(model, n, seed=mix64(34, n, t))
+                rep = count_zeros(s, want_roots=True, tol=1e-12)
+                h.update(np.array([rep.count, rep.stable, rep.pieces], dtype=np.int64).tobytes())
+                h.update(rep.roots.tobytes())
+                counts += rep.count
+                settled += rep.stable
+        assert (counts, settled, h.hexdigest()[:16]) == (total, stable, digest)
 
 
 class TestRootRefinement:
