@@ -60,8 +60,11 @@ undecided.  The proof rests on
   the slope p_0', which misses T' by at most sqrt(3)/216 w^3 n^4 M (G.
       Birkhoff and A. Priver, Hermite interpolation errors for
       derivatives, J. Math. Phys. 46, 1967) and lies in the hull of its
-      quadratic Bezier control points f_0', 3 (f_1 - f_0)/w - f_0' -
-      f_1', f_1'.
+      quadratic Bezier control points f_0', mid = 3 (f_1 - f_0)/w - f_0' -
+      f_1', f_1';
+  the curvature p_0'', linear on the cell, which misses T'' by at most
+      w^2 n^4 M/12 (Birkhoff and Priver) and is 2/w times the rises
+      mid - f_0' and f_1' - mid of those control points at the cell ends.
 
 A cell holds no zero when the control points of p_0 clear
 w^4 n^4 M/384 plus rounding with one sign.  On the base grid it holds
@@ -70,8 +73,18 @@ sqrt(3)/216 w^3 n^4 M plus rounding, so that T is monotone (the
 clearances taken at the larger of the layout's two widths, the middle
 control point at each cell's own); a node value within rounding of 0
 between two monotone cells may move a zero to the neighbouring cell but
-not change the total.  This leaves a few cells per trial beside close
-zero pairs, more on periodic samples, whose M the lattice spike sets.
+not change the total.  A cell that passes neither test, mostly one that
+holds a critical point of T next to a zero, is convex or concave where
+both rises clear w^3 n^4 M/24 plus rounding with one sign
+(_Certificate.bend_clearance, at the larger width), and with both end
+values beyond delta_0 the grid settles it too: a sign change is one
+zero, ends on the side that T bends away from mean none, and otherwise
+(a cup) p_0, convex or concave as well, decides between none and two
+by its value and tangent at the secant estimate y of its critical point
+(_tangent_rule), with T within the base grid's clearance of p_0 plus
+the rounding of p_0(y) and p_0'(y).  This leaves a few cells per trial
+beside close zero pairs whose dip or bend the grid's error hides, more
+on periodic samples, whose M the lattice spike sets.
 Those are split locally, at most max_doublings times, with T', T'' and
 the third derivative summed pointwise through the two-level power table
 of trigpoly.evaluate_jet, and T too except at the grid nodes, which keep
@@ -524,6 +537,20 @@ class _Certificate:
                                     + 2.0 * (self.n * self.bound + delta[1]))
         return interp + delta[1], interp + 6.0 * delta[0] / w + 2.0 * delta[1] + own
 
+    def bend_clearance(self, w: float, delta) -> float:
+        """What the rises mid - f_0' and f_1' - mid of the control points
+        of p' must clear, p the cubic Hermite interpolant of T on a cell of
+        width w and mid the middle point of slope_clearance.  At the cell
+        ends p'' is 2/w times the rises and misses T'' by at most
+        w^2 n^4 M/12 (Birkhoff and Priver), so the rises take
+        w^3 n^4 M/24, plus the rounding 6 delta_0/w + 3 delta_1 of the end
+        values and slopes and that of their own six operations, relative
+        to |f| <= M + delta_0 and |f'| <= n M + delta_1."""
+        interp = w ** 3 * (self.n ** 4 * self.bound / 24.0 * (1.0 + _WIDTH_SLACK))
+        own = _SUM_ROUNDING * _U * (6.0 * (self.bound + delta[0]) / w
+                                    + 3.0 * (self.n * self.bound + delta[1]))
+        return interp + 6.0 * delta[0] / w + 3.0 * delta[1] + own
+
 
 @functools.lru_cache(maxsize=32)
 def _certificate_factors(n: int, N: int, gap: float):
@@ -564,6 +591,41 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float,
         # max |T| <= grid max + (gap h/2)^2/2 * n^2 max |T|
         bound = min(bound, (grid_max + delta_grid[0]) / (1.0 - nh2 / 8.0))
     return _Certificate(n, bound, delta_grid, delta_point)
+
+
+def _tangent_rule(a, b, f_a, f_b, d_a, d_b, jet: Callable, value_error: float,
+                  slope_error: float, want_roots: bool):
+    """(settled, pairs, brackets) of cells (a, b) on which f is convex or
+    concave with end values f_a, f_b of one sign, on the side that f
+    bends towards: g = s f, s the sign of the ends, is convex with
+    positive ends and holds no zero or two.
+
+    d_a and d_b are f' at the ends, and jet(y) returns f(y) and f'(y) at
+    the secant estimate y of the critical point of g (where the chord of
+    g' vanishes).  The tangent of g at y lies below g on the cell.  With
+    value_error bounding the error of f(y), and that of f itself where f
+    stands for another function, and slope_error that of f'(y), a cell
+    holds no zero where the tangent clears value_error + (b - a)
+    slope_error on [a, b], and two where g(y) < -value_error.  Returns
+    the mask of the cells so settled, the number of those that hold two,
+    and their root brackets (a, y) and (y, b) (only with want_roots).
+    """
+    s = np.where(np.signbit(f_a), -1, 1)
+    w = b - a
+    g0, g1 = s * d_a, s * d_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(g0 >= 0.0, a, np.where(g1 <= 0.0, b, a + w * g0 / (g0 - g1)))
+    y = np.clip(y, a, b)
+    fy, dfy = jet(y)
+    gy, dgy = s * fy, s * dfy
+    tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
+    empty = tangent_min > value_error + w * slope_error
+    two = ~empty & (gy < -value_error)
+    brackets = []
+    if want_roots:
+        y, fy = y[two], fy[two]
+        brackets = [(a[two], y, f_a[two], fy), (y, b[two], fy, f_b[two])]
+    return empty | two, int(np.count_nonzero(two)), brackets
 
 
 def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample,
@@ -607,23 +669,12 @@ def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample,
     brackets = [(lo[ones], hi[ones], f0[ones], f1[ones])] if want_roots else []
     cup = np.flatnonzero(cup)
     if cup.size:
-        # g = s T is convex with positive ends on these cells
-        s = np.where(neg[cup], -1, 1)
-        a, b, cw = lo[cup], hi[cup], w[cup]
-        g0, g1 = s * jet_lo[1, cup], s * jet_hi[1, cup]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(g0 >= 0.0, a, np.where(g1 <= 0.0, b, a + cw * g0 / (g0 - g1)))
-        y = np.clip(y, a, b)
-        jet_y = evaluate_jet(unit, y, order=1)
-        gy, dgy = s * jet_y[0], s * jet_y[1]
-        tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
-        empty = tangent_min > delta[0] + cw * delta[1]
-        two = ~empty & (gy < -delta[0])
-        decided[cup[empty | two]] = True
-        count += 2 * int(np.count_nonzero(two))
-        if want_roots:
-            f0_two, fy, f1_two = f0[cup][two], jet_y[0][two], f1[cup][two]
-            brackets += [(a[two], y[two], f0_two, fy), (y[two], b[two], fy, f1_two)]
+        settled, pairs, bracketed = _tangent_rule(
+            lo[cup], hi[cup], f0[cup], f1[cup], jet_lo[1, cup], jet_hi[1, cup],
+            lambda y: evaluate_jet(unit, y, order=1), delta[0], delta[1], want_roots)
+        decided[cup[settled]] = True
+        count += 2 * pairs
+        brackets += bracketed
     return count, brackets, decided
 
 
@@ -634,9 +685,9 @@ def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     seq holds T and T' at the layout's sequence nodes (_Layout.sequence).
     Returns (count, brackets, rest): the sign changes of the monotone
     cells, their root brackets (only with want_roots), and (cells, T(lo),
-    T(hi)) of the cells that passed neither test.  Its arrays of all open
-    cells are freed when it returns, before the local stage allocates its
-    own.
+    T'(lo), T(hi), T'(hi), mid) of the cells that passed neither test,
+    mid the middle control point of p'.  Its arrays of all open cells are
+    freed when it returns, before the later stages allocate their own.
     """
     delta = cert.delta_grid
     # mode="wrap" ends the whole circle's wrap cell at node 0
@@ -674,17 +725,87 @@ def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
         at_lo = np.abs(v_lo) <= delta[0]
         at_hi = np.abs(v_hi) <= delta[0]
         brackets.append((np.where(at_hi, hi, lo), np.where(at_lo, lo, hi), v_lo, v_hi))
-    rest = ~(zero_free | mono)
-    return int(np.count_nonzero(change)), brackets, (cells[rest], f_lo[rest], f_hi[rest])
+    rest = np.flatnonzero(~(zero_free | mono))
+    return (int(np.count_nonzero(change)), brackets,
+            tuple(column[rest] for column in (cells, f_lo, s0, f_hi, s1, mid)))
+
+
+def _bent_cells(cert: _Certificate, layout: _Layout, clear0: float, cells, f_lo, s0, f_hi, s1,
+                mid, want_roots: bool):
+    """The curvature test of cells that _open_cells leaves, from the
+    grid's T and T'.
+
+    p'' is linear, so T'' keeps one sign on a cell where both rises
+    mid - T'(lo) and T'(hi) - mid clear bend_clearance (at the larger of
+    the layout's two widths) with that sign.  With both end values beyond
+    delta_0, such a cell holds one zero when T changes sign, none when
+    its ends lie on the side that T bends away from, and otherwise (a
+    cup) none or two by _tangent_rule on p, which is convex too and which
+    T misses by at most clear0, the base grid's clearance, plus the
+    rounding of p(y) and p'(y).  Returns (count, brackets, (cells, T(lo),
+    T(hi)) of the cells left to the local stage).
+    """
+    delta = cert.delta_grid
+    widest = layout.h * layout.gap
+    bend = max(cert.bend_clearance(layout.h * width, delta) for width in layout.widths)
+    rise_lo = mid - s0
+    rise_hi = s1 - mid
+    concave = np.maximum(rise_lo, rise_hi) < -bend
+    bent = concave | (np.minimum(rise_lo, rise_hi) > bend)
+    bent &= np.minimum(np.abs(f_lo), np.abs(f_hi)) > delta[0]
+    neg = np.signbit(f_lo)
+    change = neg != np.signbit(f_hi)
+    ones = bent & change
+    # a bent cell is convex or concave, not both: with equal end signs T
+    # bends towards 0 (a cup) where the ends are negative and T concave or
+    # positive and T convex
+    cup = bent & ~change & (neg == concave)
+    left = ~bent | cup
+    count = int(np.count_nonzero(ones))
+    brackets = []
+    if want_roots:
+        at = cells[ones]
+        brackets.append((layout.positions(at), layout.positions(at + 1), f_lo[ones], f_hi[ones]))
+    cup = np.flatnonzero(cup)
+    if cup.size:
+        at = cells[cup]
+        a, b = layout.positions(np.stack([at, at + 1]))
+        f0, d0, f1, d1 = f_lo[cup], s0[cup], f_hi[cup], s1[cup]
+        thirds = layout.width_tables[0][at & (len(layout.widths) - 1)]
+        control = np.array([f0, f0 + thirds * d0, f1 - thirds * d1, f1])
+
+        def hermite(y):
+            # p(y) and p'(y) by de Casteljau's algorithm on the Bezier
+            # control points of p, in the cell's own parameter t
+            w = b - a
+            t = (y - a) / w
+            points = control
+            for _ in range(2):
+                points = points[:-1] + t * (points[1:] - points[:-1])
+            q0, q1 = points
+            return q0 + t * (q1 - q0), (q1 - q0) * (3.0 / w)
+
+        # the rounding of p(y) and of the tangent's steps (b - a) p'(y),
+        # relative to |p| <= M + delta_0 + w (n M + delta_1)/3
+        own = _SUM_ROUNDING * _U * (10.0 * (cert.bound + delta[0])
+                                    + 4.0 * widest * (cert.n * cert.bound + delta[1]))
+        settled, pairs, bracketed = _tangent_rule(a, b, f0, f1, d0, d1, hermite, clear0 + own,
+                                                  0.0, want_roots)
+        left[cup[settled]] = False
+        count += 2 * pairs
+        brackets += bracketed
+    return count, brackets, (cells[left], f_lo[left], f_hi[left])
 
 
 def _local_stage(cert: _Certificate, layout: _Layout, unit: PolySample, cells, f_lo, f_hi,
                  max_doublings: int, want_roots: bool):
     """(count, depth, stable, brackets) of the local stage on the cells.
 
-    The cells are split at the layout's fraction, at most max_doublings
-    times.  T at their grid nodes keeps its grid value, so that every node
-    has one sign for the cells on both sides of it.
+    The cells are those that no test on the grid's T and T' settles
+    (hull, monotone or curvature): they are tested from the pointwise jet
+    and split at the layout's fraction, at most max_doublings times.  T
+    at their grid nodes keeps its grid value, so that every node has one
+    sign for the cells on both sides of it.
     """
     lo, hi = points = layout.positions(np.stack([cells, cells + 1]))
     jet = evaluate_jet(unit, points.ravel())
@@ -736,20 +857,24 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     # full hull test
     slack *= widest / 3.0
     size -= slack
-    count, brackets, (cells, f_lo, f_hi) = _open_cells(
+    count, brackets, rest = _open_cells(
         seq, _screen(seq[0], size, clear0, layout.cell_count), layout, cert, clear0, want_roots)
     count *= layout.weight
     brackets = [(layout.weight, ends) for ends in brackets]
 
     depth = 0
     stable = True
-    if cells.size:
-        for part, weight in layout.parts(cells):
-            found, deep, settled, bracketed = _local_stage(
-                cert, layout, unit, cells[part], f_lo[part], f_hi[part], max_doublings,
-                want_roots)
+    if rest[0].size:
+        for part, weight in layout.parts(rest[0]):
+            found, bracketed, (cells, f_lo, f_hi) = _bent_cells(
+                cert, layout, clear0, *(column[part] for column in rest), want_roots)
+            if cells.size:
+                more, deep, settled, pointwise = _local_stage(
+                    cert, layout, unit, cells, f_lo, f_hi, max_doublings, want_roots)
+                found += more
+                bracketed += pointwise
+                depth, stable = max(depth, deep), stable and settled
             count += weight * found
-            depth, stable = max(depth, deep), stable and settled
             brackets += [(weight, ends) for ends in bracketed]
 
     roots = None
@@ -896,8 +1021,9 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     the reduced factor T^*; grid_per_degree and max_doublings do not
     enter); everything else, m = 1 included, takes the grid route, the
     cell certificate on one grid of smooth_size(max(256, grid_per_degree
-    * n)) nodes with at most max_doublings local splits of an undecided
-    cell (at the midpoint, so finest spacing 2 pi/N 2^-max_doublings).  A
+    * n)) nodes with at most max_doublings local splits of a cell that the
+    grid's hull, monotone and curvature tests leave undecided (at the
+    midpoint, so finest spacing 2 pi/N 2^-max_doublings).  A
     cosine sample (T even; a nonzero b is a ValueError) is certified on
     the half circle: the smallest 5-smooth multiple of 4 at or above that
     size, one transform of half as many nodes, their mirror images, and

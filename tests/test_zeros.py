@@ -27,7 +27,9 @@ from trigzeros.zeros import (
     _certificate,
     _grid_layout,
     _hull_sides,
+    _local_stage,
     _polynomial_roots,
+    _refine_roots,
     carrier_phase,
     count_zeros,
     deterministic_zero_set,
@@ -521,9 +523,11 @@ class TestCertificate:
         interpolant p_k of T^(k) (k <= 2) from end values and slopes stays
         within the interpolation part of the clearance, w^4 n^(k+4) M/384,
         and the slope p_0' within sqrt(3)/216 w^3 n^4 M of T', for an
-        i.i.d. and a periodic ell = 3, r = 2 sample.  The tone
-        cos(n(x - x0)) meets Bernstein's inequality with equality, and
-        each miss comes within 2 % of its bound."""
+        i.i.d. and a periodic ell = 3, r = 2 sample, and p_0'' at the cell
+        ends within w^2 n^4 M/12 of T'' (2/w times the interpolation part
+        of bend_clearance).  The tone cos(n(x - x0)) meets Bernstein's
+        inequality with equality, and each miss comes within 2 % of its
+        bound, that of p_0'' within 3 %."""
         n = 40
         tone_a, tone_b = np.zeros(n + 1), np.zeros(n + 1)
         tone_a[n], tone_b[n] = np.cos(n * 0.1234), np.sin(n * 0.1234)
@@ -553,6 +557,12 @@ class TestCertificate:
                         miss = np.abs(inside[1].reshape(t.size, N) - slope).max()
                         allowed = cert.slope_clearance(h, np.zeros(4))[0]
                         assert tight * allowed < miss <= allowed, (which, gpd, "slope")
+                        # p'' at the cell ends, where its miss peaks
+                        bend = (np.abs(ends[2, :-1] - (6 * (v1 - v0) - 4 * s0 - 2 * s1) / h**2),
+                                np.abs(ends[2, 1:] - (6 * (v0 - v1) + 2 * s0 + 4 * s1) / h**2))
+                        miss = max(m.max() for m in bend)
+                        allowed = 2.0 / h * cert.bend_clearance(h, np.zeros(4))
+                        assert min(tight, 0.97) * allowed < miss <= allowed, (which, gpd, "bend")
 
     @pytest.mark.parametrize("n", [50, 199])
     def test_close_pairs_below_the_interpolation_error(self, n):
@@ -630,9 +640,12 @@ class TestCertificate:
                         reason="needs an extended-precision reference")
     def test_rounding_bounds_cover_the_errors(self):
         """delta_k bounds the error of T^(k) read from the grid (k <= 2) and
-        of evaluate_jet's power table (k <= 3), and the rounding part of
-        slope_clearance that of the middle control point 3 (f_1 - f_0)/h -
-        f_0' - f_1' of p' from grid values, measured against
+        of evaluate_jet's power table (k <= 3), the rounding part of
+        slope_clearance that of the middle control point mid = 3 (f_1 -
+        f_0)/h - f_0' - f_1' of p' from grid values, and the part of
+        bend_clearance that grows with delta that of the rises mid - f_0'
+        and f_1' - mid (without the rounding of their own operations,
+        which leaves it smaller), measured against
         extended-precision sums at float nodes, on coarse and fine grids,
         including i.i.d. n = 1999, periodic ell = 3 samples with r = 2 and
         points in [2 pi - h, 2 pi + pi/N], where the arguments are largest."""
@@ -671,6 +684,13 @@ class TestCertificate:
                 rounding = (cert.slope_clearance(h, cert.delta_grid)[1]
                             - cert.slope_clearance(h, np.zeros(4))[0])
                 worst = max(worst, float(np.abs(mid - mid_exact).max()) / rounding)
+                # the rises of p' from grid values, against the part of
+                # bend_clearance that the grid's rounding adds
+                rounding = (cert.bend_clearance(h, cert.delta_grid)
+                            - cert.bend_clearance(h, np.zeros(4)))
+                for rise, exact_rise in ((mid - grid[1][pick], mid_exact - d0),
+                                         (grid[1][pick + 1] - mid, d1 - mid_exact)):
+                    worst = max(worst, float(np.abs(rise - exact_rise).max()) / rounding)
         assert worst < 0.5
 
     @pytest.mark.parametrize("kind, ell, n, master, pins", [
@@ -724,6 +744,145 @@ class TestCertificate:
         for seed in range(5):
             assert count_zeros(sample_coefficients(model, 199, seed=seed)).grid_size == 6400
         assert calls == [(columns, (0, 1))] * 5
+
+
+def _grid_roots(unit, brackets, tol):
+    """The roots that _refine_roots finds in (lo, hi, T(lo), T(hi)) brackets."""
+    ends = [np.concatenate(column) for column in zip(*brackets)]
+    return np.sort(_refine_roots(lambda x, _: evaluate_jet(unit, x, order=1), *ends, tol))
+
+
+class TestBentCells:
+    """Cells that neither the hull nor the monotone test settles are
+    settled from the grid's T and T' where T is convex or concave on them,
+    before the pointwise local stage sees them."""
+
+    @pytest.mark.parametrize("kind, dep, ell, n, trials, least", [
+        ("trig", "iid", None, 199, 60, 22), ("trig", "iid", None, 499, 40, 40),
+        ("trig", "iid", None, 1999, 15, 62), ("cosine", "iid", None, 499, 40, 17),
+        ("trig", "periodic", 3, 400, 40, 116), ("trig", "periodic", 3, 1600, 8, 27)])
+    def test_settled_cells_agree_with_the_local_stage(self, monkeypatch, kind, dep, ell, n,
+                                                      trials, least):
+        """Every cell that the curvature test settles gets the same count
+        from the local stage on that cell alone (max_doublings=4), which
+        certifies it, and the same roots within tol; the half circle
+        (cosine) counts each cell before its weight.  least is the number
+        of cells that the curvature test settles on these trials."""
+        import trigzeros.zeros as zeros_module
+
+        calls = []
+        original = zeros_module._bent_cells
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(zeros_module, "_bent_cells", spy)
+        model = CoefficientModel(kind=kind, dep=dep, ell=ell)
+        tol = 1e-10
+        settled = 0
+        for t in range(trials):
+            s = sample_coefficients(model, n, seed=mix64(35, n, t))
+            calls.clear()
+            count_zeros(s)
+            unit = s.unit()
+            for cert, layout, clear0, *columns, _ in calls:
+                for i in range(columns[0].size):
+                    cell = [column[i:i + 1] for column in columns]
+                    found, brackets, (left, *_) = original(cert, layout, clear0, *cell, True)
+                    if left.size:
+                        continue
+                    settled += 1
+                    count, depth, stable, pointwise = _local_stage(
+                        cert, layout, unit, cell[0], cell[1], cell[3], 4, True)
+                    assert (count, stable) == (found, True), (t, i)
+                    roots = _grid_roots(unit, brackets, tol)
+                    assert roots.size == found
+                    assert np.abs(roots - _grid_roots(unit, pointwise, tol)).max(
+                        initial=0.0) <= tol, (t, i)
+        assert settled >= least, settled
+
+    @pytest.mark.parametrize("case, level, at, zeros", [
+        ("sign change", 1.0 - 1e-6, 1.0 - 0.02, 2), ("bends away", None, 0.5, 2),
+        ("empty cup", 1.0 + 1e-6, 0.5, 0), ("cup with two", 1.0 - 1e-6, 0.5, 2)])
+    def test_crafted_cells_need_no_jet(self, monkeypatch, case, level, at, zeros):
+        """T = level - cos(x - x0) at n = 1 on 256 nodes is convex about its
+        minimum x0, placed at the fraction at of cell 100.  With level =
+        1 - 1e-6 the minimum dips below 0, with zeros 1.4e-3 on either
+        side: at the middle of the cell both lie in it, 2 % of the width
+        from its right end only one does.  With 1 + 1e-6 the minimum stays
+        above 0, by less than the cell's Hermite control points dip below
+        it.  With cos(h/2) - 1e-10 the ends lie 1e-10 below 0, inside the
+        base grid's clearance, and T bends away from 0.  Neither the hull
+        nor the monotone test settles the cell, the curvature test does,
+        the count makes no evaluate_jet call, and the roots are
+        x0 +- arccos(level)."""
+        import trigzeros.zeros as zeros_module
+
+        layout = _grid_layout(256, False)
+        lo, hi = layout.positions(np.array([100, 101]))
+        x0 = lo + at * (hi - lo)
+        if level is None:
+            level = np.cos(layout.h / 2) - 1e-10
+        s = _rigged_sample(1, a=[level, -np.cos(x0)], b=[0.0, -np.sin(x0)])
+        jets, bent = [], []
+        original_jet, original_bent = zeros_module.evaluate_jet, zeros_module._bent_cells
+
+        def jet(*args, **kwargs):
+            jets.append(args)
+            return original_jet(*args, **kwargs)
+
+        def spy(*args):
+            bent.append((args[3], original_bent(*args)))
+            return bent[-1][1]
+
+        monkeypatch.setattr(zeros_module, "evaluate_jet", jet)
+        monkeypatch.setattr(zeros_module, "_bent_cells", spy)
+        rep = count_zeros(s)
+        assert (rep.count, rep.stable, rep.doublings_used) == (zeros, True, 0), case
+        assert jets == []
+        ((cells, (_, _, (left, *_))),) = bent
+        assert 100 in cells and left.size == 0, case
+        expected = []
+        if zeros:
+            half = np.arccos(level)
+            expected = np.sort(np.mod(x0 + np.array([-half, half]), 2 * np.pi))
+        roots = count_zeros(s, want_roots=True).roots
+        assert np.allclose(roots, expected, rtol=0.0, atol=1e-12), case
+
+    def test_local_stage_calls(self, monkeypatch):
+        """Regression guard: over 300 trials (seeds mix64(35, n, t)) of each
+        family, the local-stage calls, the points evaluate_jet reads and
+        the unstable trials (none).  Before the curvature test the local
+        stage ran in 88, 193, 295, 122, 256 and 283 of these trials.  A
+        change that sends cells back to the pointwise stage shows here."""
+        import trigzeros.zeros as zeros_module
+
+        tally = {}
+        original_stage, original_jet = zeros_module._local_stage, zeros_module.evaluate_jet
+
+        def stage(*args):
+            tally[key][0] += 1
+            return original_stage(*args)
+
+        def jet(sample, x, order=3):
+            tally[key][1] += np.size(x)
+            return original_jet(sample, x, order)
+
+        monkeypatch.setattr(zeros_module, "_local_stage", stage)
+        monkeypatch.setattr(zeros_module, "evaluate_jet", jet)
+        for kind, dep, ell, n in (("trig", "iid", None, 199), ("trig", "iid", None, 499),
+                                  ("trig", "iid", None, 1999), ("cosine", "iid", None, 499),
+                                  ("trig", "periodic", 3, 400), ("trig", "periodic", 3, 1600)):
+            key = (kind, ell, n)
+            tally[key] = [0, 0, 0]
+            model = CoefficientModel(kind=kind, dep=dep, ell=ell)
+            for t in range(300):
+                tally[key][2] += not count_zeros(
+                    sample_coefficients(model, n, seed=mix64(35, n, t))).stable
+        assert tally == {("trig", None, 199): [3, 10, 0], ("trig", None, 499): [4, 18, 0],
+                         ("trig", None, 1999): [14, 55, 0], ("cosine", None, 499): [4, 18, 0],
+                         ("trig", 3, 400): [172, 1150, 0], ("trig", 3, 1600): [276, 26682, 0]}
 
 
 class TestGridRule:
