@@ -214,15 +214,17 @@ class PolySample:
     def peak(self) -> float:
         """The largest |a_k|, |b_k|, reduced once per sample (the sampler
         hands over that of its draw): nan or inf when an entry is, 0 when
-        the sample vanishes.  normalized takes its exponent, and the zero
-        counter its checks, from here."""
+        the sample vanishes.  normalized and the zero counter's carrier
+        phase take their exponent, and the zero counter its checks, from
+        here."""
         return _peak(self.a, self.b)
 
     @functools.cached_property
     def normalized(self) -> tuple[np.ndarray, int]:
         """The normalized coefficients (c, e) of _scaled, computed once per
-        sample, the package's one normalization: the evaluators of trigpoly
-        and the zero counter's carrier phase read them from here."""
+        sample: the evaluators of trigpoly read them from here.  The zero
+        counter's carrier phase, which reads the first ell alone, scales
+        those by the same exponent."""
         c, e = _scaled(self.a, self.b, self.peak)
         c.flags.writeable = False
         return c, e

@@ -77,24 +77,27 @@ not change the total.  A cell that passes neither test, mostly one that
 holds a critical point of T next to a zero, is convex or concave where
 both rises clear w^3 n^4 M/24 plus rounding with one sign
 (_Certificate.bend_clearance, at the larger width), and with both end
-values beyond delta_0 the grid settles it too: a sign change is one
-zero, ends on the side that T bends away from mean none, and otherwise
-(a cup) p_0, convex or concave as well, decides between none and two
-by its value and tangent at the secant estimate y of its critical point
-(_tangent_rule), with T within the base grid's clearance of p_0 plus
-the rounding of p_0(y) and p_0'(y).  This leaves a few cells per trial
-beside close zero pairs whose dip or bend the grid's error hides, more
-on periodic samples, whose M the lattice spike sets.
+values beyond delta_0 the grid settles it too.  One rule, _settle,
+decides every monotone, convex or concave cell with certain end signs:
+a sign change is one zero, ends on the side that T bends away from mean
+none, and otherwise (a cup) the value and tangent at the secant estimate
+y of the critical point decide between none and two.  The grid hands it
+the convex and concave masks and p_0, convex or concave as well, whose
+value error is the base grid's clearance (how far T may lie from p_0)
+plus the rounding of p_0(y) and p_0'(y), with no slope error.  This
+leaves a few cells per trial beside close zero pairs whose dip or bend
+the grid's error hides, more on periodic samples, whose M the lattice
+spike sets.
 Those are split locally, at most max_doublings times, with T', T'' and
 the third derivative summed pointwise through the two-level power table
 of trigpoly.evaluate_jet, and T too except at the grid nodes, which keep
 their grid values so that each node has one sign.  A sub-cell is
 certified only with both end values beyond rounding: as zero-free by the
-test above, as monotone where the control points of p_1 clear
-w^4 n^5 M/384, or, where those of p_2 clear w^4 n^6 M/384, as convex or
-concave: with a sign change it holds one zero, and with none it holds 0
-or 2, which the value and tangent of T at the secant estimate of its
-critical point decide.  The rounding bounds are
+test above, or by _settle, which the local stage hands the monotone mask
+where the control points of p_1 clear w^4 n^5 M/384, the convex and
+concave masks where those of p_2 clear w^4 n^6 M/384, and T itself,
+with the pointwise rounding delta_0 and delta_1 as the value and slope
+errors of T(y) and T'(y).  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes;
@@ -163,8 +166,10 @@ piece end lies within delta * max(1, |theta|) of a level (a relative
 margin, since theta grows like n); only then is stable=False.  Roots
 are refined by the same safeguarded Newton, on theta minus its level
 across the monotone piece that crosses it.  P is read from the first ell
-of PolySample.normalized, not from a copy of T^*, so count_zeros first
-checks that the sample repeats its coefficients with period ell.
+coefficients of the sample, normalized as PolySample.normalized would
+normalize them (the exponent of PolySample.peak), not from a copy of
+T^*, so count_zeros first checks that the sample repeats its
+coefficients with period ell.
 """
 
 from __future__ import annotations
@@ -175,6 +180,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import models
 from .models import PolySample
 from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers, scratch
 
@@ -593,89 +599,57 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float,
     return _Certificate(n, bound, delta_grid, delta_point)
 
 
-def _tangent_rule(a, b, f_a, f_b, d_a, d_b, jet: Callable, value_error: float,
-                  slope_error: float, want_roots: bool):
-    """(settled, pairs, brackets) of cells (a, b) on which f is convex or
-    concave with end values f_a, f_b of one sign, on the side that f
-    bends towards: g = s f, s the sign of the ends, is convex with
-    positive ends and holds no zero or two.
+def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable,
+            value_error: float, slope_error: float, want_roots: bool):
+    """(count, brackets, settled): the one rule for cells (lo, hi) whose
+    end values f_lo, f_hi of a function f have certain signs and on which
+    f is monotone (mono) or has one sign of f'' (convex, concave).
 
-    d_a and d_b are f' at the ends, and jet(y) returns f(y) and f'(y) at
+    The three masks, numpy bools or arrays, exclude each other.  A sign
+    change across such a cell is one zero, and ends on the side that f
+    bends away from mean none.  Otherwise (a cup) g = s f, s the sign of
+    the ends, is convex with positive ends and holds no zero or two: d_lo
+    and d_hi are f' at the ends, and jet(y, i) returns f(y) and f'(y) at
     the secant estimate y of the critical point of g (where the chord of
-    g' vanishes).  The tangent of g at y lies below g on the cell.  With
-    value_error bounding the error of f(y), and that of f itself where f
-    stands for another function, and slope_error that of f'(y), a cell
-    holds no zero where the tangent clears value_error + (b - a)
-    slope_error on [a, b], and two where g(y) < -value_error.  Returns
-    the mask of the cells so settled, the number of those that hold two,
-    and their root brackets (a, y) and (y, b) (only with want_roots).
+    g' vanishes) on the cells i.  The tangent of g at y lies below g on
+    the cell.  With value_error bounding the error of f(y), and that of f
+    itself where f stands for another function, and slope_error that of
+    f'(y), a cup holds no zero where the tangent clears value_error +
+    (hi - lo) slope_error on the cell, and two where g(y) < -value_error;
+    any other cup stays unsettled.  Returns the count of the settled
+    cells, (lo, hi, f(lo), f(hi)) array tuples that bracket one zero each
+    (only with want_roots: the cells of a sign change, and (lo, y) and
+    (y, hi) of a cup with two), and the mask of settled cells.
     """
-    s = np.where(np.signbit(f_a), -1, 1)
-    w = b - a
-    g0, g1 = s * d_a, s * d_b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(g0 >= 0.0, a, np.where(g1 <= 0.0, b, a + w * g0 / (g0 - g1)))
-    y = np.clip(y, a, b)
-    fy, dfy = jet(y)
-    gy, dgy = s * fy, s * dfy
-    tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
-    empty = tangent_min > value_error + w * slope_error
-    two = ~empty & (gy < -value_error)
-    brackets = []
-    if want_roots:
-        y, fy = y[two], fy[two]
-        brackets = [(a[two], y, f_a[two], fy), (y, b[two], fy, f_b[two])]
-    return empty | two, int(np.count_nonzero(two)), brackets
-
-
-def _local_cells(cert: _Certificate, lo, hi, jet_lo, jet_hi, unit: PolySample,
-                 want_roots: bool):
-    """Test sub-cells (lo, hi) from pointwise T, T', T'', T''' at their ends.
-
-    Returns (count, brackets, decided): the certified count of the cells,
-    a list of (lo, hi, T(lo), T(hi)) array tuples that bracket one
-    certified zero each (only with want_roots), and the mask of certified
-    cells.  A cell is certified when
-      - the Hermite control points of T clear their bound (no zero), or
-      - those of T' do and both end signs are certain (its sign change), or
-      - those of T'' do and both end signs are certain.  T is then convex
-        or concave: a sign change is one zero, ends on the side the curve
-        bends away from mean none, and otherwise the tangent at the
-        secant estimate y of the critical point decides between none (the
-        tangent stays clear of 0 on the cell) and two (T(y) has the other
-        sign).
-    The control points of T, T' and T'' are the three rows of one test.
-    """
-    delta = cert.delta_point
-    w = hi - lo
-    w3 = w / 3.0
-    above, below = _hull_sides(jet_lo[:3], jet_lo[1:], jet_hi[:3], jet_hi[1:], w3,
-                               cert.clearances(w, delta))
-    clear = above | below
-    f0, f1 = jet_lo[0], jet_hi[0]
-    certain = (np.abs(f0) > delta[0]) & (np.abs(f1) > delta[0])
-    neg = np.signbit(f0)
-    change = certain & (neg != np.signbit(f1))
-    none = clear[0]
-    mono = certain & clear[1] & ~none
-    curved = certain & clear[2] & ~(none | mono)
-    ones = change & (mono | curved)
+    neg = np.signbit(f_lo)
+    change = neg != np.signbit(f_hi)
+    bent = convex | concave
+    settled = mono | bent
+    ones = change & settled
     count = int(np.count_nonzero(ones))
-    # equal end signs: T'' of the sign of the ends bends the curve towards
-    # 0 (a cup of g = sign * T); otherwise it stays on the side of its ends
-    flat = curved & ~change
-    cup = flat & np.where(neg, below[2], above[2])
-    decided = none | mono | (curved & change) | (flat & ~cup)
-    brackets = [(lo[ones], hi[ones], f0[ones], f1[ones])] if want_roots else []
-    cup = np.flatnonzero(cup)
+    brackets = [(lo[ones], hi[ones], f_lo[ones], f_hi[ones])] if want_roots else []
+    # with equal end signs f bends towards 0 where the ends are negative
+    # and f concave or positive and f convex
+    cup = np.flatnonzero(bent & ~change & (neg == concave))
     if cup.size:
-        settled, pairs, bracketed = _tangent_rule(
-            lo[cup], hi[cup], f0[cup], f1[cup], jet_lo[1, cup], jet_hi[1, cup],
-            lambda y: evaluate_jet(unit, y, order=1), delta[0], delta[1], want_roots)
-        decided[cup[settled]] = True
-        count += 2 * pairs
-        brackets += bracketed
-    return count, brackets, decided
+        a, b = lo[cup], hi[cup]
+        s = np.where(neg[cup], -1, 1)
+        w = b - a
+        g0, g1 = s * d_lo[cup], s * d_hi[cup]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.where(g0 >= 0.0, a, np.where(g1 <= 0.0, b, a + w * g0 / (g0 - g1)))
+        y = np.clip(y, a, b)
+        fy, dfy = jet(y, cup)
+        gy, dgy = s * fy, s * dfy
+        tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
+        empty = tangent_min > value_error + w * slope_error
+        two = ~empty & (gy < -value_error)
+        settled[cup[~(empty | two)]] = False
+        count += 2 * int(np.count_nonzero(two))
+        if want_roots:
+            at, y, fy = cup[two], y[two], fy[two]
+            brackets += [(lo[at], y, f_lo[at], fy), (y, hi[at], fy, f_hi[at])]
+    return count, brackets, settled
 
 
 def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Certificate,
@@ -737,89 +711,86 @@ def _bent_cells(cert: _Certificate, layout: _Layout, clear0: float, cells, f_lo,
 
     p'' is linear, so T'' keeps one sign on a cell where both rises
     mid - T'(lo) and T'(hi) - mid clear bend_clearance (at the larger of
-    the layout's two widths) with that sign.  With both end values beyond
-    delta_0, such a cell holds one zero when T changes sign, none when
-    its ends lie on the side that T bends away from, and otherwise (a
-    cup) none or two by _tangent_rule on p, which is convex too and which
-    T misses by at most clear0, the base grid's clearance, plus the
-    rounding of p(y) and p'(y).  Returns (count, brackets, (cells, T(lo),
-    T(hi)) of the cells left to the local stage).
+    the layout's two widths) with that sign.  Such a cell with both end
+    values beyond delta_0 goes to _settle, whose cups take p, convex or
+    concave too, which T misses by at most clear0, the base grid's
+    clearance, plus the rounding of p(y) and p'(y).  Returns (count,
+    brackets, (lo, hi, T(lo), T(hi)) of the cells left to the local
+    stage).
     """
     delta = cert.delta_grid
-    widest = layout.h * layout.gap
     bend = max(cert.bend_clearance(layout.h * width, delta) for width in layout.widths)
     rise_lo = mid - s0
     rise_hi = s1 - mid
-    concave = np.maximum(rise_lo, rise_hi) < -bend
-    bent = concave | (np.minimum(rise_lo, rise_hi) > bend)
-    bent &= np.minimum(np.abs(f_lo), np.abs(f_hi)) > delta[0]
-    neg = np.signbit(f_lo)
-    change = neg != np.signbit(f_hi)
-    ones = bent & change
-    # a bent cell is convex or concave, not both: with equal end signs T
-    # bends towards 0 (a cup) where the ends are negative and T concave or
-    # positive and T convex
-    cup = bent & ~change & (neg == concave)
-    left = ~bent | cup
-    count = int(np.count_nonzero(ones))
-    brackets = []
-    if want_roots:
-        at = cells[ones]
-        brackets.append((layout.positions(at), layout.positions(at + 1), f_lo[ones], f_hi[ones]))
-    cup = np.flatnonzero(cup)
-    if cup.size:
-        at = cells[cup]
-        a, b = layout.positions(np.stack([at, at + 1]))
-        f0, d0, f1, d1 = f_lo[cup], s0[cup], f_hi[cup], s1[cup]
-        thirds = layout.width_tables[0][at & (len(layout.widths) - 1)]
-        control = np.array([f0, f0 + thirds * d0, f1 - thirds * d1, f1])
+    certain = np.minimum(np.abs(f_lo), np.abs(f_hi)) > delta[0]
+    concave = certain & (np.maximum(rise_lo, rise_hi) < -bend)
+    convex = certain & (np.minimum(rise_lo, rise_hi) > bend)
+    lo, hi = layout.positions(np.array([cells, cells + 1]))
 
-        def hermite(y):
-            # p(y) and p'(y) by de Casteljau's algorithm on the Bezier
-            # control points of p, in the cell's own parameter t
-            w = b - a
-            t = (y - a) / w
-            points = control
-            for _ in range(2):
-                points = points[:-1] + t * (points[1:] - points[:-1])
-            q0, q1 = points
-            return q0 + t * (q1 - q0), (q1 - q0) * (3.0 / w)
+    def hermite(y, i):
+        # p(y) and p'(y) by de Casteljau's algorithm on the Bezier control
+        # points of p, in the cell's own parameter t
+        thirds = layout.width_tables[0][cells[i] & (len(layout.widths) - 1)]
+        f0, f1 = f_lo[i], f_hi[i]
+        points = np.array([f0, f0 + thirds * s0[i], f1 - thirds * s1[i], f1])
+        w = hi[i] - lo[i]
+        t = (y - lo[i]) / w
+        for _ in range(2):
+            points = points[:-1] + t * (points[1:] - points[:-1])
+        q0, q1 = points
+        return q0 + t * (q1 - q0), (q1 - q0) * (3.0 / w)
 
-        # the rounding of p(y) and of the tangent's steps (b - a) p'(y),
-        # relative to |p| <= M + delta_0 + w (n M + delta_1)/3
-        own = _SUM_ROUNDING * _U * (10.0 * (cert.bound + delta[0])
-                                    + 4.0 * widest * (cert.n * cert.bound + delta[1]))
-        settled, pairs, bracketed = _tangent_rule(a, b, f0, f1, d0, d1, hermite, clear0 + own,
-                                                  0.0, want_roots)
-        left[cup[settled]] = False
-        count += 2 * pairs
-        brackets += bracketed
-    return count, brackets, (cells[left], f_lo[left], f_hi[left])
+    # the rounding of p(y) and of the tangent's steps (hi - lo) p'(y),
+    # relative to |p| <= M + delta_0 + w (n M + delta_1)/3
+    widest = layout.h * layout.gap
+    own = _SUM_ROUNDING * _U * (10.0 * (cert.bound + delta[0])
+                                + 4.0 * widest * (cert.n * cert.bound + delta[1]))
+    count, brackets, settled = _settle(lo, hi, f_lo, f_hi, s0, s1, np.False_, convex, concave,
+                                       hermite, clear0 + own, 0.0, want_roots)
+    left = ~settled
+    return count, brackets, (lo[left], hi[left], f_lo[left], f_hi[left])
 
 
-def _local_stage(cert: _Certificate, layout: _Layout, unit: PolySample, cells, f_lo, f_hi,
+def _local_stage(cert: _Certificate, unit: PolySample, lo, hi, f_lo, f_hi, split: float,
                  max_doublings: int, want_roots: bool):
-    """(count, depth, stable, brackets) of the local stage on the cells.
+    """(count, depth, stable, brackets) of the local stage on the cells
+    (lo, hi), whose grid values are f_lo, f_hi.
 
     The cells are those that no test on the grid's T and T' settles
-    (hull, monotone or curvature): they are tested from the pointwise jet
-    and split at the layout's fraction, at most max_doublings times.  T
-    at their grid nodes keeps its grid value, so that every node has one
-    sign for the cells on both sides of it.
+    (hull, monotone or curvature).  T', T'' and T''' at their ends are
+    read from the pointwise jet, and T too at the split points; T at
+    the grid nodes keeps its grid value, so that every node has one sign
+    for the cells on both sides of it.  A cell is certified when the
+    Hermite control points of T clear their bound (no zero), or, with
+    both end values beyond delta_0, when those of T' do (monotone) or
+    those of T'' do (convex or concave), by _settle with the value and
+    slope errors delta_0 and delta_1 of the pointwise jet; the control
+    points of T, T' and T'' are the three rows of one test.  Cells left
+    are split at the fraction split of their width, at most
+    max_doublings times.
     """
-    lo, hi = points = layout.positions(np.stack([cells, cells + 1]))
-    jet = evaluate_jet(unit, points.ravel())
-    jet[0, :cells.size], jet[0, cells.size:] = f_lo, f_hi
-    jet_lo, jet_hi = jet[:, :cells.size], jet[:, cells.size:]
+    jet = evaluate_jet(unit, np.concatenate([lo, hi]))
+    jet[0, :lo.size], jet[0, lo.size:] = f_lo, f_hi
+    jet_lo, jet_hi = jet[:, :lo.size], jet[:, lo.size:]
+    delta = cert.delta_point
     count, depth, brackets = 0, 0, []
-    split = layout.split
     while True:
-        found, bracketed, decided = _local_cells(cert, lo, hi, jet_lo, jet_hi, unit, want_roots)
+        w = hi - lo
+        above, below = _hull_sides(jet_lo[:3], jet_lo[1:], jet_hi[:3], jet_hi[1:], w / 3.0,
+                                   cert.clearances(w, delta))
+        none = above[0] | below[0]
+        f0, f1 = jet_lo[0], jet_hi[0]
+        certain = (np.abs(f0) > delta[0]) & (np.abs(f1) > delta[0]) & ~none
+        mono = certain & (above[1] | below[1])
+        curved = certain & ~mono
+        found, bracketed, settled = _settle(
+            lo, hi, f0, f1, jet_lo[1], jet_hi[1], mono, curved & above[2], curved & below[2],
+            lambda y, _: evaluate_jet(unit, y, order=1), delta[0], delta[1], want_roots)
         count += found
         brackets += bracketed
-        if decided.all():
+        keep = ~(none | settled)
+        if not keep.any():
             return count, depth, True, brackets
-        keep = ~decided
         lo, hi, jet_lo, jet_hi = lo[keep], hi[keep], jet_lo[:, keep], jet_hi[:, keep]
         if depth == max_doublings:
             # a cell left undecided counts the change of sign bit across
@@ -866,11 +837,11 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     stable = True
     if rest[0].size:
         for part, weight in layout.parts(rest[0]):
-            found, bracketed, (cells, f_lo, f_hi) = _bent_cells(
+            found, bracketed, left = _bent_cells(
                 cert, layout, clear0, *(column[part] for column in rest), want_roots)
-            if cells.size:
+            if left[0].size:
                 more, deep, settled, pointwise = _local_stage(
-                    cert, layout, unit, cells, f_lo, f_hi, max_doublings, want_roots)
+                    cert, unit, *left, layout.split, max_doublings, want_roots)
                 found += more
                 bracketed += pointwise
                 depth, stable = max(depth, deep), stable and settled
@@ -892,8 +863,10 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
 class CarrierPhase:
     """The continuous phase theta of the reduced factor of an r = 0 sample.
 
-    With c the first ell of PolySample.normalized (exponent e),
-    P(z) = sum_k c_k z^k and f0 = (m-1) ell/2,
+    With c_k = (a_k - i b_k) 2^-e the first ell coefficients, normalized
+    by the exponent e of PolySample.peak (the bits that
+    PolySample.normalized gives them), P(z) = sum_k c_k z^k and
+    f0 = (m-1) ell/2,
 
         T^*(x) = 2^e Re(e^{i f0 x} P(e^{ix})) = 2^e |P(e^{ix})| cos theta(x).
 
@@ -965,8 +938,7 @@ def carrier_phase(sample: PolySample) -> CarrierPhase:
     of P; the sample must be finite, nonzero and repeat its coefficients
     with period ell, which count_zeros checks."""
     split = sample.split
-    c, e = sample.normalized
-    c = c[:split.ell]
+    c, e = models._scaled(sample.a[:split.ell], sample.b[:split.ell], sample.peak)
     alpha = _polynomial_roots(c[::-1])
     inside = np.abs(alpha) < 1.0
     outside = alpha[~inside]
@@ -1075,25 +1047,19 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
                              f"model={model}, seed={sample.seed}")
         count, pieces, stable, roots = _phase_count(sample, want_roots, tol)
         count += split.deterministic_zeros  # the size of deterministic_zero_set
-        _enforce_ceiling(count, n, sample)
         if want_roots:
             roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, ell)]))
-        return ZeroCountReport(count=count, grid_size=0, doublings_used=0,
-                               stable=stable, roots=roots, pieces=pieces)
-
-    unit = sample.unit()
-    N = _grid_size(n, grid_per_degree, mirror)
-    count, doublings, stable, roots = _certified_count(unit, _grid_layout(N, mirror),
-                                                       max_doublings, want_roots, tol)
-    _enforce_ceiling(count, n, sample)
-    return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings,
-                           stable=stable, roots=roots)
-
-
-def _enforce_ceiling(count: int, n: int, sample: PolySample) -> None:
+        N = doublings = 0
+    else:
+        N = _grid_size(n, grid_per_degree, mirror)
+        count, doublings, stable, roots = _certified_count(sample.unit(), _grid_layout(N, mirror),
+                                                           max_doublings, want_roots, tol)
+        pieces = 0
     # a degree-n trigonometric polynomial has at most 2n real zeros
     if count > 2 * n:
         raise RuntimeError(
             f"counted {count} zeros for degree n={n} (ceiling 2n={2 * n}); "
-            f"model={sample.model}, seed={sample.seed}"
+            f"model={model}, seed={sample.seed}"
         )
+    return ZeroCountReport(count=count, grid_size=N, doublings_used=doublings, stable=stable,
+                           roots=roots, pieces=pieces)

@@ -335,8 +335,8 @@ class TestPerDegreeTables:
         """count_zeros normalizes the sample once, with the largest
         coefficient that the sampler handed over; its checks, the unit
         copy, its three grids, the local halvings and the root refinement
-        reuse both, and so does the carrier phase of an r = 0 sample,
-        which builds no reduced factor."""
+        reuse both.  The carrier phase of an r = 0 sample builds no
+        reduced factor and normalizes only the ell coefficients of P."""
         calls = []
         for name in ("_peak", "_scaled"):
             original = getattr(models, name)
@@ -355,7 +355,7 @@ class TestPerDegreeTables:
         monkeypatch.setattr(trigpoly.ReducedSample, "__init__", reduced)
         s = sample_coefficients(CoefficientModel(kind=kind, dep=dep, ell=ell), n, seed=42)
         count_zeros(s, grid_per_degree=3, want_roots=True)
-        assert calls == [("_scaled", n + 1)]
+        assert calls == [("_scaled", n + 1 if ell is None else ell)]
 
 
 def _phi(m, ell, x):

@@ -30,6 +30,7 @@ from trigzeros.zeros import (
     _local_stage,
     _polynomial_roots,
     _refine_roots,
+    _settle,
     carrier_phase,
     count_zeros,
     deterministic_zero_set,
@@ -752,6 +753,74 @@ def _grid_roots(unit, brackets, tol):
     return np.sort(_refine_roots(lambda x, _: evaluate_jet(unit, x, order=1), *ends, tol))
 
 
+class TestSettle:
+    """_settle's table on cells (0, 1) of quadratics f = p0 + p1 x + p2 x^2,
+    value error 0.01: monotone cells, bent cells whose ends lie on the side
+    f bends away from, and cups with no zero, two, or left open."""
+
+    P = np.array([
+        (-0.5, 1.0, 0.0),  # 0 monotone, sign change: one zero
+        (1.0, 1.0, 0.0),  # 1 monotone, no change: none
+        (-4.0, 0.0, 1.0),  # 2 convex, negative ends: bends away
+        (4.0, 0.0, -1.0),  # 3 concave, positive ends: bends away
+        (-0.5, 0.0, 1.0),  # 4 convex, sign change: one zero
+        (0.35, -1.0, 1.0),  # 5 convex cup, minimum 0.1: none
+        (0.15, -1.0, 1.0),  # 6 convex cup, minimum -0.1: two
+        (0.251, -1.0, 1.0),  # 7 convex cup, minimum 0.001: open
+        (-0.15, 1.0, -1.0),  # 8 concave cup, maximum 0.1: two
+        (-0.5, 1.0, 0.0),  # 9 in no mask: open
+    ])
+    MONO = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0], bool)
+    CONVEX = np.array([0, 0, 1, 0, 1, 1, 1, 1, 0, 0], bool)
+    CONCAVE = np.array([0, 0, 0, 1, 0, 0, 0, 0, 1, 0], bool)
+
+    def _run(self, cells, mono, want_roots=True, slope_error=0.0):
+        p0, p1, p2 = self.P[cells].T
+        lo, hi = np.zeros(cells.size), np.ones(cells.size)
+        calls = []
+
+        def jet(y, i):
+            calls.append(cells[i])
+            return p0[i] + p1[i] * y + p2[i] * y * y, p1[i] + 2.0 * p2[i] * y
+
+        out = _settle(lo, hi, p0, p0 + p1 + p2, p1, p1 + 2.0 * p2, mono, self.CONVEX[cells],
+                      self.CONCAVE[cells], jet, 0.01, slope_error, want_roots)
+        return out, calls
+
+    def test_table(self):
+        cells = np.arange(10)
+        (count, brackets, settled), calls = self._run(cells, self.MONO)
+        assert count == 1 + 1 + 2 + 2
+        assert settled.tolist() == [True] * 7 + [False, True, False]
+        # jet is read at the secant estimate of the cups alone, x = 1/2
+        assert [c.tolist() for c in calls] == [[5, 6, 7, 8]]
+        ones, left, right = brackets
+        assert [a.tolist() for a in ones] == [[0.0, 0.0], [1.0, 1.0], [-0.5, -0.5], [0.5, 0.5]]
+        assert left[0].tolist() == [0.0, 0.0] and left[1].tolist() == [0.5, 0.5]
+        assert right[0].tolist() == [0.5, 0.5] and right[1].tolist() == [1.0, 1.0]
+        assert np.allclose(left[3], [-0.1, 0.1]) and np.array_equal(left[3], right[2])
+        assert left[2].tolist() == [0.15, -0.15] and np.allclose(right[3], [0.15, -0.15])
+        (count, brackets, settled), _ = self._run(cells, self.MONO, want_roots=False)
+        assert (count, brackets, settled.sum()) == (6, [], 8)
+
+    def test_slope_error_widens_the_tangent_test(self):
+        """The empty cup's tangent clears 0.1 at most: with 0.2 per unit
+        width on the slope it stays open; the cup with two keeps them."""
+        (count, _, settled), _ = self._run(np.array([5, 6]), np.False_, slope_error=0.2)
+        assert (count, settled.tolist()) == (2, [False, True])
+
+    @pytest.mark.parametrize("mono", [np.False_, np.zeros(8, bool)])
+    def test_no_monotone_cells(self, mono):
+        """An all-False monotone mask, a numpy bool or an array, leaves
+        the monotone cells open and settles the bent ones as above."""
+        cells = np.array([0, 1, 2, 3, 4, 5, 6, 7])
+        (count, brackets, settled), calls = self._run(cells, mono)
+        assert settled.dtype == bool
+        assert (count, settled.tolist()) == (3, [False, False] + [True] * 5 + [False])
+        assert [c.tolist() for c in calls] == [[5, 6, 7]]
+        assert brackets[0][0].size == 1 and brackets[1][1].tolist() == [0.5]
+
+
 class TestBentCells:
     """Cells that neither the hull nor the monotone test settles are
     settled from the grid's T and T' where T is convex or concave on them,
@@ -793,8 +862,9 @@ class TestBentCells:
                     if left.size:
                         continue
                     settled += 1
+                    lo, hi = layout.positions(np.stack([cell[0], cell[0] + 1]))
                     count, depth, stable, pointwise = _local_stage(
-                        cert, layout, unit, cell[0], cell[1], cell[3], 4, True)
+                        cert, unit, lo, hi, cell[1], cell[3], layout.split, 4, True)
                     assert (count, stable) == (found, True), (t, i)
                     roots = _grid_roots(unit, brackets, tol)
                     assert roots.size == found
@@ -1084,6 +1154,57 @@ class TestTrigReportsUnchanged:
         model = CoefficientModel(kind="trig", dep=dep, ell=ell)
         s = sample_coefficients(model, n, seed=mix64(33, n, trial))
         rep = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+        assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
+            count, size, doublings, stable)
+        assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
+
+
+class TestCupReportsUnchanged:
+    """Reports of i.i.d. trials whose cups _settle decides, on both
+    layouts (cosine samples take the half circle): count, grid size,
+    halvings, stable flag and the bits of the roots (tol=1e-12) as the
+    code gave them before the grid's curvature test and the local stage
+    shared one rule.  stage names the caller whose cup the trial tests:
+    at the grid level the first two of each kind settle a cup as two
+    zeros and as none, and in the local stage a cup holds two or none."""
+
+    PINS = [
+        ("trig", 199, 10, "_bent_cells", 234, 6400, 0, True, "e89b1547a93c3e25"),
+        ("trig", 199, 12, "_bent_cells", 222, 6400, 0, True, "5a4a60dea421df9d"),
+        ("cosine", 499, 1, "_bent_cells", 618, 16000, 0, True, "02d06e45b3305a46"),
+        ("cosine", 499, 10, "_bent_cells", 572, 16000, 0, True, "8d53db8028215edd"),
+        ("trig", 99, 185, "_local_stage", 114, 3200, 0, True, "560eeb7ddb5d90e0"),
+        ("trig", 499, 315, "_local_stage", 580, 16000, 0, True, "2f6366ea68a7dc2c"),
+        ("cosine", 199, 329, "_local_stage", 220, 6400, 0, True, "89e388befd350185"),
+        ("cosine", 499, 320, "_local_stage", 582, 16000, 0, True, "6e53838994d524d4"),
+    ]
+
+    @pytest.mark.parametrize("kind, n, trial, stage, count, size, doublings, stable, digest",
+                             PINS)
+    def test_report(self, monkeypatch, kind, n, trial, stage, count, size, doublings, stable,
+                    digest):
+        import hashlib
+        import sys
+
+        import trigzeros.zeros as zeros_module
+
+        cups = set()
+        original = zeros_module._settle
+
+        def spy(*args):
+            caller, jet = sys._getframe(1).f_code.co_name, args[9]
+
+            def traced(y, i):
+                cups.add(caller)
+                return jet(y, i)
+
+            return original(*args[:9], traced, *args[10:])
+
+        monkeypatch.setattr(zeros_module, "_settle", spy)
+        s = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), n,
+                                seed=mix64(36, n, trial))
+        rep = count_zeros(s, want_roots=True, tol=1e-12)
+        assert stage in cups
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
