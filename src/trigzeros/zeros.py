@@ -81,16 +81,19 @@ values beyond delta_0 the grid settles it too.  One rule, _settle,
 decides every monotone, convex or concave cell with certain end signs:
 a sign change is one zero, ends on the side that T bends away from mean
 none, and otherwise (a cup) the value and tangent at the secant estimate
-y of the critical point decide between none and two.  The grid hands it
-the convex and concave masks and p_0, convex or concave as well, whose
+y of the critical point decide between none and two.  The grid pass,
+_grid_cells, runs the hull, monotone and curvature tests on the open
+cells of one weight at a time (_Layout.parts) and hands _settle the
+convex and concave masks and p_0, convex or concave as well, whose
 value error is the base grid's clearance (how far T may lie from p_0)
 plus the rounding of p_0(y) and p_0'(y), with no slope error.  This
 leaves a few cells per trial beside close zero pairs whose dip or bend
 the grid's error hides, more on periodic samples, whose M the lattice
 spike sets.
-Those are split locally, at most max_doublings times, with T', T'' and
-the third derivative summed pointwise through the two-level power table
-of trigpoly.evaluate_jet, and T too except at the grid nodes, which keep
+The local stage takes those of the same weight from the grid pass and
+splits them, at most max_doublings times, with T', T'' and the third
+derivative summed pointwise through the two-level power table of
+trigpoly.evaluate_jet, and T too except at the grid nodes, which keep
 their grid values so that each node has one sign.  A sub-cell is
 certified only with both end values beyond rounding: as zero-free by the
 test above, or by _settle, which the local stage hands the monotone mask
@@ -371,10 +374,9 @@ class _Layout:
     wraps from the last node to node 0.  On the half circle (mirror) node
     2j + 1 is column j and node 2j the mirror image of column -j mod
     columns, for j <= columns/2, and no cell wraps.  Cell k spans the
-    nodes k and k + 1, has width h widths[k mod p] and stands for weight
-    cells of the circle, but the first and last cells of the half circle
-    stand for one.  The local stage splits a cell at the fraction split of
-    its width.
+    nodes k and k + 1 and has width h widths[k mod p]; how many cells of
+    the circle it stands for, its weight, is given by parts alone.  The
+    local stage splits a cell at the fraction split of its width.
     """
 
     size: int
@@ -393,10 +395,6 @@ class _Layout:
     def gap(self) -> float:
         """The widest cell, in units of h."""
         return max(self.widths)
-
-    @property
-    def weight(self) -> int:
-        return 2 if self.mirror else 1
 
     @functools.cached_property
     def cell_count(self) -> int:
@@ -429,12 +427,14 @@ class _Layout:
         return seq
 
     def parts(self, cells: np.ndarray):
-        """[(the cells of one weight, as a mask or a slice, their weight)]."""
-        if self.mirror:
-            own = (cells == 0) | (cells == self.cell_count - 1)  # about 0 and pi
-            if own.any():
-                return [(~own, self.weight), (own, 1)]
-        return [(slice(None), self.weight)]
+        """[(the cells of one weight, as a mask or a slice, their weight)]:
+        1 on the whole circle; on the half circle 2, a cell and its mirror
+        image, but 1 for the cells about 0 and pi, their own mirror
+        images."""
+        if not self.mirror:
+            return [(slice(None), 1)]
+        own = (cells == 0) | (cells == self.cell_count - 1)
+        return [(~own, 2), (own, 1)] if own.any() else [(slice(None), 2)]
 
 
 def _screen(f: np.ndarray, margin: np.ndarray, clear0: float, cells: int) -> np.ndarray:
@@ -603,7 +603,9 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
             value_error: float, slope_error: float, want_roots: bool):
     """(count, brackets, settled): the one rule for cells (lo, hi) whose
     end values f_lo, f_hi of a function f have certain signs and on which
-    f is monotone (mono) or has one sign of f'' (convex, concave).
+    f is monotone (mono) or has one sign of f'' (convex, concave):
+    _grid_cells' convex and concave cells, with the grid's p, and
+    _local_stage's cells, with the pointwise jet.
 
     The three masks, numpy bools or arrays, exclude each other.  A sign
     change across such a cell is one zero, and ends on the side that f
@@ -652,16 +654,18 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
     return count, brackets, settled
 
 
-def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Certificate,
+def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Certificate,
                 clear0: float, want_roots: bool):
-    """The hull and monotone tests of open cells of the layout.
+    """(count, brackets, left): the tests of open cells of the layout, all
+    of one weight, on the grid's own T and T'.
 
     seq holds T and T' at the layout's sequence nodes (_Layout.sequence).
-    Returns (count, brackets, rest): the sign changes of the monotone
-    cells, their root brackets (only with want_roots), and (cells, T(lo),
-    T'(lo), T(hi), T'(hi), mid) of the cells that passed neither test,
-    mid the middle control point of p'.  Its arrays of all open cells are
-    freed when it returns, before the later stages allocate their own.
+    The hull test proves cells zero-free and the monotone test counts the
+    sign change of the cells it passes; on the cells that neither settles,
+    the curvature test hands the convex and concave ones to _settle.
+    Returns the count of the settled cells, their root brackets (only
+    with want_roots) and (lo, hi, T(lo), T(hi)) of the cells left to the
+    local stage.
     """
     delta = cert.delta_grid
     # mode="wrap" ends the whole circle's wrap cell at node 0
@@ -678,8 +682,7 @@ def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     # local tests demand certain end signs).  Zero-free cells take the
     # test too, but their outcome is not used.  The middle control point
     # takes each cell's own width, the clearances the larger of those of
-    # the layout's widths.  A cell that is its own mirror image has equal
-    # end values, so it never counts a change here
+    # the layout's widths
     clear_end, clear_mid = map(max, zip(*[cert.slope_clearance(layout.h * width, delta)
                                           for width in layout.widths]))
     mid = f_hi - f_lo
@@ -689,6 +692,7 @@ def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     mono = (((np.minimum(s0, s1) > clear_end) & (mid > clear_mid))
             | ((np.maximum(s0, s1) < -clear_end) & (mid < -clear_mid)))
     change = mono & (np.signbit(f_lo) != np.signbit(f_hi)) & ~zero_free
+    count = int(np.count_nonzero(change))
     brackets = []
     if want_roots:
         # an end value within rounding of 0 is the root itself (to
@@ -700,25 +704,18 @@ def _open_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
         at_hi = np.abs(v_hi) <= delta[0]
         brackets.append((np.where(at_hi, hi, lo), np.where(at_lo, lo, hi), v_lo, v_hi))
     rest = np.flatnonzero(~(zero_free | mono))
-    return (int(np.count_nonzero(change)), brackets,
-            tuple(column[rest] for column in (cells, f_lo, s0, f_hi, s1, mid)))
+    if not rest.size:  # nothing left for the curvature test
+        return count, brackets, (f_lo[rest],) * 4
+    # the columns of all open cells are freed before the curvature test
+    # allocates its own
+    cells, f_lo, s0, f_hi, s1, mid = (column[rest] for column in (cells, f_lo, s0, f_hi, s1, mid))
 
-
-def _bent_cells(cert: _Certificate, layout: _Layout, clear0: float, cells, f_lo, s0, f_hi, s1,
-                mid, want_roots: bool):
-    """The curvature test of cells that _open_cells leaves, from the
-    grid's T and T'.
-
-    p'' is linear, so T'' keeps one sign on a cell where both rises
-    mid - T'(lo) and T'(hi) - mid clear bend_clearance (at the larger of
-    the layout's two widths) with that sign.  Such a cell with both end
-    values beyond delta_0 goes to _settle, whose cups take p, convex or
-    concave too, which T misses by at most clear0, the base grid's
-    clearance, plus the rounding of p(y) and p'(y).  Returns (count,
-    brackets, (lo, hi, T(lo), T(hi)) of the cells left to the local
-    stage).
-    """
-    delta = cert.delta_grid
+    # p'' is linear, so T'' keeps one sign on a cell where both rises
+    # mid - T'(lo) and T'(hi) - mid clear bend_clearance (at the larger of
+    # the layout's two widths) with that sign.  Such a cell with both end
+    # values beyond delta_0 goes to _settle, whose cups take p, convex or
+    # concave too, which T misses by at most clear0, the base grid's
+    # clearance, plus the rounding of p(y) and p'(y)
     bend = max(cert.bend_clearance(layout.h * width, delta) for width in layout.widths)
     rise_lo = mid - s0
     rise_hi = s1 - mid
@@ -730,9 +727,9 @@ def _bent_cells(cert: _Certificate, layout: _Layout, clear0: float, cells, f_lo,
     def hermite(y, i):
         # p(y) and p'(y) by de Casteljau's algorithm on the Bezier control
         # points of p, in the cell's own parameter t
-        thirds = layout.width_tables[0][cells[i] & (len(layout.widths) - 1)]
+        third = thirds[cells[i] & (thirds.size - 1)]
         f0, f1 = f_lo[i], f_hi[i]
-        points = np.array([f0, f0 + thirds * s0[i], f1 - thirds * s1[i], f1])
+        points = np.array([f0, f0 + third * s0[i], f1 - third * s1[i], f1])
         w = hi[i] - lo[i]
         t = (y - lo[i]) / w
         for _ in range(2):
@@ -745,10 +742,10 @@ def _bent_cells(cert: _Certificate, layout: _Layout, clear0: float, cells, f_lo,
     widest = layout.h * layout.gap
     own = _SUM_ROUNDING * _U * (10.0 * (cert.bound + delta[0])
                                 + 4.0 * widest * (cert.n * cert.bound + delta[1]))
-    count, brackets, settled = _settle(lo, hi, f_lo, f_hi, s0, s1, np.False_, convex, concave,
-                                       hermite, clear0 + own, 0.0, want_roots)
+    found, bracketed, settled = _settle(lo, hi, f_lo, f_hi, s0, s1, np.False_, convex, concave,
+                                        hermite, clear0 + own, 0.0, want_roots)
     left = ~settled
-    return count, brackets, (lo[left], hi[left], f_lo[left], f_hi[left])
+    return count + found, brackets + bracketed, (lo[left], hi[left], f_lo[left], f_hi[left])
 
 
 def _local_stage(cert: _Certificate, unit: PolySample, lo, hi, f_lo, f_hi, split: float,
@@ -756,11 +753,11 @@ def _local_stage(cert: _Certificate, unit: PolySample, lo, hi, f_lo, f_hi, split
     """(count, depth, stable, brackets) of the local stage on the cells
     (lo, hi), whose grid values are f_lo, f_hi.
 
-    The cells are those that no test on the grid's T and T' settles
-    (hull, monotone or curvature).  T', T'' and T''' at their ends are
-    read from the pointwise jet, and T too at the split points; T at
-    the grid nodes keeps its grid value, so that every node has one sign
-    for the cells on both sides of it.  A cell is certified when the
+    The cells are those of one weight that _grid_cells leaves: no test on
+    the grid's T and T' settles them (hull, monotone or curvature).  T',
+    T'' and T''' at their ends are read from the pointwise jet, and T too
+    at the split points; T at the grid nodes keeps its grid value, so
+    that every node has one sign for the cells on both sides of it.  A cell is certified when the
     Hermite control points of T clear their bound (no zero), or, with
     both end values beyond delta_0, when those of T' do (monotone) or
     those of T'' do (convex or concave), by _settle with the value and
@@ -796,7 +793,8 @@ def _local_stage(cert: _Certificate, unit: PolySample, lo, hi, f_lo, f_hi, split
             # a cell left undecided counts the change of sign bit across
             # it, as the monotone cells do
             change = np.signbit(jet_lo[0]) != np.signbit(jet_hi[0])
-            brackets.append((lo[change], hi[change], jet_lo[0, change], jet_hi[0, change]))
+            if want_roots:
+                brackets.append((lo[change], hi[change], jet_lo[0, change], jet_hi[0, change]))
             return count + int(np.count_nonzero(change)), depth, False, brackets
         # at split = 1/2 this is the midpoint 0.5 (lo + hi) to the bit
         mid = (1.0 - split) * lo + split * hi
@@ -814,8 +812,10 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
     those of the sample itself.  The node-sized arrays are scratch
-    arrays, and every array returned is a copy.  The brackets of the
-    roots are gathered only with want_roots.
+    arrays, and every array returned is a copy.  The open cells are
+    decided one weight at a time (_Layout.parts): the grid pass, then the
+    local stage on the cells it leaves.  The brackets of the roots are
+    gathered only with want_roots.
     """
     seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1)))
     size, slack = np.abs(seq, out=scratch(seq.size).reshape(seq.shape))
@@ -828,25 +828,18 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     # full hull test
     slack *= widest / 3.0
     size -= slack
-    count, brackets, rest = _open_cells(
-        seq, _screen(seq[0], size, clear0, layout.cell_count), layout, cert, clear0, want_roots)
-    count *= layout.weight
-    brackets = [(layout.weight, ends) for ends in brackets]
-
-    depth = 0
-    stable = True
-    if rest[0].size:
-        for part, weight in layout.parts(rest[0]):
-            found, bracketed, left = _bent_cells(
-                cert, layout, clear0, *(column[part] for column in rest), want_roots)
-            if left[0].size:
-                more, deep, settled, pointwise = _local_stage(
-                    cert, unit, *left, layout.split, max_doublings, want_roots)
-                found += more
-                bracketed += pointwise
-                depth, stable = max(depth, deep), stable and settled
-            count += weight * found
-            brackets += [(weight, ends) for ends in bracketed]
+    cells = _screen(seq[0], size, clear0, layout.cell_count)
+    count, depth, stable, brackets = 0, 0, True, []
+    for part, weight in layout.parts(cells):
+        found, bracketed, left = _grid_cells(seq, cells[part], layout, cert, clear0, want_roots)
+        if left[0].size:
+            more, deep, settled, pointwise = _local_stage(
+                cert, unit, *left, layout.split, max_doublings, want_roots)
+            found += more
+            bracketed += pointwise
+            depth, stable = max(depth, deep), stable and settled
+        count += weight * found
+        brackets += [(weight, ends) for ends in bracketed]
 
     roots = None
     if want_roots:

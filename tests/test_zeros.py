@@ -379,12 +379,26 @@ class TestStabilityProtocol:
         assert rep.count == decided_circle_roots(s)
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
-    def test_insufficient_doubling_budget_is_flagged(self, tangent_draw, kind):
+    def test_insufficient_doubling_budget_is_flagged(self, monkeypatch, tangent_draw, kind):
         """A double zero is never certified, whatever the halving budget,
-        on the whole circle and on the half circle alike."""
+        on the whole circle and on the half circle alike; the local stage
+        that gives up on it returns no brackets, since no roots are asked
+        for."""
+        import trigzeros.zeros as zeros_module
+
+        brackets = []
+        original = zeros_module._local_stage
+
+        def stage(*args):
+            out = original(*args)
+            brackets.extend(out[3])
+            return out
+
+        monkeypatch.setattr(zeros_module, "_local_stage", stage)
         s = tangent_draw(CoefficientModel(kind=kind, dep="iid"), 1, 0)
         for max_doublings in range(8):
             rep = count_zeros(s, max_doublings=max_doublings)
+            assert brackets == [], max_doublings
             assert not rep.stable, max_doublings
             assert rep.doublings_used == max_doublings
             assert rep.grid_size == 256
@@ -835,18 +849,26 @@ class TestBentCells:
         """Every cell that the curvature test settles gets the same count
         from the local stage on that cell alone (max_doublings=4), which
         certifies it, and the same roots within tol; the half circle
-        (cosine) counts each cell before its weight.  least is the number
-        of cells that the curvature test settles on these trials."""
+        (cosine) counts each cell before its weight.  The cells are those
+        whose _settle call in the grid pass settles them, each then passed
+        to the grid pass alone.  least is the number of cells that the
+        curvature test settles on these trials."""
         import trigzeros.zeros as zeros_module
 
-        calls = []
-        original = zeros_module._bent_cells
+        calls, settles = [], []
+        original, original_settle = zeros_module._grid_cells, zeros_module._settle
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(zeros_module, "_bent_cells", spy)
+        def settle(*args):
+            out = original_settle(*args)
+            settles.append((args[0], out[2]))
+            return out
+
+        monkeypatch.setattr(zeros_module, "_grid_cells", spy)
+        monkeypatch.setattr(zeros_module, "_settle", settle)
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)
         tol = 1e-10
         settled = 0
@@ -855,16 +877,21 @@ class TestBentCells:
             calls.clear()
             count_zeros(s)
             unit = s.unit()
-            for cert, layout, clear0, *columns, _ in calls:
-                for i in range(columns[0].size):
-                    cell = [column[i:i + 1] for column in columns]
-                    found, brackets, (left, *_) = original(cert, layout, clear0, *cell, True)
-                    if left.size:
-                        continue
+            for seq, cells, layout, cert, clear0, _ in calls:
+                settles.clear()
+                original(seq, cells, layout, cert, clear0, False)
+                if not settles:  # no cell reached the curvature test
+                    continue
+                ((starts, done),) = settles
+                for i in np.flatnonzero(np.isin(layout.positions(cells), starts[done])):
+                    cell = cells[i:i + 1]
+                    found, brackets, (left, *_) = original(seq, cell, layout, cert, clear0, True)
+                    assert left.size == 0, (t, i)
                     settled += 1
-                    lo, hi = layout.positions(np.stack([cell[0], cell[0] + 1]))
+                    lo, hi = layout.positions(np.stack([cell, cell + 1]))
+                    f_lo, f_hi = seq[0].take(cell), seq[0].take(cell + 1, mode="wrap")
                     count, depth, stable, pointwise = _local_stage(
-                        cert, unit, lo, hi, cell[1], cell[3], layout.split, 4, True)
+                        cert, unit, lo, hi, f_lo, f_hi, layout.split, 4, True)
                     assert (count, stable) == (found, True), (t, i)
                     roots = _grid_roots(unit, brackets, tol)
                     assert roots.size == found
@@ -884,9 +911,9 @@ class TestBentCells:
         above 0, by less than the cell's Hermite control points dip below
         it.  With cos(h/2) - 1e-10 the ends lie 1e-10 below 0, inside the
         base grid's clearance, and T bends away from 0.  Neither the hull
-        nor the monotone test settles the cell, the curvature test does,
-        the count makes no evaluate_jet call, and the roots are
-        x0 +- arccos(level)."""
+        nor the monotone test settles the cell, the curvature test does
+        (its _settle call reads the cell), the count makes no evaluate_jet
+        call, and the roots are x0 +- arccos(level)."""
         import trigzeros.zeros as zeros_module
 
         layout = _grid_layout(256, False)
@@ -895,24 +922,31 @@ class TestBentCells:
         if level is None:
             level = np.cos(layout.h / 2) - 1e-10
         s = _rigged_sample(1, a=[level, -np.cos(x0)], b=[0.0, -np.sin(x0)])
-        jets, bent = [], []
-        original_jet, original_bent = zeros_module.evaluate_jet, zeros_module._bent_cells
+        jets, grid, settles = [], [], []
+        original_jet, original_grid = zeros_module.evaluate_jet, zeros_module._grid_cells
+        original_settle = zeros_module._settle
 
         def jet(*args, **kwargs):
             jets.append(args)
             return original_jet(*args, **kwargs)
 
         def spy(*args):
-            bent.append((args[3], original_bent(*args)))
-            return bent[-1][1]
+            grid.append((args[1], original_grid(*args)))
+            return grid[-1][1]
+
+        def settle(*args):
+            settles.append(args[0])
+            return original_settle(*args)
 
         monkeypatch.setattr(zeros_module, "evaluate_jet", jet)
-        monkeypatch.setattr(zeros_module, "_bent_cells", spy)
+        monkeypatch.setattr(zeros_module, "_grid_cells", spy)
+        monkeypatch.setattr(zeros_module, "_settle", settle)
         rep = count_zeros(s)
         assert (rep.count, rep.stable, rep.doublings_used) == (zeros, True, 0), case
         assert jets == []
-        ((cells, (_, _, (left, *_))),) = bent
-        assert 100 in cells and left.size == 0, case
+        ((cells, (_, _, (left, *_))),) = grid
+        (starts,) = settles
+        assert 100 in cells and lo in starts and left.size == 0, case
         expected = []
         if zeros:
             half = np.arccos(level)
@@ -1032,6 +1066,40 @@ class TestHalfCircle:
             if want_roots:
                 assert half.roots.size == half.count == full.roots.size
                 assert np.abs(half.roots - full.roots).max(initial=0.0) <= 1e-10, t
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("at", [0.3, 0.9])
+    def test_zeros_in_the_own_cells(self, monkeypatch, sign, at):
+        """T = sign cos x - cos x0 at n = 1 (N = 256), x0 = at g h, has the
+        zeros +-x0 (sign 1) or pi +- x0 (sign -1), both in the half
+        circle's cell about 0 or about pi, its own mirror image.  That cell
+        is in the weight-1 part of the open cells, and the report is the
+        whole circle's: count 2 (weight 2 would count 4, above the ceiling
+        2n), stable, no split, and the same roots within 1e-12."""
+        import trigzeros.zeros as zeros_module
+
+        layout = _grid_layout(256, True)
+        x0 = at * GRID_OFFSET * layout.h
+        own = 0 if sign > 0 else layout.cell_count - 1
+        parts = []
+        original = zeros_module._Layout.parts
+
+        def spy(self, cells):
+            out = original(self, cells)
+            parts.append([(cells[part], weight) for part, weight in out])
+            return out
+
+        monkeypatch.setattr(zeros_module._Layout, "parts", spy)
+        s = _rigged_sample(1, a=[-np.cos(x0), sign], b=[0.0, 0.0])
+        half = count_zeros(dataclasses.replace(s, model=CoefficientModel(kind="cosine", dep="iid")),
+                           want_roots=True)
+        assert [weight for cells, weight in parts[0] if own in cells] == [1]
+        whole = count_zeros(s, want_roots=True)
+        for rep in (half, whole):
+            assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (2, 256, 0, True)
+        assert np.abs(half.roots - whole.roots).max() <= 1e-12
+        expected = np.sort(np.mod(np.pi * (sign < 0) + np.array([-x0, x0]), 2 * np.pi))
+        assert np.allclose(half.roots, expected, rtol=0.0, atol=1e-10)
 
     def test_close_pairs_at_the_split_budget(self):
         """Golden splits shrink the widest piece by g = 0.618 a level, not by
@@ -1169,10 +1237,10 @@ class TestCupReportsUnchanged:
     zeros and as none, and in the local stage a cup holds two or none."""
 
     PINS = [
-        ("trig", 199, 10, "_bent_cells", 234, 6400, 0, True, "e89b1547a93c3e25"),
-        ("trig", 199, 12, "_bent_cells", 222, 6400, 0, True, "5a4a60dea421df9d"),
-        ("cosine", 499, 1, "_bent_cells", 618, 16000, 0, True, "02d06e45b3305a46"),
-        ("cosine", 499, 10, "_bent_cells", 572, 16000, 0, True, "8d53db8028215edd"),
+        ("trig", 199, 10, "_grid_cells", 234, 6400, 0, True, "e89b1547a93c3e25"),
+        ("trig", 199, 12, "_grid_cells", 222, 6400, 0, True, "5a4a60dea421df9d"),
+        ("cosine", 499, 1, "_grid_cells", 618, 16000, 0, True, "02d06e45b3305a46"),
+        ("cosine", 499, 10, "_grid_cells", 572, 16000, 0, True, "8d53db8028215edd"),
         ("trig", 99, 185, "_local_stage", 114, 3200, 0, True, "560eeb7ddb5d90e0"),
         ("trig", 499, 315, "_local_stage", 580, 16000, 0, True, "2f6366ea68a7dc2c"),
         ("cosine", 199, 329, "_local_stage", 220, 6400, 0, True, "89e388befd350185"),
