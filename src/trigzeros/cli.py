@@ -171,7 +171,10 @@ def _cmd_simulate(parser, args):
 
 def _cmd_kacrice(parser, args):
     degrees = tuple(args.n) if args.n else (100,)
-    model = _model(parser, vars(args), degrees, args.r)
+    # the quadrature reads the model, n and the split of its sample, never
+    # the coefficients, so the throwaway draw takes sigma = 1: a draw at the
+    # user's sigma could overflow although the total does not depend on it
+    model = dataclasses.replace(_model(parser, vars(args), degrees, args.r), sigma=1.0)
     rows = []
     for n in degrees:
         try:

@@ -12,10 +12,11 @@ evaluate_jet                     T_n, T_n', ... at arbitrary points
                                  from a two-level power table, e^{ijx}
                                  = e^{iBpx} e^{iqx} with B ~ sqrt(n):
                                  O(sqrt n) phases and one complex
-                                 matrix product per point; the local
-                                 bisection of the zero certificate and
-                                 the Newton refinement of its roots
-                                 use it.  What depends on the degree
+                                 matrix product per point; the zero
+                                 certificate's cups (grid and local
+                                 alike), its local bisection and the
+                                 Newton refinement of its roots use
+                                 it.  What depends on the degree
                                  alone (the powers j^k, the table's
                                  exponents and binomial weights and
                                  its weight matrix per order, the grid

@@ -80,13 +80,14 @@ both rises clear w^3 n^4 M/24 plus rounding with one sign
 values beyond delta_0 the grid settles it too.  One rule, _settle,
 decides every monotone, convex or concave cell with certain end signs:
 a sign change is one zero, ends on the side that T bends away from mean
-none, and otherwise (a cup) the value and tangent at the secant estimate
-y of the critical point decide between none and two.  The grid pass,
+none, and otherwise (a cup) the value and tangent of T at the secant
+estimate y of the critical point decide between none and two.  Wherever
+a cup is found it is decided on T itself: T(y) and T'(y) come from the
+trial's one order-1 pointwise jet (evaluate_jet), with the pointwise
+rounding delta_0 and delta_1 as their errors.  The grid pass,
 _grid_cells, runs the hull, monotone and curvature tests on the open
 cells of one weight at a time (_Layout.parts) and hands _settle the
-convex and concave masks and p_0, convex or concave as well, whose
-value error is the base grid's clearance (how far T may lie from p_0)
-plus the rounding of p_0(y) and p_0'(y), with no slope error.  This
+convex and concave masks and that jet, which only a cup reads.  This
 leaves a few cells per trial beside close zero pairs whose dip or bend
 the grid's error hides, more on periodic samples, whose M the lattice
 spike sets.
@@ -98,9 +99,8 @@ their grid values so that each node has one sign.  A sub-cell is
 certified only with both end values beyond rounding: as zero-free by the
 test above, or by _settle, which the local stage hands the monotone mask
 where the control points of p_1 clear w^4 n^5 M/384, the convex and
-concave masks where those of p_2 clear w^4 n^6 M/384, and T itself,
-with the pointwise rounding delta_0 and delta_1 as the value and slope
-errors of T(y) and T'(y).  The rounding bounds are
+concave masks where those of p_2 clear w^4 n^6 M/384, and the same
+jet.  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes;
@@ -599,29 +599,27 @@ def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float,
     return _Certificate(n, bound, delta_grid, delta_point)
 
 
-def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable,
-            value_error: float, slope_error: float, want_roots: bool):
+def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable, delta,
+            want_roots: bool):
     """(count, brackets, settled): the one rule for cells (lo, hi) whose
-    end values f_lo, f_hi of a function f have certain signs and on which
-    f is monotone (mono) or has one sign of f'' (convex, concave):
-    _grid_cells' convex and concave cells, with the grid's p, and
-    _local_stage's cells, with the pointwise jet.
+    end values f_lo, f_hi of T have certain signs and on which T is
+    monotone (mono) or has one sign of T'' (convex, concave): _grid_cells'
+    convex and concave cells and _local_stage's cells.
 
     The three masks, numpy bools or arrays, exclude each other.  A sign
-    change across such a cell is one zero, and ends on the side that f
-    bends away from mean none.  Otherwise (a cup) g = s f, s the sign of
+    change across such a cell is one zero, and ends on the side that T
+    bends away from mean none.  Otherwise (a cup) g = s T, s the sign of
     the ends, is convex with positive ends and holds no zero or two: d_lo
-    and d_hi are f' at the ends, and jet(y, i) returns f(y) and f'(y) at
+    and d_hi are T' at the ends, and jet(y, i) returns T(y) and T'(y) at
     the secant estimate y of the critical point of g (where the chord of
-    g' vanishes) on the cells i.  The tangent of g at y lies below g on
-    the cell.  With value_error bounding the error of f(y), and that of f
-    itself where f stands for another function, and slope_error that of
-    f'(y), a cup holds no zero where the tangent clears value_error +
-    (hi - lo) slope_error on the cell, and two where g(y) < -value_error;
-    any other cup stays unsettled.  Returns the count of the settled
-    cells, (lo, hi, f(lo), f(hi)) array tuples that bracket one zero each
-    (only with want_roots: the cells of a sign change, and (lo, y) and
-    (y, hi) of a cup with two), and the mask of settled cells.
+    g' vanishes) on the cells i, the pointwise jet whose rounding
+    delta_0 and delta_1 are delta[0] and delta[1].  The tangent of g at y
+    lies below g on the cell, so a cup holds no zero where the tangent
+    clears delta_0 + (hi - lo) delta_1 on the cell, and two where
+    g(y) < -delta_0; any other cup stays unsettled.  Returns the count of
+    the settled cells, (lo, hi, T(lo), T(hi)) array tuples that bracket
+    one zero each (only with want_roots: the cells of a sign change, and
+    (lo, y) and (y, hi) of a cup with two), and the mask of settled cells.
     """
     neg = np.signbit(f_lo)
     change = neg != np.signbit(f_hi)
@@ -630,8 +628,8 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
     ones = change & settled
     count = int(np.count_nonzero(ones))
     brackets = [(lo[ones], hi[ones], f_lo[ones], f_hi[ones])] if want_roots else []
-    # with equal end signs f bends towards 0 where the ends are negative
-    # and f concave or positive and f convex
+    # with equal end signs T bends towards 0 where the ends are negative
+    # and T concave or positive and T convex
     cup = np.flatnonzero(bent & ~change & (neg == concave))
     if cup.size:
         a, b = lo[cup], hi[cup]
@@ -644,8 +642,8 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
         fy, dfy = jet(y, cup)
         gy, dgy = s * fy, s * dfy
         tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
-        empty = tangent_min > value_error + w * slope_error
-        two = ~empty & (gy < -value_error)
+        empty = tangent_min > delta[0] + w * delta[1]
+        two = ~empty & (gy < -delta[0])
         settled[cup[~(empty | two)]] = False
         count += 2 * int(np.count_nonzero(two))
         if want_roots:
@@ -655,17 +653,19 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
 
 
 def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Certificate,
-                clear0: float, want_roots: bool):
+                clear0: float, jet: Callable, want_roots: bool):
     """(count, brackets, left): the tests of open cells of the layout, all
     of one weight, on the grid's own T and T'.
 
     seq holds T and T' at the layout's sequence nodes (_Layout.sequence).
     The hull test proves cells zero-free and the monotone test counts the
     sign change of the cells it passes; on the cells that neither settles,
-    the curvature test hands the convex and concave ones to _settle.
-    Returns the count of the settled cells, their root brackets (only
-    with want_roots) and (lo, hi, T(lo), T(hi)) of the cells left to the
-    local stage.
+    the curvature test hands the convex and concave ones to _settle, with
+    jet, the trial's order-1 pointwise jet, and its rounding
+    cert.delta_point: a cup is decided on T itself, as in the local
+    stage, and only a cup reads jet.  Returns the count of the settled
+    cells, their root brackets (only with want_roots) and
+    (lo, hi, T(lo), T(hi)) of the cells left to the local stage.
     """
     delta = cert.delta_grid
     # mode="wrap" ends the whole circle's wrap cell at node 0
@@ -713,9 +713,8 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     # p'' is linear, so T'' keeps one sign on a cell where both rises
     # mid - T'(lo) and T'(hi) - mid clear bend_clearance (at the larger of
     # the layout's two widths) with that sign.  Such a cell with both end
-    # values beyond delta_0 goes to _settle, whose cups take p, convex or
-    # concave too, which T misses by at most clear0, the base grid's
-    # clearance, plus the rounding of p(y) and p'(y)
+    # values beyond delta_0 goes to _settle, whose cups read T itself from
+    # the pointwise jet
     bend = max(cert.bend_clearance(layout.h * width, delta) for width in layout.widths)
     rise_lo = mid - s0
     rise_hi = s1 - mid
@@ -723,52 +722,33 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     concave = certain & (np.maximum(rise_lo, rise_hi) < -bend)
     convex = certain & (np.minimum(rise_lo, rise_hi) > bend)
     lo, hi = layout.positions(np.array([cells, cells + 1]))
-
-    def hermite(y, i):
-        # p(y) and p'(y) by de Casteljau's algorithm on the Bezier control
-        # points of p, in the cell's own parameter t
-        third = thirds[cells[i] & (thirds.size - 1)]
-        f0, f1 = f_lo[i], f_hi[i]
-        points = np.array([f0, f0 + third * s0[i], f1 - third * s1[i], f1])
-        w = hi[i] - lo[i]
-        t = (y - lo[i]) / w
-        for _ in range(2):
-            points = points[:-1] + t * (points[1:] - points[:-1])
-        q0, q1 = points
-        return q0 + t * (q1 - q0), (q1 - q0) * (3.0 / w)
-
-    # the rounding of p(y) and of the tangent's steps (hi - lo) p'(y),
-    # relative to |p| <= M + delta_0 + w (n M + delta_1)/3
-    widest = layout.h * layout.gap
-    own = _SUM_ROUNDING * _U * (10.0 * (cert.bound + delta[0])
-                                + 4.0 * widest * (cert.n * cert.bound + delta[1]))
     found, bracketed, settled = _settle(lo, hi, f_lo, f_hi, s0, s1, np.False_, convex, concave,
-                                        hermite, clear0 + own, 0.0, want_roots)
+                                        jet, cert.delta_point, want_roots)
     left = ~settled
     return count + found, brackets + bracketed, (lo[left], hi[left], f_lo[left], f_hi[left])
 
 
-def _local_stage(cert: _Certificate, unit: PolySample, lo, hi, f_lo, f_hi, split: float,
-                 max_doublings: int, want_roots: bool):
+def _local_stage(cert: _Certificate, unit: PolySample, jet: Callable, lo, hi, f_lo, f_hi,
+                 split: float, max_doublings: int, want_roots: bool):
     """(count, depth, stable, brackets) of the local stage on the cells
     (lo, hi), whose grid values are f_lo, f_hi.
 
     The cells are those of one weight that _grid_cells leaves: no test on
     the grid's T and T' settles them (hull, monotone or curvature).  T',
-    T'' and T''' at their ends are read from the pointwise jet, and T too
-    at the split points; T at the grid nodes keeps its grid value, so
-    that every node has one sign for the cells on both sides of it.  A cell is certified when the
-    Hermite control points of T clear their bound (no zero), or, with
-    both end values beyond delta_0, when those of T' do (monotone) or
-    those of T'' do (convex or concave), by _settle with the value and
-    slope errors delta_0 and delta_1 of the pointwise jet; the control
-    points of T, T' and T'' are the three rows of one test.  Cells left
-    are split at the fraction split of their width, at most
-    max_doublings times.
+    T'' and T''' at their ends are read pointwise (evaluate_jet), and T
+    too at the split points; T at the grid nodes keeps its grid value, so
+    that every node has one sign for the cells on both sides of it.  A
+    cell is certified when the Hermite control points of T clear their
+    bound (no zero), or, with both end values beyond delta_0, when those
+    of T' do (monotone) or those of T'' do (convex or concave), by
+    _settle with jet, the trial's order-1 pointwise jet, and its rounding
+    delta_0 and delta_1; the control points of T, T' and T'' are the
+    three rows of one test.  Cells left are split at the fraction split
+    of their width, at most max_doublings times.
     """
-    jet = evaluate_jet(unit, np.concatenate([lo, hi]))
-    jet[0, :lo.size], jet[0, lo.size:] = f_lo, f_hi
-    jet_lo, jet_hi = jet[:, :lo.size], jet[:, lo.size:]
+    ends = evaluate_jet(unit, np.concatenate([lo, hi]))
+    ends[0, :lo.size], ends[0, lo.size:] = f_lo, f_hi
+    jet_lo, jet_hi = ends[:, :lo.size], ends[:, lo.size:]
     delta = cert.delta_point
     count, depth, brackets = 0, 0, []
     while True:
@@ -780,9 +760,9 @@ def _local_stage(cert: _Certificate, unit: PolySample, lo, hi, f_lo, f_hi, split
         certain = (np.abs(f0) > delta[0]) & (np.abs(f1) > delta[0]) & ~none
         mono = certain & (above[1] | below[1])
         curved = certain & ~mono
-        found, bracketed, settled = _settle(
-            lo, hi, f0, f1, jet_lo[1], jet_hi[1], mono, curved & above[2], curved & below[2],
-            lambda y, _: evaluate_jet(unit, y, order=1), delta[0], delta[1], want_roots)
+        found, bracketed, settled = _settle(lo, hi, f0, f1, jet_lo[1], jet_hi[1], mono,
+                                            curved & above[2], curved & below[2], jet, delta,
+                                            want_roots)
         count += found
         brackets += bracketed
         keep = ~(none | settled)
@@ -829,12 +809,16 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     slack *= widest / 3.0
     size -= slack
     cells = _screen(seq[0], size, clear0, layout.cell_count)
+    # T and T' at any points: the one pointwise jet of grid cups, the local
+    # stage's cups and the root refinement
+    jet = lambda x, _: evaluate_jet(unit, x, order=1)  # noqa: E731
     count, depth, stable, brackets = 0, 0, True, []
     for part, weight in layout.parts(cells):
-        found, bracketed, left = _grid_cells(seq, cells[part], layout, cert, clear0, want_roots)
+        found, bracketed, left = _grid_cells(seq, cells[part], layout, cert, clear0, jet,
+                                             want_roots)
         if left[0].size:
             more, deep, settled, pointwise = _local_stage(
-                cert, unit, *left, layout.split, max_doublings, want_roots)
+                cert, unit, jet, *left, layout.split, max_doublings, want_roots)
             found += more
             bracketed += pointwise
             depth, stable = max(depth, deep), stable and settled
@@ -844,8 +828,7 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     roots = None
     if want_roots:
         weights, ends = zip(*brackets)
-        found = _refine_roots(lambda x, _: evaluate_jet(unit, x, order=1),
-                              *(np.concatenate(column) for column in zip(*ends)), tol)
+        found = _refine_roots(jet, *(np.concatenate(column) for column in zip(*ends)), tol)
         # a zero of a cell that stands for its mirror image too brings 2 pi - x
         twice = np.repeat(np.array(weights) == 2, [lo.size for lo, *_ in ends])
         roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))

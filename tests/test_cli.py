@@ -225,9 +225,16 @@ def test_bad_degrees_are_usage_errors(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
-def test_kacrice_draw_overflow_exits_2(capsys):
-    assert main(["kacrice", "--sigma", "1e308"]) == 2
-    assert "overflows the double range" in capsys.readouterr().err
+def test_kacrice_does_not_draw_at_the_users_sigma(capsys):
+    """The quadrature never reads the coefficients, so sigma = 1e308, whose
+    draw overflows, prints the totals of sigma = 1 to the bit (JSON floats
+    print every bit)."""
+    assert main(["kacrice", "--sigma", "1e308", "--format", "json"]) == 0
+    huge = capsys.readouterr()
+    assert main(["kacrice", "--format", "json"]) == 0
+    unit = capsys.readouterr()
+    assert huge.err == unit.err == ""
+    assert huge.out == unit.out and json.loads(unit.out)[0]["total"] > 0.0
 
 
 def test_constants_shortcuts(capsys):

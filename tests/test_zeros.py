@@ -769,8 +769,9 @@ def _grid_roots(unit, brackets, tol):
 
 class TestSettle:
     """_settle's table on cells (0, 1) of quadratics f = p0 + p1 x + p2 x^2,
-    value error 0.01: monotone cells, bent cells whose ends lie on the side
-    f bends away from, and cups with no zero, two, or left open."""
+    value rounding delta_0 = 0.01: monotone cells, bent cells whose ends
+    lie on the side f bends away from, and cups with no zero, two, or left
+    open."""
 
     P = np.array([
         (-0.5, 1.0, 0.0),  # 0 monotone, sign change: one zero
@@ -798,7 +799,7 @@ class TestSettle:
             return p0[i] + p1[i] * y + p2[i] * y * y, p1[i] + 2.0 * p2[i] * y
 
         out = _settle(lo, hi, p0, p0 + p1 + p2, p1, p1 + 2.0 * p2, mono, self.CONVEX[cells],
-                      self.CONCAVE[cells], jet, 0.01, slope_error, want_roots)
+                      self.CONCAVE[cells], jet, np.array([0.01, slope_error]), want_roots)
         return out, calls
 
     def test_table(self):
@@ -841,9 +842,9 @@ class TestBentCells:
     before the pointwise local stage sees them."""
 
     @pytest.mark.parametrize("kind, dep, ell, n, trials, least", [
-        ("trig", "iid", None, 199, 60, 22), ("trig", "iid", None, 499, 40, 40),
-        ("trig", "iid", None, 1999, 15, 62), ("cosine", "iid", None, 499, 40, 17),
-        ("trig", "periodic", 3, 400, 40, 116), ("trig", "periodic", 3, 1600, 8, 27)])
+        ("trig", "iid", None, 199, 60, 23), ("trig", "iid", None, 499, 40, 40),
+        ("trig", "iid", None, 1999, 15, 63), ("cosine", "iid", None, 499, 40, 17),
+        ("trig", "periodic", 3, 400, 40, 120), ("trig", "periodic", 3, 1600, 8, 29)])
     def test_settled_cells_agree_with_the_local_stage(self, monkeypatch, kind, dep, ell, n,
                                                       trials, least):
         """Every cell that the curvature test settles gets the same count
@@ -877,21 +878,22 @@ class TestBentCells:
             calls.clear()
             count_zeros(s)
             unit = s.unit()
-            for seq, cells, layout, cert, clear0, _ in calls:
+            for seq, cells, layout, cert, clear0, jet, _ in calls:
                 settles.clear()
-                original(seq, cells, layout, cert, clear0, False)
+                original(seq, cells, layout, cert, clear0, jet, False)
                 if not settles:  # no cell reached the curvature test
                     continue
                 ((starts, done),) = settles
                 for i in np.flatnonzero(np.isin(layout.positions(cells), starts[done])):
                     cell = cells[i:i + 1]
-                    found, brackets, (left, *_) = original(seq, cell, layout, cert, clear0, True)
+                    found, brackets, (left, *_) = original(seq, cell, layout, cert, clear0, jet,
+                                                           True)
                     assert left.size == 0, (t, i)
                     settled += 1
                     lo, hi = layout.positions(np.stack([cell, cell + 1]))
                     f_lo, f_hi = seq[0].take(cell), seq[0].take(cell + 1, mode="wrap")
                     count, depth, stable, pointwise = _local_stage(
-                        cert, unit, lo, hi, f_lo, f_hi, layout.split, 4, True)
+                        cert, unit, jet, lo, hi, f_lo, f_hi, layout.split, 4, True)
                     assert (count, stable) == (found, True), (t, i)
                     roots = _grid_roots(unit, brackets, tol)
                     assert roots.size == found
@@ -902,7 +904,7 @@ class TestBentCells:
     @pytest.mark.parametrize("case, level, at, zeros", [
         ("sign change", 1.0 - 1e-6, 1.0 - 0.02, 2), ("bends away", None, 0.5, 2),
         ("empty cup", 1.0 + 1e-6, 0.5, 0), ("cup with two", 1.0 - 1e-6, 0.5, 2)])
-    def test_crafted_cells_need_no_jet(self, monkeypatch, case, level, at, zeros):
+    def test_crafted_cells_read_the_jet_at_cups_only(self, monkeypatch, case, level, at, zeros):
         """T = level - cos(x - x0) at n = 1 on 256 nodes is convex about its
         minimum x0, placed at the fraction at of cell 100.  With level =
         1 - 1e-6 the minimum dips below 0, with zeros 1.4e-3 on either
@@ -912,8 +914,10 @@ class TestBentCells:
         it.  With cos(h/2) - 1e-10 the ends lie 1e-10 below 0, inside the
         base grid's clearance, and T bends away from 0.  Neither the hull
         nor the monotone test settles the cell, the curvature test does
-        (its _settle call reads the cell), the count makes no evaluate_jet
-        call, and the roots are x0 +- arccos(level)."""
+        (its _settle call reads the cell) and the local stage never runs.
+        A cup (the last two) makes one order-1 evaluate_jet call, at the
+        cell's secant point; the other two make none.  The roots are
+        x0 +- arccos(level)."""
         import trigzeros.zeros as zeros_module
 
         layout = _grid_layout(256, False)
@@ -922,31 +926,44 @@ class TestBentCells:
         if level is None:
             level = np.cos(layout.h / 2) - 1e-10
         s = _rigged_sample(1, a=[level, -np.cos(x0)], b=[0.0, -np.sin(x0)])
-        jets, grid, settles = [], [], []
+        jets, grid, settles, stages = [], [], [], []
         original_jet, original_grid = zeros_module.evaluate_jet, zeros_module._grid_cells
-        original_settle = zeros_module._settle
+        original_settle, original_stage = zeros_module._settle, zeros_module._local_stage
 
         def jet(*args, **kwargs):
-            jets.append(args)
+            jets.append((args[1], kwargs))
             return original_jet(*args, **kwargs)
 
         def spy(*args):
-            grid.append((args[1], original_grid(*args)))
-            return grid[-1][1]
+            grid.append((args[0], args[1], original_grid(*args)))
+            return grid[-1][2]
 
         def settle(*args):
             settles.append(args[0])
             return original_settle(*args)
 
+        def stage(*args):
+            stages.append(args)
+            return original_stage(*args)
+
         monkeypatch.setattr(zeros_module, "evaluate_jet", jet)
         monkeypatch.setattr(zeros_module, "_grid_cells", spy)
         monkeypatch.setattr(zeros_module, "_settle", settle)
+        monkeypatch.setattr(zeros_module, "_local_stage", stage)
         rep = count_zeros(s)
         assert (rep.count, rep.stable, rep.doublings_used) == (zeros, True, 0), case
-        assert jets == []
-        ((cells, (_, _, (left, *_))),) = grid
+        ((seq, cells, (_, _, (left, *_))),) = grid
         (starts,) = settles
         assert 100 in cells and lo in starts and left.size == 0, case
+        assert stages == [], case
+        if "cup" in case:
+            # the secant estimate of _settle from the grid's T' at the ends
+            d0, d1 = seq[1, 100], seq[1, 101]
+            ((points, kwargs),) = jets
+            assert kwargs == {"order": 1}, case
+            assert points.tolist() == [lo + (hi - lo) * d0 / (d0 - d1)], case
+        else:
+            assert jets == [], case
         expected = []
         if zeros:
             half = np.arccos(level)
@@ -956,21 +973,29 @@ class TestBentCells:
 
     def test_local_stage_calls(self, monkeypatch):
         """Regression guard: over 300 trials (seeds mix64(35, n, t)) of each
-        family, the local-stage calls, the points evaluate_jet reads and
-        the unstable trials (none).  Before the curvature test the local
-        stage ran in 88, 193, 295, 122, 256 and 283 of these trials.  A
-        change that sends cells back to the pointwise stage shows here."""
+        family, the local-stage calls, the points evaluate_jet reads inside
+        the local stage, the points that grid cups read and the unstable
+        trials (none).  Before the curvature test the local stage ran in
+        88, 193, 295, 122, 256 and 283 of these trials, and while grid cups
+        were decided on the Hermite interpolant in 3, 4, 14, 4, 172 and 276
+        of them, reading 10, 18, 55, 18, 1150 and 26682 points.  A change
+        that sends cells back to the pointwise stage shows here."""
         import trigzeros.zeros as zeros_module
 
         tally = {}
+        inside = []
         original_stage, original_jet = zeros_module._local_stage, zeros_module.evaluate_jet
 
         def stage(*args):
             tally[key][0] += 1
-            return original_stage(*args)
+            inside.append(True)
+            try:
+                return original_stage(*args)
+            finally:
+                inside.pop()
 
         def jet(sample, x, order=3):
-            tally[key][1] += np.size(x)
+            tally[key][1 if inside else 2] += np.size(x)
             return original_jet(sample, x, order)
 
         monkeypatch.setattr(zeros_module, "_local_stage", stage)
@@ -979,14 +1004,16 @@ class TestBentCells:
                                   ("trig", "iid", None, 1999), ("cosine", "iid", None, 499),
                                   ("trig", "periodic", 3, 400), ("trig", "periodic", 3, 1600)):
             key = (kind, ell, n)
-            tally[key] = [0, 0, 0]
+            tally[key] = [0, 0, 0, 0]
             model = CoefficientModel(kind=kind, dep=dep, ell=ell)
             for t in range(300):
-                tally[key][2] += not count_zeros(
+                tally[key][3] += not count_zeros(
                     sample_coefficients(model, n, seed=mix64(35, n, t))).stable
-        assert tally == {("trig", None, 199): [3, 10, 0], ("trig", None, 499): [4, 18, 0],
-                         ("trig", None, 1999): [14, 55, 0], ("cosine", None, 499): [4, 18, 0],
-                         ("trig", 3, 400): [172, 1150, 0], ("trig", 3, 1600): [276, 26682, 0]}
+        assert tally == {("trig", None, 199): [2, 7, 26, 0], ("trig", None, 499): [4, 18, 79, 0],
+                         ("trig", None, 1999): [7, 34, 290, 0],
+                         ("cosine", None, 499): [1, 9, 40, 0],
+                         ("trig", 3, 400): [157, 1016, 226, 0],
+                         ("trig", 3, 1600): [268, 26410, 432, 0]}
 
 
 class TestGridRule:
@@ -1230,21 +1257,30 @@ class TestTrigReportsUnchanged:
 class TestCupReportsUnchanged:
     """Reports of i.i.d. trials whose cups _settle decides, on both
     layouts (cosine samples take the half circle): count, grid size,
-    halvings, stable flag and the bits of the roots (tol=1e-12) as the
-    code gave them before the grid's curvature test and the local stage
-    shared one rule.  stage names the caller whose cup the trial tests:
-    at the grid level the first two of each kind settle a cup as two
-    zeros and as none, and in the local stage a cup holds two or none."""
+    halvings, stable flag and the bits of the roots (tol=1e-12).  stage
+    names a caller whose cup the trial tests.  At the grid level the first
+    two of each kind settle a cup as two zeros and as none; the next four
+    had their cups settled in the local stage while the grid decided cups
+    on the Hermite interpolant of its T and T', and now settle them at the
+    grid.  In the local stage (the last four, each with one split) the
+    first of each kind holds none and the second two.  Where a grid cup
+    holds two zeros (trig 199/10, cosine 499/1 and cosine 199/329) its
+    brackets end at T(y) in place of the interpolant's value, and the
+    roots moved by at most 9.5e-14 when they took these digests."""
 
     PINS = [
-        ("trig", 199, 10, "_grid_cells", 234, 6400, 0, True, "e89b1547a93c3e25"),
+        ("trig", 199, 10, "_grid_cells", 234, 6400, 0, True, "83544c6589ee479e"),
         ("trig", 199, 12, "_grid_cells", 222, 6400, 0, True, "5a4a60dea421df9d"),
-        ("cosine", 499, 1, "_grid_cells", 618, 16000, 0, True, "02d06e45b3305a46"),
+        ("cosine", 499, 1, "_grid_cells", 618, 16000, 0, True, "a59f218e9eabda5e"),
         ("cosine", 499, 10, "_grid_cells", 572, 16000, 0, True, "8d53db8028215edd"),
-        ("trig", 99, 185, "_local_stage", 114, 3200, 0, True, "560eeb7ddb5d90e0"),
-        ("trig", 499, 315, "_local_stage", 580, 16000, 0, True, "2f6366ea68a7dc2c"),
-        ("cosine", 199, 329, "_local_stage", 220, 6400, 0, True, "89e388befd350185"),
-        ("cosine", 499, 320, "_local_stage", 582, 16000, 0, True, "6e53838994d524d4"),
+        ("trig", 99, 185, "_grid_cells", 114, 3200, 0, True, "560eeb7ddb5d90e0"),
+        ("trig", 499, 315, "_grid_cells", 580, 16000, 0, True, "2f6366ea68a7dc2c"),
+        ("cosine", 199, 329, "_grid_cells", 220, 6400, 0, True, "7af5bc4940972c20"),
+        ("cosine", 499, 320, "_grid_cells", 582, 16000, 0, True, "6e53838994d524d4"),
+        ("trig", 199, 238, "_local_stage", 220, 6400, 1, True, "60b98aebac9952ab"),
+        ("trig", 499, 356, "_local_stage", 572, 16000, 1, True, "6dbf236f53bedb86"),
+        ("cosine", 499, 5, "_local_stage", 572, 16000, 1, True, "57e68133115d4422"),
+        ("cosine", 499, 421, "_local_stage", 564, 16000, 1, True, "3493b14a6f4f2fd7"),
     ]
 
     @pytest.mark.parametrize("kind, n, trial, stage, count, size, doublings, stable, digest",
