@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
 from .models import CoefficientModel, mix64, sample_coefficients
-from .trigpoly import scratch_scope
 from .zeros import count_zeros
 
 CSV_COLUMNS = (
@@ -109,23 +108,17 @@ class ExperimentReport:
         return any(row.failed for row in self.rows)
 
 
-# trials per task of a worker pool, which share one scratch scope
+# trials per task of a worker pool
 _POOL_CHUNK = 8
 
 
 def _single_trial(args):
-    """One seeded sample counted."""
+    """One seeded sample counted; module-level so worker pools can pickle
+    it."""
     model, n, seed, grid_per_degree, max_doublings = args
     sample = sample_coefficients(model, n, seed=seed)
     report = count_zeros(sample, grid_per_degree=grid_per_degree, max_doublings=max_doublings)
     return report.count, report.stable
-
-
-def _trials(jobs):
-    """Seeded trials counted in order in one trigpoly.scratch_scope;
-    module-level so worker pools can pickle it."""
-    with scratch_scope():
-        return [_single_trial(job) for job in jobs]
 
 
 def _aggregate_row(config: ExperimentConfig, n: int, outcomes) -> DegreeRow:
@@ -173,8 +166,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     With workers > 1 the trials are evaluated by a process pool of at most
     one process per chunk of _POOL_CHUNK trials; results are consumed in
     submission order, so the aggregates (and hence the report bytes) do
-    not depend on scheduling.  The trials of a run, or of a chunk, share
-    one trigpoly.scratch_scope, released when they return.
+    not depend on scheduling.
     """
     model = config.model()
     jobs = [
@@ -184,12 +176,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in range(config.trials)
     ]
     if config.workers > 1:
-        chunks = [jobs[i:i + _POOL_CHUNK] for i in range(0, len(jobs), _POOL_CHUNK)]
-        workers = min(config.workers, len(chunks))
+        workers = min(config.workers, -(-len(jobs) // _POOL_CHUNK))
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            outcomes = [out for chunk in pool.map(_trials, chunks) for out in chunk]
+            outcomes = list(pool.map(_single_trial, jobs, chunksize=_POOL_CHUNK))
     else:
-        outcomes = _trials(jobs)
+        outcomes = [_single_trial(job) for job in jobs]
 
     rows = []
     for i, n in enumerate(config.degrees):
@@ -265,10 +256,13 @@ def parse_config_text(text: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         kind = _CONFIG_KEYS[key]
-        if kind == "int_list":
-            out[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
-        else:
-            out[key] = kind(value)
+        try:
+            if kind == "int_list":
+                out[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
+            else:
+                out[key] = kind(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return out
 
 

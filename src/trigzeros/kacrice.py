@@ -168,41 +168,31 @@ class AbcTriple:
 def _basis_functions(sample: PolySample, x: np.ndarray):
     """Independent-direction basis values and derivatives, shape (dirs, len(x)).
 
-    For i.i.d. coefficients every frequency is its own direction.  For
-    ell-periodic coefficients the directions are the ell (or 2*ell) grouped
-    sums sum_t cos((k + ell*t) x), one per distinct random coefficient.
+    One direction per distinct random coefficient: residue class k < ell
+    of the split (PolySample.split) sums cos((k + ell t) x) over its
+    frequencies k + ell t <= n, and for trig a second direction sums the
+    sines.  The i.i.d. split, ell = n + 1, gives every frequency a class
+    of its own.
     """
-    n = sample.n
-    model = sample.model
-    if model.dep == "iid":
-        j = np.arange(n + 1, dtype=float)
-        jx = np.multiply.outer(j, x)
-        rows_cos = np.cos(jx)
-        rows_cos_d = -j[:, None] * np.sin(jx)
-        if model.kind == "cosine":
-            return rows_cos, rows_cos_d
-        rows_sin = np.sin(jx)
-        rows_sin_d = j[:, None] * np.cos(jx)
-        return (
-            np.vstack([rows_cos, rows_sin]),
-            np.vstack([rows_cos_d, rows_sin_d]),
-        )
-
-    j = np.arange(n + 1)
-    rows = []
-    rows_d = []
-    for k in range(model.ell):
-        freqs = j[j % model.ell == k].astype(float)
-        fx = np.multiply.outer(freqs, x)
-        rows.append(np.cos(fx).sum(axis=0))
-        rows_d.append(-(freqs[:, None] * np.sin(fx)).sum(axis=0))
-    if model.kind == "trig":
-        for k in range(model.ell):
-            freqs = j[j % model.ell == k].astype(float)
-            fx = np.multiply.outer(freqs, x)
-            rows.append(np.sin(fx).sum(axis=0))
-            rows_d.append((freqs[:, None] * np.cos(fx)).sum(axis=0))
-    return np.vstack(rows), np.vstack(rows_d)
+    dec = sample.split
+    ell, trig = dec.ell, sample.model.kind == "trig"
+    # j[t, k] = k + ell t; the last row's classes k >= r lie above n when r != 0
+    j = np.arange((dec.m + (dec.r > 0)) * ell, dtype=float).reshape(-1, ell, 1)
+    jx = j * x
+    cos = np.cos(jx)
+    sin = np.sin(jx, out=jx)
+    if dec.r:
+        cos[-1, dec.r:] = sin[-1, dec.r:] = 0.0
+    f, fd = np.empty((2, 2 * ell if trig else ell, x.size))
+    np.sum(cos, axis=0, out=f[:ell])
+    # the derivatives weight the same cosines and sines by -j and j, in place
+    if trig:
+        np.sum(sin, axis=0, out=f[ell:])
+        cos *= j
+        np.sum(cos, axis=0, out=fd[ell:])
+    sin *= -j
+    np.sum(sin, axis=0, out=fd[:ell])
+    return f, fd
 
 
 def abc_direct(sample: PolySample, x) -> AbcTriple:

@@ -28,8 +28,7 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  O(N log N) total; exact coefficient
                                  folding covers N <= 2n.  A tuple of
                                  orders gives one row each from one
-                                 batched transform, written into a
-                                 scratch() array.  The i.i.d. and
+                                 batched transform.  The i.i.d. and
                                  r != 0 counting routes certify their
                                  counts from T and T' on one grid, one
                                  order=(0, 1) call (of half the grid's
@@ -40,10 +39,11 @@ evaluate_on_grid                 all values of T_n or a derivative on a
 
 Scratch arrays
 --------------
-scratch(size, dtype) is the one source of the node-sized arrays that the
-kernels overwrite, of Kac-Rice blocks and of Monte Carlo grids alike;
-scratch_scope() sets how long its buffers are reused (one quadrature,
-one run of trials), and outside any scope each array is fresh.
+scratch(size, dtype) is the source of the node-sized arrays that the
+Kac-Rice kernels overwrite (PanelNodes blocks, dirichlet_pairs and the
+kacrice routes); scratch_scope() reuses its buffers for the length of
+one quadrature, and outside any scope each array is fresh.  The Monte
+Carlo grids allocate plainly.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -198,6 +198,8 @@ def _jet_plan(n: int, order: int):
     (exponents, q_powers[:order+1], weights[:order+1, :, :order+1] as an
     (order+1) P x (order+1) matrix, B, P, points per block), once per
     degree and order."""
+    if order < 0:
+        raise ValueError(f"need a derivative order >= 0, got {order}")
     exponents, q_powers, weights = _power_table(n, max(order, 3))
     rows = order + 1
     B, P = q_powers.shape[1], weights.shape[1]
@@ -272,10 +274,9 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
 
     order=(0, 1) stacks the half spectra of T and T' and transforms both
     rows in one irfft call, which is faster than two calls at every grid
-    size the counter uses and changes no bit of either row.  The transform
-    writes the values (shape (N,) for one order, (len(order), N) for a
-    tuple) into a scratch() array, so that the trials of one scope reuse
-    its buffer.
+    size the counter uses and changes no bit of either row.  The values
+    come back in a new array that the caller owns, of shape (N,) for one
+    order and (len(order), N) for a tuple.
 
     The coefficients are normalized by 2^-e (PolySample.normalized, so
     once per sample) and the values scaled back by 2^e.  Scaling by a
@@ -309,9 +310,7 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
             F = (np.bincount(folded, weights=dk.real, minlength=N)
                  + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
             row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
-    out = scratch(len(orders) * N)
-    vals = np.fft.irfft(H[0] if single else H, N, norm="forward",
-                        out=out if single else out.reshape(len(orders), N))
+    vals = np.fft.irfft(H[0] if single else H, N, norm="forward")
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(vals, e, out=vals)
@@ -326,13 +325,12 @@ def scratch_scope():
     """A pool of scratch buffers for the calls made inside the scope.
 
     kacrice.expected_zeros_quadrature opens one per call, around both of
-    its passes, and harness one per run of trials (or chunk of a worker
-    pool): the blocks, or the trials, then write to pages faulted in by
-    the ones before, where fresh arrays of a few hundred kB would come
-    from the OS and be faulted in anew.  The pool dies with the scope, so
-    no buffer outlives it.  A nested scope has a pool of its own and
-    restores the outer one on exit, and every thread starts outside any
-    scope, so concurrent calls share nothing.
+    its passes, and is its one caller: the blocks then write to pages
+    faulted in by the ones before, where fresh arrays of a few hundred kB
+    would come from the OS and be faulted in anew.  The pool dies with
+    the scope, so no buffer outlives it.  A nested scope has a pool of
+    its own and restores the outer one on exit, and every thread starts
+    outside any scope, so concurrent calls share nothing.
     """
     token = _SCRATCH.set([np.empty(0)])
     try:

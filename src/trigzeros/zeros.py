@@ -36,14 +36,13 @@ bound below takes one width for all cells it takes the widest, w_max (h
 on the whole circle, 2 g h on the half): each grows with the width.
 
 The transform's rows and the margins and masks of the zero-free pass
-below are trigpoly.scratch arrays, which the trials of one harness run
-reuse; what depends on the degree and N alone (the twist, the powers
-j^k, the certificate's factors, the power table of the local stage, the
-layout) is built once and cached.  What depends on the sample is reduced
-once: its largest coefficient (PolySample.peak, which the sampler hands
-over from its draw) gives the finiteness and all-zero checks and the
-power of two of the scaling, and the zero-free clearance of the base
-grid, taken at w_max, is one scalar.
+below are allocated per trial; what depends on the degree and N alone
+(the twist, the powers j^k, the certificate's factors, the power table
+of the local stage, the layout) is built once and cached.  What depends
+on the sample is reduced once: its largest coefficient (PolySample.peak,
+which the sampler hands over from its draw) gives the finiteness and
+all-zero checks and the power of two of the scaling, and the zero-free
+clearance of the base grid, taken at w_max, is one scalar.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -185,7 +184,7 @@ import numpy as np
 
 from . import models
 from .models import PolySample
-from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers, scratch
+from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers
 
 TWO_PI = 2.0 * np.pi
 
@@ -413,12 +412,12 @@ class _Layout:
 
     def sequence(self, grid: np.ndarray) -> np.ndarray:
         """T and T' (rows) at the sequence nodes, from their values at the
-        columns: the grid itself on the whole circle, else a scratch array
+        columns: the grid itself on the whole circle, else a new array
         whose even nodes, mirror images, have T' negated."""
         if not self.mirror:
             return grid
         K = self.columns // 2
-        seq = scratch(2 * (self.columns + 2)).reshape(2, -1)
+        seq = np.empty((2, self.columns + 2))
         seq[:, 1::2] = grid[:, :K + 1]
         mirrored = seq[:, ::2]
         mirrored[:, 0] = grid[:, 0]
@@ -442,7 +441,7 @@ def _screen(f: np.ndarray, margin: np.ndarray, clear0: float, cells: int) -> np.
     end nodes both have margin > clear0 and one sign of f.  Cell k spans the
     nodes k and k + 1; with cells = f.size the last wraps to node 0."""
     S = f.size
-    flags = scratch(2 * S + cells, bool)
+    flags = np.empty(2 * S + cells, bool)
     unsure, neg = flags[:2 * S].reshape(2, S)
     np.signbit(f, out=neg)
     np.greater(margin, clear0, out=unsure)
@@ -791,14 +790,13 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
 
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  The node-sized arrays are scratch
-    arrays, and every array returned is a copy.  The open cells are
-    decided one weight at a time (_Layout.parts): the grid pass, then the
-    local stage on the cells it leaves.  The brackets of the roots are
-    gathered only with want_roots.
+    those of the sample itself.  The open cells are decided one weight
+    at a time (_Layout.parts): the grid pass, then the local stage on the
+    cells it leaves.  The brackets of the roots are gathered only with
+    want_roots.
     """
     seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1)))
-    size, slack = np.abs(seq, out=scratch(seq.size).reshape(seq.shape))
+    size, slack = np.abs(seq)
     cert = _certificate(unit.a, unit.b, layout.size, float(size.max()), layout.gap)
     widest = layout.h * layout.gap
     clear0 = cert.grid_clearance(widest)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from trigzeros.harness import (
+    _POOL_CHUNK,
     CSV_COLUMNS,
     ExperimentConfig,
     load_config_file,
@@ -138,10 +139,11 @@ class TestSerialization:
     def test_pool_starts_no_process_without_a_chunk(self, monkeypatch, trials, workers,
                                                     started):
         """The pool asks for one process per chunk of _POOL_CHUNK trials at
-        most: 8 trials with 16 workers start 1.  A recording executor runs
-        map in this process, so none starts here, and the reports are the
-        bytes of a serial run."""
-        sizes = []
+        most, and maps the trials in chunks of that size: 8 trials with 16
+        workers start 1.  A recording executor runs map in this process,
+        so none starts here, and the reports are the bytes of a serial
+        run."""
+        sizes, chunks = [], []
 
         class Recording:
             def __init__(self, max_workers):
@@ -153,13 +155,14 @@ class TestSerialization:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         serial = run_experiment(_config(trials=trials))
         pooled = run_experiment(_config(trials=trials, workers=workers))
-        assert sizes == [started]
+        assert sizes == [started] and chunks == [_POOL_CHUNK]
         assert report_to_csv(pooled) == report_to_csv(serial)
         assert report_to_json(pooled) == report_to_json(serial)
 
@@ -191,9 +194,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("trials = 3\nbogus = 1\n")
 
-    def test_bad_value_raises(self):
-        with pytest.raises(ValueError):
-            parse_config_text("trials = many\n")
+    @pytest.mark.parametrize("text, line, key", [
+        ("trials = many\n", 1, "trials"),
+        ("degrees = 10\ntrials=abc\n", 2, "trials"),
+        ("# header\n\nsigma = 1.5.0\n", 3, "sigma"),
+        ("degrees = 10, x\n", 1, "degrees"),
+    ])
+    def test_bad_value_raises(self, text, line, key):
+        """A value that does not convert is reported with its line and key,
+        as every other config error names its line."""
+        with pytest.raises(ValueError, match=f"^line {line}: bad value for '{key}': "):
+            parse_config_text(text)
 
     def test_missing_equals_raises(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -393,7 +393,8 @@ class TestSplitOncePerTrial:
 
         monkeypatch.setattr(models.PeriodDecomposition, "__init__", counting)
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)
-        harness._trials([(model, n, mix64(25, n, t), 32, 4) for t in range(5)])
+        for t in range(5):
+            harness._single_trial((model, n, mix64(25, n, t), 32, 4))
         assert len(calls) == 5
 
     @pytest.mark.parametrize("kind, dep, ell, n", CASES)

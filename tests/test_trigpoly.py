@@ -124,6 +124,11 @@ class TestEvaluateJet:
             # FD truncation ~ |T'''| h^2 / 6 with |T'''| <~ n^3 * coeff scale
             assert abs(evaluate_jet(s, x, order=1)[1, 0] - fd) < 1e-2
 
+    def test_negative_order_raises_as_the_grid_does(self):
+        s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 40, seed=12)
+        with pytest.raises(ValueError, match=r"need a derivative order >= 0, got -1"):
+            evaluate_jet(s, [0.7, 3.1], order=-1)
+
 
 class TestEvaluateOnGrid:
     @pytest.mark.parametrize("kind", ["trig", "cosine"])

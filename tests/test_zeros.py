@@ -1403,83 +1403,48 @@ class TestCeiling:
                 assert count_zeros(s).count <= 70
 
 
-def _report_key(rep):
-    roots = None if rep.roots is None else rep.roots.tobytes()
-    return rep.count, rep.grid_size, rep.doublings_used, rep.stable, rep.pieces, roots
-
-
 def _pool():
     """The buffers of the active scratch scope's pool (sentinel left out)."""
     return trigpoly._SCRATCH.get()[1:]
 
 
-class TestScratchTrials:
-    def test_interleaved_degrees_equal_fresh_calls(self):
-        """Trials that share one scratch scope while alternating between two
-        grid sizes, with and without roots, report exactly what trials
-        outside any scope report."""
-        iid = CoefficientModel(kind="trig", dep="iid")
-        periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
-        samples = []
-        for t in range(6):
-            samples += [sample_coefficients(iid, 199, seed=t),
-                        sample_coefficients(periodic, 400, seed=t)]
-        for want_roots in (False, True):
-            fresh = [_report_key(count_zeros(s, want_roots=want_roots)) for s in samples]
-            with scratch_scope():
-                shared = [_report_key(count_zeros(s, want_roots=want_roots)) for s in samples]
-            assert shared == fresh
+class TestTrialsAllocatePlainly:
+    ROUTES = [
+        ("trig", "iid", None, 199),  # grid route, whole circle
+        ("cosine", "iid", None, 199),  # grid route, half circle
+        ("trig", "periodic", 3, 400),  # grid route, r = 2
+        ("trig", "periodic", 5, 499),  # phase route, r = 0
+    ]
 
-    def test_reports_share_no_memory_with_the_pool(self):
-        """The pool keeps its buffers for the next trial of a grid size,
-        and no report shares their memory."""
-        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
-        with scratch_scope():
-            rep = count_zeros(sample_coefficients(model, 400, seed=1), want_roots=True)
-            assert rep.grid_size > 0 and rep.roots.size
-            assert not any(np.shares_memory(rep.roots, buf) for buf in _pool())
-            buffers = [id(buf) for buf in _pool()]  # ids only: a held buffer is never idle
-            count_zeros(sample_coefficients(model, 400, seed=2))
-            assert buffers and [id(buf) for buf in _pool()] == buffers
-
-    def test_pool_holds_what_one_trial_holds_at_once(self):
-        """After trials on two grid sizes, up and down, the pool holds as
-        many buffers as one trial (T and T', their margins, the masks),
-        each of the larger grid's size: a buffer too small is replaced,
-        not kept beside, so memory stays linear in n."""
-        model = CoefficientModel(kind="trig", dep="iid")
-        with scratch_scope():
-            count_zeros(sample_coefficients(model, 199, seed=0))
-            one_trial = len(_pool())
+    @pytest.mark.parametrize("kind, dep, ell, n", ROUTES)
+    @pytest.mark.parametrize("want_roots", [False, True])
+    def test_trials_leave_the_scratch_pool_empty(self, kind, dep, ell, n, want_roots):
+        """A trial takes no buffer from an open scratch scope: the pool is
+        the Kac-Rice quadrature's alone, and a count allocates its arrays
+        plainly, on either route."""
+        model = CoefficientModel(kind=kind, dep=dep, ell=ell)
         with scratch_scope():
             for t in range(3):
-                for n in (199, 499, 199):
-                    N = count_zeros(sample_coefficients(model, n, seed=t)).grid_size
-            assert N == 6400
-            assert len(_pool()) == one_trial == 3
-            assert sorted(buf.nbytes for buf in _pool()) == [3 * 16000, 16 * 16000, 16 * 16000]
+                count_zeros(sample_coefficients(model, n, seed=t), want_roots=want_roots)
+            assert _pool() == []
 
-    def test_warm_trials_allocate_no_grid(self):
+    def test_warm_trial_memory_is_linear_in_the_grid(self):
         """Under tracemalloc, warm grid-route trials at n = 1999 (N = 64000)
-        in one scratch scope allocate no N-node grid: the median peak of
-        nine trials stays below 7 N bytes and every peak below 8 N, the
-        size of one N-node array of doubles, against about 34 N when T and
-        T' and their margins are allocated per trial.  The rest of the
-        peak is the arrays of the hull and monotone tests of about 3900
-        open cells."""
+        peak below 48 N bytes: T and T', their margins, the masks and the
+        arrays of about 3900 open cells, about 38.5 N (20 N for a cosine
+        sample on its half grid), which stays linear in N."""
         model = CoefficientModel(kind="trig", dep="iid")
+        count_zeros(sample_coefficients(model, 1999, seed=0))
         peaks = []
-        with scratch_scope():
-            count_zeros(sample_coefficients(model, 1999, seed=0))
-            for t in range(1, 10):
-                s = sample_coefficients(model, 1999, seed=t)
-                tracemalloc.start()
-                try:
-                    assert count_zeros(s).grid_size == 64000
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-        assert np.median(peaks) < 7 * 64000 and max(peaks) < 8 * 64000, peaks
+        for t in range(1, 6):
+            s = sample_coefficients(model, 1999, seed=t)
+            tracemalloc.start()
+            try:
+                assert count_zeros(s).grid_size == 64000
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 48 * 64000, peaks
 
 
 class TestPhaseRouteShortcuts:
