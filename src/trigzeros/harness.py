@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
 from .models import CoefficientModel, mix64, sample_coefficients
-from .zeros import count_zeros
+from .zeros import _check_count, count_zeros
 
 CSV_COLUMNS = (
     "n",
@@ -73,14 +73,9 @@ class ExperimentConfig:
             raise ValueError("at least one degree is required")
         for n in self.degrees:  # each must be >= 1 and hold one full period
             model.period(n)
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        if self.grid_per_degree < 1:
-            raise ValueError("grid_per_degree must be >= 1")
-        if self.max_doublings < 0:
-            raise ValueError("max_doublings must be >= 0")
+        for name, least in (("trials", 1), ("workers", 1), ("grid_per_degree", 1),
+                            ("max_doublings", 0)):
+            _check_count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,17 @@ class PolySample:
         return _peak(self.a, self.b)
 
     @functools.cached_property
+    def repeats(self) -> bool:
+        """Whether the coefficients repeat with the period of the split,
+        a_{j+ell} = a_j and b_{j+ell} = b_j: true of every i.i.d. sample
+        (period n + 1), and the sampler hands it over as true.  The zero
+        counter's phase route and the grid's direction table
+        (trigpoly.evaluate_on_grid) read the first ell coefficients alone."""
+        ell = self.split.ell
+        return bool(np.array_equal(self.a[ell:], self.a[:-ell])
+                    and np.array_equal(self.b[ell:], self.b[:-ell]))
+
+    @functools.cached_property
     def normalized(self) -> tuple[np.ndarray, int]:
         """The normalized coefficients (c, e) of _scaled, computed once per
         sample: the evaluators of trigpoly read them from here.  The zero
@@ -233,11 +244,15 @@ class PolySample:
         """The sample times 2^-e (e from normalized), so that its largest
         coefficient lies in [1/2, 1).  The scaling is exact, so the copy's
         normalized coefficients are this sample's c with exponent 0; they
-        are handed over rather than computed again."""
+        are handed over rather than computed again, and so are the split
+        and repeats (entries that the scaling underflows into equality do
+        not make the copy repeat)."""
         c, e = self.normalized
         unit = PolySample(self.model, self.n, self.seed,
                           np.ldexp(self.a, -e), np.ldexp(self.b, -e))
-        unit.__dict__["normalized"] = (c, 0)  # the slot cached_property fills
+        unit.__dict__["normalized"] = (c, 0)  # the slots cached_property fills
+        unit.__dict__["split"] = self.split
+        unit.__dict__["repeats"] = self.repeats
         return unit
 
 
@@ -309,4 +324,5 @@ def sample_coefficients(model: CoefficientModel, n: int, seed: int) -> PolySampl
     sample = PolySample(model=model, n=int(n), seed=int(seed), a=a, b=b)
     sample.__dict__["split"] = dec  # the slots cached_property fills
     sample.__dict__["peak"] = peak
+    sample.__dict__["repeats"] = True
     return sample

@@ -33,9 +33,14 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  counts from T and T' on one grid, one
                                  order=(0, 1) call (of half the grid's
                                  nodes for an even, cosine, sample);
-                                 the r = 0 route counts T* from its
-                                 carrier phase (zeros.carrier_phase)
-                                 without a grid.
+                                 a sample of small period ell (below)
+                                 gets that call from a cached table of
+                                 its ell grouped directions instead,
+                                 one product of 2 ell coefficients with
+                                 a (2 ell, 2N) table, O(ell N).  The
+                                 r = 0 route counts T* from its carrier
+                                 phase (zeros.carrier_phase) without a
+                                 grid.
 
 Scratch arrays
 --------------
@@ -43,7 +48,8 @@ scratch(size, dtype) is the source of the node-sized arrays that the
 Kac-Rice kernels overwrite (PanelNodes blocks, dirichlet_pairs and the
 kacrice routes); scratch_scope() reuses its buffers for the length of
 one quadrature, and outside any scope each array is fresh.  The Monte
-Carlo grids allocate plainly.
+Carlo grids allocate plainly; a direction table of evaluate_on_grid
+is built in a scope of its own, and only the table outlives it.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -54,7 +60,13 @@ exact identity
         = phi_M(x) * cos((k + (M-1) ell/2) x),
     phi_M(x) = sin(M ell x/2) / sin(ell x/2),
 
-and likewise with sin on both sides.  When ell | n+1 (r = 0, M = m for
+and likewise with sin on both sides.  So a sample whose coefficients
+repeat with period ell is a sum of ell grouped directions,
+
+    T_n(x) = sum_{k<ell} phi_{M_k}(x) (a_k cos nu_k x + b_k sin nu_k x),
+
+with M_k = m + 1 for k < r, M_k = m otherwise and nu_k = k + (M_k - 1)
+ell/2 (PeriodDecomposition.directions).  When ell | n+1 (r = 0, M = m for
 every residue k) the whole sample factors as
 
     T_n(x) = phi_m(x) * T*(x),
@@ -70,7 +82,9 @@ x = 2 k pi / ell.
 Every Dirichlet ratio of the package goes through one kernel,
 dirichlet_pairs, which returns phi_M and phi_M' of consecutive orders
 M = m, m+1 from one lattice reduction (the Kac-Rice covariances need
-both).  It takes its points as PanelNodes blocks, the nodes
+both, and so do the direction tables of evaluate_on_grid, which
+hold phi_M cos nu x, phi_M sin nu x and their derivatives on a grid).
+It takes its points as PanelNodes blocks, the nodes
 mid_p + half z_i of Gauss panels of one width, and reduces once per
 panel: the phases of a node are products of a panel phase and a node
 phase.  Each order has one window beside the lattice, M |s| <
@@ -85,6 +99,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -107,6 +122,9 @@ _PAIR_SERIES_WINDOW = 0.05
 _PAIR_DIRECT_WINDOW = 1.5
 
 _CHUNK_BUDGET = 4_000_000  # max elements per (points x frequencies) block
+
+# evaluate_on_grid: a direction table may hold at most this many bytes
+_TABLE_BYTES = 2 << 20
 
 # evaluate_jet: max doubles per block of points (a complex element counts
 # twice), so a block's temporaries stay near 0.5 MB; larger blocks are no
@@ -254,7 +272,8 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
                      order: int | tuple[int, ...] = 0) -> np.ndarray:
     """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
     one real inverse FFT; with a tuple of orders, one row per order from
-    one batched transform.
+    one batched transform, or for order=(0, 1) from the sample's cached
+    direction table when it has one.
 
     With c_j = a_j - i b_j the value is Re sum_j c_j (i j)^order e^{i j x_i}
     (order 0 is T_n itself); the factor (i j)^order multiplies the
@@ -274,47 +293,110 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
 
     order=(0, 1) stacks the half spectra of T and T' and transforms both
     rows in one irfft call, which is faster than two calls at every grid
-    size the counter uses and changes no bit of either row.  The values
-    come back in a new array that the caller owns, of shape (N,) for one
-    order and (len(order), N) for a tuple.
+    size the counter uses and changes no bit of either row.  A sample
+    whose coefficients repeat with period ell = sample.split.ell (every
+    i.i.d. sample, whose period is n + 1, and every periodic one drawn
+    by the sampler) is instead the sum of ell grouped directions
+    (module docstring),
+
+        T_n(x) = sum_{q<ell} phi_{M_q}(x) (a_q cos nu_q x + b_q sin nu_q x),
+
+    and none of it but (a_q, b_q) depends on the draw.  Where its table
+    is cheap, 32 ell N <= _TABLE_BYTES bytes and 2^(ell+3) <= N, the two
+    rows are (a, b) [g; h] and (a, b) [g'; h'], one product of the 2 ell
+    normalized coefficients with the cached (2 ell, 2N) table of
+    _direction_table.  The product reads 4 ell values a node where the
+    transform spends O(log2 N) operations a node: within the rule it took
+    0.2 to 0.7 of the transform's time at every grid size (one BLAS
+    thread), and at ell = log2 N it took 0.95 of it for a table of 2 MB,
+    whose reads leave the cache.  So ell = 3 keeps the transform past
+    N = 21845 (about n = 680 at 32 nodes a degree), ell = 7 takes the table
+    from N = 1024 to 9362, and an i.i.d. sample (ell = n + 1) at n <= 4 only.
+    The two routes differ by rounding only, which the grid bound of the
+    zero counter covers (zeros).  The values come back in a new array
+    that the caller owns, of shape (N,) for one order and (len(order), N)
+    for a tuple.
 
     The coefficients are normalized by 2^-e (PolySample.normalized, so
     once per sample) and the values scaled back by 2^e.  Scaling by a
-    power of two is exact through the twist and the transform, so this
-    changes no value.  It keeps the transform away from overflow at huge
-    scales and from subnormal arithmetic at tiny ones; only a value that
-    itself exceeds the double range comes back as +-inf.
+    power of two is exact through the twist, the transform and the
+    table's product, so this changes no value.  It keeps the transform
+    away from overflow at huge scales and from subnormal arithmetic at
+    tiny ones; only a value that itself exceeds the double range comes
+    back as +-inf.
     """
+    if not isinstance(num_nodes, numbers.Integral) or num_nodes < 1:
+        raise ValueError(f"num_nodes must be an integer >= 1, got {num_nodes!r}")
     N = int(num_nodes)
-    if N < 1:
-        raise ValueError(f"need at least one node, got {num_nodes}")
     single = np.ndim(order) == 0
     orders = (order,) if single else tuple(order)
+    if not orders:
+        raise ValueError(f"order must name at least one derivative order, got {order!r}")
     if min(orders) < 0:
         raise ValueError(f"need a derivative order >= 0, got {order}")
     n = sample.n
     c, e = sample.normalized
-    twist = _twist(n, N, offset)
-    d = np.empty((len(orders), n + 1), dtype=complex)
-    for row, k in zip(d, orders):
-        ck = c * (1j ** k * frequency_powers(n, max(k, 3))[k]) if k else c
-        np.multiply(ck, twist, out=row)
-    if 2 * n < N:
-        H = np.multiply(0.5, d, out=d)  # irfft pads it with zeros to the half spectrum
-        H[:, 0] = 2.0 * H[:, 0].real
+    ell = sample.split.ell if orders == (0, 1) else 0
+    if ell and 32 * ell * N <= _TABLE_BYTES and 8 << ell <= N and sample.repeats:
+        # Re c_q, Im c_q of the directions (a view), times the table's rows
+        vals = (c[:ell].view(float) @ _direction_table(sample.split, N, offset)).reshape(2, N)
     else:
-        folded = np.arange(n + 1) % N
-        half = np.arange(N // 2 + 1)
-        H = np.empty((len(orders), half.size), dtype=complex)
-        for row, dk in zip(H, d):
-            F = (np.bincount(folded, weights=dk.real, minlength=N)
-                 + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
-            row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
-    vals = np.fft.irfft(H[0] if single else H, N, norm="forward")
+        twist = _twist(n, N, offset)
+        d = np.empty((len(orders), n + 1), dtype=complex)
+        for row, k in zip(d, orders):
+            ck = c * (1j ** k * frequency_powers(n, max(k, 3))[k]) if k else c
+            np.multiply(ck, twist, out=row)
+        if 2 * n < N:
+            H = np.multiply(0.5, d, out=d)  # irfft pads it with zeros to the half spectrum
+            H[:, 0] = 2.0 * H[:, 0].real
+        else:
+            folded = np.arange(n + 1) % N
+            half = np.arange(N // 2 + 1)
+            H = np.empty((len(orders), half.size), dtype=complex)
+            for row, dk in zip(H, d):
+                F = (np.bincount(folded, weights=dk.real, minlength=N)
+                     + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
+                row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
+        vals = np.fft.irfft(H[0] if single else H, N, norm="forward")
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(vals, e, out=vals)
     return vals
+
+
+@functools.lru_cache(maxsize=1)
+def _direction_table(split, num_nodes: int, offset: float) -> np.ndarray:
+    """The read-only (2 ell, 2N) direction table of evaluate_on_grid for the
+    split of a degree on grid_nodes(num_nodes, offset), N = num_nodes.
+
+    Row 2q holds g_q = phi_{M_q} cos nu_q x at the N nodes and then its
+    derivative g_q', and row 2q + 1 holds -h_q = -phi_{M_q} sin nu_q x and
+    -h_q'.  So c[:ell].view(float), Re c_0, Im c_0 = -b_0, Re c_1, ...,
+    times the table gives T and T' of the normalized coefficients c
+    without a copy.  M_q and 2 nu_q come from split.directions(), phi_M
+    and phi_M' from dirichlet_pairs (the kernel of the Kac-Rice
+    covariances), in a scratch_scope of its own.  The route rule keeps a
+    table within _TABLE_BYTES, and one table is cached, the latest: a
+    Monte Carlo row reads one key in every trial.
+    """
+    ell, m = split.ell, split.m
+    x = grid_nodes(num_nodes, offset)
+    M, freq_twice = split.directions()
+    table = np.empty((2 * ell, 2 * num_nodes))
+    with scratch_scope():  # so that no scope open around the count lends it buffers
+        pairs = dirichlet_pairs(m, ell, x, 2 if split.r else 1)
+        for q in range(ell):
+            phi, slope = pairs[M[q] - m]
+            nu = freq_twice[q] / 2.0
+            cos, sin = np.cos(nu * x), np.sin(nu * x)
+            g, h = table[2 * q].reshape(2, -1), table[2 * q + 1].reshape(2, -1)
+            np.multiply(phi, cos, out=g[0])
+            np.multiply(phi, sin, out=h[0])
+            g[1] = slope * cos - nu * h[0]
+            h[1] = slope * sin + nu * g[0]
+            np.negative(h, out=h)
+    table.flags.writeable = False
+    return table
 
 
 _SCRATCH = contextvars.ContextVar("trigzeros_scratch", default=None)
@@ -325,10 +407,12 @@ def scratch_scope():
     """A pool of scratch buffers for the calls made inside the scope.
 
     kacrice.expected_zeros_quadrature opens one per call, around both of
-    its passes, and is its one caller: the blocks then write to pages
-    faulted in by the ones before, where fresh arrays of a few hundred kB
-    would come from the OS and be faulted in anew.  The pool dies with
-    the scope, so no buffer outlives it.  A nested scope has a pool of
+    its passes: the blocks then write to pages faulted in by the ones
+    before, where fresh arrays of a few hundred kB would come from the OS
+    and be faulted in anew.  The pool dies with the scope, so no buffer
+    outlives it.  The direction table of evaluate_on_grid is built in a
+    scope of its own, so that a count run inside a quadrature's scope
+    takes no buffer from that pool.  A nested scope has a pool of
     its own and restores the outer one on exit, and every thread starts
     outside any scope, so concurrent calls share nothing.
     """

@@ -12,7 +12,9 @@ size (no prime factor above 5) with at least grid_per_degree nodes per
 degree, so the real FFT never meets an awkward length.  T and T' are
 read once on this grid, after the coefficients are scaled by a power of
 two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
-order=(0, 1), a single two-row real transform of N nodes.
+order=(0, 1), a single two-row real transform of N nodes, or for a
+periodic sample of small period ell one product of its 2 ell
+coefficients with a cached table of its ell grouped directions.
 
 A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
 half circle instead.  N is then the smallest 5-smooth multiple of 4 at or
@@ -37,12 +39,13 @@ on the whole circle, 2 g h on the half): each grows with the width.
 
 The transform's rows and the margins and masks of the zero-free pass
 below are allocated per trial; what depends on the degree and N alone
-(the twist, the powers j^k, the certificate's factors, the power table
-of the local stage, the layout) is built once and cached.  What depends
-on the sample is reduced once: its largest coefficient (PolySample.peak,
-which the sampler hands over from its draw) gives the finiteness and
-all-zero checks and the power of two of the scaling, and the zero-free
-clearance of the base grid, taken at w_max, is one scalar.
+(the twist or the direction table, the powers j^k, the certificate's
+factors, the power table of the local stage, the layout) is built once
+and cached.  What depends on the sample is reduced once: its largest
+coefficient (PolySample.peak, which the sampler hands over from its
+draw) gives the finiteness and all-zero checks and the power of two of
+the scaling, and the zero-free clearance of the base grid, taken at
+w_max, is one scalar.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -127,6 +130,32 @@ route evaluates lies in [-2 pi g/N, 2 pi (1 + g/N)], so |x| < 6.3, and
 B + 4P <= 5 sqrt(n+1) + 5; the sum is then below the pointwise delta_k
 for n >= 10, and below the grid bound (N >= 256) for n <= 9.
 
+Where a periodic sample's grid values come from its direction table
+(trigpoly.evaluate_on_grid; the table's rule keeps ell <= 9), delta_k
+for grid values bounds them too, so there is no second error model.
+The table sums the ell classes at the float nodes themselves.  Class q
+has weight w_q = M_q |c_q| in sum_j |c_j|, mean frequency nu_q and
+half-span D_q = (M_q - 1) ell/2 <= nu_q, with f_q = nu_q + D_q <= n its
+top frequency; |phi'| <= M D and |phi''| <= M D^2.  Per unit of w_q,
+T^(k) takes four roundings.  The lattice reduction of dirichlet_pairs
+reads phi at a point within 21 u of x (2 pi/ell, its multiple and the
+scaling by ell/2 are rounded), which moves the term of T by 21 u D_q
+and that of T' by 21 u D_q f_q.  The quotients give phi to a few u and
+phi' to u ell M/|s| <= 20 u ell M^2 outside the series window, at most
+40 u f_q.  The phase nu_q x is rounded once, u nu_q |x| <= 6.3 u nu_q,
+times f_q for T'.  The 2 ell-term product adds gamma_{2 ell} times at most
+sqrt(2) (f_q for T').  With D_q <= f_q/2 the whole is at most
+u f_q (13.7 f_q + 76) for T' and u (13.7 f_q + 37) for T, per unit of
+w_q.  Those are below the node terms 16 u n^(k+1) w_q (n >= f_q), but
+for T at n <= 16, by at most 37 u sum_j |c_j| <= 37 sqrt(n+1) u ||c_j||_2
+in all, and for T' in the classes with f_q < 33, by at most
+76 u f_q w_q <= 152 u sum_{j<33} j |c_j| <= 873 u ||j c_j||_2 in all.  The
+transform term of delta_k, 8 u log2(N) sqrt(N) ||j^k c_j||_2 >=
+1024 u ||j^k c_j||_2 (N >= 256), holds both excesses; a table route keeps
+that term too.  Measured, the table's values lie within 0.25 delta_grid
+of the transform's, and within 0.2 (T) and 0.41 (T', at n <= 10) of the
+node term of a sum in long double.
+
 The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
 a double zero, such as that of 1 + cos x at pi, is never certified.
@@ -177,6 +206,7 @@ coefficients with period ell.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -957,6 +987,16 @@ def _phase_count(sample: PolySample, want_roots: bool, tol: float):
     return count, starts.size, stable, roots
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """A ValueError naming the argument unless value is an integer >= least:
+    a budget of 4.5 doublings would never meet depth == max_doublings, and
+    its cells would split until memory ran out."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-10,
                 want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
@@ -992,10 +1032,8 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     zeros of the phase route are exact, and are listed only then (the
     count takes their number, split.deterministic_zeros = n + 1 - ell).
     """
-    if grid_per_degree < 1:
-        raise ValueError(f"grid_per_degree must be >= 1, got {grid_per_degree}")
-    if max_doublings < 0:
-        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
+    _check_count("grid_per_degree", grid_per_degree, 1)
+    _check_count("max_doublings", max_doublings, 0)
     n = sample.n
     model = sample.model
     split = sample.split
@@ -1015,8 +1053,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
                          f"seed={sample.seed}")
     if split.factors:
         ell = split.ell
-        if not (np.array_equal(sample.a[ell:], sample.a[:-ell])
-                and np.array_equal(sample.b[ell:], sample.b[:-ell])):
+        if not sample.repeats:
             raise ValueError(f"coefficients that do not repeat with period ell={ell}; "
                              f"model={model}, seed={sample.seed}")
         count, pieces, stable, roots = _phase_count(sample, want_roots, tol)

@@ -254,6 +254,17 @@ class TestValidation:
             _config(max_doublings=-3).validate()
         _config(max_doublings=0).validate()  # zero is a valid (always unstable) cap
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 1.5), ("workers", 1.5), ("grid_per_degree", 1.5), ("max_doublings", 2.5),
+        ("max_doublings", 2.0),
+    ])
+    def test_rejects_non_integral_counts(self, name, value):
+        """A count that is not an integer is rejected on construction, with
+        its field named, instead of failing later: a budget of 2.5 doublings
+        would never be met and its cells would split until memory ran out."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            _config(**{name: value})
+
     def test_rejects_periodic_without_ell(self):
         with pytest.raises(ValueError):
             _config(dep="periodic").validate()

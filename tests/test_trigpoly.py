@@ -15,7 +15,7 @@ import pytest
 
 from trigzeros import models, trigpoly, zeros
 from trigzeros.harness import ExperimentConfig, run_experiment
-from trigzeros.models import CoefficientModel, sample_coefficients
+from trigzeros.models import CoefficientModel, decompose_degree, sample_coefficients
 from trigzeros.zeros import GRID_OFFSET, carrier_phase, count_zeros
 from trigzeros.trigpoly import (
     PanelNodes,
@@ -147,6 +147,20 @@ class TestEvaluateOnGrid:
                     assert np.abs(g - d).max() <= 1e-11 * scale, (k, num, offset)
         with pytest.raises(ValueError, match="order"):
             evaluate_on_grid(s, 64, order=-1)
+
+    @pytest.mark.parametrize("num_nodes, order, message", [
+        (64, (), r"^order must name at least one derivative order, got \(\)$"),
+        (1.5, 0, r"^num_nodes must be an integer >= 1, got 1\.5$"),
+        (64.0, (0, 1), r"^num_nodes must be an integer >= 1, got 64\.0$"),
+        (0, 0, r"^num_nodes must be an integer >= 1, got 0$"),
+    ])
+    def test_bad_arguments_are_named(self, num_nodes, order, message):
+        """An empty tuple of orders or a node count that is not an integer
+        is a ValueError that names the argument, as a negative order is;
+        1.5 nodes are not one node."""
+        s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 40, seed=12)
+        with pytest.raises(ValueError, match=message):
+            evaluate_on_grid(s, num_nodes, order=order)
 
     def test_matches_direct_evaluation(self):
         model = CoefficientModel(kind="trig", dep="iid")
@@ -313,23 +327,33 @@ class TestPerDegreeTables:
                                           uncached_grid(s, num, offset, order)), \
                         (num, offset, order)
 
-    def test_each_table_is_built_once_per_row(self):
-        """A 12-trial row at one degree builds the powers, the twist and the
-        power table once each, and the tables derived from them (the jet's
-        plan per order, the certificate's factors, the cell layout) once
-        per key, and reuses them in every later trial."""
-        tables = (trigpoly.frequency_powers, trigpoly._twist, trigpoly._power_table,
+    def test_each_table_is_built_once_per_row(self, monkeypatch):
+        """A 12-trial row at one degree builds the powers, the power table
+        and the direction table once each, and the tables derived from them
+        (the jet's plan per order, the certificate's factors, the cell
+        layout) once per key, and every later trial reuses them.  Its
+        samples (ell = 3, n = 100, N = 400) read T and T' from the direction
+        table, so the transform's twist is never built."""
+        tables = (trigpoly.frequency_powers, trigpoly._power_table, trigpoly._direction_table,
                   trigpoly._jet_plan, zeros._certificate_factors, zeros._grid_layout)
-        for table in tables:
+        for table in tables + (trigpoly._twist,):
             table.cache_clear()
+        kernel, builds = trigpoly.dirichlet_pairs, []
+        monkeypatch.setattr(trigpoly, "dirichlet_pairs",
+                            lambda m, ell, *rest: builds.append((m, ell)) or kernel(m, ell, *rest))
         config = ExperimentConfig(kind="trig", dep="periodic", ell=3, degrees=(100,),
                                   trials=12, master_seed=7, grid_per_degree=4)
         run_experiment(config)
         for table in tables:
             info = table.cache_info()
-            assert (info.misses, info.hits > 0) == (info.currsize, True), table
+            assert info.misses == info.currsize, table
         for table in tables[:3]:
             assert table.cache_info().misses == 1, table
+        for table in tables[1:]:  # read in every trial; the powers through the factors
+            assert table.cache_info().hits > 0, table
+        assert trigpoly._twist.cache_info().misses == 0
+        assert builds == [(33, 3)]
+        assert _holds_table(decompose_degree(100, 3), 400, GRID_OFFSET)
 
     @pytest.mark.parametrize("kind, dep, ell, n", [
         ("trig", "iid", None, 100),
@@ -366,6 +390,148 @@ class TestPerDegreeTables:
 def _phi(m, ell, x):
     """phi_m(x) = sin(m ell x/2)/sin(ell x/2), the first of dirichlet_pair."""
     return dirichlet_pair(m, ell, x)[0]
+
+
+def _table_layout(kind, ell, n):
+    """The layout of count_zeros' grid for a sample of the kind at degree n,
+    at 32 nodes a degree or, where that grid is too coarse for the
+    direction table of period ell, at the fewest doublings of it that
+    take one."""
+    mirror, gpd = kind == "cosine", 32
+    while True:
+        layout = zeros._grid_layout(zeros._grid_size(n, gpd, mirror), mirror)
+        if 8 << ell <= layout.columns:
+            return layout
+        gpd *= 2
+
+
+def _unit_sample(kind, ell, n, seed):
+    model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+    return sample_coefficients(model, n, seed=models.mix64(40, n, seed)).unit()
+
+
+def _holds_table(split, columns, offset):
+    """Whether the cached direction table is the one of this key."""
+    misses = trigpoly._direction_table.cache_info().misses
+    trigpoly._direction_table(split, columns, offset)
+    return trigpoly._direction_table.cache_info().misses == misses
+
+
+class TestDirectionTable:
+    """Periodic samples read T and T' on the counter's grid from a cached
+    table of their ell grouped directions (evaluate_on_grid)."""
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("ell", range(2, 8))
+    def test_agrees_with_the_transform_within_the_grid_bound(self, monkeypatch, kind, ell):
+        """Both rows lie within delta_grid of the transform's, on both
+        layouts, at m = 1 with r = 1, m = 3 with r = 1, r = ell - 1 and two
+        larger degrees (at most 0.25 delta_grid when measured)."""
+        for n in (ell, 3 * ell, 6 * ell - 2, 101, 250):
+            if (n + 1) % ell == 0:
+                continue  # r = 0: the phase route
+            layout = _table_layout(kind, ell, n)
+            for seed in range(2):
+                s = _unit_sample(kind, ell, n, seed)
+                trigpoly._direction_table.cache_clear()
+                table = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
+                assert trigpoly._direction_table.cache_info().misses == 1
+                assert _holds_table(s.split, layout.columns, layout.offset)
+                with monkeypatch.context() as patch:
+                    patch.setattr(trigpoly, "_TABLE_BYTES", 0)
+                    transform = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
+                cert = zeros._certificate(s.a, s.b, layout.size, np.abs(table[0]).max(),
+                                          layout.gap)
+                gap = np.abs(table - transform).max(axis=1)
+                assert np.all(gap <= cert.delta_grid[:2]), (n, seed, gap / cert.delta_grid[:2])
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_matches_a_long_double_sum(self, kind):
+        """At n <= 60 both rows match the direct sum in np.longdouble at
+        the float nodes within a quarter of the node term 16 u n^(k+1)
+        sum |c_j| of delta_grid.  T' is the exception up to n = 10: beside
+        the lattice the Dirichlet kernel's quotient for phi_M' cancels
+        (dirichlet_pairs), and at n = 2..10 it was measured at 0.41 of the
+        node term at most; there it is held to half of it (the transform
+        term of delta_grid covers the rest, zeros)."""
+        for ell in range(2, 8):
+            for n in sorted({ell, ell + 1, 2 * ell, 11, 30, 60}):
+                if (n + 1) % ell == 0 and (n + 1) // ell >= 2:
+                    continue  # r = 0 with m >= 2: the phase route
+                layout = _table_layout(kind, ell, n)
+                x = grid_nodes(layout.columns, layout.offset).astype(np.longdouble)
+                j = np.arange(n + 1, dtype=np.longdouble)
+                cos, sin = np.cos(x[:, None] * j), np.sin(x[:, None] * j)
+                for seed in range(2):
+                    s = _unit_sample(kind, ell, n, seed)
+                    rows = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
+                    assert _holds_table(s.split, layout.columns, layout.offset)
+                    a, b = s.a.astype(np.longdouble), s.b.astype(np.longdouble)
+                    exact = np.stack([cos @ a + sin @ b, (cos * j) @ b - (sin * j) @ a])
+                    node = zeros._certificate_factors(n, layout.size, layout.gap)[2][:2]
+                    node = node * np.hypot(s.a, s.b).sum()
+                    share = np.array([0.25, 0.25 if n > 10 else 0.5])
+                    err = np.abs(rows - exact).max(axis=1).astype(float)
+                    assert np.all(err <= share * node), (ell, n, seed, err / node)
+
+    def test_counts_equal_with_the_route_off(self, monkeypatch):
+        """Over 200 periodic trials, trig and cosine, ell = 2..7, on fine
+        and coarse grids, count, stable flag, doublings and grid size are
+        those of the transform route, and every root is within tol of its
+        root."""
+        cases = [("trig", 2, 40, 32), ("trig", 3, 100, 32), ("trig", 4, 61, 32),
+                 ("trig", 5, 101, 4), ("trig", 7, 50, 32), ("trig", 3, 400, 4),
+                 ("cosine", 2, 42, 32), ("cosine", 3, 100, 32), ("cosine", 5, 101, 32),
+                 ("cosine", 6, 200, 32)]
+        trials = 0
+        for kind, ell, n, gpd in cases:
+            model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+            for t in range(20):
+                s = sample_coefficients(model, n, seed=models.mix64(41, n, t))
+                trigpoly._direction_table.cache_clear()
+                got = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+                assert trigpoly._direction_table.cache_info().misses == 1, (kind, ell, n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(trigpoly, "_TABLE_BYTES", 0)
+                    want = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+                assert (got.count, got.stable, got.doublings_used, got.grid_size) == (
+                    want.count, want.stable, want.doublings_used, want.grid_size), (kind, n, t)
+                assert np.abs(got.roots - want.roots).max(initial=0.0) <= 1e-12
+                trials += 1
+        assert trials == 200
+
+    def test_route_and_cache_budget(self):
+        """ell = 3 at n = 400 (N = 12800) takes the table; ell = 3 at
+        n = 1600 (its table would hold 4.9 MB) and i.i.d. n = 199 (ell = 200)
+        keep the transform, and so does a periodic sample whose coefficients
+        do not repeat.  Counting samples at several degrees leaves one
+        table of at most _TABLE_BYTES in the cache, the latest."""
+        table = trigpoly._direction_table
+        periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        table.cache_clear()
+        count_zeros(sample_coefficients(periodic, 400, seed=1))
+        assert table.cache_info().misses == 1
+        assert _holds_table(decompose_degree(400, 3), 12800, GRID_OFFSET)
+        table.cache_clear()
+        count_zeros(sample_coefficients(periodic, 1600, seed=1))
+        count_zeros(sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=1))
+        assert table.cache_info().misses == 0
+        s = sample_coefficients(periodic, 100, seed=2)
+        a = s.a.copy()
+        a[-1] += 1.0
+        rigged = dataclasses.replace(s, a=a)
+        assert not rigged.repeats
+        rows = evaluate_on_grid(rigged, 3200, GRID_OFFSET, order=(0, 1))
+        assert table.cache_info().misses == 0
+        single = [evaluate_on_grid(rigged, 3200, GRID_OFFSET, order=k) for k in (0, 1)]
+        assert rows.tobytes() == np.stack(single).tobytes()
+        for n in (100, 199, 301, 400, 499, 601, 199, 100):  # r != 0, tables of 0.3-1.9 MB
+            count_zeros(sample_coefficients(periodic, n, seed=3))
+            assert table.cache_info().currsize == 1
+            columns = zeros._grid_layout(zeros._grid_size(n, 32, False), False).columns
+            split = decompose_degree(n, 3)
+            assert _holds_table(split, columns, GRID_OFFSET)
+            assert table(split, columns, GRID_OFFSET).nbytes <= trigpoly._TABLE_BYTES
 
 
 class TestDirichletRatio:

@@ -409,6 +409,20 @@ class TestStabilityProtocol:
         with pytest.raises(ValueError, match="max_doublings"):
             count_zeros(s, max_doublings=-3)
 
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("name, value", [
+        ("max_doublings", 4.5), ("max_doublings", 4.0), ("grid_per_degree", 31.5),
+    ])
+    def test_non_integral_budgets_are_rejected(self, kind, name, value):
+        """A budget that is not an integer is a ValueError that names it.  At
+        4.5 doublings depth == max_doublings would never hold, and a cell
+        that no split decides would split until memory ran out; this easy
+        sample would have been counted all the same."""
+        s = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), 40, seed=11)
+        assert count_zeros(s).stable
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            count_zeros(s, **{name: value})
+
     def test_deterministic_reports(self):
         model = CoefficientModel(kind="cosine", dep="iid")
         s = sample_coefficients(model, 40, seed=11)
@@ -1216,7 +1230,10 @@ class TestTrigReportsUnchanged:
     midpoint splits: count, grid size, halvings, stable flag and the bits
     of the roots (their SHA-256) as the whole-circle code gave them, on
     i.i.d. and periodic r != 0 samples, coarse grids with local halvings
-    included."""
+    included.  The periodic rows read T and T' from their direction table
+    (trigpoly.evaluate_on_grid), whose rounding moved their roots by at
+    most 3.9e-14 from those of the transform; their digests are the
+    table's, and every root stays within tol of the transform's."""
 
     PINS = [
         ('iid', None, 1, 32, 0, 2, 256, 0, True, '8af3281bd5a7bd6b'),
@@ -1229,21 +1246,22 @@ class TestTrigReportsUnchanged:
         ('iid', None, 100, 3, 1, 116, 300, 2, True, '12bb7d86f601aef4'),
         ('iid', None, 100, 3, 2, 126, 300, 2, True, 'b7890bb0088dd5e8'),
         ('iid', None, 100, 3, 3, 124, 300, 1, True, '6ddf41ee1a89dd64'),
-        ('periodic', 3, 400, 32, 0, 800, 12800, 0, True, '02f5bfc5ff597ece'),
-        ('periodic', 3, 400, 32, 1, 638, 12800, 0, True, '5a8c79a48ac2eb0a'),
-        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, '303221eb60be51b5'),
-        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, 'c01a0998c8533624'),
-        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, '3358d41c90278801'),
+        ('periodic', 3, 400, 32, 0, 800, 12800, 0, True, '652b6ebed4ae30aa'),
+        ('periodic', 3, 400, 32, 1, 638, 12800, 0, True, 'f92663b6da9fbf9e'),
+        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, 'ef29ba23d65740e1'),
+        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, '59c00872af87ce5e'),
+        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, 'e519dfe4f5e0bd00'),
         ('periodic', 2, 42, 32, 1, 46, 1350, 0, True, '2633d100288b40c5'),
-        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '8e6d51d5dd73b903'),
-        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, '490e67db04b93dc2'),
-        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, '8e1d1ec4538ffba3'),
-        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, '808e4c5255933487'),
+        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '43e3b4b697f61cd8'),
+        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, 'be5954876db53ac5'),
+        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, 'e9407ff17e4440d5'),
+        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, 'b97f2ef4beafabd8'),
     ]
 
     @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
                              PINS)
-    def test_report(self, dep, ell, n, gpd, trial, count, size, doublings, stable, digest):
+    def test_report(self, monkeypatch, dep, ell, n, gpd, trial, count, size, doublings, stable,
+                    digest):
         import hashlib
 
         model = CoefficientModel(kind="trig", dep=dep, ell=ell)
@@ -1252,6 +1270,9 @@ class TestTrigReportsUnchanged:
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
+        monkeypatch.setattr(trigpoly, "_TABLE_BYTES", 0)  # the transform alone
+        transform = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+        assert np.abs(rep.roots - transform.roots).max() <= 1e-12
 
 
 class TestCupReportsUnchanged:
