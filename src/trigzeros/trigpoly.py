@@ -35,12 +35,17 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  nodes for an even, cosine, sample);
                                  a sample of small period ell (below)
                                  gets that call from a cached table of
-                                 its ell grouped directions instead,
-                                 one product of 2 ell coefficients with
-                                 a (2 ell, 2N) table, O(ell N).  The
-                                 r = 0 route counts T* from its carrier
-                                 phase (zeros.carrier_phase) without a
-                                 grid.
+                                 its ell grouped directions on the
+                                 first N/ell nodes instead, folded by
+                                 the lattice shift: two products of an
+                                 (ell, 2 ell) rotation of its
+                                 coefficients with the table's halves,
+                                 O(ell N), from a table of 32 N bytes
+                                 (table_serves decides, and the zero
+                                 counter sizes N by the same rule).
+                                 The r = 0 route counts T* from its
+                                 carrier phase (zeros.carrier_phase)
+                                 without a grid.
 
 Scratch arrays
 --------------
@@ -78,6 +83,18 @@ so reduction introduces no frequency rounding at all.  phi_m vanishes
 at ell(m-1) points per full period - the deterministic zeros - and
 extends to +-m across the removable singularities at the lattice
 x = 2 k pi / ell.
+
+A lattice step only rotates each grouped direction.  With
+g_q(x) = phi_{M_q}(x) e^{i nu_q x} and omega = e^{2 pi i/ell},
+
+    g_q(x + 2 pi/ell) = omega^q g_q(x),
+
+since phi_M gains (-1)^(M-1) and the phase gains
+omega^q (-1)^(M_q - 1), and g_q' rotates alike.  So with c_q = a_q - i b_q,
+T_n(x + 2 pi s/ell) = Re sum_q c_q omega^(qs) g_q(x): the values on a
+grid of N = ell K nodes are those of ell rotated coefficient vectors on
+its first K nodes, which is how evaluate_on_grid folds its direction
+table.
 
 Every Dirichlet ratio of the package goes through one kernel,
 dirichlet_pairs, which returns phi_M and phi_M' of consecutive orders
@@ -273,7 +290,7 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
     one real inverse FFT; with a tuple of orders, one row per order from
     one batched transform, or for order=(0, 1) from the sample's cached
-    direction table when it has one.
+    direction table where table_serves.
 
     With c_j = a_j - i b_j the value is Re sum_j c_j (i j)^order e^{i j x_i}
     (order 0 is T_n itself); the factor (i j)^order multiplies the
@@ -301,17 +318,23 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
 
         T_n(x) = sum_{q<ell} phi_{M_q}(x) (a_q cos nu_q x + b_q sin nu_q x),
 
-    and none of it but (a_q, b_q) depends on the draw.  Where its table
-    is cheap, 32 ell N <= _TABLE_BYTES bytes and 2^(ell+3) <= N, the two
-    rows are (a, b) [g; h] and (a, b) [g'; h'], one product of the 2 ell
-    normalized coefficients with the cached (2 ell, 2N) table of
-    _direction_table.  The product reads 4 ell values a node where the
-    transform spends O(log2 N) operations a node: within the rule it took
-    0.2 to 0.7 of the transform's time at every grid size (one BLAS
-    thread), and at ell = log2 N it took 0.95 of it for a table of 2 MB,
-    whose reads leave the cache.  So ell = 3 keeps the transform past
-    N = 21845 (about n = 680 at 32 nodes a degree), ell = 7 takes the table
-    from N = 1024 to 9362, and an i.i.d. sample (ell = n + 1) at n <= 4 only.
+    and none of it but (a_q, b_q) depends on the draw.  A lattice step
+    rotates each direction by omega^q (module docstring), so on N = ell K
+    nodes the values of the s-th run of K nodes, x_k + 2 pi s/ell, are
+    those of the coefficients c_q omega^(qs) on the first K.  Where
+    table_serves, the two rows are one matmul of the (ell, 2 ell) matrix
+    whose row s is (c_q omega^(qs)).view(float) with the cached table of
+    _direction_table, (2, 2 ell, K): its T half [g; -h] and its T' half
+    [g'; -h'] at the first K nodes, written into the rows reshaped to
+    (ell, K), which is node order.  The table takes 32 N bytes, whatever
+    ell is, so the rule (ell <= n, ell | N, 2^(ell+3) <= N and
+    32 N <= _TABLE_BYTES) serves grids of up to 65536 nodes at
+    ell <= 12, and never an i.i.d. sample (ell = n + 1).  The products
+    read 4 ell values a node of a table ell times smaller than the grid,
+    where the transform spends O(log2 N) operations a node: they took
+    0.08 to 0.42 of the transform's time (one BLAS thread) from the
+    smallest grid the rule serves to N = 64800, at ell = 2 to 12, the
+    larger shares at N < 600.
     The two routes differ by rounding only, which the grid bound of the
     zero counter covers (zeros).  The values come back in a new array
     that the caller owns, of shape (N,) for one order and (len(order), N)
@@ -336,10 +359,13 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
         raise ValueError(f"need a derivative order >= 0, got {order}")
     n = sample.n
     c, e = sample.normalized
-    ell = sample.split.ell if orders == (0, 1) else 0
-    if ell and 32 * ell * N <= _TABLE_BYTES and 8 << ell <= N and sample.repeats:
-        # Re c_q, Im c_q of the directions (a view), times the table's rows
-        vals = (c[:ell].view(float) @ _direction_table(sample.split, N, offset)).reshape(2, N)
+    if orders == (0, 1) and table_serves(sample, N):
+        # row s of the rotation: Re, Im of c_q omega^(qs) (a view), times
+        # the table's T half and T' half; row s is the s-th run of N/ell nodes
+        ell = sample.split.ell
+        vals = np.empty((2, N))
+        np.matmul((_rotations(ell) * c[:ell]).view(float),
+                  _direction_table(sample.split, N, offset), out=vals.reshape(2, ell, N // ell))
     else:
         twist = _twist(n, N, offset)
         d = np.empty((len(orders), n + 1), dtype=complex)
@@ -364,32 +390,65 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     return vals
 
 
-@functools.lru_cache(maxsize=1)
-def _direction_table(split, num_nodes: int, offset: float) -> np.ndarray:
-    """The read-only (2 ell, 2N) direction table of evaluate_on_grid for the
-    split of a degree on grid_nodes(num_nodes, offset), N = num_nodes.
+def table_serves(sample: PolySample, num_nodes: int) -> bool:
+    """Whether evaluate_on_grid reads order=(0, 1) on num_nodes nodes from
+    the sample's direction table: its coefficients repeat with period
+    ell <= n (so never an i.i.d. sample, whose period is n + 1), ell
+    divides num_nodes, 2^(ell+3) <= num_nodes and the table's
+    32 num_nodes bytes fit _TABLE_BYTES.  The zero counter sizes its grid
+    by the same rule (zeros._grid_size)."""
+    ell = sample.split.ell
+    return (ell <= sample.n and num_nodes % ell == 0 and 8 << ell <= num_nodes
+            and 32 * num_nodes <= _TABLE_BYTES and sample.repeats)
 
-    Row 2q holds g_q = phi_{M_q} cos nu_q x at the N nodes and then its
-    derivative g_q', and row 2q + 1 holds -h_q = -phi_{M_q} sin nu_q x and
-    -h_q'.  So c[:ell].view(float), Re c_0, Im c_0 = -b_0, Re c_1, ...,
-    times the table gives T and T' of the normalized coefficients c
-    without a copy.  M_q and 2 nu_q come from split.directions(), phi_M
-    and phi_M' from dirichlet_pairs (the kernel of the Kac-Rice
-    covariances), in a scratch_scope of its own.  The route rule keeps a
-    table within _TABLE_BYTES, and one table is cached, the latest: a
-    Monte Carlo row reads one key in every trial.
+
+@functools.lru_cache(maxsize=16)
+def _rotations(ell: int) -> np.ndarray:
+    """The read-only (ell, ell) matrix omega^(qs), omega = e^(2 pi i/ell),
+    row s and column q, as i^k e^(i theta): k is the quarter turn nearest
+    to qs/ell turns and theta = 2 pi (qs mod ell)/ell - k pi/2, so
+    |theta| <= pi/4.  An entry is exact at the half and quarter turns
+    (theta = 0) and within 4.7 u of omega^(qs) elsewhere: the angle within
+    1.9 u, cos and sin each within an ulp, and the product with i^k
+    exact."""
+    turns = np.outer(np.arange(ell), np.arange(ell)) % ell
+    quarter = np.rint(4 * turns / ell).astype(int)
+    rest = 4 * turns - quarter * ell
+    rot = np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(1j * (np.pi * rest / (2 * ell)))
+    rot.flags.writeable = False
+    return rot
+
+
+@functools.lru_cache(maxsize=2)
+def _direction_table(split, num_nodes: int, offset: float) -> np.ndarray:
+    """The read-only (2, 2 ell, K) direction table of evaluate_on_grid for
+    the split of a degree on the first K = N/ell nodes x_k of
+    grid_nodes(num_nodes, offset), N = num_nodes.
+
+    Half 0 holds the directions and half 1 their derivatives: row 2q holds
+    g_q = phi_{M_q} cos nu_q x and g_q', and row 2q + 1 holds -h_q =
+    -phi_{M_q} sin nu_q x and -h_q'.  So (c_q omega^(qs)).view(float),
+    Re, Im of class 0, then of class 1, ..., times a half gives T or T' of
+    the normalized coefficients c at the nodes x_k + 2 pi s/ell, the s-th
+    run of K nodes (module docstring).  M_q and 2 nu_q come from
+    split.directions(), phi_M and phi_M' from dirichlet_pairs (the kernel
+    of the Kac-Rice covariances), in a scratch_scope of its own.  A table
+    takes 32 N bytes, whatever ell is, and table_serves keeps it within
+    _TABLE_BYTES; two are cached, the latest, so that a Monte Carlo run
+    that alternates two degrees keeps both.
     """
     ell, m = split.ell, split.m
-    x = grid_nodes(num_nodes, offset)
+    K = num_nodes // ell
+    x = grid_nodes(num_nodes, offset)[:K]
     M, freq_twice = split.directions()
-    table = np.empty((2 * ell, 2 * num_nodes))
+    table = np.empty((2, 2 * ell, K))
     with scratch_scope():  # so that no scope open around the count lends it buffers
         pairs = dirichlet_pairs(m, ell, x, 2 if split.r else 1)
         for q in range(ell):
             phi, slope = pairs[M[q] - m]
             nu = freq_twice[q] / 2.0
             cos, sin = np.cos(nu * x), np.sin(nu * x)
-            g, h = table[2 * q].reshape(2, -1), table[2 * q + 1].reshape(2, -1)
+            g, h = table[:, 2 * q], table[:, 2 * q + 1]
             np.multiply(phi, cos, out=g[0])
             np.multiply(phi, sin, out=h[0])
             g[1] = slope * cos - nu * h[0]

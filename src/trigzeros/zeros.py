@@ -12,13 +12,22 @@ size (no prime factor above 5) with at least grid_per_degree nodes per
 degree, so the real FFT never meets an awkward length.  T and T' are
 read once on this grid, after the coefficients are scaled by a power of
 two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
-order=(0, 1), a single two-row real transform of N nodes, or for a
-periodic sample of small period ell one product of its 2 ell
-coefficients with a cached table of its ell grouped directions.
+order=(0, 1), a single two-row real transform of N nodes.  A periodic
+sample of small period ell <= n is served from a cached table of its
+ell grouped directions instead, where trigpoly.table_serves: the table
+holds the first N/ell nodes and a lattice shift rotates the
+coefficients, so the grid must be a multiple of ell, and _grid_size
+takes the smallest multiple of ell at or above the same bound with a
+5-smooth cofactor wherever the table will serve it.  One predicate,
+table_serves, decides the route and the grid size; every other sample
+(i.i.d., ell = n + 1, over the table's budget or not repeating) keeps
+the 5-smooth N.
 
 A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
 half circle instead.  N is then the smallest 5-smooth multiple of 4 at or
-above the same bound, and the transform has N/2 nodes, offset g/2: the
+above the same bound (of lcm(4, 2 ell), with a 5-smooth cofactor, where
+the table serves the N/2 columns), and the transform has N/2 nodes,
+offset g/2: the
 even nodes (2k + g) h of the grid above.  Their mirror images
 (2k + 2 - g) h, where T is equal and T' negated, are nodes too, so on
 [-g h, pi + g h] nodes and mirror images alternate and the cells
@@ -131,30 +140,45 @@ B + 4P <= 5 sqrt(n+1) + 5; the sum is then below the pointwise delta_k
 for n >= 10, and below the grid bound (N >= 256) for n <= 9.
 
 Where a periodic sample's grid values come from its direction table
-(trigpoly.evaluate_on_grid; the table's rule keeps ell <= 9), delta_k
-for grid values bounds them too, so there is no second error model.
-The table sums the ell classes at the float nodes themselves.  Class q
-has weight w_q = M_q |c_q| in sum_j |c_j|, mean frequency nu_q and
-half-span D_q = (M_q - 1) ell/2 <= nu_q, with f_q = nu_q + D_q <= n its
-top frequency; |phi'| <= M D and |phi''| <= M D^2.  Per unit of w_q,
-T^(k) takes four roundings.  The lattice reduction of dirichlet_pairs
-reads phi at a point within 21 u of x (2 pi/ell, its multiple and the
-scaling by ell/2 are rounded), which moves the term of T by 21 u D_q
-and that of T' by 21 u D_q f_q.  The quotients give phi to a few u and
-phi' to u ell M/|s| <= 20 u ell M^2 outside the series window, at most
-40 u f_q.  The phase nu_q x is rounded once, u nu_q |x| <= 6.3 u nu_q,
-times f_q for T'.  The 2 ell-term product adds gamma_{2 ell} times at most
-sqrt(2) (f_q for T').  With D_q <= f_q/2 the whole is at most
-u f_q (13.7 f_q + 76) for T' and u (13.7 f_q + 37) for T, per unit of
-w_q.  Those are below the node terms 16 u n^(k+1) w_q (n >= f_q), but
-for T at n <= 16, by at most 37 u sum_j |c_j| <= 37 sqrt(n+1) u ||c_j||_2
-in all, and for T' in the classes with f_q < 33, by at most
-76 u f_q w_q <= 152 u sum_{j<33} j |c_j| <= 873 u ||j c_j||_2 in all.  The
-transform term of delta_k, 8 u log2(N) sqrt(N) ||j^k c_j||_2 >=
-1024 u ||j^k c_j||_2 (N >= 256), holds both excesses; a table route keeps
-that term too.  Measured, the table's values lie within 0.25 delta_grid
-of the transform's, and within 0.2 (T) and 0.41 (T', at n <= 10) of the
-node term of a sum in long double.
+(trigpoly.evaluate_on_grid; table_serves keeps ell <= 12), delta_k for
+grid values bounds them too, so there is no second error model.  The
+table holds the ell classes at the first K = columns/ell float nodes
+x_k, 0 <= x_k < 2 pi/ell, and node sK + k reads them rotated by
+omega^(qs): the values are those at y = x_k + 2 pi s/ell, the float
+node x_k shifted exactly.  Class q has weight w_q = M_q |c_q| in
+sum_j |c_j|, mean frequency nu_q and half-span D_q = (M_q - 1) ell/2 <=
+nu_q, with f_q = nu_q + D_q <= n its top frequency, so that
+|c_q g_q^(k+1)| <= f_q^(k+1) w_q.  The node term 16 u n^(k+1) sum |c_j|
+of delta_k covers two things.  First, the shifted nodes: on every grid
+that this counter sizes for the route (3081 of them, ell = 2..12, both
+layouts, checked in long double) y lies within 13.8 u of the float node
+where the certificate places the value, as the transform's exact node
+lies within 13.8 u of it; that moves T^(k) by 13.8 u f_q^(k+1) per unit
+of w_q.  Second, the rotation's product: omega^(qs) is exact at the
+half and quarter turns (every one at ell = 2 and 4, and s = 0) and within
+4.7 u elsewhere (trigpoly._rotations), and c_q omega^(qs) adds a complex
+product, 2.9 u: under 8 u |c_q| together, so 8 u f_q^k per unit.  Both
+fit the node term for n >= 4.  What they leave of it, about
+2.2 u n^(k+1) per unit, falls
+short of the table's own roundings at the top frequencies.  At
+x_k < 2 pi/ell <= pi the lattice reduction of dirichlet_pairs subtracts
+exactly (k = 0 or 1) and reads phi within 11.6 u/ell <= 5.8 u of x_k;
+the phase nu_q x_k is rounded once, within pi u nu_q; the quotients give
+phi to a few u and phi' to u ell M/|s| <= 40 u f_q outside the series
+window; the 2 ell-term product adds gamma_{2 ell} times at most
+sqrt(2).  With |phi'| <= M D, |phi''| <= M D^2 and D_q <= f_q/2 those
+come to u (4.5 f_q + 38) for T and u f_q (4.5 f_q + 78) for T' per unit
+of w_q.  The transform term, 8 u log2(N) sqrt(N) ||j^k c_j||_2 >=
+1024 u ||j^k c_j||_2, which this route does not spend, holds the excess
+over the node term for n <= 45 (T) and n <= 16 (T').  Beyond, the whole
+tally, u (18.3 f_q + 46) for T and u f_q (18.3 f_q + 86) for T' per
+unit, exceeds the node term by at most u (2.3 f_q + 46) and
+u f_q (2.3 f_q + 86) where the worst shift meets every class's top
+frequency, and the cover rests on measurement.  Measured, the values
+lie within 0.09 delta_grid of the transform's on the same grid, within
+0.07 of the node term of a sum in long double at y (0.34 for T' at
+n <= 10, beside the lattice), and within 0.37 of it at the float nodes
+(trigpoly's TestDirectionTable).
 
 The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
@@ -206,6 +230,7 @@ coefficients with period ell.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -214,7 +239,7 @@ import numpy as np
 
 from . import models
 from .models import PolySample
-from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers
+from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers, table_serves
 
 TWO_PI = 2.0 * np.pi
 
@@ -432,9 +457,19 @@ class _Layout:
     @functools.cached_property
     def width_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(w/3, 3/w) for the widths w = h widths[i]; cell k takes entry
-        k mod p, p = len(widths) = 1 or 2, that is k & (p - 1)."""
+        k mod p, p = len(widths) = 1 or 2."""
         w = self.h * np.array(self.widths)
         return _read_only(w / 3.0), _read_only(3.0 / w)
+
+    def width_factors(self, cells: np.ndarray):
+        """(w/3, 3/w) of the cells: the two scalars of the one width on the
+        whole circle (a product with them has the bits of one with a column
+        of them), else per cell, entry k mod 2 for cell k."""
+        thirds, inverse = self.width_tables
+        if thirds.size == 1:
+            return thirds[0], inverse[0]
+        entry = cells & 1
+        return thirds[entry], inverse[entry]
 
     def positions(self, k: np.ndarray) -> np.ndarray:
         """The abscissae of the sequence nodes k."""
@@ -516,10 +551,19 @@ def _read_only(values) -> np.ndarray:
     return table
 
 
-def _grid_size(n: int, grid_per_degree: int, mirror: bool) -> int:
-    """smooth_size(max(256, grid_per_degree * n)); for a mirrored layout
-    the smallest 5-smooth multiple of 4 that is at least as large."""
-    least = max(256, grid_per_degree * n)
+def _grid_size(sample: PolySample, grid_per_degree: int, mirror: bool) -> int:
+    """The grid size N of the sample: at least max(256, grid_per_degree *
+    n), a multiple of step (1, or 4 for a mirrored layout) with a 5-smooth
+    cofactor.  Where the sample's direction table would serve the
+    columns (trigpoly.table_serves), step is ell, or lcm(4, 2 ell) on the
+    half circle, so that ell divides the columns; otherwise N is the
+    smallest 5-smooth size, or 5-smooth multiple of 4."""
+    least = max(256, grid_per_degree * sample.n)
+    ell = sample.split.ell
+    folded = math.lcm(4, 2 * ell) if mirror else ell
+    N = folded * smooth_size(-(-least // folded))
+    if table_serves(sample, N // 2 if mirror else N):
+        return N
     return 4 * smooth_size(-(-least // 4)) if mirror else smooth_size(least)
 
 
@@ -699,9 +743,8 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     delta = cert.delta_grid
     # mode="wrap" ends the whole circle's wrap cell at node 0
     (f_lo, s0), (f_hi, s1) = seq.take(cells, axis=1), seq.take(cells + 1, axis=1, mode="wrap")
-    thirds, inverse = layout.width_tables
-    entry = cells & (thirds.size - 1)
-    above, below = _hull_sides(f_lo, s0, f_hi, s1, thirds[entry], clear0)
+    thirds, inverse = layout.width_factors(cells)
+    above, below = _hull_sides(f_lo, s0, f_hi, s1, thirds, clear0)
     zero_free = above | below
     # T is monotone where the control points of p' clear their bound with
     # one sign.  A monotone cell counts its computed sign change: along a
@@ -715,7 +758,7 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     clear_end, clear_mid = map(max, zip(*[cert.slope_clearance(layout.h * width, delta)
                                           for width in layout.widths]))
     mid = f_hi - f_lo
-    mid *= inverse[entry]
+    mid *= inverse
     mid -= s0
     mid -= s1
     mono = (((np.minimum(s0, s1) > clear_end) & (mid > clear_mid))
@@ -1006,13 +1049,16 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     phase route (the deterministic zero set plus the exact phase count of
     the reduced factor T^*; grid_per_degree and max_doublings do not
     enter); everything else, m = 1 included, takes the grid route, the
-    cell certificate on one grid of smooth_size(max(256, grid_per_degree
-    * n)) nodes with at most max_doublings local splits of a cell that the
-    grid's hull, monotone and curvature tests leave undecided (at the
-    midpoint, so finest spacing 2 pi/N 2^-max_doublings).  A
+    cell certificate on one grid of N >= max(256, grid_per_degree * n)
+    nodes (_grid_size: smooth_size of that bound, or where the sample's
+    direction table serves the grid the smallest multiple of ell with a
+    5-smooth cofactor) with at most max_doublings local splits of a cell
+    that the grid's hull, monotone and curvature tests leave undecided (at
+    the midpoint, so finest spacing 2 pi/N 2^-max_doublings).  A
     cosine sample (T even; a nonzero b is a ValueError) is certified on
-    the half circle: the smallest 5-smooth multiple of 4 at or above that
-    size, one transform of half as many nodes, their mirror images, and
+    the half circle: the smallest 5-smooth multiple of 4 (of lcm(4, 2 ell)
+    where the table serves) at or above that bound, one transform of half
+    as many nodes, their mirror images, and
     splits at the golden fraction g = 0.618 of a cell, so the widest
     piece is 2 g^(max_doublings + 1) 2 pi/N, 0.18 of 2 pi/N at the default
     4 where the whole circle reaches 0.0625.  On 200 close zero pairs
@@ -1020,6 +1066,15 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     undecided (4 the whole circle only, 11 the half circle only), and the
     half circle with two more splits certified every pair that the whole
     circle did.  The returned count satisfies the hard ceiling 2n.
+
+    Zeros count with their multiplicity.  The phase route adds the
+    deterministic zeros of phi_m to the zeros of T^*, so a point where
+    both vanish counts twice: x = pi does for every cosine sample with
+    r = 0, ell odd and m even, where pi is a zero of phi_m and every
+    frequency of T^* is half an odd integer, and its roots list pi
+    twice.  The grid route never certifies a multiple zero: its cell
+    stays undecided, counts its change of sign bit and makes the report
+    unstable.
 
     Either route first checks the sample: a non-finite coefficient is a
     FloatingPointError, a vanishing sample a RuntimeError, and an r = 0
@@ -1062,7 +1117,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, ell)]))
         N = doublings = 0
     else:
-        N = _grid_size(n, grid_per_degree, mirror)
+        N = _grid_size(sample, grid_per_degree, mirror)
         count, doublings, stable, roots = _certified_count(sample.unit(), _grid_layout(N, mirror),
                                                            max_doublings, want_roots, tol)
         pieces = 0

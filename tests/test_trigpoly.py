@@ -332,7 +332,7 @@ class TestPerDegreeTables:
         and the direction table once each, and the tables derived from them
         (the jet's plan per order, the certificate's factors, the cell
         layout) once per key, and every later trial reuses them.  Its
-        samples (ell = 3, n = 100, N = 400) read T and T' from the direction
+        samples (ell = 3, n = 100, N = 405) read T and T' from the direction
         table, so the transform's twist is never built."""
         tables = (trigpoly.frequency_powers, trigpoly._power_table, trigpoly._direction_table,
                   trigpoly._jet_plan, zeros._certificate_factors, zeros._grid_layout)
@@ -353,7 +353,7 @@ class TestPerDegreeTables:
             assert table.cache_info().hits > 0, table
         assert trigpoly._twist.cache_info().misses == 0
         assert builds == [(33, 3)]
-        assert _holds_table(decompose_degree(100, 3), 400, GRID_OFFSET)
+        assert _holds_table(decompose_degree(100, 3), 405, GRID_OFFSET)
 
     @pytest.mark.parametrize("kind, dep, ell, n", [
         ("trig", "iid", None, 100),
@@ -392,15 +392,14 @@ def _phi(m, ell, x):
     return dirichlet_pair(m, ell, x)[0]
 
 
-def _table_layout(kind, ell, n):
-    """The layout of count_zeros' grid for a sample of the kind at degree n,
-    at 32 nodes a degree or, where that grid is too coarse for the
-    direction table of period ell, at the fewest doublings of it that
-    take one."""
-    mirror, gpd = kind == "cosine", 32
+def _table_layout(sample):
+    """The layout of count_zeros' grid for the sample at 32 nodes a degree
+    or, where the sample's direction table does not serve that grid, at
+    the fewest doublings of it that it serves."""
+    mirror, gpd = sample.model.kind == "cosine", 32
     while True:
-        layout = zeros._grid_layout(zeros._grid_size(n, gpd, mirror), mirror)
-        if 8 << ell <= layout.columns:
+        layout = zeros._grid_layout(zeros._grid_size(sample, gpd, mirror), mirror)
+        if trigpoly.table_serves(sample, layout.columns):
             return layout
         gpd *= 2
 
@@ -411,35 +410,49 @@ def _unit_sample(kind, ell, n, seed):
 
 
 def _holds_table(split, columns, offset):
-    """Whether the cached direction table is the one of this key."""
+    """Whether the cache holds the direction table of this key."""
     misses = trigpoly._direction_table.cache_info().misses
     trigpoly._direction_table(split, columns, offset)
     return trigpoly._direction_table.cache_info().misses == misses
 
 
+def _transform_rows(sample, columns, offset):
+    """T and T' from the transform, one order at a time: a single order
+    never reads the direction table."""
+    return np.stack([evaluate_on_grid(sample, columns, offset, order=k) for k in (0, 1)])
+
+
+def _is_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
 class TestDirectionTable:
     """Periodic samples read T and T' on the counter's grid from a cached
-    table of their ell grouped directions (evaluate_on_grid)."""
+    table of their ell grouped directions on the first N/ell nodes, folded
+    by the lattice shift (evaluate_on_grid)."""
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     @pytest.mark.parametrize("ell", range(2, 8))
-    def test_agrees_with_the_transform_within_the_grid_bound(self, monkeypatch, kind, ell):
-        """Both rows lie within delta_grid of the transform's, on both
-        layouts, at m = 1 with r = 1, m = 3 with r = 1, r = ell - 1 and two
-        larger degrees (at most 0.25 delta_grid when measured)."""
+    def test_agrees_with_the_transform_within_the_grid_bound(self, kind, ell):
+        """Both rows lie within delta_grid of the transform's at the grid
+        size the counter takes, on both layouts, at m = 1 with r = 1, m = 3
+        with r = 1, r = ell - 1 and two larger degrees (at most 0.1
+        delta_grid when measured)."""
         for n in (ell, 3 * ell, 6 * ell - 2, 101, 250):
             if (n + 1) % ell == 0:
                 continue  # r = 0: the phase route
-            layout = _table_layout(kind, ell, n)
             for seed in range(2):
                 s = _unit_sample(kind, ell, n, seed)
+                layout = _table_layout(s)
+                assert layout.columns % ell == 0
                 trigpoly._direction_table.cache_clear()
                 table = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
                 assert trigpoly._direction_table.cache_info().misses == 1
                 assert _holds_table(s.split, layout.columns, layout.offset)
-                with monkeypatch.context() as patch:
-                    patch.setattr(trigpoly, "_TABLE_BYTES", 0)
-                    transform = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
+                transform = _transform_rows(s, layout.columns, layout.offset)
                 cert = zeros._certificate(s.a, s.b, layout.size, np.abs(table[0]).max(),
                                           layout.gap)
                 gap = np.abs(table - transform).max(axis=1)
@@ -447,38 +460,46 @@ class TestDirectionTable:
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_matches_a_long_double_sum(self, kind):
-        """At n <= 60 both rows match the direct sum in np.longdouble at
-        the float nodes within a quarter of the node term 16 u n^(k+1)
-        sum |c_j| of delta_grid.  T' is the exception up to n = 10: beside
-        the lattice the Dirichlet kernel's quotient for phi_M' cancels
-        (dirichlet_pairs), and at n = 2..10 it was measured at 0.41 of the
-        node term at most; there it is held to half of it (the transform
-        term of delta_grid covers the rest, zeros)."""
+        """At n <= 60 both rows match the direct sum in np.longdouble at the
+        route's own nodes x_k + 2 pi s/ell, the first N/ell float nodes
+        shifted exactly, within a quarter of the node term
+        16 u n^(k+1) sum |c_j| of delta_grid.  T' is the exception up to
+        n = 10: beside the lattice the Dirichlet kernel's quotient for
+        phi_M' cancels (dirichlet_pairs), and there it is held to half of
+        it (the transform term of delta_grid covers the rest, zeros).
+        Against the sum at the float nodes themselves, where the
+        certificate places the values, both rows lie within the node term
+        (zeros: it covers the shifted nodes)."""
+        pi = np.arccos(np.longdouble(-1))
         for ell in range(2, 8):
             for n in sorted({ell, ell + 1, 2 * ell, 11, 30, 60}):
                 if (n + 1) % ell == 0 and (n + 1) // ell >= 2:
                     continue  # r = 0 with m >= 2: the phase route
-                layout = _table_layout(kind, ell, n)
-                x = grid_nodes(layout.columns, layout.offset).astype(np.longdouble)
                 j = np.arange(n + 1, dtype=np.longdouble)
-                cos, sin = np.cos(x[:, None] * j), np.sin(x[:, None] * j)
                 for seed in range(2):
                     s = _unit_sample(kind, ell, n, seed)
+                    layout = _table_layout(s)
+                    K = layout.columns // ell
+                    float_nodes = grid_nodes(layout.columns, layout.offset).astype(np.longdouble)
+                    shifted = (float_nodes[None, :K]
+                               + 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell)
                     rows = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
                     assert _holds_table(s.split, layout.columns, layout.offset)
                     a, b = s.a.astype(np.longdouble), s.b.astype(np.longdouble)
-                    exact = np.stack([cos @ a + sin @ b, (cos * j) @ b - (sin * j) @ a])
                     node = zeros._certificate_factors(n, layout.size, layout.gap)[2][:2]
                     node = node * np.hypot(s.a, s.b).sum()
                     share = np.array([0.25, 0.25 if n > 10 else 0.5])
-                    err = np.abs(rows - exact).max(axis=1).astype(float)
-                    assert np.all(err <= share * node), (ell, n, seed, err / node)
+                    for x, bound in ((shifted.ravel(), share * node), (float_nodes, node)):
+                        cos, sin = np.cos(x[:, None] * j), np.sin(x[:, None] * j)
+                        exact = np.stack([cos @ a + sin @ b, (cos * j) @ b - (sin * j) @ a])
+                        err = np.abs(rows - exact).max(axis=1).astype(float)
+                        assert np.all(err <= bound), (ell, n, seed, err / node)
 
     def test_counts_equal_with_the_route_off(self, monkeypatch):
         """Over 200 periodic trials, trig and cosine, ell = 2..7, on fine
         and coarse grids, count, stable flag, doublings and grid size are
-        those of the transform route, and every root is within tol of its
-        root."""
+        those of the transform on the same grid, and every root is within
+        tol of its root."""
         cases = [("trig", 2, 40, 32), ("trig", 3, 100, 32), ("trig", 4, 61, 32),
                  ("trig", 5, 101, 4), ("trig", 7, 50, 32), ("trig", 3, 400, 4),
                  ("cosine", 2, 42, 32), ("cosine", 3, 100, 32), ("cosine", 5, 101, 32),
@@ -492,8 +513,11 @@ class TestDirectionTable:
                 got = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
                 assert trigpoly._direction_table.cache_info().misses == 1, (kind, ell, n)
                 with monkeypatch.context() as patch:
-                    patch.setattr(trigpoly, "_TABLE_BYTES", 0)
+                    patch.setattr(zeros, "evaluate_on_grid",
+                                  lambda s, columns, offset, order: _transform_rows(s, columns,
+                                                                                    offset))
                     want = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+                assert trigpoly._direction_table.cache_info().misses == 1, (kind, ell, n)
                 assert (got.count, got.stable, got.doublings_used, got.grid_size) == (
                     want.count, want.stable, want.doublings_used, want.grid_size), (kind, n, t)
                 assert np.abs(got.roots - want.roots).max(initial=0.0) <= 1e-12
@@ -501,19 +525,24 @@ class TestDirectionTable:
         assert trials == 200
 
     def test_route_and_cache_budget(self):
-        """ell = 3 at n = 400 (N = 12800) takes the table; ell = 3 at
-        n = 1600 (its table would hold 4.9 MB) and i.i.d. n = 199 (ell = 200)
-        keep the transform, and so does a periodic sample whose coefficients
-        do not repeat.  Counting samples at several degrees leaves one
-        table of at most _TABLE_BYTES in the cache, the latest."""
+        """ell = 3 at n = 400 (N = 12960) and at n = 1600 (N = 51840, a
+        table of 1.7 MB) take the table; i.i.d. n = 199 (ell = 200 > n)
+        keeps the transform, and so does a periodic sample whose
+        coefficients do not repeat.  Counting samples at several degrees
+        leaves at most two tables in the cache, the latest, each of at most
+        _TABLE_BYTES, and a run that alternates two degrees builds each
+        table once."""
         table = trigpoly._direction_table
         periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
         table.cache_clear()
-        count_zeros(sample_coefficients(periodic, 400, seed=1))
-        assert table.cache_info().misses == 1
-        assert _holds_table(decompose_degree(400, 3), 12800, GRID_OFFSET)
+        for n, N in ((400, 12960), (1600, 51840)):
+            assert count_zeros(sample_coefficients(periodic, n, seed=1)).grid_size == N
+            assert _holds_table(decompose_degree(n, 3), N, GRID_OFFSET)
+        assert table.cache_info().misses == 2
+        for n in (400, 1600, 400, 1600):
+            count_zeros(sample_coefficients(periodic, n, seed=2))
+        assert table.cache_info().misses == 2
         table.cache_clear()
-        count_zeros(sample_coefficients(periodic, 1600, seed=1))
         count_zeros(sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=1))
         assert table.cache_info().misses == 0
         s = sample_coefficients(periodic, 100, seed=2)
@@ -521,17 +550,91 @@ class TestDirectionTable:
         a[-1] += 1.0
         rigged = dataclasses.replace(s, a=a)
         assert not rigged.repeats
-        rows = evaluate_on_grid(rigged, 3200, GRID_OFFSET, order=(0, 1))
+        rows = evaluate_on_grid(rigged, 3240, GRID_OFFSET, order=(0, 1))
         assert table.cache_info().misses == 0
-        single = [evaluate_on_grid(rigged, 3200, GRID_OFFSET, order=k) for k in (0, 1)]
-        assert rows.tobytes() == np.stack(single).tobytes()
-        for n in (100, 199, 301, 400, 499, 601, 199, 100):  # r != 0, tables of 0.3-1.9 MB
-            count_zeros(sample_coefficients(periodic, n, seed=3))
-            assert table.cache_info().currsize == 1
-            columns = zeros._grid_layout(zeros._grid_size(n, 32, False), False).columns
-            split = decompose_degree(n, 3)
-            assert _holds_table(split, columns, GRID_OFFSET)
-            assert table(split, columns, GRID_OFFSET).nbytes <= trigpoly._TABLE_BYTES
+        assert rows.tobytes() == _transform_rows(rigged, 3240, GRID_OFFSET).tobytes()
+        for n in (100, 199, 301, 400, 499, 601, 1600, 199, 100):  # r != 0
+            s = sample_coefficients(periodic, n, seed=3)
+            columns = count_zeros(s).grid_size
+            assert table.cache_info().currsize <= 2
+            assert _holds_table(s.split, columns, GRID_OFFSET)
+            assert table(s.split, columns, GRID_OFFSET).nbytes == 32 * columns
+            assert 32 * columns <= trigpoly._TABLE_BYTES
+
+    def test_rotations_are_exact_at_half_and_quarter_turns(self):
+        """omega^(qs) is 1, i, -1 or -i to the bit where 4 qs is a multiple of
+        ell, and within u of e^(2 pi i qs/ell) elsewhere (0.75 u measured;
+        _rotations states 4.7 u)."""
+        pi = np.arccos(np.longdouble(-1))
+        for ell in range(1, 13):
+            rot = trigpoly._rotations(ell)
+            turns = np.outer(np.arange(ell), np.arange(ell)) % ell
+            exact = np.array([1, 1j, -1, -1j])[4 * turns // ell]
+            quarter = 4 * turns % ell == 0
+            assert np.array_equal(rot[quarter], exact[quarter]), ell
+            angle = 2 * pi * turns / ell
+            want = np.cos(angle) + 1j * np.sin(angle)
+            assert np.abs(rot - want).max() <= np.finfo(float).eps / 2, ell
+
+    def test_shifted_nodes_lie_near_the_float_nodes(self):
+        """The route's nodes x_k + 2 pi s/ell lie within 13.8 u of the float
+        nodes of grid_nodes on every grid of up to 16384 columns that the
+        counter sizes for the route, ell = 2..12 on both layouts (zeros:
+        the node term covers the shift; 13.8 u is the largest over every
+        such grid up to 65536 columns)."""
+        pi = np.arccos(np.longdouble(-1))
+        u = np.finfo(float).eps / 2
+        smooth = [k for k in range(1, 16385) if _is_smooth(k)]
+        grids = 0
+        for ell in range(2, 13):
+            for mirror in (False, True):
+                step = math.lcm(4, 2 * ell) if mirror else ell
+                offset = GRID_OFFSET / 2 if mirror else GRID_OFFSET
+                for k in smooth:
+                    columns = step * k // 2 if mirror else step * k
+                    if not 8 << ell <= columns <= 16384 or step * k < 256:
+                        continue
+                    x = grid_nodes(columns, offset).astype(np.longdouble)
+                    K = columns // ell
+                    shift = 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell
+                    gap = np.abs((x[:K] + shift).ravel() - x).max()
+                    assert gap <= 13.8 * u, (ell, mirror, columns, gap / u)
+                    grids += 1
+        assert grids > 200
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_grid_size_rule(self, kind):
+        """Where the direction table serves the grid, N is the smallest
+        multiple of ell (of lcm(4, 2 ell) on the half circle) with a
+        5-smooth cofactor at or above max(256, grid_per_degree * n), and
+        the table serves it; everywhere else, i.i.d., ell = n + 1, over the
+        budget or not repeating, N is the size of the 5-smooth rule."""
+        mirror = kind == "cosine"
+        served = kept = 0
+        for ell in range(2, 8):
+            model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+            step = math.lcm(4, 2 * ell) if mirror else ell
+            for n in (ell - 1, ell, 2 * ell, 37, 101, 400, 1600, 2100, 4001):
+                if (n + 1) % ell == 0 and n >= ell:
+                    continue  # r = 0 with m >= 2: the phase route
+                for gpd in (1, 4, 32):
+                    s = sample_coefficients(model, n, seed=5)
+                    N = zeros._grid_size(s, gpd, mirror)
+                    least = max(256, gpd * n)
+                    smooth = (4 * zeros.smooth_size(-(-least // 4)) if mirror
+                              else zeros.smooth_size(least))
+                    rigged = dataclasses.replace(s, a=s.a + np.arange(n + 1))
+                    assert zeros._grid_size(rigged, gpd, mirror) == smooth
+                    if not trigpoly.table_serves(s, N // 2 if mirror else N):
+                        assert N == smooth, (ell, n, gpd)
+                        kept += 1
+                        continue
+                    served += 1
+                    assert N >= least and N % step == 0 and _is_smooth(N // step)
+                    assert not any(_is_smooth(k) for k in range(-(-least // step), N // step))
+        assert served > 40 and kept > 40
+        iid = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), 199, seed=5)
+        assert zeros._grid_size(iid, 32, mirror) == 6400
 
 
 class TestDirichletRatio:

@@ -992,8 +992,11 @@ class TestBentCells:
         trials (none).  Before the curvature test the local stage ran in
         88, 193, 295, 122, 256 and 283 of these trials, and while grid cups
         were decided on the Hermite interpolant in 3, 4, 14, 4, 172 and 276
-        of them, reading 10, 18, 55, 18, 1150 and 26682 points.  A change
-        that sends cells back to the pointwise stage shows here."""
+        of them, reading 10, 18, 55, 18, 1150 and 26682 points.  The
+        periodic rows count on grids that ell = 3 divides (12960 and 51840
+        nodes, against 12800 and 51200 before), which took their tallies
+        from [157, 1016, 226, 0] and [268, 26410, 432, 0].  A change that
+        sends cells back to the pointwise stage shows here."""
         import trigzeros.zeros as zeros_module
 
         tally = {}
@@ -1026,8 +1029,8 @@ class TestBentCells:
         assert tally == {("trig", None, 199): [2, 7, 26, 0], ("trig", None, 499): [4, 18, 79, 0],
                          ("trig", None, 1999): [7, 34, 290, 0],
                          ("cosine", None, 499): [1, 9, 40, 0],
-                         ("trig", 3, 400): [157, 1016, 226, 0],
-                         ("trig", 3, 1600): [268, 26410, 432, 0]}
+                         ("trig", 3, 400): [154, 957, 230, 0],
+                         ("trig", 3, 1600): [268, 24764, 410, 0]}
 
 
 class TestGridRule:
@@ -1231,9 +1234,11 @@ class TestTrigReportsUnchanged:
     of the roots (their SHA-256) as the whole-circle code gave them, on
     i.i.d. and periodic r != 0 samples, coarse grids with local halvings
     included.  The periodic rows read T and T' from their direction table
-    (trigpoly.evaluate_on_grid), whose rounding moved their roots by at
-    most 3.9e-14 from those of the transform; their digests are the
-    table's, and every root stays within tol of the transform's."""
+    (trigpoly.evaluate_on_grid), folded by the lattice shift on a grid
+    whose size ell divides (ell = 3 at n = 400: 12960 nodes); its rounding
+    moved their roots by at most 9.8e-15 from those of the transform on
+    the same grid.  Their digests are the folded table's, and every root
+    stays within tol of the transform's."""
 
     PINS = [
         ('iid', None, 1, 32, 0, 2, 256, 0, True, '8af3281bd5a7bd6b'),
@@ -1246,16 +1251,16 @@ class TestTrigReportsUnchanged:
         ('iid', None, 100, 3, 1, 116, 300, 2, True, '12bb7d86f601aef4'),
         ('iid', None, 100, 3, 2, 126, 300, 2, True, 'b7890bb0088dd5e8'),
         ('iid', None, 100, 3, 3, 124, 300, 1, True, '6ddf41ee1a89dd64'),
-        ('periodic', 3, 400, 32, 0, 800, 12800, 0, True, '652b6ebed4ae30aa'),
-        ('periodic', 3, 400, 32, 1, 638, 12800, 0, True, 'f92663b6da9fbf9e'),
-        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, 'ef29ba23d65740e1'),
-        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, '59c00872af87ce5e'),
-        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, 'e519dfe4f5e0bd00'),
+        ('periodic', 3, 400, 32, 0, 800, 12960, 0, True, 'aa1ada2db969fdac'),
+        ('periodic', 3, 400, 32, 1, 638, 12960, 0, True, 'f175ce0fc88f6b6a'),
+        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, 'd6382f7cd1a4c38c'),
+        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, '7f25bb491f6a5035'),
+        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, '4a1c221856de69db'),
         ('periodic', 2, 42, 32, 1, 46, 1350, 0, True, '2633d100288b40c5'),
-        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '43e3b4b697f61cd8'),
-        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, 'be5954876db53ac5'),
-        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, 'e9407ff17e4440d5'),
-        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, 'b97f2ef4beafabd8'),
+        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '8e6d51d5dd73b903'),
+        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, '3e43531457672613'),
+        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, 'b3fcde7c73091c22'),
+        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, '25e8bfb25b74cb99'),
     ]
 
     @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
@@ -1264,14 +1269,19 @@ class TestTrigReportsUnchanged:
                     digest):
         import hashlib
 
+        import trigzeros.zeros as zeros_module
+
         model = CoefficientModel(kind="trig", dep=dep, ell=ell)
         s = sample_coefficients(model, n, seed=mix64(33, n, trial))
         rep = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
-        monkeypatch.setattr(trigpoly, "_TABLE_BYTES", 0)  # the transform alone
+        # the transform alone, one order at a time, on the same grid
+        monkeypatch.setattr(zeros_module, "evaluate_on_grid", lambda s, columns, offset, order: (
+            np.stack([evaluate_on_grid(s, columns, offset, order=k) for k in order])))
         transform = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+        assert transform.grid_size == size
         assert np.abs(rep.roots - transform.roots).max() <= 1e-12
 
 
