@@ -15,8 +15,9 @@ two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
 order=(0, 1), a single two-row real transform of N nodes.  A periodic
 sample of small period ell <= n is served from a cached table of its
 ell grouped directions instead, where trigpoly.table_serves: the table
-holds the first N/ell nodes and a lattice shift rotates the
-coefficients, so the grid must be a multiple of ell, and _grid_size
+holds N/ell nodes, whose lattice shifts stand for the whole grid, and a
+lattice shift rotates the coefficients, so the grid must be a multiple
+of ell, and _grid_size
 takes the smallest multiple of ell at or above the same bound with a
 5-smooth cofactor wherever the table will serve it.  One predicate,
 table_serves, decides the route and the grid size; every other sample
@@ -142,43 +143,46 @@ for n >= 10, and below the grid bound (N >= 256) for n <= 9.
 Where a periodic sample's grid values come from its direction table
 (trigpoly.evaluate_on_grid; table_serves keeps ell <= 12), delta_k for
 grid values bounds them too, so there is no second error model.  The
-table holds the ell classes at the first K = columns/ell float nodes
-x_k, 0 <= x_k < 2 pi/ell, and node sK + k reads them rotated by
-omega^(qs): the values are those at y = x_k + 2 pi s/ell, the float
-node x_k shifted exactly.  Class q has weight w_q = M_q |c_q| in
-sum_j |c_j|, mean frequency nu_q and half-span D_q = (M_q - 1) ell/2 <=
-nu_q, with f_q = nu_q + D_q <= n its top frequency, so that
-|c_q g_q^(k+1)| <= f_q^(k+1) w_q.  The node term 16 u n^(k+1) sum |c_j|
-of delta_k covers two things.  First, the shifted nodes: on every grid
-that this counter sizes for the route (3081 of them, ell = 2..12, both
-layouts, checked in long double) y lies within 13.8 u of the float node
-where the certificate places the value, as the transform's exact node
-lies within 13.8 u of it; that moves T^(k) by 13.8 u f_q^(k+1) per unit
-of w_q.  Second, the rotation's product: omega^(qs) is exact at the
-half and quarter turns (every one at ell = 2 and 4, and s = 0) and within
-4.7 u elsewhere (trigpoly._rotations), and c_q omega^(qs) adds a complex
-product, 2.9 u: under 8 u |c_q| together, so 8 u f_q^k per unit.  Both
-fit the node term for n >= 4.  What they leave of it, about
-2.2 u n^(k+1) per unit, falls
-short of the table's own roundings at the top frequencies.  At
-x_k < 2 pi/ell <= pi the lattice reduction of dirichlet_pairs subtracts
-exactly (k = 0 or 1) and reads phi within 11.6 u/ell <= 5.8 u of x_k;
-the phase nu_q x_k is rounded once, within pi u nu_q; the quotients give
-phi to a few u and phi' to u ell M/|s| <= 40 u f_q outside the series
-window; the 2 ell-term product adds gamma_{2 ell} times at most
-sqrt(2).  With |phi'| <= M D, |phi''| <= M D^2 and D_q <= f_q/2 those
-come to u (4.5 f_q + 38) for T and u f_q (4.5 f_q + 78) for T' per unit
-of w_q.  The transform term, 8 u log2(N) sqrt(N) ||j^k c_j||_2 >=
-1024 u ||j^k c_j||_2, which this route does not spend, holds the excess
-over the node term for n <= 45 (T) and n <= 16 (T').  Beyond, the whole
-tally, u (18.3 f_q + 46) for T and u f_q (18.3 f_q + 86) for T' per
-unit, exceeds the node term by at most u (2.3 f_q + 46) and
-u f_q (2.3 f_q + 86) where the worst shift meets every class's top
-frequency, and the cover rests on measurement.  Measured, the values
-lie within 0.09 delta_grid of the transform's on the same grid, within
-0.07 of the node term of a sum in long double at y (0.34 for T' at
-n <= 10, beside the lattice), and within 0.37 of it at the float nodes
-(trigpoly's TestDirectionTable).
+table holds the ell classes at K = columns/ell float points t_k,
+0 < t_k < 2 pi/ell, and node sK + k reads them rotated by omega^(qs):
+the values are those at y = t_k + 2 pi s/ell, t_k shifted exactly.
+Class q has weight w_q = M_q |c_q| in sum_j |c_j|, mean frequency nu_q
+and half-span D_q = (M_q - 1) ell/2 <= nu_q, with f_q = nu_q + D_q <= n
+its top frequency, so that |c_q g_q^(k+1)| <= f_q^(k+1) w_q.  Per unit
+of w_q, T^(k) takes three errors.  First, the shifted nodes.  The float
+nodes x_i of the grid are not exact shifts of each other, so t_k is the
+midrange over s of x_(sK+k) - 2 pi s/ell, taken in long double and
+rounded once (trigpoly._table_nodes); on every grid that this counter
+sizes for the route (2681 of them at ell = 2..12, both layouts, each
+checked in long double by trigpoly's TestDirectionTable; at ell = 1
+t_k is x_k itself) y lies within 8.2 u of the float node x_(sK+k)
+where the certificate places the value, which moves T^(k) by
+8.2 u f_q^(k+1).  Second, the rotation's product: omega^(qs) is exact
+at the half and quarter turns (every one at ell = 2 and 4, and s = 0)
+and within 4.7 u elsewhere (trigpoly._rotations), and c_q omega^(qs)
+adds a complex product, 2.9 u: under 8 u f_q^k together.  Third, the
+table's own roundings.  At t_k < 2 pi/ell <= pi the lattice reduction
+of dirichlet_pairs subtracts exactly (k = 0 or 1) and reads phi within
+11.6 u/ell <= 5.8 u of t_k; the phase nu_q t_k is rounded once, within
+pi u nu_q; the quotients give phi to a few u and phi' to
+u ell M/|s| <= 40 u f_q outside the series window; the 2 ell-term
+product adds gamma_{2 ell} times at most sqrt(2).  With |phi'| <= M D,
+|phi''| <= M D^2 and D_q <= f_q/2 those come to u (4.5 f_q + 38) for T
+and u f_q (4.5 f_q + 78) for T'.  The whole tally, u (12.7 f_q + 46)
+for T and u f_q (12.7 f_q + 86) for T', fits the node term
+16 u n^(k+1) per unit (n >= f_q) for n >= 14 (T) and n >= 27 (T').
+Below, the excess, at most u (46 - 3.3 f_q) and u f_q (86 - 3.3 f_q)
+per unit, is held by the transform term, 8 u log2(N) sqrt(N)
+||j^k c_j||_2 >= 1024 u ||j^k c_j||_2 (N >= 256), which this route
+does not spend: ||c_j||_2 >= sum_j |c_j|/sqrt(n+1) gives it at least
+1024 u/sqrt(14) > 273 u per unit of w_q at n <= 13, and
+||j c_j||_2 >= sum_j j |c_j|/sqrt(n+1) = sum_q nu_q w_q/sqrt(n+1) with
+nu_q >= f_q/2 gives it at least 512 u f_q/sqrt(27) > 98 u f_q per unit
+at n <= 26.  So delta_grid covers the route at every degree, to first
+order in u.  Measured, the values lie within 0.14 delta_grid of the
+transform's on the same grid, within 0.08 of the node term of a sum
+in long double at y (0.18 for T' at n <= 10, beside the lattice), and
+within 0.22 of it at the float nodes (trigpoly's TestDirectionTable).
 
 The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
@@ -457,19 +461,9 @@ class _Layout:
     @functools.cached_property
     def width_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(w/3, 3/w) for the widths w = h widths[i]; cell k takes entry
-        k mod p, p = len(widths) = 1 or 2."""
+        k mod p, p = len(widths) = 1 or 2, that is k & (p - 1)."""
         w = self.h * np.array(self.widths)
         return _read_only(w / 3.0), _read_only(3.0 / w)
-
-    def width_factors(self, cells: np.ndarray):
-        """(w/3, 3/w) of the cells: the two scalars of the one width on the
-        whole circle (a product with them has the bits of one with a column
-        of them), else per cell, entry k mod 2 for cell k."""
-        thirds, inverse = self.width_tables
-        if thirds.size == 1:
-            return thirds[0], inverse[0]
-        entry = cells & 1
-        return thirds[entry], inverse[entry]
 
     def positions(self, k: np.ndarray) -> np.ndarray:
         """The abscissae of the sequence nodes k."""
@@ -743,8 +737,9 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     delta = cert.delta_grid
     # mode="wrap" ends the whole circle's wrap cell at node 0
     (f_lo, s0), (f_hi, s1) = seq.take(cells, axis=1), seq.take(cells + 1, axis=1, mode="wrap")
-    thirds, inverse = layout.width_factors(cells)
-    above, below = _hull_sides(f_lo, s0, f_hi, s1, thirds, clear0)
+    thirds, inverse = layout.width_tables
+    entry = cells & (thirds.size - 1)
+    above, below = _hull_sides(f_lo, s0, f_hi, s1, thirds[entry], clear0)
     zero_free = above | below
     # T is monotone where the control points of p' clear their bound with
     # one sign.  A monotone cell counts its computed sign change: along a
@@ -758,7 +753,7 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     clear_end, clear_mid = map(max, zip(*[cert.slope_clearance(layout.h * width, delta)
                                           for width in layout.widths]))
     mid = f_hi - f_lo
-    mid *= inverse
+    mid *= inverse[entry]
     mid -= s0
     mid -= s1
     mono = (((np.minimum(s0, s1) > clear_end) & (mid > clear_mid))

@@ -439,7 +439,7 @@ class TestDirectionTable:
     def test_agrees_with_the_transform_within_the_grid_bound(self, kind, ell):
         """Both rows lie within delta_grid of the transform's at the grid
         size the counter takes, on both layouts, at m = 1 with r = 1, m = 3
-        with r = 1, r = ell - 1 and two larger degrees (at most 0.1
+        with r = 1, r = ell - 1 and two larger degrees (at most 0.14
         delta_grid when measured)."""
         for n in (ell, 3 * ell, 6 * ell - 2, 101, 250):
             if (n + 1) % ell == 0:
@@ -461,8 +461,8 @@ class TestDirectionTable:
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_matches_a_long_double_sum(self, kind):
         """At n <= 60 both rows match the direct sum in np.longdouble at the
-        route's own nodes x_k + 2 pi s/ell, the first N/ell float nodes
-        shifted exactly, within a quarter of the node term
+        route's own nodes t_k + 2 pi s/ell, the table's nodes shifted
+        exactly, within a quarter of the node term
         16 u n^(k+1) sum |c_j| of delta_grid.  T' is the exception up to
         n = 10: beside the lattice the Dirichlet kernel's quotient for
         phi_M' cancels (dirichlet_pairs), and there it is held to half of
@@ -479,9 +479,9 @@ class TestDirectionTable:
                 for seed in range(2):
                     s = _unit_sample(kind, ell, n, seed)
                     layout = _table_layout(s)
-                    K = layout.columns // ell
                     float_nodes = grid_nodes(layout.columns, layout.offset).astype(np.longdouble)
-                    shifted = (float_nodes[None, :K]
+                    table_nodes = trigpoly._table_nodes(layout.columns, layout.offset, ell)
+                    shifted = (table_nodes.astype(np.longdouble)
                                + 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell)
                     rows = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
                     assert _holds_table(s.split, layout.columns, layout.offset)
@@ -577,30 +577,35 @@ class TestDirectionTable:
             assert np.abs(rot - want).max() <= np.finfo(float).eps / 2, ell
 
     def test_shifted_nodes_lie_near_the_float_nodes(self):
-        """The route's nodes x_k + 2 pi s/ell lie within 13.8 u of the float
-        nodes of grid_nodes on every grid of up to 16384 columns that the
-        counter sizes for the route, ell = 2..12 on both layouts (zeros:
-        the node term covers the shift; 13.8 u is the largest over every
-        such grid up to 65536 columns)."""
+        """The route's nodes t_k + 2 pi s/ell lie within 8.2 u of the float
+        nodes of grid_nodes on each of the 2681 grids that the counter
+        sizes for the route at ell = 2..12, both layouts, up to the
+        budget's 65536 columns (zeros: the node term covers the shift).
+        Placing the table at the float nodes x_k themselves would miss by
+        up to 13.8 u.  At ell = 1 the table's nodes are the float nodes."""
         pi = np.arccos(np.longdouble(-1))
         u = np.finfo(float).eps / 2
-        smooth = [k for k in range(1, 16385) if _is_smooth(k)]
-        grids = 0
+        top = trigpoly._TABLE_BYTES // 32
+        smooth = [k for k in range(1, top + 1) if _is_smooth(k)]
+        grids, worst = 0, 0.0
         for ell in range(2, 13):
             for mirror in (False, True):
                 step = math.lcm(4, 2 * ell) if mirror else ell
                 offset = GRID_OFFSET / 2 if mirror else GRID_OFFSET
                 for k in smooth:
                     columns = step * k // 2 if mirror else step * k
-                    if not 8 << ell <= columns <= 16384 or step * k < 256:
+                    if not 8 << ell <= columns <= top or step * k < 256:
                         continue
                     x = grid_nodes(columns, offset).astype(np.longdouble)
-                    K = columns // ell
+                    t = trigpoly._table_nodes(columns, offset, ell).astype(np.longdouble)
                     shift = 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell
-                    gap = np.abs((x[:K] + shift).ravel() - x).max()
-                    assert gap <= 13.8 * u, (ell, mirror, columns, gap / u)
+                    worst = max(worst, np.abs((t + shift).ravel() - x).max() / u)
                     grids += 1
-        assert grids > 200
+        assert grids == 2681
+        assert worst <= 8.2, worst
+        for columns in (256, 1000, top):
+            x = grid_nodes(columns, GRID_OFFSET)
+            assert np.array_equal(trigpoly._table_nodes(columns, GRID_OFFSET, 1), x)
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_grid_size_rule(self, kind):

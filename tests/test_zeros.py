@@ -1236,7 +1236,7 @@ class TestTrigReportsUnchanged:
     included.  The periodic rows read T and T' from their direction table
     (trigpoly.evaluate_on_grid), folded by the lattice shift on a grid
     whose size ell divides (ell = 3 at n = 400: 12960 nodes); its rounding
-    moved their roots by at most 9.8e-15 from those of the transform on
+    moved their roots by at most 8.9e-15 from those of the transform on
     the same grid.  Their digests are the folded table's, and every root
     stays within tol of the transform's."""
 
@@ -1251,16 +1251,16 @@ class TestTrigReportsUnchanged:
         ('iid', None, 100, 3, 1, 116, 300, 2, True, '12bb7d86f601aef4'),
         ('iid', None, 100, 3, 2, 126, 300, 2, True, 'b7890bb0088dd5e8'),
         ('iid', None, 100, 3, 3, 124, 300, 1, True, '6ddf41ee1a89dd64'),
-        ('periodic', 3, 400, 32, 0, 800, 12960, 0, True, 'aa1ada2db969fdac'),
-        ('periodic', 3, 400, 32, 1, 638, 12960, 0, True, 'f175ce0fc88f6b6a'),
-        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, 'd6382f7cd1a4c38c'),
-        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, '7f25bb491f6a5035'),
-        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, '4a1c221856de69db'),
-        ('periodic', 2, 42, 32, 1, 46, 1350, 0, True, '2633d100288b40c5'),
-        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '8e6d51d5dd73b903'),
-        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, '3e43531457672613'),
-        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, 'b3fcde7c73091c22'),
-        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, '25e8bfb25b74cb99'),
+        ('periodic', 3, 400, 32, 0, 800, 12960, 0, True, 'cebfeb6fb637b885'),
+        ('periodic', 3, 400, 32, 1, 638, 12960, 0, True, '921f18847cd5f63f'),
+        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, '37936009eb5ba010'),
+        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, 'd46181e1fe5b6271'),
+        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, 'e519dfe4f5e0bd00'),
+        ('periodic', 2, 42, 32, 1, 46, 1350, 0, True, '50e379e53be29798'),
+        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '2cdc9f4723a312f3'),
+        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, 'd3cd62c6e1b83d99'),
+        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, '6f4ee3a5fdd54d45'),
+        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, '38b24f1ede678e55'),
     ]
 
     @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
