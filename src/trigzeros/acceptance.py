@@ -12,7 +12,9 @@ the lot and is what `trigzeros verify` prints.  The checks pin down:
   5. identities and bounds for the limit constants themselves;
   6. the i.i.d. baseline 2n/sqrt(3), and the exact i.i.d. law;
   7. the factorization T_n = phi_m * T* behind the deterministic zeros,
-     and the carrier phase that the r = 0 counts run through;
+     the carrier phase that the r = 0 counts run through, and the
+     lattice numerator W = 2 sin(ell x/2) T_n that the r != 0 counts run
+     through;
   8. micro-identities the closed forms rely on, checked on the kernel
      and the covariance routes that every Kac-Rice total uses.
 
@@ -47,7 +49,7 @@ from .kacrice import (
     expected_zeros_quadrature,
 )
 from .models import CoefficientModel, sample_coefficients
-from .trigpoly import dirichlet_pair, evaluate, reduce_periodic
+from .trigpoly import dirichlet_pair, evaluate, numerator_jet, reduce_periodic
 from .zeros import carrier_phase, deterministic_zero_set
 
 
@@ -299,8 +301,18 @@ def iid_baseline(quick: bool = False) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+def _numerator_residual(sample, x) -> float:
+    """The largest relative residual of the lattice numerator
+    W = 2 sin(ell x/2) T (trigpoly.numerator_jet, 2 ell sinusoids) against
+    dense evaluate times 2 sin(ell x/2) at x, relative to max(|W|, 1)."""
+    dense = 2.0 * np.sin(0.5 * sample.split.ell * x) * evaluate(sample, x)
+    return float(np.max(np.abs(numerator_jet(sample, x, order=0)[0] - dense)
+                        / np.maximum(np.abs(dense), 1.0)))
+
+
 def factorization_residuals(quick: bool = False) -> CriterionResult:
-    """T_n = phi_m * T*, and T* from the r = 0 counts' carrier phase, to 1e-10.
+    """T_n = phi_m * T*, T* from the r = 0 counts' carrier phase and
+    W = 2 sin(ell x/2) T_n, to 1e-10.
 
     On each periodic sample (ell in 1..6, m in 2..40, both kinds), dense
     evaluate must match dirichlet_pair's phi_m times reduce_periodic's T*
@@ -308,12 +320,17 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
     series window) and at some of the deterministic zeros, relative to
     max(|T|, 1); deterministic_zero_set must hold n+1-ell points; and
     carrier_phase(sample) must give back T* as 2^e |P(e^{ix})| cos theta(x).
-    A sample whose zero set has the wrong size skips its residuals.
+    A sample whose zero set has the wrong size skips its residuals.  The
+    lattice numerator W of the r != 0 counts (trigpoly.numerator_jet)
+    must match 2 sin(ell x/2) times dense evaluate, relative to
+    max(|W|, 1), at the same points on these samples and, on as many
+    samples with r != 0 (ell in 2..6, m in 1..40, both kinds), at random
+    points and beside every lattice point.
     """
     gate = _Gate("factorization-residuals")
     n_samples = 25 if quick else 100
     rng = np.random.default_rng(np.random.Philox(key=2031))
-    worst_split = worst_phase = 0.0
+    worst_split = worst_phase = worst_numerator = 0.0
     for _ in range(n_samples):
         ell = int(rng.integers(1, 7))
         m = int(rng.integers(2, 41))
@@ -340,13 +357,33 @@ def factorization_residuals(quick: bool = False) -> CriterionResult:
         carrier = np.ldexp(np.abs(np.polyval(phase.coeffs[::-1], np.exp(1j * x)))
                            * np.cos(phase(x)), phase.exponent)
         res_phase = float(np.max(np.abs(reduced - carrier) / np.maximum(np.abs(reduced), 1.0)))
+        res_numerator = _numerator_residual(sample, x)
         gate.check(res_split <= 1e-10, f"{family}: phi_m T* residual {res_split:.2e}")
         gate.check(res_phase <= 1e-10, f"{family}: carrier phase residual {res_phase:.2e}")
+        gate.check(res_numerator <= 1e-10, f"{family}: W residual {res_numerator:.2e}")
         worst_split = max(worst_split, res_split)
         worst_phase = max(worst_phase, res_phase)
+        worst_numerator = max(worst_numerator, res_numerator)
+    # r != 0 samples from a stream of their own, so that the draws above
+    # stay those of the phi_m T* checks
+    rng = np.random.default_rng(np.random.Philox(key=2032))
+    for _ in range(n_samples):
+        ell = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 41))
+        r = int(rng.integers(1, ell))
+        kind = ("trig", "cosine")[int(rng.integers(0, 2))]
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        sample = sample_coefficients(model, ell * m - 1 + r, seed=int(rng.integers(2**32)))
+        lattice = 2.0 * math.pi * np.arange(ell + 1) / ell
+        x = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 50), lattice + 1e-9, lattice - 1e-9])
+        res_numerator = _numerator_residual(sample, x)
+        gate.check(res_numerator <= 1e-10,
+                   f"{kind} ell={ell}, m={m}, r={r}: W residual {res_numerator:.2e}")
+        worst_numerator = max(worst_numerator, res_numerator)
     return gate.result(
         f"max relative residual of phi_m T* {worst_split:.2e}, of the carrier "
-        f"phase {worst_phase:.2e} (<= 1e-10) over {n_samples} samples; "
+        f"phase {worst_phase:.2e}, of W {worst_numerator:.2e} (<= 1e-10) over "
+        f"{n_samples} samples and {n_samples} with r != 0; "
         f"deterministic zero counts all n+1-ell")
 
 

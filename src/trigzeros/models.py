@@ -224,8 +224,8 @@ class PolySample:
         """Whether the coefficients repeat with the period of the split,
         a_{j+ell} = a_j and b_{j+ell} = b_j: true of every i.i.d. sample
         (period n + 1), and the sampler hands it over as true.  The zero
-        counter's phase route and the grid's direction table
-        (trigpoly.evaluate_on_grid) read the first ell coefficients alone."""
+        counter's phase route and its lattice numerator W
+        (trigpoly.lattice_numerator) read the first ell coefficients alone."""
         ell = self.split.ell
         return bool(np.array_equal(self.a[ell:], self.a[:-ell])
                     and np.array_equal(self.b[ell:], self.b[:-ell]))

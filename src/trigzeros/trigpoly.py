@@ -28,24 +28,31 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  O(N log N) total; exact coefficient
                                  folding covers N <= 2n.  A tuple of
                                  orders gives one row each from one
-                                 batched transform.  The i.i.d. and
-                                 r != 0 counting routes certify their
-                                 counts from T and T' on one grid, one
-                                 order=(0, 1) call (of half the grid's
-                                 nodes for an even, cosine, sample);
-                                 a sample of small period ell (below)
-                                 gets that call from a cached table of
-                                 its ell grouped directions at N/ell
-                                 nodes instead, folded by
-                                 the lattice shift: two products of an
+                                 batched transform.  The i.i.d. counting
+                                 route certifies its count from T and T'
+                                 on one grid, one order=(0, 1) call (of
+                                 half the grid's nodes for an even,
+                                 cosine, sample), and so does a periodic
+                                 sample that numerator_on_grid does not
+                                 serve.
+numerator_on_grid                W and W' of the lattice numerator
+                                 W = 2 sin(ell x/2) T_n (below) on the
+                                 grid, from a cached table of its ell
+                                 classes at N/ell nodes, folded by the
+                                 lattice shift: two products of an
                                  (ell, 2 ell) rotation of its
                                  coefficients with the table's halves,
-                                 O(ell N), from a table of 32 N bytes
-                                 (table_serves decides, and the zero
-                                 counter sizes N by the same rule).
-                                 The r = 0 route counts T* from its
-                                 carrier phase (zeros.carrier_phase)
-                                 without a grid.
+                                 O(ell N), from a table of 32 N bytes;
+                                 the r != 0 counting route reads W
+                                 there (table_serves decides, and the
+                                 zero counter sizes W's grid by it).
+numerator_jet                    W, W', ... at arbitrary points from its
+                                 2 ell sinusoids, O(ell) a point: the
+                                 cups, local bisection and root
+                                 refinement of the r != 0 route.  The
+                                 r = 0 route counts T* from its carrier
+                                 phase (zeros.carrier_phase) without a
+                                 grid.
 
 Scratch arrays
 --------------
@@ -53,8 +60,7 @@ scratch(size, dtype) is the source of the node-sized arrays that the
 Kac-Rice kernels overwrite (PanelNodes blocks, dirichlet_pairs and the
 kacrice routes); scratch_scope() reuses its buffers for the length of
 one quadrature, and outside any scope each array is fresh.  The Monte
-Carlo grids allocate plainly; a direction table of evaluate_on_grid
-is built in a scope of its own, and only the table outlives it.
+Carlo grids and W's tables allocate plainly.
 
 Structure of ell-periodic samples
 ---------------------------------
@@ -84,23 +90,32 @@ at ell(m-1) points per full period - the deterministic zeros - and
 extends to +-m across the removable singularities at the lattice
 x = 2 k pi / ell.
 
-A lattice step only rotates each grouped direction.  With
-g_q(x) = phi_{M_q}(x) e^{i nu_q x} and omega = e^{2 pi i/ell},
+Multiplying by s = 2 sin(ell x/2) clears every denominator.  With
+c_q = a_q - i b_q, the lattice numerator
 
-    g_q(x + 2 pi/ell) = omega^q g_q(x),
+    W(x) = 2 sin(ell x/2) T_n(x) = Re sum_q c_q 2 sin(M_q ell x/2) e^{i nu_q x}
 
-since phi_M gains (-1)^(M-1) and the phase gains
-omega^q (-1)^(M_q - 1), and g_q' rotates alike.  So with c_q = a_q - i b_q,
-T_n(x + 2 pi s/ell) = Re sum_q c_q omega^(qs) g_q(x): the values on a
-grid of N = ell K nodes are those of ell rotated coefficient vectors on
-its first K nodes, which is how evaluate_on_grid folds its direction
-table.
+is a sum of 2 ell sinusoids, of the frequencies nu_q -+ M_q ell/2, that
+is q - ell/2 and q + (M_q - 1/2) ell (lattice_numerator).  Its degree is
+n + ell/2, its zeros are those of T_n and the ell lattice points, and
+when ell is odd W(x + 2 pi) = -W(x).  (This is the telescoped sum
+(1 - z^ell) sum_j c_j z^j = P(z) - z^(n+1) Q(z) with P and Q the first and
+last ell coefficients, since 1 - e^{i ell x} = -2i sin(ell x/2)
+e^{i ell x/2}.)  A lattice step only rotates each class: with
+G_q(x) = 2 sin(M_q ell x/2) e^{i nu_q x} and omega = e^{2 pi i/ell},
+
+    G_q(x + 2 pi/ell) = -omega^q G_q(x),
+
+since the sine gains (-1)^(M_q) and the phase omega^q (-1)^(M_q - 1), and
+G_q' rotates alike.  So W(x + 2 pi s/ell) = Re sum_q c_q (-1)^s
+omega^(qs) G_q(x): the values on a grid of N = ell K nodes are those of
+ell rotated coefficient vectors on its first K nodes, which is how
+numerator_on_grid folds its table.
 
 Every Dirichlet ratio of the package goes through one kernel,
 dirichlet_pairs, which returns phi_M and phi_M' of consecutive orders
 M = m, m+1 from one lattice reduction (the Kac-Rice covariances need
-both, and so do the direction tables of evaluate_on_grid, which
-hold phi_M cos nu x, phi_M sin nu x and their derivatives on a grid).
+both).
 It takes its points as PanelNodes blocks, the nodes
 mid_p + half z_i of Gauss panels of one width, and reduces once per
 panel: the phases of a node are products of a panel phase and a node
@@ -140,8 +155,10 @@ _PAIR_DIRECT_WINDOW = 1.5
 
 _CHUNK_BUDGET = 4_000_000  # max elements per (points x frequencies) block
 
-# evaluate_on_grid: a direction table may hold at most this many bytes
-_TABLE_BYTES = 2 << 20
+# numerator_on_grid: W's folded table may hold at most this many bytes,
+# 32 N: grids of up to 262144 nodes, so ell = 3 up to n = 16000 at 16
+# nodes a degree (two are cached)
+_TABLE_BYTES = 8 << 20
 
 # evaluate_jet: max doubles per block of points (a complex element counts
 # twice), so a block's temporaries stay near 0.5 MB; larger blocks are no
@@ -289,8 +306,7 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
                      order: int | tuple[int, ...] = 0) -> np.ndarray:
     """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
     one real inverse FFT; with a tuple of orders, one row per order from
-    one batched transform, or for order=(0, 1) from the sample's cached
-    direction table where table_serves.
+    one batched transform.
 
     With c_j = a_j - i b_j the value is Re sum_j c_j (i j)^order e^{i j x_i}
     (order 0 is T_n itself); the factor (i j)^order multiplies the
@@ -310,45 +326,16 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
 
     order=(0, 1) stacks the half spectra of T and T' and transforms both
     rows in one irfft call, which is faster than two calls at every grid
-    size the counter uses and changes no bit of either row.  A sample
-    whose coefficients repeat with period ell = sample.split.ell (every
-    i.i.d. sample, whose period is n + 1, and every periodic one drawn
-    by the sampler) is instead the sum of ell grouped directions
-    (module docstring),
-
-        T_n(x) = sum_{q<ell} phi_{M_q}(x) (a_q cos nu_q x + b_q sin nu_q x),
-
-    and none of it but (a_q, b_q) depends on the draw.  A lattice step
-    rotates each direction by omega^q (module docstring), so on N = ell K
-    nodes the values of the s-th run of K nodes, x_k + 2 pi s/ell, are
-    those of the coefficients c_q omega^(qs) on the first K.  Where
-    table_serves, the two rows are one matmul of the (ell, 2 ell) matrix
-    whose row s is (c_q omega^(qs)).view(float) with the cached table of
-    _direction_table, (2, 2 ell, K): its T half [g; -h] and its T' half
-    [g'; -h'] at K nodes t_k, written into the rows reshaped to (ell, K),
-    which is node order.  The float nodes of grid_nodes are not exact
-    shifts of each other, so t_k is the point whose shifts lie nearest
-    them all (_table_nodes), within 8.2 u.  The table takes 32 N bytes, whatever
-    ell is, so the rule (ell <= n, ell | N, 2^(ell+3) <= N and
-    32 N <= _TABLE_BYTES) serves grids of up to 65536 nodes at
-    ell <= 12, and never an i.i.d. sample (ell = n + 1).  The products
-    read 4 ell values a node of a table ell times smaller than the grid,
-    where the transform spends O(log2 N) operations a node: they took
-    0.08 to 0.42 of the transform's time (one BLAS thread) from the
-    smallest grid the rule serves to N = 64800, at ell = 2 to 12, the
-    larger shares at N < 600.
-    The two routes differ by rounding only, which the grid bound of the
-    zero counter covers (zeros).  The values come back in a new array
-    that the caller owns, of shape (N,) for one order and (len(order), N)
-    for a tuple.
+    size the counter uses and changes no bit of either row.  The values
+    come back in a new array that the caller owns, of shape (N,) for one
+    order and (len(order), N) for a tuple.
 
     The coefficients are normalized by 2^-e (PolySample.normalized, so
     once per sample) and the values scaled back by 2^e.  Scaling by a
-    power of two is exact through the twist, the transform and the
-    table's product, so this changes no value.  It keeps the transform
-    away from overflow at huge scales and from subnormal arithmetic at
-    tiny ones; only a value that itself exceeds the double range comes
-    back as +-inf.
+    power of two is exact through the twist and the transform, so this
+    changes no value.  It keeps the transform away from overflow at huge
+    scales and from subnormal arithmetic at tiny ones; only a value that
+    itself exceeds the double range comes back as +-inf.
     """
     if not isinstance(num_nodes, numbers.Integral) or num_nodes < 1:
         raise ValueError(f"num_nodes must be an integer >= 1, got {num_nodes!r}")
@@ -361,31 +348,23 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
         raise ValueError(f"need a derivative order >= 0, got {order}")
     n = sample.n
     c, e = sample.normalized
-    if orders == (0, 1) and table_serves(sample, N):
-        # row s of the rotation: Re, Im of c_q omega^(qs) (a view), times
-        # the table's T half and T' half; row s is the s-th run of N/ell nodes
-        ell = sample.split.ell
-        vals = np.empty((2, N))
-        np.matmul((_rotations(ell) * c[:ell]).view(float),
-                  _direction_table(sample.split, N, offset), out=vals.reshape(2, ell, N // ell))
+    twist = _twist(n, N, offset)
+    d = np.empty((len(orders), n + 1), dtype=complex)
+    for row, k in zip(d, orders):
+        ck = c * (1j ** k * frequency_powers(n, max(k, 3))[k]) if k else c
+        np.multiply(ck, twist, out=row)
+    if 2 * n < N:
+        H = np.multiply(0.5, d, out=d)  # irfft pads it with zeros to the half spectrum
+        H[:, 0] = 2.0 * H[:, 0].real
     else:
-        twist = _twist(n, N, offset)
-        d = np.empty((len(orders), n + 1), dtype=complex)
-        for row, k in zip(d, orders):
-            ck = c * (1j ** k * frequency_powers(n, max(k, 3))[k]) if k else c
-            np.multiply(ck, twist, out=row)
-        if 2 * n < N:
-            H = np.multiply(0.5, d, out=d)  # irfft pads it with zeros to the half spectrum
-            H[:, 0] = 2.0 * H[:, 0].real
-        else:
-            folded = np.arange(n + 1) % N
-            half = np.arange(N // 2 + 1)
-            H = np.empty((len(orders), half.size), dtype=complex)
-            for row, dk in zip(H, d):
-                F = (np.bincount(folded, weights=dk.real, minlength=N)
-                     + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
-                row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
-        vals = np.fft.irfft(H[0] if single else H, N, norm="forward")
+        folded = np.arange(n + 1) % N
+        half = np.arange(N // 2 + 1)
+        H = np.empty((len(orders), half.size), dtype=complex)
+        for row, dk in zip(H, d):
+            F = (np.bincount(folded, weights=dk.real, minlength=N)
+                 + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
+            row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
+    vals = np.fft.irfft(H[0] if single else H, N, norm="forward")
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(vals, e, out=vals)
@@ -393,83 +372,171 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
 
 
 def table_serves(sample: PolySample, num_nodes: int) -> bool:
-    """Whether evaluate_on_grid reads order=(0, 1) on num_nodes nodes from
-    the sample's direction table: its coefficients repeat with period
+    """Whether numerator_on_grid can read W and W' on num_nodes nodes from
+    the sample's folded table: its coefficients repeat with period
     ell <= n (so never an i.i.d. sample, whose period is n + 1), ell
     divides num_nodes, 2^(ell+3) <= num_nodes and the table's
-    32 num_nodes bytes fit _TABLE_BYTES.  The zero counter sizes its grid
-    by the same rule (zeros._grid_size)."""
+    32 num_nodes bytes fit _TABLE_BYTES.  The zero counter counts W
+    exactly where this holds on W's grid (zeros._numerator_size)."""
     ell = sample.split.ell
     return (ell <= sample.n and num_nodes % ell == 0 and 8 << ell <= num_nodes
             and 32 * num_nodes <= _TABLE_BYTES and sample.repeats)
 
 
+@functools.lru_cache(maxsize=32)
+def numerator_frequencies(split) -> np.ndarray:
+    """The 2 ell frequencies of the lattice numerator W of a sample of
+    this split, read-only: q - ell/2, then q + (M_q - 1/2) ell, for the
+    classes q < ell (M_q from split.directions()); half-integers when ell
+    is odd, exact either way (integer numerators over 2)."""
+    ell = split.ell
+    q = np.arange(ell)
+    twice = np.concatenate([2 * q - ell, 2 * q + (2 * split.directions()[0] - 1) * ell])
+    freqs = twice / 2.0
+    freqs.flags.writeable = False
+    return freqs
+
+
+def lattice_numerator(sample: PolySample) -> tuple[np.ndarray, np.ndarray, int]:
+    """(f, d, e) with W(x) = 2 sin(ell x/2) T_n(x) = 2^e Re sum_p d_p e^{i f_p x}
+    for a sample that repeats its coefficients with period ell
+    (module docstring): f = numerator_frequencies(split), and
+    d = (i c_q, -i c_q) for the normalized coefficients c_q of the
+    classes q < ell (PolySample.normalized), so sum_p |d_p| = 2 sum_q |c_q|.
+    Multiplying by +-i is exact."""
+    c, e = sample.normalized
+    c = c[:sample.split.ell]
+    return numerator_frequencies(sample.split), np.concatenate([1j * c, -1j * c]), e
+
+
+def numerator_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
+    """Rows W, W', ..., W^(order) of the lattice numerator
+    W = 2 sin(ell x/2) T_n at the points x, an array of shape
+    (order + 1, x.size): W^(k) = Re sum_p d_p (i f_p)^k e^{i f_p x} over
+    the 2 ell terms of lattice_numerator, so O(ell) a point with no
+    window beside the lattice.  Each argument f_p x is rounded once, the
+    weights d_p i^k f_p^k are exact but for one rounding of f_p^k d_p,
+    and one complex product per block of points sums the terms; the
+    zero counter's pointwise bound delta_point covers it (zeros).  The
+    rows are scaled back by 2^e, which is exact."""
+    if order < 0:
+        raise ValueError(f"need a derivative order >= 0, got {order}")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    f, d, e = lattice_numerator(sample)
+    k = np.arange(order + 1)
+    weights = (d[:, None] * f[:, None] ** k) * np.array([1, 1j, -1, -1j])[k % 4]
+    out = np.empty((order + 1, x_arr.size))
+    chunk = max(1, _JET_BLOCK // (2 * f.size))
+    for lo in range(0, x_arr.size, chunk):
+        ang = x_arr[lo:lo + chunk, None] * f
+        phases = np.empty(ang.shape, dtype=complex)
+        np.cos(ang, out=phases.real)
+        np.sin(ang, out=phases.imag)
+        out[:, lo:lo + chunk] = (phases @ weights).real.T
+    if e:
+        with np.errstate(over="ignore"):  # values beyond the double range are +-inf
+            np.ldexp(out, e, out=out)
+    return out
+
+
+def numerator_on_grid(sample: PolySample, num_nodes: int, offset: float) -> np.ndarray:
+    """W and W' (rows) at every node of grid_nodes(num_nodes, offset),
+    a new (2, N) array, from the sample's cached folded table where
+    table_serves(sample, num_nodes) (the caller checks it).
+
+    A lattice step multiplies class q of W by -omega^q (module
+    docstring), so on N = ell K nodes the s-th run of K nodes,
+    t_k + 2 pi s/ell, holds the values of the coefficients
+    (-1)^s omega^(qs) c_q on the first K: the two rows are one matmul of
+    the (ell, 2 ell) matrix whose row s is ((-1)^s omega^(qs) c_q).view(float)
+    with the table of _numerator_table, (2, 2 ell, K), written into the
+    rows reshaped to (ell, K), which is node order.  The products read
+    4 ell values a node of a table ell times smaller than the grid.  The
+    coefficients are normalized by 2^-e and the values scaled back by 2^e,
+    which is exact; the rounding is covered by the zero counter's grid
+    bound delta_grid for W (zeros)."""
+    N = int(num_nodes)
+    c, e = sample.normalized
+    ell = sample.split.ell
+    vals = np.empty((2, N))
+    np.matmul((_rotations(ell) * c[:ell]).view(float),
+              _numerator_table(sample.split, N, offset), out=vals.reshape(2, ell, N // ell))
+    if e:
+        with np.errstate(over="ignore"):  # values beyond the double range are +-inf
+            np.ldexp(vals, e, out=vals)
+    return vals
+
+
 @functools.lru_cache(maxsize=16)
 def _rotations(ell: int) -> np.ndarray:
-    """The read-only (ell, ell) matrix omega^(qs), omega = e^(2 pi i/ell),
-    row s and column q, as i^k e^(i theta): k is the quarter turn nearest
-    to qs/ell turns and theta = 2 pi (qs mod ell)/ell - k pi/2, so
+    """The read-only (ell, ell) matrix (-1)^s omega^(qs), omega = e^(2 pi i/ell),
+    row s and column q, as +-i^k e^(i theta): k is the quarter turn
+    nearest to qs/ell turns and theta = 2 pi (qs mod ell)/ell - k pi/2, so
     |theta| <= pi/4.  An entry is exact at the half and quarter turns
-    (theta = 0) and within 4.7 u of omega^(qs) elsewhere: the angle within
-    1.9 u, cos and sin each within an ulp, and the product with i^k
-    exact."""
-    turns = np.outer(np.arange(ell), np.arange(ell)) % ell
+    (theta = 0) and within 4.7 u of (-1)^s omega^(qs) elsewhere: the angle
+    within 1.9 u, cos and sin each within an ulp, and the product with
+    +-i^k exact."""
+    s = np.arange(ell)[:, None]
+    turns = (s * np.arange(ell)) % ell
     quarter = np.rint(4 * turns / ell).astype(int)
     rest = 4 * turns - quarter * ell
-    rot = np.array([1, 1j, -1, -1j])[quarter % 4] * np.exp(1j * (np.pi * rest / (2 * ell)))
+    # (-1)^s is the half turn i^(2s)
+    turn = np.array([1, 1j, -1, -1j])[(quarter + 2 * s) % 4]
+    rot = turn * np.exp(1j * (np.pi * rest / (2 * ell)))
     rot.flags.writeable = False
     return rot
 
 
 @functools.lru_cache(maxsize=2)
-def _direction_table(split, num_nodes: int, offset: float) -> np.ndarray:
-    """The read-only (2, 2 ell, K) direction table of evaluate_on_grid for
-    the split of a degree at the K = N/ell nodes t_k of _table_nodes,
-    N = num_nodes, which stand for the first K nodes of
-    grid_nodes(num_nodes, offset) and their lattice shifts alike.
+def _numerator_table(split, num_nodes: int, offset: float) -> np.ndarray:
+    """The read-only (2, 2 ell, K) table of numerator_on_grid for the split
+    of a degree at the K = N/ell nodes t_k of _table_nodes, N = num_nodes,
+    which stand for the first K nodes of grid_nodes(num_nodes, offset) and
+    their lattice shifts alike.
 
-    Half 0 holds the directions and half 1 their derivatives: row 2q holds
-    g_q = phi_{M_q} cos nu_q x and g_q', and row 2q + 1 holds -h_q =
-    -phi_{M_q} sin nu_q x and -h_q'.  So (c_q omega^(qs)).view(float),
-    Re, Im of class 0, then of class 1, ..., times a half gives T or T' of
-    the normalized coefficients c at the nodes t_k + 2 pi s/ell, the s-th
-    run of K nodes (module docstring).  M_q and 2 nu_q come from
-    split.directions(), phi_M and phi_M' from dirichlet_pairs (the kernel
-    of the Kac-Rice covariances), in a scratch_scope of its own.  A table
-    takes 32 N bytes, whatever ell is, and table_serves keeps it within
-    _TABLE_BYTES; two are cached, the latest, so that a Monte Carlo run
-    that alternates two degrees keeps both.
+    Class q of W is Re c_q S_q(x) e^{i nu_q x} with S_q = 2 sin(M_q ell x/2),
+    M_q and 2 nu_q from split.directions().  Half 0 holds the classes and
+    half 1 their derivatives: row 2q holds g_q = S_q cos nu_q x and g_q',
+    and row 2q + 1 holds -h_q = -S_q sin nu_q x and -h_q'.  So
+    (c_q rho).view(float), Re, Im of class 0, then of class 1, ..., times a
+    half gives W or W' at the rotated nodes.  The entries are products of
+    sines and cosines, each of one rounded argument, so no lattice point
+    needs a window.  A table takes 32 N bytes, whatever ell is, and
+    table_serves keeps it within _TABLE_BYTES; two are cached, the
+    latest, so that a Monte Carlo run that alternates two degrees keeps
+    both.
     """
-    ell, m = split.ell, split.m
+    ell = split.ell
     K = num_nodes // ell
     x = _table_nodes(num_nodes, offset, ell)
     M, freq_twice = split.directions()
     table = np.empty((2, 2 * ell, K))
-    with scratch_scope():  # so that no scope open around the count lends it buffers
-        pairs = dirichlet_pairs(m, ell, x, 2 if split.r else 1)
-        for q in range(ell):
-            phi, slope = pairs[M[q] - m]
-            nu = freq_twice[q] / 2.0
-            cos, sin = np.cos(nu * x), np.sin(nu * x)
-            g, h = table[:, 2 * q], table[:, 2 * q + 1]
-            np.multiply(phi, cos, out=g[0])
-            np.multiply(phi, sin, out=h[0])
-            g[1] = slope * cos - nu * h[0]
-            h[1] = slope * sin + nu * g[0]
-            np.negative(h, out=h)
+    for q in range(ell):
+        half = M[q] * ell / 2.0
+        nu = freq_twice[q] / 2.0
+        wave = half * x
+        sine, slope = 2.0 * np.sin(wave), (2.0 * half) * np.cos(wave)
+        cos, sin = np.cos(nu * x), np.sin(nu * x)
+        g, h = table[:, 2 * q], table[:, 2 * q + 1]
+        np.multiply(sine, cos, out=g[0])
+        np.multiply(sine, sin, out=h[0])
+        g[1] = slope * cos - nu * h[0]
+        h[1] = slope * sin + nu * g[0]
+        np.negative(h, out=h)
     table.flags.writeable = False
     return table
 
 
 def _table_nodes(num_nodes: int, offset: float, ell: int) -> np.ndarray:
-    """The K = N/ell nodes t_k of a direction table: the midrange over s of
+    """The K = N/ell nodes t_k of W's folded table: the midrange over s of
     x_(sK+k) - 2 pi s/ell for the float nodes x of grid_nodes(num_nodes,
     offset), in np.longdouble and rounded once, so that the route's node
     t_k + 2 pi s/ell lies as near the float node sK + k as one point can.
     The float nodes are not shifted copies of each other (each carries its
-    own rounding); over the grids the zero counter sizes for the table,
-    the midrange brings the worst distance from 13.8 u (at t_k = x_k)
-    down to 8.2 u, which the node term of the grid bound covers (zeros)."""
+    own rounding); over the grids the zero counter sizes for the table
+    (2323 at ell = 2..14, N <= 262144), the midrange brings the worst
+    distance from 13.8 u (at t_k = x_k) down to 8.2 u, which the node term
+    of the grid bound covers (zeros)."""
     K = num_nodes // ell
     runs = grid_nodes(num_nodes, offset).astype(np.longdouble).reshape(ell, K)
     runs -= (2 * np.arccos(np.longdouble(-1)) / ell) * np.arange(ell)[:, None]
@@ -487,9 +554,7 @@ def scratch_scope():
     its passes: the blocks then write to pages faulted in by the ones
     before, where fresh arrays of a few hundred kB would come from the OS
     and be faulted in anew.  The pool dies with the scope, so no buffer
-    outlives it.  The direction table of evaluate_on_grid is built in a
-    scope of its own, so that a count run inside a quadrature's scope
-    takes no buffer from that pool.  A nested scope has a pool of
+    outlives it.  A nested scope has a pool of
     its own and restores the outer one on exit, and every thread starts
     outside any scope, so concurrent calls share nothing.
     """

@@ -13,22 +13,15 @@ degree, so the real FFT never meets an awkward length.  T and T' are
 read once on this grid, after the coefficients are scaled by a power of
 two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
 order=(0, 1), a single two-row real transform of N nodes.  A periodic
-sample of small period ell <= n is served from a cached table of its
-ell grouped directions instead, where trigpoly.table_serves: the table
-holds N/ell nodes, whose lattice shifts stand for the whole grid, and a
-lattice shift rotates the coefficients, so the grid must be a multiple
-of ell, and _grid_size
-takes the smallest multiple of ell at or above the same bound with a
-5-smooth cofactor wherever the table will serve it.  One predicate,
-table_serves, decides the route and the grid size; every other sample
-(i.i.d., ell = n + 1, over the table's budget or not repeating) keeps
-the 5-smooth N.
+sample with r != 0 is counted from its lattice numerator
+W = 2 sin(ell x/2) T instead, where W's folded table serves W's grid
+(Lattice numerator, below): the same certificate, on W's grid of its
+own.
 
 A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
-half circle instead.  N is then the smallest 5-smooth multiple of 4 at or
-above the same bound (of lcm(4, 2 ell), with a 5-smooth cofactor, where
-the table serves the N/2 columns), and the transform has N/2 nodes,
-offset g/2: the
+half circle instead (one counted from W keeps the whole circle: W is
+odd).  N is then the smallest 5-smooth multiple of 4 at or
+above the same bound, and the transform has N/2 nodes, offset g/2: the
 even nodes (2k + g) h of the grid above.  Their mirror images
 (2k + 2 - g) h, where T is equal and T' negated, are nodes too, so on
 [-g h, pi + g h] nodes and mirror images alternate and the cells
@@ -49,7 +42,7 @@ on the whole circle, 2 g h on the half): each grows with the width.
 
 The transform's rows and the margins and masks of the zero-free pass
 below are allocated per trial; what depends on the degree and N alone
-(the twist or the direction table, the powers j^k, the certificate's
+(the twist or W's folded table, the powers j^k, the certificate's
 factors, the power table of the local stage, the layout) is built once
 and cached.  What depends on the sample is reduced once: its largest
 coefficient (PolySample.peak, which the sampler hands over from its
@@ -101,12 +94,13 @@ _grid_cells, runs the hull, monotone and curvature tests on the open
 cells of one weight at a time (_Layout.parts) and hands _settle the
 convex and concave masks and that jet, which only a cup reads.  This
 leaves a few cells per trial beside close zero pairs whose dip or bend
-the grid's error hides, more on periodic samples, whose M the lattice
-spike sets.
+the grid's error hides, more on periodic samples counted from T, whose
+M the lattice spike sets (W has no spike, below).
 The local stage takes those of the same weight from the grid pass and
 splits them, at most max_doublings times, with T', T'' and the third
 derivative summed pointwise through the two-level power table of
-trigpoly.evaluate_jet, and T too except at the grid nodes, which keep
+trigpoly.evaluate_jet (W's own sum on W), and T too except at the
+grid nodes, which keep
 their grid values so that each node has one sign.  A sub-cell is
 certified only with both end values beyond rounding: as zero-free by the
 test above, or by _settle, which the local stage hands the monotone mask
@@ -140,50 +134,6 @@ route evaluates lies in [-2 pi g/N, 2 pi (1 + g/N)], so |x| < 6.3, and
 B + 4P <= 5 sqrt(n+1) + 5; the sum is then below the pointwise delta_k
 for n >= 10, and below the grid bound (N >= 256) for n <= 9.
 
-Where a periodic sample's grid values come from its direction table
-(trigpoly.evaluate_on_grid; table_serves keeps ell <= 12), delta_k for
-grid values bounds them too, so there is no second error model.  The
-table holds the ell classes at K = columns/ell float points t_k,
-0 < t_k < 2 pi/ell, and node sK + k reads them rotated by omega^(qs):
-the values are those at y = t_k + 2 pi s/ell, t_k shifted exactly.
-Class q has weight w_q = M_q |c_q| in sum_j |c_j|, mean frequency nu_q
-and half-span D_q = (M_q - 1) ell/2 <= nu_q, with f_q = nu_q + D_q <= n
-its top frequency, so that |c_q g_q^(k+1)| <= f_q^(k+1) w_q.  Per unit
-of w_q, T^(k) takes three errors.  First, the shifted nodes.  The float
-nodes x_i of the grid are not exact shifts of each other, so t_k is the
-midrange over s of x_(sK+k) - 2 pi s/ell, taken in long double and
-rounded once (trigpoly._table_nodes); on every grid that this counter
-sizes for the route (2681 of them at ell = 2..12, both layouts, each
-checked in long double by trigpoly's TestDirectionTable; at ell = 1
-t_k is x_k itself) y lies within 8.2 u of the float node x_(sK+k)
-where the certificate places the value, which moves T^(k) by
-8.2 u f_q^(k+1).  Second, the rotation's product: omega^(qs) is exact
-at the half and quarter turns (every one at ell = 2 and 4, and s = 0)
-and within 4.7 u elsewhere (trigpoly._rotations), and c_q omega^(qs)
-adds a complex product, 2.9 u: under 8 u f_q^k together.  Third, the
-table's own roundings.  At t_k < 2 pi/ell <= pi the lattice reduction
-of dirichlet_pairs subtracts exactly (k = 0 or 1) and reads phi within
-11.6 u/ell <= 5.8 u of t_k; the phase nu_q t_k is rounded once, within
-pi u nu_q; the quotients give phi to a few u and phi' to
-u ell M/|s| <= 40 u f_q outside the series window; the 2 ell-term
-product adds gamma_{2 ell} times at most sqrt(2).  With |phi'| <= M D,
-|phi''| <= M D^2 and D_q <= f_q/2 those come to u (4.5 f_q + 38) for T
-and u f_q (4.5 f_q + 78) for T'.  The whole tally, u (12.7 f_q + 46)
-for T and u f_q (12.7 f_q + 86) for T', fits the node term
-16 u n^(k+1) per unit (n >= f_q) for n >= 14 (T) and n >= 27 (T').
-Below, the excess, at most u (46 - 3.3 f_q) and u f_q (86 - 3.3 f_q)
-per unit, is held by the transform term, 8 u log2(N) sqrt(N)
-||j^k c_j||_2 >= 1024 u ||j^k c_j||_2 (N >= 256), which this route
-does not spend: ||c_j||_2 >= sum_j |c_j|/sqrt(n+1) gives it at least
-1024 u/sqrt(14) > 273 u per unit of w_q at n <= 13, and
-||j c_j||_2 >= sum_j j |c_j|/sqrt(n+1) = sum_q nu_q w_q/sqrt(n+1) with
-nu_q >= f_q/2 gives it at least 512 u f_q/sqrt(27) > 98 u f_q per unit
-at n <= 26.  So delta_grid covers the route at every degree, to first
-order in u.  Measured, the values lie within 0.14 delta_grid of the
-transform's on the same grid, within 0.08 of the node term of a sum
-in long double at y (0.18 for T' at n <= 10, beside the lattice), and
-within 0.22 of it at the float nodes (trigpoly's TestDirectionTable).
-
 The count is stable (certified) when every cell is.  A cell left
 undecided counts its change of sign bit and makes the report unstable;
 a double zero, such as that of 1 + cos x at pi, is never certified.
@@ -195,6 +145,94 @@ grid node whose value is within rounding of 0 is itself the root.  On
 the half circle a root x of a cell that counts twice brings its mirror
 image 2 pi - x; the cells about 0 and pi find their symmetric pairs
 themselves.
+
+Lattice numerator (periodic, r != 0)
+------------------------------------
+A periodic sample with r != 0 (ell <= n, m = 1 included, trig and
+cosine alike) is the sum of ell grouped directions
+phi_{M_q}(x) Re c_q e^{i nu_q x} (trigpoly), and phi_M spikes to about
+m at the lattice 2 pi k/ell.  Those spikes set M >= max |T| above, about
+m times T's typical size, so T needs 32 nodes a degree, its clearances
+are wide where T is small and its pointwise jet costs O(n) a point.
+Multiplying by s = 2 sin(ell x/2) removes every division of phi_M:
+
+    W(x) = s(x) T(x) = Re sum_q c_q 2 sin(M_q ell x/2) e^{i nu_q x},
+
+a sum of 2 ell sinusoids Re d_p e^{i f_p x} of the frequencies q - ell/2
+and q + (M_q - 1/2) ell, d_p = +-i c_q (trigpoly.lattice_numerator).
+Its degree is n + ell/2, half an integer when ell is odd, and then
+W(x + 2 pi) = -W(x).  Its sum_p |d_p| = 2 sum_q |c_q| is O(ell), and so
+is its bound M_W: W has no spike.  The zeros of W on the circle are
+those of T and the ell lattice points, which are simple zeros of W
+wherever T does not vanish there and never lie on a node (they are
+rational multiples of 2 pi, the nodes are not).  So
+count(T) = count(W) - ell exactly; a zero of T beside a lattice point is
+a close pair of W, which leaves its cell undecided, never miscounted.
+
+Such a sample is counted from W on the whole circle by the certificate
+above, with W's degree n + ell/2 in place of n and W's 2 ell terms in
+place of T's (_certificate takes the frequencies and coefficients of
+either function), through the same _screen, _grid_cells, _settle,
+_local_stage and _refine_roots.  What differs:
+
+  the grid: N = ell K, the smallest with K 5-smooth at or above
+      max(256, grid_per_degree (n + ell/2)/2), half the nodes a degree of
+      T's grid, 16 at the default (_numerator_size);
+  the grid values: W and W' from W's folded table
+      (trigpoly.numerator_on_grid), one matmul, O(ell N); W is counted
+      exactly where that table serves the grid (trigpoly.table_serves:
+      ell | N, 2^(ell+3) <= N and 32 N bytes within 8 MiB, so ell = 3 up
+      to n = 16000), and every other r != 0 sample keeps T's route;
+  the wrap cell: for odd ell it ends at -W(x_0), -W'(x_0) (_Layout.flip);
+  the pointwise jet: W's own sum of 2 ell terms (trigpoly.numerator_jet),
+      O(ell) a point, with no window beside the lattice;
+  the roots: a single-zero bracket that holds a lattice point 2 pi k/ell
+      holds that zero of W alone and is dropped before Newton.  The rest
+      are refined on T itself (evaluate_jet), as on T's route: beside
+      the lattice W's rounding over |W'| = |s T'| moves a zero 1/|s|
+      times more than T's rounding over |T'| (at n = 1855 a zero 1.1e-6
+      from the lattice moved by 1.6e-12 when refined on W).
+
+The rounding bounds are those above with W's terms: for grid values
+delta_k = 8 u log2(N) sqrt(N) ||f^k d||_2 + 16 u n^(k+1) sum_p |d_p|, and
+for pointwise values 10 u (n+1) sum_p |f_p|^k (|Re d_p| + |Im d_p|), with
+n the degree n + ell/2.  Pointwise, each argument f_p x is rounded
+once, within 6.3 u n at the points the route reads; cos and sin are
+good to an ulp, the weights d_p i^k f_p^k take one rounding (f_p^k is
+exact), a complex product adds sqrt(2) gamma_2 and the sum of 2 ell
+terms gamma_{2 ell}: W^(k) is off by at most
+u sum_p |d_p| |f_p|^k (6.3 n + 2 ell + 8), within the bound since
+n >= 3 ell/2.  On the grid, the table holds class q at K float points
+t_k (trigpoly._table_nodes) and node sK + k reads it rotated by
+(-1)^s omega^(qs), since a lattice step multiplies class q by
+-omega^q.  Per unit of w_q = 2 |c_q|, class q's share of sum_p |d_p|,
+with f_q its top frequency (f_q <= n, |W_q^(k)| <= f_q^k w_q), W^(k)
+takes four errors.  The route's node t_k + 2 pi s/ell lies within 8.2 u
+of the float node where the certificate places the value (on every
+grid this rule sizes at ell <= 14, trigpoly's TestDirectionTable):
+8.2 u f_q^(k+1).  The table's arguments M_q ell t/2 and nu_q t are
+rounded once, each like a shift of t by at most 2 pi u/ell <= pi u:
+6.3 u f_q^(k+1) together.  The rotation is within 4.7 u and its product
+with c_q adds 2.9 u, the sines, cosines and products of an entry a few u,
+and the 2 ell-term matmul gamma_{2 ell} sqrt 2: under
+u (13 + 2.9 ell) f_q^k together.  The first two, 14.5 u f_q^(k+1), fit
+the node term 16 u n^(k+1) per unit.  The rest is held by the transform
+term, which this route does not spend: ||f^k d||_2 >=
+sum_p |f_p|^k |d_p|/sqrt(2 ell) >= sum_q f_q^k w_q/(2 sqrt(2 ell)), so
+with N >= 256 it is at least 512 u f_q^k/sqrt(2 ell) per unit, above
+u (13 + 2.9 ell) f_q^k for every ell <= 14.  So delta_grid covers W's
+table at every degree, to first order in u.  Measured at n <= 250,
+ell = 2..7, both kinds: W's rows lie within 0.12 delta_grid of
+2 sin(ell x/2) T summed in long double at the float nodes, within 0.07
+of the node term at the route's own nodes, and the jet, orders 0 to 3,
+within 0.09 delta_point, beside the lattice too.
+
+Measured at trig ell = 3 (count_zeros gives the times): over 300 trials
+each at n = 400 and 1600 the local stage ran in 5 and 13 trials,
+against 154 and 268 counting T, and over 1200 trials at n = 12000 none
+was unstable, against 27 counting T.  Over 3000 trials (ell = 2..7, both
+kinds, n up to 2000) every (count, stable) that counting T certified is
+unchanged, and the 6 that it left unstable are stable.
 
 Phase route (periodic, r = 0, m >= 2)
 -------------------------------------
@@ -234,7 +272,6 @@ coefficients with period ell.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -243,7 +280,8 @@ import numpy as np
 
 from . import models
 from .models import PolySample
-from .trigpoly import evaluate_jet, evaluate_on_grid, frequency_powers, table_serves
+from .trigpoly import (evaluate_jet, evaluate_on_grid, frequency_powers, lattice_numerator,
+                       numerator_frequencies, numerator_jet, numerator_on_grid, table_serves)
 
 TWO_PI = 2.0 * np.pi
 
@@ -434,7 +472,10 @@ class _Layout:
     columns, for j <= columns/2, and no cell wraps.  Cell k spans the
     nodes k and k + 1 and has width h widths[k mod p]; how many cells of
     the circle it stands for, its weight, is given by parts alone.  The
-    local stage splits a cell at the fraction split of its width.
+    local stage splits a cell at the fraction split of its width.  With
+    flip (whole circle only) the counted function changes sign over a
+    turn, as W does for odd ell, and the wrap cell ends at minus the
+    values and slopes of node 0.
     """
 
     size: int
@@ -444,6 +485,7 @@ class _Layout:
     widths: tuple
     split: float
     mirror: bool = False
+    flip: bool = False
 
     @functools.cached_property
     def h(self) -> float:
@@ -495,11 +537,12 @@ class _Layout:
         return [(~own, 2), (own, 1)] if own.any() else [(slice(None), 2)]
 
 
-def _screen(f: np.ndarray, margin: np.ndarray, clear0: float, cells: int) -> np.ndarray:
-    """The open cells of a sequence of f.size nodes: all but those whose two
-    end nodes both have margin > clear0 and one sign of f.  Cell k spans the
-    nodes k and k + 1; with cells = f.size the last wraps to node 0."""
-    S = f.size
+def _screen(f: np.ndarray, margin: np.ndarray, clear0: float, layout: _Layout) -> np.ndarray:
+    """The open cells of the layout's sequence of f.size nodes: all but those
+    whose two end nodes both have margin > clear0 and one sign of f.  Cell k
+    spans the nodes k and k + 1; on the whole circle the last wraps to node
+    0, whose sign it takes negated with layout.flip."""
+    S, cells = f.size, layout.cell_count
     flags = np.empty(2 * S + cells, bool)
     unsure, neg = flags[:2 * S].reshape(2, S)
     np.signbit(f, out=neg)
@@ -511,12 +554,12 @@ def _screen(f: np.ndarray, margin: np.ndarray, clear0: float, cells: int) -> np.
     inner |= unsure[:-1]
     inner |= unsure[1:]
     if cells == S:  # the wrap cell
-        open_[-1] = (neg[-1] != neg[0]) | unsure[-1] | unsure[0]
+        open_[-1] = ((neg[-1] != neg[0]) ^ layout.flip) | unsure[-1] | unsure[0]
     return open_.nonzero()[0]
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_layout(N: int, mirror: bool) -> _Layout:
+def _grid_layout(N: int, mirror: bool, flip: bool = False) -> _Layout:
     """The layout of the grid route on N nodes of the circle.
 
     mirror False: the N columns (i + g) h themselves, h = 2 pi/N, cells of
@@ -529,10 +572,11 @@ def _grid_layout(N: int, mirror: bool) -> _Layout:
     and pi are their own mirror images; every other cell stands for
     itself and its mirror image.  The cells' midpoints 2 pi k/N are
     rational, and the local stage splits them at the golden point instead.
+    flip (whole circle only): the wrap cell ends at minus node 0's values.
     """
     g = GRID_OFFSET
     if not mirror:
-        return _Layout(N, N, g, _read_only([g]), (1.0,), 0.5)
+        return _Layout(N, N, g, _read_only([g]), (1.0,), 0.5, flip=flip)
     # node 2j lies at (2j - g) h and node 2j + 1 at (2j + 1 + (g - 1)) h,
     # which rounds as (2j + g) h does: g - 1 is exact
     return _Layout(N, N // 2, g / 2.0, _read_only([-g, g - 1.0]), (2.0 * g, 2.0 * (1.0 - g)), g,
@@ -545,32 +589,37 @@ def _read_only(values) -> np.ndarray:
     return table
 
 
-def _grid_size(sample: PolySample, grid_per_degree: int, mirror: bool) -> int:
-    """The grid size N of the sample: at least max(256, grid_per_degree *
-    n), a multiple of step (1, or 4 for a mirrored layout) with a 5-smooth
-    cofactor.  Where the sample's direction table would serve the
-    columns (trigpoly.table_serves), step is ell, or lcm(4, 2 ell) on the
-    half circle, so that ell divides the columns; otherwise N is the
-    smallest 5-smooth size, or 5-smooth multiple of 4."""
-    least = max(256, grid_per_degree * sample.n)
-    ell = sample.split.ell
-    folded = math.lcm(4, 2 * ell) if mirror else ell
-    N = folded * smooth_size(-(-least // folded))
-    if table_serves(sample, N // 2 if mirror else N):
-        return N
+def _grid_size(n: int, grid_per_degree: int, mirror: bool) -> int:
+    """The grid size N of T at degree n: the smallest 5-smooth size at or
+    above max(256, grid_per_degree * n), or on the half circle (mirror)
+    the smallest 5-smooth multiple of 4."""
+    least = max(256, grid_per_degree * n)
     return 4 * smooth_size(-(-least // 4)) if mirror else smooth_size(least)
+
+
+def _numerator_size(sample: PolySample, grid_per_degree: int) -> int:
+    """The grid size N of the sample's lattice numerator W, or 0 where W is
+    not counted: N is the smallest multiple of ell with a 5-smooth
+    cofactor at or above max(256, grid_per_degree (n + ell/2)/2), half as
+    many nodes a degree as T takes, and W is counted exactly where its
+    folded table serves that grid (trigpoly.table_serves: never an
+    i.i.d. sample, whose ell = n + 1)."""
+    ell = sample.split.ell
+    least = max(256, -(-grid_per_degree * (2 * sample.n + ell) // 4))
+    N = ell * smooth_size(-(-least // ell))
+    return N if table_serves(sample, N) else 0
 
 
 @dataclass(frozen=True)
 class _Certificate:
-    """The bounds of the cell tests for one sample of degree n.
+    """The bounds of the cell tests for one function of degree n, T or W.
 
-    bound is M >= max |T|; delta_grid[k] and delta_point[k] bound the
-    rounding error of T^(k) read from the spectral grid and from
-    evaluate_jet's power table.
+    n is the degree (n + ell/2 for W, which may be half an integer), bound
+    is M >= max |T|; delta_grid[k] and delta_point[k] bound the rounding
+    error of T^(k) read from the grid and from the pointwise jet.
     """
 
-    n: int
+    n: float
     bound: float
     delta_grid: np.ndarray
     delta_point: np.ndarray
@@ -626,37 +675,45 @@ class _Certificate:
 
 
 @functools.lru_cache(maxsize=32)
-def _certificate_factors(n: int, N: int, gap: float):
+def _certificate_factors(n, N: int, gap: float):
     """What _certificate's bounds take from the degree, the grid size and
-    the widest node gap alone: (j^k for k <= 3, the transform's
-    8 u log2(N) sqrt(N), the nodes' 16 u n^(k+1), the power table's
-    10 u (n+1), (n gap 2 pi/N)^2)."""
+    the widest node gap alone: (the transform's 8 u log2(N) sqrt(N), the
+    nodes' 16 u n^(k+1), the pointwise sums' 10 u (n+1),
+    (n gap 2 pi/N)^2)."""
     node_factors = 16.0 * _U * float(n) ** np.arange(1, 5)
     node_factors.flags.writeable = False
-    return (frequency_powers(n, 3), _FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N),
-            node_factors, _SUM_ROUNDING * _U * (n + 1), (n * TWO_PI * gap / N) ** 2)
+    return (_FFT_ROUNDING * _U * np.log2(N) * np.sqrt(N), node_factors,
+            _SUM_ROUNDING * _U * (n + 1), (n * TWO_PI * gap / N) ** 2)
 
 
-def _certificate(a: np.ndarray, b: np.ndarray, N: int, grid_max: float,
+@functools.lru_cache(maxsize=32)
+def _numerator_powers(split) -> np.ndarray:
+    """|f|^k for k <= 3 (rows) over the 2 ell frequencies f of W, read-only."""
+    powers = np.abs(numerator_frequencies(split)) ** np.arange(4)[:, None]
+    powers.flags.writeable = False
+    return powers
+
+
+def _certificate(powers: np.ndarray, c: np.ndarray, n, N: int, grid_max: float,
                  gap: float) -> _Certificate:
-    """Bounds for the coefficients a, b (largest entry O(1)) on a grid of
-    N nodes of the circle, gap 2 pi/N apart at most, whose largest |T|
-    value is grid_max."""
-    n = a.size - 1
-    powers, fft_factor, node_factors, sum_factor, nh2 = _certificate_factors(n, N, gap)
-    mag = np.hypot(a, b)
+    """Bounds for the function Re sum_j c_j e^{i f_j x} of degree n = max |f_j|
+    (largest |c_j| O(1)), T or W, on a grid of N nodes of the circle, gap
+    2 pi/N apart at most, whose largest |value| is grid_max; powers holds
+    |f_j|^k for k <= 3 (rows)."""
+    fft_factor, node_factors, sum_factor, nh2 = _certificate_factors(n, N, gap)
+    mag = np.hypot(c.real, c.imag)
     total = float(mag.sum())
     # the transform, normwise (N. J. Higham, Accuracy and Stability of
     # Numerical Algorithms, ch. 24), plus the float grid nodes, which sit
-    # within 16u of the exact ones.  One (4, n+1) array, squared in place
+    # within 16u of the exact ones.  One (4, terms) array, squared in place
     weighted = powers * mag
     np.square(weighted, out=weighted)
     delta_grid = fft_factor * np.sqrt(weighted.sum(axis=1)) + node_factors * total
-    # the power table of evaluate_jet at |x| < 6.3, argument rounding
-    # included (module docstring); the local cells also read T at grid
-    # nodes, hence at least delta_grid
-    absolute = np.abs(a, out=mag)
-    absolute += np.abs(b)
+    # the pointwise sums at |x| < 6.3, argument rounding included (module
+    # docstring); the local cells also read the function at grid nodes,
+    # hence at least delta_grid
+    absolute = np.abs(c.real, out=mag)
+    absolute += np.abs(c.imag)
     delta_point = np.maximum(sum_factor * (powers @ absolute), delta_grid)
     bound = total
     if nh2 < 8.0:
@@ -737,6 +794,8 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     delta = cert.delta_grid
     # mode="wrap" ends the whole circle's wrap cell at node 0
     (f_lo, s0), (f_hi, s1) = seq.take(cells, axis=1), seq.take(cells + 1, axis=1, mode="wrap")
+    if layout.flip and cells.size and cells[-1] == layout.columns - 1:
+        f_hi[-1], s1[-1] = -f_hi[-1], -s1[-1]  # W(x_0 + 2 pi) = -W(x_0)
     thirds, inverse = layout.width_tables
     entry = cells & (thirds.size - 1)
     above, below = _hull_sides(f_lo, s0, f_hi, s1, thirds[entry], clear0)
@@ -795,15 +854,16 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     return count + found, brackets + bracketed, (lo[left], hi[left], f_lo[left], f_hi[left])
 
 
-def _local_stage(cert: _Certificate, unit: PolySample, jet: Callable, lo, hi, f_lo, f_hi,
+def _local_stage(cert: _Certificate, jet_at: Callable, jet: Callable, lo, hi, f_lo, f_hi,
                  split: float, max_doublings: int, want_roots: bool):
     """(count, depth, stable, brackets) of the local stage on the cells
     (lo, hi), whose grid values are f_lo, f_hi.
 
     The cells are those of one weight that _grid_cells leaves: no test on
     the grid's T and T' settles them (hull, monotone or curvature).  T',
-    T'' and T''' at their ends are read pointwise (evaluate_jet), and T
-    too at the split points; T at the grid nodes keeps its grid value, so
+    T'' and T''' at their ends are read pointwise (jet_at(x), the rows of
+    orders 0 to 3: evaluate_jet, or numerator_jet for W), and T too at
+    the split points; T at the grid nodes keeps its grid value, so
     that every node has one sign for the cells on both sides of it.  A
     cell is certified when the Hermite control points of T clear their
     bound (no zero), or, with both end values beyond delta_0, when those
@@ -813,7 +873,7 @@ def _local_stage(cert: _Certificate, unit: PolySample, jet: Callable, lo, hi, f_
     three rows of one test.  Cells left are split at the fraction split
     of their width, at most max_doublings times.
     """
-    ends = evaluate_jet(unit, np.concatenate([lo, hi]))
+    ends = jet_at(np.concatenate([lo, hi]))
     ends[0, :lo.size], ends[0, lo.size:] = f_lo, f_hi
     jet_lo, jet_hi = ends[:, :lo.size], ends[:, lo.size:]
     delta = cert.delta_point
@@ -845,27 +905,41 @@ def _local_stage(cert: _Certificate, unit: PolySample, jet: Callable, lo, hi, f_
             return count + int(np.count_nonzero(change)), depth, False, brackets
         # at split = 1/2 this is the midpoint 0.5 (lo + hi) to the bit
         mid = (1.0 - split) * lo + split * hi
-        jet_mid = evaluate_jet(unit, mid)
+        jet_mid = jet_at(mid)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         jet_lo = np.concatenate([jet_lo, jet_mid], axis=1)
         jet_hi = np.concatenate([jet_mid, jet_hi], axis=1)
         depth += 1
 
 
-def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want_roots: bool,
-                     tol: float):
+def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_doublings: int,
+                     want_roots: bool, tol: float):
     """(count, doublings, stable, roots) of the grid route on the layout.
 
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  The open cells are decided one weight
-    at a time (_Layout.parts): the grid pass, then the local stage on the
+    those of the sample itself.  With numerator the route counts the
+    zeros of W = 2 sin(ell x/2) T on the whole circle, read from W's
+    folded table and W's own pointwise jet, and returns count(W) - ell;
+    otherwise it counts T.  The open cells are decided one weight at a
+    time (_Layout.parts): the grid pass, then the local stage on the
     cells it leaves.  The brackets of the roots are gathered only with
-    want_roots.
+    want_roots; on W a single-zero bracket that holds a lattice point
+    2 pi k/ell holds that zero of W alone, and is dropped before Newton;
+    the rest are refined on T itself.
     """
-    seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1)))
+    split = unit.split
+    if numerator:
+        seq = numerator_on_grid(unit, layout.columns, layout.offset)
+        powers, c = _numerator_powers(split), lattice_numerator(unit)[1]
+        degree = split.n + split.ell / 2
+        jet_at = functools.partial(numerator_jet, unit)
+    else:
+        seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1)))
+        powers, c, degree = frequency_powers(unit.n, 3), unit.normalized[0], unit.n
+        jet_at = functools.partial(evaluate_jet, unit)
     size, slack = np.abs(seq)
-    cert = _certificate(unit.a, unit.b, layout.size, float(size.max()), layout.gap)
+    cert = _certificate(powers, c, degree, layout.size, float(size.max()), layout.gap)
     widest = layout.h * layout.gap
     clear0 = cert.grid_clearance(widest)
     # |f| - w |f'|/3 bounds the two control points beside a node on the
@@ -874,17 +948,17 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     # full hull test
     slack *= widest / 3.0
     size -= slack
-    cells = _screen(seq[0], size, clear0, layout.cell_count)
-    # T and T' at any points: the one pointwise jet of grid cups, the local
-    # stage's cups and the root refinement
-    jet = lambda x, _: evaluate_jet(unit, x, order=1)  # noqa: E731
+    cells = _screen(seq[0], size, clear0, layout)
+    # the function and its slope at any points: the one pointwise jet of
+    # grid cups, the local stage's cups and the root refinement
+    jet = lambda x, _: jet_at(x, order=1)  # noqa: E731
     count, depth, stable, brackets = 0, 0, True, []
     for part, weight in layout.parts(cells):
         found, bracketed, left = _grid_cells(seq, cells[part], layout, cert, clear0, jet,
                                              want_roots)
         if left[0].size:
             more, deep, settled, pointwise = _local_stage(
-                cert, unit, jet, *left, layout.split, max_doublings, want_roots)
+                cert, jet_at, jet, *left, layout.split, max_doublings, want_roots)
             found += more
             bracketed += pointwise
             depth, stable = max(depth, deep), stable and settled
@@ -894,10 +968,23 @@ def _certified_count(unit: PolySample, layout: _Layout, max_doublings: int, want
     roots = None
     if want_roots:
         weights, ends = zip(*brackets)
-        found = _refine_roots(jet, *(np.concatenate(column) for column in zip(*ends)), tol)
+        lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*ends))
         # a zero of a cell that stands for its mirror image too brings 2 pi - x
-        twice = np.repeat(np.array(weights) == 2, [lo.size for lo, *_ in ends])
+        twice = np.repeat(np.array(weights) == 2, [part.size for part, *_ in ends])
+        if numerator:
+            period = TWO_PI / split.ell
+            free = np.ceil(lo / period) * period > hi  # no lattice point in [lo, hi]
+            lo, hi, f_lo, f_hi, twice = (column[free] for column in (lo, hi, f_lo, f_hi, twice))
+            # Newton on T itself: beside the lattice W's rounding over
+            # |W'| = |s T'| would move a zero 1/|s| times more than T's
+            # rounding over |T'|.  s has one sign on a bracket, so T's ends
+            # have the signs of W/s
+            f_lo, f_hi = (f / np.sin(0.5 * split.ell * x) for f, x in ((f_lo, lo), (f_hi, hi)))
+            jet = lambda x, _: evaluate_jet(unit, x, order=1)  # noqa: E731
+        found = _refine_roots(jet, lo, hi, f_lo, f_hi, tol)
         roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))
+    if numerator:
+        count -= split.ell
     return count, depth, stable, roots
 
 
@@ -1043,17 +1130,28 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     m >= 2, so never an i.i.d. one, the vacuous period) take the
     phase route (the deterministic zero set plus the exact phase count of
     the reduced factor T^*; grid_per_degree and max_doublings do not
-    enter); everything else, m = 1 included, takes the grid route, the
-    cell certificate on one grid of N >= max(256, grid_per_degree * n)
-    nodes (_grid_size: smooth_size of that bound, or where the sample's
-    direction table serves the grid the smallest multiple of ell with a
-    5-smooth cofactor) with at most max_doublings local splits of a cell
-    that the grid's hull, monotone and curvature tests leave undecided (at
-    the midpoint, so finest spacing 2 pi/N 2^-max_doublings).  A
-    cosine sample (T even; a nonzero b is a ValueError) is certified on
-    the half circle: the smallest 5-smooth multiple of 4 (of lcm(4, 2 ell)
-    where the table serves) at or above that bound, one transform of half
-    as many nodes, their mirror images, and
+    enter).  A periodic sample with r != 0 (ell <= n, m = 1 included)
+    whose coefficients repeat is counted from its lattice numerator
+    W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with no lattice spike,
+    as count(W) - ell, on the whole circle, on a grid of half as many
+    nodes a degree: N >= max(256, grid_per_degree (n + ell/2)/2), the
+    smallest multiple of ell with a 5-smooth cofactor (_numerator_size),
+    wherever W's folded table serves that grid (trigpoly.table_serves).
+    Measured (one BLAS thread, median per trial, trig ell = 3): n = 400
+    0.30 -> 0.24 ms on 6480 nodes against T's 12960, n = 1600
+    1.8 -> 0.9 ms on 25920 against 51840, n = 12000 130 -> 3.5 ms on
+    194400 against 384000, with every count and stable flag that T's
+    count certified unchanged on 3000 trials.  Everything else, the
+    i.i.d. samples, m = 1 with r = 0 and the samples W's table does not
+    serve, takes the grid route on T itself: the cell certificate on one
+    grid of N >= max(256, grid_per_degree * n) nodes (_grid_size, the
+    smallest 5-smooth size).  Either grid takes at most max_doublings local
+    splits of a cell that the grid's hull, monotone and curvature tests
+    leave undecided (at the midpoint, so finest spacing
+    2 pi/N 2^-max_doublings).  A cosine sample (T even; a nonzero b is a
+    ValueError) counted from T is certified on the half circle: the
+    smallest 5-smooth multiple of 4 at or above that bound, one
+    transform of half as many nodes, their mirror images, and
     splits at the golden fraction g = 0.618 of a cell, so the widest
     piece is 2 g^(max_doublings + 1) 2 pi/N, 0.18 of 2 pi/N at the default
     4 where the whole circle reaches 0.0625.  On 200 close zero pairs
@@ -1081,6 +1179,10 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     phase), and tol bounds the last step of each root; the deterministic
     zeros of the phase route are exact, and are listed only then (the
     count takes their number, split.deterministic_zeros = n + 1 - ell).
+    Counting W, every single-zero bracket that holds a lattice point
+    2 pi k/ell is dropped before Newton, since such a bracket holds
+    exactly that point, a zero of W and not of T; so the roots are T's,
+    as many as the count where it is stable.
     """
     _check_count("grid_per_degree", grid_per_degree, 1)
     _check_count("max_doublings", max_doublings, 0)
@@ -1112,8 +1214,15 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, ell)]))
         N = doublings = 0
     else:
-        N = _grid_size(sample, grid_per_degree, mirror)
-        count, doublings, stable, roots = _certified_count(sample.unit(), _grid_layout(N, mirror),
+        # W on the whole circle where its folded table serves, else T
+        N = _numerator_size(sample, grid_per_degree)
+        numerator = N > 0
+        if numerator:
+            layout = _grid_layout(N, False, split.ell % 2 == 1)
+        else:
+            N = _grid_size(n, grid_per_degree, mirror)
+            layout = _grid_layout(N, mirror)
+        count, doublings, stable, roots = _certified_count(sample.unit(), layout, numerator,
                                                            max_doublings, want_roots, tol)
         pieces = 0
     # a degree-n trigonometric polynomial has at most 2n real zeros

@@ -113,3 +113,15 @@ def test_failed_rows_are_failed_checks(monkeypatch, criterion, families):
     res = criterion(quick=True)
     assert not res.passed
     assert res.detail.count("unstable trials") == families, res.detail
+
+
+def test_factorization_residuals_check_the_lattice_numerator(monkeypatch):
+    """A lattice numerator W off by 1e-9 of itself fails criterion 7, on
+    the r = 0 samples and on those with r != 0 alike, and the detail names
+    W's residual."""
+    exact = acceptance.numerator_jet
+    monkeypatch.setattr(acceptance, "numerator_jet",
+                        lambda sample, x, order: exact(sample, x, order) * (1.0 + 1e-9))
+    res = acceptance.factorization_residuals(quick=True)
+    assert not res.passed
+    assert "m=" in res.detail and ", r=" in res.detail and "W residual" in res.detail

@@ -287,10 +287,10 @@ class TestValidation:
      [(614, 16000, 0, True), (592, 16000, 0, True), (548, 16000, 0, True)],
      584.6666666666666, 0),
     ("trig", "periodic", 3, 400,
-     [(798, 12960, 0, True), (638, 12960, 0, True), (624, 12960, 0, True)],
+     [(798, 6480, 0, True), (638, 6480, 0, True), (624, 6480, 0, True)],
      686.6666666666666, 0),
     ("trig", "periodic", 3, 1600,
-     [(2182, 51840, 0, True), (2324, 51840, 0, True), (3196, 51840, 0, True)],
+     [(2182, 25920, 1, True), (2324, 25920, 0, True), (3196, 25920, 0, True)],
      2567.3333333333335, 0),
     ("trig", "periodic", 5, 499,
      [(994, 0, 0, True), (994, 0, 0, True), (994, 0, 0, True)], 994.0, 0),
@@ -302,10 +302,10 @@ def test_bench_mix_pins(kind, dep, ell, n, trials, mean, unstable):
     benchmark mixes, restated here: every trial's (count, grid_size,
     doublings_used, stable) and the row's mean and unstable count, to the
     bit.  A draw or a certificate that moves a bit on these rows shows
-    here.  The periodic r != 0 rows count on grids that ell = 3 divides,
-    so that their direction table folds: 12960 and 51840 nodes, against
-    12800 and 51200 before, where the first n = 1600 trial took one
-    doubling."""
+    here.  The periodic r != 0 rows count their lattice numerator W on
+    its grid of 16 nodes a degree that ell = 3 divides: 6480 and 25920
+    nodes, against 12960 and 51840 when they counted T, where the first
+    n = 1600 trial took no doubling (it takes one on W)."""
     model = CoefficientModel(kind=kind, dep=dep, ell=ell)
     reports = [count_zeros(sample_coefficients(model, n, mix64(7, n, t))) for t in range(3)]
     assert [(r.count, r.grid_size, r.doublings_used, r.stable) for r in reports] == trials

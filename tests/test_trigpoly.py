@@ -328,15 +328,17 @@ class TestPerDegreeTables:
                         (num, offset, order)
 
     def test_each_table_is_built_once_per_row(self, monkeypatch):
-        """A 12-trial row at one degree builds the powers, the power table
-        and the direction table once each, and the tables derived from them
-        (the jet's plan per order, the certificate's factors, the cell
-        layout) once per key, and every later trial reuses them.  Its
-        samples (ell = 3, n = 100, N = 405) read T and T' from the direction
-        table, so the transform's twist is never built."""
-        tables = (trigpoly.frequency_powers, trigpoly._power_table, trigpoly._direction_table,
-                  trigpoly._jet_plan, zeros._certificate_factors, zeros._grid_layout)
-        for table in tables + (trigpoly._twist,):
+        """A 12-trial row at one degree builds W's frequencies, their powers
+        and W's table once each, and the tables derived from them (the
+        certificate's factors, the cell layout) once per key, and every
+        later trial reuses them.  Its samples (ell = 3, n = 100, N = 270)
+        are counted from W, whose table holds products of sines, so the
+        transform's twist, T's power table and the Dirichlet kernel are
+        never built."""
+        tables = (trigpoly.numerator_frequencies, zeros._numerator_powers,
+                  trigpoly._numerator_table, zeros._certificate_factors, zeros._grid_layout)
+        unused = (trigpoly._twist, trigpoly._power_table, trigpoly._jet_plan)
+        for table in tables + unused:
             table.cache_clear()
         kernel, builds = trigpoly.dirichlet_pairs, []
         monkeypatch.setattr(trigpoly, "dirichlet_pairs",
@@ -349,11 +351,12 @@ class TestPerDegreeTables:
             assert info.misses == info.currsize, table
         for table in tables[:3]:
             assert table.cache_info().misses == 1, table
-        for table in tables[1:]:  # read in every trial; the powers through the factors
+        for table in tables:  # read in every trial
             assert table.cache_info().hits > 0, table
-        assert trigpoly._twist.cache_info().misses == 0
-        assert builds == [(33, 3)]
-        assert _holds_table(decompose_degree(100, 3), 405, GRID_OFFSET)
+        for table in unused:
+            assert table.cache_info().misses == 0, table
+        assert builds == []
+        assert _holds_table(decompose_degree(100, 3), 270, GRID_OFFSET)
 
     @pytest.mark.parametrize("kind, dep, ell, n", [
         ("trig", "iid", None, 100),
@@ -393,15 +396,13 @@ def _phi(m, ell, x):
 
 
 def _table_layout(sample):
-    """The layout of count_zeros' grid for the sample at 32 nodes a degree
-    or, where the sample's direction table does not serve that grid, at
-    the fewest doublings of it that it serves."""
-    mirror, gpd = sample.model.kind == "cosine", 32
-    while True:
-        layout = zeros._grid_layout(zeros._grid_size(sample, gpd, mirror), mirror)
-        if trigpoly.table_serves(sample, layout.columns):
-            return layout
+    """The layout of count_zeros' grid for the sample's lattice numerator W
+    at 32 nodes a degree of T (16 of W) or, where W's table does not serve
+    that grid, at the fewest doublings of it that it serves."""
+    gpd = 32
+    while not (N := zeros._numerator_size(sample, gpd)):
         gpd *= 2
+    return zeros._grid_layout(N, False, sample.split.ell % 2 == 1)
 
 
 def _unit_sample(kind, ell, n, seed):
@@ -410,16 +411,36 @@ def _unit_sample(kind, ell, n, seed):
 
 
 def _holds_table(split, columns, offset):
-    """Whether the cache holds the direction table of this key."""
-    misses = trigpoly._direction_table.cache_info().misses
-    trigpoly._direction_table(split, columns, offset)
-    return trigpoly._direction_table.cache_info().misses == misses
+    """Whether the cache holds W's folded table of this key."""
+    misses = trigpoly._numerator_table.cache_info().misses
+    trigpoly._numerator_table(split, columns, offset)
+    return trigpoly._numerator_table.cache_info().misses == misses
 
 
-def _transform_rows(sample, columns, offset):
-    """T and T' from the transform, one order at a time: a single order
-    never reads the direction table."""
-    return np.stack([evaluate_on_grid(sample, columns, offset, order=k) for k in (0, 1)])
+def _numerator_certificate(sample, layout, grid_max):
+    """The zero counter's certificate of W for the unit sample."""
+    return zeros._certificate(zeros._numerator_powers(sample.split),
+                              trigpoly.lattice_numerator(sample)[1],
+                              sample.n + sample.split.ell / 2, layout.size, grid_max, layout.gap)
+
+
+def _numerator_exact(sample, x, top):
+    """W = 2 sin(ell x/2) T_n and its derivatives up to order top (rows) at
+    x, by Leibniz's rule on the dense sum of T in np.longdouble: an oracle
+    that shares nothing with W's own terms."""
+    x = np.asarray(x, dtype=np.longdouble)
+    j = np.arange(sample.n + 1, dtype=np.longdouble)
+    a, b = sample.a.astype(np.longdouble), sample.b.astype(np.longdouble)
+    angle = np.outer(x, j)
+    cos, sin = np.cos(angle), np.sin(angle)
+    t = [cos @ a + sin @ b, (cos * j) @ b - (sin * j) @ a,
+         -(cos * j**2) @ a - (sin * j**2) @ b, (sin * j**3) @ a - (cos * j**3) @ b]
+    ell = sample.split.ell
+    half = ell * x / 2
+    s = [2 * np.sin(half), ell * np.cos(half), -ell**2 / 2 * np.sin(half),
+         -ell**3 / 4 * np.cos(half)]
+    return np.array([sum(math.comb(k, i) * s[i] * t[k - i] for i in range(k + 1))
+                     for k in range(top + 1)])
 
 
 def _is_smooth(k):
@@ -430,129 +451,149 @@ def _is_smooth(k):
 
 
 class TestDirectionTable:
-    """Periodic samples read T and T' on the counter's grid from a cached
-    table of their ell grouped directions on the first N/ell nodes, folded
-    by the lattice shift (evaluate_on_grid)."""
+    """Periodic samples with r != 0 are counted from their lattice numerator
+    W = 2 sin(ell x/2) T, whose values and slopes on the counter's grid come
+    from a cached table of its ell classes on the first N/ell nodes, folded
+    by the lattice shift (numerator_on_grid), and whose pointwise jet is
+    its own sum of 2 ell sinusoids (numerator_jet)."""
+
+    @staticmethod
+    def _degrees(ell):
+        """Degrees with r != 0 up to 60 (m = 1 with r = 1 included), and two
+        larger."""
+        return [n for n in sorted({ell, ell + 1, 2 * ell, 3 * ell, 11, 30, 60, 101, 250})
+                if (n + 1) % ell or (n + 1) // ell < 2]
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     @pytest.mark.parametrize("ell", range(2, 8))
-    def test_agrees_with_the_transform_within_the_grid_bound(self, kind, ell):
-        """Both rows lie within delta_grid of the transform's at the grid
-        size the counter takes, on both layouts, at m = 1 with r = 1, m = 3
-        with r = 1, r = ell - 1 and two larger degrees (at most 0.14
-        delta_grid when measured)."""
-        for n in (ell, 3 * ell, 6 * ell - 2, 101, 250):
-            if (n + 1) % ell == 0:
-                continue  # r = 0: the phase route
+    def test_rows_lie_within_the_grid_bound(self, kind, ell):
+        """Both rows of W's table lie within delta_grid (the certificate of
+        W) of the np.longdouble sum of 2 sin(ell x/2) T at the float nodes,
+        at the grid size the counter takes (at most 0.12 delta_grid when
+        measured), and the table is built once and cached."""
+        for n in self._degrees(ell):
             for seed in range(2):
                 s = _unit_sample(kind, ell, n, seed)
                 layout = _table_layout(s)
-                assert layout.columns % ell == 0
-                trigpoly._direction_table.cache_clear()
-                table = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
-                assert trigpoly._direction_table.cache_info().misses == 1
+                assert layout.columns % ell == 0 and not layout.mirror
+                trigpoly._numerator_table.cache_clear()
+                rows = trigpoly.numerator_on_grid(s, layout.columns, layout.offset)
+                assert trigpoly._numerator_table.cache_info().misses == 1
                 assert _holds_table(s.split, layout.columns, layout.offset)
-                transform = _transform_rows(s, layout.columns, layout.offset)
-                cert = zeros._certificate(s.a, s.b, layout.size, np.abs(table[0]).max(),
-                                          layout.gap)
-                gap = np.abs(table - transform).max(axis=1)
+                cert = _numerator_certificate(s, layout, np.abs(rows[0]).max())
+                exact = _numerator_exact(s, grid_nodes(layout.columns, layout.offset), 1)
+                gap = np.abs(rows - exact).max(axis=1).astype(float)
                 assert np.all(gap <= cert.delta_grid[:2]), (n, seed, gap / cert.delta_grid[:2])
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_matches_a_long_double_sum(self, kind):
-        """At n <= 60 both rows match the direct sum in np.longdouble at the
-        route's own nodes t_k + 2 pi s/ell, the table's nodes shifted
-        exactly, within a quarter of the node term
-        16 u n^(k+1) sum |c_j| of delta_grid.  T' is the exception up to
-        n = 10: beside the lattice the Dirichlet kernel's quotient for
-        phi_M' cancels (dirichlet_pairs), and there it is held to half of
-        it (the transform term of delta_grid covers the rest, zeros).
-        Against the sum at the float nodes themselves, where the
-        certificate places the values, both rows lie within the node term
-        (zeros: it covers the shifted nodes)."""
+        """At n <= 60 both rows of W's table match 2 sin(ell x/2) T summed in
+        np.longdouble at the route's own nodes t_k + 2 pi s/ell, the
+        table's nodes shifted exactly, within a tenth of the node term
+        16 u n^(k+1) sum |d_p| of delta_grid (n = n + ell/2, the degree of
+        W; 0.07 measured), and at the float nodes themselves, where the
+        certificate places the values, within a quarter of it (0.19
+        measured; zeros: it covers the shifted nodes)."""
         pi = np.arccos(np.longdouble(-1))
         for ell in range(2, 8):
-            for n in sorted({ell, ell + 1, 2 * ell, 11, 30, 60}):
-                if (n + 1) % ell == 0 and (n + 1) // ell >= 2:
-                    continue  # r = 0 with m >= 2: the phase route
-                j = np.arange(n + 1, dtype=np.longdouble)
+            for n in self._degrees(ell)[:-2]:
                 for seed in range(2):
                     s = _unit_sample(kind, ell, n, seed)
                     layout = _table_layout(s)
-                    float_nodes = grid_nodes(layout.columns, layout.offset).astype(np.longdouble)
+                    float_nodes = grid_nodes(layout.columns, layout.offset)
                     table_nodes = trigpoly._table_nodes(layout.columns, layout.offset, ell)
                     shifted = (table_nodes.astype(np.longdouble)
                                + 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell)
-                    rows = evaluate_on_grid(s, layout.columns, layout.offset, order=(0, 1))
-                    assert _holds_table(s.split, layout.columns, layout.offset)
-                    a, b = s.a.astype(np.longdouble), s.b.astype(np.longdouble)
-                    node = zeros._certificate_factors(n, layout.size, layout.gap)[2][:2]
-                    node = node * np.hypot(s.a, s.b).sum()
-                    share = np.array([0.25, 0.25 if n > 10 else 0.5])
-                    for x, bound in ((shifted.ravel(), share * node), (float_nodes, node)):
-                        cos, sin = np.cos(x[:, None] * j), np.sin(x[:, None] * j)
-                        exact = np.stack([cos @ a + sin @ b, (cos * j) @ b - (sin * j) @ a])
-                        err = np.abs(rows - exact).max(axis=1).astype(float)
-                        assert np.all(err <= bound), (ell, n, seed, err / node)
+                    rows = trigpoly.numerator_on_grid(s, layout.columns, layout.offset)
+                    node = zeros._certificate_factors(n + ell / 2, layout.size, layout.gap)[1][:2]
+                    node = node * np.abs(trigpoly.lattice_numerator(s)[1]).sum()
+                    for x, share in ((shifted.ravel(), 0.1), (float_nodes, 0.25)):
+                        err = np.abs(rows - _numerator_exact(s, x, 1)).max(axis=1).astype(float)
+                        assert np.all(err <= share * node), (ell, n, seed, err / node)
 
-    def test_counts_equal_with_the_route_off(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("ell", range(2, 8))
+    def test_jet_lies_within_the_pointwise_bound(self, kind, ell):
+        """numerator_jet, orders 0 to 3, lies within delta_point (the
+        certificate of W) of the np.longdouble sum of 2 sin(ell x/2) T and
+        its derivatives, at random points of the range the counter reads
+        and at the lattice points 2 pi k/ell and 1e-16 ... 0.03 beside
+        them, where W needs no window (at most 0.09 delta_point when
+        measured)."""
+        rng = np.random.default_rng(ell)
+        lattice = 2 * np.pi * np.arange(ell + 1) / ell
+        offsets = np.concatenate([[0.0], 10.0 ** np.arange(-16.0, -1.0, 0.5)])
+        beside = (lattice[:, None] + np.concatenate([offsets, -offsets])).ravel()
+        points = np.concatenate([rng.uniform(-0.001, 2 * np.pi + 0.001, 200), beside])
+        for n in self._degrees(ell)[:-2]:
+            for seed in range(2):
+                s = _unit_sample(kind, ell, n, seed)
+                layout = _table_layout(s)
+                rows = trigpoly.numerator_on_grid(s, layout.columns, layout.offset)
+                cert = _numerator_certificate(s, layout, np.abs(rows[0]).max())
+                jet = trigpoly.numerator_jet(s, points)
+                err = np.abs(jet - _numerator_exact(s, points, 3)).max(axis=1).astype(float)
+                assert np.all(err <= cert.delta_point), (n, seed, err / cert.delta_point)
+
+    def test_counts_equal_counting_t(self, monkeypatch):
         """Over 200 periodic trials, trig and cosine, ell = 2..7, on fine
-        and coarse grids, count, stable flag, doublings and grid size are
-        those of the transform on the same grid, and every root is within
-        tol of its root."""
+        and coarse grids, W's count (count, stable flag) is T's count on
+        T's own grid wherever that is stable, W's root count is its count,
+        and every root is within tol of T's root.  Each degree builds one
+        table."""
         cases = [("trig", 2, 40, 32), ("trig", 3, 100, 32), ("trig", 4, 61, 32),
-                 ("trig", 5, 101, 4), ("trig", 7, 50, 32), ("trig", 3, 400, 4),
+                 ("trig", 5, 101, 4), ("trig", 7, 80, 32), ("trig", 3, 400, 4),
                  ("cosine", 2, 42, 32), ("cosine", 3, 100, 32), ("cosine", 5, 101, 32),
                  ("cosine", 6, 200, 32)]
         trials = 0
         for kind, ell, n, gpd in cases:
             model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+            trigpoly._numerator_table.cache_clear()
             for t in range(20):
                 s = sample_coefficients(model, n, seed=models.mix64(41, n, t))
-                trigpoly._direction_table.cache_clear()
                 got = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
-                assert trigpoly._direction_table.cache_info().misses == 1, (kind, ell, n)
+                assert got.grid_size == zeros._numerator_size(s, gpd) > 0, (kind, ell, n)
                 with monkeypatch.context() as patch:
-                    patch.setattr(zeros, "evaluate_on_grid",
-                                  lambda s, columns, offset, order: _transform_rows(s, columns,
-                                                                                    offset))
+                    patch.setattr(zeros, "_numerator_size", lambda *args: 0)
                     want = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
-                assert trigpoly._direction_table.cache_info().misses == 1, (kind, ell, n)
-                assert (got.count, got.stable, got.doublings_used, got.grid_size) == (
-                    want.count, want.stable, want.doublings_used, want.grid_size), (kind, n, t)
-                assert np.abs(got.roots - want.roots).max(initial=0.0) <= 1e-12
+                assert got.roots.size == got.count and got.stable, (kind, n, t)
+                if want.stable:
+                    assert (got.count, got.stable) == (want.count, want.stable), (kind, n, t)
+                    assert np.abs(got.roots - want.roots).max(initial=0.0) <= 1e-12
                 trials += 1
+            assert trigpoly._numerator_table.cache_info().misses == 1, (kind, ell, n)
         assert trials == 200
 
     def test_route_and_cache_budget(self):
-        """ell = 3 at n = 400 (N = 12960) and at n = 1600 (N = 51840, a
-        table of 1.7 MB) take the table; i.i.d. n = 199 (ell = 200 > n)
-        keeps the transform, and so does a periodic sample whose
-        coefficients do not repeat.  Counting samples at several degrees
-        leaves at most two tables in the cache, the latest, each of at most
-        _TABLE_BYTES, and a run that alternates two degrees builds each
-        table once."""
-        table = trigpoly._direction_table
+        """ell = 3 at n = 400 (N = 6480) and at n = 1600 (N = 25920) count W
+        from its table, and so does n = 12000 (N = 194400, a table of
+        6.2 MB); i.i.d. n = 199 (ell = 200 > n) counts T on its transform,
+        and so does a periodic sample whose coefficients do not repeat.
+        Counting samples at several degrees leaves at most two tables in
+        the cache, the latest, each of at most _TABLE_BYTES, and a run that
+        alternates two degrees builds each table once."""
+        table = trigpoly._numerator_table
         periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
         table.cache_clear()
-        for n, N in ((400, 12960), (1600, 51840)):
+        for n, N in ((400, 6480), (1600, 25920)):
             assert count_zeros(sample_coefficients(periodic, n, seed=1)).grid_size == N
             assert _holds_table(decompose_degree(n, 3), N, GRID_OFFSET)
         assert table.cache_info().misses == 2
         for n in (400, 1600, 400, 1600):
             count_zeros(sample_coefficients(periodic, n, seed=2))
         assert table.cache_info().misses == 2
+        assert zeros._numerator_size(sample_coefficients(periodic, 12000, seed=2), 32) == 194400
         table.cache_clear()
-        count_zeros(sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=1))
-        assert table.cache_info().misses == 0
+        iid = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=1)
+        assert count_zeros(iid).grid_size == 6400
+        assert zeros._numerator_size(iid, 32) == 0
         s = sample_coefficients(periodic, 100, seed=2)
         a = s.a.copy()
         a[-1] += 1.0
         rigged = dataclasses.replace(s, a=a)
-        assert not rigged.repeats
-        rows = evaluate_on_grid(rigged, 3240, GRID_OFFSET, order=(0, 1))
+        assert not rigged.repeats and zeros._numerator_size(rigged, 32) == 0
+        assert count_zeros(rigged).grid_size == 3200
         assert table.cache_info().misses == 0
-        assert rows.tobytes() == _transform_rows(rigged, 3240, GRID_OFFSET).tobytes()
         for n in (100, 199, 301, 400, 499, 601, 1600, 199, 100):  # r != 0
             s = sample_coefficients(periodic, n, seed=3)
             columns = count_zeros(s).grid_size
@@ -562,46 +603,53 @@ class TestDirectionTable:
             assert 32 * columns <= trigpoly._TABLE_BYTES
 
     def test_rotations_are_exact_at_half_and_quarter_turns(self):
-        """omega^(qs) is 1, i, -1 or -i to the bit where 4 qs is a multiple of
-        ell, and within u of e^(2 pi i qs/ell) elsewhere (0.75 u measured;
-        _rotations states 4.7 u)."""
+        """(-1)^s omega^(qs) is 1, i, -1 or -i to the bit where 4 qs is a
+        multiple of ell, and within u of (-1)^s e^(2 pi i qs/ell)
+        elsewhere (0.75 u measured; _rotations states 4.7 u)."""
         pi = np.arccos(np.longdouble(-1))
-        for ell in range(1, 13):
+        for ell in range(1, 15):
             rot = trigpoly._rotations(ell)
-            turns = np.outer(np.arange(ell), np.arange(ell)) % ell
-            exact = np.array([1, 1j, -1, -1j])[4 * turns // ell]
+            s = np.arange(ell)[:, None]
+            turns = (s * np.arange(ell)) % ell
+            exact = np.array([1, 1j, -1, -1j])[(4 * turns // ell + 2 * s) % 4]
             quarter = 4 * turns % ell == 0
             assert np.array_equal(rot[quarter], exact[quarter]), ell
-            angle = 2 * pi * turns / ell
+            angle = 2 * pi * turns / ell + pi * s
             want = np.cos(angle) + 1j * np.sin(angle)
             assert np.abs(rot - want).max() <= np.finfo(float).eps / 2, ell
 
     def test_shifted_nodes_lie_near_the_float_nodes(self):
         """The route's nodes t_k + 2 pi s/ell lie within 8.2 u of the float
-        nodes of grid_nodes on each of the 2681 grids that the counter
-        sizes for the route at ell = 2..12, both layouts, up to the
-        budget's 65536 columns (zeros: the node term covers the shift).
-        Placing the table at the float nodes x_k themselves would miss by
-        up to 13.8 u.  At ell = 1 the table's nodes are the float nodes."""
+        nodes of grid_nodes on the grids that W's rule sizes for the table
+        (whole circle, ell times a 5-smooth cofactor, at least 256 and
+        2^(ell+3) nodes, so ell <= 14): each of the 1373 up to 65536
+        columns, and every third of the 950 above, up to the budget's
+        262144 (all 2323 read 8.14 u at most when measured; zeros: the node
+        term covers the shift).  Placing the table at the float nodes x_k
+        themselves would miss by up to 13.8 u.  At ell = 1 the table's
+        nodes are the float nodes."""
         pi = np.arccos(np.longdouble(-1))
         u = np.finfo(float).eps / 2
         top = trigpoly._TABLE_BYTES // 32
         smooth = [k for k in range(1, top + 1) if _is_smooth(k)]
-        grids, worst = 0, 0.0
-        for ell in range(2, 13):
-            for mirror in (False, True):
-                step = math.lcm(4, 2 * ell) if mirror else ell
-                offset = GRID_OFFSET / 2 if mirror else GRID_OFFSET
-                for k in smooth:
-                    columns = step * k // 2 if mirror else step * k
-                    if not 8 << ell <= columns <= top or step * k < 256:
+        small = large = 0
+        worst = 0.0
+        for ell in range(2, 15):
+            for k in smooth:
+                columns = ell * k
+                if not max(256, 8 << ell) <= columns <= top:
+                    continue
+                if columns > 65536:
+                    large += 1
+                    if large % 3:
                         continue
-                    x = grid_nodes(columns, offset).astype(np.longdouble)
-                    t = trigpoly._table_nodes(columns, offset, ell).astype(np.longdouble)
-                    shift = 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell
-                    worst = max(worst, np.abs((t + shift).ravel() - x).max() / u)
-                    grids += 1
-        assert grids == 2681
+                else:
+                    small += 1
+                x = grid_nodes(columns, GRID_OFFSET).astype(np.longdouble)
+                t = trigpoly._table_nodes(columns, GRID_OFFSET, ell).astype(np.longdouble)
+                shift = 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell
+                worst = max(worst, np.abs((t + shift).ravel() - x).max() / u)
+        assert (small, large) == (1373, 950)
         assert worst <= 8.2, worst
         for columns in (256, 1000, top):
             x = grid_nodes(columns, GRID_OFFSET)
@@ -609,37 +657,42 @@ class TestDirectionTable:
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_grid_size_rule(self, kind):
-        """Where the direction table serves the grid, N is the smallest
-        multiple of ell (of lcm(4, 2 ell) on the half circle) with a
-        5-smooth cofactor at or above max(256, grid_per_degree * n), and
-        the table serves it; everywhere else, i.i.d., ell = n + 1, over the
-        budget or not repeating, N is the size of the 5-smooth rule."""
+        """Where W's table serves its grid, N is the smallest multiple of
+        ell with a 5-smooth cofactor at or above
+        max(256, grid_per_degree (n + ell/2)/2), half T's nodes a degree,
+        on the whole circle; everywhere else, i.i.d., ell = n + 1, r = 0,
+        over the budget or not repeating, N is T's 5-smooth rule (a
+        multiple of 4 on a cosine sample's half circle)."""
         mirror = kind == "cosine"
         served = kept = 0
         for ell in range(2, 8):
             model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
-            step = math.lcm(4, 2 * ell) if mirror else ell
-            for n in (ell - 1, ell, 2 * ell, 37, 101, 400, 1600, 2100, 4001):
+            for n in (ell - 1, ell, 2 * ell, 37, 101, 400, 1600, 2100, 4001, 16001):
                 if (n + 1) % ell == 0 and n >= ell:
                     continue  # r = 0 with m >= 2: the phase route
                 for gpd in (1, 4, 32):
                     s = sample_coefficients(model, n, seed=5)
-                    N = zeros._grid_size(s, gpd, mirror)
+                    if n <= 400:  # the count itself; above, the rules it applies
+                        N = count_zeros(s, grid_per_degree=gpd).grid_size
+                    else:
+                        N = zeros._numerator_size(s, gpd) or zeros._grid_size(n, gpd, mirror)
                     least = max(256, gpd * n)
                     smooth = (4 * zeros.smooth_size(-(-least // 4)) if mirror
                               else zeros.smooth_size(least))
                     rigged = dataclasses.replace(s, a=s.a + np.arange(n + 1))
-                    assert zeros._grid_size(rigged, gpd, mirror) == smooth
-                    if not trigpoly.table_serves(s, N // 2 if mirror else N):
+                    assert zeros._numerator_size(rigged, gpd) == 0
+                    least = max(256, -(-gpd * (2 * n + ell) // 4))
+                    step = ell * zeros.smooth_size(-(-least // ell))
+                    if not trigpoly.table_serves(s, step):
                         assert N == smooth, (ell, n, gpd)
                         kept += 1
                         continue
                     served += 1
-                    assert N >= least and N % step == 0 and _is_smooth(N // step)
-                    assert not any(_is_smooth(k) for k in range(-(-least // step), N // step))
+                    assert N == step and N >= least and _is_smooth(N // ell)
+                    assert not any(_is_smooth(k) for k in range(-(-least // ell), N // ell))
         assert served > 40 and kept > 40
         iid = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), 199, seed=5)
-        assert zeros._grid_size(iid, 32, mirror) == 6400
+        assert count_zeros(iid).grid_size == 6400
 
 
 class TestDirichletRatio:

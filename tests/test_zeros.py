@@ -1,6 +1,7 @@
 """Zero-counting tests: known counts, the cell certificate, refinement."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,12 @@ from trigzeros.zeros import (
     deterministic_zero_set,
     smooth_size,
 )
+
+
+def _certificate_of(sample, N, grid_max, gap):
+    """The certificate of T for the sample's coefficients on N nodes."""
+    return _certificate(trigpoly.frequency_powers(sample.n, 3), sample.a - 1j * sample.b,
+                        sample.n, N, grid_max, gap)
 
 
 def _rigged_sample(n, a=None, b=None):
@@ -543,7 +550,7 @@ class TestCertificate:
             N = smooth_size(max(256, 32 * n))
             h = 2 * np.pi / N
             grid = evaluate_on_grid(s, N, GRID_OFFSET)
-            cert = _certificate(s.a, s.b, N, float(np.abs(grid).max()), 1.0)
+            cert = _certificate_of(s, N, float(np.abs(grid).max()), 1.0)
             row = cert.clearances(h, cert.delta_grid)[0, 0]
             assert cert.grid_clearance(h) == row
 
@@ -569,7 +576,7 @@ class TestCertificate:
             for gpd in (3, 32):
                 N = smooth_size(max(256, gpd * n))
                 h = 2 * np.pi / N
-                cert = _certificate(s.a, s.b, N, float(np.abs(evaluate_on_grid(s, N)).max()), 1.0)
+                cert = _certificate_of(s, N, float(np.abs(evaluate_on_grid(s, N)).max()), 1.0)
                 ends = evaluate_jet(s, np.append(grid_nodes(N), grid_nodes(N)[0] + 2 * np.pi))
                 inside = evaluate_jet(s, (grid_nodes(N)[None, :] + h * t).ravel())
                 for k in range(3):
@@ -687,7 +694,7 @@ class TestCertificate:
             for gpd in (3, 32):
                 N = smooth_size(max(256, gpd * n))
                 grid = [evaluate_on_grid(s, N, 0.5, order=k) for k in range(3)]
-                cert = _certificate(s.a, s.b, N, float(np.abs(grid[0]).max()), 1.0)
+                cert = _certificate_of(s, N, float(np.abs(grid[0]).max()), 1.0)
                 # cells pick: their left nodes, their right nodes, then the top
                 pick = np.linspace(0, N - 2, 200).astype(int)
                 top = np.linspace(2 * np.pi * (1 - 1 / N), 2 * np.pi * (1 + 0.5 / N), 9)
@@ -775,10 +782,11 @@ class TestCertificate:
         assert calls == [(columns, (0, 1))] * 5
 
 
-def _grid_roots(unit, brackets, tol):
-    """The roots that _refine_roots finds in (lo, hi, T(lo), T(hi)) brackets."""
+def _grid_roots(jet, brackets, tol):
+    """The roots that _refine_roots finds in (lo, hi, f(lo), f(hi)) brackets,
+    with jet(x, idx) the function and its slope."""
     ends = [np.concatenate(column) for column in zip(*brackets)]
-    return np.sort(_refine_roots(lambda x, _: evaluate_jet(unit, x, order=1), *ends, tol))
+    return np.sort(_refine_roots(jet, *ends, tol))
 
 
 class TestSettle:
@@ -867,7 +875,8 @@ class TestBentCells:
         (cosine) counts each cell before its weight.  The cells are those
         whose _settle call in the grid pass settles them, each then passed
         to the grid pass alone.  least is the number of cells that the
-        curvature test settles on these trials."""
+        curvature test settles on these trials.  The periodic rows count
+        W = 2 sin(ell x/2) T, whose own jet the local stage then reads."""
         import trigzeros.zeros as zeros_module
 
         calls, settles = [], []
@@ -892,6 +901,8 @@ class TestBentCells:
             calls.clear()
             count_zeros(s)
             unit = s.unit()
+            numerator = dep == "periodic"  # these rows count W
+            jet_at = functools.partial(trigpoly.numerator_jet if numerator else evaluate_jet, unit)
             for seq, cells, layout, cert, clear0, jet, _ in calls:
                 settles.clear()
                 original(seq, cells, layout, cert, clear0, jet, False)
@@ -906,12 +917,14 @@ class TestBentCells:
                     settled += 1
                     lo, hi = layout.positions(np.stack([cell, cell + 1]))
                     f_lo, f_hi = seq[0].take(cell), seq[0].take(cell + 1, mode="wrap")
+                    if layout.flip and cell[0] == layout.columns - 1:
+                        f_hi = -f_hi  # W(x_0 + 2 pi) = -W(x_0)
                     count, depth, stable, pointwise = _local_stage(
-                        cert, unit, jet, lo, hi, f_lo, f_hi, layout.split, 4, True)
+                        cert, jet_at, jet, lo, hi, f_lo, f_hi, layout.split, 4, True)
                     assert (count, stable) == (found, True), (t, i)
-                    roots = _grid_roots(unit, brackets, tol)
+                    roots = _grid_roots(jet, brackets, tol)
                     assert roots.size == found
-                    assert np.abs(roots - _grid_roots(unit, pointwise, tol)).max(
+                    assert np.abs(roots - _grid_roots(jet, pointwise, tol)).max(
                         initial=0.0) <= tol, (t, i)
         assert settled >= least, settled
 
@@ -993,15 +1006,18 @@ class TestBentCells:
         88, 193, 295, 122, 256 and 283 of these trials, and while grid cups
         were decided on the Hermite interpolant in 3, 4, 14, 4, 172 and 276
         of them, reading 10, 18, 55, 18, 1150 and 26682 points.  The
-        periodic rows count on grids that ell = 3 divides (12960 and 51840
-        nodes, against 12800 and 51200 before), which took their tallies
-        from [157, 1016, 226, 0] and [268, 26410, 432, 0].  A change that
-        sends cells back to the pointwise stage shows here."""
+        periodic rows counted T on grids that ell = 3 divides (12960 and
+        51840 nodes, against 12800 and 51200 before), which took their
+        tallies from [157, 1016, 226, 0] and [268, 26410, 432, 0] to
+        [154, 957, 230, 0] and [268, 24764, 410, 0]; they now count
+        W = 2 sin(ell x/2) T on 6480 and 25920 nodes, whose jets
+        (numerator_jet) are tallied alike.  A change that sends cells back
+        to the pointwise stage shows here."""
         import trigzeros.zeros as zeros_module
 
         tally = {}
         inside = []
-        original_stage, original_jet = zeros_module._local_stage, zeros_module.evaluate_jet
+        original_stage = zeros_module._local_stage
 
         def stage(*args):
             tally[key][0] += 1
@@ -1011,12 +1027,15 @@ class TestBentCells:
             finally:
                 inside.pop()
 
-        def jet(sample, x, order=3):
-            tally[key][1 if inside else 2] += np.size(x)
-            return original_jet(sample, x, order)
+        def spy(original):
+            def jet(sample, x, order=3):
+                tally[key][1 if inside else 2] += np.size(x)
+                return original(sample, x, order)
+            return jet
 
         monkeypatch.setattr(zeros_module, "_local_stage", stage)
-        monkeypatch.setattr(zeros_module, "evaluate_jet", jet)
+        for name in ("evaluate_jet", "numerator_jet"):
+            monkeypatch.setattr(zeros_module, name, spy(getattr(zeros_module, name)))
         for kind, dep, ell, n in (("trig", "iid", None, 199), ("trig", "iid", None, 499),
                                   ("trig", "iid", None, 1999), ("cosine", "iid", None, 499),
                                   ("trig", "periodic", 3, 400), ("trig", "periodic", 3, 1600)):
@@ -1029,8 +1048,8 @@ class TestBentCells:
         assert tally == {("trig", None, 199): [2, 7, 26, 0], ("trig", None, 499): [4, 18, 79, 0],
                          ("trig", None, 1999): [7, 34, 290, 0],
                          ("cosine", None, 499): [1, 9, 40, 0],
-                         ("trig", 3, 400): [154, 957, 230, 0],
-                         ("trig", 3, 1600): [268, 24764, 410, 0]}
+                         ("trig", 3, 400): [5, 27, 964, 0],
+                         ("trig", 3, 1600): [13, 62, 4087, 0]}
 
 
 class TestGridRule:
@@ -1233,12 +1252,14 @@ class TestTrigReportsUnchanged:
     midpoint splits: count, grid size, halvings, stable flag and the bits
     of the roots (their SHA-256) as the whole-circle code gave them, on
     i.i.d. and periodic r != 0 samples, coarse grids with local halvings
-    included.  The periodic rows read T and T' from their direction table
-    (trigpoly.evaluate_on_grid), folded by the lattice shift on a grid
-    whose size ell divides (ell = 3 at n = 400: 12960 nodes); its rounding
-    moved their roots by at most 8.9e-15 from those of the transform on
-    the same grid.  Their digests are the folded table's, and every root
-    stays within tol of the transform's."""
+    included.  The periodic rows count their lattice numerator
+    W = 2 sin(ell x/2) T on its own grid, half as many nodes a degree
+    (ell = 3 at n = 400: 6480 nodes, 12960 when they counted T).  Their
+    roots, refined on T inside W's brackets, stay within tol of T's count
+    on T's grid: at most 3.7e-14 when these digests were taken.  Their
+    counts and stable flags are those of T's count; doublings fell 3 -> 2
+    on (5, 101, 4, 2).
+    """
 
     PINS = [
         ('iid', None, 1, 32, 0, 2, 256, 0, True, '8af3281bd5a7bd6b'),
@@ -1251,16 +1272,16 @@ class TestTrigReportsUnchanged:
         ('iid', None, 100, 3, 1, 116, 300, 2, True, '12bb7d86f601aef4'),
         ('iid', None, 100, 3, 2, 126, 300, 2, True, 'b7890bb0088dd5e8'),
         ('iid', None, 100, 3, 3, 124, 300, 1, True, '6ddf41ee1a89dd64'),
-        ('periodic', 3, 400, 32, 0, 800, 12960, 0, True, 'cebfeb6fb637b885'),
-        ('periodic', 3, 400, 32, 1, 638, 12960, 0, True, '921f18847cd5f63f'),
-        ('periodic', 2, 40, 32, 0, 48, 1280, 0, True, '37936009eb5ba010'),
-        ('periodic', 2, 40, 32, 1, 60, 1280, 0, True, 'd46181e1fe5b6271'),
-        ('periodic', 2, 42, 32, 0, 54, 1350, 0, True, 'e519dfe4f5e0bd00'),
-        ('periodic', 2, 42, 32, 1, 46, 1350, 0, True, '50e379e53be29798'),
-        ('periodic', 5, 101, 4, 0, 120, 405, 2, True, '2cdc9f4723a312f3'),
-        ('periodic', 5, 101, 4, 1, 156, 405, 1, True, 'd3cd62c6e1b83d99'),
-        ('periodic', 5, 101, 4, 2, 162, 405, 3, True, '6f4ee3a5fdd54d45'),
-        ('periodic', 5, 101, 4, 3, 140, 405, 1, True, '38b24f1ede678e55'),
+        ('periodic', 3, 400, 32, 0, 800, 6480, 0, True, 'd245d5f0ef1296f9'),
+        ('periodic', 3, 400, 32, 1, 638, 6480, 0, True, 'c268a5c873f4a302'),
+        ('periodic', 2, 40, 32, 0, 48, 720, 0, True, '888baf91ad8df4fe'),
+        ('periodic', 2, 40, 32, 1, 60, 720, 0, True, '5d914338a3bb52b1'),
+        ('periodic', 2, 42, 32, 0, 54, 720, 0, True, 'd654c0700cb4bee5'),
+        ('periodic', 2, 42, 32, 1, 46, 720, 0, True, '40721c4077f6f073'),
+        ('periodic', 5, 101, 4, 0, 120, 270, 2, True, 'd82da6c8a4eb4488'),
+        ('periodic', 5, 101, 4, 1, 156, 270, 1, True, '939b3449a6fc87a8'),
+        ('periodic', 5, 101, 4, 2, 162, 270, 2, True, '1ff3aa93d8222f8e'),
+        ('periodic', 5, 101, 4, 3, 140, 270, 1, True, 'fbbfcd28b9983e7e'),
     ]
 
     @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
@@ -1277,12 +1298,11 @@ class TestTrigReportsUnchanged:
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
-        # the transform alone, one order at a time, on the same grid
-        monkeypatch.setattr(zeros_module, "evaluate_on_grid", lambda s, columns, offset, order: (
-            np.stack([evaluate_on_grid(s, columns, offset, order=k) for k in order])))
-        transform = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
-        assert transform.grid_size == size
-        assert np.abs(rep.roots - transform.roots).max() <= 1e-12
+        # T's own count on T's grid
+        monkeypatch.setattr(zeros_module, "_numerator_size", lambda *args: 0)
+        direct = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+        assert (direct.count, direct.stable) == (count, stable)
+        assert np.abs(rep.roots - direct.roots).max() <= 1e-12
 
 
 class TestCupReportsUnchanged:
@@ -1511,3 +1531,41 @@ class TestPhaseRouteShortcuts:
                 det = deterministic_zero_set(m, ell)
                 assert det.size == n + 1 - ell
                 assert np.isin(det, listed.roots).all()
+
+
+class TestLatticeNumerator:
+    """Periodic samples with r != 0 are counted from W = 2 sin(ell x/2) T,
+    as count(W) - ell (zeros, Lattice numerator)."""
+
+    def test_roots_are_the_zeros_of_t(self):
+        """On 200 r != 0 samples (ell = 2..7, trig and cosine, m = 1
+        included where W's table serves it, ell <= 5) counted from W, the
+        roots are as many as the count, T
+        changes sign across each (its dense values at the midpoints
+        between neighbouring roots alternate), and none lies within 1e-9
+        of a lattice point 2 pi k/ell: the single-zero brackets of the
+        lattice points were dropped before Newton."""
+        import trigzeros.zeros as zeros_module
+
+        trials = 0
+        for kind in ("trig", "cosine"):
+            for ell in range(2, 8):
+                model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+                degrees = (ell + 1, 4 * ell + 1, 101, 333) if ell <= 5 else (61, 80, 101, 333)
+                for t in range(17 if ell < 6 else 16):
+                    n = degrees[t % 4]
+                    if (n + 1) % ell == 0:
+                        n += 1
+                    s = sample_coefficients(model, n, seed=mix64(43, n, t))
+                    assert zeros_module._numerator_size(s, 32), (kind, ell, n)
+                    rep = count_zeros(s, want_roots=True, tol=1e-12)
+                    assert rep.stable and rep.roots.size == rep.count, (kind, ell, n, t)
+                    x = np.sort(rep.roots)
+                    mid = 0.5 * (x + np.append(x[1:], x[0] + 2 * np.pi))
+                    signs = np.signbit(evaluate(s, mid))
+                    assert np.all(signs != np.roll(signs, 1)), (kind, ell, n, t)
+                    lattice = 2 * np.pi / ell
+                    gap = np.abs(x / lattice - np.rint(x / lattice)) * lattice
+                    assert gap.min() > 1e-9, (kind, ell, n, t)
+                    trials += 1
+        assert trials == 200
