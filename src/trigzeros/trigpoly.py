@@ -33,8 +33,7 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  on one grid, one order=(0, 1) call (of
                                  half the grid's nodes for an even,
                                  cosine, sample), and so does a periodic
-                                 sample that numerator_on_grid does not
-                                 serve.
+                                 sample with r != 0 and ell > 22.
 numerator_on_grid                W and W' of the lattice numerator
                                  W = 2 sin(ell x/2) T_n (below) on the
                                  grid, from a cached table of its ell
@@ -44,8 +43,8 @@ numerator_on_grid                W and W' of the lattice numerator
                                  coefficients with the table's halves,
                                  O(ell N), from a table of 32 N bytes;
                                  the r != 0 counting route reads W
-                                 there (table_serves decides, and the
-                                 zero counter sizes W's grid by it).
+                                 there (at ell <= 22, where the zero
+                                 counter's rounding bound covers it).
 numerator_jet                    W, W', ... at arbitrary points from its
                                  2 ell sinusoids, O(ell) a point: the
                                  cups, local bisection and root
@@ -154,11 +153,6 @@ _PAIR_SERIES_WINDOW = 0.05
 _PAIR_DIRECT_WINDOW = 1.5
 
 _CHUNK_BUDGET = 4_000_000  # max elements per (points x frequencies) block
-
-# numerator_on_grid: W's folded table may hold at most this many bytes,
-# 32 N: grids of up to 262144 nodes, so ell = 3 up to n = 16000 at 16
-# nodes a degree (two are cached)
-_TABLE_BYTES = 8 << 20
 
 # evaluate_jet: max doubles per block of points (a complex element counts
 # twice), so a block's temporaries stay near 0.5 MB; larger blocks are no
@@ -371,18 +365,6 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     return vals
 
 
-def table_serves(sample: PolySample, num_nodes: int) -> bool:
-    """Whether numerator_on_grid can read W and W' on num_nodes nodes from
-    the sample's folded table: its coefficients repeat with period
-    ell <= n (so never an i.i.d. sample, whose period is n + 1), ell
-    divides num_nodes, 2^(ell+3) <= num_nodes and the table's
-    32 num_nodes bytes fit _TABLE_BYTES.  The zero counter counts W
-    exactly where this holds on W's grid (zeros._numerator_size)."""
-    ell = sample.split.ell
-    return (ell <= sample.n and num_nodes % ell == 0 and 8 << ell <= num_nodes
-            and 32 * num_nodes <= _TABLE_BYTES and sample.repeats)
-
-
 @functools.lru_cache(maxsize=32)
 def numerator_frequencies(split) -> np.ndarray:
     """The 2 ell frequencies of the lattice numerator W of a sample of
@@ -441,8 +423,9 @@ def numerator_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
 
 def numerator_on_grid(sample: PolySample, num_nodes: int, offset: float) -> np.ndarray:
     """W and W' (rows) at every node of grid_nodes(num_nodes, offset),
-    a new (2, N) array, from the sample's cached folded table where
-    table_serves(sample, num_nodes) (the caller checks it).
+    a new (2, N) array, from the sample's cached folded table: the
+    coefficients repeat with period ell <= n and ell divides num_nodes
+    (the caller checks both).
 
     A lattice step multiplies class q of W by -omega^q (module
     docstring), so on N = ell K nodes the s-th run of K nodes,
@@ -501,10 +484,9 @@ def _numerator_table(split, num_nodes: int, offset: float) -> np.ndarray:
     (c_q rho).view(float), Re, Im of class 0, then of class 1, ..., times a
     half gives W or W' at the rotated nodes.  The entries are products of
     sines and cosines, each of one rounded argument, so no lattice point
-    needs a window.  A table takes 32 N bytes, whatever ell is, and
-    table_serves keeps it within _TABLE_BYTES; two are cached, the
-    latest, so that a Monte Carlo run that alternates two degrees keeps
-    both.
+    needs a window.  A table takes 32 N bytes, whatever ell is (15.6 MB
+    at ell = 3, n = 30000); two are cached, the latest, so that a Monte
+    Carlo run that alternates two degrees keeps both.
     """
     ell = split.ell
     K = num_nodes // ell
@@ -534,9 +516,10 @@ def _table_nodes(num_nodes: int, offset: float, ell: int) -> np.ndarray:
     t_k + 2 pi s/ell lies as near the float node sK + k as one point can.
     The float nodes are not shifted copies of each other (each carries its
     own rounding); over the grids the zero counter sizes for the table
-    (2323 at ell = 2..14, N <= 262144), the midrange brings the worst
-    distance from 13.8 u (at t_k = x_k) down to 8.2 u, which the node term
-    of the grid bound covers (zeros)."""
+    (every one at ell = 2..22 up to 65536 nodes, and every tenth above,
+    up to 4.2e6), the midrange brings the worst distance from 13.8 u (at
+    t_k = x_k) down to 8.14 u, which the node term of the grid bound
+    covers (zeros)."""
     K = num_nodes // ell
     runs = grid_nodes(num_nodes, offset).astype(np.longdouble).reshape(ell, K)
     runs -= (2 * np.arccos(np.longdouble(-1)) / ell) * np.arange(ell)[:, None]

@@ -13,10 +13,9 @@ degree, so the real FFT never meets an awkward length.  T and T' are
 read once on this grid, after the coefficients are scaled by a power of
 two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
 order=(0, 1), a single two-row real transform of N nodes.  A periodic
-sample with r != 0 is counted from its lattice numerator
-W = 2 sin(ell x/2) T instead, where W's folded table serves W's grid
-(Lattice numerator, below): the same certificate, on W's grid of its
-own.
+sample with r != 0 and ell <= 22 is counted from its lattice numerator
+W = 2 sin(ell x/2) T instead (Lattice numerator, below): the same
+certificate, on W's grid of its own.
 
 A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
 half circle instead (one counted from W keeps the whole circle: W is
@@ -179,10 +178,10 @@ _local_stage and _refine_roots.  What differs:
       max(256, grid_per_degree (n + ell/2)/2), half the nodes a degree of
       T's grid, 16 at the default (_numerator_size);
   the grid values: W and W' from W's folded table
-      (trigpoly.numerator_on_grid), one matmul, O(ell N); W is counted
-      exactly where that table serves the grid (trigpoly.table_serves:
-      ell | N, 2^(ell+3) <= N and 32 N bytes within 8 MiB, so ell = 3 up
-      to n = 16000), and every other r != 0 sample keeps T's route;
+      (trigpoly.numerator_on_grid), one matmul, O(ell N), from a table
+      of 32 N bytes; W is counted for every r != 0 sample with
+      ell <= 22, where the rounding tally below closes
+      (_NUMERATOR_ELL), and one with ell > 22 keeps T's route;
   the wrap cell: for odd ell it ends at -W(x_0), -W'(x_0) (_Layout.flip);
   the pointwise jet: W's own sum of 2 ell terms (trigpoly.numerator_jet),
       O(ell) a point, with no window beside the lattice;
@@ -191,7 +190,8 @@ _local_stage and _refine_roots.  What differs:
       are refined on T itself (evaluate_jet), as on T's route: beside
       the lattice W's rounding over |W'| = |s T'| moves a zero 1/|s|
       times more than T's rounding over |T'| (at n = 1855 a zero 1.1e-6
-      from the lattice moved by 1.6e-12 when refined on W).
+      from the lattice moved by 1.6e-12 when refined on W).  A cosine
+      sample's T is even: its roots in [0, pi] bring their mirror images.
 
 The rounding bounds are those above with W's terms: for grid values
 delta_k = 8 u log2(N) sqrt(N) ||f^k d||_2 + 16 u n^(k+1) sum_p |d_p|, and
@@ -208,8 +208,8 @@ t_k (trigpoly._table_nodes) and node sK + k reads it rotated by
 -omega^q.  Per unit of w_q = 2 |c_q|, class q's share of sum_p |d_p|,
 with f_q its top frequency (f_q <= n, |W_q^(k)| <= f_q^k w_q), W^(k)
 takes four errors.  The route's node t_k + 2 pi s/ell lies within 8.2 u
-of the float node where the certificate places the value (on every
-grid this rule sizes at ell <= 14, trigpoly's TestDirectionTable):
+of the float node where the certificate places the value (8.14 u
+measured at ell = 2..22, N up to 4.2e6; trigpoly's TestDirectionTable):
 8.2 u f_q^(k+1).  The table's arguments M_q ell t/2 and nu_q t are
 rounded once, each like a shift of t by at most 2 pi u/ell <= pi u:
 6.3 u f_q^(k+1) together.  The rotation is within 4.7 u and its product
@@ -219,20 +219,26 @@ u (13 + 2.9 ell) f_q^k together.  The first two, 14.5 u f_q^(k+1), fit
 the node term 16 u n^(k+1) per unit.  The rest is held by the transform
 term, which this route does not spend: ||f^k d||_2 >=
 sum_p |f_p|^k |d_p|/sqrt(2 ell) >= sum_q f_q^k w_q/(2 sqrt(2 ell)), so
-with N >= 256 it is at least 512 u f_q^k/sqrt(2 ell) per unit, above
-u (13 + 2.9 ell) f_q^k for every ell <= 14.  So delta_grid covers W's
-table at every degree, to first order in u.  Measured at n <= 250,
+with N >= 256 it is at least 512 u f_q^k/sqrt(2 ell) per unit, at or
+above u (13 + 2.9 ell) f_q^k for every ell <= 22 (77.2 >= 76.8 at
+ell = 22, 75.5 < 79.7 at 23).  So delta_grid covers W's table at every
+degree and every ell <= 22, to first order in u, and those are the
+samples W is counted for (_NUMERATOR_ELL).  Measured at n <= 250,
 ell = 2..7, both kinds: W's rows lie within 0.12 delta_grid of
 2 sin(ell x/2) T summed in long double at the float nodes, within 0.07
 of the node term at the route's own nodes, and the jet, orders 0 to 3,
-within 0.09 delta_point, beside the lattice too.
+within 0.09 delta_point, beside the lattice too; at ell = 15, 18 and 22
+the rows lie within 0.09 delta_grid and the jet within 0.05
+delta_point.
 
 Measured at trig ell = 3 (count_zeros gives the times): over 300 trials
 each at n = 400 and 1600 the local stage ran in 5 and 13 trials,
 against 154 and 268 counting T, and over 1200 trials at n = 12000 none
 was unstable, against 27 counting T.  Over 3000 trials (ell = 2..7, both
 kinds, n up to 2000) every (count, stable) that counting T certified is
-unchanged, and the 6 that it left unstable are stable.
+unchanged, and the 6 that it left unstable are stable; so it is on 2208
+at ell = 6..22 (n <= 2000, m = 1 included) and 60 at ell = 3,
+n = 16500 ... 30000 (16 unstable counting T, none on W).
 
 Phase route (periodic, r = 0, m >= 2)
 -------------------------------------
@@ -281,7 +287,7 @@ import numpy as np
 from . import models
 from .models import PolySample
 from .trigpoly import (evaluate_jet, evaluate_on_grid, frequency_powers, lattice_numerator,
-                       numerator_frequencies, numerator_jet, numerator_on_grid, table_serves)
+                       numerator_frequencies, numerator_jet, numerator_on_grid)
 
 TWO_PI = 2.0 * np.pi
 
@@ -313,6 +319,13 @@ _U = 0.5 * np.finfo(float).eps
 _FFT_ROUNDING = 8.0
 _SUM_ROUNDING = 10.0
 _WIDTH_SLACK = 1e-9
+
+# the largest ell whose lattice numerator W is counted: W's folded table
+# leaves u (13 + 2.9 ell) per unit of class weight to the transform term
+# that it does not spend, at least _FFT_ROUNDING log2(256) sqrt(256)/2 =
+# 512 u/sqrt(2 ell) per unit on the smallest grid (module docstring), so
+# 22 (77.2 >= 76.8; at 23, 75.5 < 79.7)
+_NUMERATOR_ELL = max(ell for ell in range(1, 64) if 512 / np.sqrt(2 * ell) >= 13 + 2.9 * ell)
 
 # the slope of the cubic Hermite interpolant of f on a cell of width w
 # misses f' by at most _SLOPE_HERMITE w^3 max |f^(4)| (Birkhoff and Priver)
@@ -399,18 +412,18 @@ def _polynomial_roots(p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def _refine_roots(jet: Callable, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
+def _refine_roots(jet: Callable, lo, hi, g_lo, g_hi, tol: float, start=None) -> np.ndarray:
     """Roots of g in the brackets (lo_i, hi_i) by safeguarded Newton
     (rtsafe), all brackets at once.
 
     g_lo and g_hi are the values of g at the bracket ends, which every
     caller already holds; jet(x, idx) returns (g, g') at the points x for
-    the brackets idx.  Each root starts at the secant of g across its
-    bracket, and every iterate shrinks the bracket; a step that would
-    leave it, or that is not under half the previous one, is replaced by
-    bisection, so a root never leaves its bracket.  A root is final once
-    its step is within tol, and only unfinished roots are iterated
-    further.  A zero-width bracket is returned as it is.
+    the brackets idx.  Each root starts at start, or else at the secant
+    of g across its bracket, and every iterate shrinks the bracket; a
+    step that would leave it, or that is not under half the previous
+    one, is replaced by bisection, so a root never leaves its bracket.
+    A root is final once its step is within tol, and only unfinished
+    roots are iterated further.  A zero-width bracket is returned as is.
     """
     out = np.asarray(lo, dtype=float).copy()
     idx = np.flatnonzero(np.asarray(hi) > out)
@@ -418,7 +431,7 @@ def _refine_roots(jet: Callable, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
     g_lo, g_hi = np.asarray(g_lo)[idx], np.asarray(g_hi)[idx]
     rising = g_hi > g_lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = lo + g_lo / (g_lo - g_hi) * (hi - lo)
+        x = lo + g_lo / (g_lo - g_hi) * (hi - lo) if start is None else np.asarray(start)[idx]
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     last = hi - lo
     for _ in range(_REFINE_MAX_ITER):
@@ -598,16 +611,13 @@ def _grid_size(n: int, grid_per_degree: int, mirror: bool) -> int:
 
 
 def _numerator_size(sample: PolySample, grid_per_degree: int) -> int:
-    """The grid size N of the sample's lattice numerator W, or 0 where W is
-    not counted: N is the smallest multiple of ell with a 5-smooth
-    cofactor at or above max(256, grid_per_degree (n + ell/2)/2), half as
-    many nodes a degree as T takes, and W is counted exactly where its
-    folded table serves that grid (trigpoly.table_serves: never an
-    i.i.d. sample, whose ell = n + 1)."""
+    """The grid size N of the sample's lattice numerator W: the smallest
+    multiple of ell with a 5-smooth cofactor at or above
+    max(256, grid_per_degree (n + ell/2)/2), half as many nodes a degree
+    as T takes."""
     ell = sample.split.ell
     least = max(256, -(-grid_per_degree * (2 * sample.n + ell) // 4))
-    N = ell * smooth_size(-(-least // ell))
-    return N if table_serves(sample, N) else 0
+    return ell * smooth_size(-(-least // ell))
 
 
 @dataclass(frozen=True)
@@ -926,7 +936,8 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
     cells it leaves.  The brackets of the roots are gathered only with
     want_roots; on W a single-zero bracket that holds a lattice point
     2 pi k/ell holds that zero of W alone, and is dropped before Newton;
-    the rest are refined on T itself.
+    the rest are refined on T itself, those of an even (cosine) T only
+    where W's own root lies in [0, pi], and each brings its mirror image.
     """
     split = unit.split
     if numerator:
@@ -971,17 +982,26 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
         lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*ends))
         # a zero of a cell that stands for its mirror image too brings 2 pi - x
         twice = np.repeat(np.array(weights) == 2, [part.size for part, *_ in ends])
+        start = None
         if numerator:
             period = TWO_PI / split.ell
-            free = np.ceil(lo / period) * period > hi  # no lattice point in [lo, hi]
-            lo, hi, f_lo, f_hi, twice = (column[free] for column in (lo, hi, f_lo, f_hi, twice))
+            keep = np.ceil(lo / period) * period > hi  # no lattice point in [lo, hi]
+            if unit.model.kind == "cosine":
+                # T is even: its roots in [0, pi] (mod 2 pi) and their mirror
+                # images.  Each starts from W's own root, whose jet costs
+                # O(ell) a point, so that one pass of T's O(sqrt n) jet
+                # mostly ends it (a trig sample keeps the secant start)
+                start = _refine_roots(jet, lo, hi, f_lo, f_hi, tol)
+                keep &= np.mod(start, TWO_PI) <= np.pi
+                twice, start = keep, start[keep]
+            lo, hi, f_lo, f_hi, twice = (column[keep] for column in (lo, hi, f_lo, f_hi, twice))
             # Newton on T itself: beside the lattice W's rounding over
             # |W'| = |s T'| would move a zero 1/|s| times more than T's
             # rounding over |T'|.  s has one sign on a bracket, so T's ends
             # have the signs of W/s
             f_lo, f_hi = (f / np.sin(0.5 * split.ell * x) for f, x in ((f_lo, lo), (f_hi, hi)))
             jet = lambda x, _: evaluate_jet(unit, x, order=1)  # noqa: E731
-        found = _refine_roots(jet, lo, hi, f_lo, f_hi, tol)
+        found = _refine_roots(jet, lo, hi, f_lo, f_hi, tol, start)
         roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))
     if numerator:
         count -= split.ell
@@ -1126,26 +1146,22 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
                 want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
-    Dispatch: samples whose split (PolySample.split) factors (r = 0,
-    m >= 2, so never an i.i.d. one, the vacuous period) take the
-    phase route (the deterministic zero set plus the exact phase count of
-    the reduced factor T^*; grid_per_degree and max_doublings do not
-    enter).  A periodic sample with r != 0 (ell <= n, m = 1 included)
-    whose coefficients repeat is counted from its lattice numerator
-    W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with no lattice spike,
-    as count(W) - ell, on the whole circle, on a grid of half as many
-    nodes a degree: N >= max(256, grid_per_degree (n + ell/2)/2), the
-    smallest multiple of ell with a 5-smooth cofactor (_numerator_size),
-    wherever W's folded table serves that grid (trigpoly.table_serves).
-    Measured (one BLAS thread, median per trial, trig ell = 3): n = 400
-    0.30 -> 0.24 ms on 6480 nodes against T's 12960, n = 1600
-    1.8 -> 0.9 ms on 25920 against 51840, n = 12000 130 -> 3.5 ms on
-    194400 against 384000, with every count and stable flag that T's
-    count certified unchanged on 3000 trials.  Everything else, the
-    i.i.d. samples, m = 1 with r = 0 and the samples W's table does not
-    serve, takes the grid route on T itself: the cell certificate on one
-    grid of N >= max(256, grid_per_degree * n) nodes (_grid_size, the
-    smallest 5-smooth size).  Either grid takes at most max_doublings local
+    Dispatch reads the split (PolySample.split) alone.  Samples whose
+    split factors (r = 0, m >= 2, so never an i.i.d. one, the vacuous
+    period) take the phase route (the deterministic zero set plus the
+    exact phase count of the reduced factor T^*; grid_per_degree and
+    max_doublings do not enter).  A periodic sample with r != 0 (so
+    ell <= n, m = 1 included) and ell <= 22, where the rounding bound
+    covers W's folded table (_NUMERATOR_ELL), is counted from its
+    lattice numerator W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with
+    no lattice spike, as count(W) - ell, on the whole circle, on a grid
+    of half as many nodes a degree: N >= max(256, grid_per_degree
+    (n + ell/2)/2), the smallest multiple of ell with a 5-smooth
+    cofactor (_numerator_size), whose table takes 32 N bytes.  Everything
+    else, the i.i.d. samples, m = 1 with r = 0 and r != 0 with ell > 22,
+    takes the grid route on T itself: the cell certificate on one grid of
+    N >= max(256, grid_per_degree * n) nodes (_grid_size, the smallest
+    5-smooth size).  Either grid takes at most max_doublings local
     splits of a cell that the grid's hull, monotone and curvature tests
     leave undecided (at the midpoint, so finest spacing
     2 pi/N 2^-max_doublings).  A cosine sample (T even; a nonzero b is a
@@ -1169,10 +1185,10 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     stays undecided, counts its change of sign bit and makes the report
     unstable.
 
-    Either route first checks the sample: a non-finite coefficient is a
-    FloatingPointError, a vanishing sample a RuntimeError, and an r = 0
-    sample whose coefficients do not repeat with period ell a ValueError
-    (the phase route reads the first ell alone).
+    Every route first checks the sample: a non-finite coefficient is a
+    FloatingPointError, a vanishing sample a RuntimeError, and one whose
+    coefficients do not repeat with the period ell of its split (i.i.d.:
+    n + 1, so none) a ValueError: the phase route and W read ell alone.
 
     With want_roots, every zero is refined by safeguarded Newton inside
     its certified bracket (a cell, a sub-cell or a monotone piece of the
@@ -1199,25 +1215,24 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             f"the sample vanishes identically (every x is a zero); "
             f"model={model}, seed={sample.seed}"
         )
-    mirror = model.kind == "cosine" and not split.factors  # the half circle needs T even
+    if not sample.repeats:
+        raise ValueError(f"coefficients that do not repeat with period ell={split.ell}; "
+                         f"model={model}, seed={sample.seed}")
+    mirror = model.kind == "cosine" and not split.factors  # T's half circle, W's roots: T even
     if mirror and sample.b.any():
         raise ValueError(f"nonzero b in a cosine sample, whose b is 0; model={model}, "
                          f"seed={sample.seed}")
     if split.factors:
-        ell = split.ell
-        if not sample.repeats:
-            raise ValueError(f"coefficients that do not repeat with period ell={ell}; "
-                             f"model={model}, seed={sample.seed}")
         count, pieces, stable, roots = _phase_count(sample, want_roots, tol)
         count += split.deterministic_zeros  # the size of deterministic_zero_set
         if want_roots:
-            roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, ell)]))
+            roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, split.ell)]))
         N = doublings = 0
     else:
-        # W on the whole circle where its folded table serves, else T
-        N = _numerator_size(sample, grid_per_degree)
-        numerator = N > 0
+        # W on the whole circle wherever its rounding tally holds, else T
+        numerator = split.r != 0 and split.ell <= _NUMERATOR_ELL
         if numerator:
+            N = _numerator_size(sample, grid_per_degree)
             layout = _grid_layout(N, False, split.ell % 2 == 1)
         else:
             N = _grid_size(n, grid_per_degree, mirror)

@@ -397,12 +397,9 @@ def _phi(m, ell, x):
 
 def _table_layout(sample):
     """The layout of count_zeros' grid for the sample's lattice numerator W
-    at 32 nodes a degree of T (16 of W) or, where W's table does not serve
-    that grid, at the fewest doublings of it that it serves."""
-    gpd = 32
-    while not (N := zeros._numerator_size(sample, gpd)):
-        gpd *= 2
-    return zeros._grid_layout(N, False, sample.split.ell % 2 == 1)
+    at 32 nodes a degree of T (16 of W)."""
+    return zeros._grid_layout(zeros._numerator_size(sample, 32), False,
+                              sample.split.ell % 2 == 1)
 
 
 def _unit_sample(kind, ell, n, seed):
@@ -459,13 +456,13 @@ class TestDirectionTable:
 
     @staticmethod
     def _degrees(ell):
-        """Degrees with r != 0 up to 60 (m = 1 with r = 1 included), and two
-        larger."""
+        """Degrees n >= ell with r != 0 up to 66 (m = 1 with r = 1 included),
+        and two larger."""
         return [n for n in sorted({ell, ell + 1, 2 * ell, 3 * ell, 11, 30, 60, 101, 250})
-                if (n + 1) % ell or (n + 1) // ell < 2]
+                if n >= ell and ((n + 1) % ell or (n + 1) // ell < 2)]
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
-    @pytest.mark.parametrize("ell", range(2, 8))
+    @pytest.mark.parametrize("ell", [*range(2, 8), 22])
     def test_rows_lie_within_the_grid_bound(self, kind, ell):
         """Both rows of W's table lie within delta_grid (the certificate of
         W) of the np.longdouble sum of 2 sin(ell x/2) T at the float nodes,
@@ -512,7 +509,7 @@ class TestDirectionTable:
                         assert np.all(err <= share * node), (ell, n, seed, err / node)
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
-    @pytest.mark.parametrize("ell", range(2, 8))
+    @pytest.mark.parametrize("ell", [*range(2, 8), 22])
     def test_jet_lies_within_the_pointwise_bound(self, kind, ell):
         """numerator_jet, orders 0 to 3, lies within delta_point (the
         certificate of W) of the np.longdouble sum of 2 sin(ell x/2) T and
@@ -536,15 +533,17 @@ class TestDirectionTable:
                 assert np.all(err <= cert.delta_point), (n, seed, err / cert.delta_point)
 
     def test_counts_equal_counting_t(self, monkeypatch):
-        """Over 200 periodic trials, trig and cosine, ell = 2..7, on fine
-        and coarse grids, W's count (count, stable flag) is T's count on
-        T's own grid wherever that is stable, W's root count is its count,
-        and every root is within tol of T's root.  Each degree builds one
-        table."""
+        """Over 320 periodic trials, trig and cosine, ell = 2..7, 12, 15 and
+        22 (m = 1 included), on fine and coarse grids, W's count (count,
+        stable flag) is T's count on T's own grid wherever that is stable,
+        W's root count is its count, and every root is within tol of T's
+        root.  Each degree builds one table."""
         cases = [("trig", 2, 40, 32), ("trig", 3, 100, 32), ("trig", 4, 61, 32),
                  ("trig", 5, 101, 4), ("trig", 7, 80, 32), ("trig", 3, 400, 4),
                  ("cosine", 2, 42, 32), ("cosine", 3, 100, 32), ("cosine", 5, 101, 32),
-                 ("cosine", 6, 200, 32)]
+                 ("cosine", 6, 200, 32), ("trig", 12, 12, 32), ("cosine", 12, 60, 32),
+                 ("trig", 15, 101, 32), ("cosine", 15, 20, 32), ("trig", 22, 30, 32),
+                 ("cosine", 22, 101, 32)]
         trials = 0
         for kind, ell, n, gpd in cases:
             model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
@@ -552,9 +551,9 @@ class TestDirectionTable:
             for t in range(20):
                 s = sample_coefficients(model, n, seed=models.mix64(41, n, t))
                 got = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
-                assert got.grid_size == zeros._numerator_size(s, gpd) > 0, (kind, ell, n)
+                assert got.grid_size == zeros._numerator_size(s, gpd), (kind, ell, n)
                 with monkeypatch.context() as patch:
-                    patch.setattr(zeros, "_numerator_size", lambda *args: 0)
+                    patch.setattr(zeros, "_NUMERATOR_ELL", 0)
                     want = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
                 assert got.roots.size == got.count and got.stable, (kind, n, t)
                 if want.stable:
@@ -562,16 +561,17 @@ class TestDirectionTable:
                     assert np.abs(got.roots - want.roots).max(initial=0.0) <= 1e-12
                 trials += 1
             assert trigpoly._numerator_table.cache_info().misses == 1, (kind, ell, n)
-        assert trials == 200
+        assert trials == 320
 
     def test_route_and_cache_budget(self):
         """ell = 3 at n = 400 (N = 6480) and at n = 1600 (N = 25920) count W
-        from its table, and so does n = 12000 (N = 194400, a table of
-        6.2 MB); i.i.d. n = 199 (ell = 200 > n) counts T on its transform,
-        and so does a periodic sample whose coefficients do not repeat.
-        Counting samples at several degrees leaves at most two tables in
-        the cache, the latest, each of at most _TABLE_BYTES, and a run that
-        alternates two degrees builds each table once."""
+        from its table, and so do n = 12000 (N = 194400, a table of
+        6.2 MB) and n = 16500 (N = 270000, 8.6 MB), stably; i.i.d. n = 199
+        (ell = 200 > n) counts T on its transform, and a periodic sample
+        whose coefficients do not repeat is a ValueError.  Counting samples
+        at several degrees leaves at most two tables in the cache, the
+        latest, each of 32 N bytes, and a run that alternates two degrees
+        builds each table once."""
         table = trigpoly._numerator_table
         periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
         table.cache_clear()
@@ -586,13 +586,13 @@ class TestDirectionTable:
         table.cache_clear()
         iid = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=1)
         assert count_zeros(iid).grid_size == 6400
-        assert zeros._numerator_size(iid, 32) == 0
         s = sample_coefficients(periodic, 100, seed=2)
         a = s.a.copy()
         a[-1] += 1.0
         rigged = dataclasses.replace(s, a=a)
-        assert not rigged.repeats and zeros._numerator_size(rigged, 32) == 0
-        assert count_zeros(rigged).grid_size == 3200
+        assert not rigged.repeats
+        with pytest.raises(ValueError, match="do not repeat with period ell=3"):
+            count_zeros(rigged)
         assert table.cache_info().misses == 0
         for n in (100, 199, 301, 400, 499, 601, 1600, 199, 100):  # r != 0
             s = sample_coefficients(periodic, n, seed=3)
@@ -600,14 +600,18 @@ class TestDirectionTable:
             assert table.cache_info().currsize <= 2
             assert _holds_table(s.split, columns, GRID_OFFSET)
             assert table(s.split, columns, GRID_OFFSET).nbytes == 32 * columns
-            assert 32 * columns <= trigpoly._TABLE_BYTES
+        big = sample_coefficients(periodic, 16500, seed=models.mix64(41, 16500, 0))
+        report = count_zeros(big)
+        assert (report.grid_size, report.stable) == (270000, True)
+        assert _holds_table(big.split, 270000, GRID_OFFSET)
 
     def test_rotations_are_exact_at_half_and_quarter_turns(self):
         """(-1)^s omega^(qs) is 1, i, -1 or -i to the bit where 4 qs is a
-        multiple of ell, and within u of (-1)^s e^(2 pi i qs/ell)
-        elsewhere (0.75 u measured; _rotations states 4.7 u)."""
+        multiple of ell, and elsewhere within u of (-1)^s e^(2 pi i qs/ell)
+        at ell <= 14 (0.77 u measured) and within 1.3 u at ell = 15..22
+        (1.27 u measured, at ell = 17); _rotations states 4.7 u."""
         pi = np.arccos(np.longdouble(-1))
-        for ell in range(1, 15):
+        for ell in range(1, 23):
             rot = trigpoly._rotations(ell)
             s = np.arange(ell)[:, None]
             turns = (s * np.arange(ell)) % ell
@@ -616,79 +620,83 @@ class TestDirectionTable:
             assert np.array_equal(rot[quarter], exact[quarter]), ell
             angle = 2 * pi * turns / ell + pi * s
             want = np.cos(angle) + 1j * np.sin(angle)
-            assert np.abs(rot - want).max() <= np.finfo(float).eps / 2, ell
+            bound = 1.0 if ell <= 14 else 1.3
+            assert np.abs(rot - want).max() <= bound * np.finfo(float).eps / 2, ell
 
     def test_shifted_nodes_lie_near_the_float_nodes(self):
         """The route's nodes t_k + 2 pi s/ell lie within 8.2 u of the float
-        nodes of grid_nodes on the grids that W's rule sizes for the table
-        (whole circle, ell times a 5-smooth cofactor, at least 256 and
-        2^(ell+3) nodes, so ell <= 14): each of the 1373 up to 65536
-        columns, and every third of the 950 above, up to the budget's
-        262144 (all 2323 read 8.14 u at most when measured; zeros: the node
-        term covers the shift).  Placing the table at the float nodes x_k
-        themselves would miss by up to 13.8 u.  At ell = 1 the table's
-        nodes are the float nodes."""
+        nodes of grid_nodes on the grids that W's rule sizes (whole circle,
+        ell times a 5-smooth cofactor, at least 256 nodes) at ell = 2..22:
+        each of the 2953 up to 65536 columns, and one larger grid per ell,
+        2^17 to 2^21 columns, with 4.2e6 more at ell = 22 (8.14 u at most
+        when measured, on every tenth grid up to 4.2e6 too; zeros: the
+        node term covers the shift).  Placing the table at the float nodes
+        x_k themselves would miss by up to 13.8 u.  The distance is
+        t_k - (x_(sK+k) - c_s) + (2 pi s/ell - c_s), c_s the double nearest
+        2 pi s/ell: both differences of doubles are exact (Sterbenz's
+        lemma), so only the last sum rounds.  At ell = 1 the table's nodes
+        are the float nodes."""
         pi = np.arccos(np.longdouble(-1))
         u = np.finfo(float).eps / 2
-        top = trigpoly._TABLE_BYTES // 32
-        smooth = [k for k in range(1, top + 1) if _is_smooth(k)]
-        small = large = 0
+        smooth = [k for k in range(1, 65537) if _is_smooth(k)]
+        grids = [(ell, ell * k) for ell in range(2, 23) for k in smooth if 256 <= ell * k <= 65536]
+        assert len(grids) == 2953
+        grids += [(ell, ell * zeros.smooth_size(-(-(1 << (17 + ell % 5)) // ell)))
+                  for ell in range(2, 23)]
+        grids.append((22, 4224000))
         worst = 0.0
-        for ell in range(2, 15):
-            for k in smooth:
-                columns = ell * k
-                if not max(256, 8 << ell) <= columns <= top:
-                    continue
-                if columns > 65536:
-                    large += 1
-                    if large % 3:
-                        continue
-                else:
-                    small += 1
-                x = grid_nodes(columns, GRID_OFFSET).astype(np.longdouble)
-                t = trigpoly._table_nodes(columns, GRID_OFFSET, ell).astype(np.longdouble)
-                shift = 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell
-                worst = max(worst, np.abs((t + shift).ravel() - x).max() / u)
-        assert (small, large) == (1373, 950)
+        for ell, columns in grids:
+            turns = 2 * pi * np.arange(ell, dtype=np.longdouble) / ell
+            near = turns.astype(float)
+            x = grid_nodes(columns, GRID_OFFSET).reshape(ell, -1) - near[:, None]
+            t = trigpoly._table_nodes(columns, GRID_OFFSET, ell)
+            gap = (t - x) + (turns - near).astype(float)[:, None]
+            worst = max(worst, np.abs(gap).max() / u)
         assert worst <= 8.2, worst
-        for columns in (256, 1000, top):
+        for columns in (256, 1000, 262144):
             x = grid_nodes(columns, GRID_OFFSET)
             assert np.array_equal(trigpoly._table_nodes(columns, GRID_OFFSET, 1), x)
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_grid_size_rule(self, kind):
-        """Where W's table serves its grid, N is the smallest multiple of
-        ell with a 5-smooth cofactor at or above
-        max(256, grid_per_degree (n + ell/2)/2), half T's nodes a degree,
-        on the whole circle; everywhere else, i.i.d., ell = n + 1, r = 0,
-        over the budget or not repeating, N is T's 5-smooth rule (a
-        multiple of 4 on a cosine sample's half circle)."""
+        """A periodic sample with r != 0 and ell <= 22 (zeros._NUMERATOR_ELL,
+        where W's rounding tally closes) counts W on the whole circle, on
+        the smallest multiple N of ell with a 5-smooth cofactor at or above
+        max(256, grid_per_degree (n + ell/2)/2), half T's nodes a degree;
+        everywhere else, i.i.d., ell = n + 1 (r = 0) or ell > 22, N is T's
+        5-smooth rule (a multiple of 4 on a cosine sample's half circle).
+        A periodic sample whose coefficients do not repeat is a
+        ValueError."""
+        assert zeros._NUMERATOR_ELL == 22
         mirror = kind == "cosine"
         served = kept = 0
-        for ell in range(2, 8):
+        for ell in (*range(2, 8), 22, 23, 30):
             model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
             for n in (ell - 1, ell, 2 * ell, 37, 101, 400, 1600, 2100, 4001, 16001):
                 if (n + 1) % ell == 0 and n >= ell:
                     continue  # r = 0 with m >= 2: the phase route
+                s = sample_coefficients(model, n, seed=5)
+                if n >= ell:  # n = ell - 1 repeats nothing
+                    rigged = dataclasses.replace(s, a=s.a + np.arange(n + 1))
+                    with pytest.raises(ValueError, match=f"do not repeat with period ell={ell}"):
+                        count_zeros(rigged)
+                numerator = s.split.r != 0 and ell <= 22
                 for gpd in (1, 4, 32):
-                    s = sample_coefficients(model, n, seed=5)
                     if n <= 400:  # the count itself; above, the rules it applies
                         N = count_zeros(s, grid_per_degree=gpd).grid_size
+                    elif numerator:
+                        N = zeros._numerator_size(s, gpd)
                     else:
-                        N = zeros._numerator_size(s, gpd) or zeros._grid_size(n, gpd, mirror)
-                    least = max(256, gpd * n)
-                    smooth = (4 * zeros.smooth_size(-(-least // 4)) if mirror
-                              else zeros.smooth_size(least))
-                    rigged = dataclasses.replace(s, a=s.a + np.arange(n + 1))
-                    assert zeros._numerator_size(rigged, gpd) == 0
-                    least = max(256, -(-gpd * (2 * n + ell) // 4))
-                    step = ell * zeros.smooth_size(-(-least // ell))
-                    if not trigpoly.table_serves(s, step):
-                        assert N == smooth, (ell, n, gpd)
+                        N = zeros._grid_size(n, gpd, mirror)
+                    if not numerator:
+                        least = max(256, gpd * n)
+                        assert N == (4 * zeros.smooth_size(-(-least // 4)) if mirror
+                                     else zeros.smooth_size(least)), (ell, n, gpd)
                         kept += 1
                         continue
                     served += 1
-                    assert N == step and N >= least and _is_smooth(N // ell)
+                    least = max(256, -(-gpd * (2 * n + ell) // 4))
+                    assert N >= least and N % ell == 0 and _is_smooth(N // ell), (ell, n, gpd)
                     assert not any(_is_smooth(k) for k in range(-(-least // ell), N // ell))
         assert served > 40 and kept > 40
         iid = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), 199, seed=5)

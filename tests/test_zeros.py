@@ -1299,7 +1299,7 @@ class TestTrigReportsUnchanged:
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
         # T's own count on T's grid
-        monkeypatch.setattr(zeros_module, "_numerator_size", lambda *args: 0)
+        monkeypatch.setattr(zeros_module, "_NUMERATOR_ELL", 0)
         direct = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
         assert (direct.count, direct.stable) == (count, stable)
         assert np.abs(rep.roots - direct.roots).max() <= 1e-12
@@ -1539,9 +1539,8 @@ class TestLatticeNumerator:
 
     def test_roots_are_the_zeros_of_t(self):
         """On 200 r != 0 samples (ell = 2..7, trig and cosine, m = 1
-        included where W's table serves it, ell <= 5) counted from W, the
-        roots are as many as the count, T
-        changes sign across each (its dense values at the midpoints
+        included at ell <= 5) counted from W, the roots are as many as the
+        count, T changes sign across each (its dense values at the midpoints
         between neighbouring roots alternate), and none lies within 1e-9
         of a lattice point 2 pi k/ell: the single-zero brackets of the
         lattice points were dropped before Newton."""
@@ -1557,8 +1556,8 @@ class TestLatticeNumerator:
                     if (n + 1) % ell == 0:
                         n += 1
                     s = sample_coefficients(model, n, seed=mix64(43, n, t))
-                    assert zeros_module._numerator_size(s, 32), (kind, ell, n)
                     rep = count_zeros(s, want_roots=True, tol=1e-12)
+                    assert rep.grid_size == zeros_module._numerator_size(s, 32), (kind, ell, n)
                     assert rep.stable and rep.roots.size == rep.count, (kind, ell, n, t)
                     x = np.sort(rep.roots)
                     mid = 0.5 * (x + np.append(x[1:], x[0] + 2 * np.pi))
