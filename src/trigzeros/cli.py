@@ -39,7 +39,7 @@ from .harness import (
 from .kacrice import expected_zeros_quadrature
 from .models import CoefficientModel, sample_coefficients
 from .trigpoly import evaluate
-from .zeros import count_zeros
+from .zeros import GRID_PER_DEGREE, count_zeros
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +73,9 @@ def _add_model_arguments(parser):
 
 
 _MODEL_KEYS = ("kind", "dep", "ell", "sigma")
+_GRID_HELP = (f"nodes a degree of the function counted (default {GRID_PER_DEGREE}): W = 2 sin(ell "
+              "x/2) T of degree n + ell/2 for periodic r != 0, ell <= 22, on ell times a 5-smooth "
+              "size; else T, twice that where m >= 2, on a 5-smooth size (cosine: a multiple of 4)")
 
 
 def _model(parser, values, degrees, expected_r):
@@ -318,9 +321,7 @@ def build_parser() -> _Parser:
     _add_model_arguments(p_sim)
     p_sim.add_argument("--trials", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--grid-per-degree", type=int, default=None,
-                       help="minimum nodes per degree, rounded up to a "
-                            "5-smooth size")
+    p_sim.add_argument("--grid-per-degree", type=int, default=None, help=_GRID_HELP)
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", default=None, help="write report to a file")
@@ -343,9 +344,7 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count", help="count zeros of one sample")
     _add_model_arguments(p_count)
     p_count.add_argument("--seed", type=int, default=0)
-    p_count.add_argument("--grid-per-degree", type=int, default=32,
-                         help="minimum nodes per degree, rounded up to a "
-                              "5-smooth size")
+    p_count.add_argument("--grid-per-degree", type=int, default=GRID_PER_DEGREE, help=_GRID_HELP)
     p_count.add_argument("--dump-roots", default=None, metavar="PATH",
                          help="write refined roots as CSV (index,x,residual)")
 

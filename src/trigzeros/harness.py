@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
 from .models import CoefficientModel, mix64, sample_coefficients
-from .zeros import _check_count, count_zeros
+from .zeros import GRID_PER_DEGREE, _check_count, count_zeros
 
 CSV_COLUMNS = (
     "n",
@@ -57,7 +57,7 @@ class ExperimentConfig:
     degrees: tuple = (100,)
     trials: int = 200
     master_seed: int = 0
-    grid_per_degree: int = 32
+    grid_per_degree: int = GRID_PER_DEGREE
     max_doublings: int = 4
     workers: int = 1
 

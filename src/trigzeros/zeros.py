@@ -8,11 +8,12 @@ The circle is cut into the N cells [x_i, x_{i+1}] of the uniform open
 grid x_i = 2 pi (i + g)/N, wrap cell (x_{N-1}, x_0 + 2 pi) included,
 with g = GRID_OFFSET the golden section and h = 2 pi/N.
 N = smooth_size(max(256, grid_per_degree * n)) is the smallest 5-smooth
-size (no prime factor above 5) with at least grid_per_degree nodes per
-degree, so the real FFT never meets an awkward length.  T and T' are
-read once on this grid, after the coefficients are scaled by a power of
-two so that the largest is O(1): one trigpoly.evaluate_on_grid call with
-order=(0, 1), a single two-row real transform of N nodes.  A periodic
+size (no prime factor above 5) with grid_per_degree (GRID_PER_DEGREE = 16)
+nodes a degree of the function counted, twice that for a T whose lattice
+spikes set M (m >= 2), so the real FFT never meets an awkward length.
+T and T' are read once on this grid, after the coefficients are scaled
+by a power of two so that the largest is O(1): one evaluate_on_grid
+call with order=(0, 1), a two-row real transform of N nodes.  A periodic
 sample with r != 0 and ell <= 22 is counted from its lattice numerator
 W = 2 sin(ell x/2) T instead (Lattice numerator, below): the same
 certificate, on W's grid of its own.
@@ -53,9 +54,9 @@ Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
 
   M >= max |T|, the smaller of sum_j |c_j| and (max_i |T(x_i)| +
-      delta_0)/(1 - (n w_max)^2/8) with w_max the widest cell, h on the
-      whole circle (at the maximizer T' = 0, and a node lies within
-      w_max/2 of it);
+      delta_0)/(1 - (n w_max)^2/8), w_max the widest cell (at the maximizer
+      T' = 0, and a node lies within w_max/2 of it); at 16 nodes a degree
+      (n w_max)^2/8 is 0.019 on the whole circle and 0.029 on the half;
   Bernstein's inequality max |T^(k)| <= n^k M;
   the cubic Hermite interpolant p_k of T^(k) from its values and slopes
       at the cell ends, which misses T^(k) by at most w^4 n^(k+4) M/384
@@ -151,8 +152,8 @@ A periodic sample with r != 0 (ell <= n, m = 1 included, trig and
 cosine alike) is the sum of ell grouped directions
 phi_{M_q}(x) Re c_q e^{i nu_q x} (trigpoly), and phi_M spikes to about
 m at the lattice 2 pi k/ell.  Those spikes set M >= max |T| above, about
-m times T's typical size, so T needs 32 nodes a degree, its clearances
-are wide where T is small and its pointwise jet costs O(n) a point.
+m times T's typical size, so T takes twice the nodes a degree, its
+clearances are wide where T is small and its jet costs O(n) a point.
 Multiplying by s = 2 sin(ell x/2) removes every division of phi_M:
 
     W(x) = s(x) T(x) = Re sum_q c_q 2 sin(M_q ell x/2) e^{i nu_q x},
@@ -175,8 +176,7 @@ either function), through the same _screen, _grid_cells, _settle,
 _local_stage and _refine_roots.  What differs:
 
   the grid: N = ell K, the smallest with K 5-smooth at or above
-      max(256, grid_per_degree (n + ell/2)/2), half the nodes a degree of
-      T's grid, 16 at the default (_numerator_size);
+      max(256, grid_per_degree (n + ell/2)) (_numerator_size);
   the grid values: W and W' from W's folded table
       (trigpoly.numerator_on_grid), one matmul, O(ell N), from a table
       of 32 N bytes; W is counted for every r != 0 sample with
@@ -187,7 +187,7 @@ _local_stage and _refine_roots.  What differs:
       O(ell) a point, with no window beside the lattice;
   the roots: a single-zero bracket that holds a lattice point 2 pi k/ell
       holds that zero of W alone and is dropped before Newton.  The rest
-      are refined on T itself (evaluate_jet), as on T's route: beside
+      are refined on T itself (evaluate_jet) from W's own roots: beside
       the lattice W's rounding over |W'| = |s T'| moves a zero 1/|s|
       times more than T's rounding over |T'| (at n = 1855 a zero 1.1e-6
       from the lattice moved by 1.6e-12 when refined on W).  A cosine
@@ -231,7 +231,7 @@ within 0.09 delta_point, beside the lattice too; at ell = 15, 18 and 22
 the rows lie within 0.09 delta_grid and the jet within 0.05
 delta_point.
 
-Measured at trig ell = 3 (count_zeros gives the times): over 300 trials
+Measured at trig ell = 3: over 300 trials
 each at n = 400 and 1600 the local stage ran in 5 and 13 trials,
 against 154 and 268 counting T, and over 1200 trials at n = 12000 none
 was unstable, against 27 counting T.  Over 3000 trials (ell = 2..7, both
@@ -311,6 +311,9 @@ BREAKPOINT_CUT = 1e-6
 # width (the symmetric uniform grid, offset 1/2, would put its nodes on
 # 2 pi (k + 1/2)/N and its midpoints on 2 pi k/N)
 GRID_OFFSET = (np.sqrt(5.0) - 1.0) / 2.0
+
+# grid route: nodes a degree of the function counted, W or T (_grid_size doubles it for spikes)
+GRID_PER_DEGREE = 16
 
 # grid route: the unit roundoff and the constants of the rounding bounds
 # delta_k (see _certificate), each several times the textbook constant;
@@ -602,21 +605,20 @@ def _read_only(values) -> np.ndarray:
     return table
 
 
-def _grid_size(n: int, grid_per_degree: int, mirror: bool) -> int:
-    """The grid size N of T at degree n: the smallest 5-smooth size at or
-    above max(256, grid_per_degree * n), or on the half circle (mirror)
-    the smallest 5-smooth multiple of 4."""
-    least = max(256, grid_per_degree * n)
+def _grid_size(split, grid_per_degree: int, mirror: bool) -> int:
+    """The grid size N of T: the smallest 5-smooth size at or above
+    max(256, grid_per_degree * n), twice the nodes a degree where m >= 2,
+    on the half circle (mirror) the smallest 5-smooth multiple of 4."""
+    least = max(256, grid_per_degree * min(split.m, 2) * split.n)
     return 4 * smooth_size(-(-least // 4)) if mirror else smooth_size(least)
 
 
 def _numerator_size(sample: PolySample, grid_per_degree: int) -> int:
     """The grid size N of the sample's lattice numerator W: the smallest
     multiple of ell with a 5-smooth cofactor at or above
-    max(256, grid_per_degree (n + ell/2)/2), half as many nodes a degree
-    as T takes."""
+    max(256, grid_per_degree (n + ell/2)), W's degree being n + ell/2."""
     ell = sample.split.ell
-    least = max(256, -(-grid_per_degree * (2 * sample.n + ell) // 4))
+    least = max(256, -(-grid_per_degree * (2 * sample.n + ell) // 2))
     return ell * smooth_size(-(-least // ell))
 
 
@@ -936,8 +938,8 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
     cells it leaves.  The brackets of the roots are gathered only with
     want_roots; on W a single-zero bracket that holds a lattice point
     2 pi k/ell holds that zero of W alone, and is dropped before Newton;
-    the rest are refined on T itself, those of an even (cosine) T only
-    where W's own root lies in [0, pi], and each brings its mirror image.
+    the rest are refined on T itself from W's own roots, those of an even
+    (cosine) T only in [0, pi], each with its mirror image.
     """
     split = unit.split
     if numerator:
@@ -986,15 +988,13 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
         if numerator:
             period = TWO_PI / split.ell
             keep = np.ceil(lo / period) * period > hi  # no lattice point in [lo, hi]
+            # start at W's own roots (O(ell) a point): one pass of T's jet mostly ends each
+            start = _refine_roots(jet, lo, hi, f_lo, f_hi, tol)
             if unit.model.kind == "cosine":
-                # T is even: its roots in [0, pi] (mod 2 pi) and their mirror
-                # images.  Each starts from W's own root, whose jet costs
-                # O(ell) a point, so that one pass of T's O(sqrt n) jet
-                # mostly ends it (a trig sample keeps the secant start)
-                start = _refine_roots(jet, lo, hi, f_lo, f_hi, tol)
+                # T is even: its roots in [0, pi] (mod 2 pi) and their mirror images
                 keep &= np.mod(start, TWO_PI) <= np.pi
-                twice, start = keep, start[keep]
-            lo, hi, f_lo, f_hi, twice = (column[keep] for column in (lo, hi, f_lo, f_hi, twice))
+                twice = keep
+            lo, hi, f_lo, f_hi, twice, start = (v[keep] for v in (lo, hi, f_lo, f_hi, twice, start))
             # Newton on T itself: beside the lattice W's rounding over
             # |W'| = |s T'| would move a zero 1/|s| times more than T's
             # rounding over |T'|.  s has one sign on a bracket, so T's ends
@@ -1142,7 +1142,7 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-10,
+def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol: float = 1e-10,
                 want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
@@ -1154,17 +1154,18 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
     ell <= n, m = 1 included) and ell <= 22, where the rounding bound
     covers W's folded table (_NUMERATOR_ELL), is counted from its
     lattice numerator W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with
-    no lattice spike, as count(W) - ell, on the whole circle, on a grid
-    of half as many nodes a degree: N >= max(256, grid_per_degree
-    (n + ell/2)/2), the smallest multiple of ell with a 5-smooth
-    cofactor (_numerator_size), whose table takes 32 N bytes.  Everything
+    no lattice spike, as count(W) - ell, on the whole circle.  Everything
     else, the i.i.d. samples, m = 1 with r = 0 and r != 0 with ell > 22,
-    takes the grid route on T itself: the cell certificate on one grid of
-    N >= max(256, grid_per_degree * n) nodes (_grid_size, the smallest
-    5-smooth size).  Either grid takes at most max_doublings local
-    splits of a cell that the grid's hull, monotone and curvature tests
-    leave undecided (at the midpoint, so finest spacing
-    2 pi/N 2^-max_doublings).  A cosine sample (T even; a nonzero b is a
+    takes the grid route on T itself.  grid_per_degree (GRID_PER_DEGREE =
+    16) is the nodes a degree of the function counted, twice that for a T
+    whose lattice spikes (m >= 2) set M: W's N >= max(256, grid_per_degree
+    (n + ell/2)) is the smallest multiple of ell with a 5-smooth cofactor
+    (_numerator_size), T's N >= max(256, grid_per_degree * n) the smallest
+    5-smooth size (_grid_size).  At 16 the grid bound on M divides by
+    1 - 0.019 (1 - 0.029 on the half circle).  Either grid takes at most
+    max_doublings local splits of a cell that the grid's hull, monotone
+    and curvature tests leave undecided (at the midpoint, so finest
+    spacing 2 pi/N 2^-max_doublings).  A cosine sample (T even; a nonzero b is a
     ValueError) counted from T is certified on the half circle: the
     smallest 5-smooth multiple of 4 at or above that bound, one
     transform of half as many nodes, their mirror images, and
@@ -1235,7 +1236,7 @@ def count_zeros(sample: PolySample, grid_per_degree: int = 32, tol: float = 1e-1
             N = _numerator_size(sample, grid_per_degree)
             layout = _grid_layout(N, False, split.ell % 2 == 1)
         else:
-            N = _grid_size(n, grid_per_degree, mirror)
+            N = _grid_size(split, grid_per_degree, mirror)
             layout = _grid_layout(N, mirror)
         count, doublings, stable, roots = _certified_count(sample.unit(), layout, numerator,
                                                            max_doublings, want_roots, tol)

@@ -277,14 +277,14 @@ class TestValidation:
 
 @pytest.mark.parametrize("kind, dep, ell, n, trials, mean, unstable", [
     ("trig", "iid", None, 199,
-     [(236, 6400, 0, True), (224, 6400, 0, True), (230, 6400, 0, True)], 230.0, 0),
+     [(236, 3200, 0, True), (224, 3200, 0, True), (230, 3200, 0, True)], 230.0, 0),
     ("trig", "iid", None, 499,
-     [(598, 16000, 0, True), (578, 16000, 0, True), (558, 16000, 0, True)], 578.0, 0),
+     [(598, 8000, 0, True), (578, 8000, 0, True), (558, 8000, 0, True)], 578.0, 0),
     ("trig", "iid", None, 1999,
-     [(2296, 64000, 0, True), (2332, 64000, 0, True), (2270, 64000, 0, True)],
+     [(2296, 32000, 0, True), (2332, 32000, 0, True), (2270, 32000, 0, True)],
      2299.3333333333335, 0),
     ("cosine", "iid", None, 499,
-     [(614, 16000, 0, True), (592, 16000, 0, True), (548, 16000, 0, True)],
+     [(614, 8000, 0, True), (592, 8000, 0, True), (548, 8000, 0, True)],
      584.6666666666666, 0),
     ("trig", "periodic", 3, 400,
      [(798, 6480, 0, True), (638, 6480, 0, True), (624, 6480, 0, True)],
@@ -302,10 +302,12 @@ def test_bench_mix_pins(kind, dep, ell, n, trials, mean, unstable):
     benchmark mixes, restated here: every trial's (count, grid_size,
     doublings_used, stable) and the row's mean and unstable count, to the
     bit.  A draw or a certificate that moves a bit on these rows shows
-    here.  The periodic r != 0 rows count their lattice numerator W on
-    its grid of 16 nodes a degree that ell = 3 divides: 6480 and 25920
-    nodes, against 12960 and 51840 when they counted T, where the first
-    n = 1600 trial took no doubling (it takes one on W)."""
+    here.  Every grid takes 16 nodes a degree of the function counted:
+    the i.i.d. rows 3200, 8000 and 32000 nodes (6400, 16000 and 64000 at
+    32 a degree, with the same counts), and the periodic r != 0 rows
+    their lattice numerator W on grids that ell = 3 divides, 6480 and
+    25920 nodes, against 12960 and 51840 when they counted T, where the
+    first n = 1600 trial took no doubling (it takes one on W)."""
     model = CoefficientModel(kind=kind, dep=dep, ell=ell)
     reports = [count_zeros(sample_coefficients(model, n, mix64(7, n, t))) for t in range(3)]
     assert [(r.count, r.grid_size, r.doublings_used, r.stable) for r in reports] == trials

@@ -344,7 +344,7 @@ class TestPerDegreeTables:
         monkeypatch.setattr(trigpoly, "dirichlet_pairs",
                             lambda m, ell, *rest: builds.append((m, ell)) or kernel(m, ell, *rest))
         config = ExperimentConfig(kind="trig", dep="periodic", ell=3, degrees=(100,),
-                                  trials=12, master_seed=7, grid_per_degree=4)
+                                  trials=12, master_seed=7, grid_per_degree=2)
         run_experiment(config)
         for table in tables:
             info = table.cache_info()
@@ -538,12 +538,12 @@ class TestDirectionTable:
         stable flag) is T's count on T's own grid wherever that is stable,
         W's root count is its count, and every root is within tol of T's
         root.  Each degree builds one table."""
-        cases = [("trig", 2, 40, 32), ("trig", 3, 100, 32), ("trig", 4, 61, 32),
-                 ("trig", 5, 101, 4), ("trig", 7, 80, 32), ("trig", 3, 400, 4),
-                 ("cosine", 2, 42, 32), ("cosine", 3, 100, 32), ("cosine", 5, 101, 32),
-                 ("cosine", 6, 200, 32), ("trig", 12, 12, 32), ("cosine", 12, 60, 32),
-                 ("trig", 15, 101, 32), ("cosine", 15, 20, 32), ("trig", 22, 30, 32),
-                 ("cosine", 22, 101, 32)]
+        cases = [("trig", 2, 40, 16), ("trig", 3, 100, 16), ("trig", 4, 61, 16),
+                 ("trig", 5, 101, 2), ("trig", 7, 80, 16), ("trig", 3, 400, 2),
+                 ("cosine", 2, 42, 16), ("cosine", 3, 100, 16), ("cosine", 5, 101, 16),
+                 ("cosine", 6, 200, 16), ("trig", 12, 12, 16), ("cosine", 12, 60, 16),
+                 ("trig", 15, 101, 16), ("cosine", 15, 20, 16), ("trig", 22, 30, 16),
+                 ("cosine", 22, 101, 16)]
         trials = 0
         for kind, ell, n, gpd in cases:
             model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
@@ -582,10 +582,10 @@ class TestDirectionTable:
         for n in (400, 1600, 400, 1600):
             count_zeros(sample_coefficients(periodic, n, seed=2))
         assert table.cache_info().misses == 2
-        assert zeros._numerator_size(sample_coefficients(periodic, 12000, seed=2), 32) == 194400
+        assert zeros._numerator_size(sample_coefficients(periodic, 12000, seed=2), 16) == 194400
         table.cache_clear()
         iid = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 199, seed=1)
-        assert count_zeros(iid).grid_size == 6400
+        assert count_zeros(iid).grid_size == 3200
         s = sample_coefficients(periodic, 100, seed=2)
         a = s.a.copy()
         a[-1] += 1.0
@@ -662,9 +662,10 @@ class TestDirectionTable:
         """A periodic sample with r != 0 and ell <= 22 (zeros._NUMERATOR_ELL,
         where W's rounding tally closes) counts W on the whole circle, on
         the smallest multiple N of ell with a 5-smooth cofactor at or above
-        max(256, grid_per_degree (n + ell/2)/2), half T's nodes a degree;
+        max(256, grid_per_degree (n + ell/2)), W's degree being n + ell/2;
         everywhere else, i.i.d., ell = n + 1 (r = 0) or ell > 22, N is T's
-        5-smooth rule (a multiple of 4 on a cosine sample's half circle).
+        5-smooth rule (a multiple of 4 on a cosine sample's half circle) at
+        grid_per_degree nodes a degree, twice that where m >= 2.
         A periodic sample whose coefficients do not repeat is a
         ValueError."""
         assert zeros._NUMERATOR_ELL == 22
@@ -687,20 +688,20 @@ class TestDirectionTable:
                     elif numerator:
                         N = zeros._numerator_size(s, gpd)
                     else:
-                        N = zeros._grid_size(n, gpd, mirror)
+                        N = zeros._grid_size(s.split, gpd, mirror)
                     if not numerator:
-                        least = max(256, gpd * n)
+                        least = max(256, gpd * (2 if s.split.m >= 2 else 1) * n)
                         assert N == (4 * zeros.smooth_size(-(-least // 4)) if mirror
                                      else zeros.smooth_size(least)), (ell, n, gpd)
                         kept += 1
                         continue
                     served += 1
-                    least = max(256, -(-gpd * (2 * n + ell) // 4))
+                    least = max(256, -(-gpd * (2 * n + ell) // 2))
                     assert N >= least and N % ell == 0 and _is_smooth(N // ell), (ell, n, gpd)
                     assert not any(_is_smooth(k) for k in range(-(-least // ell), N // ell))
         assert served > 40 and kept > 40
         iid = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), 199, seed=5)
-        assert count_zeros(iid).grid_size == 6400
+        assert count_zeros(iid).grid_size == 3200
 
 
 class TestDirichletRatio:

@@ -24,6 +24,7 @@ from trigzeros.trigpoly import (
 )
 from trigzeros.zeros import (
     GRID_OFFSET,
+    GRID_PER_DEGREE,
     ZeroCountReport,
     _certificate,
     _grid_layout,
@@ -605,13 +606,17 @@ class TestCertificate:
         """T = A + cos(n(x - x0)): with A = 1 - eps every minimum dips to
         -eps, n pairs of zeros about 2 sqrt(2 eps)/n apart; with A = 1 + eps
         none.  For eps <= 1e-6 the dips hide inside the cubic Hermite error
-        (nh)^4/384 ~ 4e-6 of the base grid, so only the local tests see them."""
+        (nh)^4/384 of the base grid, ~ 4e-6 at 32 nodes a degree and 6e-5 at
+        the default 16, so only the local tests see them; at 16 the dips
+        1e-9 above 0 take a fifth split at n = 199, the finest of 32 at 4."""
         for eps, zeros in ((1e-6, 2 * n), (1e-9, 2 * n), (-1e-6, 0), (-1e-9, 0)):
             a = np.zeros(n + 1)
             b = np.zeros(n + 1)
             a[0], a[n], b[n] = 1.0 - eps, np.cos(n * 0.1234), np.sin(n * 0.1234)
-            rep = count_zeros(_rigged_sample(n, a=a, b=b))
-            assert (rep.count, rep.stable) == (zeros, True), eps
+            for gpd, budget in ((32, 4), (16, 5)):
+                rep = count_zeros(_rigged_sample(n, a=a, b=b), grid_per_degree=gpd,
+                                  max_doublings=budget)
+                assert (rep.count, rep.stable) == (zeros, True), (eps, gpd)
 
     @pytest.mark.parametrize("kind, dep, ell", [
         ("trig", "iid", None), ("cosine", "iid", None),
@@ -760,11 +765,11 @@ class TestCertificate:
                 decided += 1
         assert decided >= 30
 
-    @pytest.mark.parametrize("kind, columns", [("trig", 6400), ("cosine", 3200)])
+    @pytest.mark.parametrize("kind, columns", [("trig", 3200), ("cosine", 1600)])
     def test_grid_route_reads_two_grids_of_base_size(self, monkeypatch, kind, columns):
         """T and T' once each per trial, whatever the sample, as the two
         rows of one order=(0, 1) call: the monotone test reads the slope of
-        T's Hermite interpolant, not T''.  The grid has N = 6400 nodes, and
+        T's Hermite interpolant, not T''.  The grid has N = 3200 nodes, and
         an even (cosine) T is read at N/2 of them."""
         import trigzeros.zeros as zeros_module
 
@@ -778,7 +783,7 @@ class TestCertificate:
         monkeypatch.setattr(zeros_module, "evaluate_on_grid", spy)
         model = CoefficientModel(kind=kind, dep="iid")
         for seed in range(5):
-            assert count_zeros(sample_coefficients(model, 199, seed=seed)).grid_size == 6400
+            assert count_zeros(sample_coefficients(model, 199, seed=seed)).grid_size == 3200
         assert calls == [(columns, (0, 1))] * 5
 
 
@@ -1011,8 +1016,10 @@ class TestBentCells:
         tallies from [157, 1016, 226, 0] and [268, 26410, 432, 0] to
         [154, 957, 230, 0] and [268, 24764, 410, 0]; they now count
         W = 2 sin(ell x/2) T on 6480 and 25920 nodes, whose jets
-        (numerator_jet) are tallied alike.  A change that sends cells back
-        to the pointwise stage shows here."""
+        (numerator_jet) are tallied alike.  The i.i.d. rows moved from 32 to
+        16 nodes a degree, which took their tallies from [2, 7, 26, 0],
+        [4, 18, 79, 0], [7, 34, 290, 0] and [1, 9, 40, 0] to those below.
+        A change that sends cells back to the pointwise stage shows here."""
         import trigzeros.zeros as zeros_module
 
         tally = {}
@@ -1045,9 +1052,10 @@ class TestBentCells:
             for t in range(300):
                 tally[key][3] += not count_zeros(
                     sample_coefficients(model, n, seed=mix64(35, n, t))).stable
-        assert tally == {("trig", None, 199): [2, 7, 26, 0], ("trig", None, 499): [4, 18, 79, 0],
-                         ("trig", None, 1999): [7, 34, 290, 0],
-                         ("cosine", None, 499): [1, 9, 40, 0],
+        assert tally == {("trig", None, 199): [14, 56, 111, 0],
+                         ("trig", None, 499): [28, 146, 314, 0],
+                         ("trig", None, 1999): [84, 442, 1199, 0],
+                         ("cosine", None, 499): [22, 105, 192, 0],
                          ("trig", 3, 400): [5, 27, 964, 0],
                          ("trig", 3, 1600): [13, 62, 4087, 0]}
 
@@ -1072,20 +1080,39 @@ class TestGridRule:
 
     def test_cosine_grid_is_a_multiple_of_four(self):
         """An even T takes the smallest 5-smooth multiple of 4 at or above
-        max(256, 32 n), so its N/2 columns pair up with their mirror images:
-        640 and 1440 nodes where the whole circle takes 625 and 1350, and
-        the same size wherever that is a multiple of 4."""
-        for n, trig, cosine in ((19, 625, 640), (42, 1350, 1440), (199, 6400, 6400),
-                                (499, 16000, 16000), (5, 256, 256)):
+        max(256, 16 n) at the default, so its N/2 columns pair up with their
+        mirror images: 640 and 720 nodes where the whole circle takes 625 and
+        675, and the same size wherever that is a multiple of 4."""
+        for n, trig, cosine in ((39, 625, 640), (42, 675, 720), (199, 3200, 3200),
+                                (499, 8000, 8000), (5, 256, 256)):
             for kind, size in (("trig", trig), ("cosine", cosine)):
                 s = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), n, seed=1)
                 assert count_zeros(s).grid_size == size, (kind, n)
+
+    def test_nodes_a_degree_of_the_function_counted(self):
+        """At the default, grid_per_degree = 16 nodes a degree of the
+        function counted: i.i.d. T on the smallest 5-smooth N >= 16 n (a
+        multiple of 4 on a cosine sample's half circle), W = 2 sin(ell x/2) T
+        on the smallest multiple of ell with a 5-smooth cofactor at or above
+        16 (n + ell/2), and a T with lattice spikes (r != 0, ell > 22,
+        m >= 2) on twice that, 32 n."""
+        assert GRID_PER_DEGREE == 16
+        for kind, dep, ell, n, m_r, size in (
+                ("trig", "iid", None, 499, (1, 0), smooth_size(16 * 499)),
+                ("cosine", "iid", None, 42, (1, 0), 4 * smooth_size(16 * 42 // 4)),
+                ("trig", "periodic", 3, 400, (133, 2), 3 * smooth_size(-(-16 * 803 // 6))),
+                ("trig", "periodic", 23, 101, (4, 10), smooth_size(32 * 101))):
+            s = sample_coefficients(CoefficientModel(kind=kind, dep=dep, ell=ell), n, seed=3)
+            assert (s.split.m, s.split.r) == m_r
+            assert count_zeros(s).grid_size == size, (kind, ell, n)
+        assert [smooth_size(16 * 499), 4 * smooth_size(16 * 42 // 4)] == [8000, 720]
+        assert [3 * smooth_size(-(-16 * 803 // 6)), smooth_size(32 * 101)] == [6480, 3240]
 
     def test_prime_degree_gets_smooth_grid(self):
         model = CoefficientModel(kind="trig", dep="iid")
         s = sample_coefficients(model, 199, seed=5)
         rep = count_zeros(s)
-        assert (rep.grid_size, rep.stable) == (6400, True)
+        assert (rep.grid_size, rep.stable) == (3200, True)
 
     def test_reduced_route_uses_the_same_rule(self):
         """r = 0 samples take the phase route at every grid setting: no grid."""
@@ -1171,10 +1198,10 @@ class TestHalfCircle:
         close zero pairs, a positive local minimum of a cosine sample of
         degree 50 lowered to 1e-12 ... 1e-9 of sum |a_j| below 0, the two
         routes agree wherever both certify, each certifies a few pairs
-        the other leaves undecided (the tallies below; a change in either
-        stable rate shows here), 49 take the whole circle's full budget,
-        and the half circle at max_doublings = 6 certifies every pair that
-        the whole circle does at 4."""
+        the other leaves undecided (the tallies below, on 32 nodes a degree;
+        a change in either stable rate shows here), 49 take the whole
+        circle's full budget, and the half circle at max_doublings = 6
+        certifies every pair that the whole circle does at 4."""
         model = CoefficientModel(kind="cosine", dep="iid")
         trig = CoefficientModel(kind="trig", dep="iid")
         tally = dict(both=0, whole=0, half=0, neither=0, at_budget=0)
@@ -1189,8 +1216,8 @@ class TestHalfCircle:
                 a = s.a.copy()
                 a[0] -= low + eps * np.abs(s.a).sum()
                 half = dataclasses.replace(s, a=a)
-                whole = count_zeros(dataclasses.replace(half, model=trig))
-                rep = count_zeros(half)
+                whole = count_zeros(dataclasses.replace(half, model=trig), grid_per_degree=32)
+                rep = count_zeros(half, grid_per_degree=32)
                 if whole.stable and rep.stable:
                     assert whole.count == rep.count, (seed, eps)
                 key = {(True, True): "both", (True, False): "whole", (False, True): "half",
@@ -1198,7 +1225,7 @@ class TestHalfCircle:
                 tally[key] += 1
                 tally["at_budget"] += whole.stable and whole.doublings_used == 4
                 if whole.stable:
-                    deeper = count_zeros(half, max_doublings=6)
+                    deeper = count_zeros(half, grid_per_degree=32, max_doublings=6)
                     assert deeper.stable and deeper.count == whole.count, (seed, eps)
         assert tally == dict(both=170, whole=4, half=11, neither=15, at_budget=49)
 
@@ -1253,12 +1280,12 @@ class TestTrigReportsUnchanged:
     of the roots (their SHA-256) as the whole-circle code gave them, on
     i.i.d. and periodic r != 0 samples, coarse grids with local halvings
     included.  The periodic rows count their lattice numerator
-    W = 2 sin(ell x/2) T on its own grid, half as many nodes a degree
-    (ell = 3 at n = 400: 6480 nodes, 12960 when they counted T).  Their
-    roots, refined on T inside W's brackets, stay within tol of T's count
-    on T's grid: at most 3.7e-14 when these digests were taken.  Their
-    counts and stable flags are those of T's count; doublings fell 3 -> 2
-    on (5, 101, 4, 2).
+    W = 2 sin(ell x/2) T on its own grid, whose nodes a degree are W's
+    (ell = 3 at n = 400: 6480 nodes, 12960 when they counted T, which
+    takes twice the nodes a degree where m >= 2).  Their roots, refined
+    on T from W's own roots, stay within tol of T's count on T's grid;
+    they moved by at most 4.2e-14 when W's roots became their start.
+    Their counts and stable flags are those of T's count.
     """
 
     PINS = [
@@ -1272,16 +1299,16 @@ class TestTrigReportsUnchanged:
         ('iid', None, 100, 3, 1, 116, 300, 2, True, '12bb7d86f601aef4'),
         ('iid', None, 100, 3, 2, 126, 300, 2, True, 'b7890bb0088dd5e8'),
         ('iid', None, 100, 3, 3, 124, 300, 1, True, '6ddf41ee1a89dd64'),
-        ('periodic', 3, 400, 32, 0, 800, 6480, 0, True, 'd245d5f0ef1296f9'),
-        ('periodic', 3, 400, 32, 1, 638, 6480, 0, True, 'c268a5c873f4a302'),
-        ('periodic', 2, 40, 32, 0, 48, 720, 0, True, '888baf91ad8df4fe'),
-        ('periodic', 2, 40, 32, 1, 60, 720, 0, True, '5d914338a3bb52b1'),
-        ('periodic', 2, 42, 32, 0, 54, 720, 0, True, 'd654c0700cb4bee5'),
-        ('periodic', 2, 42, 32, 1, 46, 720, 0, True, '40721c4077f6f073'),
-        ('periodic', 5, 101, 4, 0, 120, 270, 2, True, 'd82da6c8a4eb4488'),
-        ('periodic', 5, 101, 4, 1, 156, 270, 1, True, '939b3449a6fc87a8'),
-        ('periodic', 5, 101, 4, 2, 162, 270, 2, True, '1ff3aa93d8222f8e'),
-        ('periodic', 5, 101, 4, 3, 140, 270, 1, True, 'fbbfcd28b9983e7e'),
+        ('periodic', 3, 400, 16, 0, 800, 6480, 0, True, '8d0646d55f3ac02d'),
+        ('periodic', 3, 400, 16, 1, 638, 6480, 0, True, '23364b59cb421eeb'),
+        ('periodic', 2, 40, 16, 0, 48, 720, 0, True, '2acaf7d471c529f7'),
+        ('periodic', 2, 40, 16, 1, 60, 720, 0, True, '2fa3247096e5cf79'),
+        ('periodic', 2, 42, 16, 0, 54, 720, 0, True, '57f2cc5f6710f461'),
+        ('periodic', 2, 42, 16, 1, 46, 720, 0, True, '4c7d3b7ae7178443'),
+        ('periodic', 5, 101, 2, 0, 120, 270, 2, True, '98fd5603d0e02536'),
+        ('periodic', 5, 101, 2, 1, 156, 270, 1, True, '869bd922d60ddff8'),
+        ('periodic', 5, 101, 2, 2, 162, 270, 2, True, '23c213fcb5f91e01'),
+        ('periodic', 5, 101, 2, 3, 140, 270, 1, True, '0e0162cb4228cf1e'),
     ]
 
     @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
@@ -1307,7 +1334,8 @@ class TestTrigReportsUnchanged:
 
 class TestCupReportsUnchanged:
     """Reports of i.i.d. trials whose cups _settle decides, on both
-    layouts (cosine samples take the half circle): count, grid size,
+    layouts (cosine samples take the half circle), on the grids of 32
+    nodes a degree where their cups were found: count, grid size,
     halvings, stable flag and the bits of the roots (tol=1e-12).  stage
     names a caller whose cup the trial tests.  At the grid level the first
     two of each kind settle a cup as two zeros and as none; the next four
@@ -1358,7 +1386,7 @@ class TestCupReportsUnchanged:
         monkeypatch.setattr(zeros_module, "_settle", spy)
         s = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), n,
                                 seed=mix64(36, n, trial))
-        rep = count_zeros(s, want_roots=True, tol=1e-12)
+        rep = count_zeros(s, grid_per_degree=32, want_roots=True, tol=1e-12)
         assert stage in cups
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
@@ -1480,10 +1508,10 @@ class TestTrialsAllocatePlainly:
             assert _pool() == []
 
     def test_warm_trial_memory_is_linear_in_the_grid(self):
-        """Under tracemalloc, warm grid-route trials at n = 1999 (N = 64000)
+        """Under tracemalloc, warm grid-route trials at n = 1999 (N = 32000)
         peak below 48 N bytes: T and T', their margins, the masks and the
-        arrays of about 3900 open cells, about 38.5 N (20 N for a cosine
-        sample on its half grid), which stays linear in N."""
+        arrays of about 3900 open cells, about 45 N (38.5 N on 64000 nodes,
+        whose open cells are as many), which stays linear in N."""
         model = CoefficientModel(kind="trig", dep="iid")
         count_zeros(sample_coefficients(model, 1999, seed=0))
         peaks = []
@@ -1491,11 +1519,11 @@ class TestTrialsAllocatePlainly:
             s = sample_coefficients(model, 1999, seed=t)
             tracemalloc.start()
             try:
-                assert count_zeros(s).grid_size == 64000
+                assert count_zeros(s).grid_size == 32000
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 48 * 64000, peaks
+        assert max(peaks) < 48 * 32000, peaks
 
 
 class TestPhaseRouteShortcuts:
@@ -1557,7 +1585,7 @@ class TestLatticeNumerator:
                         n += 1
                     s = sample_coefficients(model, n, seed=mix64(43, n, t))
                     rep = count_zeros(s, want_roots=True, tol=1e-12)
-                    assert rep.grid_size == zeros_module._numerator_size(s, 32), (kind, ell, n)
+                    assert rep.grid_size == zeros_module._numerator_size(s, 16), (kind, ell, n)
                     assert rep.stable and rep.roots.size == rep.count, (kind, ell, n, t)
                     x = np.sort(rep.roots)
                     mid = 0.5 * (x + np.append(x[1:], x[0] + 2 * np.pi))
