@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 from .constants import theoretical_mean
 from .models import CoefficientModel, mix64, sample_coefficients
-from .zeros import GRID_PER_DEGREE, _check_count, count_zeros
+from .zeros import GRID_PER_DEGREE, MAX_DOUBLINGS, _check_count, count_zeros
 
 CSV_COLUMNS = (
     "n",
@@ -58,7 +58,7 @@ class ExperimentConfig:
     trials: int = 200
     master_seed: int = 0
     grid_per_degree: int = GRID_PER_DEGREE
-    max_doublings: int = 4
+    max_doublings: int = MAX_DOUBLINGS
     workers: int = 1
 
     def __post_init__(self):

@@ -297,7 +297,7 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
 
 
 def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
-                     order: int | tuple[int, ...] = 0) -> np.ndarray:
+                     order: int | tuple[int, ...] = 0, out: np.ndarray | None = None) -> np.ndarray:
     """T_n^(order) at every node x_i of grid_nodes(num_nodes, offset), via
     one real inverse FFT; with a tuple of orders, one row per order from
     one batched transform.
@@ -321,8 +321,8 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     order=(0, 1) stacks the half spectra of T and T' and transforms both
     rows in one irfft call, which is faster than two calls at every grid
     size the counter uses and changes no bit of either row.  The values
-    come back in a new array that the caller owns, of shape (N,) for one
-    order and (len(order), N) for a tuple.
+    come back in a new array that the caller owns (or in out, which is
+    returned), of shape (N,) for one order and (len(order), N) for a tuple.
 
     The coefficients are normalized by 2^-e (PolySample.normalized, so
     once per sample) and the values scaled back by 2^e.  Scaling by a
@@ -358,7 +358,7 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
             F = (np.bincount(folded, weights=dk.real, minlength=N)
                  + 1j * np.bincount(folded, weights=dk.imag, minlength=N))
             row[:] = 0.5 * (F[half] + np.conj(F[-half % N]))
-    vals = np.fft.irfft(H[0] if single else H, N, norm="forward")
+    vals = np.fft.irfft(H[0] if single else H, N, norm="forward", out=out)
     if e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
             np.ldexp(vals, e, out=vals)

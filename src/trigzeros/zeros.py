@@ -20,8 +20,8 @@ certificate, on W's grid of its own.
 
 A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
 half circle instead (one counted from W keeps the whole circle: W is
-odd).  N is then the smallest 5-smooth multiple of 4 at or
-above the same bound, and the transform has N/2 nodes, offset g/2: the
+odd).  N is then the smallest 5-smooth multiple of 4 at or above the
+same bound, and the transform has N/2 nodes, offset g/2: the
 even nodes (2k + g) h of the grid above.  Their mirror images
 (2k + 2 - g) h, where T is equal and T' negated, are nodes too, so on
 [-g h, pi + g h] nodes and mirror images alternate and the cells
@@ -40,15 +40,15 @@ the transform reads one sequence of nodes on both layouts.  Where a
 bound below takes one width for all cells it takes the widest, w_max (h
 on the whole circle, 2 g h on the half): each grows with the width.
 
-The transform's rows and the margins and masks of the zero-free pass
-below are allocated per trial; what depends on the degree and N alone
-(the twist or W's folded table, the powers j^k, the certificate's
-factors, the power table of the local stage, the layout) is built once
-and cached.  What depends on the sample is reduced once: its largest
-coefficient (PolySample.peak, which the sampler hands over from its
-draw) gives the finiteness and all-zero checks and the power of two of
-the scaling, and the zero-free clearance of the base grid, taken at
-w_max, is one scalar.
+T's rows T, T' and |T|, |T'| reuse per-thread arrays kept at the largest
+grid seen (_scratch), not faulted in again by every trial; what depends
+on the degree and N alone (the twist or W's folded table, the powers
+j^k, the certificate's factors, the power table of the local stage, the
+layout) is built once and cached.  What depends on the sample is reduced
+once: its largest coefficient (PolySample.peak, which the sampler hands
+over from its draw) gives the finiteness and all-zero checks and the
+power of two of the scaling, and the zero-free clearance of the base
+grid, taken at w_max, is one scalar.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -99,14 +99,13 @@ M the lattice spike sets (W has no spike, below).
 The local stage takes those of the same weight from the grid pass and
 splits them, at most max_doublings times, with T', T'' and the third
 derivative summed pointwise through the two-level power table of
-trigpoly.evaluate_jet (W's own sum on W), and T too except at the
-grid nodes, which keep
-their grid values so that each node has one sign.  A sub-cell is
-certified only with both end values beyond rounding: as zero-free by the
-test above, or by _settle, which the local stage hands the monotone mask
-where the control points of p_1 clear w^4 n^5 M/384, the convex and
-concave masks where those of p_2 clear w^4 n^6 M/384, and the same
-jet.  The rounding bounds are
+trigpoly.evaluate_jet (W's own sum on W), and T too except at the grid
+nodes, which keep their grid values so that each node has one sign.  A
+sub-cell is certified only with both end values beyond rounding: as
+zero-free by the test above, or by _settle, which the local stage hands
+the monotone mask where the control points of p_1 clear w^4 n^5 M/384,
+the convex and concave masks where those of p_2 clear w^4 n^6 M/384, and
+the same jet.  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes;
@@ -231,14 +230,10 @@ within 0.09 delta_point, beside the lattice too; at ell = 15, 18 and 22
 the rows lie within 0.09 delta_grid and the jet within 0.05
 delta_point.
 
-Measured at trig ell = 3: over 300 trials
-each at n = 400 and 1600 the local stage ran in 5 and 13 trials,
-against 154 and 268 counting T, and over 1200 trials at n = 12000 none
-was unstable, against 27 counting T.  Over 3000 trials (ell = 2..7, both
-kinds, n up to 2000) every (count, stable) that counting T certified is
-unchanged, and the 6 that it left unstable are stable; so it is on 2208
-at ell = 6..22 (n <= 2000, m = 1 included) and 60 at ell = 3,
-n = 16500 ... 30000 (16 unstable counting T, none on W).
+At trig ell = 3 the local stage ran in 5 and 13 of 300 trials at n = 400
+and 1600 (154 and 268 counting T), and none of 1200 at n = 12000 was
+unstable (27 counting T).  On 5268 trials (ell = 2..22, n <= 30000) W
+kept every count that T certified and certified those T left unstable.
 
 Phase route (periodic, r = 0, m >= 2)
 -------------------------------------
@@ -279,6 +274,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -314,6 +310,9 @@ GRID_OFFSET = (np.sqrt(5.0) - 1.0) / 2.0
 
 # grid route: nodes a degree of the function counted, W or T (_grid_size doubles it for spikes)
 GRID_PER_DEGREE = 16
+
+# grid route: local splits of a cell at most, finer than 4 at 32 a degree (count_zeros)
+MAX_DOUBLINGS = 7
 
 # grid route: the unit roundoff and the constants of the rounding bounds
 # delta_k (see _certificate), each several times the textbook constant;
@@ -597,6 +596,17 @@ def _grid_layout(N: int, mirror: bool, flip: bool = False) -> _Layout:
     # which rounds as (2j + g) h does: g - 1 is exact
     return _Layout(N, N // 2, g / 2.0, _read_only([-g, g - 1.0]), (2.0 * g, 2.0 * (1.0 - g)), g,
                    True)
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(slot: int, shape: tuple) -> np.ndarray:
+    """Slot 0 (T, T') or 1 (|T|, |T'|) of this thread's scratch rows."""
+    size, buffers = shape[0] * shape[1], _SCRATCH.__dict__.setdefault("rows", [np.empty(0)] * 2)
+    if buffers[slot].size < size:
+        buffers[slot] = np.empty(size)
+    return buffers[slot][:size].reshape(shape)
 
 
 def _read_only(values) -> np.ndarray:
@@ -948,10 +958,11 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
         degree = split.n + split.ell / 2
         jet_at = functools.partial(numerator_jet, unit)
     else:
-        seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1)))
+        seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1),
+                                               out=_scratch(0, (2, layout.columns))))
         powers, c, degree = frequency_powers(unit.n, 3), unit.normalized[0], unit.n
         jet_at = functools.partial(evaluate_jet, unit)
-    size, slack = np.abs(seq)
+    size, slack = np.abs(seq, out=_scratch(1, seq.shape))
     cert = _certificate(powers, c, degree, layout.size, float(size.max()), layout.gap)
     widest = layout.h * layout.gap
     clear0 = cert.grid_clearance(widest)
@@ -1143,7 +1154,7 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol: float = 1e-10,
-                want_roots: bool = False, max_doublings: int = 4) -> ZeroCountReport:
+                want_roots: bool = False, max_doublings: int = MAX_DOUBLINGS) -> ZeroCountReport:
     """Count the real zeros of one sample in (0, 2 pi).
 
     Dispatch reads the split (PolySample.split) alone.  Samples whose
@@ -1156,26 +1167,17 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
     lattice numerator W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with
     no lattice spike, as count(W) - ell, on the whole circle.  Everything
     else, the i.i.d. samples, m = 1 with r = 0 and r != 0 with ell > 22,
-    takes the grid route on T itself.  grid_per_degree (GRID_PER_DEGREE =
-    16) is the nodes a degree of the function counted, twice that for a T
-    whose lattice spikes (m >= 2) set M: W's N >= max(256, grid_per_degree
-    (n + ell/2)) is the smallest multiple of ell with a 5-smooth cofactor
-    (_numerator_size), T's N >= max(256, grid_per_degree * n) the smallest
-    5-smooth size (_grid_size).  At 16 the grid bound on M divides by
-    1 - 0.019 (1 - 0.029 on the half circle).  Either grid takes at most
-    max_doublings local splits of a cell that the grid's hull, monotone
-    and curvature tests leave undecided (at the midpoint, so finest
-    spacing 2 pi/N 2^-max_doublings).  A cosine sample (T even; a nonzero b is a
-    ValueError) counted from T is certified on the half circle: the
-    smallest 5-smooth multiple of 4 at or above that bound, one
-    transform of half as many nodes, their mirror images, and
-    splits at the golden fraction g = 0.618 of a cell, so the widest
-    piece is 2 g^(max_doublings + 1) 2 pi/N, 0.18 of 2 pi/N at the default
-    4 where the whole circle reaches 0.0625.  On 200 close zero pairs
-    built at that budget each route certified some that the other left
-    undecided (4 the whole circle only, 11 the half circle only), and the
-    half circle with two more splits certified every pair that the whole
-    circle did.  The returned count satisfies the hard ceiling 2n.
+    takes the grid route on T itself.  grid_per_degree is the nodes a
+    degree of the function counted, twice that for a T whose lattice
+    spikes (m >= 2) set M (_numerator_size, _grid_size).  A cell that the
+    grid's tests leave undecided is split at most max_doublings times, at
+    the midpoint, to 2^-max_doublings 2 pi/N.  A cosine sample (T even; a
+    nonzero b is a ValueError) counted from T is certified on the half
+    circle, N/2 transformed nodes and their mirror images, split at the
+    golden fraction g = 0.618 of a cell, to 2 g^(max_doublings + 1) 2 pi/N.
+    At the default 7 both are finer than 4 splits at 32 nodes a degree,
+    and a count certified within fewer splits is the same to the bit.  The
+    returned count satisfies the hard ceiling 2n.
 
     Zeros count with their multiplicity.  The phase route adds the
     deterministic zeros of phi_m to the zeros of T^*, so a point where
@@ -1196,10 +1198,8 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
     phase), and tol bounds the last step of each root; the deterministic
     zeros of the phase route are exact, and are listed only then (the
     count takes their number, split.deterministic_zeros = n + 1 - ell).
-    Counting W, every single-zero bracket that holds a lattice point
-    2 pi k/ell is dropped before Newton, since such a bracket holds
-    exactly that point, a zero of W and not of T; so the roots are T's,
-    as many as the count where it is stable.
+    Counting W, a single-zero bracket that holds a lattice point 2 pi k/ell
+    holds a zero of W alone and is dropped, so the roots are T's.
     """
     _check_count("grid_per_degree", grid_per_degree, 1)
     _check_count("max_doublings", max_doublings, 0)

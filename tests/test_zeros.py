@@ -1,5 +1,6 @@
 """Zero-counting tests: known counts, the cell certificate, refinement."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import tracemalloc
@@ -606,17 +607,18 @@ class TestCertificate:
         """T = A + cos(n(x - x0)): with A = 1 - eps every minimum dips to
         -eps, n pairs of zeros about 2 sqrt(2 eps)/n apart; with A = 1 + eps
         none.  For eps <= 1e-6 the dips hide inside the cubic Hermite error
-        (nh)^4/384 of the base grid, ~ 4e-6 at 32 nodes a degree and 6e-5 at
-        the default 16, so only the local tests see them; at 16 the dips
-        1e-9 above 0 take a fifth split at n = 199, the finest of 32 at 4."""
+        (nh)^4/384 of the base grid, ~ 6e-5 at the default 16 nodes a degree
+        and 4e-6 at 32, so only the local tests see them.  The default
+        (16 nodes a degree, 7 splits) certifies every count that 32 nodes a
+        degree with 4 splits does; at 16 with 4 the dips 1e-9 above 0 stay
+        undecided at n = 199."""
         for eps, zeros in ((1e-6, 2 * n), (1e-9, 2 * n), (-1e-6, 0), (-1e-9, 0)):
             a = np.zeros(n + 1)
             b = np.zeros(n + 1)
             a[0], a[n], b[n] = 1.0 - eps, np.cos(n * 0.1234), np.sin(n * 0.1234)
-            for gpd, budget in ((32, 4), (16, 5)):
-                rep = count_zeros(_rigged_sample(n, a=a, b=b), grid_per_degree=gpd,
-                                  max_doublings=budget)
-                assert (rep.count, rep.stable) == (zeros, True), (eps, gpd)
+            s = _rigged_sample(n, a=a, b=b)
+            for rep in (count_zeros(s), count_zeros(s, grid_per_degree=32, max_doublings=4)):
+                assert (rep.count, rep.stable) == (zeros, True), (eps, rep.grid_size)
 
     @pytest.mark.parametrize("kind, dep, ell", [
         ("trig", "iid", None), ("cosine", "iid", None),
@@ -776,9 +778,9 @@ class TestCertificate:
         calls = []
         original = zeros_module.evaluate_on_grid
 
-        def spy(sample, num_nodes, offset=0.5, order=0):
+        def spy(sample, num_nodes, offset=0.5, order=0, out=None):
             calls.append((num_nodes, order))
-            return original(sample, num_nodes, offset, order=order)
+            return original(sample, num_nodes, offset, order=order, out=out)
 
         monkeypatch.setattr(zeros_module, "evaluate_on_grid", spy)
         model = CoefficientModel(kind=kind, dep="iid")
@@ -1201,10 +1203,14 @@ class TestHalfCircle:
         the other leaves undecided (the tallies below, on 32 nodes a degree;
         a change in either stable rate shows here), 49 take the whole
         circle's full budget, and the half circle at max_doublings = 6
-        certifies every pair that the whole circle does at 4."""
+        certifies every pair that the whole circle does at 4.  The default,
+        16 nodes a degree and 7 splits, certifies on each route every pair
+        that 32 nodes a degree and 4 splits does, with the same count, and
+        leaves 3 of the 400 undecided, all on the half circle."""
         model = CoefficientModel(kind="cosine", dep="iid")
         trig = CoefficientModel(kind="trig", dep="iid")
         tally = dict(both=0, whole=0, half=0, neither=0, at_budget=0)
+        default = dict(whole=0, half=0)
         for seed in range(20):
             s = sample_coefficients(model, 50, seed=seed)
             x = np.linspace(0.3, np.pi - 0.3, 4001)
@@ -1216,8 +1222,15 @@ class TestHalfCircle:
                 a = s.a.copy()
                 a[0] -= low + eps * np.abs(s.a).sum()
                 half = dataclasses.replace(s, a=a)
-                whole = count_zeros(dataclasses.replace(half, model=trig), grid_per_degree=32)
-                rep = count_zeros(half, grid_per_degree=32)
+                whole = count_zeros(dataclasses.replace(half, model=trig), grid_per_degree=32,
+                                    max_doublings=4)
+                rep = count_zeros(half, grid_per_degree=32, max_doublings=4)
+                for route, coarse in (("whole", whole), ("half", rep)):
+                    sample = dataclasses.replace(half, model=trig) if route == "whole" else half
+                    fine = count_zeros(sample)
+                    if coarse.stable:
+                        assert fine.stable and fine.count == coarse.count, (route, seed, eps)
+                    default[route] += fine.stable
                 if whole.stable and rep.stable:
                     assert whole.count == rep.count, (seed, eps)
                 key = {(True, True): "both", (True, False): "whole", (False, True): "half",
@@ -1228,6 +1241,7 @@ class TestHalfCircle:
                     deeper = count_zeros(half, grid_per_degree=32, max_doublings=6)
                     assert deeper.stable and deeper.count == whole.count, (seed, eps)
         assert tally == dict(both=170, whole=4, half=11, neither=15, at_budget=49)
+        assert default == dict(whole=200, half=197)
 
     def test_golden_splits_are_irrational(self):
         """The nodes (2k -+ g) h of the half circle are irrational multiples
@@ -1509,9 +1523,9 @@ class TestTrialsAllocatePlainly:
 
     def test_warm_trial_memory_is_linear_in_the_grid(self):
         """Under tracemalloc, warm grid-route trials at n = 1999 (N = 32000)
-        peak below 48 N bytes: T and T', their margins, the masks and the
-        arrays of about 3900 open cells, about 45 N (38.5 N on 64000 nodes,
-        whose open cells are as many), which stays linear in N."""
+        peak below 16 N bytes: the masks and the arrays of about 3900 open
+        cells, about 13 N, which stays linear in N.  T, T' and their margins
+        (32 N more) live in the thread's scratch rows from the first trial."""
         model = CoefficientModel(kind="trig", dep="iid")
         count_zeros(sample_coefficients(model, 1999, seed=0))
         peaks = []
@@ -1523,7 +1537,24 @@ class TestTrialsAllocatePlainly:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 48 * 32000, peaks
+        assert max(peaks) < 16 * 32000, peaks
+
+    def test_threads_keep_their_own_rows(self):
+        """The grid route's rows of T and T' are scratch that the next trial
+        of the thread reuses: two threads counting samples of three grid
+        sizes at once give the reports, roots included, of one thread."""
+        model = CoefficientModel(kind="trig", dep="iid")
+        samples = [sample_coefficients(model, n, seed=t) for t in range(8) for n in (199, 1999, 499)]
+        samples += samples[::-1]
+
+        def report(s):
+            r = count_zeros(s, want_roots=True)
+            return r.count, r.grid_size, r.stable, r.roots.tobytes()
+
+        serial = [report(s) for s in samples]
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            for _ in range(3):
+                assert list(pool.map(report, samples)) == serial
 
 
 class TestPhaseRouteShortcuts:
