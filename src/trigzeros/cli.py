@@ -74,8 +74,8 @@ def _add_model_arguments(parser):
 
 _MODEL_KEYS = ("kind", "dep", "ell", "sigma")
 _GRID_HELP = (f"nodes a degree of the function counted (default {GRID_PER_DEGREE}): W = 2 sin(ell "
-              "x/2) T of degree n + ell/2 for periodic r != 0, ell <= 22, on ell times a 5-smooth "
-              "size; else T, twice that where m >= 2, on a 5-smooth size (cosine: a multiple of 4)")
+              "x/2) T of degree n + ell/2 for every periodic r != 0, on ell times a 5-smooth size; "
+              "else T, on a 5-smooth size (cosine: a multiple of 4)")
 
 
 def _model(parser, values, degrees, expected_r):

@@ -2,21 +2,22 @@
 and an exact phase count for the reduced factor of periodic samples
 that factor (r = 0, m >= 2).
 
-Grid route (i.i.d., r != 0 and m = 1)
--------------------------------------
+Grid route (i.i.d., r != 0, and r = 0 with m = 1)
+-------------------------------------------------
 The circle is cut into the N cells [x_i, x_{i+1}] of the uniform open
 grid x_i = 2 pi (i + g)/N, wrap cell (x_{N-1}, x_0 + 2 pi) included,
 with g = GRID_OFFSET the golden section and h = 2 pi/N.
 N = smooth_size(max(256, grid_per_degree * n)) is the smallest 5-smooth
 size (no prime factor above 5) with grid_per_degree (GRID_PER_DEGREE = 16)
-nodes a degree of the function counted, twice that for a T whose lattice
-spikes set M (m >= 2), so the real FFT never meets an awkward length.
-T and T' are read once on this grid, after the coefficients are scaled
-by a power of two so that the largest is O(1): one evaluate_on_grid
-call with order=(0, 1), a two-row real transform of N nodes.  A periodic
-sample with r != 0 and ell <= 22 is counted from its lattice numerator
-W = 2 sin(ell x/2) T instead (Lattice numerator, below): the same
-certificate, on W's grid of its own.
+nodes a degree of the function counted, so the real FFT never meets an
+awkward length.  T and T' are read once on this grid, after the
+coefficients are scaled by a power of two so that the largest is O(1):
+one evaluate_on_grid call with order=(0, 1), a two-row real transform of
+N nodes.  T is counted for the i.i.d. samples and for m = 1 with r = 0
+(ell = n + 1), which repeat nothing; every periodic sample with r != 0
+is counted from its lattice numerator W = 2 sin(ell x/2) T instead
+(Lattice numerator, below): the same certificate, on W's grid of its
+own.
 
 A cosine sample is even, T(2 pi - x) = T(x), and is certified on the
 half circle instead (one counted from W keeps the whole circle: W is
@@ -94,18 +95,16 @@ _grid_cells, runs the hull, monotone and curvature tests on the open
 cells of one weight at a time (_Layout.parts) and hands _settle the
 convex and concave masks and that jet, which only a cup reads.  This
 leaves a few cells per trial beside close zero pairs whose dip or bend
-the grid's error hides, more on periodic samples counted from T, whose
-M the lattice spike sets (W has no spike, below).
-The local stage takes those of the same weight from the grid pass and
-splits them, at most max_doublings times, with T', T'' and the third
-derivative summed pointwise through the two-level power table of
-trigpoly.evaluate_jet (W's own sum on W), and T too except at the grid
-nodes, which keep their grid values so that each node has one sign.  A
-sub-cell is certified only with both end values beyond rounding: as
-zero-free by the test above, or by _settle, which the local stage hands
-the monotone mask where the control points of p_1 clear w^4 n^5 M/384,
-the convex and concave masks where those of p_2 clear w^4 n^6 M/384, and
-the same jet.  The rounding bounds are
+the grid's error hides.  The local stage takes those of the same weight
+from the grid pass and splits them, at most max_doublings times, with
+T', T'' and the third derivative summed pointwise through the two-level
+power table of trigpoly.evaluate_jet (W's own sum on W), and T too
+except at the grid nodes, which keep their grid values so that each node
+has one sign.  A sub-cell is certified only with both end values beyond
+rounding: as zero-free by the test above, or by _settle, which the local
+stage hands the monotone mask where the control points of p_1 clear
+w^4 n^5 M/384, the convex and concave masks where those of p_2 clear
+w^4 n^6 M/384, and the same jet.  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes;
@@ -151,7 +150,7 @@ A periodic sample with r != 0 (ell <= n, m = 1 included, trig and
 cosine alike) is the sum of ell grouped directions
 phi_{M_q}(x) Re c_q e^{i nu_q x} (trigpoly), and phi_M spikes to about
 m at the lattice 2 pi k/ell.  Those spikes set M >= max |T| above, about
-m times T's typical size, so T takes twice the nodes a degree, its
+m times T's typical size, so T would need twice the nodes a degree, its
 clearances are wide where T is small and its jet costs O(n) a point.
 Multiplying by s = 2 sin(ell x/2) removes every division of phi_M:
 
@@ -167,6 +166,10 @@ wherever T does not vanish there and never lie on a node (they are
 rational multiples of 2 pi, the nodes are not).  So
 count(T) = count(W) - ell exactly; a zero of T beside a lattice point is
 a close pair of W, which leaves its cell undecided, never miscounted.
+Where that leaves the report unstable, T itself is counted, as the
+i.i.d. sample of the same coefficients, and replaces it if stable: 7 of
+3120 trials at ell = 23..300 needed it (ell >= 128, n >= 4000), each
+for a zero of T within about 1e-8 of a lattice point.
 
 Such a sample is counted from W on the whole circle by the certificate
 above, with W's degree n + ell/2 in place of n and W's 2 ell terms in
@@ -175,12 +178,10 @@ either function), through the same _screen, _grid_cells, _settle,
 _local_stage and _refine_roots.  What differs:
 
   the grid: N = ell K, the smallest with K 5-smooth at or above
-      max(256, grid_per_degree (n + ell/2)) (_numerator_size);
+      max(256, grid_per_degree (n + ell/2)) (_grid_size);
   the grid values: W and W' from W's folded table
       (trigpoly.numerator_on_grid), one matmul, O(ell N), from a table
-      of 32 N bytes; W is counted for every r != 0 sample with
-      ell <= 22, where the rounding tally below closes
-      (_NUMERATOR_ELL), and one with ell > 22 keeps T's route;
+      of 32 N bytes;
   the wrap cell: for odd ell it ends at -W(x_0), -W'(x_0) (_Layout.flip);
   the pointwise jet: W's own sum of 2 ell terms (trigpoly.numerator_jet),
       O(ell) a point, with no window beside the lattice;
@@ -192,8 +193,10 @@ _local_stage and _refine_roots.  What differs:
       from the lattice moved by 1.6e-12 when refined on W).  A cosine
       sample's T is even: its roots in [0, pi] bring their mirror images.
 
-The rounding bounds are those above with W's terms: for grid values
-delta_k = 8 u log2(N) sqrt(N) ||f^k d||_2 + 16 u n^(k+1) sum_p |d_p|, and
+The rounding bounds are those above with W's terms, the transform term
+raised to the table's own tally: for grid values
+delta_k = max(8 u log2(N) sqrt(N) ||f^k d||_2,
+2 u (13 + 2.9 ell) sum_p |f_p|^k |d_p|) + 16 u n^(k+1) sum_p |d_p|, and
 for pointwise values 10 u (n+1) sum_p |f_p|^k (|Re d_p| + |Im d_p|), with
 n the degree n + ell/2.  Pointwise, each argument f_p x is rounded
 once, within 6.3 u n at the points the route reads; cos and sin are
@@ -208,32 +211,35 @@ t_k (trigpoly._table_nodes) and node sK + k reads it rotated by
 with f_q its top frequency (f_q <= n, |W_q^(k)| <= f_q^k w_q), W^(k)
 takes four errors.  The route's node t_k + 2 pi s/ell lies within 8.2 u
 of the float node where the certificate places the value (8.14 u
-measured at ell = 2..22, N up to 4.2e6; trigpoly's TestDirectionTable):
-8.2 u f_q^(k+1).  The table's arguments M_q ell t/2 and nu_q t are
-rounded once, each like a shift of t by at most 2 pi u/ell <= pi u:
-6.3 u f_q^(k+1) together.  The rotation is within 4.7 u and its product
-with c_q adds 2.9 u, the sines, cosines and products of an entry a few u,
-and the 2 ell-term matmul gamma_{2 ell} sqrt 2: under
-u (13 + 2.9 ell) f_q^k together.  The first two, 14.5 u f_q^(k+1), fit
-the node term 16 u n^(k+1) per unit.  The rest is held by the transform
-term, which this route does not spend: ||f^k d||_2 >=
-sum_p |f_p|^k |d_p|/sqrt(2 ell) >= sum_q f_q^k w_q/(2 sqrt(2 ell)), so
-with N >= 256 it is at least 512 u f_q^k/sqrt(2 ell) per unit, at or
-above u (13 + 2.9 ell) f_q^k for every ell <= 22 (77.2 >= 76.8 at
-ell = 22, 75.5 < 79.7 at 23).  So delta_grid covers W's table at every
-degree and every ell <= 22, to first order in u, and those are the
-samples W is counted for (_NUMERATOR_ELL).  Measured at n <= 250,
-ell = 2..7, both kinds: W's rows lie within 0.12 delta_grid of
-2 sin(ell x/2) T summed in long double at the float nodes, within 0.07
-of the node term at the route's own nodes, and the jet, orders 0 to 3,
-within 0.09 delta_point, beside the lattice too; at ell = 15, 18 and 22
-the rows lie within 0.09 delta_grid and the jet within 0.05
-delta_point.
+measured at ell = 2..22, N up to 4.2e6, and 7.58 u on a sample of
+ell = 23..300; trigpoly's TestDirectionTable): 8.2 u f_q^(k+1).  The
+table's arguments M_q ell t/2 and nu_q t are rounded once, each like a
+shift of t by at most 2 pi u/ell <= pi u: 6.3 u f_q^(k+1) together.  The
+rotation is within 4.7 u and its product with c_q adds 2.9 u, the sines,
+cosines and products of an entry a few u, and the 2 ell-term matmul
+gamma_{2 ell} sqrt 2: under u (13 + 2.9 ell) f_q^k together.  The first
+two, 14.5 u f_q^(k+1), fit the node term 16 u n^(k+1) per unit.  The
+rest, the tally u (13 + 2.9 ell) sum_q f_q^k w_q, is within the max at
+every ell, to first order in u: f_q is one of class q's two
+frequencies, each of weight |d_p| = w_q/2.  The transform term, which
+this route does not spend, is the larger wherever it covers the tally
+alone, at every ell <= 22 since ||f^k d||_2 >= sum_p |f_p|^k |d_p|/
+sqrt(2 ell) and N >= 256 (512/sqrt(2 ell) >= 13 + 2.9 ell).  On W's
+default grids (3 samples a row, n <= 12000) the tally reached 0.56 of
+it at ell = 22 and 0.85 at 40, and 1.18, 1.73 and 4.42 times it at
+ell = 60, 100 and 300, where delta_grid, whose node term is larger,
+grew by 18 % at most.  Measured at n <= 250, ell = 2..7, both
+kinds: W's rows lie within 0.12 delta_grid of 2 sin(ell x/2) T summed in
+long double at the float nodes, within 0.07 of the node term at the
+route's own nodes, and the jet, orders 0 to 3, within 0.09 delta_point,
+beside the lattice too; at ell = 15, 18, 22, 40 and 100 the rows lie
+within 0.09 delta_grid and the jet within 0.05 delta_point.
 
 At trig ell = 3 the local stage ran in 5 and 13 of 300 trials at n = 400
 and 1600 (154 and 268 counting T), and none of 1200 at n = 12000 was
-unstable (27 counting T).  On 5268 trials (ell = 2..22, n <= 30000) W
-kept every count that T certified and certified those T left unstable.
+unstable (27 counting T).  On 5268 trials (ell = 2..22, n <= 30000),
+and on 3120 at ell = 23..300 (n <= 12000), the route kept every count
+that T certified and certified those T left unstable.
 
 Phase route (periodic, r = 0, m >= 2)
 -------------------------------------
@@ -275,7 +281,7 @@ from __future__ import annotations
 import functools
 import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -308,7 +314,7 @@ BREAKPOINT_CUT = 1e-6
 # 2 pi (k + 1/2)/N and its midpoints on 2 pi k/N)
 GRID_OFFSET = (np.sqrt(5.0) - 1.0) / 2.0
 
-# grid route: nodes a degree of the function counted, W or T (_grid_size doubles it for spikes)
+# grid route: nodes a degree of the function counted, W or T
 GRID_PER_DEGREE = 16
 
 # grid route: local splits of a cell at most, finer than 4 at 32 a degree (count_zeros)
@@ -321,13 +327,6 @@ _U = 0.5 * np.finfo(float).eps
 _FFT_ROUNDING = 8.0
 _SUM_ROUNDING = 10.0
 _WIDTH_SLACK = 1e-9
-
-# the largest ell whose lattice numerator W is counted: W's folded table
-# leaves u (13 + 2.9 ell) per unit of class weight to the transform term
-# that it does not spend, at least _FFT_ROUNDING log2(256) sqrt(256)/2 =
-# 512 u/sqrt(2 ell) per unit on the smallest grid (module docstring), so
-# 22 (77.2 >= 76.8; at 23, 75.5 < 79.7)
-_NUMERATOR_ELL = max(ell for ell in range(1, 64) if 512 / np.sqrt(2 * ell) >= 13 + 2.9 * ell)
 
 # the slope of the cubic Hermite interpolant of f on a cell of width w
 # misses f' by at most _SLOPE_HERMITE w^3 max |f^(4)| (Birkhoff and Priver)
@@ -615,21 +614,13 @@ def _read_only(values) -> np.ndarray:
     return table
 
 
-def _grid_size(split, grid_per_degree: int, mirror: bool) -> int:
-    """The grid size N of T: the smallest 5-smooth size at or above
-    max(256, grid_per_degree * n), twice the nodes a degree where m >= 2,
-    on the half circle (mirror) the smallest 5-smooth multiple of 4."""
-    least = max(256, grid_per_degree * min(split.m, 2) * split.n)
-    return 4 * smooth_size(-(-least // 4)) if mirror else smooth_size(least)
-
-
-def _numerator_size(sample: PolySample, grid_per_degree: int) -> int:
-    """The grid size N of the sample's lattice numerator W: the smallest
-    multiple of ell with a 5-smooth cofactor at or above
-    max(256, grid_per_degree (n + ell/2)), W's degree being n + ell/2."""
-    ell = sample.split.ell
-    least = max(256, -(-grid_per_degree * (2 * sample.n + ell) // 2))
-    return ell * smooth_size(-(-least // ell))
+def _grid_size(degree, grid_per_degree: int, step: int) -> int:
+    """The grid size N of a function of this degree: the smallest multiple
+    of step with a 5-smooth cofactor at or above max(256, grid_per_degree
+    * degree).  step is 1 for T, 4 on its half circle (N/2 columns and
+    their mirror images) and ell for W of degree n + ell/2 (its table)."""
+    least = max(256, int(np.ceil(grid_per_degree * degree)))
+    return step * smooth_size(-(-least // step))
 
 
 @dataclass(frozen=True)
@@ -717,11 +708,12 @@ def _numerator_powers(split) -> np.ndarray:
 
 
 def _certificate(powers: np.ndarray, c: np.ndarray, n, N: int, grid_max: float,
-                 gap: float) -> _Certificate:
+                 gap: float, ell: int = 0) -> _Certificate:
     """Bounds for the function Re sum_j c_j e^{i f_j x} of degree n = max |f_j|
     (largest |c_j| O(1)), T or W, on a grid of N nodes of the circle, gap
     2 pi/N apart at most, whose largest |value| is grid_max; powers holds
-    |f_j|^k for k <= 3 (rows)."""
+    |f_j|^k for k <= 3 (rows).  ell is W's period, whose folded table's
+    rounding the transform term then covers too, and 0 for T."""
     fft_factor, node_factors, sum_factor, nh2 = _certificate_factors(n, N, gap)
     mag = np.hypot(c.real, c.imag)
     total = float(mag.sum())
@@ -730,7 +722,12 @@ def _certificate(powers: np.ndarray, c: np.ndarray, n, N: int, grid_max: float,
     # within 16u of the exact ones.  One (4, terms) array, squared in place
     weighted = powers * mag
     np.square(weighted, out=weighted)
-    delta_grid = fft_factor * np.sqrt(weighted.sum(axis=1)) + node_factors * total
+    delta_grid = fft_factor * np.sqrt(weighted.sum(axis=1))
+    if ell:
+        # W's table tally, u (13 + 2.9 ell) f_q^k per unit of w_q = 2 |c_q|
+        # (module docstring), within 2 u (13 + 2.9 ell) sum_p |f_p|^k |d_p|
+        np.maximum(delta_grid, 2.0 * _U * (13.0 + 2.9 * ell) * (powers @ mag), out=delta_grid)
+    delta_grid += node_factors * total
     # the pointwise sums at |x| < 6.3, argument rounding included (module
     # docstring); the local cells also read the function at grid nodes,
     # hence at least delta_grid
@@ -934,36 +931,41 @@ def _local_stage(cert: _Certificate, jet_at: Callable, jet: Callable, lo, hi, f_
         depth += 1
 
 
-def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_doublings: int,
+def _certified_count(unit: PolySample, grid_per_degree: int, max_doublings: int,
                      want_roots: bool, tol: float):
-    """(count, doublings, stable, roots) of the grid route on the layout.
+    """(count, grid size, doublings, stable, roots) of the grid route.
 
     unit is the sample scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  With numerator the route counts the
-    zeros of W = 2 sin(ell x/2) T on the whole circle, read from W's
-    folded table and W's own pointwise jet, and returns count(W) - ell;
-    otherwise it counts T.  The open cells are decided one weight at a
-    time (_Layout.parts): the grid pass, then the local stage on the
-    cells it leaves.  The brackets of the roots are gathered only with
-    want_roots; on W a single-zero bracket that holds a lattice point
-    2 pi k/ell holds that zero of W alone, and is dropped before Newton;
-    the rest are refined on T itself from W's own roots, those of an even
-    (cosine) T only in [0, pi], each with its mirror image.
+    those of the sample itself.  A sample with r != 0 is counted from
+    W = 2 sin(ell x/2) T on the whole circle, read from W's folded table
+    and W's own pointwise jet, as count(W) - ell; any other counts T, on
+    the half circle where T is even (cosine); each on its own grid
+    (_grid_size).  The open cells are decided one weight at a time
+    (_Layout.parts): the grid pass, then the local stage on the cells it
+    leaves.  The brackets of the roots are gathered only with want_roots;
+    on W a single-zero bracket that holds a lattice point 2 pi k/ell holds
+    that zero of W alone, and is dropped before Newton; the rest are
+    refined on T itself from W's own roots, those of an even (cosine) T
+    only in [0, pi], each with its mirror image.
     """
     split = unit.split
+    numerator = split.r != 0
     if numerator:
+        degree, ell = split.n + split.ell / 2, split.ell
+        layout = _grid_layout(_grid_size(degree, grid_per_degree, ell), False, ell % 2 == 1)
         seq = numerator_on_grid(unit, layout.columns, layout.offset)
         powers, c = _numerator_powers(split), lattice_numerator(unit)[1]
-        degree = split.n + split.ell / 2
         jet_at = functools.partial(numerator_jet, unit)
     else:
+        mirror = unit.model.kind == "cosine"
+        layout = _grid_layout(_grid_size(unit.n, grid_per_degree, 4 if mirror else 1), mirror)
         seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1),
                                                out=_scratch(0, (2, layout.columns))))
-        powers, c, degree = frequency_powers(unit.n, 3), unit.normalized[0], unit.n
+        powers, c, degree, ell = frequency_powers(unit.n, 3), unit.normalized[0], unit.n, 0
         jet_at = functools.partial(evaluate_jet, unit)
     size, slack = np.abs(seq, out=_scratch(1, seq.shape))
-    cert = _certificate(powers, c, degree, layout.size, float(size.max()), layout.gap)
+    cert = _certificate(powers, c, degree, layout.size, float(size.max()), layout.gap, ell)
     widest = layout.h * layout.gap
     clear0 = cert.grid_clearance(widest)
     # |f| - w |f'|/3 bounds the two control points beside a node on the
@@ -976,7 +978,7 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
     # the function and its slope at any points: the one pointwise jet of
     # grid cups, the local stage's cups and the root refinement
     jet = lambda x, _: jet_at(x, order=1)  # noqa: E731
-    count, depth, stable, brackets = 0, 0, True, []
+    count, depth, stable, brackets = -ell, 0, True, []  # count(T) = count(W) - ell
     for part, weight in layout.parts(cells):
         found, bracketed, left = _grid_cells(seq, cells[part], layout, cert, clear0, jet,
                                              want_roots)
@@ -1014,9 +1016,7 @@ def _certified_count(unit: PolySample, layout: _Layout, numerator: bool, max_dou
             jet = lambda x, _: evaluate_jet(unit, x, order=1)  # noqa: E731
         found = _refine_roots(jet, lo, hi, f_lo, f_hi, tol, start)
         roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))
-    if numerator:
-        count -= split.ell
-    return count, depth, stable, roots
+    return count, layout.size, depth, stable, roots
 
 
 @dataclass(frozen=True)
@@ -1161,17 +1161,17 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
     split factors (r = 0, m >= 2, so never an i.i.d. one, the vacuous
     period) take the phase route (the deterministic zero set plus the
     exact phase count of the reduced factor T^*; grid_per_degree and
-    max_doublings do not enter).  A periodic sample with r != 0 (so
-    ell <= n, m = 1 included) and ell <= 22, where the rounding bound
-    covers W's folded table (_NUMERATOR_ELL), is counted from its
-    lattice numerator W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with
-    no lattice spike, as count(W) - ell, on the whole circle.  Everything
-    else, the i.i.d. samples, m = 1 with r = 0 and r != 0 with ell > 22,
-    takes the grid route on T itself.  grid_per_degree is the nodes a
-    degree of the function counted, twice that for a T whose lattice
-    spikes (m >= 2) set M (_numerator_size, _grid_size).  A cell that the
-    grid's tests leave undecided is split at most max_doublings times, at
-    the midpoint, to 2^-max_doublings 2 pi/N.  A cosine sample (T even; a
+    max_doublings do not enter).  Every periodic sample with r != 0 (so
+    ell <= n, m = 1 included) is counted from its lattice numerator
+    W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with no lattice spike,
+    as count(W) - ell, on the whole circle; where W leaves the count
+    unstable, T itself is counted as an i.i.d. sample of the same
+    coefficients, and its report is taken if stable.  The rest, the
+    i.i.d. samples and m = 1 with r = 0, take the grid route on T itself.
+    grid_per_degree is the nodes a degree of the function counted
+    (_grid_size).  A cell that the grid's tests leave undecided is split
+    at most max_doublings times, at the midpoint, to
+    2^-max_doublings 2 pi/N.  A cosine sample (T even; a
     nonzero b is a ValueError) counted from T is certified on the half
     circle, N/2 transformed nodes and their mirror images, split at the
     golden fraction g = 0.618 of a cell, to 2 g^(max_doublings + 1) 2 pi/N.
@@ -1219,8 +1219,8 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
     if not sample.repeats:
         raise ValueError(f"coefficients that do not repeat with period ell={split.ell}; "
                          f"model={model}, seed={sample.seed}")
-    mirror = model.kind == "cosine" and not split.factors  # T's half circle, W's roots: T even
-    if mirror and sample.b.any():
+    # T's half circle and W's roots take T even
+    if model.kind == "cosine" and not split.factors and sample.b.any():
         raise ValueError(f"nonzero b in a cosine sample, whose b is 0; model={model}, "
                          f"seed={sample.seed}")
     if split.factors:
@@ -1230,16 +1230,15 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
             roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, split.ell)]))
         N = doublings = 0
     else:
-        # W on the whole circle wherever its rounding tally holds, else T
-        numerator = split.r != 0 and split.ell <= _NUMERATOR_ELL
-        if numerator:
-            N = _numerator_size(sample, grid_per_degree)
-            layout = _grid_layout(N, False, split.ell % 2 == 1)
-        else:
-            N = _grid_size(split, grid_per_degree, mirror)
-            layout = _grid_layout(N, mirror)
-        count, doublings, stable, roots = _certified_count(sample.unit(), layout, numerator,
-                                                           max_doublings, want_roots, tol)
+        count, N, doublings, stable, roots = _certified_count(
+            sample.unit(), grid_per_degree, max_doublings, want_roots, tol)
+        if not stable and split.r:
+            # a zero of T beside a lattice point is a close pair of W, which
+            # W's rounding may hide: T, the coefficients as i.i.d., if stable
+            iid = replace(sample, model=models.CoefficientModel(model.kind, "iid"))
+            direct = _certified_count(iid.unit(), grid_per_degree, max_doublings, want_roots, tol)
+            if direct[3]:
+                count, N, doublings, stable, roots = direct
         pieces = 0
     # a degree-n trigonometric polynomial has at most 2n real zeros
     if count > 2 * n:

@@ -620,21 +620,23 @@ class TestCertificate:
             for rep in (count_zeros(s), count_zeros(s, grid_per_degree=32, max_doublings=4)):
                 assert (rep.count, rep.stable) == (zeros, True), (eps, rep.grid_size)
 
-    @pytest.mark.parametrize("kind, dep, ell", [
-        ("trig", "iid", None), ("cosine", "iid", None),
-        ("trig", "periodic", 3), ("trig", "periodic", 4),
-        ("cosine", "periodic", 3), ("cosine", "periodic", 4),
+    @pytest.mark.parametrize("kind, dep, ell, trials", [
+        ("trig", "iid", None, 4), ("cosine", "iid", None, 4),
+        ("trig", "periodic", 3, 4), ("trig", "periodic", 4, 4),
+        ("cosine", "periodic", 3, 4), ("cosine", "periodic", 4, 4),
+        ("trig", "periodic", 23, 6), ("cosine", "periodic", 30, 6),
     ])
-    def test_companion_matrix_oracle(self, kind, dep, ell):
+    def test_companion_matrix_oracle(self, kind, dep, ell, trials):
         """n <= 60 on the grid route: every certified count is the number of
         unit-circle roots of z^n 2T(z), and every decided sample is
-        certified."""
+        certified; ell = 23 and 30, where fewer degrees lie in range, draw
+        more trials a degree."""
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)
         decided = 0
         for n in range(max(1, (ell or 1) - 1), 61):
             if ell and decompose_degree(n, ell).factors:
                 continue  # the phase route
-            for t in range(4):
+            for t in range(trials):
                 s = sample_coefficients(model, n, seed=mix64(91, n, t))
                 expected = decided_circle_roots(s)
                 if expected is None:
@@ -1096,19 +1098,19 @@ class TestGridRule:
         function counted: i.i.d. T on the smallest 5-smooth N >= 16 n (a
         multiple of 4 on a cosine sample's half circle), W = 2 sin(ell x/2) T
         on the smallest multiple of ell with a 5-smooth cofactor at or above
-        16 (n + ell/2), and a T with lattice spikes (r != 0, ell > 22,
-        m >= 2) on twice that, 32 n."""
+        16 (n + ell/2), for every r != 0 sample, at ell = 23 as at 3."""
         assert GRID_PER_DEGREE == 16
         for kind, dep, ell, n, m_r, size in (
                 ("trig", "iid", None, 499, (1, 0), smooth_size(16 * 499)),
                 ("cosine", "iid", None, 42, (1, 0), 4 * smooth_size(16 * 42 // 4)),
                 ("trig", "periodic", 3, 400, (133, 2), 3 * smooth_size(-(-16 * 803 // 6))),
-                ("trig", "periodic", 23, 101, (4, 10), smooth_size(32 * 101))):
+                ("trig", "periodic", 23, 101, (4, 10), 23 * smooth_size(-(-16 * 225 // 46)))):
             s = sample_coefficients(CoefficientModel(kind=kind, dep=dep, ell=ell), n, seed=3)
             assert (s.split.m, s.split.r) == m_r
             assert count_zeros(s).grid_size == size, (kind, ell, n)
         assert [smooth_size(16 * 499), 4 * smooth_size(16 * 42 // 4)] == [8000, 720]
-        assert [3 * smooth_size(-(-16 * 803 // 6)), smooth_size(32 * 101)] == [6480, 3240]
+        assert [3 * smooth_size(-(-16 * 803 // 6)), 23 * smooth_size(-(-16 * 225 // 46))] == [
+            6480, 1840]
 
     def test_prime_degree_gets_smooth_grid(self):
         model = CoefficientModel(kind="trig", dep="iid")
@@ -1295,11 +1297,12 @@ class TestTrigReportsUnchanged:
     i.i.d. and periodic r != 0 samples, coarse grids with local halvings
     included.  The periodic rows count their lattice numerator
     W = 2 sin(ell x/2) T on its own grid, whose nodes a degree are W's
-    (ell = 3 at n = 400: 6480 nodes, 12960 when they counted T, which
-    takes twice the nodes a degree where m >= 2).  Their roots, refined
-    on T from W's own roots, stay within tol of T's count on T's grid;
-    they moved by at most 4.2e-14 when W's roots became their start.
-    Their counts and stable flags are those of T's count.
+    (ell = 3 at n = 400: 6480 nodes).  Their reference is T itself, the
+    same coefficients counted as an i.i.d. sample on twice the nodes a
+    degree where m >= 2 (12960 at ell = 3, n = 400), the grid on which
+    they once counted T: their counts and stable flags are T's, and their
+    roots, refined on T from W's own roots, stay within tol of T's; they
+    moved by at most 4.2e-14 when W's roots became their start.
     """
 
     PINS = [
@@ -1327,11 +1330,8 @@ class TestTrigReportsUnchanged:
 
     @pytest.mark.parametrize("dep, ell, n, gpd, trial, count, size, doublings, stable, digest",
                              PINS)
-    def test_report(self, monkeypatch, dep, ell, n, gpd, trial, count, size, doublings, stable,
-                    digest):
+    def test_report(self, dep, ell, n, gpd, trial, count, size, doublings, stable, digest):
         import hashlib
-
-        import trigzeros.zeros as zeros_module
 
         model = CoefficientModel(kind="trig", dep=dep, ell=ell)
         s = sample_coefficients(model, n, seed=mix64(33, n, trial))
@@ -1339,9 +1339,11 @@ class TestTrigReportsUnchanged:
         assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (
             count, size, doublings, stable)
         assert hashlib.sha256(rep.roots.tobytes()).hexdigest()[:16] == digest
-        # T's own count on T's grid
-        monkeypatch.setattr(zeros_module, "_NUMERATOR_ELL", 0)
-        direct = count_zeros(s, grid_per_degree=gpd, want_roots=True, tol=1e-12)
+        # T's own count on T's grid: the same coefficients counted as an
+        # i.i.d. sample, at twice the nodes a degree where m >= 2
+        iid = dataclasses.replace(s, model=CoefficientModel(kind="trig", dep="iid"))
+        direct = count_zeros(iid, grid_per_degree=gpd * min(s.split.m, 2), want_roots=True,
+                             tol=1e-12)
         assert (direct.count, direct.stable) == (count, stable)
         assert np.abs(rep.roots - direct.roots).max() <= 1e-12
 
@@ -1616,7 +1618,8 @@ class TestLatticeNumerator:
                         n += 1
                     s = sample_coefficients(model, n, seed=mix64(43, n, t))
                     rep = count_zeros(s, want_roots=True, tol=1e-12)
-                    assert rep.grid_size == zeros_module._numerator_size(s, 16), (kind, ell, n)
+                    N = zeros_module._grid_size(n + ell / 2, 16, ell)
+                    assert rep.grid_size == N, (kind, ell, n)
                     assert rep.stable and rep.roots.size == rep.count, (kind, ell, n, t)
                     x = np.sort(rep.roots)
                     mid = 0.5 * (x + np.append(x[1:], x[0] + 2 * np.pi))
@@ -1627,3 +1630,28 @@ class TestLatticeNumerator:
                     assert gap.min() > 1e-9, (kind, ell, n, t)
                     trials += 1
         assert trials == 200
+
+    def test_unstable_numerator_is_counted_on_t(self):
+        """trig ell = 128, n = 4000 (m = 31, r = 33): T has a zero 6.4e-9
+        from the lattice point 2 pi 18/128, a close pair of W whose dip
+        lies below W's pointwise rounding, so W's count stays unstable
+        whatever its split budget.  count_zeros then counts T, the same
+        coefficients as an i.i.d. sample, whose report it returns: stable,
+        with the count that T certified on twice the nodes a degree."""
+        import trigzeros.zeros as zeros_module
+
+        model = CoefficientModel(kind="trig", dep="periodic", ell=128)
+        s = sample_coefficients(model, 4000, seed=mix64(46, 128, 4000, 3))
+        assert (s.split.m, s.split.r) == (31, 33)
+        for budget in (7, 20):
+            _, size, _, stable, _ = zeros_module._certified_count(s.unit(), 16, budget, False,
+                                                                  1e-10)
+            assert (size, stable) == (65536, False), budget
+        rep = count_zeros(s, want_roots=True)
+        assert (rep.count, rep.grid_size, rep.doublings_used, rep.stable) == (6236, 64000, 1, True)
+        iid = count_zeros(dataclasses.replace(s, model=CoefficientModel(kind="trig", dep="iid")),
+                          want_roots=True)
+        assert np.array_equal(rep.roots, iid.roots)
+        lattice = 2 * np.pi / 128
+        gap = np.abs(rep.roots / lattice - np.rint(rep.roots / lattice)) * lattice
+        assert gap.min() < 1e-8
