@@ -215,8 +215,8 @@ class PolySample:
         """The largest |a_k|, |b_k|, reduced once per sample (the sampler
         hands over that of its draw): nan or inf when an entry is, 0 when
         the sample vanishes.  normalized and the zero counter's carrier
-        phase take their exponent, and the zero counter its checks, from
-        here."""
+        phase and lattice numerator take their exponent, and the zero
+        counter its checks, from here."""
         return _peak(self.a, self.b)
 
     @functools.cached_property
@@ -234,8 +234,8 @@ class PolySample:
     def normalized(self) -> tuple[np.ndarray, int]:
         """The normalized coefficients (c, e) of _scaled, computed once per
         sample: the evaluators of trigpoly read them from here.  The zero
-        counter's carrier phase, which reads the first ell alone, scales
-        those by the same exponent."""
+        counter's carrier phase and lattice numerator W, which read the
+        first ell alone, scale those by the same exponent."""
         c, e = _scaled(self.a, self.b, self.peak)
         c.flags.writeable = False
         return c, e

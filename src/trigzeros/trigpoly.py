@@ -20,7 +20,9 @@ evaluate_jet                     T_n, T_n', ... at arbitrary points
                                  alone (the powers j^k, the table's
                                  exponents and binomial weights and
                                  its weight matrix per order, the grid
-                                 twist) is built once per degree.
+                                 twist) is built once per degree, and
+                                 the coefficients' layout once per
+                                 sample record (_TableCoefficients).
 evaluate_on_grid                 all values of T_n or a derivative on a
                                  uniform offset grid x_i = 2 pi (i +
                                  offset)/N through one real inverse FFT
@@ -47,7 +49,11 @@ numerator_on_grid                W and W' of the lattice numerator
 numerator_jet                    W, W', ... at arbitrary points from its
                                  2 ell sinusoids, O(ell) a point: the
                                  cups, local bisection and root
-                                 refinement of the r != 0 route.  The
+                                 refinement of the r != 0 route.  W's
+                                 three functions read the ell class
+                                 coefficients alone, and a sample record
+                                 (_NumeratorTerms) keeps W's terms and
+                                 jet weights for its caller.  The
                                  r = 0 route counts T* from its carrier
                                  phase (zeros.carrier_phase) without a
                                  grid.
@@ -131,11 +137,11 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import CoefficientModel, PolySample
+from .models import CoefficientModel, PeriodDecomposition, PolySample, _scaled
 
 # dirichlet_pairs: phi_M and phi_M' come from their series where M |s| is
 # below this (see there).  The series error grows like (M s)^6 and the
@@ -254,6 +260,32 @@ def _jet_plan(n: int, order: int):
     return exponents, q_powers[:rows], w, B, P, chunk
 
 
+@dataclass(frozen=True)
+class _TableCoefficients:
+    """What evaluate_jet reads of one sample: its degree n and normalized
+    coefficients (c, e) (PolySample.normalized), and c laid out as the
+    B x P matrix of the power table, c_{Bp+q} at row q and column p, built
+    on first use and kept.  evaluate_jet takes this record in place of the
+    sample, so a caller that holds it (the zero counter, once a trial) lays
+    the coefficients out once."""
+
+    n: int
+    c: np.ndarray
+    e: int
+
+    @classmethod
+    def of(cls, sample) -> "_TableCoefficients":
+        return sample if isinstance(sample, cls) else cls(sample.n, *sample.normalized)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        _, q_powers, weights = _power_table(self.n, 3)
+        B, P = q_powers.shape[1], weights.shape[1]
+        coeffs = np.zeros(P * B, dtype=complex)
+        coeffs[:self.c.size] = self.c
+        return coeffs.reshape(P, B).T
+
+
 def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     """Rows T_n, T_n', ..., T_n^(order) at the points x.
 
@@ -270,14 +302,14 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     of points hold no more than _JET_BLOCK doubles.  The coefficients come
     normalized (PolySample.normalized) and the rows are scaled back by
     2^e, which is exact.  The weight matrix is built once per degree and
-    order.  Returns an array of shape (order + 1, x.size).
+    order, the coefficient matrix once per sample record
+    (_TableCoefficients, which sample may be).  Returns an array of shape
+    (order + 1, x.size).
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    c, e = sample.normalized
-    exponents, q_powers, w, B, P, chunk = _jet_plan(sample.n, order)
-    coeffs = np.zeros(P * B, dtype=complex)
-    coeffs[:c.size] = c
-    coeffs = coeffs.reshape(P, B).T
+    table = _TableCoefficients.of(sample)
+    exponents, q_powers, w, B, P, chunk = _jet_plan(table.n, order)
+    coeffs = table.matrix
     rows = order + 1
     out = np.empty((rows, x_arr.size))
     for lo in range(0, x_arr.size, chunk):
@@ -289,9 +321,9 @@ def evaluate_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
                  ).reshape(-1, rows, P)
         inner *= phases[:, None, B:]
         out[:, lo:lo + chunk] = (inner.reshape(-1, rows * P) @ w).real.T
-    if e:
+    if table.e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
-            np.ldexp(out, e, out=out)
+            np.ldexp(out, table.e, out=out)
     return out
 
 
@@ -378,16 +410,56 @@ def numerator_frequencies(split) -> np.ndarray:
     return freqs
 
 
+@dataclass(frozen=True)
+class _NumeratorTerms:
+    """The lattice numerator W of one sample as its 2 ell terms: the split,
+    the normalized coefficients c_q of the classes q < ell and their
+    exponent e, so that W = 2^e Re sum_p d_p e^{i f_p x}.  of() scales the
+    first ell coefficients alone by the exponent of PolySample.peak: the
+    bits of PolySample.normalized[0][:ell], with no copy of the n + 1
+    entries.  The coefficients d_p of lattice_numerator and the weights
+    d_p (i f_p)^k of numerator_jet are built on first use and kept, so a
+    caller that holds the record (the zero counter, once a trial) builds
+    them once; the three W functions take it in place of the sample."""
+
+    split: PeriodDecomposition
+    c: np.ndarray
+    e: int = 0
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, sample) -> "_NumeratorTerms":
+        if isinstance(sample, cls):
+            return sample
+        ell = sample.split.ell
+        return cls(sample.split, *_scaled(sample.a[:ell], sample.b[:ell], sample.peak))
+
+    @functools.cached_property
+    def d(self) -> np.ndarray:
+        """(i c_q, -i c_q), read-only; multiplying by +-i is exact."""
+        d = np.concatenate([1j * self.c, -1j * self.c])
+        d.flags.writeable = False
+        return d
+
+    def weights(self, order: int) -> np.ndarray:
+        """The (2 ell, order + 1) weights d_p i^k f_p^k of numerator_jet."""
+        weights = self._weights.get(order)
+        if weights is None:
+            f, k = numerator_frequencies(self.split), np.arange(order + 1)
+            weights = (self.d[:, None] * f[:, None] ** k) * np.array([1, 1j, -1, -1j])[k % 4]
+            self._weights[order] = weights
+        return weights
+
+
 def lattice_numerator(sample: PolySample) -> tuple[np.ndarray, np.ndarray, int]:
     """(f, d, e) with W(x) = 2 sin(ell x/2) T_n(x) = 2^e Re sum_p d_p e^{i f_p x}
     for a sample that repeats its coefficients with period ell
     (module docstring): f = numerator_frequencies(split), and
-    d = (i c_q, -i c_q) for the normalized coefficients c_q of the
-    classes q < ell (PolySample.normalized), so sum_p |d_p| = 2 sum_q |c_q|.
-    Multiplying by +-i is exact."""
-    c, e = sample.normalized
-    c = c[:sample.split.ell]
-    return numerator_frequencies(sample.split), np.concatenate([1j * c, -1j * c]), e
+    d = (i c_q, -i c_q), read-only, for the normalized coefficients c_q of
+    the classes q < ell (_NumeratorTerms, which sample may be), so
+    sum_p |d_p| = 2 sum_q |c_q|.  Multiplying by +-i is exact."""
+    terms = _NumeratorTerms.of(sample)
+    return numerator_frequencies(terms.split), terms.d, terms.e
 
 
 def numerator_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
@@ -399,13 +471,14 @@ def numerator_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     weights d_p i^k f_p^k are exact but for one rounding of f_p^k d_p,
     and one complex product per block of points sums the terms; the
     zero counter's pointwise bound delta_point covers it (zeros).  The
-    rows are scaled back by 2^e, which is exact."""
+    weights are built once per order and sample record
+    (_NumeratorTerms, which sample may be).  The rows are scaled back by
+    2^e, which is exact."""
     if order < 0:
         raise ValueError(f"need a derivative order >= 0, got {order}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    f, d, e = lattice_numerator(sample)
-    k = np.arange(order + 1)
-    weights = (d[:, None] * f[:, None] ** k) * np.array([1, 1j, -1, -1j])[k % 4]
+    terms = _NumeratorTerms.of(sample)
+    f, weights = numerator_frequencies(terms.split), terms.weights(order)
     out = np.empty((order + 1, x_arr.size))
     chunk = max(1, _JET_BLOCK // (2 * f.size))
     for lo in range(0, x_arr.size, chunk):
@@ -414,9 +487,9 @@ def numerator_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
         np.cos(ang, out=phases.real)
         np.sin(ang, out=phases.imag)
         out[:, lo:lo + chunk] = (phases @ weights).real.T
-    if e:
+    if terms.e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
-            np.ldexp(out, e, out=out)
+            np.ldexp(out, terms.e, out=out)
     return out
 
 
@@ -434,18 +507,19 @@ def numerator_on_grid(sample: PolySample, num_nodes: int, offset: float) -> np.n
     with the table of _numerator_table, (2, 2 ell, K), written into the
     rows reshaped to (ell, K), which is node order.  The products read
     4 ell values a node of a table ell times smaller than the grid.  The
-    coefficients are normalized by 2^-e and the values scaled back by 2^e,
-    which is exact; the rounding is covered by the zero counter's grid
-    bound delta_grid for W (zeros)."""
+    coefficients c_q are normalized by 2^-e (_NumeratorTerms, which sample
+    may be) and the values scaled back by 2^e, which is exact; the
+    rounding is covered by the zero counter's grid bound delta_grid for W
+    (zeros)."""
     N = int(num_nodes)
-    c, e = sample.normalized
-    ell = sample.split.ell
+    terms = _NumeratorTerms.of(sample)
+    ell = terms.split.ell
     vals = np.empty((2, N))
-    np.matmul((_rotations(ell) * c[:ell]).view(float),
-              _numerator_table(sample.split, N, offset), out=vals.reshape(2, ell, N // ell))
-    if e:
+    np.matmul((_rotations(ell) * terms.c).view(float),
+              _numerator_table(terms.split, N, offset), out=vals.reshape(2, ell, N // ell))
+    if terms.e:
         with np.errstate(over="ignore"):  # values beyond the double range are +-inf
-            np.ldexp(vals, e, out=vals)
+            np.ldexp(vals, terms.e, out=vals)
     return vals
 
 

@@ -49,7 +49,11 @@ layout) is built once and cached.  What depends on the sample is reduced
 once: its largest coefficient (PolySample.peak, which the sampler hands
 over from its draw) gives the finiteness and all-zero checks and the
 power of two of the scaling, and the zero-free clearance of the base
-grid, taken at w_max, is one scalar.
+grid, taken at w_max, is one scalar.  The pointwise jet's per-sample part
+is built once a trial and shared by the grid's cups, the local stage and
+Newton: T's coefficients laid out on the power table
+(trigpoly._TableCoefficients), or W's weights d_p (i f_p)^k
+(trigpoly._NumeratorTerms), each on first use.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -104,7 +108,14 @@ has one sign.  A sub-cell is certified only with both end values beyond
 rounding: as zero-free by the test above, or by _settle, which the local
 stage hands the monotone mask where the control points of p_1 clear
 w^4 n^5 M/384, the convex and concave masks where those of p_2 clear
-w^4 n^6 M/384, and the same jet.  The rounding bounds are
+w^4 n^6 M/384, and the same jet.  A trial leaves few cells to the
+curvature test (a median of 2 for i.i.d. trig at n = 199, 9 for W at
+n = 400, 253 at n = 12000) and fewer cups (0, 2 and 60), so _settle
+takes its masks and sign changes as numpy operations on all its cells
+and decides each cup in Python floats, whose + - * /, min, max and
+comparisons round as numpy's do, with one jet call for all the cups of
+a call: a cup costs no numpy call of its own, and a large call no loop
+over its cells.  The rounding bounds are
 
   delta_k = 8 u log2(N) sqrt(N) ||j^k c_j||_2 + 16 u n^(k+1) sum_j |c_j|
       for grid values (the transform, normwise, plus the float nodes;
@@ -183,6 +194,11 @@ _local_stage and _refine_roots.  What differs:
       (trigpoly.numerator_on_grid), one matmul, O(ell N), from a table
       of 32 N bytes;
   the wrap cell: for odd ell it ends at -W(x_0), -W'(x_0) (_Layout.flip);
+  the coefficients: the ell drawn pairs alone, normalized by the exponent
+      of PolySample.peak and taken at exponent 0 (_NumeratorTerms), the
+      bits of PolySample.unit()'s first ell, with no copy of the n + 1;
+      W's grid, certificate and jet read them, and T's unit() copy is
+      made only for roots refined on T and for the recount below;
   the pointwise jet: W's own sum of 2 ell terms (trigpoly.numerator_jet),
       O(ell) a point, with no window beside the lattice;
   the roots: a single-zero bracket that holds a lattice point 2 pi k/ell
@@ -288,8 +304,9 @@ import numpy as np
 
 from . import models
 from .models import PolySample
-from .trigpoly import (evaluate_jet, evaluate_on_grid, frequency_powers, lattice_numerator,
-                       numerator_frequencies, numerator_jet, numerator_on_grid)
+from .trigpoly import (_NumeratorTerms, _TableCoefficients, evaluate_jet, evaluate_on_grid,
+                       frequency_powers, lattice_numerator, numerator_frequencies, numerator_jet,
+                       numerator_on_grid)
 
 TWO_PI = 2.0 * np.pi
 
@@ -522,7 +539,10 @@ class _Layout:
         return _read_only(w / 3.0), _read_only(3.0 / w)
 
     def positions(self, k: np.ndarray) -> np.ndarray:
-        """The abscissae of the sequence nodes k."""
+        """The abscissae h (k + offsets[k mod p]) of the sequence nodes k;
+        h (k + g) with one offset g."""
+        if self.offsets.size == 1:
+            return self.h * (k + self.offsets[0])
         return self.h * (k + self.offsets[k % self.offsets.size])
 
     def sequence(self, grid: np.ndarray) -> np.ndarray:
@@ -763,6 +783,12 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
     the settled cells, (lo, hi, T(lo), T(hi)) array tuples that bracket
     one zero each (only with want_roots: the cells of a sign change, and
     (lo, y) and (y, hi) of a cup with two), and the mask of settled cells.
+
+    The masks and the sign changes are numpy operations on all the cells;
+    the cups, about a quarter of the grid pass's cells, are decided one at
+    a time in Python floats, which give the bits that numpy gives (y
+    clipped to the cell as min(max(y, lo), hi)), with one jet call for all
+    of them.
     """
     neg = np.signbit(f_lo)
     change = neg != np.signbit(f_hi)
@@ -773,25 +799,38 @@ def _settle(lo, hi, f_lo, f_hi, d_lo, d_hi, mono, convex, concave, jet: Callable
     brackets = [(lo[ones], hi[ones], f_lo[ones], f_hi[ones])] if want_roots else []
     # with equal end signs T bends towards 0 where the ends are negative
     # and T concave or positive and T convex
-    cup = np.flatnonzero(bent & ~change & (neg == concave))
-    if cup.size:
-        a, b = lo[cup], hi[cup]
-        s = np.where(neg[cup], -1, 1)
-        w = b - a
-        g0, g1 = s * d_lo[cup], s * d_hi[cup]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.where(g0 >= 0.0, a, np.where(g1 <= 0.0, b, a + w * g0 / (g0 - g1)))
-        y = np.clip(y, a, b)
-        fy, dfy = jet(y, cup)
-        gy, dgy = s * fy, s * dfy
-        tangent_min = gy + np.minimum(dgy * (a - y), dgy * (b - y))
-        empty = tangent_min > delta[0] + w * delta[1]
-        two = ~empty & (gy < -delta[0])
-        settled[cup[~(empty | two)]] = False
-        count += 2 * int(np.count_nonzero(two))
-        if want_roots:
-            at, y, fy = cup[two], y[two], fy[two]
-            brackets += [(lo[at], y, f_lo[at], fy), (y, hi[at], fy, f_hi[at])]
+    cup = (bent & ~change & (neg == concave)).nonzero()[0]
+    if not cup.size:
+        return count, brackets, settled
+    # the cups one at a time in Python floats, whose + - * /, min, max and
+    # comparisons round as numpy's do: g and g' = s T' at the ends give
+    # the secant estimate y, and one jet call reads T(y) and T'(y)
+    cups = list(zip(lo[cup].tolist(), hi[cup].tolist(), neg[cup].tolist(),
+                    d_lo[cup].tolist(), d_hi[cup].tolist()))
+    points = []
+    for a, b, negative, g0, g1 in cups:
+        if negative:
+            g0, g1 = -g0, -g1
+        x = a if g0 >= 0.0 else b if g1 <= 0.0 else a + (b - a) * g0 / (g0 - g1)
+        points.append(min(max(x, a), b))
+    y = np.array(points)
+    fy, dfy = jet(y, cup)
+    delta0, delta1 = float(delta[0]), float(delta[1])
+    two = []
+    for row, ((a, b, negative, _, _), x, gy, dgy) in enumerate(zip(cups, points, fy.tolist(),
+                                                                   dfy.tolist())):
+        if negative:
+            gy, dgy = -gy, -dgy
+        if gy + min(dgy * (a - x), dgy * (b - x)) > delta0 + (b - a) * delta1:
+            continue  # the tangent clears the rounding: no zero
+        if gy < -delta0:
+            two.append(row)
+        else:
+            settled[cup[row]] = False
+    count += 2 * len(two)
+    if want_roots:
+        at, y, fy = cup[two], y[two], fy[two]
+        brackets += [(lo[at], y, f_lo[at], fy), (y, hi[at], fy, f_hi[at])]
     return count, brackets, settled
 
 
@@ -806,8 +845,10 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
     the curvature test hands the convex and concave ones to _settle, with
     jet, the trial's order-1 pointwise jet, and its rounding
     cert.delta_point: a cup is decided on T itself, as in the local
-    stage, and only a cup reads jet.  Returns the count of the settled
-    cells, their root brackets (only with want_roots) and
+    stage, and only a cup reads jet.  The curvature test runs on the few
+    cells left (a handful at benchmark sizes, a few hundred at
+    n = 12000), as numpy operations on their columns.  Returns the count
+    of the settled cells, their root brackets (only with want_roots) and
     (lo, hi, T(lo), T(hi)) of the cells left to the local stage.
     """
     delta = cert.delta_grid
@@ -848,7 +889,7 @@ def _grid_cells(seq: np.ndarray, cells: np.ndarray, layout: _Layout, cert: _Cert
         at_lo = np.abs(v_lo) <= delta[0]
         at_hi = np.abs(v_hi) <= delta[0]
         brackets.append((np.where(at_hi, hi, lo), np.where(at_lo, lo, hi), v_lo, v_hi))
-    rest = np.flatnonzero(~(zero_free | mono))
+    rest = (~(zero_free | mono)).nonzero()[0]
     if not rest.size:  # nothing left for the curvature test
         return count, brackets, (f_lo[rest],) * 4
     # the columns of all open cells are freed before the curvature test
@@ -931,39 +972,47 @@ def _local_stage(cert: _Certificate, jet_at: Callable, jet: Callable, lo, hi, f_
         depth += 1
 
 
-def _certified_count(unit: PolySample, grid_per_degree: int, max_doublings: int,
+def _certified_count(sample: PolySample, grid_per_degree: int, max_doublings: int,
                      want_roots: bool, tol: float):
     """(count, grid size, doublings, stable, roots) of the grid route.
 
-    unit is the sample scaled by a power of two so that its largest
+    The counted function is scaled by a power of two so that its largest
     coefficient is O(1): the bounds never overflow, and the signs are
     those of the sample itself.  A sample with r != 0 is counted from
-    W = 2 sin(ell x/2) T on the whole circle, read from W's folded table
-    and W's own pointwise jet, as count(W) - ell; any other counts T, on
-    the half circle where T is even (cosine); each on its own grid
-    (_grid_size).  The open cells are decided one weight at a time
-    (_Layout.parts): the grid pass, then the local stage on the cells it
-    leaves.  The brackets of the roots are gathered only with want_roots;
-    on W a single-zero bracket that holds a lattice point 2 pi k/ell holds
-    that zero of W alone, and is dropped before Newton; the rest are
-    refined on T itself from W's own roots, those of an even (cosine) T
-    only in [0, pi], each with its mirror image.
+    W = 2 sin(ell x/2) T on the whole circle, as count(W) - ell: its grid
+    (W's folded table), certificate and pointwise jet read the ell class
+    coefficients alone, normalized by the exponent of PolySample.peak and
+    taken at exponent 0 (_NumeratorTerms), the bits that sample.unit()
+    gives them.  Any other sample counts T, sample.unit(), on the half
+    circle where T is even (cosine); each on its own grid (_grid_size).
+    The jet's weights or coefficient layout are built once a trial and
+    shared by the cups, the local stage and Newton.  The open cells are
+    decided one weight at a time (_Layout.parts): the grid pass, then the
+    local stage on the cells it leaves.  The brackets of the roots are
+    gathered only with want_roots; on W a single-zero bracket that holds
+    a lattice point 2 pi k/ell holds that zero of W alone, and is dropped
+    before Newton; the rest are refined on T itself (sample.unit()) from
+    W's own roots, those of an even (cosine) T only in [0, pi], each with
+    its mirror image.
     """
-    split = unit.split
+    split = sample.split
     numerator = split.r != 0
     if numerator:
         degree, ell = split.n + split.ell / 2, split.ell
         layout = _grid_layout(_grid_size(degree, grid_per_degree, ell), False, ell % 2 == 1)
-        seq = numerator_on_grid(unit, layout.columns, layout.offset)
-        powers, c = _numerator_powers(split), lattice_numerator(unit)[1]
-        jet_at = functools.partial(numerator_jet, unit)
+        terms = _NumeratorTerms(split, models._scaled(sample.a[:ell], sample.b[:ell],
+                                                      sample.peak)[0])
+        seq = numerator_on_grid(terms, layout.columns, layout.offset)
+        powers, c = _numerator_powers(split), lattice_numerator(terms)[1]
+        jet_at = functools.partial(numerator_jet, terms)
     else:
+        unit = sample.unit()
         mirror = unit.model.kind == "cosine"
         layout = _grid_layout(_grid_size(unit.n, grid_per_degree, 4 if mirror else 1), mirror)
         seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1),
                                                out=_scratch(0, (2, layout.columns))))
         powers, c, degree, ell = frequency_powers(unit.n, 3), unit.normalized[0], unit.n, 0
-        jet_at = functools.partial(evaluate_jet, unit)
+        jet_at = functools.partial(evaluate_jet, _TableCoefficients.of(unit))
     size, slack = np.abs(seq, out=_scratch(1, seq.shape))
     cert = _certificate(powers, c, degree, layout.size, float(size.max()), layout.gap, ell)
     widest = layout.h * layout.gap
@@ -1003,7 +1052,7 @@ def _certified_count(unit: PolySample, grid_per_degree: int, max_doublings: int,
             keep = np.ceil(lo / period) * period > hi  # no lattice point in [lo, hi]
             # start at W's own roots (O(ell) a point): one pass of T's jet mostly ends each
             start = _refine_roots(jet, lo, hi, f_lo, f_hi, tol)
-            if unit.model.kind == "cosine":
+            if sample.model.kind == "cosine":
                 # T is even: its roots in [0, pi] (mod 2 pi) and their mirror images
                 keep &= np.mod(start, TWO_PI) <= np.pi
                 twice = keep
@@ -1013,7 +1062,8 @@ def _certified_count(unit: PolySample, grid_per_degree: int, max_doublings: int,
             # rounding over |T'|.  s has one sign on a bracket, so T's ends
             # have the signs of W/s
             f_lo, f_hi = (f / np.sin(0.5 * split.ell * x) for f, x in ((f_lo, lo), (f_hi, hi)))
-            jet = lambda x, _: evaluate_jet(unit, x, order=1)  # noqa: E731
+            table = _TableCoefficients.of(sample.unit())
+            jet = lambda x, _: evaluate_jet(table, x, order=1)  # noqa: E731
         found = _refine_roots(jet, lo, hi, f_lo, f_hi, tol, start)
         roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))
     return count, layout.size, depth, stable, roots
@@ -1231,12 +1281,12 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
         N = doublings = 0
     else:
         count, N, doublings, stable, roots = _certified_count(
-            sample.unit(), grid_per_degree, max_doublings, want_roots, tol)
+            sample, grid_per_degree, max_doublings, want_roots, tol)
         if not stable and split.r:
             # a zero of T beside a lattice point is a close pair of W, which
             # W's rounding may hide: T, the coefficients as i.i.d., if stable
             iid = replace(sample, model=models.CoefficientModel(model.kind, "iid"))
-            direct = _certified_count(iid.unit(), grid_per_degree, max_doublings, want_roots, tol)
+            direct = _certified_count(iid, grid_per_degree, max_doublings, want_roots, tol)
             if direct[3]:
                 count, N, doublings, stable, roots = direct
         pieces = 0

@@ -1631,6 +1631,27 @@ class TestLatticeNumerator:
                     trials += 1
         assert trials == 200
 
+    @pytest.mark.parametrize("kind, n", [("trig", 400), ("trig", 1600), ("cosine", 400)])
+    def test_a_trial_reads_ell_coefficients(self, monkeypatch, kind, n):
+        """A W trial (ell = 3, r = 2) normalizes the ell drawn coefficient
+        pairs alone: no PolySample.unit() copy and no normalization of the
+        n + 1 entries, whose bits W never reads past the first ell.  Every
+        call of models._scaled is tallied with the size of its a."""
+        import trigzeros.models as models
+
+        calls = []
+        unit, scaled = models.PolySample.unit, models._scaled
+        monkeypatch.setattr(models.PolySample, "unit",
+                            lambda sample: calls.append("unit") or unit(sample))
+        monkeypatch.setattr(models, "_scaled",
+                            lambda a, b, peak: calls.append(np.size(a)) or scaled(a, b, peak))
+        model = CoefficientModel(kind=kind, dep="periodic", ell=3)
+        for t in range(10):
+            sample = sample_coefficients(model, n, seed=mix64(47, n, t))
+            assert sample.split.r == 2
+            assert count_zeros(sample).stable
+        assert calls == [3] * 10
+
     def test_unstable_numerator_is_counted_on_t(self):
         """trig ell = 128, n = 4000 (m = 31, r = 33): T has a zero 6.4e-9
         from the lattice point 2 pi 18/128, a close pair of W whose dip
