@@ -117,9 +117,11 @@ def _check_period(ell) -> None:
 def decompose_degree(n: int, ell: int) -> PeriodDecomposition:
     """Split a degree against a coefficient period.
 
-    Requires an integer ell >= 1 and n >= ell - 1, so the sample holds
-    at least one full period of coefficients (m >= 1).
+    Requires an integer n >= 1, an integer ell >= 1 and n >= ell - 1, so
+    the sample holds at least one full period of coefficients (m >= 1).
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"degree must be an integer, got n={n!r}")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got n={n}")
     _check_period(ell)
@@ -225,7 +227,7 @@ class PolySample:
         a_{j+ell} = a_j and b_{j+ell} = b_j: true of every i.i.d. sample
         (period n + 1), and the sampler hands it over as true.  The zero
         counter's phase route and its lattice numerator W
-        (trigpoly.lattice_numerator) read the first ell coefficients alone."""
+        (trigpoly._NumeratorTerms) read the first ell coefficients alone."""
         ell = self.split.ell
         return bool(np.array_equal(self.a[ell:], self.a[:-ell])
                     and np.array_equal(self.b[ell:], self.b[:-ell]))
@@ -233,27 +235,13 @@ class PolySample:
     @functools.cached_property
     def normalized(self) -> tuple[np.ndarray, int]:
         """The normalized coefficients (c, e) of _scaled, computed once per
-        sample: the evaluators of trigpoly read them from here.  The zero
-        counter's carrier phase and lattice numerator W, which read the
-        first ell alone, scale those by the same exponent."""
+        sample: the evaluators of trigpoly read them from here, and the
+        zero counter's record of T takes c at exponent 0.  Its carrier
+        phase and lattice numerator W, which read the first ell alone,
+        scale those by the same exponent."""
         c, e = _scaled(self.a, self.b, self.peak)
         c.flags.writeable = False
         return c, e
-
-    def unit(self) -> PolySample:
-        """The sample times 2^-e (e from normalized), so that its largest
-        coefficient lies in [1/2, 1).  The scaling is exact, so the copy's
-        normalized coefficients are this sample's c with exponent 0; they
-        are handed over rather than computed again, and so are the split
-        and repeats (entries that the scaling underflows into equality do
-        not make the copy repeat)."""
-        c, e = self.normalized
-        unit = PolySample(self.model, self.n, self.seed,
-                          np.ldexp(self.a, -e), np.ldexp(self.b, -e))
-        unit.__dict__["normalized"] = (c, 0)  # the slots cached_property fills
-        unit.__dict__["split"] = self.split
-        unit.__dict__["repeats"] = self.repeats
-        return unit
 
 
 # every thread draws from its own generator, re-keyed on each draw

@@ -35,7 +35,8 @@ evaluate_on_grid                 all values of T_n or a derivative on a
                                  on one grid, one order=(0, 1) call (of
                                  half the grid's nodes for an even,
                                  cosine, sample), and so does a periodic
-                                 sample with r = 0 and m = 1.
+                                 sample with r = 0 and m = 1, from T's
+                                 record (_TableCoefficients).
 numerator_on_grid                W and W' of the lattice numerator
                                  W = 2 sin(ell x/2) T_n (below) on the
                                  grid, from a cached table of its ell
@@ -50,7 +51,7 @@ numerator_jet                    W, W', ... at arbitrary points from its
                                  2 ell sinusoids, O(ell) a point: the
                                  cups, local bisection and root
                                  refinement of the r != 0 route.  W's
-                                 three functions read the ell class
+                                 two functions read the ell class
                                  coefficients alone, and a sample record
                                  (_NumeratorTerms) keeps W's terms and
                                  jet weights for its caller.  The
@@ -100,7 +101,7 @@ c_q = a_q - i b_q, the lattice numerator
     W(x) = 2 sin(ell x/2) T_n(x) = Re sum_q c_q 2 sin(M_q ell x/2) e^{i nu_q x}
 
 is a sum of 2 ell sinusoids, of the frequencies nu_q -+ M_q ell/2, that
-is q - ell/2 and q + (M_q - 1/2) ell (lattice_numerator).  Its degree is
+is q - ell/2 and q + (M_q - 1/2) ell (_NumeratorTerms).  Its degree is
 n + ell/2, its zeros are those of T_n and the ell lattice points, and
 when ell is odd W(x + 2 pi) = -W(x).  (This is the telescoped sum
 (1 - z^ell) sum_j c_j z^j = P(z) - z^(n+1) Q(z) with P and Q the first and
@@ -194,8 +195,8 @@ def grid_nodes(num_nodes: int, offset: float = 0.5) -> np.ndarray:
     The default half-cell offset keeps 0 and 2 pi off the nodes; the
     zero counter uses its own offset, zeros.GRID_OFFSET.
     """
-    if num_nodes < 1:
-        raise ValueError(f"need at least one node, got {num_nodes}")
+    if not isinstance(num_nodes, numbers.Integral) or num_nodes < 1:
+        raise ValueError(f"num_nodes must be an integer >= 1, got {num_nodes!r}")
     return (2.0 * np.pi / num_nodes) * (np.arange(num_nodes) + offset)
 
 
@@ -262,16 +263,17 @@ def _jet_plan(n: int, order: int):
 
 @dataclass(frozen=True)
 class _TableCoefficients:
-    """What evaluate_jet reads of one sample: its degree n and normalized
-    coefficients (c, e) (PolySample.normalized), and c laid out as the
-    B x P matrix of the power table, c_{Bp+q} at row q and column p, built
-    on first use and kept.  evaluate_jet takes this record in place of the
-    sample, so a caller that holds it (the zero counter, once a trial) lays
-    the coefficients out once."""
+    """What evaluate_jet and evaluate_on_grid read of one sample: its
+    degree n and normalized coefficients (c, e) (PolySample.normalized;
+    e = 0, the zero counter's record of T, reads c as the function
+    itself), and c laid out as the B x P matrix of the power table,
+    c_{Bp+q} at row q and column p, built on first use and kept.  Both
+    take this record in place of the sample, so a caller that holds it
+    (the zero counter, once a trial) lays the coefficients out once."""
 
     n: int
     c: np.ndarray
-    e: int
+    e: int = 0
 
     @classmethod
     def of(cls, sample) -> "_TableCoefficients":
@@ -356,7 +358,8 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
     returned), of shape (N,) for one order and (len(order), N) for a tuple.
 
     The coefficients are normalized by 2^-e (PolySample.normalized, so
-    once per sample) and the values scaled back by 2^e.  Scaling by a
+    once per sample, or a _TableCoefficients record, which sample may be)
+    and the values scaled back by 2^e.  Scaling by a
     power of two is exact through the twist and the transform, so this
     changes no value.  It keeps the transform away from overflow at huge
     scales and from subnormal arithmetic at tiny ones; only a value that
@@ -371,8 +374,8 @@ def evaluate_on_grid(sample: PolySample, num_nodes: int, offset: float = 0.5,
         raise ValueError(f"order must name at least one derivative order, got {order!r}")
     if min(orders) < 0:
         raise ValueError(f"need a derivative order >= 0, got {order}")
-    n = sample.n
-    c, e = sample.normalized
+    table = _TableCoefficients.of(sample)
+    n, c, e = table.n, table.c, table.e
     twist = _twist(n, N, offset)
     d = np.empty((len(orders), n + 1), dtype=complex)
     for row, k in zip(d, orders):
@@ -417,10 +420,12 @@ class _NumeratorTerms:
     exponent e, so that W = 2^e Re sum_p d_p e^{i f_p x}.  of() scales the
     first ell coefficients alone by the exponent of PolySample.peak: the
     bits of PolySample.normalized[0][:ell], with no copy of the n + 1
-    entries.  The coefficients d_p of lattice_numerator and the weights
-    d_p (i f_p)^k of numerator_jet are built on first use and kept, so a
-    caller that holds the record (the zero counter, once a trial) builds
-    them once; the three W functions take it in place of the sample."""
+    entries; the zero counter builds its record of W so at e = 0.  The
+    coefficients d (d_p = +-i c_q, so sum_p |d_p| = 2 sum_q |c_q|) and the
+    weights d_p (i f_p)^k of numerator_jet are built on first use and
+    kept, so a caller that holds the record (the zero counter, once a
+    trial) builds them once; numerator_jet and numerator_on_grid take it
+    in place of the sample."""
 
     split: PeriodDecomposition
     c: np.ndarray
@@ -436,7 +441,8 @@ class _NumeratorTerms:
 
     @functools.cached_property
     def d(self) -> np.ndarray:
-        """(i c_q, -i c_q), read-only; multiplying by +-i is exact."""
+        """(i c_q, -i c_q) over the frequencies numerator_frequencies(split),
+        read-only; multiplying by +-i is exact."""
         d = np.concatenate([1j * self.c, -1j * self.c])
         d.flags.writeable = False
         return d
@@ -451,22 +457,11 @@ class _NumeratorTerms:
         return weights
 
 
-def lattice_numerator(sample: PolySample) -> tuple[np.ndarray, np.ndarray, int]:
-    """(f, d, e) with W(x) = 2 sin(ell x/2) T_n(x) = 2^e Re sum_p d_p e^{i f_p x}
-    for a sample that repeats its coefficients with period ell
-    (module docstring): f = numerator_frequencies(split), and
-    d = (i c_q, -i c_q), read-only, for the normalized coefficients c_q of
-    the classes q < ell (_NumeratorTerms, which sample may be), so
-    sum_p |d_p| = 2 sum_q |c_q|.  Multiplying by +-i is exact."""
-    terms = _NumeratorTerms.of(sample)
-    return numerator_frequencies(terms.split), terms.d, terms.e
-
-
 def numerator_jet(sample: PolySample, x, order: int = 3) -> np.ndarray:
     """Rows W, W', ..., W^(order) of the lattice numerator
     W = 2 sin(ell x/2) T_n at the points x, an array of shape
     (order + 1, x.size): W^(k) = Re sum_p d_p (i f_p)^k e^{i f_p x} over
-    the 2 ell terms of lattice_numerator, so O(ell) a point with no
+    the 2 ell terms d_p of _NumeratorTerms, so O(ell) a point with no
     window beside the lattice.  Each argument f_p x is rounded once, the
     weights d_p i^k f_p^k are exact but for one rounding of f_p^k d_p,
     and one complex product per block of points sums the terms; the

@@ -49,11 +49,13 @@ layout) is built once and cached.  What depends on the sample is reduced
 once: its largest coefficient (PolySample.peak, which the sampler hands
 over from its draw) gives the finiteness and all-zero checks and the
 power of two of the scaling, and the zero-free clearance of the base
-grid, taken at w_max, is one scalar.  The pointwise jet's per-sample part
-is built once a trial and shared by the grid's cups, the local stage and
-Newton: T's coefficients laid out on the power table
-(trigpoly._TableCoefficients), or W's weights d_p (i f_p)^k
-(trigpoly._NumeratorTerms), each on first use.
+grid, taken at w_max, is one scalar.  count_zeros builds the counted
+function's coefficient record once, at exponent 0, for the grid, the
+certificate and the pointwise jet: T's (trigpoly._TableCoefficients) or
+W's (trigpoly._NumeratorTerms).  The jet's per-sample part, T's
+coefficients laid out on the power table or W's weights d_p (i f_p)^k, is
+built on first use and shared by the grid's cups, the local stage and
+Newton.
 
 Each cell of width w is then proved to hold 0, 1 or 2 zeros, or left
 undecided.  The proof rests on
@@ -168,7 +170,7 @@ Multiplying by s = 2 sin(ell x/2) removes every division of phi_M:
     W(x) = s(x) T(x) = Re sum_q c_q 2 sin(M_q ell x/2) e^{i nu_q x},
 
 a sum of 2 ell sinusoids Re d_p e^{i f_p x} of the frequencies q - ell/2
-and q + (M_q - 1/2) ell, d_p = +-i c_q (trigpoly.lattice_numerator).
+and q + (M_q - 1/2) ell, d_p = +-i c_q (trigpoly._NumeratorTerms).
 Its degree is n + ell/2, half an integer when ell is odd, and then
 W(x + 2 pi) = -W(x).  Its sum_p |d_p| = 2 sum_q |c_q| is O(ell), and so
 is its bound M_W: W has no spike.  The zeros of W on the circle are
@@ -177,8 +179,8 @@ wherever T does not vanish there and never lie on a node (they are
 rational multiples of 2 pi, the nodes are not).  So
 count(T) = count(W) - ell exactly; a zero of T beside a lattice point is
 a close pair of W, which leaves its cell undecided, never miscounted.
-Where that leaves the report unstable, T itself is counted, as the
-i.i.d. sample of the same coefficients, and replaces it if stable: 7 of
+Where that leaves the report unstable, T itself is counted, a second
+call on T's record of the same sample, and replaces it if stable: 7 of
 3120 trials at ell = 23..300 needed it (ell >= 128, n >= 4000), each
 for a zero of T within about 1e-8 of a lattice point.
 
@@ -196,9 +198,9 @@ _local_stage and _refine_roots.  What differs:
   the wrap cell: for odd ell it ends at -W(x_0), -W'(x_0) (_Layout.flip);
   the coefficients: the ell drawn pairs alone, normalized by the exponent
       of PolySample.peak and taken at exponent 0 (_NumeratorTerms), the
-      bits of PolySample.unit()'s first ell, with no copy of the n + 1;
-      W's grid, certificate and jet read them, and T's unit() copy is
-      made only for roots refined on T and for the recount below;
+      bits of PolySample.normalized[0][:ell], with no copy of the n + 1;
+      W's grid, certificate and jet read them, and T's record is built
+      only for roots refined on T and for the recount above;
   the pointwise jet: W's own sum of 2 ell terms (trigpoly.numerator_jet),
       O(ell) a point, with no window beside the lattice;
   the roots: a single-zero bracket that holds a lattice point 2 pi k/ell
@@ -297,7 +299,7 @@ from __future__ import annotations
 import functools
 import numbers
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -305,8 +307,7 @@ import numpy as np
 from . import models
 from .models import PolySample
 from .trigpoly import (_NumeratorTerms, _TableCoefficients, evaluate_jet, evaluate_on_grid,
-                       frequency_powers, lattice_numerator, numerator_frequencies, numerator_jet,
-                       numerator_on_grid)
+                       frequency_powers, numerator_frequencies, numerator_jet, numerator_on_grid)
 
 TWO_PI = 2.0 * np.pi
 
@@ -972,47 +973,44 @@ def _local_stage(cert: _Certificate, jet_at: Callable, jet: Callable, lo, hi, f_
         depth += 1
 
 
-def _certified_count(sample: PolySample, grid_per_degree: int, max_doublings: int,
-                     want_roots: bool, tol: float):
-    """(count, grid size, doublings, stable, roots) of the grid route.
+def _certified_count(sample: PolySample, terms: _NumeratorTerms | _TableCoefficients,
+                     grid_per_degree: int, max_doublings: int, want_roots: bool, tol: float):
+    """(count, grid size, doublings, stable, roots) of the grid route on
+    the function whose coefficient record count_zeros hands over.
 
-    The counted function is scaled by a power of two so that its largest
-    coefficient is O(1): the bounds never overflow, and the signs are
-    those of the sample itself.  A sample with r != 0 is counted from
-    W = 2 sin(ell x/2) T on the whole circle, as count(W) - ell: its grid
-    (W's folded table), certificate and pointwise jet read the ell class
-    coefficients alone, normalized by the exponent of PolySample.peak and
-    taken at exponent 0 (_NumeratorTerms), the bits that sample.unit()
-    gives them.  Any other sample counts T, sample.unit(), on the half
-    circle where T is even (cosine); each on its own grid (_grid_size).
-    The jet's weights or coefficient layout are built once a trial and
-    shared by the cups, the local stage and Newton.  The open cells are
-    decided one weight at a time (_Layout.parts): the grid pass, then the
-    local stage on the cells it leaves.  The brackets of the roots are
-    gathered only with want_roots; on W a single-zero bracket that holds
-    a lattice point 2 pi k/ell holds that zero of W alone, and is dropped
-    before Newton; the rest are refined on T itself (sample.unit()) from
-    W's own roots, those of an even (cosine) T only in [0, pi], each with
-    its mirror image.
+    The record holds the counted function's coefficients scaled by a
+    power of two so that the largest is O(1), at exponent 0: the bounds
+    never overflow, and the signs are those of the sample itself.  A
+    _NumeratorTerms record counts W = 2 sin(ell x/2) T on the whole
+    circle, as count(W) - ell: its grid (W's folded table), certificate
+    and pointwise jet read the ell class coefficients alone.  A
+    _TableCoefficients record counts T, on the half circle where T is
+    even (a cosine sample); each on its own grid (_grid_size).  The jet's
+    weights or coefficient layout are built once a trial and shared by
+    the cups, the local stage and Newton.  The open cells are decided one
+    weight at a time (_Layout.parts): the grid pass, then the local stage
+    on the cells it leaves.  The brackets of the roots are gathered only
+    with want_roots; on W a single-zero bracket that holds a lattice
+    point 2 pi k/ell holds that zero of W alone, and is dropped before
+    Newton; the rest are refined on T itself (T's record of the sample)
+    from W's own roots, those of an even (cosine) T only in [0, pi], each
+    with its mirror image.
     """
-    split = sample.split
-    numerator = split.r != 0
+    numerator = isinstance(terms, _NumeratorTerms)
     if numerator:
+        split = terms.split
         degree, ell = split.n + split.ell / 2, split.ell
         layout = _grid_layout(_grid_size(degree, grid_per_degree, ell), False, ell % 2 == 1)
-        terms = _NumeratorTerms(split, models._scaled(sample.a[:ell], sample.b[:ell],
-                                                      sample.peak)[0])
         seq = numerator_on_grid(terms, layout.columns, layout.offset)
-        powers, c = _numerator_powers(split), lattice_numerator(terms)[1]
+        powers, c = _numerator_powers(split), terms.d
         jet_at = functools.partial(numerator_jet, terms)
     else:
-        unit = sample.unit()
-        mirror = unit.model.kind == "cosine"
-        layout = _grid_layout(_grid_size(unit.n, grid_per_degree, 4 if mirror else 1), mirror)
-        seq = layout.sequence(evaluate_on_grid(unit, layout.columns, layout.offset, order=(0, 1),
+        mirror = sample.model.kind == "cosine"
+        layout = _grid_layout(_grid_size(terms.n, grid_per_degree, 4 if mirror else 1), mirror)
+        seq = layout.sequence(evaluate_on_grid(terms, layout.columns, layout.offset, order=(0, 1),
                                                out=_scratch(0, (2, layout.columns))))
-        powers, c, degree, ell = frequency_powers(unit.n, 3), unit.normalized[0], unit.n, 0
-        jet_at = functools.partial(evaluate_jet, _TableCoefficients.of(unit))
+        powers, c, degree, ell = frequency_powers(terms.n, 3), terms.c, terms.n, 0
+        jet_at = functools.partial(evaluate_jet, terms)
     size, slack = np.abs(seq, out=_scratch(1, seq.shape))
     cert = _certificate(powers, c, degree, layout.size, float(size.max()), layout.gap, ell)
     widest = layout.h * layout.gap
@@ -1062,7 +1060,7 @@ def _certified_count(sample: PolySample, grid_per_degree: int, max_doublings: in
             # rounding over |T'|.  s has one sign on a bracket, so T's ends
             # have the signs of W/s
             f_lo, f_hi = (f / np.sin(0.5 * split.ell * x) for f, x in ((f_lo, lo), (f_hi, hi)))
-            table = _TableCoefficients.of(sample.unit())
+            table = _TableCoefficients(sample.n, sample.normalized[0])
             jet = lambda x, _: evaluate_jet(table, x, order=1)  # noqa: E731
         found = _refine_roots(jet, lo, hi, f_lo, f_hi, tol, start)
         roots = np.sort(np.mod(np.concatenate([found, TWO_PI - found[twice]]), TWO_PI))
@@ -1215,13 +1213,14 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
     ell <= n, m = 1 included) is counted from its lattice numerator
     W = 2 sin(ell x/2) T, a sum of 2 ell sinusoids with no lattice spike,
     as count(W) - ell, on the whole circle; where W leaves the count
-    unstable, T itself is counted as an i.i.d. sample of the same
-    coefficients, and its report is taken if stable.  The rest, the
-    i.i.d. samples and m = 1 with r = 0, take the grid route on T itself.
-    grid_per_degree is the nodes a degree of the function counted
-    (_grid_size).  A cell that the grid's tests leave undecided is split
-    at most max_doublings times, at the midpoint, to
-    2^-max_doublings 2 pi/N.  A cosine sample (T even; a
+    unstable, T itself is counted, and its report is taken if stable.
+    The rest, the i.i.d. samples and m = 1 with r = 0, take the grid
+    route on T itself.  The counted function's coefficient record (W's
+    or T's, at exponent 0) is built here once and handed to the grid
+    route, which takes T or W from it.  grid_per_degree is the nodes a
+    degree of the function counted (_grid_size).  A cell that the grid's
+    tests leave undecided is split at most max_doublings times, at the
+    midpoint, to 2^-max_doublings 2 pi/N.  A cosine sample (T even; a
     nonzero b is a ValueError) counted from T is certified on the half
     circle, N/2 transformed nodes and their mirror images, split at the
     golden fraction g = 0.618 of a cell, to 2 g^(max_doublings + 1) 2 pi/N.
@@ -1280,13 +1279,18 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
             roots = np.sort(np.concatenate([roots, deterministic_zero_set(split.m, split.ell)]))
         N = doublings = 0
     else:
+        # the counted function's coefficients at exponent 0: W's ell class
+        # pairs alone for r != 0, T's n + 1 otherwise
+        ell = split.ell
+        terms = (_NumeratorTerms(split, models._scaled(sample.a[:ell], sample.b[:ell], peak)[0])
+                 if split.r else _TableCoefficients(n, sample.normalized[0]))
         count, N, doublings, stable, roots = _certified_count(
-            sample, grid_per_degree, max_doublings, want_roots, tol)
+            sample, terms, grid_per_degree, max_doublings, want_roots, tol)
         if not stable and split.r:
             # a zero of T beside a lattice point is a close pair of W, which
-            # W's rounding may hide: T, the coefficients as i.i.d., if stable
-            iid = replace(sample, model=models.CoefficientModel(model.kind, "iid"))
-            direct = _certified_count(iid, grid_per_degree, max_doublings, want_roots, tol)
+            # W's rounding may hide: T itself, if stable
+            direct = _certified_count(sample, _TableCoefficients(n, sample.normalized[0]),
+                                      grid_per_degree, max_doublings, want_roots, tol)
             if direct[3]:
                 count, N, doublings, stable, roots = direct
         pieces = 0

@@ -6,6 +6,16 @@ import pytest
 from trigzeros.models import PolySample
 
 
+def unit_sample(sample):
+    """The sample times 2^-e (e from PolySample.normalized), so that its
+    largest coefficient lies in [1/2, 1): its normalized coefficients are
+    the sample's c to the bit, at exponent 0, as the zero counter's
+    coefficient records take them."""
+    e = sample.normalized[1]
+    return PolySample(sample.model, sample.n, sample.seed,
+                      np.ldexp(sample.a, -e), np.ldexp(sample.b, -e))
+
+
 @pytest.fixture
 def tangent_draw():
     """A stand-in for sample_coefficients: T = 1 + cos x at degree n, whatever

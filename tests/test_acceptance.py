@@ -125,3 +125,25 @@ def test_factorization_residuals_check_the_lattice_numerator(monkeypatch):
     res = acceptance.factorization_residuals(quick=True)
     assert not res.passed
     assert "m=" in res.detail and ", r=" in res.detail and "W residual" in res.detail
+
+
+def _criterion(name, passed):
+    """A stand-in criterion that passes, fails or (passed None) raises."""
+    def criterion(quick):
+        if passed is None:
+            raise ArithmeticError("broken")
+        return acceptance.CriterionResult(name.replace("_", "-"), passed, f"quick={quick}")
+    criterion.__name__ = name
+    return criterion
+
+
+def test_a_raising_criterion_is_a_failed_result(monkeypatch):
+    """run_all turns a criterion that raises into a failed result named
+    after it, and still runs the criteria after it."""
+    monkeypatch.setattr(acceptance, "_CRITERIA", (
+        _criterion("first_one", True), _criterion("broken_one", None),
+        _criterion("last_one", False)))
+    assert acceptance.run_all(quick=True) == [
+        acceptance.CriterionResult("first-one", True, "quick=True"),
+        acceptance.CriterionResult("broken-one", False, "raised ArithmeticError('broken')"),
+        acceptance.CriterionResult("last-one", False, "quick=True")]

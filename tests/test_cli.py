@@ -139,6 +139,48 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+def test_simulate_without_degrees_takes_the_default(capsys):
+    """simulate with no --n (and no config degrees) runs the default
+    degree of ExperimentConfig, one row."""
+    assert main(["simulate", "--trials", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 2 and lines[1].split(",")[:5] == ["100", "", "", "3", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--r", "1"], "--r only applies to the periodic model"),
+    (["simulate", "--dep", "iid", "--r", "0", "--trials", "2"],
+     "--r only applies to the periodic model"),
+    (["simulate", "--config", "no-such-file.cfg"], "--config: "),
+])
+def test_r_with_iid_and_an_unreadable_config_are_usage_errors(capsys, tmp_path, monkeypatch,
+                                                             argv, message):
+    """--r without the periodic model, and a config file that cannot be
+    read, are usage errors (exit 1, nothing on stdout)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("results, code", [((True, True), 0), ((True, False), 2)])
+def test_verify_exits_2_on_a_failed_criterion(monkeypatch, capsys, results, code):
+    """verify prints one PASS or FAIL line per criterion, and exits 2 when
+    any fails, 0 when all pass."""
+    from trigzeros import acceptance
+
+    def criterion(name, passed):
+        return lambda quick: acceptance.CriterionResult(name, passed, "detail")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", tuple(
+        criterion(f"c{i}", passed) for i, passed in enumerate(results)))
+    assert main(["verify", "--quick"]) == code
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'PASS' if passed else 'FAIL'}  c{i}: detail" for i, passed in enumerate(results)]
+
+
 def test_count_refuses_a_second_degree(capsys):
     """count counts one sample: a repeated --n is a usage error, not a
     silent choice of the last one."""
@@ -293,6 +335,18 @@ def test_constants_monte_carlo_only_for_C_and_K(capsys, what):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--mc" in captured.err
+
+
+@pytest.mark.parametrize("what, value", [(["K", "--ell", "2"], "K[2] = "),
+                                         (["C", "--ell", "3", "--r", "1"], "C[3,1] = ")])
+def test_constants_monte_carlo_confirms_the_value(capsys, what, value):
+    """--mc prints a second line, the Monte Carlo estimate and its standard
+    error, under the quadrature value, which it confirms within 4 errors."""
+    assert main(["constants", "--what", *what, "--mc", "20000"]) == 0
+    exact, estimate = capsys.readouterr().out.strip().split("\n")
+    assert exact.startswith(value) and estimate.startswith("monte-carlo = ")
+    mean, error = (float(part) for part in estimate.split("= ")[1].split(" +- "))
+    assert 0.0 < error and abs(mean - float(exact.split("= ")[1])) <= 4.0 * error
 
 
 def test_constants_identity(capsys):

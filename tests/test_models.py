@@ -1,6 +1,7 @@
 """Coefficient-model tests: degree decomposition, seeding, periodic copies."""
 
 import dataclasses
+import re
 import threading
 import warnings
 
@@ -53,6 +54,24 @@ class TestDecomposeDegree:
             decompose_degree(10, 0)
         with pytest.raises(ValueError):
             decompose_degree(0, 1)
+
+    @pytest.mark.parametrize("n", [100.5, 100.0, np.float64(101)])
+    def test_rejects_non_integral_degrees(self, n):
+        """A degree that is not an integer is a ValueError that names it,
+        at decompose_degree, the sampler and an experiment config, for the
+        periodic model and the i.i.d. one (whose split against ell = n + 1
+        names the degree, not ell).  Let through, 100.5 would split as
+        m = 33.0, r = 2.5, draw n = 100 entries and count W on the grid of
+        n = 100.5.  An integer of numpy's is a degree."""
+        message = f"^degree must be an integer, got n={re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            decompose_degree(n, 3)
+        for dep, ell in (("periodic", 3), ("iid", None)):
+            with pytest.raises(ValueError, match=message):
+                sample_coefficients(CoefficientModel(kind="trig", dep=dep, ell=ell), n, seed=1)
+            with pytest.raises(ValueError, match=message):
+                harness.ExperimentConfig(dep=dep, ell=ell, degrees=(n,), trials=3)
+        assert decompose_degree(np.int64(101), 3) == decompose_degree(101, 3)
 
     def test_rejects_non_integer_periods_with_value_error(self):
         """A float, a list or a 0-d array as ell is a ValueError, never a

@@ -8,6 +8,7 @@ Oracles used here, all computed inside the tests themselves:
 
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -29,6 +30,8 @@ from trigzeros.trigpoly import (
     scratch,
     scratch_scope,
 )
+
+from conftest import unit_sample
 
 
 def fsum_reference(a, b, x):
@@ -161,6 +164,14 @@ class TestEvaluateOnGrid:
         s = sample_coefficients(CoefficientModel(kind="trig", dep="iid"), 40, seed=12)
         with pytest.raises(ValueError, match=message):
             evaluate_on_grid(s, num_nodes, order=order)
+
+    @pytest.mark.parametrize("num_nodes", [2.5, 64.0, 0])
+    def test_grid_nodes_refuse_a_size_that_is_not_an_integer(self, num_nodes):
+        """grid_nodes refuses what evaluate_on_grid refuses, with the same
+        message: let through, 2.5 would give three nodes, the last at 2 pi."""
+        message = f"^num_nodes must be an integer >= 1, got {re.escape(repr(num_nodes))}$"
+        with pytest.raises(ValueError, match=message):
+            grid_nodes(num_nodes)
 
     def test_matches_direct_evaluation(self):
         model = CoefficientModel(kind="trig", dep="iid")
@@ -411,7 +422,7 @@ def _table_layout(sample):
 
 def _unit_sample(kind, ell, n, seed):
     model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
-    return sample_coefficients(model, n, seed=models.mix64(40, n, seed)).unit()
+    return unit_sample(sample_coefficients(model, n, seed=models.mix64(40, n, seed)))
 
 
 def _holds_table(split, columns, offset):
@@ -424,7 +435,7 @@ def _holds_table(split, columns, offset):
 def _numerator_certificate(sample, layout, grid_max):
     """The zero counter's certificate of W for the unit sample."""
     return zeros._certificate(zeros._numerator_powers(sample.split),
-                              trigpoly.lattice_numerator(sample)[1],
+                              trigpoly._NumeratorTerms.of(sample).d,
                               sample.n + sample.split.ell / 2, layout.size, grid_max, layout.gap,
                               sample.split.ell)
 
@@ -509,7 +520,7 @@ class TestDirectionTable:
                     n += 1
                 s = _unit_sample(kind, ell, n, 0)
                 layout = zeros._grid_layout(_numerator_size(s, 16), False, ell % 2 == 1)
-                args = (zeros._numerator_powers(s.split), trigpoly.lattice_numerator(s)[1],
+                args = (zeros._numerator_powers(s.split), trigpoly._NumeratorTerms.of(s).d,
                         n + ell / 2, layout.size, 1.0, layout.gap)
                 table, plain = (zeros._certificate(*args, w).delta_grid for w in (ell, 0))
                 assert np.all(table >= plain), (ell, n)
@@ -539,7 +550,7 @@ class TestDirectionTable:
                                + 2 * pi * np.arange(ell, dtype=np.longdouble)[:, None] / ell)
                     rows = trigpoly.numerator_on_grid(s, layout.columns, layout.offset)
                     node = zeros._certificate_factors(n + ell / 2, layout.size, layout.gap)[1][:2]
-                    node = node * np.abs(trigpoly.lattice_numerator(s)[1]).sum()
+                    node = node * np.abs(trigpoly._NumeratorTerms.of(s).d).sum()
                     for x, share in ((shifted.ravel(), 0.1), (float_nodes, 0.25)):
                         err = np.abs(rows - _numerator_exact(s, x, 1)).max(axis=1).astype(float)
                         assert np.all(err <= share * node), (ell, n, seed, err / node)
@@ -741,6 +752,28 @@ class TestDirectionTable:
         assert served > 40 and kept == 27
         iid = sample_coefficients(CoefficientModel(kind=kind, dep="iid"), 199, seed=5)
         assert count_zeros(iid).grid_size == 3200
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_rows_scale_back_by_the_exponent(self, kind):
+        """numerator_on_grid and numerator_jet read a record of exponent e as
+        2^e times its exponent-0 record, the one the zero counter passes: at
+        sigma = 2^40 both functions' rows are ldexp of the exponent-0 rows,
+        bit for bit, and the exponent-0 record is that of sigma = 1."""
+        n, seed = 400, models.mix64(40, 400, 0)
+        model = CoefficientModel(kind=kind, dep="periodic", ell=3, sigma=2.0 ** 40)
+        sample = sample_coefficients(model, n, seed=seed)
+        terms = trigpoly._NumeratorTerms.of(sample)
+        unit = trigpoly._NumeratorTerms(terms.split, terms.c)
+        one = trigpoly._NumeratorTerms.of(
+            sample_coefficients(dataclasses.replace(model, sigma=1.0), n, seed=seed))
+        assert np.array_equal(terms.c, one.c) and terms.e == one.e + 40
+        layout = _table_layout(sample)
+        x = grid_nodes(97, 0.3)
+        for rows, plain in (
+                (trigpoly.numerator_on_grid(record, layout.columns, layout.offset)
+                 for record in (terms, unit)),
+                (trigpoly.numerator_jet(record, x, 3) for record in (terms, unit))):
+            assert np.array_equal(rows, np.ldexp(plain, terms.e))
 
 
 class TestDirichletRatio:

@@ -40,6 +40,8 @@ from trigzeros.zeros import (
     smooth_size,
 )
 
+from conftest import unit_sample
+
 
 def _certificate_of(sample, N, grid_max, gap):
     """The certificate of T for the sample's coefficients on N nodes."""
@@ -548,7 +550,7 @@ class TestCertificate:
         of clearances(h, delta_grid) to the bit."""
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)
         for t in range(3):
-            s = sample_coefficients(model, n, seed=mix64(7, n, t)).unit()
+            s = unit_sample(sample_coefficients(model, n, seed=mix64(7, n, t)))
             N = smooth_size(max(256, 32 * n))
             h = 2 * np.pi / N
             grid = evaluate_on_grid(s, N, GRID_OFFSET)
@@ -909,7 +911,7 @@ class TestBentCells:
             s = sample_coefficients(model, n, seed=mix64(35, n, t))
             calls.clear()
             count_zeros(s)
-            unit = s.unit()
+            unit = unit_sample(s)
             numerator = dep == "periodic"  # these rows count W
             jet_at = functools.partial(trigpoly.numerator_jet if numerator else evaluate_jet, unit)
             for seq, cells, layout, cert, clear0, jet, _ in calls:
@@ -1634,15 +1636,13 @@ class TestLatticeNumerator:
     @pytest.mark.parametrize("kind, n", [("trig", 400), ("trig", 1600), ("cosine", 400)])
     def test_a_trial_reads_ell_coefficients(self, monkeypatch, kind, n):
         """A W trial (ell = 3, r = 2) normalizes the ell drawn coefficient
-        pairs alone: no PolySample.unit() copy and no normalization of the
-        n + 1 entries, whose bits W never reads past the first ell.  Every
-        call of models._scaled is tallied with the size of its a."""
+        pairs alone: no normalization of the n + 1 entries, whose bits W
+        never reads past the first ell.  Every call of models._scaled is
+        tallied with the size of its a."""
         import trigzeros.models as models
 
         calls = []
-        unit, scaled = models.PolySample.unit, models._scaled
-        monkeypatch.setattr(models.PolySample, "unit",
-                            lambda sample: calls.append("unit") or unit(sample))
+        scaled = models._scaled
         monkeypatch.setattr(models, "_scaled",
                             lambda a, b, peak: calls.append(np.size(a)) or scaled(a, b, peak))
         model = CoefficientModel(kind=kind, dep="periodic", ell=3)
@@ -1656,16 +1656,18 @@ class TestLatticeNumerator:
         """trig ell = 128, n = 4000 (m = 31, r = 33): T has a zero 6.4e-9
         from the lattice point 2 pi 18/128, a close pair of W whose dip
         lies below W's pointwise rounding, so W's count stays unstable
-        whatever its split budget.  count_zeros then counts T, the same
-        coefficients as an i.i.d. sample, whose report it returns: stable,
-        with the count that T certified on twice the nodes a degree."""
+        whatever its split budget.  count_zeros then counts T itself, a
+        second call on T's record, whose report it returns: stable, with
+        the count that T certified on twice the nodes a degree and the
+        roots of the same coefficients counted as an i.i.d. sample."""
         import trigzeros.zeros as zeros_module
 
         model = CoefficientModel(kind="trig", dep="periodic", ell=128)
         s = sample_coefficients(model, 4000, seed=mix64(46, 128, 4000, 3))
         assert (s.split.m, s.split.r) == (31, 33)
+        terms = trigpoly._NumeratorTerms.of(unit_sample(s))  # count_zeros' record of W
         for budget in (7, 20):
-            _, size, _, stable, _ = zeros_module._certified_count(s.unit(), 16, budget, False,
+            _, size, _, stable, _ = zeros_module._certified_count(s, terms, 16, budget, False,
                                                                   1e-10)
             assert (size, stable) == (65536, False), budget
         rep = count_zeros(s, want_roots=True)
