@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_model_arguments(parser):
+def _add_model_arguments(parser, n_help="degree; repeat for several rows"):
     # every model flag defaults to None, so that _model can tell a flag
     # left out from one given, and a config file can fill the former
     parser.add_argument("--kind", choices=("trig", "cosine"), default=None,
@@ -68,8 +68,7 @@ def _add_model_arguments(parser):
     parser.add_argument("--sigma", type=float, default=None,
                         help="coefficient standard deviation (default: 1; zero "
                              "counts are invariant to it)")
-    parser.add_argument("--n", type=int, action="append", required=False,
-                        help="degree; repeat for several rows")
+    parser.add_argument("--n", type=int, action="append", required=False, help=n_help)
 
 
 _MODEL_KEYS = ("kind", "dep", "ell", "sigma")
@@ -342,7 +341,7 @@ def build_parser() -> _Parser:
                          help="confirm C or K with this many random points (0: off)")
 
     p_count = sub.add_parser("count", help="count zeros of one sample")
-    _add_model_arguments(p_count)
+    _add_model_arguments(p_count, n_help="degree of the one sample counted (default 100)")
     p_count.add_argument("--seed", type=int, default=0)
     p_count.add_argument("--grid-per-degree", type=int, default=GRID_PER_DEGREE, help=_GRID_HELP)
     p_count.add_argument("--dump-roots", default=None, metavar="PATH",

@@ -192,6 +192,19 @@ def test_count_refuses_a_second_degree(capsys):
     assert "count takes one --n" in captured.err
 
 
+@pytest.mark.parametrize("command, repeats", [("count", False), ("simulate", True),
+                                              ("kacrice", True)])
+def test_degree_help_says_whether_it_repeats(capsys, command, repeats):
+    """count --help offers one --n, as count accepts; the commands that
+    take several rows offer a repeated --n."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--n N degree; repeat for several rows" in text) == repeats
+    assert ("--n N degree of the one sample counted (default 100)" in text) == (not repeats)
+
+
 def test_bad_grid_options_are_usage_errors(tmp_path, capsys):
     """Grid options are rejected before any counting starts (exit 1, not 2)."""
     with pytest.raises(SystemExit) as exc:

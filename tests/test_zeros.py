@@ -220,6 +220,24 @@ def decided_circle_roots(sample):
     return int(np.count_nonzero(gap < 1e-7))
 
 
+def _fell_back(samples, **options):
+    """(reports, fell back): count_zeros(sample, **options) of each sample,
+    and whether the count took the phase route, that is built the carrier
+    phase from the roots of P, in place of the monotone-phase proof."""
+    import trigzeros.zeros as zeros_module
+
+    calls, original = [], zeros_module._carrier_phase
+    reports, fell_back = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros_module, "_carrier_phase",
+                      lambda *args: calls.append(1) or original(*args))
+        for sample in samples:
+            before = len(calls)
+            reports.append(count_zeros(sample, **options))
+            fell_back.append(len(calls) > before)
+    return reports, fell_back
+
+
 class TestReducedRouteIdentity:
     def test_reports_equal_dense_reduced_evaluation(self):
         """The phase count equals the dense grid oracle on 40 trials of each
@@ -239,7 +257,8 @@ class TestReducedRouteIdentity:
         outside the unit circle, the phase backtracks, and the count exceeds
         the no-breakpoint value 2(f0 + w) + n+1-ell by two."""
         s = _acceptance_sample("trig", 5, 499, 2026, 209)
-        rep = count_zeros(s)
+        (rep,), fell_back = _fell_back([s])
+        assert fell_back == [True]  # theta' < 0 somewhere: the proof fails
         assert (rep.count, rep.stable, rep.pieces) == (998, True, 3)
         assert grid_oracle(s)[:2] == (998, True)
         phase = carrier_phase(s)
@@ -353,6 +372,97 @@ class TestScaleInvariance:
             rep = count_zeros(s)
             assert (rep.count, rep.grid_size, rep.stable) == (
                 expected.count, expected.grid_size, expected.stable), k
+
+    @pytest.mark.parametrize("kind, ell, n", [("trig", 5, 499), ("cosine", 3, 1199),
+                                              ("trig", 1, 99)])
+    def test_extreme_sigma_keeps_the_monotone_phase_report(self, kind, ell, n):
+        """r = 0 counted alone: at sigma = 2^-1000 and 2^900 every report
+        equals the sigma = 1 one, those that the monotone-phase proof
+        decides and those that fall back alike."""
+        reports, fell_back = {}, {}
+        for k in (0, -1000, 900):
+            model = CoefficientModel(kind=kind, dep="periodic", ell=ell, sigma=2.0**k)
+            samples = [sample_coefficients(model, n, seed=mix64(52, n, t)) for t in range(12)]
+            reports[k], fell_back[k] = _fell_back(samples)
+        assert reports[-1000] == reports[0] == reports[900]
+        assert fell_back[-1000] == fell_back[0] == fell_back[900]
+        assert not all(fell_back[0])
+
+
+class TestMonotonePhase:
+    """r = 0 samples counted alone: the monotone-phase proof decides most
+    of them with no eigenvalue problem, and the phase route takes the rest."""
+
+    @pytest.mark.parametrize("kind, ell, n, least", [("trig", 5, 499, 0.80),
+                                                     ("cosine", 3, 1199, 0.95)])
+    def test_share_the_proof_decides(self, kind, ell, n, least):
+        """On 200 fixed seeds of each mc-periodic r = 0 row the proof decides
+        at least the stated share (the phase route is never asked), with
+        the phase route's count and stable flag, pieces = 1 and no grid."""
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        samples = [sample_coefficients(model, n, seed=mix64(54, n, t)) for t in range(200)]
+        reports, fell_back = _fell_back(samples)
+        assert sum(fell_back) <= (1.0 - least) * len(samples), sum(fell_back)
+        for s, rep, phase_route in zip(samples, reports, fell_back):
+            if phase_route:
+                continue
+            phase = count_zeros(s, want_roots=True)
+            assert (rep.count, rep.stable, rep.pieces) == (phase.count, True, 1), s.seed
+            assert (rep.grid_size, rep.doublings_used, rep.roots) == (0, 0, None)
+
+    def test_hopeless_samples_build_no_table(self):
+        """A P of more coefficients than the proof's nodes is never tried,
+        nor one whose sum k^2 |c_k|^2 reaches f0^2 sum |c_k|^2 (Parseval
+        then puts |p'| >= f0 |p| somewhere): the proof builds no table for
+        either.  A constant P winds 0 times."""
+        import trigzeros.zeros as zeros_module
+
+        c = np.zeros(zeros_module._PROOF_NODES + 1, complex)
+        c[0] = 1.0
+        zeros_module._proof_table.cache_clear()
+        assert zeros_module._monotone_winding(c, 1e6) is None
+        flat = np.ones(7, complex)  # sum k^2 = 91 = 13 * 7
+        assert zeros_module._monotone_winding(flat, np.sqrt(13.0)) is None
+        assert zeros_module._proof_table.cache_info().currsize == 0
+        assert zeros_module._monotone_winding(c[:-1], 1e6) == 0
+        assert zeros_module._monotone_winding(c[:1], 0.5) == 0
+
+    def test_wide_p_passes_parseval_but_builds_no_table(self):
+        """At ell = 100 and a large f0 the Parseval test passes, but the mean
+        of |p_j| over the nodes, at most sqrt(sum |c_k|^2), cannot clear the
+        cells' slack: the proof gives up before it builds a table."""
+        import trigzeros.zeros as zeros_module
+
+        rng = np.random.default_rng(58)
+        c = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        powers = np.arange(100.0)
+        assert np.sum(powers**2 * np.abs(c)**2) < (3.0 * 512 / (2.0 * np.pi))**2 * np.sum(np.abs(c)**2)
+        zeros_module._proof_table.cache_clear()
+        assert zeros_module._monotone_winding(c, 1e4) is None
+        assert zeros_module._proof_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("ell, m, tried", [(3, 2, True), (4, 2, False), (5, 3, True),
+                                               (6, 3, False), (19, 10, True), (20, 10, False),
+                                               (20, 400, False)])
+    def test_proof_is_tried_where_ell_is_below_min_20_and_2m(self, ell, m, tried):
+        """Counting alone, count_zeros tries the proof exactly where
+        ell < min(20, 2 m), and never with want_roots; either way each
+        report equals the phase route's in count, stable and pieces."""
+        import trigzeros.zeros as zeros_module
+
+        model = CoefficientModel(kind="cosine", dep="periodic", ell=ell)
+        samples = [sample_coefficients(model, ell * m - 1, seed=mix64(58, ell, m, t))
+                   for t in range(3)]
+        calls, original = [], zeros_module._monotone_winding
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeros_module, "_monotone_winding",
+                          lambda *args: calls.append(1) or original(*args))
+            listed = [count_zeros(s, want_roots=True) for s in samples]
+            assert calls == []
+            plain = [count_zeros(s) for s in samples]
+        assert len(calls) == (len(samples) if tried else 0)
+        for rep, ref in zip(plain, listed):
+            assert (rep.count, rep.stable, rep.pieces) == (ref.count, ref.stable, ref.pieces)
 
 
 class TestDeterministicZeroSet:
@@ -1490,6 +1600,18 @@ class TestRootRefinement:
             kills_reduced = abs(red.evaluate(root)) < 1e-6 * scale
             assert near_det or kills_reduced
 
+    @pytest.mark.parametrize("tol", [np.inf, -1.0, 0.0, np.nan, "1e-10"])
+    @pytest.mark.parametrize("dep, ell, n", [("iid", None, 500), ("periodic", 3, 299),
+                                             ("periodic", 3, 298)])
+    def test_tol_must_be_finite_and_positive(self, tol, dep, ell, n):
+        """Every route refuses a tol that is not a finite number > 0, with
+        or without roots: inf would return unrefined roots, and a tol <= 0
+        or nan would run every root through the whole iteration budget."""
+        s = sample_coefficients(CoefficientModel(kind="trig", dep=dep, ell=ell), n, seed=1)
+        for want_roots in (False, True):
+            with pytest.raises(ValueError, match="tol"):
+                count_zeros(s, tol=tol, want_roots=want_roots)
+
 
 class TestCeiling:
     def test_reported_counts_respect_2n(self):
@@ -1579,12 +1701,15 @@ class TestPhaseRouteShortcuts:
                     got, want = _polynomial_roots(q), np.roots(q)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q
 
-    def test_deterministic_count_without_roots(self):
-        """For ell = 1..6 and m = 2..40 the closed-form count of the
-        deterministic zeros gives the report that listing them does."""
-        for ell in range(1, 7):
-            model = CoefficientModel(kind="trig", dep="periodic", ell=ell)
-            for m in range(2, 41):
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    def test_deterministic_count_without_roots(self, kind):
+        """For ell = 1..7 and m = 2..40 and 400, trig and cosine, the
+        closed-form count of the deterministic zeros gives the report that
+        listing them does; counting alone, the monotone-phase proof decides
+        most of these samples, listing them never."""
+        for ell in range(1, 8):
+            model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+            for m in [*range(2, 41), 400]:
                 n = ell * m - 1
                 s = sample_coefficients(model, n, seed=mix64(53, n))
                 plain, listed = count_zeros(s), count_zeros(s, want_roots=True)
