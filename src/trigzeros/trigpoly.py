@@ -518,6 +518,27 @@ def numerator_on_grid(sample: PolySample, num_nodes: int, offset: float) -> np.n
     return vals
 
 
+def numerator_at_nodes(sample: PolySample, num_nodes: int, offset: float,
+                       nodes: np.ndarray) -> np.ndarray:
+    """W and W' (rows) at the nodes numbered nodes (each in [0, num_nodes))
+    of grid_nodes(num_nodes, offset), a new (2, nodes.size) array, from
+    the folded table of numerator_on_grid: node sK + k reads column k of
+    the table with the coefficients (-1)^s omega^(qs) c_q.  The products
+    are numerator_on_grid's, summed in another order, which the zero
+    counter's grid bound delta_grid for W covers too (zeros): O(ell) a
+    node, with no sine or cosine, once the table is cached."""
+    terms = _NumeratorTerms.of(sample)
+    ell = terms.split.ell
+    runs, columns = np.divmod(nodes, num_nodes // ell)
+    coefficients = (_rotations(ell)[runs] * terms.c).view(float)
+    table = _numerator_table(terms.split, int(num_nodes), offset)
+    vals = np.einsum("nj,djn->dn", coefficients, table[:, :, columns])
+    if terms.e:
+        with np.errstate(over="ignore"):  # values beyond the double range are +-inf
+            np.ldexp(vals, terms.e, out=vals)
+    return vals
+
+
 @functools.lru_cache(maxsize=16)
 def _rotations(ell: int) -> np.ndarray:
     """The read-only (ell, ell) matrix (-1)^s omega^(qs), omega = e^(2 pi i/ell),

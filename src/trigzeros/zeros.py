@@ -1,6 +1,7 @@
 """Zero counting: a certified cell-by-cell count on one spectral grid,
-and an exact phase count for the reduced factor of periodic samples
-that factor (r = 0, m >= 2).
+a proof from the carrier of the lattice numerator for periodic samples
+with r != 0, and an exact phase count for the reduced factor of
+periodic samples that factor (r = 0, m >= 2).
 
 Grid route (i.i.d., r != 0, and r = 0 with m = 1)
 -------------------------------------------------
@@ -351,11 +352,120 @@ cosine, it decided at most 2 of 45 at ell >= 20 for every m, and at
 ell >= 2 m (m = 2..6) at most 9 % of the trig samples and 29 % of the
 cosine ones, where a failed proof adds 5-10 % to a trial.  count_zeros tries it only where
 ell < min(20, 2 m) (_PROOF_ELL); elsewhere, and where it decides
-nothing, the phase route above runs unchanged.
+nothing, the phase route above runs unchanged.  The table's rows
+(_wave_rows) and the turns of p (_turns) are shared with the carrier
+proof below.
+
+Carrier proof (periodic, r != 0, counting alone)
+------------------------------------------------
+W's 2 ell terms (_NumeratorTerms) split into a carrier and a slow part.
+With F = (m - 1/2) ell + shift, shift = r + (ell - 1)//2,
+
+    W(x) = Im(e^{iFx} P(x)) - Im Q(x),
+    P(x) = sum_q c_q e^{i e_q x},  e_q = q + ell [q < r] - shift,
+    Q(x) = sum_q c_q e^{i s_q x},  s_q = q - ell/2,
+
+from the fast terms (frequencies F + e_q) and the slow ones (s_q).
+shift centres the e_q, so that P's sums S_k = sum_q |e_q|^k |c_q| are
+small, and keeps them integers, so that P(x + 2 pi) = P(x), while
+Q(x + 2 pi) = (-1)^ell Q(x); S_k' are Q's sums.  With psi = F x + arg P
+and u = arcsin(Im Q/|P|), W = |P| (sin psi - sin u): a carrier of
+frequency about n under the slow envelopes |P| and Im Q.  _carrier_count
+reads P and Q at K + 1 = 513 proof nodes by one product of the ell
+coefficients with a cached table (_carrier_table).  The nodes are W's
+own grid nodes 2 pi (i_j + g)/N, i_j = j N // K, so they miss the
+lattice 2 pi k/ell, where W vanishes, and a window ends on grid nodes.
+Each proof cell [x_j, x_(j+1)], of width at most w = ceil(N/K) 2 pi/N,
+is bounded by chords: a chord misses its function by at most w^2/8
+times the bound on the second derivative, so on the cell
+
+    |P| >= LP = dist(0, segment P_j P_(j+1)) - w^2 S2/8 - delta_0,
+    |P| <= HP = max(|P_j|, |P_(j+1)|) + w^2 S2/8 + delta_0,
+
+LQ and HQ alike for |Im Q|, and |P'| <= S1, |Q'| <= S1' everywhere.  (The
+slope bounds of the monotone-phase proof, |P| >= (|P_j| + |P_(j+1)| -
+w S1)/2 and alike, leave 2.4-3.2 % of the circle in windows on trig
+ell = 3 at n = 400 and 1600, cosine ell = 3 at n = 400 and trig ell = 4
+at n = 1001, 200 seeds each; the chord bounds leave 0.9-1.2 %.)  A cell
+is
+
+  zero-free where Im Q keeps one sign and LQ > HP: |W| >= |Im Q| - |P| > 0;
+  an arc where LP > max(16 K delta_0, w S1/3, 4 S1/F) and
+      LP^2 - HQ^2 > (4 (S1 + S1')/(3 F))^2.  Then F - S1/|P| >= 3 F/4 and
+      |u'| <= (|(Im Q)'| + |v| |P'|)/sqrt(|P|^2 - (Im Q)^2) <
+      (S1 + S1')/sqrt(LP^2 - HQ^2), v = Im Q/|P|, so psi' = F + Im(P'/P) >
+      |u'|: psi - u and psi + u increase, and the zeros are where psi - u
+      crosses 2 pi Z and psi + u crosses pi + 2 pi Z, once each and simple
+      (|u| < pi/2 keeps the two sets apart); arg P moves less than 3
+      across the cell;
+  a window otherwise.
+
+A run of arcs is counted from psi -+ u at its end nodes (_carrier_arcs):
+floor((psi - u)/2 pi) + floor((psi + u - pi)/2 pi) at the end less that
+at the start, psi at the end being psi at the start plus F times the
+run's width plus the sum of the turns of P, rounded to whole turns beside
+the difference of arg P at the ends.  A whole circle of arc counts
+2 (F + w), w the winding number of P.  A window on which Im Q keeps one
+sign s, with LQ <= |Im Q|, LP <= |P| <= HP and LQ > HP/2, is decided
+from the carrier's peaks (_carrier_peaks): s W < 0 wherever
+s sin psi < LQ/HP, so W vanishes only in the peaks
+|psi - (s pi/2 + 2 pi k)| <= theta = arccos(LQ/HP), where
+s W'' <= -kappa = -(F^2 LP cos theta - 2 F S1 - S2 - S2') < 0.  A peak
+cut to the window holds one zero where one end has s W > 0, none where
+both have, and else none or two: two where s W > 0 at a point y in it,
+none where s W(y) + W'(y)^2/(2 kappa) < 0, the top of a concave function
+with that value and slope.  y aims at the peak's centre along the
+tangent of psi at the window's start, and one product of P's and Q's
+phases reads all the points y.  A window that this leaves undecided is
+counted on W's grid nodes inside it (_carrier_windows): W and W' from
+W's folded table at those nodes (trigpoly.numerator_at_nodes), under the
+grid route's certificate with max |W| bounded from the proof's nodes,
+through _screen, _grid_cells, _settle and _local_stage, never the local
+stage alone.  A window that passes node K is cut there into two runs of
+grid nodes, the first ending at node N, which reads node 0 times
+(-1)^ell as the grid route's wrap cell does.  An end node without a
+certain sign, an arc end within its rounding of a level, or a cell that
+the local stage leaves undecided gives up, and W's grid route counts
+the sample unchanged.
+
+The rounding: a table entry e^{i f x_j} takes one rounded argument,
+within u |f x| <= 6.3 u |f| (12.6 u |f| on a run moved by 2 pi), and
+cos and sin of an ulp each; a slope entry one more rounding by f; the
+complex inner product of length ell adds sqrt(2) gamma_(ell+2) (Higham,
+ch. 3).  So P_j and P'_j/i lie within delta_0 = 8 u ((ell + 8) S0 + 2 S1)
+and delta_1 = 8 u ((ell + 8) S1 + 2 S2) of the truth, more than twice
+the tally, and Q within delta_0', delta_1' from its own sums.  The cell
+tests' own few operations round by a few u, relative to S0 or S0', and
+every bound is widened by _CARRIER_SLACK = 1e-12 of S0 (or S0'), or
+relatively, far beyond that.  At an arc's end psi is within
+2 (u (4 F |x| + 4 |psi| + 8) + 1.6 delta_0/|P|) of the truth and u
+within 4 delta_v/sqrt(1 - v^2), delta_v = 1.1 (delta_0' + |v| delta_0)/|P|
++ 2 u, and the end must clear a level by their sum.  A peak's s W and
+s W' at a point are within 2 (delta_0 + delta_0' + 16 u (F + 1)(S0 + S0'))
+and 2 (F delta_0 + delta_1 + delta_1' + 16 u (F + 1)(F S0 + S1 + S1')),
+the carrier's argument F x rounded once, and the peaks are widened by
+_PEAK_MARGIN = 1e-9 of psi.
+
+count_zeros tries the proof for counting alone, before W's grid route,
+where ell <= 4, W's grid holds at least 4 ell grid cells a proof cell
+(N >= 2048 ell) and F S0 > 16 (S1 + S1') (_CARRIER_ELL, _CARRIER_STRIDE,
+_CARRIER_GATE), before any table is built.  |e_q| and |s_q| are at most
+ell/2, so at the default 16 nodes a degree, where N >= 2048 ell gives
+n >= 63 ell and F >= 61 ell, the last test bites on finer grids alone.
+Beyond the gate the proof was measured to cost more than the grid route
+(trig ell = 4 at n = 400, ell = 5 at n = 503, ell = 10 at n = 2001); on
+a row it gates out it costs 0.15-0.5 us a trial.  On 200 fixed seeds
+each it decides every trig ell = 3 sample at n = 400 and n = 1600 (the
+r != 0 rows of the mc-periodic benchmark), every cosine ell = 3 one at
+n = 400, trig ell = 2 at n = 2000 and ell = 4 at n = 1001; 0-3.5 % of
+them leave a window to the grid.  A decided report has the grid size N
+of W's grid route and doublings_used the deepest local split in a window
+(0 where none reached the local stage).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
@@ -368,7 +478,8 @@ import numpy as np
 from . import models
 from .models import PolySample
 from .trigpoly import (_NumeratorTerms, _TableCoefficients, evaluate_jet, evaluate_on_grid,
-                       frequency_powers, numerator_frequencies, numerator_jet, numerator_on_grid)
+                       frequency_powers, numerator_at_nodes, numerator_frequencies, numerator_jet,
+                       numerator_on_grid)
 
 TWO_PI = 2.0 * np.pi
 
@@ -386,6 +497,24 @@ _PROOF_NODES = 512
 # ... and is tried only where ell < min(_PROOF_ELL, 2 m): beyond, it decides
 # almost no sample and costs 5-10 % of a phase-route trial
 _PROOF_ELL = 20
+
+# carrier proof (periodic, r != 0, counting alone; _carrier_count) on
+# _CARRIER_NODES proof nodes: tried where ell <= _CARRIER_ELL, a proof cell
+# holds at least _CARRIER_STRIDE ell cells of W's grid and
+# F S0 > _CARRIER_GATE (S1 + S1'), where it was measured to pay; an arc
+# needs |P| > _CARRIER_FLOOR K delta_0, and every bound it computes is
+# widened by the relative _CARRIER_SLACK, far beyond the rounding of its
+# own few operations
+_CARRIER_NODES = 512
+_CARRIER_ELL = 4
+_CARRIER_STRIDE = 4
+_CARRIER_GATE = 16.0
+_CARRIER_FLOOR = 16.0
+_CARRIER_SLACK = 1e-12
+# ... and widens a peak of its windows by _PEAK_MARGIN radians of psi
+_PEAK_MARGIN = 1e-9
+# ... and the kinds of its cells
+_ZERO_FREE, _WINDOW, _ARC = -1, 0, 1
 
 # grid route: nodes sit at 2 pi (i + GRID_OFFSET)/N.  Structured samples
 # (periodic cosine with r != 0, rigged tones) have deterministic zeros at
@@ -432,12 +561,15 @@ class ZeroCountReport:
     grid_size       grid route: nodes N of the base grid on the whole
                     circle, the only grid; a cosine sample's transform
                     reads N/2 of them, and their mirror images are the
-                    rest; phase route: 0
+                    rest; carrier proof: the N of W's grid route, a few
+                    of whose nodes its windows read; phase route: 0
     doublings_used  grid route: the deepest local split of an
                     undecided cell (0 when no cell needed one): a
                     halving on the whole circle, a golden split on the
                     half circle, which shrinks the widest piece by
-                    g = 0.618 only; phase route: 0
+                    g = 0.618 only; carrier proof: the same in its
+                    windows, 0 where none reached the local stage;
+                    phase route: 0
     stable          grid route: every cell certified (no zero, exactly
                     its sign change, or 0 or 2 in a convex or concave
                     sub-cell), so the count is proved up to the stated
@@ -578,7 +710,9 @@ class _Layout:
     local stage splits a cell at the fraction split of its width.  With
     flip (whole circle only) the counted function changes sign over a
     turn, as W does for odd ell, and the wrap cell ends at minus the
-    values and slopes of node 0.
+    values and slopes of node 0.  With nodes (the carrier proof's windows)
+    node k lies at nodes[k] instead, no cell wraps, and columns is the
+    number of cells.
     """
 
     size: int
@@ -589,6 +723,7 @@ class _Layout:
     split: float
     mirror: bool = False
     flip: bool = False
+    nodes: Optional[np.ndarray] = None
 
     @functools.cached_property
     def h(self) -> float:
@@ -612,7 +747,9 @@ class _Layout:
 
     def positions(self, k: np.ndarray) -> np.ndarray:
         """The abscissae h (k + offsets[k mod p]) of the sequence nodes k;
-        h (k + g) with one offset g."""
+        h (k + g) with one offset g; nodes[k] where the layout lists them."""
+        if self.nodes is not None:
+            return self.nodes[k]
         if self.offsets.size == 1:
             return self.h * (k + self.offsets[0])
         return self.h * (k + self.offsets[k % self.offsets.size])
@@ -1240,7 +1377,20 @@ def _proof_table(ell: int) -> np.ndarray:
     and p'/i at the nodes 2 pi j/K, node K being node 0 again."""
     K, k = _PROOF_NODES, np.arange(ell)
     unit = np.exp(1j * (TWO_PI / K) * np.arange(K))[np.outer(np.arange(K + 1), k) % K]
-    return _read_only(np.concatenate([unit, unit * k]))
+    return _read_only(_wave_rows(unit, k))
+
+
+def _wave_rows(phases: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The rows of a proof table: the phases e^{i f_k x_j} (a row a node, a
+    column a term) and below them the same times f_k, so that table @ c
+    reads sum_k c_k e^{i f_k x} and its slope over i at the nodes."""
+    return np.concatenate([phases, phases * freqs])
+
+
+def _turns(p: np.ndarray) -> np.ndarray:
+    """The angle of p_{j+1} conj(p_j) for consecutive node values: the move
+    of arg p across each cell, exact up to rounding where it is below pi."""
+    return np.angle(p[1:] * p[:-1].conj())
 
 
 def _monotone_winding(c: np.ndarray, f0: float) -> Optional[int]:
@@ -1280,8 +1430,397 @@ def _monotone_winding(c: np.ndarray, f0: float) -> Optional[int]:
     margin = slope * size[:K + 1] - size[K + 1:]  # F |p_j| - |p'_j|
     if not (margin[:-1] + margin[1:]).min() > need:
         return None
+    return round(float(_turns(values[:K + 1]).sum()) / TWO_PI)
+
+
+@functools.lru_cache(maxsize=8)
+def _carrier_frequencies(split):
+    """(freqs, powers) of the carrier proof of the split's W, read-only:
+    the carrier exponents e_q = q + ell [q < r] - shift, shift = r +
+    (ell - 1)//2, then the slow frequencies s_q = q - ell/2, and |e_q|^k
+    and |s_q|^k for k <= 2 (rows), whose products with |c_q| are the sums
+    S_k of P and S_k' of Q."""
+    ell, r = split.ell, split.r
+    q = np.arange(ell)
+    freqs = np.concatenate([q + ell * (q < r) - (r + (ell - 1) // 2), q - ell / 2.0])
+    powers = np.abs(freqs).reshape(2, 1, ell) ** np.arange(3)[:, None]
+    return _read_only(freqs), _read_only(powers.reshape(6, ell))
+
+
+@functools.lru_cache(maxsize=8)
+def _carrier_table(split, N: int):
+    """(table, slopes, nodes, index) of the carrier proof of the split's W
+    on its grid of N nodes, read-only.
+
+    index holds the grid indices i_j = j N // K of the K + 1 proof nodes,
+    K = _CARRIER_NODES, and nodes their abscissae h (i_j + g), h = 2 pi/N:
+    the bits of the grid's own nodes (_Layout.positions), node K at
+    h (N + g), node 0 moved by 2 pi up to rounding.  Of the _wave_rows of
+    _carrier_frequencies at the nodes, the (2 (K + 1), ell) table holds
+    the phases, so that table @ c reads P and then Q there, and slopes
+    those of P times e_q, which read P'/i."""
+    K, ell = _CARRIER_NODES, split.ell
+    index = np.arange(K + 1) * N // K
+    nodes = (TWO_PI / N) * (index + GRID_OFFSET)
+    freqs = _carrier_frequencies(split)[0]
+    rows = _wave_rows(np.exp(1j * np.outer(nodes, freqs)), freqs)
+    table = np.concatenate([rows[:K + 1, :ell], rows[:K + 1, ell:], rows[K + 1:, :ell]])
+    return (_read_only(table[:2 * K + 2]), _read_only(table[2 * K + 2:]), _read_only(nodes),
+            _read_only(index))
+
+
+def _carrier_count(terms: _NumeratorTerms, grid_per_degree: int, max_doublings: int):
+    """(count, grid size, doublings) of a periodic r != 0 sample where the
+    carrier proof (module docstring) decides its count, else None.
+
+    terms is count_zeros' record of W at exponent 0, W = Im(e^{iFx} P) -
+    Im Q.  One table product reads P and Q at the proof nodes
+    (_carrier_table); each proof cell is zero-free, a proved arc or a
+    window by its chord bounds; the arcs are counted from psi -+ u at
+    their ends (_carrier_arcs), the windows from the peaks of the carrier
+    (_carrier_peaks), and the windows whose peaks do not decide on W's
+    grid nodes inside them (_carrier_windows).  The count is T's,
+    count(W) - ell; the grid size is that of W's grid route, whose nodes
+    the windows read, and doublings the deepest local split in a window.
+    Nothing is built where ell > _CARRIER_ELL, where a proof cell would
+    hold fewer than _CARRIER_STRIDE ell grid cells, or where
+    F S0 <= _CARRIER_GATE (S1 + S1'), the sums S_k of P and S_k' of Q.
+    """
+    split = terms.split
+    ell, K = split.ell, _CARRIER_NODES
+    degree = split.n + ell / 2
+    # _grid_size is below 2 (max(256, grid_per_degree degree) + ell)
+    if ell > _CARRIER_ELL or 2 * (max(256, grid_per_degree * degree) + ell) < (
+            _CARRIER_STRIDE * ell * K):
+        return None
+    N = _grid_size(degree, grid_per_degree, ell)
+    if N < _CARRIER_STRIDE * ell * K:
+        return None
+    F = (split.m - 0.5) * ell + (split.r + (ell - 1) // 2)
+    freqs, powers = _carrier_frequencies(split)
+    c = terms.c
+    p0, p1, p2, q0, q1, q2 = (powers @ np.abs(c)).tolist()
+    if not F * p0 > _CARRIER_GATE * (p1 + q1):
+        return None
+    table, slopes, nodes, index = _carrier_table(split, N)
+    # the rounding of P, P'/i, Q and Q'/i at the nodes (module docstring)
+    d0p, d1p, d0q, d1q = (8.0 * _U * ((ell + 8) * a + 2.0 * b)
+                          for a, b in ((p0, p1), (p1, p2), (q0, q1), (q1, q2)))
+    # the widest proof cell, ceil(N/K) grid cells; on it a chord of P or Q
+    # misses the function by at most w^2/8 times S2 or S2'
+    w = (TWO_PI / N) * -(-N // K) * (1.0 + _WIDTH_SLACK)
+    # the chords' misses and the rounding of P and Q, and that of the few
+    # operations below, below _CARRIER_SLACK S0 (|P| <= S0, |Q| <= S0')
+    slack_p = w * w / 8.0 * p2 + d0p + _CARRIER_SLACK * p0
+    slack_q = w * w / 8.0 * q2 + d0q + _CARRIER_SLACK * q0
+
+    values = table @ c
     p = values[:K + 1]
-    return round(float(np.angle(p[1:] * p[:-1].conj()).sum()) / TWO_PI)
+    b = values[K + 1:].imag  # Im Q
+    size = np.abs(p)
+    z = p[1:] * p[:-1].conj()
+    turn = np.angle(z)
+    # |P| on a cell is at least the distance from 0 to the chord P_j P_(j+1)
+    # less slack_p: to the line through them where the foot of the
+    # perpendicular lies between them, else to the nearer end
+    near = np.minimum(size[:-1], size[1:])
+    near *= near
+    step = np.abs(p[1:] - p[:-1])
+    step *= step
+    # a larger step only lowers the bound: no 0/0 where P_j = P_(j+1) and
+    # rounding puts the foot between them
+    step += 1e-300
+    inside = z.real < near
+    line = np.square(z.imag)
+    np.divide(line, step, out=line, where=inside)
+    low = np.sqrt(np.where(inside, line, near))
+    low -= slack_p
+    absb = np.abs(b)
+    # arc: |P| > the floor and |P|^2 - (Im Q)^2 > (4 (S1 + S1')/(3 F))^2 on the
+    # cell, so that F |P| - S1 >= 3 F |P|/4 and psi' > |u'|
+    bhigh = np.maximum(absb[:-1], absb[1:])
+    bhigh += slack_q
+    up = 1.0 + _CARRIER_SLACK
+    floor = max(_CARRIER_FLOOR * K * d0p, w * p1 / 3.0, 4.0 * p1 / F * up)
+    gap = low - bhigh
+    gap *= low + bhigh
+    arc = (low > floor) & (gap > (4.0 * (p1 + q1) / (3.0 * F)) ** 2 * up)
+    # zero-free: |Im Q| > |P| on the cell
+    high = np.maximum(size[:-1], size[1:])
+    high += slack_p
+    blow = np.minimum(absb[:-1], absb[1:])
+    blow -= slack_q
+    same = b[:-1] * b[1:] > 0.0  # Im Q keeps one sign on the cell
+    zero_free = (blow > high) & same
+    kind = arc.view(np.int8) - zero_free.view(np.int8)  # _ARC, _ZERO_FREE or _WINDOW
+    runs = (kind[1:] != kind[:-1]).nonzero()[0] + 1
+    if kind[0] != kind[-1]:
+        runs = np.concatenate([[0], runs])
+    if not runs.size:
+        # one kind on the whole circle: a turn of arc counts 2 (F + w), w the
+        # winding number of P
+        if kind[0] != _ARC:
+            return None
+        return round(2.0 * F) + 2 * round(float(turn.sum()) / TWO_PI) - ell, N, 0
+    # the runs of one kind, cells [start, end) with end up to start + K, and
+    # the turns of P summed from node 0
+    total = np.concatenate([[0.0], turn.cumsum()])
+    starts = runs.tolist()
+    ends = starts[1:] + [starts[0] + K]
+    kinds = kind[runs].tolist()
+    arcs = [(a, e) for a, e, k in zip(starts, ends, kinds) if k == _ARC]
+    count = 0
+    if arcs:
+        count = _carrier_arcs(arcs, p, b, total, nodes, F, (d0p, d0q))
+        if count is None:
+            return None
+    windows = [(a, e) for a, e, k in zip(starts, ends, kinds) if k == _WINDOW]
+    depth = 0
+    if windows:
+        found = _carrier_peaks(windows, freqs, c, p, slopes, b,
+                               (low, high, blow, same), total, nodes, F,
+                               (p0, p1, p2, q0, q1, q2), (d0p, d1p, d0q, d1q), w)
+        if found is None:
+            return None
+        more, windows = found
+        count += more
+    if windows:
+        bound = min(2.0 * p0, (float(size.max()) + slack_p + float(absb.max()) + slack_q) * up)
+        found = _carrier_windows(terms, windows, index, N, degree, bound, max_doublings)
+        if found is None:
+            return None
+        more, depth = found
+        count += more
+    return count - ell, N, depth
+
+
+def _carrier_arcs(arcs, p, b, total, nodes, F: float, delta) -> Optional[int]:
+    """The zeros of W on the proved arcs [start, end) (proof cells, end up to
+    start + K), None where an end value of psi -+ u lies within its
+    rounding of a level.
+
+    On an arc psi - u and psi + u increase, so its zeros are the levels
+    2 pi k of psi - u and pi + 2 pi k of psi + u crossed between its end
+    nodes.  At node t (node t - K where t > K) psi = F x_t + arg P_t and
+    u = arcsin(Im Q_t/|P_t|), and on node t - K the arc reads x + 2 pi and
+    Q's values times (-1)^ell, those of node t; over the arc psi grows by
+    F (x_end - x_start) plus the sum of the turns of P, which is rounded
+    to a whole number of turns beside arg P_end - arg P_start.
+    """
+    K = total.size - 1
+    d0p, d0q = delta
+    flip = -1.0 if round(2.0 * F) % 2 else 1.0  # Q(x + 2 pi) = (-1)^ell Q(x)
+    at = np.array(arcs).ravel()
+    moved = (at > K).tolist()
+    at = np.where(at > K, at - K, at)
+    levels = []
+    for pt, bt, x, shifted in zip(p[at].tolist(), b[at].tolist(), nodes[at].tolist(), moved):
+        if shifted:
+            x, bt = x + TWO_PI, flip * bt
+        size = abs(pt)
+        arg = math.atan2(pt.imag, pt.real)
+        psi = F * x + arg
+        v = bt / size
+        u = math.asin(v)
+        # the rounding of psi and u: F x and the sums beside them, arg P
+        # moved by |dP|/|P|, and arcsin moved by its slope times that of v
+        err_v = 1.1 * (d0q + abs(v) * d0p) / size + 2.0 * _U
+        if not err_v < 0.25 * (1.0 - v * v):
+            return None
+        err = 2.0 * (_U * (4.0 * F * abs(x) + 4.0 * abs(psi) + 8.0) + 1.6 * d0p / size
+                     + 2.0 * err_v / math.sqrt(1.0 - v * v))
+        g1, g2 = (psi - u) / TWO_PI, (psi + u - math.pi) / TWO_PI
+        f1, f2 = math.floor(g1), math.floor(g2)
+        if min(g1 - f1, f1 + 1.0 - g1, g2 - f2, f2 + 1.0 - g2) * TWO_PI <= err:
+            return None
+        levels.append((f1 + f2, arg))
+    count = 0
+    for (start, end), (f_start, arg_start), (f_end, arg_end) in zip(arcs, levels[::2],
+                                                                     levels[1::2]):
+        span = total[end] - total[start] if end <= K else total[K] - total[start] + total[end - K]
+        count += f_end - f_start + 2 * round((float(span) - (arg_end - arg_start)) / TWO_PI)
+    return count
+
+
+def _carrier_peaks(windows, freqs, c, p, slopes, b, bounds, total, nodes, F: float, sums,
+                   delta, w: float):
+    """(count, windows left) of W's zeros in the windows [start, end) (proof
+    cells, end up to start + K) that the carrier peaks decide; None where
+    an end value of W has no certain sign.
+
+    On a window with |Im Q| >= LQ > 0 of one sign s and LP <= |P| <= HP,
+    s W = |P| s sin psi - |Im Q| < 0 wherever s sin psi < LQ/HP: W can
+    vanish only in the peaks |psi - (s pi/2 + 2 pi k)| <= theta, theta
+    at least arccos(LQ/HP), where s W'' <= -kappa = -(F^2 LP cos theta -
+    2 F S1 - S2 - S2') < 0.  So a peak (cut to the window) holds one zero
+    where exactly one of its ends has s W > 0, none where both have, and
+    else none or two: two where s W > 0 at a point y inside it, none where
+    s W(y) + W'(y)^2/(2 kappa) < 0 (the concave s W lies below its tangent
+    at y less kappa/2 times the square of the distance), or where y is the
+    window's end beyond which the peak's centre lies and s W falls away
+    from it.  y aims at the centre along the tangent of psi at the
+    window's start, or is that end; P and Q are read there by one product
+    of their phases at all the points.  psi rises (F LP > S1) and turns
+    of P are below 3 on the window, so psi at its end is psi at its start
+    plus F times its width plus the sum of the turns; the windows left go
+    to _carrier_windows.
+    """
+    K = total.size - 1
+    low, high, blow, same = bounds
+    p0, p1, p2, q0, q1, q2 = sums
+    d0p, d1p, d0q, d1q = delta
+    flip = -1.0 if round(2.0 * F) % 2 else 1.0
+    up, down = 1.0 + _CARRIER_SLACK, 1.0 - _CARRIER_SLACK
+    # the rounding of s W and s W' at a point (module docstring)
+    err0 = 2.0 * (d0p + d0q + 16.0 * _U * (F + 1.0) * (p0 + q0))
+    err1 = 2.0 * (F * d0p + d1p + d1q + 16.0 * _U * (F + 1.0) * (F * p0 + p1 + q1))
+    at = np.array(windows).ravel()
+    at[at > K] -= K
+    nodes_at = zip(*(v[at].tolist() for v in (p, b, nodes)), (slopes[at] @ c).tolist())
+    left, peaks = [], []
+    for start, end in windows:
+        node_values = next(nodes_at), next(nodes_at)
+        if end - start == 1:
+            lp, hp, lq, one_sign = float(low[start]), float(high[start]), float(blow[start]), \
+                bool(same[start])
+        else:
+            cells = np.arange(start, end) % K
+            lp, hp, lq = float(low[cells].min()), float(high[cells].max()), float(
+                blow[cells].min())
+            one_sign = bool(same[cells].all())
+        span = w * (end - start)
+        if not (one_sign and lq > 0.0 and lp > 0.0 and F * down * lp > p1 * up
+                and span * p1 < 3.0 * lp and lq > 0.5 * hp):
+            left.append((start, end))
+            continue
+        theta = math.acos(lq * down / (hp * up)) * up + _PEAK_MARGIN
+        kappa = (F * F * lp * math.cos(theta) * down - 2.0 * F * p1 - p2 - q2) * down
+        if not kappa > 0.0:
+            left.append((start, end))
+            continue
+        ends = []
+        for t, (pt, bt, x, _) in zip((start, end), node_values):
+            if t > K:
+                x, bt = x + TWO_PI, flip * bt
+            wave = complex(math.cos(F * x), math.sin(F * x)) * pt
+            ends.append((x, F * x + math.atan2(pt.imag, pt.real), wave.imag - bt))
+        (xa, psi_a, wa), (xb, psi_b, wb) = ends
+        # psi' = F + Re(P'/(i P)) at the start, for the points y
+        rate = F + (node_values[0][3] / node_values[0][0]).real
+        sign = 1.0 if node_values[0][1] > 0.0 else -1.0
+        fa, fb = sign * wa, sign * wb
+        if not (abs(fa) > err0 and abs(fb) > err0):
+            return None
+        turns = total[end] - total[start] if end <= K else total[K] - total[start] + total[end - K]
+        psi_b = psi_a + F * (xb - xa) + float(turns)
+        centre = sign * math.pi / 2.0
+        k_lo = math.ceil((psi_a - theta - centre) / TWO_PI)
+        k_hi = math.floor((psi_b + theta - centre) / TWO_PI)
+        for k in range(k_lo, k_hi + 1):
+            mid = centre + TWO_PI * k
+            lo_end, hi_end = mid - theta <= psi_a, mid + theta >= psi_b
+            # y aims at the centre, or is the window's end beyond which it lies
+            side = -1 if mid <= psi_a else 1 if mid >= psi_b else 0
+            y = xa if side < 0 else xb if side > 0 else min(max(
+                xa + (mid - psi_a) / rate, xa), xb)
+            peaks.append((len(left), y, side, xa, psi_a, mid, theta, lo_end and fa > 0.0,
+                          hi_end and fb > 0.0, sign, kappa))
+        left.append(None)  # decided, unless one of its peaks is not
+    if not peaks:
+        return 0, [win for win in left if win is not None]
+    # P, P'/i, Q and Q'/i at the points y
+    y = np.array([peak[1] for peak in peaks])
+    phases = np.exp(1j * np.outer(y, freqs))
+    slopes = phases * freqs
+    ell = c.size
+    values = np.concatenate([phases[:, :ell], slopes[:, :ell], phases[:, ell:], slopes[:, ell:]],
+                            axis=1).reshape(y.size, 4, ell) @ c
+    found = [0] * len(left)
+    for (slot, point, side, xa, psi_a, mid, theta, pos_lo, pos_hi, sign, kappa), (
+            pv, dpv, qv, dqv) in zip(peaks, values.tolist()):
+        if pos_lo and pos_hi:
+            continue  # s W > 0 at both ends: none
+        if pos_lo or pos_hi:
+            found[slot] += 1
+            continue
+        carrier = complex(math.cos(F * point), math.sin(F * point))
+        f = sign * ((carrier * pv).imag - qv.imag)
+        df = sign * ((carrier * (F * pv + dpv)).real - dqv.real)
+        # psi at y, unwrapped from the window's start: arg P moves less than
+        # pi across the window
+        psi = F * point + math.atan2(pv.imag, pv.real)
+        psi += TWO_PI * round((psi_a + F * (point - xa) - psi) / TWO_PI)
+        inside = abs(psi - mid) < theta - 2.0 * _PEAK_MARGIN
+        if inside and f > err0:
+            found[slot] += 2
+        elif inside and f < -err0 and (f + (abs(df) + err1) ** 2 / (2.0 * kappa) < -err0
+                                       or side * df > err1):
+            pass  # none: below the tangent's top, or falling away from the end y
+        else:
+            left[slot] = windows[slot]  # to the grid as a whole
+    return (sum(n for n, win in zip(found, left) if win is None),
+            [win for win in left if win is not None])
+
+
+def _carrier_windows(terms: _NumeratorTerms, windows, index, N: int, degree: float,
+                     bound: float, max_doublings: int):
+    """(count, doublings) of W's zeros in the windows [start, end) (proof
+    cells, end up to start + K), counted on W's grid nodes inside them by
+    the grid route's tests; None where a window end has no certain sign or
+    the local stage leaves a cell undecided.
+
+    A window ends at proof nodes, which are grid nodes; one that passes node
+    K is cut there into two runs of grid nodes, the first ending at grid
+    node N, whose values are those of node 0 times (-1)^ell (the grid
+    route's wrap).  W and W' are read at all the windows' nodes from W's
+    folded table (numerator_at_nodes), and the certificate is the grid
+    route's with bound >= max |W| from the proof's nodes in place of its
+    own; the cups and the local stage read numerator_jet.
+    """
+    K, split = index.size - 1, terms.split
+    spans = []
+    for start, end in windows:
+        if end <= K:
+            spans.append((index[start], index[end]))
+        else:
+            spans += [(index[start], N), (0, index[end - K])]
+    lengths = [hi - lo + 1 for lo, hi in spans]
+    last = np.cumsum(lengths) - 1
+    at = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
+    positions = (TWO_PI / N) * (at + GRID_OFFSET)
+    wrap = at == N  # node N, read at node 0
+    at[wrap] = 0
+    seq = numerator_at_nodes(terms, N, GRID_OFFSET, at)
+    if split.ell % 2:
+        seq[:, wrap] = -seq[:, wrap]
+    # the grid route's certificate of W, its bound lowered to the proof's
+    cert = _certificate(_numerator_powers(split), terms.d, degree, N, math.inf, 1.0, split.ell)
+    cert = dataclasses.replace(cert, bound=min(cert.bound, bound))
+    ends = np.concatenate([last, last + 1 - lengths])
+    if not np.abs(seq[0, ends]).min() > cert.delta_grid[0]:
+        return None
+    h = TWO_PI / N
+    clear0 = cert.grid_clearance(h)
+    layout = _Layout(N, at.size - 1, GRID_OFFSET, _read_only([GRID_OFFSET]), (1.0,), 0.5,
+                     nodes=positions)
+    margin = np.abs(seq[0])
+    margin -= (h / 3.0) * np.abs(seq[1])
+    cells = _screen(seq[0], margin, clear0, layout)
+    if len(spans) > 1:
+        joint = np.zeros(at.size, bool)  # no cell from one run to the next
+        joint[last[:-1]] = True
+        cells = cells[~joint[cells]]
+    jet_at = functools.partial(numerator_jet, terms)
+    jet = lambda x, _: jet_at(x, order=1)  # noqa: E731
+    count, _, left = _grid_cells(seq, cells, layout, cert, clear0, jet, False)
+    depth = 0
+    if left[0].size:
+        more, depth, settled, _ = _local_stage(cert, jet_at, jet, *left, layout.split,
+                                               max_doublings, False)
+        if not settled:
+            return None
+        count += more
+    return count, depth
 
 
 def _phase_count(sample: PolySample, want_roots: bool, tol: float):
@@ -1355,8 +1894,12 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
     Every periodic sample with r != 0 (so ell <= n, m = 1 included) is
     counted from its lattice numerator W = 2 sin(ell x/2) T, a sum of
     2 ell sinusoids with no lattice spike, as count(W) - ell, on the
-    whole circle; where W leaves the count unstable, T itself is
-    counted, and its report is taken if stable.
+    whole circle.  Counting alone, the carrier proof, tried where
+    ell <= 4 and the degree is large beside ell, decides most of them
+    first from W's carrier and its O(ell) envelopes, with W's grid read
+    in a few windows at most, and W's grid route counts the rest; where
+    W leaves the count unstable, T itself is counted, and its report is
+    taken if stable.
     The rest, the i.i.d. samples and m = 1 with r = 0, take the grid
     route on T itself.  The counted function's coefficient record (W's
     or T's, at exponent 0) is built here once and handed to the grid
@@ -1432,8 +1975,14 @@ def count_zeros(sample: PolySample, grid_per_degree: int = GRID_PER_DEGREE, tol:
         ell = split.ell
         terms = (_NumeratorTerms(split, models._scaled(sample.a[:ell], sample.b[:ell], peak)[0])
                  if split.r else _TableCoefficients(n, sample.normalized[0]))
-        count, N, doublings, stable, roots = _certified_count(
-            sample, terms, grid_per_degree, max_doublings, want_roots, tol)
+        decided = None
+        if split.r and not want_roots:
+            decided = _carrier_count(terms, grid_per_degree, max_doublings)
+        if decided is not None:
+            (count, N, doublings), stable, roots = decided, True, None
+        else:
+            count, N, doublings, stable, roots = _certified_count(
+                sample, terms, grid_per_degree, max_doublings, want_roots, tol)
         if not stable and split.r:
             # a zero of T beside a lattice point is a close pair of W, which
             # W's rounding may hide: T itself, if stable

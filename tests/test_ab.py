@@ -89,3 +89,16 @@ def test_the_benchmark_declares_what_the_summary_reads():
     runs = _runs([(100.0, 1.0)] * 2, [(100.0, 1.0)] * 2)
     with pytest.raises(ValueError, match="every pair"):
         _ab().summarize(runs[:-1], SPEC)
+
+
+def test_op_time_sums_are_read_from_the_ops_per_s_line():
+    """The scaled and measured op-time sums of bench/run.py's ops_per_s
+    line, so that a record shows the host's drift; no line, no sums."""
+    lines = ["workload mc-periodic  seed 7  env {}",
+             "  setup_s       0.1000 s   median of 0.1000, 0.1100",
+             "  ops_per_s     353.2000 1/s  = 180 ops / 0.5096 s (op time = median of 1 "
+             "passes at reference host speed; 0.4871 s as measured, 0.982 s wall)",
+             "  op_s_p50      0.00200 s   over 180 ops"]
+    ab = _ab()
+    assert ab.op_time_sums(lines) == {"ops": 180, "scaled_s": 0.5096, "measured_s": 0.4871}
+    assert ab.op_time_sums(lines[:2]) == {}

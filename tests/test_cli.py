@@ -406,10 +406,14 @@ def test_overflowing_draw_exits_2_with_reason(capsys):
 
 
 def test_installed_entry_point():
+    """python -m trigzeros.cli runs with the package's src on the path,
+    whether or not the caller's PYTHONPATH holds it."""
+    src = os.path.dirname(os.path.dirname(trigzeros.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "trigzeros.cli", "simulate", "--ell", "1",
          "--n", "20", "--trials", "3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,m,r,")

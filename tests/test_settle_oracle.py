@@ -150,6 +150,8 @@ class TestSettleOracle:
                                          & (neg == concave)))
             return got
 
+        # W's grid route itself: the carrier proof would decide most W trials
+        monkeypatch.setattr(zeros_module, "_carrier_count", lambda *args: None)
         monkeypatch.setattr(zeros_module, "_grid_cells", grid_spy)
         monkeypatch.setattr(zeros_module, "_settle", settle_spy)
         model = CoefficientModel(kind=kind, dep=dep, ell=ell)

@@ -508,6 +508,31 @@ class TestDirectionTable:
                 assert np.all(gap <= cert.delta_grid[:2]), (n, seed, gap / cert.delta_grid[:2])
 
     @pytest.mark.parametrize("kind", ["trig", "cosine"])
+    @pytest.mark.parametrize("ell", [2, 3, 4, 7])
+    def test_rows_at_chosen_nodes_are_the_grid_rows(self, kind, ell):
+        """numerator_at_nodes reads W and W' at any of the grid's nodes from
+        the same table, the products summed in another order: within
+        delta_grid of the np.longdouble sum of 2 sin(ell x/2) T at those
+        float nodes, and within 1e-13 of the grid rows relative to their
+        largest value, at the ends of the lattice runs and inside them."""
+        for n in self._degrees(ell):
+            s = _unit_sample(kind, ell, n, 0)
+            layout = _table_layout(s)
+            N = layout.columns
+            rows = trigpoly.numerator_on_grid(s, N, layout.offset)
+            at = np.unique(np.concatenate([np.arange(0, N, N // ell), np.arange(N // ell - 1, N,
+                                                                                N // ell),
+                                           np.random.default_rng(n).integers(0, N, 40)]))
+            got = trigpoly.numerator_at_nodes(s, N, layout.offset, at)
+            assert got.shape == (2, at.size)
+            scale = np.abs(rows).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - rows[:, at]) <= 1e-13 * scale), n
+            cert = _numerator_certificate(s, layout, np.abs(rows[0]).max())
+            exact = _numerator_exact(s, grid_nodes(N, layout.offset)[at], 1)
+            gap = np.abs(got - exact).max(axis=1).astype(float)
+            assert np.all(gap <= cert.delta_grid[:2]), (n, gap / cert.delta_grid[:2])
+
+    @pytest.mark.parametrize("kind", ["trig", "cosine"])
     def test_table_tally_floors_the_transform_term(self, kind):
         """W's delta_grid takes the larger of the transform term and the
         table's tally 2 u (13 + 2.9 ell) sum_p |f_p|^k |d_p|.  On the
@@ -611,7 +636,7 @@ class TestDirectionTable:
             assert trigpoly._numerator_table.cache_info().misses == 1, (kind, ell, n)
         assert trials == 320
 
-    def test_route_and_cache_budget(self):
+    def test_route_and_cache_budget(self, monkeypatch):
         """ell = 3 at n = 400 (N = 6480) and at n = 1600 (N = 25920) count W
         from its table, and so do n = 12000 (N = 194400, a table of
         6.2 MB) and n = 16500 (N = 270000, 8.6 MB), stably; i.i.d. n = 199
@@ -619,7 +644,10 @@ class TestDirectionTable:
         whose coefficients do not repeat is a ValueError.  Counting samples
         at several degrees leaves at most two tables in the cache, the
         latest, each of 32 N bytes, and a run that alternates two degrees
-        builds each table once."""
+        builds each table once.  W's grid route itself: the carrier proof,
+        which reads the table only for its windows left to the grid, is
+        disabled."""
+        monkeypatch.setattr(zeros, "_carrier_count", lambda *args: None)
         table = trigpoly._numerator_table
         periodic = CoefficientModel(kind="trig", dep="periodic", ell=3)
         table.cache_clear()

@@ -1002,6 +1002,8 @@ class TestBentCells:
 
         calls, settles = [], []
         original, original_settle = zeros_module._grid_cells, zeros_module._settle
+        # W's grid route itself: the carrier proof would decide most W trials
+        monkeypatch.setattr(zeros_module, "_carrier_count", lambda *args: None)
 
         def spy(*args):
             calls.append(args)
@@ -1141,6 +1143,8 @@ class TestBentCells:
         tally = {}
         inside = []
         original_stage = zeros_module._local_stage
+        # W's grid route itself: the carrier proof would decide most W trials
+        monkeypatch.setattr(zeros_module, "_carrier_count", lambda *args: None)
 
         def stage(*args):
             tally[key][0] += 1
@@ -1803,3 +1807,238 @@ class TestLatticeNumerator:
         lattice = 2 * np.pi / 128
         gap = np.abs(rep.roots / lattice - np.rint(rep.roots / lattice)) * lattice
         assert gap.min() < 1e-8
+
+
+def _without_carrier_proof(sample, **options):
+    """count_zeros(sample) on W's grid route: the carrier proof disabled."""
+    import trigzeros.zeros as zeros_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros_module, "_carrier_count", lambda *args: None)
+        return count_zeros(sample, **options)
+
+
+def _carrier_record(sample):
+    """count_zeros' record of W for a periodic r != 0 sample."""
+    ell = sample.split.ell
+    return trigpoly._NumeratorTerms(sample.split,
+                                    trigpoly._scaled(sample.a[:ell], sample.b[:ell],
+                                                     sample.peak)[0])
+
+
+class TestCarrierProof:
+    """Periodic r != 0 samples counted alone: the carrier proof decides most
+    of W's counts from P and Q at the proof nodes, and W's grid route
+    counts the rest (zeros, Carrier proof)."""
+
+    # (kind, ell, n, trials): r != 0 rows inside the proof's gate (ell <= 4)
+    # and outside it, n up to 12000
+    SWEEP = [(kind, ell, n, trials) for kind in ("trig", "cosine")
+             for ell, n, trials in ((2, 300, 700), (2, 2000, 700), (3, 400, 700),
+                                    (3, 1600, 700), (3, 12000, 5), (4, 1001, 700),
+                                    (4, 2000, 700), (5, 503, 200), (6, 600, 200),
+                                    (7, 1001, 200), (10, 2001, 200), (23, 1999, 200))]
+
+    def test_sweep_counts_equal_the_grid_route(self):
+        """On 10 410 r != 0 trials every count that the proof certifies is
+        the stable count of W's grid route on the same sample, and the
+        proof certifies most trials where it is tried."""
+        import trigzeros.zeros as zeros_module
+
+        trials = decided = 0
+        for kind, ell, n, count in self.SWEEP:
+            model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+            for t in range(count):
+                s = sample_coefficients(model, n, seed=mix64(51, ell, n, t))
+                assert s.split.r != 0
+                trials += 1
+                got = zeros_module._carrier_count(_carrier_record(s), GRID_PER_DEGREE, 7)
+                if got is None:
+                    continue
+                decided += 1
+                ref = _without_carrier_proof(s)
+                assert ref.stable, (kind, ell, n, t)
+                assert got[0] == ref.count and got[1] == ref.grid_size, (kind, ell, n, t)
+                rep = count_zeros(s)
+                assert (rep.count, rep.grid_size, rep.stable) == (ref.count, ref.grid_size, True)
+        assert trials >= 10000
+        assert decided >= 0.9 * sum(c for _, ell, n, c in self.SWEEP if ell <= 4), decided
+
+    @pytest.mark.parametrize("n", [400, 1600])
+    def test_share_the_proof_decides(self, n):
+        """On 200 fixed seeds of each mc-periodic W row (trig ell = 3, r = 2)
+        the proof decides at least 90 % of the counts."""
+        import trigzeros.zeros as zeros_module
+
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        decided = sum(
+            zeros_module._carrier_count(
+                _carrier_record(sample_coefficients(model, n, seed=mix64(51, n, t))),
+                GRID_PER_DEGREE, 7) is not None
+            for t in range(200))
+        assert decided >= 180, decided
+
+    @pytest.mark.parametrize("kind, ell, n, tried", [
+        ("trig", 3, 400, True), ("cosine", 3, 1600, True), ("trig", 2, 300, True),
+        ("trig", 4, 1001, True), ("trig", 4, 400, False), ("trig", 3, 100, False),
+        ("trig", 5, 1999, False), ("trig", 23, 1999, False), ("cosine", 300, 300, False)])
+    def test_proof_runs_only_inside_its_gate_and_never_for_roots(self, kind, ell, n, tried):
+        """The proof builds its table only where ell <= 4 and a proof cell
+        holds at least 4 ell grid cells, and never when roots are wanted;
+        either way the count and stable flag are the grid route's."""
+        import trigzeros.zeros as zeros_module
+
+        model = CoefficientModel(kind=kind, dep="periodic", ell=ell)
+        samples = [sample_coefficients(model, n, seed=mix64(59, n, t)) for t in range(3)]
+        calls, original = [], zeros_module._carrier_table
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeros_module, "_carrier_table",
+                          lambda *args: calls.append(1) or original(*args))
+            listed = [count_zeros(s, want_roots=True) for s in samples]
+            assert calls == []
+            plain = [count_zeros(s) for s in samples]
+        assert len(calls) == (len(samples) if tried else 0)
+        for s, rep, ref in zip(samples, plain, listed):
+            assert (rep.count, rep.stable) == (ref.count, ref.stable), s.seed
+            assert rep.roots is None
+
+    def test_a_slow_carrier_on_a_fine_grid_builds_no_table(self):
+        """At 1024 nodes a degree, trig ell = 3 n = 6 passes the stride gate
+        (N = 7680), but its carrier F = 5.5 is below 16 (S1 + S1')/S0, which
+        is at least 8 since |s_q| >= 1/2: the proof gives up before any
+        table is built, and W's grid route counts."""
+        import trigzeros.zeros as zeros_module
+
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        samples = [sample_coefficients(model, 6, seed=mix64(64, t)) for t in range(5)]
+        calls, original = [], zeros_module._carrier_table
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zeros_module, "_carrier_table",
+                          lambda *args: calls.append(1) or original(*args))
+            reports = [count_zeros(s, grid_per_degree=1024) for s in samples]
+        assert calls == []
+        for s, rep in zip(samples, reports):
+            ref = _without_carrier_proof(s, grid_per_degree=1024)
+            assert (rep.count, rep.grid_size, rep.stable) == (ref.count, 7680, ref.stable)
+
+    def test_monotone_phase_proof_never_runs_on_w(self):
+        """The r = 0 proof and the carrier proof share the table rows and the
+        turns, not the tries: an r != 0 sample never reaches
+        _monotone_winding, and an r = 0 one never reaches _carrier_count."""
+        import trigzeros.zeros as zeros_module
+
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_monotone_winding", "_carrier_count"):
+                original = getattr(zeros_module, name)
+                patch.setattr(zeros_module, name,
+                              functools.partial(lambda name, f, *a: seen.append(name) or f(*a),
+                                                name, original))
+            count_zeros(sample_coefficients(CoefficientModel(kind="trig", dep="periodic",
+                                                             ell=3), 400, seed=1))
+            count_zeros(sample_coefficients(CoefficientModel(kind="trig", dep="periodic",
+                                                             ell=5), 499, seed=1))
+        assert seen == ["_carrier_count", "_monotone_winding"]
+
+    @staticmethod
+    def _decided_or_fell_back(s):
+        """The proof's count, if it decides, equals the grid route's stable
+        count; returns whether it decided."""
+        import trigzeros.zeros as zeros_module
+
+        got = zeros_module._carrier_count(_carrier_record(s), GRID_PER_DEGREE, 7)
+        if got is None:
+            return False
+        ref = _without_carrier_proof(s)
+        assert ref.stable and got[0] == ref.count
+        return True
+
+    def test_zero_of_t_beside_a_lattice_point(self):
+        """A zero of T within 1e-8 of the lattice point 2 pi/3 (a close pair
+        of W): the proof decides the exact count or falls back."""
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        for t in range(4):
+            s = sample_coefficients(model, 1600, seed=mix64(60, t))
+            x0 = np.array([2.0 * np.pi / 3.0 + 1e-8 * (t + 1)])
+            unit = np.zeros(3)
+            unit[0] = 1.0
+            basis = _rigged_periodic(s, np.tile(unit, 534)[:1601], np.zeros(1601))
+            a0 = s.a[0] - evaluate(s, x0)[0] / evaluate(basis, x0)[0]
+            a = np.tile(np.concatenate([[a0], s.a[1:3]]), 534)[:1601]
+            rigged = _rigged_periodic(s, a, s.b)
+            assert abs(evaluate(rigged, x0)[0]) < 1e-9
+            self._decided_or_fell_back(rigged)
+
+    def test_p_with_a_root_beside_the_circle(self):
+        """ell = 3, r = 2: P(z) = z^-2 (c_2 + c_0 z + c_1 z^2) up to the
+        centring; roots of c_2 + c_0 z + c_1 z^2 placed 1e-10 outside and
+        inside the unit circle: decided exactly or left to the grid."""
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        s = sample_coefficients(model, 1600, seed=61)
+        for radius in (1.0 + 1e-10, 1.0 - 1e-10):
+            z1, z2 = radius * np.exp(0.7j), 2.5 * np.exp(-1.1j)
+            c1 = 0.8 - 0.3j
+            c = np.array([-c1 * (z1 + z2), c1, c1 * z1 * z2])
+            rigged = _rigged_periodic(s, np.tile(c.real, 534)[:1601],
+                                      np.tile(-c.imag, 534)[:1601])
+            self._decided_or_fell_back(rigged)
+
+    def test_slow_part_vanishes(self):
+        """c_0 = 0 and c_2 = conj(c_1) at ell = 3 make Q real, Im Q = 0 on the
+        whole circle: every cell is an arc or a window, never zero-free, and
+        the count is still exact."""
+        model = CoefficientModel(kind="trig", dep="periodic", ell=3)
+        s = sample_coefficients(model, 1600, seed=62)
+        c = np.array([0.0, 0.9 - 0.4j, 0.9 + 0.4j])
+        rigged = _rigged_periodic(s, np.tile(c.real, 534)[:1601], np.tile(-c.imag, 534)[:1601])
+        assert self._decided_or_fell_back(rigged)
+
+    def test_a_constant_carrier_envelope_warns_of_nothing(self):
+        """ell = 2, r = 1 with c = (0, -2 + i): P is the constant -2 + i
+        (e_1 = 0), so every chord of P is a point, which rounding may call
+        one with its foot inside; the count is exact and no division
+        warns."""
+        import warnings
+
+        model = CoefficientModel(kind="trig", dep="periodic", ell=2)
+        s = sample_coefficients(model, 4002, seed=65)
+        rigged = _rigged_periodic(s, np.tile([0.0, -2.0], 2002)[:4003],
+                                  np.tile([0.0, -1.0], 2002)[:4003])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._decided_or_fell_back(rigged)
+            count_zeros(rigged)
+
+    def test_an_arc_end_on_a_level_is_not_counted(self):
+        """psi - u exactly on a level at an arc's end: the end is within its
+        rounding of the level, and the arcs give no count."""
+        import trigzeros.zeros as zeros_module
+
+        K = zeros_module._CARRIER_NODES
+        nodes = np.linspace(0.0, 2.0 * np.pi, K + 1)
+        F = 100.0
+        x = nodes[10]
+        p = np.full(K + 1, np.exp(-1j * F * x))  # psi = F x + arg P = 0 at node 10
+        b = np.zeros(K + 1)
+        total = np.zeros(K + 1)
+        assert zeros_module._carrier_arcs([(10, 20)], p, b, total, nodes, F, (1e-15, 1e-15)) \
+            is None
+        assert zeros_module._carrier_arcs([(11, 20)], p, b, total, nodes, F,
+                                          (1e-15, 1e-15)) is not None
+
+    @pytest.mark.parametrize("kind, n", [("trig", 400), ("trig", 1600), ("cosine", 400)])
+    def test_extreme_sigma_keeps_the_report(self, kind, n):
+        """At sigma = 2^-1000 and 2^900 every report equals the sigma = 1 one,
+        and the proof decides the same trials."""
+        import trigzeros.zeros as zeros_module
+
+        reports, decided = {}, {}
+        for k in (0, -1000, 900):
+            model = CoefficientModel(kind=kind, dep="periodic", ell=3, sigma=2.0**k)
+            samples = [sample_coefficients(model, n, seed=mix64(63, n, t)) for t in range(10)]
+            reports[k] = [count_zeros(s) for s in samples]
+            decided[k] = [zeros_module._carrier_count(_carrier_record(s), GRID_PER_DEGREE, 7)
+                          for s in samples]
+        assert reports[-1000] == reports[0] == reports[900]
+        assert decided[-1000] == decided[0] == decided[900]
+        assert all(d is not None for d in decided[0])

@@ -34,8 +34,12 @@ directory), one JSON object:
                                        "change"), "first" (ran first in its
                                        pair), "wall_s", "correct",
                                        "attempted", "failed", "metrics"
-                                       ({name: value}), "digests"
-                                       ({sidecar file: sha256})}
+                                       ({name: value}), "op_time" ({"ops",
+                                       "scaled_s", "measured_s"}: the op-time
+                                       sums of its ops_per_s line, scaled
+                                       to the reference host speed and as
+                                       measured), "digests" ({sidecar file:
+                                       sha256})}
       summary                          the output of summarize(runs, spec)
     extra                              {} for sections a change adds by hand
 
@@ -59,6 +63,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,6 +74,9 @@ import numpy as np
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 GAIN_SHARE = 0.9
+# bench/run.py's ops_per_s line: "= <ops> ops / <scaled> s (...; <measured> s as measured, ..."
+_OP_TIME = re.compile(r"ops_per_s\s.*=\s*(\d+) ops / ([0-9.eE+-]+) s .*?; "
+                      r"([0-9.eE+-]+) s as measured")
 
 
 def _git(*args: str) -> str:
@@ -82,6 +90,19 @@ def export(rev: str, into: Path) -> Path:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
+
+
+def op_time_sums(lines: list) -> dict:
+    """{"ops", "scaled_s", "measured_s"} from the ops_per_s line of a
+    bench/run.py report: the op count, the op-time sum at reference host
+    speed (what ops_per_s divides by) and the same sum as measured, whose
+    ratio shows the host's drift; {} when no line matches."""
+    for line in lines:
+        match = _OP_TIME.search(line)
+        if match:
+            ops, scaled, measured = match.groups()
+            return {"ops": int(ops), "scaled_s": float(scaled), "measured_s": float(measured)}
+    return {}
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -102,7 +123,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return {"wall_s": wall, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "digests": digests}
+            "op_time": op_time_sums(lines), "digests": digests}
 
 
 def schedule(pairs: int, seed: int) -> list:
@@ -173,6 +194,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    out = Path(args.out) / f"BENCH_{args.tag}.json"
+    out.parent.mkdir(parents=True, exist_ok=True)  # before the runs, not after
 
     revs = {side: {"rev": rev, "id": _git("rev-parse", rev).strip()}
             for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -200,7 +223,6 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "extra": {},
     }
-    out = Path(args.out) / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, part in workloads.items():
         for name, row in part["summary"].items():
